@@ -6,6 +6,9 @@ end, parent span, function, workload) and a few counts, then return exactly
 what the wrapped function returned. ``uninstall()`` puts the originals back.
 The program's source is never modified. Spans stay in memory until the
 traced pass ends, and are written out then.
+
+``SolveLog`` is the one wrapper every pass carries, traced or not: it
+records each solver call's verdict, reason and node count, for the checks.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ class Tracer:
         self.function = ""
         self.spans: list[Span] = []
         self.counts: Counter[str] = Counter()
-        self.solver_nodes: Counter[str] = Counter()  # per function
-        self.solver_reasons: dict[str, list[str]] = {}
         self._stack: list[int] = []
         self._recent: list = []
         self._saved: list[tuple[object, str, object]] = []
@@ -123,9 +124,6 @@ class Tracer:
         if result.status == "unknown" and "node budget" in result.reason:
             self.counts["solver.unknown_nodes"] += 1
         self.counts["solver.nodes"] += result.nodes
-        self.solver_nodes[self.function] += result.nodes
-        self.solver_reasons.setdefault(self.function, []).append(
-            f"{result.status}:{result.reason}")
         parent = self.spans[self._stack[-1]] if self._stack else None
         if parent is not None and parent.layer == "prefix":
             self.counts["prefix.solve_calls"] += 1
@@ -187,7 +185,39 @@ class Tracer:
             self_s[span.layer] += span.end - span.start - covered
         return calls, self_s
 
+    def probe_s(self) -> float:
+        """Time spent in the model-reuse probe, which is no part of the pass."""
+        return sum(s.end - s.start for s in self.spans if s.name == "reuse_check")
+
     def write_spans(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for span in self.spans:
                 fh.write(json.dumps(span.__dict__) + "\n")
+
+
+class SolveLog:
+    """Each solver call's (verdict, reason, node count), per function.
+
+    Wraps ``solve`` where the pipeline looks it up; one Python call per
+    solve is all it adds to a pass.
+    """
+
+    def __init__(self):
+        self.function = ""
+        self.calls: dict[str, list[tuple[str, str, int]]] = {}
+        self._original = None
+
+    def install(self) -> None:
+        original = self._original = pipeline_mod.solve
+        log = self
+
+        def solve(*args, **kwargs):
+            result = original(*args, **kwargs)
+            log.calls.setdefault(log.function, []).append(
+                (result.status, result.reason, result.nodes))
+            return result
+
+        pipeline_mod.solve = solve
+
+    def uninstall(self) -> None:
+        pipeline_mod.solve = self._original

@@ -1,6 +1,6 @@
 """cunitgen benchmark: one workload per run, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload corpus --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload corpus --seed 1 --seconds 30 --trace 0
 
 Run from the repository root. The steps of one run:
 
@@ -9,28 +9,32 @@ Run from the repository root. The steps of one run:
 2. ``setup_s``: in fresh processes, import cunitgen and parse every unit;
    the median over several processes.
 3. One untimed warm-up pass, then untraced passes until ``--seconds`` have
-   passed (at least three): ``generate_function`` + ``write_outputs`` for
-   every function, in this one process and thread (``Config.jobs = 1``).
-   Timings are medians over these passes.
+   passed, and at least enough of them for the workload's tail percentile:
+   ``generate_function`` + ``write_outputs`` for every function, in this
+   one process and thread (``Config.jobs = 1``). Timings are medians over
+   these passes.
 4. With ``--trace 1`` only, two traced passes: the same work with every
    layer's entry points wrapped (``layers.py``), giving per-layer counts and
    self times.
 5. Checks, outside every timed region: each driver compiles with its unit
    and stubs under ``gcc -Werror`` and exits 0; no function errors, replays
    divergently or gets a verdict from the wall-clock budget; every pass,
-   traced or not, writes byte-identical artifacts and the same exact
-   counters; both traced passes count the same solver nodes.
+   traced or not, writes byte-identical artifacts and repeats the same
+   exact counters, every solver call's verdict and node count included.
 
-Every metric measured is printed by name with its unit: the end-to-end
-ones always, the per-layer ones with ``--trace 1``. The last line is one
-JSON object holding the end-to-end metrics with ``--trace 0`` and the
-per-layer metrics with ``--trace 1``. A function failing any check counts
-in ``failed``.
+Every time is reported in seconds at a fixed reference host speed
+(``hostspeed.py``), so that the drift of a shared machine's speed cancels
+out; the wall-clock figures are printed beside them. Every metric measured
+is printed by name with its unit: the end-to-end ones always, the per-layer
+ones with ``--trace 1``. The last line is one JSON object holding the
+end-to-end metrics with ``--trace 0`` and the per-layer metrics with
+``--trace 1``. A function failing any check counts in ``failed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import hashlib
 import json
@@ -50,6 +54,7 @@ OUT_ROOT = os.path.join(ROOT, ".perfbench_out")
 HEADER = os.path.join(SRC, "cunitgen", "data", "rtt_annotations.h")
 
 sys.path[:0] = [HERE, SRC]
+import hostspeed  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 try:
@@ -57,7 +62,7 @@ try:
     import cunitgen.pipeline as pipeline_mod
     from cunitgen.cli import ship_compat_header
     from cunitgen.config import Config
-    from layers import Tracer
+    from layers import SolveLog, Tracer
 except ImportError as exc:
     sys.exit(f"error: cannot import cunitgen from {SRC}: {exc}")
 
@@ -66,23 +71,29 @@ GCC = ["gcc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fwrapv"]
 # budget (Config.budget_nodes) decides a verdict and verdicts do not depend
 # on machine load. A verdict that still names the time budget is a failure.
 BUDGET_MS = 10**9
-SETUP_PROCESSES = 5
-MIN_PASSES = 3
+SETUP_PROCESSES = 7
+MIN_PASSES = 5
+TAIL_BEYOND = 10  # samples a tail percentile must leave beyond it
 TRACED_PASSES = 2
-TAIL_PERCENTILES = (99, 95, 90, 75, 50)
 DRIVER_TIMEOUT_S = 30
 
-# Child of the setup measurement: import cunitgen, parse every unit.
+# Child of the setup measurement: import cunitgen, parse every unit; prints
+# the seconds that took and the host-speed scale around it.
 _SETUP_CHILD = """
 import os, sys, time
-t0 = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
+import hostspeed
+hostspeed.loop_s()
+before = hostspeed.loop_s()
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[2])
 import cunitgen.pipeline
 from cunitgen.frontend.parser import parse_unit
-for path in sys.argv[2:]:
+for path in sys.argv[3:]:
     with open(path, encoding="utf-8") as fh:
         parse_unit(fh.read(), path, os.path.dirname(path))
-print(time.perf_counter() - t0)
+elapsed = time.perf_counter() - t0
+print(elapsed, hostspeed.scale([before, hostspeed.loop_s()]))
 """
 
 
@@ -113,14 +124,16 @@ def write_units(build, seed: int, src_dir: str) -> list[str]:
     return paths
 
 
-def measure_setup(paths: list[str]) -> list[float]:
+def measure_setup(paths: list[str]) -> list[tuple[float, float]]:
+    """(wall seconds, host-speed scale) of each set-up process."""
     times = []
     for _ in range(SETUP_PROCESSES):
-        proc = subprocess.run([sys.executable, "-c", _SETUP_CHILD, SRC, *paths],
+        proc = subprocess.run([sys.executable, "-c", _SETUP_CHILD, HERE, SRC, *paths],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise BenchError(f"set-up process failed:\n{proc.stderr.strip()}")
-        times.append(float(proc.stdout.strip().splitlines()[-1]))
+        elapsed, scale = proc.stdout.strip().splitlines()[-1].split()
+        times.append((float(elapsed), float(scale)))
     return times
 
 
@@ -150,58 +163,96 @@ def parse_work(paths: list[str]) -> list[tuple]:
     return work
 
 
-def one_pass(work: list[tuple], pass_dir: str, tracer: Tracer | None = None):
-    """Generate and write every function; returns (total s, per-fn s, outcomes).
+class Pass:
+    """One pass over every function: timings, outcomes and solver calls.
 
-    Each unit writes into its own directory, since units may share
-    function and callee names.
+    ``fn_times`` are wall seconds. ``fn_scaled`` are the
+    function times in seconds at the reference host speed (``hostspeed``),
+    each scaled by the host-speed loop run right before and right after that
+    function; ``scaled_total`` is their sum and ``scale`` the pass's mean
+    factor.
     """
-    configs = {}
-    for path, _unit, _fn in work:
-        out_dir = unit_dir(pass_dir, path)
-        ship_compat_header(out_dir)
-        configs[path] = Config(budget_ms=BUDGET_MS, out_dir=out_dir, quiet=True, jobs=1)
-    fn_times, outcomes = [], []
-    start = time.perf_counter()
-    for path, unit, fn in work:
-        if tracer is not None:
-            tracer.set_function(qualified(path, fn))
-        t0 = time.perf_counter()
-        outcome = pipeline_mod.generate_function(unit, fn, configs[path])
-        pipeline_mod.write_outputs(outcome, unit, configs[path])
-        fn_times.append(time.perf_counter() - t0)
-        outcomes.append(outcome)
-    return time.perf_counter() - start, fn_times, outcomes
+
+    def __init__(self, work: list[tuple], out_dir: str, tracer: Tracer | None = None,
+                 collector: bool = False):
+        self.out_dir = out_dir
+        self.tracer = tracer
+        self.fn_times: list[float] = []
+        self.fn_scaled: list[float] = []
+        self.outcomes: list = []
+        self.solves: list[list[tuple[str, str, int]]] = []
+        self._run(work, collector)
+
+    def _run(self, work: list[tuple], collector: bool) -> None:
+        """Generate and write every function.
+
+        Each unit writes into its own directory, since units may share
+        function and callee names. The cyclic garbage collector is emptied
+        before the pass and, unless ``collector`` is set, kept off during it,
+        as in ``timeit``: its pauses then neither land on whichever function
+        the seed orders next to them nor vary from pass to pass.
+        """
+        configs = {}
+        for path, _unit, _fn in work:
+            out_dir = unit_dir(self.out_dir, path)
+            ship_compat_header(out_dir)
+            configs[path] = Config(budget_ms=BUDGET_MS, out_dir=out_dir, quiet=True, jobs=1)
+        log = SolveLog()
+        log.install()
+        gc.collect()
+        if not collector:
+            gc.disable()
+        try:
+            loops = [hostspeed.loop_s()]
+            for path, unit, fn in work:
+                log.function = qualified(path, fn)
+                if self.tracer is not None:
+                    self.tracer.set_function(log.function)
+                t0 = time.perf_counter()
+                outcome = pipeline_mod.generate_function(unit, fn, configs[path])
+                pipeline_mod.write_outputs(outcome, unit, configs[path])
+                self.fn_times.append(time.perf_counter() - t0)
+                self.outcomes.append(outcome)
+                loops.append(hostspeed.loop_s())
+        finally:
+            gc.enable()
+            log.uninstall()
+        self.fn_scaled = [t * hostspeed.scale(loops[i:i + 2])
+                          for i, t in enumerate(self.fn_times)]
+        self.scaled_total = sum(self.fn_scaled)
+        self.scale = self.scaled_total / sum(self.fn_times)
+        self.solves = [log.calls.get(qualified(path, fn), []) for path, _u, fn in work]
+
+    def digests(self, work: list[tuple]) -> list[str]:
+        """Per function: hash of its artifacts and exact counters."""
+        digests = []
+        for (path, _unit, _fn), outcome, solves in zip(work, self.outcomes, self.solves):
+            out_dir = unit_dir(self.out_dir, path)
+            h = hashlib.sha256()
+            names = [f"{outcome.name}_{kind}" for kind in
+                     ("driver.c", "coverage.txt", "coverage.json", "trace.csv")]
+            names += sorted(f"{spec.callee}_stub.c" for spec in outcome.stub_specs)
+            for name in names:
+                h.update(name.encode())
+                artifact = os.path.join(out_dir, name)
+                if os.path.exists(artifact):
+                    with open(artifact, "rb") as fh:
+                        h.update(fh.read())
+            h.update(repr(counters(outcome, solves)).encode())
+            digests.append(h.hexdigest())
+        return digests
 
 
-def counters(outcome) -> tuple:
-    """The exact counters every pass must repeat."""
+def counters(outcome, solves) -> tuple:
+    """The exact counters every pass must repeat: status, test cases, replay
+    divergences, covered edges, STCT modes and verdicts, and every solver
+    call's verdict, reason and node count."""
     modes = [r.mode for r in outcome.selection_log]
     report = outcome.report
-    return (outcome.status, len(outcome.test_cases),
+    return (outcome.status, len(outcome.test_cases), len(outcome.divergences),
             report.edges_covered if report else -1,
             modes.count("fresh"), modes.count("extend"), modes.count("complete"),
-            tuple(r.verdict for r in outcome.selection_log))
-
-
-def digest_pass(work: list[tuple], outcomes, pass_dir: str) -> list[str]:
-    """Per function: hash of its artifacts and exact counters."""
-    digests = []
-    for (path, _unit, _fn), outcome in zip(work, outcomes):
-        out_dir = unit_dir(pass_dir, path)
-        h = hashlib.sha256()
-        names = [f"{outcome.name}_{kind}" for kind in
-                 ("driver.c", "coverage.txt", "coverage.json", "trace.csv")]
-        names += sorted(f"{spec.callee}_stub.c" for spec in outcome.stub_specs)
-        for name in names:
-            h.update(name.encode())
-            artifact = os.path.join(out_dir, name)
-            if os.path.exists(artifact):
-                with open(artifact, "rb") as fh:
-                    h.update(fh.read())
-        h.update(repr(counters(outcome)).encode())
-        digests.append(h.hexdigest())
-    return digests
+            tuple(r.verdict for r in outcome.selection_log), tuple(solves))
 
 
 def oracle(work: list[tuple], outcomes, pass_dir: str) -> dict[str, str]:
@@ -231,22 +282,17 @@ def oracle(work: list[tuple], outcomes, pass_dir: str) -> dict[str, str]:
     return failures
 
 
-def tail(samples: list[float], expected: int) -> tuple[int, float]:
-    """Highest listed percentile with at least 10 samples beyond it.
+def rank(n: int, p: int) -> int:
+    """1-based nearest rank of percentile p among n samples."""
+    return max(math.ceil(p / 100 * n), 1)
 
-    The percentile is chosen from the sample count a run of this length
-    takes on the reference machine, not from the count this run reached,
-    so that a slower or faster pass never switches which percentile (and
-    which function) the tail reports. With too few samples for any, the
-    median stands in.
-    """
-    chosen = 50
-    for p in TAIL_PERCENTILES:
-        if expected - math.ceil(p / 100 * expected) >= 10:
-            chosen = p
-            break
-    ordered = sorted(samples)
-    return chosen, ordered[max(math.ceil(chosen / 100 * len(ordered)), 1) - 1]
+
+def min_passes(functions: int, tail_p: int) -> int:
+    """Fewest passes whose samples leave TAIL_BEYOND beyond percentile tail_p."""
+    passes = MIN_PASSES
+    while passes * functions - rank(passes * functions, tail_p) < TAIL_BEYOND:
+        passes += 1
+    return passes
 
 
 def record(lines: list[str], name: str, value, unit: str,
@@ -257,18 +303,24 @@ def record(lines: list[str], name: str, value, unit: str,
     lines.append(f"{name:28s} {value:>14.6g} {unit}")
 
 
-def layer_metrics(traced: list[tuple], gen_s: float, lines: list[str]) -> dict:
-    """Per-layer metrics of the traced passes; times are medians over them."""
-    counts = traced[0][1].counts
-    per_pass = [t[1].layer_times() for t in traced]
-    calls = per_pass[0][0]
+def layer_metrics(traced: list[Pass], gen_s: float, lines: list[str]) -> dict:
+    """Per-layer metrics of the traced passes.
+
+    Times are in seconds at the reference host speed, medians over the
+    traced passes.
+    """
+    counts = traced[0].tracer.counts
+    per_pass = [(t.tracer.layer_times(), t.scale) for t in traced]
+    calls = per_pass[0][0][0]
 
     def self_s(layer: str) -> float:
-        return statistics.median(p[1][layer] for p in per_pass)
+        return statistics.median(times[1][layer] * scale for times, scale in per_pass)
 
-    modes = [r.mode for o in traced[0][2] for r in o.selection_log]
-    traced_gen_s = statistics.median(t[0] for t in traced)
-    emitted = glob.glob(os.path.join(traced[0][3], "*", "*"))
+    modes = [r.mode for o in traced[0].outcomes for r in o.selection_log]
+    # The reuse probe is extra work of the traced pass, not wrapper overhead.
+    traced_gen_s = statistics.median(t.scaled_total - t.tracer.probe_s() * t.scale
+                                     for t in traced)
+    emitted = glob.glob(os.path.join(traced[0].out_dir, "*", "*"))
     solver_calls = max(counts["solver.calls"], 1)
     layer: dict = {}
     for name, value, unit in [
@@ -304,7 +356,7 @@ def layer_metrics(traced: list[tuple], gen_s: float, lines: list[str]) -> dict:
         ("accept.calls", calls["accept"], "count"),
         ("accept.self_s", self_s("accept"), "s"),
         ("accept.ratio", counts["accept.accepted"] / max(calls["accept"], 1), "share"),
-        ("accept.divergences", sum(len(o.divergences) for o in traced[0][2]), "count"),
+        ("accept.divergences", sum(len(o.divergences) for o in traced[0].outcomes), "count"),
         ("emit.self_s", self_s("emit"), "s"),
         ("emit.bytes", sum(os.path.getsize(f) for f in emitted), "B"),
         ("trace.overhead_share", (traced_gen_s - gen_s) / gen_s, "share"),
@@ -315,7 +367,7 @@ def layer_metrics(traced: list[tuple], gen_s: float, lines: list[str]) -> dict:
 
 
 def run(args) -> int:
-    build, nominal_pass_s = WORKLOADS[args.workload]
+    build, tail_p = WORKLOADS[args.workload]
     run_dir = os.path.join(OUT_ROOT, f"{args.workload}-{args.seed}")
     shutil.rmtree(run_dir, ignore_errors=True)
     paths = write_units(build, args.seed, os.path.join(run_dir, "src"))
@@ -328,73 +380,74 @@ def run(args) -> int:
     failures: dict[str, str] = {}
 
     # -- untraced passes: the end-to-end numbers ------------------------------------
-    last_dir = os.path.join(run_dir, "warmup")
-    _total, _fn_times, outcomes = one_pass(work, last_dir)
-    digests = [digest_pass(work, outcomes, last_dir)]
-    pass_times, fn_samples = [], []
-    started = time.perf_counter()
-    while len(pass_times) < MIN_PASSES or time.perf_counter() - started < args.seconds:
-        out_dir = os.path.join(run_dir, f"pass{len(pass_times)}")
-        total, fn_times, outcomes = one_pass(work, out_dir)
-        pass_times.append(total)
-        fn_samples.extend(fn_times)
-        digests.append(digest_pass(work, outcomes, out_dir))
-        shutil.rmtree(last_dir)
-        last_dir = out_dir
+    # The warm-up pass runs as cunitgen normally does, collector on, and
+    # gives the peak memory; with the collector off, garbage cycles would
+    # pile up until the end of each timed pass.
+    last = Pass(work, os.path.join(run_dir, "warmup"), collector=True)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    passes = [last]
+    digests = [last.digests(work)]
+    timed: list[Pass] = []
+    fewest = min_passes(len(names), tail_p)
+    started = time.perf_counter()
+    while len(timed) < fewest or time.perf_counter() - started < args.seconds:
+        this = Pass(work, os.path.join(run_dir, f"pass{len(timed)}"))
+        digests.append(this.digests(work))
+        timed.append(this)
+        passes.append(this)
+        shutil.rmtree(last.out_dir)
+        last = this
 
     # -- traced passes (--trace 1 only): the per-layer numbers ----------------------
-    traced = []
+    traced: list[Pass] = []
     for i in range(TRACED_PASSES if args.trace else 0):
         tracer = Tracer(args.workload)
         tracer.install()
         try:
             traced_work = parse_work(paths)
-            out_dir = os.path.join(run_dir, f"traced{i}")
-            total, _fn_times, traced_outcomes = one_pass(traced_work, out_dir, tracer)
+            this = Pass(traced_work, os.path.join(run_dir, f"traced{i}"), tracer)
         finally:
             tracer.uninstall()
-        traced.append((total, tracer, traced_outcomes, out_dir))
-        digests.append(digest_pass(traced_work, traced_outcomes, out_dir))
+        traced.append(this)
+        passes.append(this)
+        digests.append(this.digests(traced_work))
         tracer.write_spans(os.path.join(run_dir, f"spans{i}.jsonl"))
 
     # -- checks ---------------------------------------------------------------------------
-    for idx, name in enumerate(names):
-        if len({d[idx] for d in digests}) != 1:
-            failures[name] = "artifacts or counters differ between passes"
-        if len({t[1].solver_nodes[name] for t in traced}) > 1:
-            failures.setdefault(name, "solver node counts differ between passes")
-    for name, outcome in zip(names, outcomes):
-        verdicts = [r.verdict for r in outcome.selection_log]
-        for t in traced:
-            verdicts += t[1].solver_reasons.get(name, [])
+    for idx, (name, outcome) in enumerate(zip(names, last.outcomes)):
+        reasons = [r.verdict for r in outcome.selection_log]
+        reasons += [reason for p in passes for _st, reason, _n in p.solves[idx]]
         if outcome.status != "ok":
-            failures.setdefault(name, f"error: {outcome.message}")
+            failures[name] = f"error: {outcome.message}"
         elif outcome.divergences:
-            failures.setdefault(name, f"replay divergence: {outcome.divergences[0]}")
-        elif any("time budget" in v for v in verdicts):
-            failures.setdefault(name, "verdict decided by the wall-clock budget")
-    for name, reason in oracle(work, outcomes, last_dir).items():
+            failures[name] = f"replay divergence: {outcome.divergences[0]}"
+        elif any("time budget" in r for r in reasons):
+            failures[name] = "verdict decided by the wall-clock budget"
+        elif len({d[idx] for d in digests}) != 1:
+            failures[name] = "artifacts or counters differ between passes"
+    for name, reason in oracle(work, last.outcomes, last.out_dir).items():
         failures.setdefault(name, reason)
 
     # -- end-to-end metrics ---------------------------------------------------------------
+    outcomes = last.outcomes
     reports = [o.report for o in outcomes if o.report is not None]
     edges_covered = sum(r.edges_covered for r in reports)
     tests = sum(len(o.test_cases) for o in outcomes)
-    gen_s = statistics.median(pass_times)
-    expected_passes = max(MIN_PASSES, round(args.seconds / nominal_pass_s))
-    tail_p, tail_s = tail(fn_samples, expected_passes * len(names))
+    # Times in seconds at the reference host speed (hostspeed.py).
+    gen_s = statistics.median(p.scaled_total for p in timed)
+    per_fn = [statistics.median(p.fn_scaled[i] for p in timed)
+              for i in range(len(names))]
+    samples = sorted(t for p in timed for t in p.fn_scaled)
 
     lines: list[str] = []
     e2e: dict = {}
-    record(lines, "setup_s", statistics.median(setup_times), "s", e2e)
+    record(lines, "setup_s", statistics.median(t * k for t, k in setup_times), "s", e2e)
     record(lines, "gen_s", gen_s, "s", e2e)
     # The median over each function's median: with an even number of
     # functions the plain median of all samples would sit between two
     # functions' clusters and take the extreme sample of each.
-    per_fn = [statistics.median(fn_samples[i::len(names)]) for i in range(len(names))]
     record(lines, "fn_s.p50", statistics.median(per_fn), "s", e2e)
-    record(lines, "fn_s.tail", tail_s, "s", e2e)
+    record(lines, "fn_s.tail", samples[rank(len(samples), tail_p) - 1], "s", e2e)
     record(lines, "peak_rss_mb", peak_rss_mb, "MB", e2e)
     record(lines, "edges_covered", edges_covered, "count", e2e)
     record(lines, "tests_per_edge", tests / max(edges_covered, 1), "1/edge", e2e)
@@ -406,8 +459,11 @@ def run(args) -> int:
                if u["kind"] == "edge" and u["verdict"] != "infeasible-proven"),
            "count")
     record(lines, "fail_share", len(failures) / len(names), "share")
-    lines.append(f"fn_s.tail is p{tail_p} of {len(fn_samples)} samples "
-                 f"({len(pass_times)} passes x {len(names)} functions)")
+    lines.append(f"fn_s.tail is p{tail_p} of {len(samples)} samples "
+                 f"({len(timed)} passes x {len(names)} functions)")
+    lines.append(f"wall clock: gen_s {statistics.median(sum(p.fn_times) for p in timed):.4f} s, "
+                 f"setup_s {statistics.median(t for t, _k in setup_times):.4f} s; "
+                 f"host at {statistics.median(p.scale for p in timed):.3f}x the reference speed")
 
     layer = layer_metrics(traced, gen_s, lines) if traced else {}
 
