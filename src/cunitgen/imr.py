@@ -475,6 +475,9 @@ class _Lowerer:
         if isinstance(e, Call):
             return self._lower_call(e, cur, want_value)
         if not want_value:
+            if isinstance(e, CastExpr) and isinstance(e.target, VoidType):
+                # (void)e: no temporary of type void, only e's side effects
+                return self.lower_expr(e.operand, cur, want_value=False)
             # value dropped: still evaluate for side effects
             _, cur = self.atom(e, cur)
             return None, cur

@@ -14,10 +14,16 @@ expression evaluator; the search is never trusted. Unsat is only reported
 when the search space was covered exhaustively; a blown budget yields
 Unknown with the reason attached.
 
-Interval arithmetic here is wraparound-aware: a forward step that may wrap
-widens to the full type range, and backward narrowing only fires when the
-unwrapped result provably fits the type, so no feasible value is ever
-pruned.
+Interval arithmetic here is wraparound-aware. The unwrapped (raw) values
+of a sum or difference fall into wrap windows: window w holds the raw
+values that wrap to raw - w * 2**width, and window 0 is the type range.
+A forward step whose raw interval straddles a window boundary widens to the
+full type range. Backward narrowing intersects the wanted result range,
+shifted into each window the raw interval touches, with that window, and
+narrows each operand to the hull of what the surviving windows allow; no
+surviving window is a conflict. The difference-constraint check accepts a
+side inside a single window with the shift folded into its constant. All
+of it is exact per window, so no feasible value is ever pruned.
 """
 
 from __future__ import annotations
@@ -121,6 +127,7 @@ class _Solver:
         self.start = time.monotonic()
         self.nodes = 0
         self.conjuncts = _flatten(constraint.conjuncts)
+        self.float_cmps = _float_comparisons(self.conjuncts)
         self.order: list[str] = list(constraint.free.keys())
         self.int_syms: dict[str, FreeSymbol] = {}
         self.base_syms: dict[str, FreeSymbol] = {}
@@ -284,12 +291,15 @@ class _Solver:
 
         Conjuncts whose sides linearize to at most one wide variable plus a
         constant become edges x >= y + c; a cycle with positive weight sum
-        is unsatisfiable. Only wrap-free sides contribute, which keeps the
-        check sound under two's-complement semantics.
+        is unsatisfiable. Disequalities x != y + c conflict when the closure
+        forces x - y = c. Only sides that stay inside one wrap window
+        linearize, which keeps the check sound under two's-complement
+        semantics.
         """
         edges: list[tuple[str, str, int]] = []  # x >= y + c as (y, x, c)
+        neqs: list[tuple[str, str, int]] = []  # x != y + c as (y, x, c)
         for c in self.conjuncts:
-            if not isinstance(c, BinOp) or c.op not in ("<", "<=", ">", ">=", "=="):
+            if not isinstance(c, BinOp) or c.op not in _CMP:
                 continue
             left = self._linearize(c.lhs, env, fenv)
             right = self._linearize(c.rhs, env, fenv)
@@ -302,9 +312,11 @@ class _Solver:
                 edges.append((xr, xl, cr - cl + (1 if c.op == ">" else 0)))
             elif c.op in ("<", "<="):
                 edges.append((xl, xr, cl - cr + (1 if c.op == "<" else 0)))
-            else:
+            elif c.op == "==":
                 edges.append((xr, xl, cr - cl))
                 edges.append((xl, xr, cl - cr))
+            else:
+                neqs.append((xr, xl, cr - cl))
         if not edges:
             return
         nodes = sorted({n for e in edges for n in e[:2]})
@@ -333,12 +345,21 @@ class _Solver:
         for i in range(n):
             if dist[i][i] is not None and dist[i][i] > 0:
                 raise _Conflict
+        for y, x, c in neqs:
+            i, j = index.get(y), index.get(x)
+            if i is None or j is None:
+                continue
+            # x - y lies in [dist[i][j], -dist[j][i]]; a point at c is forced
+            if dist[i][j] == c and dist[j][i] == -c:
+                raise _Conflict
 
     def _linearize(self, e: SymExpr, env, fenv) -> tuple[str | None, int] | None:
         """Express e as one non-singleton variable plus a constant, or None.
 
-        Singleton-domain symbols fold into the constant. Sides whose raw
-        interval may wrap are rejected.
+        Singleton-domain symbols fold into the constant. A sum or difference
+        whose raw interval lies inside one wrap window w is exact with
+        -w * 2**width folded into the constant; one that straddles a window
+        boundary is rejected.
         """
         iv = self._ival(e, env, fenv)
         if iv is not None and iv[0] == iv[1]:
@@ -358,21 +379,22 @@ class _Solver:
             if a is None or b is None:
                 return None
             raw_lo, raw_hi = _interval_arith(e.op, a, b)
-            if raw_lo is None or not (e.ctype.min_value() <= raw_lo
-                                      and raw_hi <= e.ctype.max_value()):
+            first, last = _windows(raw_lo, raw_hi, e.ctype)
+            if first != last:
                 return None
             left = self._linearize(e.lhs, env, fenv)
             right = self._linearize(e.rhs, env, fenv)
             if left is None or right is None:
                 return None
             (xl, cl), (xr, cr) = left, right
+            shift = first << e.ctype.width
             if e.op == "+":
                 if xl is not None and xr is not None:
                     return None
-                return (xl or xr, cl + cr)
+                return (xl or xr, cl + cr - shift)
             if xr is not None:
                 return None
-            return (xl, cl - cr)
+            return (xl, cl - cr - shift)
         return None
 
     def _base_equalities(self, env: dict[str, _IntDomain | _SetDomain]) -> None:
@@ -497,8 +519,9 @@ class _Solver:
             b2 = self._ival(e.rhs, env, fenv)
             if a is None or b2 is None:
                 return self._type_range(e.ctype)
-            if a[0] == a[1] and b2[0] == b2[1]:
-                # exact wrapped fold for fully decided operands
+            if a[0] == a[1] and b2[0] == b2[1] and e.op not in ("+", "-", "*"):
+                # exact wrapped fold for fully decided operands; the interval
+                # rule below is already exact for +, - and *
                 try:
                     v = evaluate(
                         BinOp(e.op, Const(wrap_int(a[0], e.ctype), e.ctype),
@@ -553,7 +576,7 @@ class _Solver:
                     return False
                 return None
             if e.op in _CMP:
-                if _has_float(e):
+                if id(e) in self.float_cmps:
                     return self._float_cmp(e, env, fenv)
                 a = self._ival(e.lhs, env, fenv)
                 b = self._ival(e.rhs, env, fenv)
@@ -586,6 +609,8 @@ class _Solver:
     # backward narrowing; returns True when some domain changed
 
     def _narrow(self, e: SymExpr, want: bool, env, fenv) -> bool:
+        if isinstance(e, BinOp) and e.op in _CMP and id(e) not in self.float_cmps:
+            return self._narrow_cmp(e, want, env, fenv)
         b = self._bval(e, env, fenv)
         if b is not None:
             if b != want:
@@ -622,18 +647,23 @@ class _Solver:
                 if b2 is False:
                     return self._narrow(e.lhs, True, env, fenv)
                 return False
-            if e.op in _CMP and not _has_float(e):
-                return self._narrow_cmp(e, want, env, fenv)
         return False
 
     def _narrow_cmp(self, e: BinOp, want: bool, env, fenv) -> bool:
-        op = e.op if want else {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
-                                "==": "!=", "!=": "=="}[e.op]
-        # base-address set domains get dedicated handling
-        if self._narrow_base_cmp(e, op, env):
-            return True
         a = self._ival(e.lhs, env, fenv)
         b = self._ival(e.rhs, env, fenv)
+        if a is not None and b is not None:
+            decided = _interval_cmp(e.op, a, b)
+            if decided is not None:
+                if decided != want:
+                    raise _Conflict
+                return False
+        op = e.op if want else {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
+                                "==": "!=", "!=": "=="}[e.op]
+        # base-address set domains get dedicated handling; they change no
+        # domain when they return False, so a and b stay current
+        if self._narrow_base_cmp(e, op, env):
+            return True
         if a is None or b is None:
             return False
         changed = False
@@ -772,30 +802,16 @@ class _Solver:
             if a is None or b is None:
                 return False
             raw_lo, raw_hi = _interval_arith(e.op, a, b)
-            if raw_lo is None or raw_hi is None:
+            hull = _unwrap(raw_lo, raw_hi, lo, hi, e.ctype)
+            if hull is None:
                 return False
-            if not (e.ctype.min_value() <= raw_lo and raw_hi <= e.ctype.max_value()):
-                return False  # may wrap: no sound backward reasoning
-            changed = False
+            r_lo, r_hi = hull
             if e.op == "+":
-                changed |= self._push(
-                    e.lhs,
-                    None if lo is None else lo - b[1],
-                    None if hi is None else hi - b[0], env, fenv)
-                changed |= self._push(
-                    e.rhs,
-                    None if lo is None else lo - a[1],
-                    None if hi is None else hi - a[0], env, fenv)
+                changed = self._push(e.lhs, r_lo - b[1], r_hi - b[0], env, fenv)
+                changed |= self._push(e.rhs, r_lo - a[1], r_hi - a[0], env, fenv)
             else:
-                changed |= self._push(
-                    e.lhs,
-                    None if lo is None else lo + b[0],
-                    None if hi is None else hi + b[1], env, fenv)
-                # lhs - rhs >= lo bounds rhs from above; <= hi from below
-                changed |= self._push(
-                    e.rhs,
-                    None if hi is None else a[0] - hi,
-                    None if lo is None else a[1] - lo, env, fenv)
+                changed = self._push(e.lhs, r_lo + b[0], r_hi + b[1], env, fenv)
+                changed |= self._push(e.rhs, a[0] - r_hi, a[1] - r_lo, env, fenv)
             return changed
         if isinstance(e, UnOp) and e.op == "-" and isinstance(e.ctype, IntType):
             inner = self._ival(e.operand, env, fenv)
@@ -876,16 +892,46 @@ def _fit_interval(lo: int, hi: int, t: IntType) -> tuple[int, int]:
     shift keeps it exact; only an interval straddling a wrap boundary
     widens to the full type range.
     """
-    t_min, t_max = t.min_value(), t.max_value()
-    if t_min <= lo and hi <= t_max:
-        return (lo, hi)
-    span = 1 << t.width
-    lo_window = (lo - t_min) // span
-    hi_window = (hi - t_min) // span
-    if lo_window == hi_window:
-        shift = lo_window * span
+    first, last = _windows(lo, hi, t)
+    if first == last:
+        shift = first << t.width
         return (lo - shift, hi - shift)
-    return (t_min, t_max)
+    return (t.min_value(), t.max_value())
+
+
+def _windows(lo: int, hi: int, t: IntType) -> tuple[int, int]:
+    """The first and last wrap window that the raw interval [lo, hi] touches.
+
+    Window w holds the raw values t_min + w * 2**width .. t_max + w * 2**width,
+    which wrap to raw - w * 2**width; window 0 is the type range itself.
+    """
+    t_min = t.min_value()
+    return (lo - t_min) >> t.width, (hi - t_min) >> t.width
+
+
+def _unwrap(raw_lo: int, raw_hi: int, lo: int | None, hi: int | None,
+            t: IntType) -> tuple[int, int] | None:
+    """Hull of the raw values in [raw_lo, raw_hi] that wrap into [lo, hi].
+
+    Each window the raw interval touches is intersected with the target
+    shifted into it, so the hull is exact per window. Raises _Conflict when
+    no window keeps a value; returns None (no narrowing) when the raw
+    interval spans more than three windows.
+    """
+    first, last = _windows(raw_lo, raw_hi, t)
+    if last - first > 2:
+        return None
+    lo = t.min_value() if lo is None else max(lo, t.min_value())
+    hi = t.max_value() if hi is None else min(hi, t.max_value())
+    hull: tuple[int, int] | None = None
+    for w in range(first, last + 1):
+        shift = w << t.width
+        w_lo, w_hi = max(raw_lo, lo + shift), min(raw_hi, hi + shift)
+        if w_lo <= w_hi:
+            hull = (w_lo if hull is None else hull[0], w_hi)
+    if hull is None:
+        raise _Conflict
+    return hull
 
 
 def _flatten(conjuncts: list[SymExpr]) -> list[SymExpr]:
@@ -949,15 +995,33 @@ def _interval_cmp(op: str, a: tuple[int, int], b: tuple[int, int]) -> bool | Non
     return None
 
 
-def _has_float(e: SymExpr) -> bool:
-    if isinstance(e.ctype, FloatType):
-        return True
-    for attr in ("lhs", "rhs", "operand", "cond", "then", "other", "expr",
-                 "base", "offset"):
-        child = getattr(e, attr, None)
-        if child is not None and hasattr(child, "ctype") and _has_float(child):
-            return True
-    return False
+def _float_comparisons(conjuncts: list[SymExpr]) -> set[int]:
+    """ids of the comparison nodes in the conjuncts that involve a float.
+
+    Every node the search evaluates is a subtree of a conjunct, and the
+    conjuncts outlive the search, so node identity is a stable key.
+    """
+    has_float: dict[int, bool] = {}
+    out: set[int] = set()
+
+    def visit(e: SymExpr) -> bool:
+        key = id(e)
+        if key in has_float:
+            return has_float[key]
+        found = isinstance(e.ctype, FloatType)
+        for attr in ("lhs", "rhs", "operand", "cond", "then", "other", "expr",
+                     "base", "offset"):
+            child = getattr(e, attr, None)
+            if child is not None and hasattr(child, "ctype"):
+                found |= visit(child)
+        has_float[key] = found
+        if found and isinstance(e, BinOp) and e.op in _CMP:
+            out.add(key)
+        return found
+
+    for c in conjuncts:
+        visit(c)
+    return out
 
 
 def _syms(e: SymExpr):

@@ -154,10 +154,6 @@ def is_false(e: SymExpr) -> bool:
     return isinstance(e, Const) and e.ctype is BOOL and not e.value
 
 
-def mk_int(value: int, ctype: IntType = INT) -> Const:
-    return Const(wrap_int(value, ctype), ctype)
-
-
 def mk_bool(value: bool) -> Const:
     return TRUE if value else FALSE
 

@@ -3,7 +3,7 @@
 import hashlib
 import os
 
-from conftest import data_path
+from conftest import compile_c, data_path, run_exe
 
 from cunitgen.cli import main
 
@@ -40,6 +40,16 @@ class TestExitCodes:
         code = run_cli([data_path("alloc.c"), "--function", "nope",
                         "--out-dir", str(tmp_path), "-q"])
         assert code == 1
+
+
+    def test_void_cast_statement(self, tmp_path):
+        src = tmp_path / "voidcast.c"
+        src.write_text("int f(int x, int k)\n{\n    (void)k;\n"
+                       "    if (x > 3)\n        return 1;\n    return 0;\n}\n")
+        code = run_cli([str(src), "--out-dir", str(tmp_path), "-q"])
+        assert code == 0
+        exe = compile_c(str(tmp_path), [str(tmp_path / "f_driver.c"), str(src)])
+        assert run_exe(exe)[0] == 0
 
 
 class TestFlags:

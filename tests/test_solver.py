@@ -1,9 +1,15 @@
 """Built-in solver tests: verdicts, models, determinism, budgets."""
 
+import random
+
+from bruteforce import grid_for, oracle_sat
+
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.solver import Budget, solve, verify_model
 from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
 from cunitgen.typesys import DOUBLE, INT, SCHAR, UINT
+
+INT_MAX = 2**31 - 1
 
 
 def make(conjuncts, free=None):
@@ -120,6 +126,73 @@ class TestVerdicts:
         r = solve(c, Budget(max_nodes=2, max_ms=100000))
         assert r.status == "unknown"
         assert r.reason
+
+
+class TestWrapWindows:
+    """Linear constraints whose sums may wrap are decided, not bisected."""
+
+    def test_tritype_scalene_sat(self):
+        i, j, k = (Sym(n, INT) for n in "ijk")
+        conj = [mk_binop(">=", v, Const(0, INT)) for v in (i, j, k)]
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            conj.append(mk_binop(">", mk_binop("+", x, y, INT), z))
+        conj += [mk_binop("!=", i, j), mk_binop("!=", i, k), mk_binop("!=", j, k)]
+        c = make(conj)
+        r = solve(c)
+        assert r.is_sat
+        assert verify_model(c, r.model)
+
+    def test_wrap_only_chain_sat(self):
+        # a + 17 <= b && b + 16 <= a holds only if one of the sums wraps;
+        # the other conjuncts are the benchmark's chain_hard prefix
+        v = {n: Sym(n, INT) for n in ("a", "b", "c", "d", "e", "f")}
+
+        def le(x, k, y):
+            return mk_binop("<=", mk_binop("+", v[x], Const(k, INT), INT), v[y])
+
+        for conj in ([le("a", 17, "b"), le("b", 16, "a")],
+                     [le("f", 3, "a"), le("a", 17, "b"), le("e", 19, "c"),
+                      le("c", 10, "b"), le("f", 6, "b"), le("a", -2, "d"),
+                      le("b", 16, "a"), le("c", 3, "d")]):
+            c = make(conj)
+            r = solve(c)
+            assert r.is_sat
+            m = r.model.values
+            assert m["a"] > INT_MAX - 17 or m["b"] > INT_MAX - 16
+
+    def test_forced_equality_refutes_disequality(self):
+        x, y = Sym("x", INT), Sym("y", INT)
+        one = Const(1, INT)
+        x_ge_y = mk_binop(">", mk_binop("+", x, one, INT), y)
+        y_ge_x = mk_binop(">", mk_binop("+", y, one, INT), x)
+        r = solve(make([x_ge_y, y_ge_x, mk_binop("!=", x, y)]))
+        assert r.is_unsat
+        # one bound alone leaves x > y open
+        r = solve(make([x_ge_y, mk_binop("!=", x, y)]))
+        assert r.is_sat
+
+    def test_near_limit_offsets_agree_with_enumeration(self):
+        # x + c op y over signed char with c near the limits touches the
+        # windows below, at and above the type range
+        rng = random.Random(2718)
+        x, y = Sym("x", SCHAR), Sym("y", SCHAR)
+        offsets = [-128, -127, -126, -120, -1, 0, 1, 120, 126, 127]
+        grids = grid_for(["x", "y"], SCHAR)
+        decided = 0
+        for _ in range(300):
+            conj = []
+            for _ in range(rng.randint(2, 4)):
+                a, b = rng.sample([x, y], 2)
+                side = mk_binop("+", a, Const(rng.choice(offsets), SCHAR), SCHAR)
+                conj.append(mk_binop(rng.choice(["<", "<=", ">", ">=", "==", "!="]),
+                                     side, b))
+            c = make(conj)
+            r = solve(c)
+            if r.status == "unknown":
+                continue
+            decided += 1
+            assert r.is_sat == oracle_sat(c.conjuncts, grids), [str(e) for e in conj]
+        assert decided == 300
 
 
 class TestModels:
