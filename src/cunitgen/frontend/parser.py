@@ -12,13 +12,17 @@ from ..errors import ParseError, UnsupportedConstruct
 from ..typesys import (
     BUILTIN_TYPES,
     INT,
+    LONG,
     ArrayType,
     CType,
     IntType,
     PointerType,
     StructField,
     StructType,
+    Undefined,
+    binary,
     layout_struct,
+    unary,
 )
 from .csyntax import (
     Annotation,
@@ -698,21 +702,20 @@ def eval_const_int(expr: Expr, env: TypeEnv) -> int:
         if expr.name in env.enum_consts:
             return env.enum_consts[expr.name]
         raise ParseError(f"{expr.name} is not a constant", expr.line)
-    if isinstance(expr, Un):
-        v = eval_const_int(expr.operand, env)
-        return {"-": -v, "~": ~v, "!": int(not v)}[expr.op]
-    if isinstance(expr, Bin):
-        a = eval_const_int(expr.lhs, env)
-        b = eval_const_int(expr.rhs, env)
-        ops = {
-            "+": a + b, "-": a - b, "*": a * b,
-            "/": a // b if b else 0, "%": a % b if b else 0,
-            "&": a & b, "|": a | b, "^": a ^ b, "<<": a << b, ">>": a >> b,
-            "==": int(a == b), "!=": int(a != b), "<": int(a < b),
-            "<=": int(a <= b), ">": int(a > b), ">=": int(a >= b),
-            "&&": int(bool(a) and bool(b)), "||": int(bool(a) or bool(b)),
-        }
-        return ops[expr.op]
+    try:  # operator values come from typesys, computed in long
+        if isinstance(expr, Un):
+            v = eval_const_int(expr.operand, env)
+            return int(not v) if expr.op == "!" else unary(expr.op, v, LONG)
+        if isinstance(expr, Bin):
+            a = eval_const_int(expr.lhs, env)
+            b = eval_const_int(expr.rhs, env)
+            if expr.op == "&&":
+                return int(bool(a) and bool(b))
+            if expr.op == "||":
+                return int(bool(a) or bool(b))
+            return binary(expr.op, a, b, LONG, LONG, LONG)
+    except Undefined as exc:
+        raise ParseError(f"constant expression: {exc}", expr.line) from exc
     if isinstance(expr, SizeofType) and expr.target is not None:
         return expr.target.size
     raise ParseError("constant expression required", getattr(expr, "line", 0))

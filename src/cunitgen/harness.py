@@ -35,9 +35,9 @@ from .stubs import StubCallValues, StubSpec, c_literal
 from .symex import Layout, PathState
 from .symexpr import evaluate, EvalError
 from .typesys import (
+    INT,
     ArrayType,
     CType,
-    IntType,
     PointerType,
     StructType,
     VoidType,
@@ -389,7 +389,7 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
             w.line(f"memset(&{p.name}, 0, sizeof {p.name});")
     for arr_name, index, value in tc.cell_inputs:
         region = _region_by_c_name(layout, tc, arr_name)
-        elem = region.elem_type if region is not None else IntType(32, True, "int")
+        elem = region.elem_type if region is not None else INT
         w.line(f"{arr_name}[{index}] = {c_literal(value, elem)};")
     for member, value, ctype in tc.member_inputs:
         w.line(f"{member} = {c_literal(value, ctype)};")

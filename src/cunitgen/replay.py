@@ -7,8 +7,12 @@ the executed edge sequence plus obligation outcomes. The harness compares
 the edge sequence against the symbolic trace; any mismatch is a soundness
 bug and the test case is rejected.
 
-The implementation deliberately avoids the symbolic expression machinery;
-it shares only the C arithmetic helpers from typesys.
+The implementation deliberately avoids the symbolic expression machinery.
+It shares only the table of C scalar semantics in typesys (conversions,
+binary and unary operator values, and the Undefined cases, which become
+ReplayError here). Short-circuit ``&&``/``||``, ``!``, conditionals, memory
+and (region, offset) pointer arithmetic are this interpreter's own code;
+gcc-compiled drivers check the shared table.
 """
 
 from __future__ import annotations
@@ -38,16 +42,17 @@ from .frontend.csyntax import AnnotationKind
 from .imr import Cfg, IAssign, ICall, IMarker, IReturn
 from .symex import Layout
 from .typesys import (
+    PTRDIFF,
     ArrayType,
     CType,
     FloatType,
-    IntType,
     PointerType,
     StructType,
+    Undefined,
     VoidType,
-    c_div,
-    c_rem,
-    usual_arith,
+    binary,
+    convert,
+    unary,
     wrap_int,
 )
 
@@ -121,12 +126,7 @@ def _store_convert(value: Value, ctype: CType, bit: tuple[int, int] | None) -> V
         raise ReplayError("integer stored into a pointer slot")
     if isinstance(value, CPtr):
         raise ReplayError(f"pointer stored into a {ctype} slot")
-    if isinstance(ctype, FloatType):
-        from .symexpr import _round_float
-
-        return _round_float(float(value), ctype)
-    assert isinstance(ctype, IntType)
-    v = wrap_int(int(value), ctype)
+    v = convert(value, ctype)
     if bit is not None:
         _, width = bit
         mask = (1 << width) - 1
@@ -447,38 +447,10 @@ class _Replayer:
         b = self.eval(e.rhs)
         if isinstance(a, CPtr) or isinstance(b, CPtr):
             return self._ptr_bin(e.op, a, b)
-        if e.op in ("==", "!=", "<", "<=", ">", ">="):
-            common = usual_arith(_decayed(e.lhs.ctype), _decayed(e.rhs.ctype))
-            a2, b2 = _conv(a, common), _conv(b, common)
-            res = {"==": a2 == b2, "!=": a2 != b2, "<": a2 < b2,
-                   "<=": a2 <= b2, ">": a2 > b2, ">=": a2 >= b2}[e.op]
-            return 1 if res else 0
-        ctype = e.ctype
-        if isinstance(ctype, FloatType):
-            fa, fb = float(a), float(b)
-            if e.op == "/" and fb == 0.0:
-                raise ReplayError("float division by zero")
-            res = {"+": fa + fb, "-": fa - fb, "*": fa * fb,
-                   "/": fa / fb if fb else 0.0}[e.op]
-            return _store_convert(res, ctype, None)
-        assert isinstance(ctype, IntType), e
-        ia = int(_conv(a, ctype))
-        ib = int(_conv(b, ctype)) if e.op not in ("<<", ">>") else int(b)
-        if e.op in ("/", "%"):
-            if ib == 0:
-                raise ReplayError("division by zero")
-            return wrap_int(c_div(ia, ib) if e.op == "/" else c_rem(ia, ib), ctype)
-        if e.op in ("<<", ">>"):
-            if not 0 <= ib < ctype.width:
-                raise ReplayError("shift out of range")
-            if e.op == "<<":
-                return wrap_int(ia << ib, ctype)
-            if ctype.signed:
-                return wrap_int(ia >> ib, ctype)
-            return wrap_int((ia & ((1 << ctype.width) - 1)) >> ib, ctype)
-        res = {"+": ia + ib, "-": ia - ib, "*": ia * ib,
-               "&": ia & ib, "|": ia | ib, "^": ia ^ ib}[e.op]
-        return wrap_int(res, ctype)
+        try:
+            return binary(e.op, a, b, e.lhs.ctype, e.rhs.ctype, e.ctype)
+        except Undefined as exc:
+            raise ReplayError(str(exc)) from exc
 
     def _ptr_bin(self, op: str, a: Value, b: Value) -> Value:
         if op in ("==", "!="):
@@ -500,7 +472,7 @@ class _Replayer:
         if op == "-" and isinstance(a, CPtr) and isinstance(b, CPtr):
             if a.base != b.base:
                 raise ReplayError("pointer subtraction across regions")
-            return wrap_int(a.offset - b.offset, IntType(32, True, "int"))
+            return wrap_int(a.offset - b.offset, PTRDIFF)
         if op in ("+", "-") and isinstance(a, CPtr):
             step = int(b)  # type: ignore[arg-type]
             return CPtr(a.base, a.offset + step if op == "+" else a.offset - step)
@@ -518,15 +490,10 @@ class _Replayer:
             return 0 if _truthy(v) else 1
         if isinstance(v, CPtr):
             raise ReplayError(f"unary {e.op} on a pointer")
-        if e.op == "-":
-            if isinstance(e.ctype, FloatType):
-                return _store_convert(-float(v), e.ctype, None)
-            assert isinstance(e.ctype, IntType)
-            return wrap_int(-int(v), e.ctype)
-        if e.op == "~":
-            assert isinstance(e.ctype, IntType)
-            return wrap_int(~int(v), e.ctype)
-        raise ReplayError(f"unary {e.op}")
+        try:
+            return unary(e.op, v, e.ctype)
+        except Undefined as exc:
+            raise ReplayError(str(exc)) from exc
 
     def _address_of(self, e: Expr) -> CPtr:
         if isinstance(e, Name):
@@ -553,24 +520,7 @@ class _Replayer:
             if v == 0:
                 return CPtr(0, 0)
             raise ReplayError("integer cast to pointer")
-        return _store_convert(v if not isinstance(v, CPtr) else 0, dst, None)
-
-
-def _decayed(t: CType) -> CType:
-    if isinstance(t, ArrayType):
-        return PointerType(t.elem)
-    return t
-
-
-def _conv(v: Value, t: CType) -> int | float:
-    if isinstance(v, CPtr):
-        raise ReplayError("pointer in arithmetic conversion")
-    if isinstance(t, FloatType):
-        from .symexpr import _round_float
-
-        return _round_float(float(v), t)
-    assert isinstance(t, IntType)
-    return wrap_int(int(v), t)
+        return _store_convert(v, dst, None)
 
 
 def _truthy(v: Value) -> bool:

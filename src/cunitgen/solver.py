@@ -47,7 +47,7 @@ from .symexpr import (
     is_false,
     is_true,
 )
-from .typesys import BOOL, FloatType, IntType, wrap_int
+from .typesys import BOOL, FloatType, IntType, Undefined, binary
 
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -520,17 +520,15 @@ class _Solver:
             if a is None or b2 is None:
                 return self._type_range(e.ctype)
             if a[0] == a[1] and b2[0] == b2[1] and e.op not in ("+", "-", "*"):
-                # exact wrapped fold for fully decided operands; the interval
-                # rule below is already exact for +, - and *
+                # exact fold for fully decided operands; the interval rule
+                # below is already exact for +, - and *
                 try:
-                    v = evaluate(
-                        BinOp(e.op, Const(wrap_int(a[0], e.ctype), e.ctype),
-                              Const(wrap_int(b2[0], e.ctype), e.ctype), e.ctype), {})
-                except EvalError:
+                    v = binary(e.op, a[0], b2[0], e.lhs.ctype, e.rhs.ctype, e.ctype)
+                except Undefined:
                     # undefined here (for example division by zero); the
                     # final concrete verification rejects such assignments
                     return self._type_range(e.ctype)
-                return (int(v), int(v))
+                return (v, v)
             lo, hi = _interval_arith(e.op, a, b2)
             if lo is None or hi is None:
                 return self._type_range(e.ctype)
@@ -1052,11 +1050,9 @@ def verify_model(constraint: Constraint, model: Model) -> bool:
 
 
 def solve(constraint: Constraint, budget: Budget | None = None) -> SolveResult:
-    """Decide a constraint; Sat models always verify under evaluation."""
-    result = _Solver(constraint, budget or Budget()).run()
-    if result.is_sat:
-        assert result.model is not None
-        if not verify_model(constraint, result.model):
-            return SolveResult("unknown", reason="model failed verification",
-                               nodes=result.nodes)
-    return result
+    """Decide a constraint; Sat models always verify under evaluation.
+
+    ``_Solver._finish`` is the only producer of a model, and it returns one
+    only after ``verify_model`` accepts it.
+    """
+    return _Solver(constraint, budget or Budget()).run()

@@ -25,6 +25,7 @@ from .imr import ICall
 from .memory import Place
 from .symexpr import Const, Ptr, Role, Sym, SymExpr
 from .typesys import (
+    INT,
     UINT,
     CType,
     FloatType,
@@ -232,7 +233,7 @@ def emit_stub(spec: StubSpec) -> str:
 
 
 def _global_type(spec: StubSpec, name: str) -> CType:
-    return spec.globals_types.get(name, IntType(32, True, "int"))
+    return spec.globals_types.get(name, INT)
 
 
 def c_literal(value: int | float | None, ctype: CType) -> str:

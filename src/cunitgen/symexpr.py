@@ -6,13 +6,15 @@ model verifier evaluates them.
 
 Integer operations use two's-complement wraparound at the width of the
 expression type. Float operations round to the expression type's width.
+Both constant folding and evaluation take operator values from the scalar
+table in typesys; only short-circuit logic, negation, conditionals and
+pointer values are evaluated here.
 Pointer values are a dedicated node carrying an abstract base address
 expression and an element-scaled offset expression.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Union
@@ -24,13 +26,12 @@ from .typesys import (
     FloatType,
     IntType,
     PointerType,
-    c_div,
-    c_rem,
-    is_float,
-    is_integer,
+    Undefined,
+    binary,
+    convert,
     promote,
+    unary,
     usual_arith,
-    wrap_int,
 )
 
 
@@ -180,65 +181,16 @@ def mk_binop(op: str, lhs: SymExpr, rhs: SymExpr, ctype: CType | None = None) ->
         if is_false(rhs):
             return lhs
     if isinstance(lhs, Const) and isinstance(rhs, Const) and not isinstance(ctype, PointerType):
+        if op == "&&":
+            return mk_bool(bool(lhs.value) and bool(rhs.value))
+        if op == "||":
+            return mk_bool(bool(lhs.value) or bool(rhs.value))
         try:
-            folded = _fold_binop(op, lhs, rhs, ctype)
-        except ZeroDivisionError:
-            folded = None
-        if folded is not None:
-            return folded
+            value = binary(op, lhs.value, rhs.value, lhs.ctype, rhs.ctype, ctype)
+        except Undefined:
+            return BinOp(op, lhs, rhs, ctype)
+        return mk_bool(value) if op in _CMP_OPS else Const(value, ctype)
     return BinOp(op, lhs, rhs, ctype)
-
-
-def _fold_binop(op: str, lhs: Const, rhs: Const, ctype: CType) -> Const | None:
-    a, b = lhs.value, rhs.value
-    if op in _CMP_OPS:
-        if isinstance(lhs.ctype, (IntType, FloatType)) and isinstance(rhs.ctype, (IntType, FloatType)):
-            common = usual_arith(lhs.ctype, rhs.ctype)
-            a = _convert(a, lhs.ctype, common)
-            b = _convert(b, rhs.ctype, common)
-        res = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
-        return mk_bool(res)
-    if op in _BOOL_OPS:
-        return mk_bool(bool(a) and bool(b)) if op == "&&" else mk_bool(bool(a) or bool(b))
-    if isinstance(ctype, FloatType):
-        fa, fb = float(a), float(b)
-        res = {"+": fa + fb, "-": fa - fb, "*": fa * fb, "/": fa / fb if fb else None}.get(op)
-        if res is None:
-            return None
-        return Const(_round_float(res, ctype), ctype)
-    if not isinstance(ctype, IntType):
-        return None
-    ia = _convert(a, lhs.ctype, ctype)
-    ib = _convert(b, rhs.ctype, ctype)
-    if op in ("/", "%") and ib == 0:
-        raise ZeroDivisionError
-    if op in ("<<", ">>") and not 0 <= ib < ctype.width:
-        return None
-    if op == ">>":
-        res = ia >> ib  # arithmetic for signed, logical falls out of wrapping
-        if not ctype.signed:
-            res = (ia & ((1 << ctype.width) - 1)) >> ib
-    elif op == "<<":
-        res = ia << ib
-    elif op == "/":
-        res = c_div(ia, ib)
-    elif op == "%":
-        res = c_rem(ia, ib)
-    elif op == "+":
-        res = ia + ib
-    elif op == "-":
-        res = ia - ib
-    elif op == "*":
-        res = ia * ib
-    elif op == "&":
-        res = ia & ib
-    elif op == "|":
-        res = ia | ib
-    elif op == "^":
-        res = ia ^ ib
-    else:
-        return None
-    return Const(wrap_int(res, ctype), ctype)
 
 
 def mk_unop(op: str, operand: SymExpr, ctype: CType | None = None) -> SymExpr:
@@ -251,13 +203,10 @@ def mk_unop(op: str, operand: SymExpr, ctype: CType | None = None) -> SymExpr:
         if isinstance(ctype, IntType):
             ctype = promote(ctype)
     if isinstance(operand, Const):
-        if op == "-":
-            if isinstance(ctype, FloatType):
-                return Const(_round_float(-float(operand.value), ctype), ctype)
-            if isinstance(ctype, IntType):
-                return Const(wrap_int(-int(operand.value), ctype), ctype)
-        if op == "~" and isinstance(ctype, IntType):
-            return Const(wrap_int(~int(operand.value), ctype), ctype)
+        try:
+            return Const(unary(op, operand.value, ctype), ctype)
+        except Undefined:
+            pass
     return UnOp(op, operand, ctype)
 
 
@@ -266,7 +215,7 @@ def mk_cast(operand: SymExpr, ctype: CType) -> SymExpr:
         return operand
     if isinstance(operand, Const) and not isinstance(ctype, PointerType) \
             and not isinstance(operand.ctype, PointerType):
-        return Const(_convert(operand.value, operand.ctype, ctype), ctype)
+        return Const(convert(operand.value, ctype), ctype)
     return Cast(operand, ctype)
 
 
@@ -407,24 +356,6 @@ class EvalError(Exception):
     pass
 
 
-def _round_float(v: float, t: FloatType) -> float:
-    if t.width == 32:
-        return struct.unpack("<f", struct.pack("<f", v))[0]
-    return v
-
-
-def _convert(v: int | float, src: CType, dst: CType) -> int | float:
-    if isinstance(dst, IntType):
-        if isinstance(src, FloatType) or isinstance(v, float):
-            v = int(v)  # trunc toward zero
-        return wrap_int(int(v), dst)
-    if isinstance(dst, FloatType):
-        return _round_float(float(v), dst)
-    if dst is BOOL:
-        return 1 if v else 0
-    return v
-
-
 def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
     """Evaluate under a model. Independent of the solver's search machinery."""
     if isinstance(e, Const):
@@ -439,21 +370,17 @@ def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
             if isinstance(e.ctype, PointerType):
                 return v
             raise EvalError("pointer cast to non-pointer")
-        return _convert(v, e.operand.ctype, e.ctype)
+        return convert(v, e.ctype)
     if isinstance(e, UnOp):
         v = evaluate(e.operand, env)
         if e.op == "!":
             return 0 if _truthy(v) else 1
         if isinstance(v, PointerVal):
             raise EvalError(f"unary {e.op} on pointer")
-        if e.op == "-":
-            if isinstance(e.ctype, IntType):
-                return wrap_int(-int(v), e.ctype)
-            return _round_float(-float(v), e.ctype)  # type: ignore[arg-type]
-        if e.op == "~":
-            assert isinstance(e.ctype, IntType)
-            return wrap_int(~int(v), e.ctype)
-        raise EvalError(f"unknown unary {e.op}")
+        try:
+            return unary(e.op, v, e.ctype)
+        except Undefined as exc:
+            raise EvalError(str(exc)) from exc
     if isinstance(e, Ite):
         c = evaluate(e.cond, env)
         return evaluate(e.then if _truthy(c) else e.other, env)
@@ -486,44 +413,10 @@ def _eval_binop(e: BinOp, env: Mapping[str, Value]) -> Value:
     b = evaluate(e.rhs, env)
     if isinstance(a, PointerVal) or isinstance(b, PointerVal):
         return _eval_ptr_cmp(e.op, a, b)
-    if e.op in _CMP_OPS:
-        common = usual_arith(e.lhs.ctype, e.rhs.ctype) \
-            if is_arith_pair(e.lhs.ctype, e.rhs.ctype) else None
-        if common is not None:
-            a = _convert(a, e.lhs.ctype, common)
-            b = _convert(b, e.rhs.ctype, common)
-        res = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-               "==": a == b, "!=": a != b}[e.op]
-        return 1 if res else 0
-    if isinstance(e.ctype, FloatType):
-        fa, fb = float(a), float(b)
-        if e.op == "/" and fb == 0.0:
-            raise EvalError("float division by zero")
-        res = {"+": fa + fb, "-": fa - fb, "*": fa * fb, "/": fa / fb if fb else 0.0}[e.op]
-        return _round_float(res, e.ctype)
-    assert isinstance(e.ctype, IntType), e
-    ia = int(_convert(a, e.lhs.ctype, e.ctype))
-    # shift amounts keep their own value; everything else converts to the result type
-    ib = int(b) if e.op in ("<<", ">>") else int(_convert(b, e.rhs.ctype, e.ctype))
-    if e.op in ("/", "%"):
-        if ib == 0:
-            raise EvalError("division by zero")
-        return wrap_int(c_div(ia, ib) if e.op == "/" else c_rem(ia, ib), e.ctype)
-    if e.op in ("<<", ">>"):
-        if not 0 <= ib < e.ctype.width:
-            raise EvalError("shift amount out of range")
-        if e.op == "<<":
-            return wrap_int(ia << ib, e.ctype)
-        if e.ctype.signed:
-            return wrap_int(ia >> ib, e.ctype)
-        return wrap_int((ia & ((1 << e.ctype.width) - 1)) >> ib, e.ctype)
-    res = {"+": ia + ib, "-": ia - ib, "*": ia * ib,
-           "&": ia & ib, "|": ia | ib, "^": ia ^ ib}[e.op]
-    return wrap_int(res, e.ctype)
-
-
-def is_arith_pair(a: CType, b: CType) -> bool:
-    return (is_integer(a) or is_float(a)) and (is_integer(b) or is_float(b))
+    try:
+        return binary(e.op, a, b, e.lhs.ctype, e.rhs.ctype, e.ctype)
+    except Undefined as exc:
+        raise EvalError(str(exc)) from exc
 
 
 def _eval_ptr_cmp(op: str, a: Value, b: Value) -> int:

@@ -1,15 +1,24 @@
-"""C type model for the supported subset.
+"""C type model for the supported subset, and the table of C scalar semantics.
 
 Integer widths follow a conventional LP64 target: char 8, short 16, int 32,
-long 64. All arithmetic is fixed-width with two's-complement wraparound,
-which is what the solver and the concrete replay interpreter implement as
-well (generated drivers are compiled with -fwrapv so the real machine
-agrees).
+long 64. All arithmetic is fixed-width with two's-complement wraparound
+(generated drivers are compiled with -fwrapv so the real machine agrees).
+
+The value of every scalar operation is defined once, here: ``convert`` for
+conversions, ``binary`` for ``+ - * / % << >> & | ^`` and the comparisons,
+``unary`` for ``-`` and ``~``, with ``Undefined`` raised where C gives no
+value. Constant folding, model evaluation (``symexpr``), concrete replay
+(``replay``) and the solver's fold of decided operands all call them.
+Short-circuit ``&&``/``||``, ``!``, conditionals and pointer values stay in
+each interpreter, so the symbolic and the concrete interpreter remain
+separate code; gcc-compiled drivers are the independent check on this table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+import struct
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -210,6 +219,91 @@ def usual_arith(a: CType, b: CType) -> CType:
         return unsigned
     # signed type can represent the whole unsigned range
     return signed
+
+
+class Undefined(ArithmeticError):
+    """A scalar operation without a C value: division by zero, a shift out of
+    ``[0, width)``, or an operator the table does not define for the type."""
+
+
+_F32 = struct.Struct("<f")
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": c_div, "%": c_rem, "<<": operator.lshift, ">>": operator.rshift,
+            "&": operator.and_, "|": operator.or_, "^": operator.xor}
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+def round_float(v: float, t: FloatType) -> float:
+    """Round a double to the precision of t."""
+    if t.width == 32:
+        return _F32.unpack(_F32.pack(v))[0]
+    return v
+
+
+def convert(v: int | float, dst: CType) -> int | float:
+    """Convert an arithmetic value to dst; float to integer truncates toward zero."""
+    if isinstance(dst, IntType):
+        return wrap_int(int(v), dst)
+    if isinstance(dst, FloatType):
+        return round_float(float(v), dst)
+    if dst is BOOL:
+        return 1 if v else 0
+    return v
+
+
+def binary(op: str, a: int | float, b: int | float,
+           ta: CType, tb: CType, t: CType) -> int | float:
+    """Value of ``a op b`` for operands of types ta and tb and result type t.
+
+    Comparisons convert both sides to their usual-arithmetic common type and
+    give 1 or 0. Integer operations convert both operands to t, except that a
+    shift amount keeps its own value.
+    """
+    cmp = _COMPARE.get(op)
+    if cmp is not None:
+        if is_arith(ta) and is_arith(tb):
+            common = usual_arith(ta, tb)
+            a, b = convert(a, common), convert(b, common)
+        return 1 if cmp(a, b) else 0
+    if isinstance(t, IntType):
+        fn = _INT_OPS.get(op)
+        if fn is None:
+            raise Undefined(f"operator {op}")
+        a = wrap_int(int(a), t)
+        if op == "<<" or op == ">>":
+            b = int(b)
+            if not 0 <= b < t.width:
+                raise Undefined("shift out of range")
+        else:
+            b = wrap_int(int(b), t)
+            if not b and (op == "/" or op == "%"):
+                raise Undefined("division by zero")
+        return wrap_int(fn(a, b), t)
+    if isinstance(t, FloatType):
+        fn = _FLOAT_OPS.get(op)
+        if fn is None:
+            raise Undefined(f"operator {op}")
+        b = float(b)
+        if not b and op == "/":
+            raise Undefined("float division by zero")
+        return round_float(fn(float(a), b), t)
+    raise Undefined(f"operator {op} on {t}")
+
+
+def unary(op: str, v: int | float, t: CType) -> int | float:
+    """Value of unary ``-`` or ``~`` applied to v, in result type t."""
+    if isinstance(t, IntType):
+        if op == "-":
+            return wrap_int(-int(v), t)
+        if op == "~":
+            return wrap_int(~int(v), t)
+    elif isinstance(t, FloatType) and op == "-":
+        return round_float(-float(v), t)
+    raise Undefined(f"unary {op}")
 
 
 def align_of(t: CType) -> int:

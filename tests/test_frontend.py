@@ -129,6 +129,16 @@ class TestParseUnit:
         assert cond.rhs.binding.kind == "enum"
         assert cond.rhs.binding.enum_value == 6
 
+    def test_constant_expressions_follow_c_division(self):
+        unit = parse_unit("enum q { QUO = -7 / 2, REM = -7 % 2, SH = 1 << 4 };"
+                          "int f(int m){ if (m == QUO) { return REM; } return SH; }")
+        stmt = unit.function("f").body.stmts
+        assert stmt[0].cond.rhs.binding.enum_value == -3
+        assert stmt[0].then.stmts[0].value.binding.enum_value == -1
+        assert stmt[1].value.binding.enum_value == 16
+        with pytest.raises(ParseError):
+            parse_unit("int a[4 / 0]; int f(void){ return 0; }")
+
     def test_unsigned_comparison_types(self):
         unit = parse_unit("int f(unsigned int a, int b){ return a > b; }")
         cmp_expr = unit.function("f").body.stmts[0].value

@@ -1,10 +1,11 @@
 """Expression-level tests: wraparound arithmetic, rendering, evaluation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cunitgen.symexpr import (
+    BinOp,
     Const,
     EvalError,
     PointerVal,
@@ -23,14 +24,20 @@ from cunitgen.symexpr import (
     to_bool,
 )
 from cunitgen.typesys import (
+    BOOL,
     INT,
     LONG,
     PointerType,
     SCHAR,
+    SHORT,
     UCHAR,
     UINT,
+    ULONG,
+    USHORT,
     c_div,
     c_rem,
+    promote,
+    usual_arith,
     wrap_int,
 )
 
@@ -174,18 +181,55 @@ class TestFreeSymbols:
         assert [s.name for s in free_symbols(e)] == ["a", "b", "b"]
 
 
-@settings(max_examples=200)
+_INT_TYPES = [SCHAR, UCHAR, SHORT, USHORT, INT, UINT, LONG, ULONG]
+_CMP_OPS = ["<", "<=", ">", ">=", "==", "!="]
+
+
+def _reference(op, x, y, ta, tb, t):
+    """Plain Python integers, reduced to the C type by hand."""
+    if op in _CMP_OPS:
+        common = usual_arith(ta, tb)
+        x, y = wrap_int(x, common), wrap_int(y, common)
+        return int({"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y,
+                    "==": x == y, "!=": x != y}[op])
+    x = wrap_int(x, t)
+    if op in ("<<", ">>"):
+        return wrap_int(x << y if op == "<<" else x >> y, t)
+    y = wrap_int(y, t)
+    if op in ("/", "%"):  # the quotient truncates toward zero
+        q = abs(x) // abs(y) * (-1 if (x < 0) != (y < 0) else 1)
+        return wrap_int(q if op == "/" else x - q * y, t)
+    return wrap_int({"+": x + y, "-": x - y, "*": x * y,
+                     "&": x & y, "|": x | y, "^": x ^ y}[op], t)
+
+
+@settings(max_examples=400)
 @given(
-    st.integers(-(2**31), 2**31 - 1),
-    st.integers(-(2**31), 2**31 - 1),
-    st.sampled_from(["+", "-", "*", "&", "|", "^"]),
+    st.sampled_from(_INT_TYPES),
+    st.integers(-(2**64), 2**64),
+    st.sampled_from(_INT_TYPES),
+    st.integers(-(2**64), 2**64) | st.integers(-3, 70),
+    st.sampled_from(["+", "-", "*", "&", "|", "^", "<<", ">>", "/", "%", *_CMP_OPS]),
 )
-def test_binop_matches_reference_wraparound(x, y, op):
-    """Evaluation agrees with direct two's-complement arithmetic."""
-    e = mk_binop(op, Sym("x", INT), Sym("y", INT), INT)
-    got = evaluate(e, {"x": x, "y": y})
-    ref = {
-        "+": x + y, "-": x - y, "*": x * y,
-        "&": x & y, "|": x | y, "^": x ^ y,
-    }[op]
-    assert got == wrap_int(ref, INT)
+@example(INT, 1, ULONG, 2**32 + 1, "<<")
+def test_binop_matches_reference_wraparound(ta, x, tb, y, op):
+    """Evaluation agrees with direct two's-complement arithmetic, and constant
+    folding gives the evaluated value exactly when evaluation is defined."""
+    x, y = wrap_int(x, ta), wrap_int(y, tb)
+    if op in _CMP_OPS:
+        t = BOOL
+    elif op in ("<<", ">>"):
+        t = promote(ta)
+    else:
+        t = usual_arith(ta, tb)
+    folded = mk_binop(op, Const(x, ta), Const(y, tb), t)
+    e = mk_binop(op, Sym("x", ta), Sym("y", tb), t)
+    try:
+        got = evaluate(e, {"x": x, "y": y})
+    except EvalError:
+        assert isinstance(folded, BinOp), folded
+        undefined = y == 0 if op in ("/", "%") else not 0 <= y < t.width
+        assert op in ("/", "%", "<<", ">>") and undefined
+        return
+    assert isinstance(folded, Const) and folded.value == got
+    assert got == _reference(op, x, y, ta, tb, t)
