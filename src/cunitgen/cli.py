@@ -33,10 +33,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--ptr-array-size", type=int, default=10,
                    help="element count of auto-generated pointer regions")
     p.add_argument("--solver", choices=["builtin", "smtlib-out"], default="builtin")
-    p.add_argument("--budget-ms", type=int, default=2000,
-                   help="per-constraint solver time budget")
+    p.add_argument("--budget-ms", type=int, default=60000,
+                   help="per-function wall-clock deadline; edges it leaves "
+                        "undecided are reported as time-budget")
     p.add_argument("--budget-nodes", type=int, default=10000,
-                   help="per-constraint solver search-node budget")
+                   help="per-constraint solver search-node budget; the only "
+                        "limit that decides a solver verdict")
     p.add_argument("--smtlib-wait-ms", type=int, default=0,
                    help="with --solver=smtlib-out, wait this long for a "
                         ".model answer file before falling back to the "

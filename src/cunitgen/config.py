@@ -11,8 +11,8 @@ class Config:
     max_depth: int = 256
     ptr_array_size: int = 10
     solver: str = "builtin"  # builtin or smtlib-out
-    budget_ms: int = 2000
-    budget_nodes: int = 10000
+    budget_ms: int = 60000  # per-function wall-clock deadline
+    budget_nodes: int = 10000  # per solver call; alone decides its verdict
     out_dir: str = "ctgout"
     function: str | None = None
     do_not_stub: list[str] = field(default_factory=list)
@@ -20,8 +20,6 @@ class Config:
     # prototypes and the unit's own __rtt_modifies permit
     stub_globals: dict[str, list[str]] = field(default_factory=dict)
     smtlib_wait_ms: int = 0
-    max_alias_candidates: int = 8
-    max_stub_calls: int = 16
     verbose: bool = False
     quiet: bool = False
     jobs: int = 1

@@ -64,9 +64,6 @@ class Constraint:
     def render(self) -> str:
         return render_conjunction(self.conjuncts)
 
-    def as_expr(self) -> SymExpr:
-        return conj(self.conjuncts)
-
     def prefix(self, branch_count: int) -> "Constraint":
         """The sub-constraint covering assumptions and the first n branches."""
         cut = len(self.conjuncts)

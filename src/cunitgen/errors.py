@@ -64,7 +64,3 @@ class ReplayDivergence(CunitgenError):
     Indicates a soundness bug in the solver or interpreter; the offending
     test case is dropped and the constraint is logged.
     """
-
-
-class DepthBoundReached(CunitgenError):
-    """Tree expansion hit the configured depth bound. Reported, not fatal."""

@@ -526,18 +526,21 @@ def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase],
     edge_targets = sorted(t.ident for t in coverage.targets if t.kind == "edge")
     nodes_covered = sum(1 for n in node_targets if n in coverage.final_nodes)
     edges_covered = sum(1 for e in edge_targets if e in coverage.final_edges)
+    # an untried prefix may reach these nodes through a depth-bounded subtree
+    truncated = cfg.reachable_from(coverage.bound_nodes)
     uncovered: list[dict] = []
     for eid in edge_targets:
         if eid in coverage.final_edges:
             continue
         edge = cfg.edges[eid]
         attempts = coverage.attempts.get(eid, [])
-        if attempts and all(a == "unsat" for a in attempts):
+        if attempts and all(a == "unsat" for a in attempts) \
+                and not coverage.stopped and edge.src not in truncated:
             verdict = "infeasible-proven"
-        elif any(a == "unknown" for a in attempts):
+        elif "unknown" in attempts:
             verdict = "budget-exhausted"
         else:
-            verdict = "depth-bound"
+            verdict = coverage.stopped or "depth-bound"
         uncovered.append({
             "kind": "edge",
             "id": eid,

@@ -68,7 +68,6 @@ from .typesys import (
 )
 
 TEMP_PREFIX = "__t"
-RETVAL = "__retval"
 
 
 @dataclass
@@ -161,15 +160,7 @@ class Cfg:
             self._in[e.dst].append(e)
         for lst in self._out:
             lst.sort(key=lambda e: (e.polarity is not True, e.eid))
-        reached = {self.entry}
-        work = [self.entry]
-        while work:
-            nid = work.pop()
-            for e in self._out[nid]:
-                if e.dst not in reached:
-                    reached.add(e.dst)
-                    work.append(e.dst)
-        self.unreachable = {n.nid for n in self.nodes} - reached
+        self.unreachable = {n.nid for n in self.nodes} - self.reachable_from({self.entry})
         self._distance = {self.entry: 0}
         frontier = [self.entry]
         while frontier:
@@ -180,6 +171,17 @@ class Cfg:
                         self._distance[e.dst] = self._distance[nid] + 1
                         nxt.append(e.dst)
             frontier = nxt
+
+    def reachable_from(self, starts: set[int]) -> set[int]:
+        """The given nodes and every node reachable from one of them."""
+        reached = set(starts)
+        work = list(starts)
+        while work:
+            for e in self._out[work.pop()]:
+                if e.dst not in reached:
+                    reached.add(e.dst)
+                    work.append(e.dst)
+        return reached
 
     def root_distance(self, edge: CfgEdge) -> int:
         return self._distance.get(edge.src, 1 << 30)

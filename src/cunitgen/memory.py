@@ -54,10 +54,6 @@ class Region:
     def elem_size(self) -> int:
         return self.elem_type.size
 
-    @property
-    def byte_size(self) -> int:
-        return self.elem_size * self.dim
-
 
 @dataclass
 class PointerSyms:
@@ -68,6 +64,7 @@ class PointerSyms:
     offset: Sym
     fresh_region: Region
     pointee: CType
+    from_memory: bool = False  # read back, so it may name a local
 
 
 @dataclass
@@ -128,7 +125,8 @@ class RegionTable:
     def region_of(self, name: str) -> Region:
         return self.by_name[name]
 
-    def pointer_input(self, name: str, ptr_type: PointerType) -> PointerSyms:
+    def pointer_input(self, name: str, ptr_type: PointerType,
+                      from_memory: bool = False) -> PointerSyms:
         """Base/offset symbols plus a fresh backing region for a pointer input."""
         if name in self.pointer_inputs:
             return self.pointer_inputs[name]
@@ -137,7 +135,7 @@ class RegionTable:
         fresh = self.new_region(f"{name}__autogen",
                                 ArrayType(ptr_type.pointee, self.ptr_array_size),
                                 "autogen", True)
-        ps = PointerSyms(name, base, offset, fresh, ptr_type.pointee)
+        ps = PointerSyms(name, base, offset, fresh, ptr_type.pointee, from_memory)
         self.pointer_inputs[name] = ps
         return ps
 
@@ -148,6 +146,8 @@ class RegionTable:
         regions of the same element type, then type-matching declared
         regions, then null. An equality chain therefore lands on the first
         fresh id, which is how shared auto-generated arrays come about.
+        Locals and by-value parameters do not exist before the call, so only
+        a pointer read back from memory may name one of them.
         """
         own = ps.fresh_region.base_id
         same_type_fresh = [
@@ -155,10 +155,10 @@ class RegionTable:
             for other in self.pointer_inputs.values()
             if other.pointee == ps.pointee and other.name != ps.name
         ]
+        kinds = ("global", "param", "local") if ps.from_memory else ("global",)
         declared = [
             r.base_id for r in self.declared_order
-            if r.kind in ("global", "param", "local")
-            and r.elem_type == ps.pointee
+            if r.kind in kinds and r.elem_type == ps.pointee
         ]
         out = [own]
         for rid in same_type_fresh + declared:
@@ -167,17 +167,21 @@ class RegionTable:
         out.append(NULL_BASE)
         return out
 
+    def pointer_of_base(self, base: SymExpr) -> PointerSyms | None:
+        """The pointer input whose base-address symbol base is, if any."""
+        if isinstance(base, Sym):
+            return self.pointer_inputs.get(base.name.removesuffix("@baseAddress"))
+        return None
+
     def dim_for_base(self, base: SymExpr) -> int:
         if isinstance(base, Const):
             region = self.by_id.get(int(base.value))
             if region is not None:
                 return region.dim
             return self.ptr_array_size
-        if isinstance(base, Sym):
-            name = base.name.removesuffix("@baseAddress")
-            ps = self.pointer_inputs.get(name)
-            if ps is not None:
-                return ps.fresh_region.dim
+        ps = self.pointer_of_base(base)
+        if ps is not None:
+            return ps.fresh_region.dim
         return self.ptr_array_size
 
     def cell_symbol(self, region: Region, byte_off: int,

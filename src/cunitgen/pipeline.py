@@ -6,7 +6,9 @@ satisfiable complete trace becomes a test case (after the model survives
 concrete replay), a satisfiable prefix stays active and is extended next
 round, an unsatisfiable branch is pruned from the tree and remembered, an
 unknown verdict is pruned too but reported separately. Generation ends when
-no selectable trace remains or the coverage criterion is met.
+no selectable trace remains or the coverage criterion is met, or early at
+the per-function deadline or the iteration bound, whose name then becomes
+the verdict of the edges left undecided.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .harness import (
 )
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
 from .smtlib import export_smtlib, parse_model_file
-from .solver import Budget, Model, SolveResult, solve, verify_model
+from .solver import Model, SolveResult, solve, verify_model
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
 from .symex import Layout, PathState, interpret
@@ -145,13 +147,18 @@ class _Session:
     config: Config
     log: list[str] = field(default_factory=list)
     accepted_traces: list[Trace] = field(default_factory=list)
+    deadline: float = 0.0  # time.monotonic() value at which generation stops
 
     def say(self, text: str) -> None:
         if self.config.verbose:
             self.log.append(text)
 
+    def _out_of_time(self) -> bool:
+        return time.monotonic() >= self.deadline
+
     def run(self) -> FunctionOutcome:
         start = time.monotonic()
+        self.deadline = start + self.config.budget_ms / 1000.0
         out = FunctionOutcome(self.fn.name)
         try:
             anns = extract_annotations(self.fn)
@@ -197,6 +204,9 @@ class _Session:
         active: Trace | None = None
         for _ in range(_MAX_ITERATIONS):
             if coverage.complete_for(self.config.coverage):
+                break
+            if self._out_of_time():
+                coverage.stopped = "time-budget"
                 break
             trace = tree.select_trace(active)
             if trace is None:
@@ -249,6 +259,8 @@ class _Session:
             else:
                 record.verdict = f"unknown({result.reason})"
                 active = self._give_up_on(trace, coverage, tree, active, "unknown")
+        else:
+            coverage.stopped = "iteration-bound"
         if exporter is not None:
             out.smt_files = exporter.files
         if self.config.dump_stct:
@@ -260,8 +272,7 @@ class _Session:
             external = exporter.consult(constraint)
             if external is not None:
                 return SolveResult("sat", external), external
-        budget = Budget(self.config.budget_nodes, self.config.budget_ms)
-        result = solve(constraint, budget)
+        result = solve(constraint, self.config.budget_nodes)
         return result, result.model
 
     def _accept(self, out: FunctionOutcome, trace: Trace, state: PathState,
@@ -302,11 +313,10 @@ class _Session:
 
         Index -1 means the assumptions alone are unsatisfiable.
         """
-        budget = Budget(self.config.budget_nodes, self.config.budget_ms)
         total = constraint.branch_count()
         for k in range(total + 1):
             prefix = constraint.prefix(k)
-            result = solve(prefix, budget)
+            result = solve(prefix, self.config.budget_nodes)
             if result.status == "unsat":
                 return k - 1, "unsat"
             if result.status == "unknown":
@@ -331,6 +341,8 @@ class _Session:
                    if any(tag not in covered for tag in tc.tags)]
         for tc_index in missing:
             for trace in self.accepted_traces:
+                if self._out_of_time():
+                    return
                 try:
                     state = interpret(trace, out.cfg, anns, out.layout,
                                       active_testcase=tc_index)
@@ -339,8 +351,7 @@ class _Session:
                 if state.infeasible_branch is not None:
                     continue
                 constraint = con.conjoin(state)
-                result = solve(constraint,
-                               Budget(self.config.budget_nodes, self.config.budget_ms))
+                result = solve(constraint, self.config.budget_nodes)
                 if result.status != "sat" or result.model is None:
                     continue
                 try:

@@ -126,7 +126,10 @@ def _store_convert(value: Value, ctype: CType, bit: tuple[int, int] | None) -> V
         raise ReplayError("integer stored into a pointer slot")
     if isinstance(value, CPtr):
         raise ReplayError(f"pointer stored into a {ctype} slot")
-    v = convert(value, ctype)
+    try:
+        v = convert(value, ctype)
+    except Undefined as exc:
+        raise ReplayError(str(exc)) from exc
     if bit is not None:
         _, width = bit
         mask = (1 << width) - 1

@@ -1,9 +1,9 @@
 """Built-in constraint solver.
 
 The pipeline is: (1) constant-fold and flatten the conjunction; (2) interval
-propagation over integer and offset symbols to a fixpoint; (3) equality-class
-substitution for base-address symbols (finite candidate domains intersected
-through a union-find); (4) search that picks the symbol with the smallest
+propagation over integer and offset symbols to a fixpoint; (3) base-address
+symbols keep finite candidate domains, and each comparison of two bases
+intersects or trims them inside the same fixpoint; (4) search that picks the symbol with the smallest
 residual domain, probes the boundary values, then splits at the midpoint and
 backtracks on propagation failure; (5) floats are handled by propagating
 exact literals through equality classes and trying a fixed seed set
@@ -11,8 +11,9 @@ exact literals through equality classes and trying a fixed seed set
 
 Sat answers are only reported after the model passes the independent
 expression evaluator; the search is never trusted. Unsat is only reported
-when the search space was covered exhaustively; a blown budget yields
-Unknown with the reason attached.
+when the search space was covered exhaustively; a spent node budget yields
+Unknown with the reason attached. Nothing here reads a clock, so a verdict
+depends only on the constraint and the node budget.
 
 Interval arithmetic here is wraparound-aware. The unwrapped (raw) values
 of a sum or difference fall into wrap windows: window w holds the raw
@@ -28,7 +29,6 @@ of it is exact per window, so no feasible value is ever pruned.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .constraints import Constraint, FreeSymbol
@@ -50,12 +50,6 @@ from .symexpr import (
 from .typesys import BOOL, FloatType, IntType, Undefined, binary
 
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
-
-
-@dataclass
-class Budget:
-    max_nodes: int = 10000
-    max_ms: int = 2000
 
 
 @dataclass
@@ -82,7 +76,7 @@ class SolveResult:
         return self.status == "unsat"
 
 
-class _BudgetExceeded(Exception):
+class _OutOfNodes(Exception):
     pass
 
 
@@ -121,10 +115,9 @@ class _SetDomain:
 
 
 class _Solver:
-    def __init__(self, constraint: Constraint, budget: Budget):
+    def __init__(self, constraint: Constraint, max_nodes: int):
         self.constraint = constraint
-        self.budget = budget
-        self.start = time.monotonic()
+        self.max_nodes = max_nodes
         self.nodes = 0
         self.conjuncts = _flatten(constraint.conjuncts)
         self.float_cmps = _float_comparisons(self.conjuncts)
@@ -156,18 +149,14 @@ class _Solver:
             if model is not None:
                 return SolveResult("sat", model, nodes=self.nodes)
             return SolveResult("unsat", nodes=self.nodes)
-        except _BudgetExceeded as exc:
+        except _OutOfNodes as exc:
             return SolveResult("unknown", reason=str(exc), nodes=self.nodes)
 
     def _run_with_floats(self) -> SolveResult:
         combos = self._float_assignments()
         for fenv in combos:
             self._tick()
-            env = self._initial_env()
-            try:
-                model = self._search(env, fenv)
-            except _BudgetExceeded:
-                raise
+            model = self._search(self._initial_env(), fenv)
             if model is not None:
                 return SolveResult("sat", model, nodes=self.nodes)
         return SolveResult(
@@ -197,12 +186,8 @@ class _Solver:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetExceeded(f"search node budget ({self.budget.max_nodes}) exhausted")
-        if self.nodes % 64 == 0:
-            elapsed = (time.monotonic() - self.start) * 1000.0
-            if elapsed > self.budget.max_ms:
-                raise _BudgetExceeded(f"time budget ({self.budget.max_ms} ms) exhausted")
+        if self.nodes > self.max_nodes:
+            raise _OutOfNodes(f"search node budget ({self.max_nodes}) exhausted")
 
     def _search(self, env: dict[str, _IntDomain | _SetDomain],
                 fenv: dict[str, float]) -> Model | None:
@@ -276,7 +261,6 @@ class _Solver:
 
     def _propagate(self, env: dict[str, _IntDomain | _SetDomain],
                    fenv: dict[str, float]) -> None:
-        self._base_equalities(env)
         for _ in range(32):  # fixpoint cap; each pass only narrows
             changed = False
             for c in self.conjuncts:
@@ -396,43 +380,6 @@ class _Solver:
                 return None
             return (xl, cl - cr - shift)
         return None
-
-    def _base_equalities(self, env: dict[str, _IntDomain | _SetDomain]) -> None:
-        """Union-find over base symbols; members share intersected domains."""
-        parent: dict[str, str] = {n: n for n in self.base_syms}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in self.conjuncts:
-            if isinstance(c, BinOp) and c.op == "==" \
-                    and isinstance(c.lhs, Sym) and isinstance(c.rhs, Sym) \
-                    and c.lhs.name in self.base_syms and c.rhs.name in self.base_syms:
-                ra, rb = find(c.lhs.name), find(c.rhs.name)
-                if ra != rb:
-                    parent[ra] = rb
-        groups: dict[str, list[str]] = {}
-        for name in self.base_syms:
-            groups.setdefault(find(name), []).append(name)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            shared: list[int] | None = None
-            for m in members:
-                dom = env[m]
-                assert isinstance(dom, _SetDomain)
-                if shared is None:
-                    shared = list(dom.values)
-                else:
-                    shared = [v for v in shared if v in dom.values]
-            assert shared is not None
-            if not shared:
-                raise _Conflict
-            for m in members:
-                env[m] = _SetDomain(list(shared))
 
     def _pair_offsets(self, env: dict[str, _IntDomain | _SetDomain]) -> None:
         """A decided base narrows its offset to the region's true bounds."""
@@ -861,7 +808,7 @@ class _Solver:
             if r not in reps:
                 reps.append(r)
         free_reps = [r for r in reps if r not in fixed]
-        cap = self.budget.max_nodes
+        cap = self.max_nodes
 
         def assignments(idx: int, cur: dict[str, float]):
             if idx == len(free_reps):
@@ -1049,10 +996,12 @@ def verify_model(constraint: Constraint, model: Model) -> bool:
     return True
 
 
-def solve(constraint: Constraint, budget: Budget | None = None) -> SolveResult:
-    """Decide a constraint; Sat models always verify under evaluation.
+def solve(constraint: Constraint, max_nodes: int = 10000) -> SolveResult:
+    """Decide a constraint within max_nodes search nodes.
 
-    ``_Solver._finish`` is the only producer of a model, and it returns one
-    only after ``verify_model`` accepts it.
+    The answer depends on the constraint and the node budget alone, never on
+    the clock. Sat models always verify under evaluation: ``_Solver._finish``
+    is the only producer of a model, and it returns one only after
+    ``verify_model`` accepts it.
     """
-    return _Solver(constraint, budget or Budget()).run()
+    return _Solver(constraint, max_nodes).run()

@@ -16,14 +16,15 @@ walks bottom-up to the root.
 
 Pruning removes the subtree hanging off an infeasible branch and remembers
 the (prefix, edge) pair so the same choice is never proposed again; an edge
-pruned under one prefix stays selectable under others.
+pruned under one prefix stays selectable under others. A trace that can be
+neither extended nor completed within the depth bound loses its leaf the
+same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DepthBoundReached
 from .imr import Cfg, CfgEdge, Target
 
 
@@ -73,7 +74,11 @@ class CoverageState:
     pending_nodes: set[int] = field(default_factory=set)
     # per-edge verdicts of failed attempts: unsat / unknown
     attempts: dict[int, list[str]] = field(default_factory=dict)
-    depth_bound_hits: int = 0
+    # CFG nodes of tree nodes whose expansion stopped at the depth bound
+    bound_nodes: set[int] = field(default_factory=set)
+    # why generation stopped before exhausting the tree, if it did:
+    # time-budget or iteration-bound
+    stopped: str = ""
 
     def edge_covered(self, eid: int) -> bool:
         return eid in self.final_edges or eid in self.pending_edges
@@ -114,7 +119,6 @@ class Stct:
         self._k: dict[int, int] = {}
         self.root = self._make_node(cfg.entry, None, None)
         self.instances: dict[int, list[StctNode]] = {}  # cfg edge id -> children
-        self.depth_reports: list[DepthBoundReached] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -131,10 +135,7 @@ class Stct:
         if node.expanded:
             return
         if node.depth >= self.max_depth:
-            report = DepthBoundReached(
-                f"expansion stopped at depth {node.depth} (n{node.node_id})")
-            self.depth_reports.append(report)
-            self.coverage.depth_bound_hits += 1
+            self.coverage.bound_nodes.add(node.node_id)
             return
         for edge in self.cfg.out_edges(node.node_id):
             if edge.eid in node.pruned_edges:
@@ -216,7 +217,7 @@ class Stct:
             if len(outs) != 1 or outs[0].conditional:
                 return trace
             if leaf.depth >= self.max_depth:
-                self.coverage.depth_bound_hits += 1
+                self.coverage.bound_nodes.add(leaf.node_id)
                 return trace
             self.ensure_children(leaf)
             nxt = [c for c in leaf.children if c.in_edge is outs[0]]
@@ -228,7 +229,13 @@ class Stct:
     # -- selection ---------------------------------------------------------------
 
     def select_trace(self, active: Trace | None) -> Trace | None:
-        """Next trace to hand to the interpreter, or None when done."""
+        """Next trace to hand to the interpreter, or None when done.
+
+        An active trace that can neither be extended nor completed within
+        the depth bound can never become a test case; its leaf is pruned so
+        that no later fresh trace proposes it again, and when that leaf is
+        the root nothing is left to select.
+        """
         self.ensure_children(self.root)
         if active is not None and not active.complete:
             extended = self._extend(active)
@@ -237,7 +244,9 @@ class Stct:
             completed = self._complete(active)
             if completed is not None:
                 return completed
-            return self._fresh()
+            if active.leaf.parent is None:
+                return None
+            self._cut(active.leaf)
         return self._fresh()
 
     def _edge_priority(self, edge: CfgEdge) -> tuple[int, int, int]:
@@ -279,7 +288,7 @@ class Stct:
             nxt: list[StctNode] = []
             for node in frontier:
                 if node.depth >= self.max_depth:
-                    self.coverage.depth_bound_hits += 1
+                    self.coverage.bound_nodes.add(node.node_id)
                     continue
                 self.ensure_children(node)
                 for child in node.children:
@@ -357,16 +366,18 @@ class Stct:
 
     def prune_infeasible(self, trace: Trace, failing_branch_index: int) -> CfgEdge:
         """Remove the subtree hanging off the failing branch of a trace."""
-        positions = trace.conditional_positions()
-        pos = positions[failing_branch_index]
-        parent = trace.nodes[pos]
-        child = trace.nodes[pos + 1]
-        edge = trace.edges[pos]
+        pos = trace.conditional_positions()[failing_branch_index]
+        self._cut(trace.nodes[pos + 1])
+        return trace.edges[pos]
+
+    def _cut(self, node: StctNode) -> None:
+        """Remove node and its subtree from its parent for good."""
+        parent, edge = node.parent, node.in_edge
+        assert parent is not None and edge is not None
         parent.pruned_edges.add(edge.eid)
-        if child in parent.children:
-            parent.children.remove(child)
-        self._deregister(child)
-        return edge
+        if node in parent.children:
+            parent.children.remove(node)
+        self._deregister(node)
 
     def _deregister(self, node: StctNode) -> None:
         e = node.in_edge

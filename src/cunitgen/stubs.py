@@ -35,6 +35,9 @@ from .typesys import (
     VoidType,
 )
 
+# Calls of one callee on a trace beyond which the trace is marked approximate.
+_MAX_STUB_CALLS = 16
+
 
 def return_symbol(callee: str, k: int, ctype: CType) -> Sym:
     return Sym(f"{callee}@RETURN@{k}", ctype, Role.STUB_RETURN)
@@ -63,9 +66,9 @@ def intercept_call(state, interp, instr: ICall) -> None:
     sig = policy.signature
     k = state.stub_counts.get(callee, 0)
     state.stub_counts[callee] = k + 1
-    if k >= layout.config.max_stub_calls:
+    if k >= _MAX_STUB_CALLS:
         state.flags.mark(f"{callee} called more than "
-                         f"{layout.config.max_stub_calls} times on one trace")
+                         f"{_MAX_STUB_CALLS} times on one trace")
     event = StubCallEvent(callee, k, None, [], [], instr.line)
 
     # output parameters: non-const pointee pointer arguments

@@ -90,6 +90,9 @@ from .typesys import (
 
 _ORDERING = ("<", "<=", ">", ">=")
 _CMP = _ORDERING + ("==", "!=")
+# History items a read may alias before it gives up on a case split and
+# returns an untied fresh symbol (marked approximate).
+_MAX_ALIAS_CANDIDATES = 8
 
 
 @dataclass
@@ -326,7 +329,12 @@ class _Interp:
 
     def read(self, place: Place) -> SymExpr:
         candidates: list[tuple[SymExpr, SymExpr | None]] = []  # (condition, value)
+        ps = self.regions.pointer_of_base(place.base)
+        targets = set(self.regions.base_candidates(ps)) if ps is not None else None
         for item in reversed(self.state.items):
+            if targets is not None and isinstance(item.base, Const) \
+                    and int(item.base.value) not in targets:
+                continue  # a region the read pointer cannot name
             b = base_eq_cond(item.base, place.base)
             if is_false(b):
                 continue
@@ -348,7 +356,7 @@ class _Interp:
             and candidates[-1][1] is not None
         if not candidates:
             return self._base_content(place)
-        if len(candidates) > self.config.max_alias_candidates:
+        if len(candidates) > _MAX_ALIAS_CANDIDATES:
             self.state.flags.mark(
                 f"alias case split over {len(candidates)} items at {place.hint}")
             return self._fresh_read(place)
@@ -370,7 +378,7 @@ class _Interp:
     def _fresh_read(self, place: Place) -> SymExpr:
         name = f"{place.hint or 'mem'}@read@{self.state.step}"
         if isinstance(place.elem_type, PointerType):
-            ps = self.regions.pointer_input(name, place.elem_type)
+            ps = self.regions.pointer_input(name, place.elem_type, from_memory=True)
             return Ptr(ps.base, ps.offset, place.elem_type)
         return Sym(name, place.elem_type, Role.FRESH_READ)
 
@@ -414,9 +422,7 @@ class _Interp:
                 return
             pairs = [(place.base, region)]
         else:
-            name = place.base.name.removesuffix("@baseAddress") \
-                if isinstance(place.base, Sym) else ""
-            ps = self.regions.pointer_inputs.get(name)
+            ps = self.regions.pointer_of_base(place.base)
             if ps is None:
                 self.state.flags.mark(f"unresolvable base for {place.hint}")
                 return

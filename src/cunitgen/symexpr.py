@@ -144,7 +144,6 @@ FALSE = Const(0, BOOL)
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _BOOL_OPS = ("&&", "||")
 _FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-_SWAP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
 def is_true(e: SymExpr) -> bool:
@@ -215,7 +214,10 @@ def mk_cast(operand: SymExpr, ctype: CType) -> SymExpr:
         return operand
     if isinstance(operand, Const) and not isinstance(ctype, PointerType) \
             and not isinstance(operand.ctype, PointerType):
-        return Const(convert(operand.value, ctype), ctype)
+        try:
+            return Const(convert(operand.value, ctype), ctype)
+        except Undefined:
+            pass
     return Cast(operand, ctype)
 
 
@@ -370,7 +372,10 @@ def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
             if isinstance(e.ctype, PointerType):
                 return v
             raise EvalError("pointer cast to non-pointer")
-        return convert(v, e.ctype)
+        try:
+            return convert(v, e.ctype)
+        except Undefined as exc:
+            raise EvalError(str(exc)) from exc
     if isinstance(e, UnOp):
         v = evaluate(e.operand, env)
         if e.op == "!":

@@ -16,6 +16,7 @@ separate code; gcc-compiled drivers are the independent check on this table.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -223,7 +224,8 @@ def usual_arith(a: CType, b: CType) -> CType:
 
 class Undefined(ArithmeticError):
     """A scalar operation without a C value: division by zero, a shift out of
-    ``[0, width)``, or an operator the table does not define for the type."""
+    ``[0, width)``, an infinite or NaN float converted to an integer type, or
+    an operator the table does not define for the type."""
 
 
 _F32 = struct.Struct("<f")
@@ -238,15 +240,20 @@ _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def round_float(v: float, t: FloatType) -> float:
-    """Round a double to the precision of t."""
+    """Round a double to the precision of t; beyond its range that is +-inf."""
     if t.width == 32:
-        return _F32.unpack(_F32.pack(v))[0]
+        try:
+            return _F32.unpack(_F32.pack(v))[0]
+        except OverflowError:
+            return math.copysign(math.inf, v)
     return v
 
 
 def convert(v: int | float, dst: CType) -> int | float:
     """Convert an arithmetic value to dst; float to integer truncates toward zero."""
     if isinstance(dst, IntType):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise Undefined(f"{v} converted to {dst}")
         return wrap_int(int(v), dst)
     if isinstance(dst, FloatType):
         return round_float(float(v), dst)

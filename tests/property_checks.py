@@ -11,7 +11,7 @@ from bruteforce import grid_for, oracle_sat
 from cunitgen import constraints as con
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.memory import NULL_BASE
-from cunitgen.solver import Budget, solve
+from cunitgen.solver import solve
 from cunitgen.symexpr import (
     Const,
     Role,
@@ -76,15 +76,14 @@ class SoundnessStats:
 
 
 def run_model_soundness(count: int, seed: int = 190237,
-                        budget: Budget | None = None) -> SoundnessStats:
+                        max_nodes: int = 250) -> SoundnessStats:
     """Solve `count` random constraints; re-verify every Sat model."""
     rng = random.Random(seed)
-    budget = budget or Budget(max_nodes=250, max_ms=100)
     stats = SoundnessStats()
     for i in range(count):
         t = (SCHAR, UCHAR, SHORT, INT)[i % 4]
         c = make_constraint(rng, t, n_syms=rng.randint(1, 3))
-        result = solve(c, budget)
+        result = solve(c, max_nodes)
         if result.is_sat:
             stats.sats += 1
             env = dict(result.model.values)
@@ -107,10 +106,9 @@ class AgreementStats:
 
 
 def run_unsat_agreement(count: int, seed: int, t: IntType = SCHAR,
-                        budget: Budget | None = None) -> AgreementStats:
+                        max_nodes: int = 3000) -> AgreementStats:
     """Compare every decided verdict against full-domain enumeration."""
     rng = random.Random(seed)
-    budget = budget or Budget(max_nodes=3000, max_ms=400)
     stats = AgreementStats()
     for _ in range(count):
         c = make_constraint(rng, t, n_syms=rng.randint(1, 2))
@@ -119,7 +117,7 @@ def run_unsat_agreement(count: int, seed: int, t: IntType = SCHAR,
             continue
         grids = grid_for(names, t)
         truth = oracle_sat(c.conjuncts, grids)
-        verdict = solve(c, budget)
+        verdict = solve(c, max_nodes)
         if verdict.status == "unknown":
             stats.unknowns += 1
             continue

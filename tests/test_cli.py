@@ -52,6 +52,79 @@ class TestExitCodes:
         assert run_exe(exe)[0] == 0
 
 
+class TestRobustness:
+    def test_float_overflow_is_a_diagnostic(self, tmp_path, capsys):
+        src = tmp_path / "fover.c"
+        src.write_text("int h(int x) { float f = 1e39; if (x > 0) return (int)f;"
+                       " return 0; }\n"
+                       "int g(int y) { if (y > 3) return 1; return 0; }\n")
+        code = run_cli([str(src), "--out-dir", str(tmp_path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        # the other function in the unit is still generated
+        assert (tmp_path / "g_driver.c").exists()
+
+
+# A pointer input is set up by the driver before the call, so it can name a
+# global or an auto-generated array, never the function's own locals or
+# by-value parameters; reads through it must not alias writes to those.
+LOOP_THEN_BUFFER = """\
+int f(int *buf, int x)
+{
+    int acc = 0;
+    int k;
+    for (k = 0; k < 3; k = k + 1)
+        acc = acc + k * 7;
+    if (buf[1] > x)
+        return acc;
+    return 0;
+}
+"""
+
+STUB_BITFIELD_SWITCH = """\
+struct pkt { unsigned int kind : 2; unsigned int urgent : 1; int level; };
+
+int probe(int v);
+
+int mw(int *buf, struct pkt p, int i, int x, unsigned int b)
+{
+    int total = 0;
+    int s = probe(x);
+    if (buf[i] > s)
+        total = total + 1;
+    if (p.kind == 1 && p.level < buf[1])
+        x = x - 5;
+    switch (b & 3) {
+    case 0: x = x + buf[2]; break;
+    case 1: buf[0] = x; break;
+    case 2: x = x - 40; break;
+    default: x = -20;
+    }
+    if (x > 100)
+        return 1;
+    return 0;
+}
+"""
+
+
+class TestPointerInputsAndLocals:
+    def check(self, tmp_path, name: str, text: str, stubs: list[str]):
+        src = tmp_path / f"{name}.c"
+        src.write_text(text)
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--out-dir", str(out), "-q"]) == 0
+        sources = [str(out / f"{name}_driver.c"), str(src)]
+        sources += [str(out / f"{stub}_stub.c") for stub in stubs]
+        exe = compile_c(str(out), sources)
+        assert run_exe(exe)[0] == 0
+
+    def test_loop_before_buffer_branch(self, tmp_path):
+        self.check(tmp_path, "f", LOOP_THEN_BUFFER, [])
+
+    def test_stub_bitfield_and_switch(self, tmp_path):
+        self.check(tmp_path, "mw", STUB_BITFIELD_SWITCH, ["probe"])
+
+
 class TestFlags:
     def test_function_filter(self, tmp_path):
         code = run_cli([data_path("alloc.c"), "--function", "alloc",

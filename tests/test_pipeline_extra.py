@@ -2,6 +2,7 @@
 
 from conftest import read_data
 
+import cunitgen.pipeline as pipeline
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.pipeline import generate_function
@@ -147,3 +148,19 @@ class TestStress:
         assert outcome.report.edge_percent == 100.0
         assert len(outcome.test_cases) <= 9  # decisions + 1 at most
         assert outcome.elapsed_s < 5.0
+
+
+class TestEarlyStops:
+    """A stopped loop names its reason on every edge it left undecided."""
+
+    def test_deadline_reported_as_time_budget(self):
+        outcome = run_src(read_data("tritype_int.c"), "Tritype", budget_ms=0)
+        assert outcome.report.uncovered
+        assert {u["verdict"] for u in outcome.report.uncovered} == {"time-budget"}
+
+    def test_iteration_bound_reported(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_MAX_ITERATIONS", 3)
+        outcome = run_src(read_data("tritype_int.c"), "Tritype")
+        assert len(outcome.selection_log) == 3
+        assert outcome.report.uncovered
+        assert {u["verdict"] for u in outcome.report.uncovered} == {"iteration-bound"}

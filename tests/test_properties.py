@@ -14,7 +14,7 @@ from property_checks import (
     run_unsat_agreement,
 )
 
-from cunitgen.solver import Budget, solve
+from cunitgen.solver import solve
 from cunitgen.typesys import SHORT, UCHAR
 
 
@@ -46,11 +46,10 @@ class TestPointerCompareBruteForce:
 class TestDeterminism:
     def test_random_constraints_solve_identically(self):
         rng = random.Random(4242)
-        budget = Budget(max_nodes=500, max_ms=200)
         for _ in range(150):
             c = make_constraint(rng, SHORT, n_syms=2)
-            a = solve(c, budget)
-            b = solve(c, budget)
+            a = solve(c, max_nodes=500)
+            b = solve(c, max_nodes=500)
             assert a.status == b.status
             if a.is_sat:
                 assert a.model.values == b.model.values

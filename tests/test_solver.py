@@ -1,13 +1,16 @@
 """Built-in solver tests: verdicts, models, determinism, budgets."""
 
+import itertools
 import random
+import time
 
 from bruteforce import grid_for, oracle_sat
+from property_checks import make_constraint
 
 from cunitgen.constraints import Constraint, FreeSymbol
-from cunitgen.solver import Budget, solve, verify_model
+from cunitgen.solver import solve, verify_model
 from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
-from cunitgen.typesys import DOUBLE, INT, SCHAR, UINT
+from cunitgen.typesys import DOUBLE, INT, SCHAR, SHORT, UCHAR, UINT
 
 INT_MAX = 2**31 - 1
 
@@ -23,6 +26,16 @@ def make(conjuncts, free=None):
                 free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
     c.free = free
     return c
+
+
+def tritype_scalene():
+    """Tritype's scalene path: i, j, k >= 0, triangle inequalities, distinct."""
+    i, j, k = (Sym(n, INT) for n in "ijk")
+    conj = [mk_binop(">=", v, Const(0, INT)) for v in (i, j, k)]
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        conj.append(mk_binop(">", mk_binop("+", x, y, INT), z))
+    conj += [mk_binop("!=", i, j), mk_binop("!=", i, k), mk_binop("!=", j, k)]
+    return make(conj)
 
 
 def ptr_free(name: str, candidates, dims, paired: str):
@@ -123,21 +136,39 @@ class TestVerdicts:
         c = make([mk_binop("==", prod, Const(1 << 30, INT)),
                   mk_binop(">", x, Const(3, INT)),
                   mk_binop(">", y, Const(3, INT))])
-        r = solve(c, Budget(max_nodes=2, max_ms=100000))
+        r = solve(c, max_nodes=2)
         assert r.status == "unknown"
         assert r.reason
+
+
+class TestClockIndependence:
+    def test_verdicts_ignore_the_clock(self, monkeypatch):
+        """A clock that jumps an hour per reading changes no answer."""
+        rng = random.Random(2718)
+        work = [(tritype_scalene(), 10000)] + [
+            (make_constraint(rng, (SCHAR, UCHAR, SHORT, INT)[i % 4],
+                             n_syms=rng.randint(1, 3)), 250)
+            for i in range(200)]
+
+        def answers():
+            out = []
+            for c, max_nodes in work:
+                r = solve(c, max_nodes=max_nodes)
+                out.append((r.status, r.nodes, r.model.values if r.model else None))
+            return out
+
+        steady = answers()
+        hours = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: 3600.0 * next(hours))
+        assert answers() == steady
+        assert steady[0][0] == "sat"
 
 
 class TestWrapWindows:
     """Linear constraints whose sums may wrap are decided, not bisected."""
 
     def test_tritype_scalene_sat(self):
-        i, j, k = (Sym(n, INT) for n in "ijk")
-        conj = [mk_binop(">=", v, Const(0, INT)) for v in (i, j, k)]
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            conj.append(mk_binop(">", mk_binop("+", x, y, INT), z))
-        conj += [mk_binop("!=", i, j), mk_binop("!=", i, k), mk_binop("!=", j, k)]
-        c = make(conj)
+        c = tritype_scalene()
         r = solve(c)
         assert r.is_sat
         assert verify_model(c, r.model)

@@ -99,6 +99,21 @@ class TestLoopUnwinding:
         assert outcome.report.edge_percent < 100.0
         verdicts = {u["verdict"] for u in outcome.report.uncovered}
         assert verdicts <= {"depth-bound", "budget-exhausted", "infeasible-proven"}
+        # a trace that can neither extend nor complete loses its leaf, so
+        # selection runs out instead of re-proposing it until the iteration
+        # bound; both edges lie beyond the bound, so neither is proven
+        assert len(outcome.selection_log) < 100
+        assert verdicts == {"depth-bound"}
+
+    def test_depth_bound_never_proves_infeasible(self):
+        """An edge reachable from a depth-bounded subtree is not proven."""
+        src = ("int f(int n) { int i = 0; while (i < n) i = i + 1;"
+               " if (i == 12) return 1; return 0; }")
+        bounded = run(src, "f", max_depth=20)
+        verdicts = {u["description"]: u["verdict"] for u in bounded.report.uncovered}
+        assert verdicts == {"n4 -> n5 [i == 12]": "depth-bound"}
+        # the edge is feasible: the default bound covers it with n = 12
+        assert run(src, "f").report.edge_percent == 100.0
 
 
 class TestPruning:

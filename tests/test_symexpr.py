@@ -1,5 +1,7 @@
 """Expression-level tests: wraparound arithmetic, rendering, evaluation."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,8 @@ from cunitgen.symexpr import (
 )
 from cunitgen.typesys import (
     BOOL,
+    DOUBLE,
+    FLOAT,
     INT,
     LONG,
     PointerType,
@@ -172,6 +176,17 @@ class TestCast:
 
     def test_const_folds(self):
         assert mk_cast(Const(300, INT), SCHAR) == Const(44, SCHAR)
+
+    def test_float_overflow_rounds_to_infinity(self):
+        # IEEE rounding of a value beyond FLT_MAX gives inf, and inf has
+        # no integer value: the cast stays unfolded and does not evaluate
+        f = mk_cast(Const(1e39, DOUBLE), FLOAT)
+        assert f == Const(math.inf, FLOAT)
+        assert mk_cast(Const(-1e39, DOUBLE), FLOAT) == Const(-math.inf, FLOAT)
+        i = mk_cast(f, INT)
+        assert not isinstance(i, Const)
+        with pytest.raises(EvalError):
+            evaluate(i, {})
 
 
 class TestFreeSymbols:
