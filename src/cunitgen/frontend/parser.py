@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ParseError, UnsupportedConstruct
+from ..errors import CunitgenError, ParseError, UnsupportedConstruct
 from ..typesys import (
     BUILTIN_TYPES,
     INT,
@@ -726,8 +726,14 @@ def parse_unit(text: str, file_name: str = "<input>",
     """Front-end entry point: text in, fully typed SourceUnit out."""
     from .sema import analyze
 
-    tokens = preprocess_and_lex(text, file_name, include_dir)
-    parser = _Parser(tokens, file_name)
-    unit = parser.parse_unit()
-    analyze(unit, parser.env)
+    try:
+        tokens = preprocess_and_lex(text, file_name, include_dir)
+        parser = _Parser(tokens, file_name)
+        unit = parser.parse_unit()
+        analyze(unit, parser.env)
+    except RecursionError:
+        # parser and sema recurse once per nesting level
+        raise CunitgenError(
+            f"{file_name}: statements or expressions nested too deeply to parse"
+        ) from None
     return unit

@@ -528,16 +528,18 @@ def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase],
     edges_covered = sum(1 for e in edge_targets if e in coverage.final_edges)
     # an untried prefix may reach these nodes through a depth-bounded subtree
     truncated = cfg.reachable_from(coverage.bound_nodes)
+    # ... or through a subtree pruned on an unknown verdict
+    undecided = cfg.reachable_from(coverage.unknown_nodes)
     uncovered: list[dict] = []
     for eid in edge_targets:
         if eid in coverage.final_edges:
             continue
         edge = cfg.edges[eid]
         attempts = coverage.attempts.get(eid, [])
-        if attempts and all(a == "unsat" for a in attempts) \
-                and not coverage.stopped and edge.src not in truncated:
+        if attempts and all(a == "unsat" for a in attempts) and not coverage.stopped \
+                and edge.src not in truncated and edge.src not in undecided:
             verdict = "infeasible-proven"
-        elif "unknown" in attempts:
+        elif "unknown" in attempts or edge.src in undecided:
             verdict = "budget-exhausted"
         else:
             verdict = coverage.stopped or "depth-bound"

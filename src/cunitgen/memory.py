@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .symexpr import (
+    FALSE,
+    TRUE,
     Const,
     Role,
     Sym,
@@ -82,6 +84,10 @@ class MemoryItem:
     def open(self) -> bool:
         return self.valid_to is None
 
+    def copy(self) -> "MemoryItem":
+        return MemoryItem(self.base, self.offset, self.length, self.value,
+                          self.valid_from, self.valid_to, self.bit, self.line)
+
 
 @dataclass
 class Place:
@@ -109,6 +115,10 @@ class RegionTable:
         self.cell_syms: dict[tuple[int, int, int, int], Sym] = {}
         self.cell_index: dict[str, tuple[int, int]] = {}  # symbol name -> (base, elem idx)
         self.declared_order: list[Region] = []
+        # goes up with every region added, pointer inputs' fresh regions
+        # included; reads consult base_candidates as they run, so a path
+        # state built at one value describes the table at that value only
+        self.generation = 0
 
     def new_region(self, name: str, decl: CType, kind: str, is_input: bool) -> Region:
         if isinstance(decl, ArrayType):
@@ -120,6 +130,7 @@ class RegionTable:
         self.by_name[name] = region
         self.by_id[region.base_id] = region
         self.declared_order.append(region)
+        self.generation += 1
         return region
 
     def region_of(self, name: str) -> Region:
@@ -220,11 +231,25 @@ class RegionTable:
 def base_eq_cond(a: SymExpr, b: SymExpr) -> SymExpr:
     """Base-address equality, folded when both sides are concrete."""
     if isinstance(a, Const) and isinstance(b, Const):
-        return mk_binop("==", a, b)  # folds to a boolean constant
+        return _const_eq(a, b)
     if isinstance(a, Sym) and isinstance(b, Sym) and a.name == b.name:
-        from .symexpr import TRUE
-
         return TRUE
+    return mk_binop("==", a, b)
+
+
+def _const_eq(a: Const, b: Const) -> SymExpr:
+    """a == b folded as mk_binop folds it, compared directly where it can be.
+
+    Equal integers of one type are equal in any common type; unequal ones
+    stay unequal when both lie in their type's range.
+    """
+    t = a.ctype
+    if isinstance(t, IntType) and t == b.ctype:
+        if a.value == b.value:
+            return TRUE
+        lo, hi = t.min_value(), t.max_value()
+        if lo <= a.value <= hi and lo <= b.value <= hi:
+            return FALSE
     return mk_binop("==", a, b)
 
 
@@ -234,22 +259,14 @@ def offsets_overlap_cond(item: MemoryItem, place: Place) -> SymExpr | None:
     Returns a folded constant when decidable. None means the shapes overlap
     only partially, which the caller treats as an imprecise hit.
     """
-    if item.bit != place.bit:
-        if isinstance(item.offset, Const) and isinstance(place.offset, Const):
-            if _disjoint(int(item.offset.value), item.length,
-                         int(place.offset.value), place.length):
-                from .symexpr import FALSE
-
-                return FALSE
-        return None
-    if item.length == place.length:
+    consts = isinstance(item.offset, Const) and isinstance(place.offset, Const)
+    if item.bit == place.bit and item.length == place.length:
+        if consts:
+            return _const_eq(item.offset, place.offset)
         return mk_binop("==", item.offset, place.offset)
-    if isinstance(item.offset, Const) and isinstance(place.offset, Const):
-        if _disjoint(int(item.offset.value), item.length,
-                     int(place.offset.value), place.length):
-            from .symexpr import FALSE
-
-            return FALSE
+    if consts and _disjoint(int(item.offset.value), item.length,
+                            int(place.offset.value), place.length):
+        return FALSE
     return None
 
 
@@ -292,3 +309,9 @@ class ApproxFlags:
     def fresh(self, ctype: CType) -> Sym:
         self._count += 1
         return Sym(f"__approx@{self._count}", ctype, Role.FRESH_READ)
+
+    def fork(self) -> "ApproxFlags":
+        out = ApproxFlags()
+        out.notes = list(self.notes)
+        out._count = self._count
+        return out

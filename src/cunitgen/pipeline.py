@@ -5,10 +5,17 @@ symbolically, conjoin the path constraint, hand it to the solver; a
 satisfiable complete trace becomes a test case (after the model survives
 concrete replay), a satisfiable prefix stays active and is extended next
 round, an unsatisfiable branch is pruned from the tree and remembered, an
-unknown verdict is pruned too but reported separately. Generation ends when
-no selectable trace remains or the coverage criterion is met, or early at
-the per-function deadline or the iteration bound, whose name then becomes
-the verdict of the edges left undecided.
+unknown verdict is pruned too but reported separately, and so is what lies
+behind it. Generation ends when no selectable trace remains or the coverage
+criterion is met, or early at the per-function deadline or the iteration
+bound, whose name then becomes the verdict of the edges left undecided.
+
+Each iteration reuses what the last ones established. The active trace's
+interpretation leaves a checkpoint, and a trace extending or completing it
+resumes from there (``symex.interpret`` decides whether the checkpoint still
+applies). Every solver call, including the prefix re-solves after an unsat
+answer and the requirement follow-up, is first offered the model of the
+last search as a hint, which ``solve`` returns only if it verifies.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .smtlib import export_smtlib, parse_model_file
 from .solver import Model, SolveResult, solve, verify_model
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
-from .symex import Layout, PathState, interpret
+from .symex import Checkpoint, Layout, PathState, interpret
 
 _MAX_ITERATIONS = 20000
 _MAX_DIVERGENCES = 3
@@ -148,6 +155,8 @@ class _Session:
     log: list[str] = field(default_factory=list)
     accepted_traces: list[Trace] = field(default_factory=list)
     deadline: float = 0.0  # time.monotonic() value at which generation stops
+    # the model of the last solver search, tried before each new search
+    last_model: Model | None = None
 
     def say(self, text: str) -> None:
         if self.config.verbose:
@@ -179,6 +188,11 @@ class _Session:
         except CunitgenError as exc:
             out.status = "error"
             out.message = str(exc)
+        except RecursionError:
+            # expressions are walked recursively; a long enough chain of
+            # dependent assignments builds one too deep to walk
+            out.status = "error"
+            out.message = "symbolic expressions nested too deeply to analyze"
         out.elapsed_s = time.monotonic() - start
         return out
 
@@ -195,14 +209,16 @@ class _Session:
             trace = tree.trace_to(tree.root, "fresh", None)
             state = interpret(trace, cfg, anns, layout)
             if trace.complete and state.infeasible_branch is None:
-                result, model = self._solve(con.conjoin(state), exporter)
-                if result.status == "sat" and model is not None:
-                    self._accept(out, trace, state, model)
+                result = self._solve(con.conjoin(state), exporter)
+                if result.status == "sat" and result.model is not None:
+                    self._accept(out, trace, state, result.model)
             if exporter is not None:
                 out.smt_files = exporter.files
             return
+        verbose = self.config.verbose
         active: Trace | None = None
-        for _ in range(_MAX_ITERATIONS):
+        checkpoint: Checkpoint | None = None  # the active trace's saved state
+        for iteration in range(_MAX_ITERATIONS):
             if coverage.complete_for(self.config.coverage):
                 break
             if self._out_of_time():
@@ -214,11 +230,13 @@ class _Session:
             if trace.mode == "fresh" and active is not None:
                 coverage.clear_pending()
                 active = None
+            if active is None:
+                checkpoint = None
             record = SelectionRecord(trace.mode, trace.guard_labels(cfg),
                                      trace.complete)
             out.selection_log.append(record)
             try:
-                state = interpret(trace, cfg, anns, layout)
+                state = interpret(trace, cfg, anns, layout, resume=checkpoint)
             except (UnsupportedOperation, StubPolicyError) as exc:
                 record.verdict = "abandoned"
                 self.say(f"trace abandoned: {exc}")
@@ -226,12 +244,18 @@ class _Session:
                 continue
             if state.infeasible_branch is not None:
                 edge = tree.prune_infeasible(trace, state.infeasible_branch)
-                coverage.record_attempt(edge.eid, "unsat")
+                coverage.record_attempt(edge, "unsat")
                 record.verdict = "infeasible(folded)"
+                if verbose:
+                    self.say(_iteration_line(iteration, trace, state, None))
                 continue
             constraint = con.conjoin(state)
-            self.say(f"constraint[{self.fn.name}]: {constraint.render()}")
-            result, model = self._solve(constraint, exporter)
+            if verbose:
+                self.say(f"constraint[{self.fn.name}]: {constraint.render()}")
+            result = self._solve(constraint, exporter)
+            if verbose:
+                self.say(_iteration_line(iteration, trace, state, result))
+            model = result.model
             if result.status == "sat":
                 record.verdict = "sat"
                 assert model is not None
@@ -248,13 +272,14 @@ class _Session:
                     active = None
                 else:
                     active = trace
+                    checkpoint = state.checkpoint
             elif result.status == "unsat":
                 failing, verdict = self._min_failing_index(constraint)
                 if failing < 0:
                     record.verdict = "preconditions-unsat"
                     break
                 edge = tree.prune_infeasible(trace, failing)
-                coverage.record_attempt(edge.eid, verdict)
+                coverage.record_attempt(edge, verdict)
                 record.verdict = verdict
             else:
                 record.verdict = f"unknown({result.reason})"
@@ -267,13 +292,23 @@ class _Session:
             out.stct_dump = tree.dump()
 
     def _solve(self, constraint: con.Constraint,
-               exporter: _SmtExporter | None) -> tuple[SolveResult, Model | None]:
+               exporter: _SmtExporter | None) -> SolveResult:
         if exporter is not None:
             external = exporter.consult(constraint)
             if external is not None:
-                return SolveResult("sat", external), external
-        result = solve(constraint, self.config.budget_nodes)
-        return result, result.model
+                return SolveResult("sat", external, "external model")
+        return self._search(constraint)
+
+    def _search(self, constraint: con.Constraint) -> SolveResult:
+        """Solve, trying the last search's model first.
+
+        A sat answer with 0 nodes is that model, verified; any other answer
+        came from a search, and its model becomes the next hint.
+        """
+        result = solve(constraint, self.config.budget_nodes, hint=self.last_model)
+        if result.model is not None and result.nodes:
+            self.last_model = result.model
+        return result
 
     def _accept(self, out: FunctionOutcome, trace: Trace, state: PathState,
                 model: Model) -> bool:
@@ -303,7 +338,7 @@ class _Session:
                 if trace.edges[pos] is trace.target_edge:
                     index = i
         edge = tree.prune_infeasible(trace, index)
-        coverage.record_attempt(edge.eid, verdict)
+        coverage.record_attempt(edge, verdict)
         if trace.mode in ("extend", "complete"):
             return active
         return None
@@ -315,8 +350,7 @@ class _Session:
         """
         total = constraint.branch_count()
         for k in range(total + 1):
-            prefix = constraint.prefix(k)
-            result = solve(prefix, self.config.budget_nodes)
+            result = self._search(constraint.prefix(k))
             if result.status == "unsat":
                 return k - 1, "unsat"
             if result.status == "unknown":
@@ -350,8 +384,7 @@ class _Session:
                     continue
                 if state.infeasible_branch is not None:
                     continue
-                constraint = con.conjoin(state)
-                result = solve(constraint, self.config.budget_nodes)
+                result = self._search(con.conjoin(state))
                 if result.status != "sat" or result.model is None:
                     continue
                 try:
@@ -363,6 +396,24 @@ class _Session:
                 if any(tag in tc.tags for tag in anns.testcases[tc_index].tags):
                     out.test_cases.append(tc)
                     break
+
+
+def _iteration_line(iteration: int, trace: Trace, state: PathState,
+                    result: SolveResult | None) -> str:
+    """The -v line of one interpreted trace: where interpretation started
+    and where the verdict came from (None: a branch folded to false)."""
+    if state.resumed_at:
+        where = f"resumed at trace node {state.resumed_at} of {len(trace.nodes)}"
+    else:
+        where = f"interpreted from the entry ({len(trace.nodes)} nodes)"
+    if result is None:
+        verdict = f"infeasible (branch {state.infeasible_branch} folded to false)"
+    elif result.status == "sat" and not result.nodes and not result.reason:
+        verdict = "sat (the last model reused)"
+    else:
+        verdict = f"{result.status} ({result.nodes} search nodes" \
+            + (f", {result.reason})" if result.reason else ")")
+    return f"iteration {iteration} [{trace.mode}]: {where}; {verdict}"
 
 
 def generate_function(unit: SourceUnit, fn: FunctionDef, config: Config

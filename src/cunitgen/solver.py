@@ -99,6 +99,9 @@ class _IntDomain:
     def size(self) -> int:
         return max(0, self.hi - self.lo + 1)
 
+    def contains(self, v: int) -> bool:
+        return self.lo <= v <= self.hi
+
 
 @dataclass
 class _SetDomain:
@@ -112,6 +115,25 @@ class _SetDomain:
 
     def size(self) -> int:
         return len(self.values)
+
+    def contains(self, v: int) -> bool:
+        return v in self.values
+
+
+def _initial_domain(fs: FreeSymbol) -> _IntDomain | _SetDomain | None:
+    """Where the search starts for a symbol; None for a float."""
+    if isinstance(fs.ctype, FloatType):
+        return None
+    if fs.role is Role.PTR_BASE and fs.candidates:
+        return _SetDomain(list(fs.candidates))
+    if isinstance(fs.ctype, IntType):
+        lo, hi = fs.ctype.min_value(), fs.ctype.max_value()
+    else:
+        lo, hi = 0, 1  # booleans
+    if fs.role is Role.PTR_OFFSET and fs.dim is not None:
+        lo, hi = 0, fs.dim - 1
+    ct = fs.ctype if isinstance(fs.ctype, IntType) else IntType(8, False, "bool")
+    return _IntDomain(lo, hi, ct)
 
 
 class _Solver:
@@ -170,16 +192,9 @@ class _Solver:
     def _initial_env(self) -> dict[str, _IntDomain | _SetDomain]:
         env: dict[str, _IntDomain | _SetDomain] = {}
         for name, fs in self.base_syms.items():
-            env[name] = _SetDomain(list(fs.candidates))
+            env[name] = _initial_domain(fs)
         for name, fs in self.int_syms.items():
-            if isinstance(fs.ctype, IntType):
-                lo, hi = fs.ctype.min_value(), fs.ctype.max_value()
-            else:
-                lo, hi = 0, 1  # booleans
-            if fs.role is Role.PTR_OFFSET and fs.dim is not None:
-                lo, hi = 0, fs.dim - 1
-            ct = fs.ctype if isinstance(fs.ctype, IntType) else IntType(8, False, "bool")
-            env[name] = _IntDomain(lo, hi, ct)
+            env[name] = _initial_domain(fs)
         return env
 
     # -- search ------------------------------------------------------------------
@@ -996,12 +1011,42 @@ def verify_model(constraint: Constraint, model: Model) -> bool:
     return True
 
 
-def solve(constraint: Constraint, max_nodes: int = 10000) -> SolveResult:
+def _hinted_model(constraint: Constraint, hint: Model) -> Model | None:
+    """The hint's values for the constraint's free symbols, if they solve it.
+
+    Each value must exist and lie in the domain the search would start
+    from, and the projection must pass ``verify_model``.
+    """
+    values: dict[str, int | float] = {}
+    for name, fs in constraint.free.items():
+        v = hint.values.get(name)
+        if v is None:
+            return None
+        dom = _initial_domain(fs)
+        if dom is None:
+            if not isinstance(v, float):
+                return None
+        elif not isinstance(v, int) or not dom.contains(v):
+            return None
+        values[name] = v
+    model = Model(values)
+    return model if verify_model(constraint, model) else None
+
+
+def solve(constraint: Constraint, max_nodes: int = 10000,
+          hint: Model | None = None) -> SolveResult:
     """Decide a constraint within max_nodes search nodes.
 
-    The answer depends on the constraint and the node budget alone, never on
-    the clock. Sat models always verify under evaluation: ``_Solver._finish``
-    is the only producer of a model, and it returns one only after
-    ``verify_model`` accepts it.
+    The answer depends on the constraint, the node budget and the hint
+    alone, never on the clock. Sat models always verify under evaluation.
+    A hint, such as an earlier answer's model, is tried before any search:
+    its values for the constraint's free symbols are the answer, with 0
+    nodes, when each lies in the domain the search starts from and
+    ``verify_model`` accepts them. Otherwise ``_Solver._finish`` produces
+    the model, and it returns one only after ``verify_model`` accepts it.
     """
+    if hint is not None:
+        model = _hinted_model(constraint, hint)
+        if model is not None:
+            return SolveResult("sat", model)
     return _Solver(constraint, max_nodes).run()

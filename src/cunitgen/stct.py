@@ -76,6 +76,9 @@ class CoverageState:
     attempts: dict[int, list[str]] = field(default_factory=dict)
     # CFG nodes of tree nodes whose expansion stopped at the depth bound
     bound_nodes: set[int] = field(default_factory=set)
+    # CFG destinations of edges pruned on an unknown verdict: nothing
+    # behind them was decided
+    unknown_nodes: set[int] = field(default_factory=set)
     # why generation stopped before exhausting the tree, if it did:
     # time-budget or iteration-bound
     stopped: str = ""
@@ -98,8 +101,10 @@ class CoverageState:
         self.pending_edges.clear()
         self.pending_nodes.clear()
 
-    def record_attempt(self, eid: int, verdict: str) -> None:
-        self.attempts.setdefault(eid, []).append(verdict)
+    def record_attempt(self, edge: CfgEdge, verdict: str) -> None:
+        self.attempts.setdefault(edge.eid, []).append(verdict)
+        if verdict == "unknown":
+            self.unknown_nodes.add(edge.dst)
 
     def complete_for(self, criterion: str) -> bool:
         for t in self.targets:

@@ -54,7 +54,7 @@ from .memory import (
     offsets_overlap_cond,
     reinterpret,
 )
-from .stct import Trace
+from .stct import StctNode, Trace
 from .symexpr import (
     BinOp,
     Const,
@@ -201,6 +201,26 @@ class WriteEvent:
 
 
 @dataclass
+class Checkpoint:
+    """The path state reached after the last node of a trace.
+
+    An interpretation of a trace whose nodes begin with these node objects
+    may resume from a fork of the state instead of from the entry, as long
+    as the region table has not grown since the interpretation that built
+    the state began: reads look up pointer base candidates as they run.
+    """
+
+    nodes: list[StctNode]
+    state: PathState
+    generation: int  # RegionTable.generation when that interpretation began
+
+    def resumes(self, trace: Trace, regions: RegionTable) -> bool:
+        return (regions.generation == self.generation
+                and len(trace.nodes) >= len(self.nodes)
+                and all(a is b for a, b in zip(self.nodes, trace.nodes)))
+
+
+@dataclass
 class PathState:
     layout: Layout
     step: int = 0
@@ -220,6 +240,26 @@ class PathState:
     flags: ApproxFlags = field(default_factory=ApproxFlags)
     complete: bool = False
     _pending: list[SymExpr] = field(default_factory=list)
+    # saved after the last node of an incomplete trace, for its extensions
+    checkpoint: Checkpoint | None = None
+    # trace nodes taken over from a checkpoint (0: interpreted from the entry)
+    resumed_at: int = 0
+
+    def fork(self) -> PathState:
+        """A copy that later steps on either side leave intact.
+
+        Branch entries, events and expressions are never changed once
+        recorded, so the lists holding them are copied and they are shared;
+        memory items are copied because a write closes them.
+        """
+        return PathState(
+            self.layout, self.step, [item.copy() for item in self.items],
+            list(self.assumptions), list(self.branches), list(self.tail_sides),
+            list(self.obligations), dict(self.stub_counts),
+            list(self.stub_calls), dict(self.snapshots), list(self.writes),
+            list(self.testcase_pres), self.return_value,
+            self.infeasible_branch, list(self.uninitialized_reads),
+            self.flags.fork(), self.complete, list(self._pending))
 
     def add_side(self, cond: SymExpr) -> None:
         if not is_true(cond):
@@ -736,24 +776,39 @@ def _hint(e: Expr) -> str:
 
 
 def interpret(trace: Trace, cfg: Cfg, anns: AnnotationSet, layout: Layout,
-              active_testcase: int | None = None) -> PathState:
-    """Symbolically execute one trace and return the resulting path state."""
-    state = PathState(layout)
-    interp = _Interp(state)
-    _take_snapshots(state, interp, anns)
-    _assume_preconditions(state, interp, anns, active_testcase)
-    node_ids = [sn.node_id for sn in trace.nodes]
-    for pos, nid in enumerate(node_ids):
-        node = cfg.node(nid)
-        for instr in node.instrs:
-            state.step += 1
-            _exec_instr(state, interp, instr)
-        if pos + 1 < len(node_ids):
-            edge = trace.edges[pos]
+              active_testcase: int | None = None,
+              resume: Checkpoint | None = None) -> PathState:
+    """Symbolically execute one trace and return the resulting path state.
+
+    With a ``resume`` checkpoint that applies to the trace, execution goes on
+    from a fork of its state at the first edge the checkpoint's trace did not
+    have; the result is the one an interpretation from the entry gives. An
+    incomplete trace's state carries a checkpoint for its own extensions.
+    """
+    if resume is not None and resume.resumes(trace, layout.regions):
+        state = resume.state.fork()
+        state.resumed_at = first = len(resume.nodes)
+        generation = resume.generation
+        interp = _Interp(state)
+    else:
+        generation = layout.regions.generation
+        state = PathState(layout)
+        interp = _Interp(state)
+        _take_snapshots(state, interp, anns)
+        _assume_preconditions(state, interp, anns, active_testcase)
+        first = 0
+    for pos in range(first, len(trace.nodes)):
+        if pos:
+            edge = trace.edges[pos - 1]
             if edge.conditional:
                 _take_branch(state, interp, cfg, edge)
                 if state.infeasible_branch is not None:
                     return state
+        for instr in cfg.node(trace.nodes[pos].node_id).instrs:
+            state.step += 1
+            _exec_instr(state, interp, instr)
+    if not trace.complete:
+        state.checkpoint = Checkpoint(list(trace.nodes), state.fork(), generation)
     state.tail_sides.extend(state.take_pending())
     if trace.complete:
         state.complete = True

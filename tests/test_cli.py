@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, deterministic outputs."""
 
 import hashlib
+import json
 import os
 
 from conftest import compile_c, data_path, run_exe
@@ -63,6 +64,82 @@ class TestRobustness:
         assert "Traceback" not in capsys.readouterr().err
         # the other function in the unit is still generated
         assert (tmp_path / "g_driver.c").exists()
+
+    def nesting_diagnostic(self, tmp_path, capsys, text: str) -> str:
+        src = tmp_path / "deep.c"
+        src.write_text(text)
+        code = run_cli([str(src), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and str(src) in err, err
+        return err
+
+    def test_deeply_nested_ifs_are_a_diagnostic(self, tmp_path, capsys):
+        depth = 400
+        body = "".join(f"if (x > {i}) {{\n" for i in range(depth)) \
+            + "r = 1;\n" + "}\n" * depth
+        self.nesting_diagnostic(
+            tmp_path, capsys, f"int deep(int x) {{\nint r = 0;\n{body}return r;\n}}\n")
+
+    def test_long_sum_is_a_diagnostic(self, tmp_path, capsys):
+        cond = " + ".join(["x"] * 600)
+        self.nesting_diagnostic(
+            tmp_path, capsys,
+            f"int sum(int x) {{ if ({cond} > 5) return 1; return 0; }}\n")
+
+    def test_deep_symbolic_expression_fails_one_function(self, tmp_path, capsys):
+        # each assignment wraps the last value: one expression 1,200 deep
+        src = tmp_path / "chain.c"
+        src.write_text("int chain(int x)\n{\n    int y = x;\n"
+                       + "    y = y + 1;\n" * 1200
+                       + "    if (y > 5) return 1;\n    return 0;\n}\n"
+                       "int g(int y) { if (y > 3) return 1; return 0; }\n")
+        code = run_cli([str(src), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error [chain]: ") and err.count("\n") == 1, err
+        assert (tmp_path / "g_driver.c").exists()
+        assert not (tmp_path / "chain_driver.c").exists()
+
+
+# x * 2654435761 is odd times a multiplicative-hash constant, so the second
+# branch is feasible (x = -7) but costs the solver more than its node budget.
+HASH_BEHIND_UNKNOWN = """\
+int f(int x, int y)
+{
+    int z = 0;
+    if (x > 0) {
+        z = 1;
+    } else if ((unsigned int)x * 2654435761U == 2893786153U) {
+        z = 2;
+    }
+    if (z == 2) {
+        return 1;
+    }
+    return y;
+}
+"""
+
+
+class TestHonestVerdicts:
+    def test_unknown_prune_is_no_proof(self, tmp_path):
+        src = tmp_path / "f.c"
+        src.write_text(HASH_BEHIND_UNKNOWN)
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--out-dir", str(out), "-q"]) == 2
+        report = json.loads((out / "f_coverage.json").read_text())
+        verdicts = {u["description"].split("[")[1].rstrip("]"): u["verdict"]
+                    for u in report["uncovered"] if u["kind"] == "edge"}
+        assert verdicts["z == 2"] == "budget-exhausted"
+        assert "infeasible-proven" not in verdicts.values()
+        # the edge is reachable: f(-7, 0) takes it
+        main = tmp_path / "main.c"
+        main.write_text("int f(int x, int y);\n"
+                        "int main(void) { return f(-7, 0) == 1 ? 0 : 1; }\n")
+        exe = compile_c(str(tmp_path), [str(main), str(src)])
+        assert run_exe(exe)[0] == 0
 
 
 # A pointer input is set up by the driver before the call, so it can name a

@@ -1,0 +1,150 @@
+"""Resumed interpretation: an extension of the active trace continues from
+the path state saved at the end of that trace, and must reach the state an
+interpretation from the entry reaches."""
+
+import dataclasses
+import glob
+import os
+
+import pytest
+
+from conftest import DATA_DIR
+
+import cunitgen.pipeline as pipeline
+from cunitgen import constraints as con
+from cunitgen.config import Config
+from cunitgen.frontend.parser import parse_unit
+from cunitgen.memory import ApproxFlags
+from cunitgen.symex import PathState, interpret
+from cunitgen.typesys import INT
+
+# a1 + 0 > a2 and, later, a2 + 0 > a1 cannot both hold: the second branch's
+# true side is unsat after the first one's, and its sibling resumes from the
+# same saved state.
+CHAIN = """\
+int chain(int a1, int a2, int a3, int a4)
+{
+    int r = 0;
+    if (a1 + 0 > a2) r = r + 1;
+    if (a2 - 3 > a3) r = r + 2;
+    if (a3 + 5 > a4) r = r + 4;
+    if (a2 + 0 > a1) r = r + 8;
+    if (a4 - 1 > a2) r = r + 16;
+    return r;
+}
+"""
+
+# Reading n->data makes a new pointer input, whose region becomes a base
+# candidate of q; a state saved before that read was built with fewer
+# candidates for *q than an interpretation from the entry now sees.
+POINTER_READS = """\
+struct node { int *data; int v; };
+
+int f(int *q, struct node *n, int x)
+{
+    int r = 0;
+    int *p;
+    if (*q > 3) {
+        if (x > 10) {
+            p = n->data;
+            if (x < 5)
+                r = *p;
+            if (*p == x)
+                r = 2;
+        }
+        if (x == 2)
+            r = 5;
+    }
+    return r;
+}
+"""
+
+
+def _cases():
+    cases = [("chain", CHAIN, "chain"), ("pointer_reads", POINTER_READS, "f")]
+    for path in sorted(glob.glob(os.path.join(DATA_DIR, "*.c"))):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for fn in parse_unit(text, path).functions:
+            if fn.body is not None and not fn.annotation_only:
+                cases.append((f"{os.path.basename(path)}:{fn.name}", text, fn.name))
+    return cases
+
+
+CASES = _cases()
+
+
+def _observable(state: PathState):
+    """Everything later steps read from a path state."""
+    c = con.conjoin(state)
+    items = [(i.base, i.offset, i.length, i.value, i.valid_from, i.valid_to,
+              i.bit) for i in state.items]
+    obligations = [(o.kind, o.expr, o.tags, o.line, o.tc_index)
+                   for o in state.obligations]
+    return (c.conjuncts, c.free, c.segments, state.infeasible_branch,
+            obligations, items, state.return_value, state.flags.notes,
+            state.uninitialized_reads)
+
+
+def _generate(text: str, name: str, resume: bool, monkeypatch):
+    """Per interpretation: the state and whether the checkpoint applied,
+    was refused because regions were added, or was absent."""
+    log = []
+
+    def recording(trace, *args, **kwargs):
+        checkpoint = kwargs.get("resume")
+        if not resume:
+            kwargs.pop("resume", None)
+        state = interpret(trace, *args, **kwargs)
+        extends = checkpoint is not None \
+            and len(trace.nodes) >= len(checkpoint.nodes) \
+            and all(a is b for a, b in zip(checkpoint.nodes, trace.nodes))
+        if state.resumed_at:
+            how = "resumed"
+        elif resume and extends:
+            how = "regions grew"
+        else:
+            how = "entry"
+        log.append((state, how))
+        return state
+
+    monkeypatch.setattr(pipeline, "interpret", recording)
+    unit = parse_unit(text, "<resume>")
+    outcome = pipeline.generate_function(
+        unit, unit.function(name), Config(out_dir="/tmp/ctg-resume", ptr_array_size=3))
+    assert outcome.status == "ok", outcome.message
+    return log
+
+
+@pytest.mark.parametrize("label,text,name", CASES, ids=[c[0] for c in CASES])
+def test_resumed_state_equals_interpretation_from_entry(label, text, name, monkeypatch):
+    fresh = _generate(text, name, False, monkeypatch)
+    resumed = _generate(text, name, True, monkeypatch)
+    assert len(resumed) == len(fresh)
+    for i, ((a, _), (b, how)) in enumerate(zip(fresh, resumed)):
+        assert _observable(a) == _observable(b), f"interpretation {i} ({how})"
+    hows = {how for _, how in resumed}
+    if label == "chain":
+        assert "resumed" in hows
+    if label == "pointer_reads":
+        assert {"resumed", "regions grew"} <= hows
+
+
+def test_fork_copies_every_mutable_part(monkeypatch):
+    log = _generate(CHAIN, "chain", True, monkeypatch)
+    state = next(s for s, _ in log if s.items and s.branches)
+    state.flags.mark("note")
+    state.flags.fresh(INT)
+    fork = state.fork()
+    for f in dataclasses.fields(PathState):
+        a, b = getattr(state, f.name), getattr(fork, f.name)
+        if isinstance(a, (list, dict, ApproxFlags)):
+            assert a is not b, f.name
+    assert all(x is not y for x, y in zip(state.items, fork.items))
+    # steps on the fork leave the original as it was
+    before = _observable(state)
+    fork.items[-1].valid_to = fork.step
+    fork.flags.mark("fork only")
+    assert fork.flags.fresh(INT).name == "__approx@2"
+    assert state.flags.fresh(INT).name == "__approx@2"
+    assert _observable(state) == before

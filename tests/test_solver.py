@@ -8,7 +8,7 @@ from bruteforce import grid_for, oracle_sat
 from property_checks import make_constraint
 
 from cunitgen.constraints import Constraint, FreeSymbol
-from cunitgen.solver import solve, verify_model
+from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
 from cunitgen.typesys import DOUBLE, INT, SCHAR, SHORT, UCHAR, UINT
 
@@ -304,3 +304,55 @@ class TestDeterminism:
         b = solve(c1)
         assert a.status == b.status
         assert a.model.values == b.model.values
+
+
+class TestHint:
+    """A hint is the answer only if it lies in the search's domains and verifies."""
+
+    def chain(self):
+        x, y = Sym("x", INT), Sym("y", INT)
+        return make([mk_binop(">", x, Const(5, INT)), mk_binop("<", y, x)])
+
+    def test_verified_hint_needs_no_search(self):
+        c = self.chain()
+        r = solve(c, hint=Model({"z": 1, "y": 3, "x": 9}))
+        assert r.is_sat and r.nodes == 0
+        assert list(r.model.values) == list(c.free) == ["x", "y"]
+        assert r.model.values == {"x": 9, "y": 3}
+
+    def test_hint_that_fails_verification_is_searched(self):
+        c = self.chain()
+        r = solve(c, hint=Model({"x": 0, "y": -1}))
+        assert r.is_sat and r.nodes > 0
+        assert r.model.values["x"] > 5
+        assert r.model.values == solve(c).model.values
+
+    def test_hint_missing_a_symbol_is_searched(self):
+        r = solve(self.chain(), hint=Model({"x": 9}))
+        assert r.is_sat and r.nodes > 0
+
+    def test_hint_outside_the_domains_is_searched(self):
+        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
+        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        free = {
+            "p@baseAddress": ptr_free("p", [7, 0], {7: 3, 0: 0}, "p"),
+            "p@offset": off_free("p", 4),
+        }
+        c = make([mk_binop("!=", a, Const(0, UINT)),
+                  mk_binop("<", x, Const(100, UINT))], free)
+        inside = {"p@baseAddress": 7, "p@offset": 2}
+        assert solve(c, hint=Model(inside)).nodes == 0
+        # each of these verifies, but no search could have produced it
+        for wrong in ({"p@baseAddress": 5}, {"p@offset": 50}):
+            hint = Model({**inside, **wrong})
+            assert verify_model(c, hint)
+            r = solve(c, hint=hint)
+            assert r.is_sat and r.nodes > 0
+            assert r.model.values["p@baseAddress"] == 7
+            assert r.model.values["p@offset"] < 4
+
+    def test_hint_value_outside_the_type_is_searched(self):
+        x = Sym("x", SCHAR)
+        c = make([mk_binop(">", x, Const(5, SCHAR))])
+        assert solve(c, hint=Model({"x": 300})).nodes > 0
+        assert solve(c, hint=Model({"x": 6.0})).nodes > 0

@@ -14,8 +14,18 @@ from cunitgen.imr import enumerate_coverage_targets, lower
 from cunitgen.solver import solve
 from cunitgen.stct import CoverageState, Stct
 from cunitgen.symex import Layout, interpret
-from cunitgen.symexpr import Const, Ptr, Sym, free_symbols, mk_binop, render
-from cunitgen.typesys import INT, UINT
+from cunitgen.memory import MemoryItem, Place, base_eq_cond, offsets_overlap_cond
+from cunitgen.symexpr import (
+    FALSE,
+    TRUE,
+    Const,
+    Ptr,
+    Sym,
+    free_symbols,
+    mk_binop,
+    render,
+)
+from cunitgen.typesys import DOUBLE, INT, LONG, SCHAR, SHORT, UCHAR, UINT, ULONG
 
 
 def session(src: str, fn_name: str, config: Config | None = None,
@@ -128,6 +138,25 @@ class TestMemory:
         assert con.conjoin(s1).render() == con.conjoin(s2).render()
         assert len(s1.obligations) == len(s2.obligations)
         assert len(s1.items) == len(s2.items)
+
+
+class TestHistoryConditions:
+    """Constant base and offset comparisons fold as mk_binop folds them."""
+
+    TYPES = (SCHAR, UCHAR, SHORT, INT, UINT, LONG, ULONG, DOUBLE)
+    VALUES = (0, 1, 7, -1, 255, 256, 300, 2**31 - 1, 2**31, 2**32 + 7, -2**63, 2.5)
+
+    def test_constant_comparisons_match_mk_binop(self):
+        for ta, tb in itertools.product(self.TYPES, repeat=2):
+            for va, vb in itertools.product(self.VALUES, repeat=2):
+                a, b = Const(va, ta), Const(vb, tb)
+                want = mk_binop("==", a, b)
+                assert base_eq_cond(a, b) == want, (a, b)
+                item = MemoryItem(Const(1, UINT), a, 4, Const(0, INT), 0)
+                got = offsets_overlap_cond(item, Place(Const(1, UINT), b, 4, INT))
+                assert got == want, (a, b)
+                if want in (TRUE, FALSE):
+                    assert got is want and base_eq_cond(a, b) is want
 
 
 class TestObligations:
