@@ -97,23 +97,31 @@ def ship_compat_header(out_dir: str) -> None:
 
 
 def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutcome]]:
-    """Run the whole pipeline; returns (exit status, per-function outcomes)."""
+    """Run the whole pipeline; returns (exit status, per-function outcomes).
+
+    A file that cannot be read or parsed costs only its own functions: its
+    diagnostic names it, the other files are still generated, and the exit
+    status is 1.
+    """
+    status = 0
     work: list[tuple] = []
-    try:
-        for path in sources:
+    for path in sources:
+        try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
             unit = parse_unit(text, path, os.path.dirname(os.path.abspath(path)))
-            for fn in unit.functions:
-                if fn.body is None or fn.annotation_only:
-                    continue
-                if config.function and fn.name != config.function:
-                    continue
-                work.append((unit, fn))
-    except CunitgenError as exc:
-        if not config.quiet:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1, []
+        except (CunitgenError, OSError) as exc:
+            status = 1
+            if not config.quiet:
+                reason = exc.strerror if isinstance(exc, OSError) else exc
+                print(f"error: {path}: {reason}", file=sys.stderr)
+            continue
+        for fn in unit.functions:
+            if fn.body is None or fn.annotation_only:
+                continue
+            if config.function and fn.name != config.function:
+                continue
+            work.append((unit, fn))
     if config.function and not work:
         if not config.quiet:
             print(f"error: function {config.function} not found", file=sys.stderr)
@@ -125,7 +133,6 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
                 lambda item: generate_function(item[0], item[1], config), work))
     else:
         outcomes = [generate_function(unit, fn, config) for unit, fn in work]
-    status = 0
     for (unit, _fn), outcome in zip(work, outcomes):
         if outcome.status != "ok":
             status = 1

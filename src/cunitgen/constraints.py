@@ -144,31 +144,6 @@ def _pointer_eq_expr(p1: PtrInfo, p2: PtrInfo) -> SymExpr:
     return mk_binop("||", null_case, same)
 
 
-def pointer_compare_semantic(p1: PtrInfo, p2: PtrInfo, omega: str) -> SymExpr:
-    """Plain C comparison semantics, used for obligations and replay checks.
-
-    No in-bounds feasibility conjuncts here: a postcondition like
-    p <= buf + DIM must hold for the legal one-past-the-end pointer.
-    """
-    if omega in _ORDERING:
-        return conj([
-            mk_binop("==", p1.base, p2.base),
-            mk_binop(omega, p1.offset, p2.offset),
-        ])
-    both_null = mk_binop(
-        "&&",
-        mk_binop("==", p1.base, Const(NULL_BASE, UINT)),
-        mk_binop("==", p2.base, Const(NULL_BASE, UINT)),
-    )
-    same = mk_binop(
-        "&&",
-        mk_binop("==", p1.base, p2.base),
-        mk_binop("==", p1.offset, p2.offset),
-    )
-    eq = mk_binop("||", both_null, same)
-    return eq if omega == "==" else negate(eq)
-
-
 def pointer_null_compare(p: PtrInfo, omega: str) -> SymExpr:
     if omega == "==":
         return mk_binop("==", p.base, Const(NULL_BASE, UINT))
@@ -203,28 +178,11 @@ def build_free_table(conjuncts: list[SymExpr], table: RegionTable) -> dict[str, 
     return out
 
 
-def resolve(guard, state, polarity: bool = True) -> Constraint:
-    """Resolve one branch condition against a path state.
-
-    Pointer and array references inside the condition go through the
-    symbolic interpreter's memory reads; pointer comparisons expand through
-    pointer_compare; dereference bounds and divisor side conditions come
-    back as leading conjuncts.
-    """
-    from . import symex  # deferred: symex drives this module during interpretation
-
-    expr, sides = symex.eval_guard(state, guard, polarity)
-    conjuncts = list(sides) + ([] if is_true(expr) else [expr])
-    c = Constraint(conjuncts)
-    c.free = build_free_table(conjuncts, state.layout.regions)
-    return c
-
-
 def conjoin(state) -> Constraint:
     """Ordered conjunction of assumptions, branch guards and side conditions.
 
-    Proof obligations (post/assert/testcase-post) are not part of the
-    returned constraint; they live in state.obligations.
+    Contract checks (postconditions, test-case postconditions, asserts and
+    modifies) are no part of it: concrete replay of the model decides them.
     """
     conjuncts: list[SymExpr] = []
     segments: list[tuple[str, int, int]] = []

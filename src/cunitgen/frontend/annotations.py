@@ -2,18 +2,20 @@
 
 Contract annotations (pre/post/testcase/aux/modifies) live at the top of the
 function body and are removed from the executable statement list; assign and
-assert annotations stay behind as markers at their original positions.
+assert annotations stay behind as markers at their original positions. An
+__rtt_assign must be a plain assignment to an auxiliary variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import AnnotationPlacementError, AnnotationScopeError
+from ..errors import AnnotationPlacementError, AnnotationScopeError, CunitgenError
 from ..typesys import CType
 from .csyntax import (
     Annotation,
     AnnotationKind,
+    Assign,
     Block,
     DeclStmt,
     DoWhile,
@@ -97,10 +99,23 @@ def extract_annotations(fn: FunctionDef) -> AnnotationSet:
             executable_seen = True
         _reject_nested_headers(stmt, out)
         kept.append(stmt)
+    for ann in out.annotations:
+        if ann.kind is AnnotationKind.ASSIGN and not _assigns_aux(ann, out):
+            raise CunitgenError(
+                "__rtt_assign takes a plain assignment AUX = EXPR to an "
+                f"auxiliary variable (line {ann.line})")
     fn.body.stmts = kept
     _check_scopes(out)
     fn.extracted = out
     return out
+
+
+def _assigns_aux(ann: Annotation, out: AnnotationSet) -> bool:
+    # __rtt_assign is ghost code, which a C compiler drops, so it may write
+    # nothing but an auxiliary variable.
+    payload = ann.exprs[0] if ann.exprs else None
+    return isinstance(payload, Assign) and payload.op == "=" \
+        and isinstance(payload.target, Name) and payload.target.name in out.aux
 
 
 def _is_passive(stmt: Stmt) -> bool:

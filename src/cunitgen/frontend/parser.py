@@ -734,6 +734,5 @@ def parse_unit(text: str, file_name: str = "<input>",
     except RecursionError:
         # parser and sema recurse once per nesting level
         raise CunitgenError(
-            f"{file_name}: statements or expressions nested too deeply to parse"
-        ) from None
+            "statements or expressions nested too deeply to parse") from None
     return unit

@@ -2,11 +2,12 @@
 
 A solver model becomes a TestCase: concrete parameter and global values,
 pointer bindings into declared or auto-generated regions (two pointers
-whose model bases agree share one region), a stub schedule, and the
-obligation outcomes precomputed by concrete replay. The driver is plain C:
+whose model bases agree share one region), a stub schedule, and what
+concrete replay of the model found: the outcome of every contract check and
+the global writes that break __rtt_modifies. The driver is plain C:
 per test case it declares the auto-generated arrays, loads the stub
 schedule, assigns inputs, snapshots __rtt_initial values, calls the unit
-under test and checks every applicable obligation, printing one PASS/FAIL
+under test and checks every applicable contract, printing one PASS/FAIL
 line each. Its exit status is the number of outcomes that differed from
 the generation-time prediction.
 """
@@ -25,15 +26,15 @@ from .frontend.writer import decl_text, expr_to_c, type_text
 from .imr import Cfg, guard_text
 from .memory import NULL_BASE, Region
 from .replay import (
-    ObligationOutcome,
+    CheckOutcome,
     ReplayError,
-    StubScheduleEntry,
+    ReplayResult,
+    StubCallValues,
     concrete_replay,
 )
 from .stct import CoverageState, Trace
-from .stubs import StubCallValues, StubSpec, c_literal
+from .stubs import StubSpec, c_literal
 from .symex import Layout, PathState
-from .symexpr import evaluate, EvalError
 from .typesys import (
     INT,
     ArrayType,
@@ -64,7 +65,7 @@ class TestCase:
     bindings: list[PointerBinding]
     autogen_regions: list[tuple[str, int, CType]]  # (name, size, elem type)
     schedule: dict[str, list[StubCallValues]]
-    outcomes: list[ObligationOutcome]
+    outcomes: list[CheckOutcome]
     covered_edges: list[int]
     tags: list[str]
     violations: list[tuple[str, list[int]]]  # (variable, lines)
@@ -96,14 +97,9 @@ def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
     """Turn a verified model into a concrete test case via replay."""
     regions = layout.regions
     bindings, autogen = _pointer_bindings(model, layout)
-    schedule = _stub_schedule(state, model, layout)
-    replay_schedule = {
-        callee: [StubScheduleEntry(c.ret, dict(c.outs), dict(c.globals_set))
-                 for c in calls]
-        for callee, calls in schedule.items()
-    }
+    schedule = _stub_schedule(state, model)
     try:
-        result = concrete_replay(cfg, layout, anns, model, replay_schedule)
+        result = concrete_replay(cfg, layout, anns, model, schedule)
     except ReplayError as exc:
         raise ReplayDivergence(f"replay impossible under this model: {exc}") from exc
     expected = [e.eid for e in trace.edges]
@@ -121,13 +117,15 @@ def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
         if not region.is_input:
             continue
         if isinstance(region.elem_type, StructType):
-            members.append((sym.name, model[sym.name], sym.ctype))
+            # the symbol is named after the region: <region>[i].field
+            c_name = _region_c_name(region, bindings) + sym.name[len(region.name):]
+            members.append((c_name, model[sym.name], sym.ctype))
         elif region.kind in ("global", "param") and region.dim == 1:
             inputs[sym.name] = model[sym.name]
         else:
             index = byte_off // max(region.elem_size, 1)
             cells.append((_region_c_name(region, bindings), index, model[sym.name]))
-    violations = _modifies_violations(state, model, layout, anns)
+    violations = _modifies_violations(result, anns)
     tags: list[str] = []
     for i in result.applicable_testcases:
         for t in anns.testcases[i].tags:
@@ -190,8 +188,7 @@ def _region_c_name(region: Region, bindings: list[PointerBinding]) -> str:
     return f"{region.name}_array"
 
 
-def _stub_schedule(state: PathState, model: dict, layout: Layout
-                   ) -> dict[str, list[StubCallValues]]:
+def _stub_schedule(state: PathState, model: dict) -> dict[str, list[StubCallValues]]:
     out: dict[str, list[StubCallValues]] = {}
     for event in state.stub_calls:
         calls = out.setdefault(event.callee, [])
@@ -208,29 +205,14 @@ def _stub_schedule(state: PathState, model: dict, layout: Layout
     return out
 
 
-def _modifies_violations(state: PathState, model: dict, layout: Layout,
-                         anns: AnnotationSet) -> list[tuple[str, list[int]]]:
+def _modifies_violations(result: ReplayResult, anns: AnnotationSet
+                         ) -> list[tuple[str, list[int]]]:
+    """(global, lines) for each global written that __rtt_modifies omits."""
     if anns.modifies is None:
         return []
-    allowed = set(anns.modifies)
-    lines: dict[str, list[int]] = {}
-    env = dict(model)
-    for w in state.writes:
-        if w.from_stub:
-            continue
-        try:
-            base = evaluate(w.base, env)
-        except EvalError:
-            continue
-        region = layout.regions.by_id.get(int(base))
-        if region is None or region.kind != "global":
-            continue
-        if region.name in allowed:
-            continue
-        lines.setdefault(region.name, [])
-        if w.line not in lines[region.name]:
-            lines[region.name].append(w.line)
-    return [(name, sorted(ls)) for name, ls in sorted(lines.items())]
+    return [(name, sorted(lines))
+            for name, lines in sorted(result.global_writes.items())
+            if name not in anns.modifies]
 
 
 def build_stub_specs(test_cases: list[TestCase], layout: Layout) -> list[StubSpec]:
@@ -472,7 +454,7 @@ def _emit_checks(w: _Writer, tc: TestCase, anns: AnnotationSet) -> None:
             w.line(f'ctg_check({tc.tc_id}, "assert line {outcome.line}", '
                    f'"{tags}", 0, 0);')
             continue
-        # obligations over auxiliary variables were decided during generation
+        # checks over auxiliary variables were decided during generation
         label = f"{outcome.kind} line {outcome.line}"
         if not aux_note_emitted:
             w.line("/* outcomes below were computed during generation "

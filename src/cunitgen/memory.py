@@ -101,6 +101,7 @@ class Place:
     hint: str = ""  # naming hint for fresh read symbols
     # element-scaled view for pointer formation (&x)
     elem_offset: SymExpr | None = None
+    member_offset: int = 0  # a struct member's byte offset in its element
 
 
 class RegionTable:
@@ -113,7 +114,6 @@ class RegionTable:
         self.by_id: dict[int, Region] = {}
         self.pointer_inputs: dict[str, PointerSyms] = {}
         self.cell_syms: dict[tuple[int, int, int, int], Sym] = {}
-        self.cell_index: dict[str, tuple[int, int]] = {}  # symbol name -> (base, elem idx)
         self.declared_order: list[Region] = []
         # goes up with every region added, pointer inputs' fresh regions
         # included; reads consult base_candidates as they run, so a path
@@ -224,7 +224,6 @@ class RegionTable:
             ctype = region.elem_type
         sym = Sym(name, ctype, Role.INPUT)
         self.cell_syms[key] = sym
-        self.cell_index[name] = (region.base_id, elem_index)
         return sym
 
 

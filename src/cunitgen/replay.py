@@ -3,9 +3,12 @@
 This is the oracle side of the pipeline: it interprets instructions with
 plain concrete values (two's-complement ints, floats, (region, offset)
 pointers), follows whichever edge each decision evaluates to, and reports
-the executed edge sequence plus obligation outcomes. The harness compares
-the edge sequence against the symbolic trace; any mismatch is a soundness
-bug and the test case is rejected.
+the executed edge sequence, the outcome of every contract check (the
+postconditions, the applicable test cases' postconditions and each
+__rtt_assert reached) and the lines that wrote each global, which the
+harness holds against __rtt_modifies. Replay is the only judge of these
+checks. The harness compares the edge sequence against the symbolic trace;
+any mismatch is a soundness bug and the test case is rejected.
 
 The implementation deliberately avoids the symbolic expression machinery.
 It shares only the table of C scalar semantics in typesys (conversions,
@@ -40,6 +43,7 @@ from .frontend.csyntax import (
 )
 from .frontend.csyntax import AnnotationKind
 from .imr import Cfg, IAssign, ICall, IMarker, IReturn
+from .memory import Region
 from .symex import Layout
 from .typesys import (
     PTRDIFF,
@@ -71,7 +75,7 @@ Value = int | float | CPtr
 
 
 @dataclass
-class ObligationOutcome:
+class CheckOutcome:
     kind: str  # post, assert, testcase
     passed: bool
     tags: list[str]
@@ -83,14 +87,18 @@ class ObligationOutcome:
 class ReplayResult:
     edges: list[int]
     returned: Value | None
-    outcomes: list[ObligationOutcome]
+    outcomes: list[CheckOutcome]
     applicable_testcases: list[int]
     aux_final: dict[str, Value]
     steps: int
+    # global name -> lines of the unit (not of a stub) that wrote it
+    global_writes: dict[str, set[int]]
 
 
 @dataclass
-class StubScheduleEntry:
+class StubCallValues:
+    """What one call of a stub returns and writes."""
+
     ret: Value | None = None
     outs: dict[int, Value] = field(default_factory=dict)
     globals_set: dict[str, Value] = field(default_factory=dict)
@@ -142,7 +150,7 @@ def _store_convert(value: Value, ctype: CType, bit: tuple[int, int] | None) -> V
 class _Replayer:
     def __init__(self, cfg: Cfg, layout: Layout, anns: AnnotationSet,
                  model: dict[str, int | float],
-                 schedule: dict[str, list[StubScheduleEntry]],
+                 schedule: dict[str, list[StubCallValues]],
                  max_steps: int = 200000):
         self.cfg = cfg
         self.layout = layout
@@ -152,8 +160,9 @@ class _Replayer:
         self.mem = _Memory(layout)
         self.stub_cursor: dict[str, int] = {}
         self.returned: Value | None = None
-        self.outcomes: list[ObligationOutcome] = []
+        self.outcomes: list[CheckOutcome] = []
         self.snapshots: dict[str, Value] = {}
+        self.global_writes: dict[str, set[int]] = {}
         self.max_steps = max_steps
         self.steps = 0
         self._init_inputs()
@@ -225,13 +234,13 @@ class _Replayer:
                 edge = outs[0]
             edges.append(edge.eid)
             nid = edge.dst
-        self._check_exit_obligations(applicable)
+        self._check_exit_contracts(applicable)
         aux_final = {
             name: self._read_var(name)
             for name in self.anns.aux
         }
         return ReplayResult(edges, self.returned, self.outcomes, applicable,
-                            aux_final, self.steps)
+                            aux_final, self.steps, self.global_writes)
 
     def _take_snapshots(self) -> None:
         for name in self.anns.initial_vars:
@@ -248,7 +257,7 @@ class _Replayer:
     def _exec(self, instr) -> None:
         if isinstance(instr, IAssign):
             value = self.eval(instr.value)
-            self._store(instr.place, value)
+            self._log_write(self._store(instr.place, value), instr.line)
             return
         if isinstance(instr, ICall):
             self._stub_call(instr)
@@ -263,21 +272,26 @@ class _Replayer:
         if isinstance(instr, IMarker):
             if instr.kind is AnnotationKind.ASSIGN:
                 payload = instr.payload.exprs[0]
-                assert isinstance(payload, Assign)
+                assert isinstance(payload, Assign)  # to an auxiliary variable
                 self._store(payload.target, self.eval(payload.value))
             elif instr.kind is AnnotationKind.ASSERT:
                 ok = _truthy(self.eval(instr.payload.exprs[0]))
                 self.outcomes.append(
-                    ObligationOutcome("assert", ok, [], instr.line))
+                    CheckOutcome("assert", ok, [], instr.line))
             return
         raise ReplayError(f"instruction {type(instr).__name__}")
+
+    def _log_write(self, base: int, line: int) -> None:
+        region = self.layout.regions.by_id[base]
+        if region.kind == "global":
+            self.global_writes.setdefault(region.name, set()).add(line)
 
     def _stub_call(self, instr: ICall) -> None:
         callee = instr.callee
         k = self.stub_cursor.get(callee, 0)
         self.stub_cursor[callee] = k + 1
         entries = self.schedule.get(callee, [])
-        entry = entries[k] if k < len(entries) else StubScheduleEntry()
+        entry = entries[k] if k < len(entries) else StubCallValues()
         sig = self.layout.stub_policies[callee].signature
         for i, (param, arg) in enumerate(zip(sig.params, instr.args)):
             if not isinstance(param.ctype, PointerType) or param.ctype.const_pointee:
@@ -286,8 +300,9 @@ class _Replayer:
                 continue
             target = self.eval(arg)
             if isinstance(target, CPtr) and target.base != 0:
-                value = entry.outs.get(i, 0)
-                self._store_ptr(target, param.ctype.pointee, value)
+                region, off = self._element(target, 0)
+                self.mem.write(region.base_id, off * region.elem_size, None,
+                               param.ctype.pointee, entry.outs.get(i, 0))
         for gname, value in entry.globals_set.items():
             region = self.layout.regions.by_name.get(gname)
             if region is not None and region.dim == 1:
@@ -296,14 +311,14 @@ class _Replayer:
             ret = entry.ret if entry.ret is not None else 0
             self._store(instr.result, ret)
 
-    def _check_exit_obligations(self, applicable: list[int]) -> None:
+    def _check_exit_contracts(self, applicable: list[int]) -> None:
         for post, line in self.anns.posts:
-            self.outcomes.append(ObligationOutcome(
+            self.outcomes.append(CheckOutcome(
                 "post", _truthy(self.eval(post)), [], line))
         for i, tc in enumerate(self.anns.testcases):
             if i not in applicable:
                 continue
-            self.outcomes.append(ObligationOutcome(
+            self.outcomes.append(CheckOutcome(
                 "testcase", _truthy(self.eval(tc.post)), list(tc.tags),
                 tc.line, tc_index=i))
 
@@ -354,92 +369,75 @@ class _Replayer:
             return CPtr(region.base_id, 0)
         return self.mem.read(region.base_id, 0, None, region.elem_type)
 
-    def _load_ptr(self, base: Value, idx: int, ctype: CType) -> Value:
-        if not isinstance(base, CPtr):
+    def _element(self, ptr: Value, idx: int) -> tuple[Region, int]:
+        """The region ptr + idx points into and the element offset there."""
+        if not isinstance(ptr, CPtr):
             raise ReplayError("dereference of a non-pointer")
-        if base.base == 0:
+        if ptr.base == 0:
             raise ReplayError("null dereference")
-        region = self.layout.regions.by_id.get(base.base)
+        region = self.layout.regions.by_id.get(ptr.base)
         if region is None:
-            raise ReplayError(f"dereference into unknown region {base.base}")
-        off = base.offset + idx
+            raise ReplayError(f"dereference into unknown region {ptr.base}")
+        off = ptr.offset + idx
         if not 0 <= off < region.dim:
             raise ReplayError(
                 f"out-of-bounds access: offset {off} in {region.name} (dim {region.dim})")
-        elem = ctype if ctype is not None else region.elem_type
-        return self.mem.read(base.base, off * region.elem_size, None, elem)
+        return region, off
 
-    def _store_ptr(self, ptr: CPtr, elem: CType, value: Value) -> None:
-        region = self.layout.regions.by_id.get(ptr.base)
-        if region is None:
-            raise ReplayError(f"write into unknown region {ptr.base}")
-        if not 0 <= ptr.offset < region.dim:
-            raise ReplayError("out-of-bounds stub output write")
-        self.mem.write(ptr.base, ptr.offset * region.elem_size, None, elem, value)
+    def _load_ptr(self, base: Value, idx: int, ctype: CType) -> Value:
+        region, off = self._element(base, idx)
+        elem = ctype if ctype is not None else region.elem_type
+        return self.mem.read(region.base_id, off * region.elem_size, None, elem)
 
     def _member_slot(self, e: Member) -> tuple[int, int, tuple[int, int] | None, CType]:
+        base = e.base
         if e.arrow:
-            base = self.eval(e.base)
-            if not isinstance(base, CPtr) or base.base == 0:
-                raise ReplayError("-> through null or non-pointer")
-            st = e.base.ctype.pointee if isinstance(e.base.ctype, PointerType) else None
-            region = self.layout.regions.by_id.get(base.base)
-            if region is None:
-                raise ReplayError("-> into unknown region")
-            st = st or region.elem_type
-            start = base.offset * region.elem_size
-            base_id = base.base
-        elif isinstance(e.base, Name):
-            region = self.layout.regions.by_name[e.base.name]
-            st = region.elem_type
-            start = 0
-            base_id = region.base_id
+            region, off = self._element(self.eval(base), 0)
+        elif isinstance(base, Name):
+            region, off = self.layout.regions.by_name[base.name], 0
+        elif isinstance(base, Index):
+            region, off = self._element(
+                self.eval(base.base), int(self.eval(base.index)))  # type: ignore[arg-type]
+        elif isinstance(base, Un) and base.op == "*":
+            region, off = self._element(self.eval(base.operand), 0)
         else:
             raise ReplayError("unsupported struct access")
+        st = base.ctype.pointee if e.arrow and isinstance(base.ctype, PointerType) \
+            else base.ctype
+        if not isinstance(st, StructType):
+            st = region.elem_type
         if not isinstance(st, StructType):
             raise ReplayError("member access on a non-struct")
         f = st.field(e.field_name)
         bit = (f.bit_offset, f.bit_width) if f.bit_width is not None else None
-        return base_id, start + f.byte_offset, bit, f.ctype
+        return region.base_id, off * region.elem_size + f.byte_offset, bit, f.ctype
 
     def _load_member(self, e: Member) -> Value:
         base_id, off, bit, ctype = self._member_slot(e)
         return self.mem.read(base_id, off, bit, ctype)
 
-    def _store(self, place: Expr, value: Value) -> None:
+    def _store(self, place: Expr, value: Value) -> int:
+        """Store value at place; returns the id of the region written."""
         if isinstance(place, Name):
             region = self.layout.regions.by_name.get(place.name)
             if region is None:
                 raise ReplayError(f"no storage for {place.name}")
             self.mem.write(region.base_id, 0, None, region.elem_type, value)
-            return
+            return region.base_id
         if isinstance(place, Index):
-            base = self.eval(place.base)
-            idx = int(self.eval(place.index))  # type: ignore[arg-type]
-            if not isinstance(base, CPtr):
-                raise ReplayError("indexed store through non-pointer")
-            target = CPtr(base.base, base.offset + idx)
-            region = self.layout.regions.by_id.get(target.base)
-            if region is None or not 0 <= target.offset < region.dim:
-                raise ReplayError("out-of-bounds store")
-            self.mem.write(target.base, target.offset * region.elem_size, None,
-                           place.ctype or region.elem_type, value)
-            return
-        if isinstance(place, Un) and place.op == "*":
-            base = self.eval(place.operand)
-            if not isinstance(base, CPtr) or base.base == 0:
-                raise ReplayError("store through null or non-pointer")
-            region = self.layout.regions.by_id.get(base.base)
-            if region is None or not 0 <= base.offset < region.dim:
-                raise ReplayError("out-of-bounds store")
-            self.mem.write(base.base, base.offset * region.elem_size, None,
-                           place.ctype or region.elem_type, value)
-            return
-        if isinstance(place, Member):
+            region, off = self._element(
+                self.eval(place.base), int(self.eval(place.index)))  # type: ignore[arg-type]
+        elif isinstance(place, Un) and place.op == "*":
+            region, off = self._element(self.eval(place.operand), 0)
+        elif isinstance(place, Member):
             base_id, off, bit, ctype = self._member_slot(place)
             self.mem.write(base_id, off, bit, ctype, value)
-            return
-        raise ReplayError(f"store target {type(place).__name__}")
+            return base_id
+        else:
+            raise ReplayError(f"store target {type(place).__name__}")
+        self.mem.write(region.base_id, off * region.elem_size, None,
+                       place.ctype or region.elem_type, value)
+        return region.base_id
 
     def _bin(self, e: Bin) -> Value:
         if e.op == "&&":
@@ -534,6 +532,6 @@ def _truthy(v: Value) -> bool:
 
 def concrete_replay(cfg: Cfg, layout: Layout, anns: AnnotationSet,
                     model: dict[str, int | float],
-                    schedule: dict[str, list[StubScheduleEntry]]) -> ReplayResult:
+                    schedule: dict[str, list[StubCallValues]]) -> ReplayResult:
     """Run the CFG concretely; raises ReplayError on impossible models."""
     return _Replayer(cfg, layout, anns, model, schedule).run()

@@ -23,6 +23,7 @@ from .frontend.csyntax import FunctionDef
 from .frontend.writer import decl_text, type_text
 from .imr import ICall
 from .memory import Place
+from .replay import StubCallValues
 from .symexpr import Const, Ptr, Role, Sym, SymExpr
 from .typesys import (
     INT,
@@ -86,7 +87,7 @@ def intercept_call(state, interp, instr: ICall) -> None:
         sym = output_symbol(callee, i, k, pointee)
         place = Place(target.base, _scale_bytes(target.offset, pointee.size),
                       pointee.size, pointee, hint=f"{callee}@OUT{i}")
-        interp.write(place, sym, instr.line, from_stub=True)
+        interp.write(place, sym, instr.line)
         event.outs.append((i, sym, target))
 
     # globals the stub may modify
@@ -100,7 +101,7 @@ def intercept_call(state, interp, instr: ICall) -> None:
         sym = global_symbol(callee, gname, k, region.elem_type)
         place = Place(Const(region.base_id, UINT), Const(0, UINT),
                       region.elem_size, region.elem_type, hint=gname)
-        interp.write(place, sym, instr.line, from_stub=True)
+        interp.write(place, sym, instr.line)
         event.globals_written.append((gname, sym))
 
     # the return value
@@ -115,7 +116,7 @@ def intercept_call(state, interp, instr: ICall) -> None:
         else:
             event.ret = ret
         place = interp.resolve_place(instr.result)
-        interp.write(place, ret_value, instr.line, from_stub=True)
+        interp.write(place, ret_value, instr.line)
 
     # an annotated prototype may constrain the stub's behaviour
     if policy.posts:
@@ -148,13 +149,6 @@ def _scale_bytes(elem_off: SymExpr, size: int) -> SymExpr:
 
 # ---------------------------------------------------------------------------
 # Stub code generation
-
-
-@dataclass
-class StubCallValues:
-    ret: int | float | None = None
-    outs: dict[int, int | float] = field(default_factory=dict)
-    globals_set: dict[str, int | float] = field(default_factory=dict)
 
 
 @dataclass

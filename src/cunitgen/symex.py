@@ -1,10 +1,14 @@
 """Symbolic interpretation of traces over the memory-item model.
 
 interpret() walks one trace: assignments append memory items, decisions
-append resolved guards to the path constraint, external calls become stub
-variables, and reaching the exit instantiates the post/testcase obligations
-with __rtt_return bound to the returned expression and __rtt_initial
-resolved from the entry snapshot table.
+append resolved guards to the path constraint, and external calls become
+stub variables. It computes only what the path constraint needs: the
+preconditions (and an active test case's precondition) are assumed over the
+entry snapshot table that __rtt_initial reads, and a callee's postconditions
+constrain its stub variables. __rtt_assign runs as an assignment to its
+auxiliary variable, so its value's side conditions hold on the path as they
+do for replay; __rtt_assert is skipped and postconditions are not evaluated:
+concrete replay alone decides what a test case does with its contracts.
 
 Reads and writes implement the aliasing-aware history semantics described
 in memory.py; all side conditions produced while evaluating an expression
@@ -19,9 +23,8 @@ from dataclasses import dataclass, field
 from . import constraints as con
 from .config import Config
 from .errors import UnsupportedOperation
-from .frontend.annotations import AnnotationSet
+from .frontend.annotations import AnnotationKind, AnnotationSet
 from .frontend.csyntax import (
-    AnnotationKind,
     Assign,
     Bin,
     Call,
@@ -172,16 +175,6 @@ class BranchEntry:
 
 
 @dataclass
-class Obligation:
-    kind: str  # post, assert, testcase, modifies
-    expr: SymExpr | None  # symbolic instantiation (None for modifies)
-    source: Expr | None  # annotation payload for driver rendering
-    tags: list[str]
-    line: int
-    tc_index: int | None = None
-
-
-@dataclass
 class StubCallEvent:
     callee: str
     k: int
@@ -189,15 +182,6 @@ class StubCallEvent:
     outs: list[tuple[int, Sym, SymExpr]]  # (arg index, symbol, target pointer)
     globals_written: list[tuple[str, Sym]]
     line: int
-
-
-@dataclass
-class WriteEvent:
-    base: SymExpr
-    offset: SymExpr
-    length: int
-    line: int
-    from_stub: bool = False
 
 
 @dataclass
@@ -228,15 +212,11 @@ class PathState:
     assumptions: list[SymExpr] = field(default_factory=list)
     branches: list[BranchEntry] = field(default_factory=list)
     tail_sides: list[SymExpr] = field(default_factory=list)
-    obligations: list[Obligation] = field(default_factory=list)
     stub_counts: dict[str, int] = field(default_factory=dict)
     stub_calls: list[StubCallEvent] = field(default_factory=list)
     snapshots: dict[str, SymExpr] = field(default_factory=dict)
-    writes: list[WriteEvent] = field(default_factory=list)
-    testcase_pres: list[SymExpr] = field(default_factory=list)
     return_value: SymExpr | None = None
     infeasible_branch: int | None = None
-    uninitialized_reads: list[str] = field(default_factory=list)
     flags: ApproxFlags = field(default_factory=ApproxFlags)
     complete: bool = False
     _pending: list[SymExpr] = field(default_factory=list)
@@ -255,11 +235,9 @@ class PathState:
         return PathState(
             self.layout, self.step, [item.copy() for item in self.items],
             list(self.assumptions), list(self.branches), list(self.tail_sides),
-            list(self.obligations), dict(self.stub_counts),
-            list(self.stub_calls), dict(self.snapshots), list(self.writes),
-            list(self.testcase_pres), self.return_value,
-            self.infeasible_branch, list(self.uninitialized_reads),
-            self.flags.fork(), self.complete, list(self._pending))
+            dict(self.stub_counts), list(self.stub_calls), dict(self.snapshots),
+            self.return_value, self.infeasible_branch, self.flags.fork(),
+            self.complete, list(self._pending))
 
     def add_side(self, cond: SymExpr) -> None:
         if not is_true(cond):
@@ -280,7 +258,6 @@ class _Interp:
         self.regions = state.layout.regions
         self.config = state.layout.config
         self.overrides: dict[str, SymExpr] = {}
-        self.obligation_mode = False
         self.return_override: SymExpr | None = None
 
     # ---- places -----------------------------------------------------------
@@ -314,56 +291,34 @@ class _Interp:
         elem_t = base_v.ctype.pointee if isinstance(base_v.ctype, PointerType) else INT
         elem_off = mk_binop("+", base_v.offset, idx, UINT) \
             if not _is_zero(idx) else base_v.offset
-        dim = self.regions.dim_for_base(base_v.base)
-        if not self.obligation_mode:
-            # out-of-bounds access is not an error: the bound becomes part
-            # of the path constraint
-            self.state.add_side(mk_range(elem_off, 0, dim))
+        # out-of-bounds access is not an error: the bound becomes part of
+        # the path constraint
+        self.state.add_side(
+            mk_range(elem_off, 0, self.regions.dim_for_base(base_v.base)))
         byte_off = _scale(elem_off, elem_t.size)
         return Place(base_v.base, byte_off, elem_t.size, elem_t,
                      hint=hint, elem_offset=elem_off)
 
     def _member_place(self, e: Member) -> Place:
         if e.arrow:
-            base_v = self.eval(e.base)
-            if not isinstance(base_v, Ptr):
-                raise UnsupportedOperation(f"-> on a non-pointer (line {e.line})")
-            st = base_v.ctype.pointee
-            base = base_v.base
-            start = _scale(base_v.offset, st.size)
-            if not self.obligation_mode:
-                self.state.add_side(
-                    mk_range(base_v.offset, 0, self.regions.dim_for_base(base)))
+            whole = self._deref_place(self.eval(e.base), Const(0, UINT), e.line, "")
+        elif isinstance(e.base, Name):
+            region = self.regions.region_of(e.base.name)
+            whole = Place(Const(region.base_id, UINT), Const(0, UINT),
+                          region.elem_size, region.elem_type)
+        elif isinstance(e.base, (Index, Un)):
+            whole = self.resolve_place(e.base)  # a[i].f, (*p).f
         else:
-            inner = self.resolve_struct_base(e.base)
-            base, start, st = inner
+            raise UnsupportedOperation(f"struct base {type(e.base).__name__}")
+        st = whole.elem_type
         if not isinstance(st, StructType):
             raise UnsupportedOperation(f"member access on {st} (line {e.line})")
         f = st.field(e.field_name)
         bit = (f.bit_offset, f.bit_width) if f.bit_width is not None else None
-        off = mk_binop("+", start, Const(f.byte_offset, UINT), UINT) \
-            if f.byte_offset else start
-        return Place(base, off, f.ctype.size, f.ctype, bit=bit, hint=_hint(e))
-
-    def resolve_struct_base(self, e: Expr) -> tuple[SymExpr, SymExpr, CType]:
-        if isinstance(e, Name):
-            region = self.regions.region_of(e.name)
-            return Const(region.base_id, UINT), Const(0, UINT), region.elem_type
-        if isinstance(e, Index):
-            base_v = self.eval(e.base)
-            if not isinstance(base_v, Ptr):
-                raise UnsupportedOperation(f"index on non-pointer (line {e.line})")
-            st = base_v.ctype.pointee
-            idx = self.as_uint(self.eval(e.index))
-            elem_off = mk_binop("+", base_v.offset, idx, UINT)
-            return base_v.base, _scale(elem_off, st.size), st
-        if isinstance(e, Un) and e.op == "*":
-            base_v = self.eval(e.operand)
-            if not isinstance(base_v, Ptr):
-                raise UnsupportedOperation(f"deref of non-pointer (line {e.line})")
-            st = base_v.ctype.pointee
-            return base_v.base, _scale(base_v.offset, st.size), st
-        raise UnsupportedOperation(f"struct base {type(e).__name__}")
+        off = mk_binop("+", whole.offset, Const(f.byte_offset, UINT), UINT) \
+            if f.byte_offset else whole.offset
+        return Place(whole.base, off, f.ctype.size, f.ctype, bit=bit, hint=_hint(e),
+                     member_offset=f.byte_offset)
 
     # ---- reads ------------------------------------------------------------
 
@@ -431,7 +386,6 @@ class _Interp:
             if isinstance(place.offset, Const):
                 if region.is_input:
                     return self._input_cell(region, int(place.offset.value), place)
-                self.state.uninitialized_reads.append(place.hint)
                 return self._fresh_read(place)
             fresh = self._fresh_read(place)
             self._constrain_base_content(fresh, place, TRUE)
@@ -457,8 +411,6 @@ class _Interp:
         if isinstance(place.base, Const):
             region = self.regions.by_id.get(int(place.base.value))
             if region is None or not region.is_input:
-                if region is not None:
-                    self.state.uninitialized_reads.append(place.hint)
                 return
             pairs = [(place.base, region)]
         else:
@@ -480,7 +432,7 @@ class _Interp:
                 if conds >= 64:
                     self.state.flags.mark(f"cell split overflow at {place.hint}")
                     return
-                cell_off = i * elem_size
+                cell_off = i * elem_size + place.member_offset
                 cond = mk_binop("&&", remaining, mk_binop(
                     "&&",
                     base_eq_cond(place.base, base_c),
@@ -498,8 +450,7 @@ class _Interp:
 
     # ---- writes -----------------------------------------------------------
 
-    def write(self, place: Place, value: SymExpr, line: int,
-              from_stub: bool = False) -> None:
+    def write(self, place: Place, value: SymExpr, line: int) -> None:
         value = self.value_as(value, place.elem_type, line)
         if place.bit is not None and isinstance(place.elem_type, IntType):
             # bit fields store only their low bits; reads widen back
@@ -520,8 +471,6 @@ class _Interp:
         self.state.items.append(MemoryItem(
             place.base, place.offset, place.length, value,
             self.state.step, None, place.bit, line))
-        self.state.writes.append(WriteEvent(
-            place.base, place.offset, place.length, line, from_stub))
 
     # ---- expression evaluation ---------------------------------------------
 
@@ -601,7 +550,7 @@ class _Interp:
             rhs_v = self.value_as(rhs, common, e.line)
             if isinstance(rhs_v, Const) and rhs_v.value == 0:
                 self.state.add_side(FALSE)  # division by zero: path dies
-            elif not isinstance(rhs_v, Const) and not self.obligation_mode:
+            elif not isinstance(rhs_v, Const):
                 self.state.add_side(
                     mk_binop("!=", rhs_v, Const(0, common)))
             return mk_binop(e.op, self.value_as(lhs, common, e.line), rhs_v, common)
@@ -611,7 +560,7 @@ class _Interp:
             if isinstance(amt, Const):
                 if not 0 <= int(amt.value) < common.width:
                     self.state.add_side(FALSE)
-            elif not self.obligation_mode:
+            else:
                 self.state.add_side(mk_range(amt, 0, common.width))
             return mk_binop(e.op, self.value_as(lhs, common, e.line), amt, common)
         return mk_binop(e.op, self.value_as(lhs, common, e.line),
@@ -623,8 +572,6 @@ class _Interp:
             if lp and rp:
                 p1 = con.ptr_info(lhs, self.regions)
                 p2 = con.ptr_info(rhs, self.regions)
-                if self.obligation_mode:
-                    return con.pointer_compare_semantic(p1, p2, op)
                 return _raw_conj(con.pointer_compare(p1, p2, op).conjuncts)
             ptr, other, flipped = (lhs, rhs, False) if lp else (rhs, lhs, True)
             if isinstance(other, Const) and other.value == 0:
@@ -810,22 +757,8 @@ def interpret(trace: Trace, cfg: Cfg, anns: AnnotationSet, layout: Layout,
     if not trace.complete:
         state.checkpoint = Checkpoint(list(trace.nodes), state.fork(), generation)
     state.tail_sides.extend(state.take_pending())
-    if trace.complete:
-        state.complete = True
-        _instantiate_obligations(state, interp, anns)
+    state.complete = trace.complete
     return state
-
-
-def eval_guard(state: PathState, cond_ast: Expr, polarity: bool
-               ) -> tuple[SymExpr, list[SymExpr]]:
-    """Resolve a branch condition; returns (guard, side conditions)."""
-    interp = _Interp(state)
-    saved = state._pending
-    state._pending = []
-    guard = _polarized_guard(interp, cond_ast, polarity)
-    sides = state._pending
-    state._pending = saved
-    return guard, sides
 
 
 _AST_FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
@@ -867,13 +800,10 @@ def _assume_preconditions(state: PathState, interp: _Interp, anns: AnnotationSet
         expr = to_bool(interp.eval(pre))
         state.assumptions.extend(state.take_pending())
         state.assumptions.append(expr)
-    for i, tc in enumerate(anns.testcases):
-        expr = to_bool(interp.eval(tc.pre))
-        sides = state.take_pending()
-        state.testcase_pres.append(expr)
-        if active_testcase == i:
-            state.assumptions.extend(sides)
-            state.assumptions.append(expr)
+    if active_testcase is not None:
+        expr = to_bool(interp.eval(anns.testcases[active_testcase].pre))
+        state.assumptions.extend(state.take_pending())
+        state.assumptions.append(expr)
     state.assumptions = [a for a in state.assumptions if not is_true(a)]
 
 
@@ -895,33 +825,12 @@ def _exec_instr(state: PathState, interp: _Interp, instr) -> None:
                 value, state.layout.fn.return_type, instr.line)
         return
     if isinstance(instr, IMarker):
-        _exec_marker(state, interp, instr)
+        if instr.kind is AnnotationKind.ASSIGN:
+            assign = instr.payload.exprs[0]
+            value = interp.eval(assign.value)
+            interp.write(interp.resolve_place(assign.target), value, instr.line)
         return
     raise UnsupportedOperation(f"instruction {type(instr).__name__}")
-
-
-def _exec_marker(state: PathState, interp: _Interp, instr: IMarker) -> None:
-    payload = instr.payload
-    if instr.kind is AnnotationKind.ASSERT:
-        interp.obligation_mode = True
-        try:
-            expr = to_bool(interp.eval(payload.exprs[0]))
-        finally:
-            interp.obligation_mode = False
-        state.take_pending()
-        state.obligations.append(Obligation(
-            "assert", expr, payload.exprs[0], [], instr.line))
-        return
-    if instr.kind is AnnotationKind.ASSIGN:
-        assign = payload.exprs[0]
-        if not isinstance(assign, Assign) or assign.op != "=":
-            raise UnsupportedOperation(
-                f"__rtt_assign payload must be a plain assignment (line {instr.line})")
-        value = interp.eval(assign.value)
-        place = interp.resolve_place(assign.target)
-        interp.write(place, value, instr.line)
-        return
-    raise UnsupportedOperation(f"marker {instr.kind.value}")
 
 
 def _take_branch(state: PathState, interp: _Interp, cfg: Cfg, edge: CfgEdge) -> None:
@@ -938,19 +847,3 @@ def _take_branch(state: PathState, interp: _Interp, cfg: Cfg, edge: CfgEdge) -> 
     if folded is False or any(is_false(s) for s in sides):
         state.infeasible_branch = len(state.branches) - 1
 
-
-def _instantiate_obligations(state: PathState, interp: _Interp,
-                             anns: AnnotationSet) -> None:
-    interp.obligation_mode = True
-    try:
-        for post, line in anns.posts:
-            expr = to_bool(interp.eval(post))
-            state.take_pending()
-            state.obligations.append(Obligation("post", expr, post, [], line))
-        for i, tc in enumerate(anns.testcases):
-            expr = to_bool(interp.eval(tc.post))
-            state.take_pending()
-            state.obligations.append(Obligation(
-                "testcase", expr, tc.post, list(tc.tags), tc.line, tc_index=i))
-    finally:
-        interp.obligation_mode = False

@@ -37,6 +37,21 @@ class TestExitCodes:
         code = run_cli([str(bad), "--out-dir", str(tmp_path), "-q"])
         assert code == 1
 
+    def test_bad_file_costs_only_itself(self, tmp_path, capsys):
+        good = tmp_path / "good.c"
+        good.write_text("int good(int x) { if (x > 3) return 1; return 0; }\n")
+        bad = tmp_path / "bad.c"
+        bad.write_text("int bad(int x)\n{ if (x > ) return 1; }\n")
+        missing = tmp_path / "missing.c"
+        out = tmp_path / "gen"
+        code = run_cli([str(bad), str(missing), str(good), "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 2, err
+        assert err[0].startswith(f"error: {bad}: line 2: "), err
+        assert err[1] == f"error: {missing}: No such file or directory", err
+        assert (out / "good_driver.c").exists()
+
     def test_unknown_function_exits_one(self, tmp_path):
         code = run_cli([data_path("alloc.c"), "--function", "nope",
                         "--out-dir", str(tmp_path), "-q"])
@@ -87,6 +102,21 @@ class TestRobustness:
         self.nesting_diagnostic(
             tmp_path, capsys,
             f"int sum(int x) {{ if ({cond} > 5) return 1; return 0; }}\n")
+
+    def test_compound_rtt_assign_fails_one_function(self, tmp_path, capsys):
+        src = tmp_path / "acc.c"
+        src.write_text('#include "rtt_annotations.h"\n'
+                       "int f(int x)\n{\n    __rtt_aux(int, acc);\n"
+                       "    __rtt_assign(acc += 2);\n"
+                       "    if (x > 3) return 1;\n    return 0;\n}\n"
+                       "int g(int y) { if (y > 3) return 1; return 0; }\n")
+        code = run_cli([str(src), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error [f]: ") and "(line 5)" in err, err
+        assert err.count("\n") == 1, err
+        assert (tmp_path / "g_driver.c").exists()
+        assert not (tmp_path / "f_driver.c").exists()
 
     def test_deep_symbolic_expression_fails_one_function(self, tmp_path, capsys):
         # each assignment wraps the last value: one expression 1,200 deep
@@ -184,22 +214,81 @@ int mw(int *buf, struct pkt p, int i, int x, unsigned int b)
 """
 
 
+# Member reads through an index into a global array, through an index on a
+# pointer input and through an explicit dereference: each reads a field other
+# than the first through a place the driver sets up as an array.
+STRUCT_MEMBER_BASES = """\
+struct node { int v; int w; };
+struct node tab[2];
+int g(int x) { if (x > tab[1].v) { return 1; } return 0; }
+int g2(struct node *p, int x) { if (x > p[1].w) { return 1; } return 0; }
+int g3(struct node *p, int x) { if (x > (*p).w) { return 1; } return 0; }
+"""
+
+# a read of field 0 at an index past 64 / 8: each index offers one cell
+WIDE_STRUCT_INDEX = """\
+struct s8 { int a; int b; int c; int d; int e; int f; int g; int h; };
+int k(struct s8 *p, int i)
+{
+    if (i >= 8 && i < 10) {
+        if (p[i].a > 5) { return 1; }
+    }
+    return 0;
+}
+"""
+
+# the assigned values carry side conditions the path must satisfy
+ASSIGN_SIDE_CONDITIONS = """\
+#include "rtt_annotations.h"
+int dv(int x, int y)
+{
+    __rtt_aux(int, q);
+    __rtt_assign(q = x / y);
+    if (x > 0) { return 1; }
+    return 0;
+}
+int ix(int *a, int i)
+{
+    __rtt_aux(int, q);
+    __rtt_assign(q = a[i]);
+    if (i > 3) { return 1; }
+    return 0;
+}
+"""
+
+
 class TestPointerInputsAndLocals:
-    def check(self, tmp_path, name: str, text: str, stubs: list[str]):
+    def check(self, tmp_path, name: str, text: str, stubs: list[str],
+              functions: tuple[str, ...] = ()):
         src = tmp_path / f"{name}.c"
         src.write_text(text)
         out = tmp_path / "gen"
         assert run_cli([str(src), "--out-dir", str(out), "-q"]) == 0
-        sources = [str(out / f"{name}_driver.c"), str(src)]
-        sources += [str(out / f"{stub}_stub.c") for stub in stubs]
-        exe = compile_c(str(out), sources)
-        assert run_exe(exe)[0] == 0
+        for fn in functions or (name,):
+            sources = [str(out / f"{fn}_driver.c"), str(src)]
+            sources += [str(out / f"{stub}_stub.c") for stub in stubs]
+            exe = compile_c(str(out), sources, exe=f"{fn}.out")
+            assert run_exe(exe)[0] == 0
 
     def test_loop_before_buffer_branch(self, tmp_path):
         self.check(tmp_path, "f", LOOP_THEN_BUFFER, [])
 
     def test_stub_bitfield_and_switch(self, tmp_path):
         self.check(tmp_path, "mw", STUB_BITFIELD_SWITCH, ["probe"])
+
+    def test_member_reads_through_index_and_deref(self, tmp_path):
+        self.check(tmp_path, "nodes", STRUCT_MEMBER_BASES, [],
+                   functions=("g", "g2", "g3"))
+
+    def test_member_read_at_symbolic_index_of_wide_struct(self, tmp_path):
+        self.check(tmp_path, "k", WIDE_STRUCT_INDEX, [])
+
+    def test_rtt_assign_value_side_conditions(self, tmp_path, capsys):
+        # the C macro drops __rtt_assign, so only generation is checked
+        src = tmp_path / "asg.c"
+        src.write_text(ASSIGN_SIDE_CONDITIONS)
+        assert run_cli([str(src), "--out-dir", str(tmp_path), "-q"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestFlags:

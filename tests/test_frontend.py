@@ -7,6 +7,7 @@ from conftest import read_data
 from cunitgen.errors import (
     AnnotationPlacementError,
     AnnotationScopeError,
+    CunitgenError,
     ParseError,
     SemaError,
     UnsupportedConstruct,
@@ -256,6 +257,24 @@ class TestAnnotations:
         assert "a_aux" in anns.aux
         markers = [s for s in unit.function("f").body.stmts if isinstance(s, Annotation)]
         assert len(markers) == 1 and markers[0].kind is AnnotationKind.ASSIGN
+
+    @pytest.mark.parametrize("payload", ["a_aux += b", "g = b"])
+    def test_rtt_assign_is_plain_assignment_to_aux(self, payload):
+        src = (
+            '#include "rtt_annotations.h"\n'
+            "int g;\n"
+            "int f(int a){\n"
+            "  __rtt_aux(int, a_aux);\n"
+            "  int b = a;\n"
+            "  if (a > 0) {\n"
+            f"    __rtt_assign({payload});\n"
+            "  }\n"
+            "  return b;\n"
+            "}\n"
+        )
+        unit = parse_unit(src)
+        with pytest.raises(CunitgenError, match=r"\(line 7\)"):
+            extract_annotations(unit.function("f"))
 
     def test_aux_never_assigned_outside_annotation(self):
         src = (

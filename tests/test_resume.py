@@ -79,11 +79,8 @@ def _observable(state: PathState):
     c = con.conjoin(state)
     items = [(i.base, i.offset, i.length, i.value, i.valid_from, i.valid_to,
               i.bit) for i in state.items]
-    obligations = [(o.kind, o.expr, o.tags, o.line, o.tc_index)
-                   for o in state.obligations]
     return (c.conjuncts, c.free, c.segments, state.infeasible_branch,
-            obligations, items, state.return_value, state.flags.notes,
-            state.uninitialized_reads)
+            items, state.return_value, state.flags.notes)
 
 
 def _generate(text: str, name: str, resume: bool, monkeypatch):

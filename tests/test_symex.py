@@ -21,7 +21,6 @@ from cunitgen.symexpr import (
     Const,
     Ptr,
     Sym,
-    free_symbols,
     mk_binop,
     render,
 )
@@ -96,13 +95,16 @@ class TestMemory:
         src = ('#include "rtt_annotations.h"\n'
                "int g; int h;\n"
                "int f(void){ __rtt_modifies(h); int *p = &g; *p = 7; return g; }")
-        state, cfg, layout, anns = first_complete_state(src, "f")
+        _unit, _fn, anns, cfg, layout, _coverage, tree = session(src, "f")
+        trace = tree.select_trace(None)
+        assert trace.complete
+        state = interpret(trace, cfg, anns, layout)
         assert state.return_value == Const(7, INT)
         # the prohibited write through the dereference is caught
-        from cunitgen.harness import _modifies_violations
+        from cunitgen.harness import build_test_case
 
-        violations = _modifies_violations(state, {}, layout, anns)
-        assert violations and violations[0][0] == "g"
+        tc = build_test_case(0, trace, state, {}, cfg, layout, anns)
+        assert tc.violations == [("g", [3])]
 
     def test_symbolic_index_case_split(self):
         """a[i]=5 then a[j]: case split agrees with a concrete array oracle."""
@@ -136,7 +138,6 @@ class TestMemory:
         s1, *_ = first_complete_state(src, "alloc")
         s2, *_ = first_complete_state(src, "alloc")
         assert con.conjoin(s1).render() == con.conjoin(s2).render()
-        assert len(s1.obligations) == len(s2.obligations)
         assert len(s1.items) == len(s2.items)
 
 
@@ -157,29 +158,6 @@ class TestHistoryConditions:
                 assert got == want, (a, b)
                 if want in (TRUE, FALSE):
                     assert got is want and base_eq_cond(a, b) is want
-
-
-class TestObligations:
-    def test_alloc_post_instantiated_over_final_item(self):
-        state, *_ = first_complete_state(read_data("alloc.c"), "alloc")
-        posts = [o for o in state.obligations if o.kind == "post"]
-        assert len(posts) == 1
-        names = {s.name for s in free_symbols(posts[0].expr)}
-        # final allocp value is the input pointer advanced by n
-        assert "allocp@offset" in names
-        assert "n" in names
-
-    def test_testcase_obligations_tagged(self):
-        state, *_ = first_complete_state(read_data("alloc.c"), "alloc")
-        tcs = [o for o in state.obligations if o.kind == "testcase"]
-        assert [o.tags for o in tcs] == [["CTGEN_001"], ["CTGEN_002"]]
-
-    def test_assert_marker_records_obligation(self):
-        src = ('#include "rtt_annotations.h"\n'
-               "int f(int a){ int b = a + 1; __rtt_assert(b > a); return b; }")
-        state, *_ = first_complete_state(src, "f")
-        asserts = [o for o in state.obligations if o.kind == "assert"]
-        assert len(asserts) == 1
 
 
 class TestDivisionAndShifts:
