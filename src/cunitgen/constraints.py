@@ -10,9 +10,12 @@ for ordering operators. Equality is the same-region same-offset case or the
 null/null case; inequality is the negation of the equality body, which
 keeps cross-region pointers distinguishable. Comparisons against a literal
 null compare the base id with the reserved null id. The trailing dimension
-conjunct folds to a boolean constant when both dimensions are already the
-same configured number; folded-true conjuncts are retained structurally
-(the SMT-LIB export emits them) but suppressed when rendering text.
+conjunct compares two known dimensions only when both bases are constants,
+and folds to a boolean constant. A symbolic base's dimension is that of its
+own fresh region, not of the region it may resolve to, and A1 == A2 already
+implies equal dimensions, so with a symbolic base the conjunct is true.
+Folded-true conjuncts are retained structurally (the SMT-LIB export emits
+them) but suppressed when rendering text.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .symexpr import (
     Ptr,
     Role,
     SymExpr,
+    TRUE,
     conj,
     free_symbols,
     is_true,
@@ -66,22 +70,28 @@ class Constraint:
 
     def prefix(self, branch_count: int) -> "Constraint":
         """The sub-constraint covering assumptions and the first n branches."""
+        cut = self.prefix_end(branch_count)
+        conjuncts = self.conjuncts[:cut]
+        return Constraint(conjuncts, restrict_free(self.free, conjuncts),
+                          [s for s in self.segments if s[2] < cut])
+
+    def prefix_end(self, branch_count: int) -> int:
+        """How many conjuncts ``prefix(branch_count)`` keeps."""
         cut = len(self.conjuncts)
         for kind, idx, pos in self.segments:
             if kind == "branch" and idx >= branch_count:
                 cut = min(cut, pos)
             if kind == "tail":
                 cut = min(cut, pos)
-        conjuncts = self.conjuncts[:cut]
-        return Constraint(conjuncts, _restrict_free(self.free, conjuncts),
-                          [s for s in self.segments if s[2] < cut])
+        return cut
 
     def branch_count(self) -> int:
         return sum(1 for kind, _, _ in self.segments if kind == "branch")
 
 
-def _restrict_free(free: dict[str, FreeSymbol], conjuncts: list[SymExpr]
-                   ) -> dict[str, FreeSymbol]:
+def restrict_free(free: dict[str, FreeSymbol], conjuncts: list[SymExpr]
+                  ) -> dict[str, FreeSymbol]:
+    """The entries of free that the conjuncts mention, with paired offsets."""
     names: list[str] = []
     for c in conjuncts:
         for s in free_symbols(c):
@@ -119,7 +129,7 @@ def pointer_compare(p1: PtrInfo, p2: PtrInfo, omega: str) -> Constraint:
             mk_binop(omega, p1.offset, p2.offset),
             mk_range(p1.offset, 0, p1.dim),
             mk_range(p2.offset, 0, p2.dim),
-            mk_binop("==", Const(p1.dim, UINT), Const(p2.dim, UINT)),
+            _same_dims(p1, p2),
         ]
         return Constraint(conjuncts)
     eq_body = _pointer_eq_expr(p1, p2)
@@ -139,9 +149,16 @@ def _pointer_eq_expr(p1: PtrInfo, p2: PtrInfo) -> SymExpr:
         mk_binop("==", p1.offset, p2.offset),
         mk_range(p1.offset, 0, p1.dim),
         mk_range(p2.offset, 0, p2.dim),
-        mk_binop("==", Const(p1.dim, UINT), Const(p2.dim, UINT)),
+        _same_dims(p1, p2),
     ])
     return mk_binop("||", null_case, same)
+
+
+def _same_dims(p1: PtrInfo, p2: PtrInfo) -> SymExpr:
+    """dim(p1) == dim(p2), folded; true when a base is symbolic."""
+    if isinstance(p1.base, Const) and isinstance(p2.base, Const):
+        return mk_binop("==", Const(p1.dim, UINT), Const(p2.dim, UINT))
+    return TRUE
 
 
 def pointer_null_compare(p: PtrInfo, omega: str) -> SymExpr:

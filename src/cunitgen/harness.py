@@ -48,7 +48,7 @@ from .typesys import (
 @dataclass
 class PointerBinding:
     pointer: str  # variable (or cell) being initialized
-    region_name: str  # target array/variable name in C
+    region_name: str  # target array name, or &variable, in C
     region_kind: str  # declared, autogen, null
     size: int
     elem_type: CType | None
@@ -174,8 +174,9 @@ def _pointer_bindings(model: dict, layout: Layout
             arr_name, size, elem = autogen_names[base]
             bindings.append(PointerBinding(name, arr_name, "autogen", size, elem, offset))
         else:
+            target = region.name if region.is_array else f"&{region.name}"
             bindings.append(PointerBinding(
-                name, region.name, "declared", region.dim, region.elem_type, offset))
+                name, target, "declared", region.dim, region.elem_type, offset))
     return bindings, list(autogen_names.values())
 
 

@@ -51,6 +51,7 @@ class Region:
     dim: int
     kind: str  # global, param, local, temp, aux, autogen
     is_input: bool
+    is_array: bool  # declared as an array, not as a single object
 
     @property
     def elem_size(self) -> int:
@@ -125,7 +126,8 @@ class RegionTable:
             elem, dim = decl.elem, decl.length
         else:
             elem, dim = decl, 1
-        region = Region(self._counter, name, elem, dim, kind, is_input)
+        region = Region(self._counter, name, elem, dim, kind, is_input,
+                        isinstance(decl, ArrayType))
         self._counter += 1
         self.by_name[name] = region
         self.by_id[region.base_id] = region

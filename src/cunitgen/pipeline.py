@@ -15,7 +15,9 @@ interpretation leaves a checkpoint, and a trace extending or completing it
 resumes from there (``symex.interpret`` decides whether the checkpoint still
 applies). Every solver call, including the prefix re-solves after an unsat
 answer and the requirement follow-up, is first offered the model of the
-last search as a hint, which ``solve`` returns only if it verifies.
+last search as a hint, which ``solve`` returns only if it verifies. The
+prefix scan after an unsat answer checks each branch segment once under
+that model and calls ``solve`` only at the first prefix it does not solve.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .harness import (
 )
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
 from .smtlib import export_smtlib, parse_model_file
-from .solver import Model, SolveResult, solve, verify_model
+from .solver import Model, SolveResult, model_fits, solve, verify_model
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
 from .symex import Checkpoint, Layout, PathState, interpret
@@ -346,15 +348,34 @@ class _Session:
     def _min_failing_index(self, constraint: con.Constraint) -> tuple[int, str]:
         """Smallest branch whose prefix fails, with the failing verdict.
 
-        Index -1 means the assumptions alone are unsatisfiable.
+        Index -1 means the assumptions alone are unsatisfiable. The answer
+        is that of solving each prefix in turn (assumptions, then one more
+        branch each time) with the last search's model as the hint. While
+        that model satisfies the prefixes, ``solve`` would return it
+        unsearched, so each new branch segment is instead checked once
+        under it with ``model_fits``. ``solve`` runs only at the first
+        prefix the model does not satisfy, and a sat answer's model, which
+        satisfies that prefix, is the one checked from there on.
         """
+        free = constraint.free
+        model = self.last_model
+        done = 0  # the conjuncts the model satisfies
+        checked: set[str] = set()  # symbols whose values passed the domain rule
         total = constraint.branch_count()
         for k in range(total + 1):
-            result = self._search(constraint.prefix(k))
-            if result.status == "unsat":
-                return k - 1, "unsat"
-            if result.status == "unknown":
-                return k - 1, "unknown"
+            end = constraint.prefix_end(k)
+            segment = constraint.conjuncts[done:end]
+            new = {name: fs for name, fs in con.restrict_free(free, segment).items()
+                   if name not in checked}
+            if model is not None and model_fits(model, new, segment):
+                done = end
+                checked.update(new)
+                continue
+            prefix = constraint.prefix(k)
+            result = self._search(prefix)
+            if result.status != "sat":
+                return k - 1, result.status
+            model, done, checked = result.model, end, set(prefix.free)
         return total - 1, "unsat"
 
     # -- requirement follow-up -------------------------------------------------

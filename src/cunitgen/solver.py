@@ -1,13 +1,22 @@
 """Built-in constraint solver.
 
 The pipeline is: (1) constant-fold and flatten the conjunction; (2) interval
-propagation over integer and offset symbols to a fixpoint; (3) base-address
+propagation over integer and offset symbols, in rounds over the conjuncts up
+to a fixpoint or 32 rounds, then a difference-constraint cycle check. Each
+symbol has a watch list, the conjuncts that mention it; every domain write
+marks its watchers dirty, and a round visits only dirty conjuncts, since a
+clean one would narrow nothing. A search node starts from its parent's
+leftover dirty set plus the branched symbol's watchers, and the cycle check
+re-linearizes only the comparisons whose symbols moved. The check also runs
+once when the rounds have not settled after 3, so a cycle such as
+x > y && y > x is refuted before it creeps to the cap; (3) base-address
 symbols keep finite candidate domains, and each comparison of two bases
-intersects or trims them inside the same fixpoint; (4) search that picks the symbol with the smallest
-residual domain, probes the boundary values, then splits at the midpoint and
-backtracks on propagation failure; (5) floats are handled by propagating
-exact literals through equality classes and trying a fixed seed set
-(0, +-1, +-0.5 and the boundary constants found in the constraint).
+intersects or trims them inside the same fixpoint; (4) search that picks
+the symbol with the smallest residual domain, probes the boundary values,
+then splits at the midpoint and backtracks on propagation failure; (5)
+floats are handled by propagating exact literals through equality classes
+and trying a fixed seed set (0, +-1, +-0.5 and the boundary constants found
+in the constraint).
 
 Sat answers are only reported after the model passes the independent
 expression evaluator; the search is never trusted. Unsat is only reported
@@ -38,6 +47,7 @@ from .symexpr import (
     Const,
     EvalError,
     Ite,
+    Ptr,
     Range,
     Role,
     Sym,
@@ -67,14 +77,6 @@ class SolveResult:
     reason: str = ""
     nodes: int = 0
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
-    @property
-    def is_unsat(self) -> bool:
-        return self.status == "unsat"
-
 
 class _OutOfNodes(Exception):
     pass
@@ -89,9 +91,6 @@ class _IntDomain:
     lo: int
     hi: int
     ctype: IntType
-
-    def empty(self) -> bool:
-        return self.lo > self.hi
 
     def singleton(self) -> bool:
         return self.lo == self.hi
@@ -142,7 +141,19 @@ class _Solver:
         self.max_nodes = max_nodes
         self.nodes = 0
         self.conjuncts = _flatten(constraint.conjuncts)
-        self.float_cmps = _float_comparisons(self.conjuncts)
+        # float comparison ids -> their symbol names; each conjunct's names
+        self.float_cmps, names = _scan_conjuncts(self.conjuncts)
+        # the watch lists: symbol name -> the conjuncts that mention it
+        self.watchers: dict[str, list[int]] = {}
+        for i, syms in enumerate(names):
+            for s in syms:
+                self.watchers.setdefault(s, []).append(i)
+        self.comparisons = [i for i, c in enumerate(self.conjuncts)
+                            if isinstance(c, BinOp) and c.op in _CMP]
+        # the node being propagated: which conjuncts may narrow (dirty), and
+        # each comparison's cached difference edge (None: recompute)
+        self.dirty: list[bool] = []
+        self.lin: list[tuple | None] = []
         self.order: list[str] = list(constraint.free.keys())
         self.int_syms: dict[str, FreeSymbol] = {}
         self.base_syms: dict[str, FreeSymbol] = {}
@@ -190,6 +201,9 @@ class _Solver:
     # -- domains ----------------------------------------------------------------
 
     def _initial_env(self) -> dict[str, _IntDomain | _SetDomain]:
+        """The root's domains; every conjunct is still to be narrowed."""
+        self.dirty = [True] * len(self.conjuncts)
+        self.lin = [None] * len(self.conjuncts)
         env: dict[str, _IntDomain | _SetDomain] = {}
         for name, fs in self.base_syms.items():
             env[name] = _initial_domain(fs)
@@ -206,7 +220,14 @@ class _Solver:
 
     def _search(self, env: dict[str, _IntDomain | _SetDomain],
                 fenv: dict[str, float]) -> Model | None:
+        """One search node: propagate, then branch on the smallest domain.
+
+        ``self.dirty`` and ``self.lin`` hold this node's propagation state
+        on entry; each child starts from a copy of what propagation left,
+        with the branched symbol written through ``_set``.
+        """
         self._tick()
+        dirty, lin = self.dirty, self.lin
         try:
             self._propagate(env, fenv)
         except _Conflict:
@@ -214,32 +235,13 @@ class _Solver:
         name = self._pick(env)
         if name is None:
             return self._finish(env, fenv)
-        dom = env[name]
-        if isinstance(dom, _SetDomain):
-            for v in dom.values:
-                child = dict(env)
-                child[name] = _SetDomain([v])
-                model = self._search(child, fenv)
-                if model is not None:
-                    return model
-            return None
-        lo, hi = dom.lo, dom.hi
-        for probe in ([lo] if lo == hi else [lo, hi]):
+        for branch in _split(env[name]):
+            self.dirty, self.lin = list(dirty), list(lin)
             child = dict(env)
-            child[name] = _IntDomain(probe, probe, dom.ctype)
+            self._set(child, name, branch)
             model = self._search(child, fenv)
             if model is not None:
                 return model
-        if hi - lo >= 2:
-            mid = lo + (hi - lo) // 2
-            for sub_lo, sub_hi in ((lo + 1, mid), (mid + 1, hi - 1)):
-                if sub_lo > sub_hi:
-                    continue
-                child = dict(env)
-                child[name] = _IntDomain(sub_lo, sub_hi, dom.ctype)
-                model = self._search(child, fenv)
-                if model is not None:
-                    return model
         return None
 
     def _pick(self, env: dict[str, _IntDomain | _SetDomain]) -> str | None:
@@ -274,15 +276,38 @@ class _Solver:
 
     # -- propagation ----------------------------------------------------------------
 
+    def _set(self, env: dict[str, _IntDomain | _SetDomain], name: str,
+             dom: _IntDomain | _SetDomain) -> None:
+        """Every domain write: store it and mark the symbol's watchers."""
+        env[name] = dom
+        dirty, lin = self.dirty, self.lin
+        for i in self.watchers.get(name, ()):
+            dirty[i] = True
+            lin[i] = None
+
     def _propagate(self, env: dict[str, _IntDomain | _SetDomain],
                    fenv: dict[str, float]) -> None:
-        for _ in range(32):  # fixpoint cap; each pass only narrows
+        """Narrow in rounds over the conjuncts, skipping clean ones.
+
+        A conjunct is clean when none of its symbols was written since its
+        last visit, which changed nothing; visiting it again would change
+        nothing either, so the rounds narrow exactly as full rounds do. A
+        loop still unsettled after 3 rounds runs the difference check once,
+        which refutes a cycle such as x > y && y > x before it creeps to
+        the round cap.
+        """
+        dirty = self.dirty
+        for rounds in range(1, 33):  # fixpoint cap; each pass only narrows
             changed = False
-            for c in self.conjuncts:
-                changed |= self._narrow(c, True, env, fenv)
+            for i, c in enumerate(self.conjuncts):
+                if dirty[i]:
+                    dirty[i] = False
+                    changed |= self._narrow(c, True, env, fenv)
             self._pair_offsets(env)
             if not changed:
                 break
+            if rounds == 3:
+                self._difference_cycles(env, fenv)
         self._difference_cycles(env, fenv)
 
     def _difference_cycles(self, env, fenv) -> None:
@@ -293,18 +318,22 @@ class _Solver:
         is unsatisfiable. Disequalities x != y + c conflict when the closure
         forces x - y = c. Only sides that stay inside one wrap window
         linearize, which keeps the check sound under two's-complement
-        semantics.
+        semantics. A comparison's linearized sides are cached in
+        ``self.lin`` until one of its symbols is written.
         """
         edges: list[tuple[str, str, int]] = []  # x >= y + c as (y, x, c)
         neqs: list[tuple[str, str, int]] = []  # x != y + c as (y, x, c)
-        for c in self.conjuncts:
-            if not isinstance(c, BinOp) or c.op not in _CMP:
+        lin = self.lin
+        for i in self.comparisons:
+            sides = lin[i]
+            c = self.conjuncts[i]
+            if sides is None:
+                left = self._linearize(c.lhs, env, fenv)
+                right = self._linearize(c.rhs, env, fenv) if left is not None else None
+                sides = lin[i] = () if right is None else left + right
+            if not sides:
                 continue
-            left = self._linearize(c.lhs, env, fenv)
-            right = self._linearize(c.rhs, env, fenv)
-            if left is None or right is None:
-                continue
-            (xl, cl), (xr, cr) = left, right
+            xl, cl, xr, cr = sides
             if xl is None or xr is None or xl == xr:
                 continue
             if c.op in (">", ">="):
@@ -404,15 +433,14 @@ class _Solver:
                 continue
             if not fs.paired_offset or fs.paired_offset not in env:
                 continue
-            rid = dom.values[0]
-            dim = fs.candidate_dims.get(rid, 0)
+            dim = fs.candidate_dims.get(dom.values[0], 0)
             off = env[fs.paired_offset]
             assert isinstance(off, _IntDomain)
-            hi = max(dim - 1, 0)
-            new = _IntDomain(max(off.lo, 0), min(off.hi, hi), off.ctype)
-            if new.empty():
+            lo, hi = max(off.lo, 0), min(off.hi, max(dim - 1, 0))
+            if lo > hi:
                 raise _Conflict
-            env[fs.paired_offset] = new
+            if (lo, hi) != (off.lo, off.hi):
+                self._set(env, fs.paired_offset, _IntDomain(lo, hi, off.ctype))
 
     # forward interval evaluation; returns (lo, hi) or None for unknown
 
@@ -536,8 +564,9 @@ class _Solver:
                     return False
                 return None
             if e.op in _CMP:
-                if id(e) in self.float_cmps:
-                    return self._float_cmp(e, env, fenv)
+                names = self.float_cmps.get(id(e))
+                if names is not None:
+                    return _float_cmp(e, names, fenv)
                 a = self._ival(e.lhs, env, fenv)
                 b = self._ival(e.rhs, env, fenv)
                 if a is None or b is None:
@@ -553,18 +582,6 @@ class _Solver:
                 return False
             return None
         return None
-
-    def _float_cmp(self, e: BinOp, env, fenv) -> bool | None:
-        try:
-            vals = {}
-            for s in _syms(e):
-                if s.name in fenv:
-                    vals[s.name] = fenv[s.name]
-                else:
-                    return None
-            return bool(evaluate(e, vals))
-        except EvalError:
-            return None
 
     # backward narrowing; returns True when some domain changed
 
@@ -666,10 +683,10 @@ class _Solver:
                 if not shared:
                     raise _Conflict
                 if len(shared) != len(da.values):
-                    env[e.lhs.name] = _SetDomain(list(shared))
+                    self._set(env, e.lhs.name, _SetDomain(list(shared)))
                     changed = True
                 if len(shared) != len(db.values):
-                    env[e.rhs.name] = _SetDomain(list(shared))
+                    self._set(env, e.rhs.name, _SetDomain(list(shared)))
                     changed = True
             else:
                 if da.singleton() and db.singleton() and da.values == db.values:
@@ -679,14 +696,14 @@ class _Solver:
                     if not nv:
                         raise _Conflict
                     if len(nv) != len(db.values):
-                        env[e.rhs.name] = _SetDomain(nv)
+                        self._set(env, e.rhs.name, _SetDomain(nv))
                         changed = True
                 if db.singleton():
                     nv = [v for v in da.values if v != db.values[0]]
                     if not nv:
                         raise _Conflict
                     if len(nv) != len(da.values):
-                        env[e.lhs.name] = _SetDomain(nv)
+                        self._set(env, e.lhs.name, _SetDomain(nv))
                         changed = True
             return changed
         sym, other = (e.lhs, e.rhs) if lhs_base else (e.rhs, e.lhs)
@@ -702,7 +719,7 @@ class _Solver:
         if not nv:
             raise _Conflict
         if len(nv) != len(dom.values):
-            env[sym.name] = _SetDomain(nv)
+            self._set(env, sym.name, _SetDomain(nv))
             return True
         return changed
 
@@ -715,10 +732,10 @@ class _Solver:
             if dom.lo == v == dom.hi:
                 raise _Conflict
             if dom.lo == v:
-                env[e.name] = _IntDomain(v + 1, dom.hi, dom.ctype)
+                self._set(env, e.name, _IntDomain(v + 1, dom.hi, dom.ctype))
                 return True
             if dom.hi == v:
-                env[e.name] = _IntDomain(dom.lo, v - 1, dom.ctype)
+                self._set(env, e.name, _IntDomain(dom.lo, v - 1, dom.ctype))
                 return True
         return False
 
@@ -732,7 +749,7 @@ class _Solver:
                 if nlo > nhi:
                     raise _Conflict
                 if (nlo, nhi) != (dom.lo, dom.hi):
-                    env[e.name] = _IntDomain(nlo, nhi, dom.ctype)
+                    self._set(env, e.name, _IntDomain(nlo, nhi, dom.ctype))
                     return True
             if isinstance(dom, _SetDomain):
                 nv = [v for v in dom.values
@@ -740,7 +757,7 @@ class _Solver:
                 if not nv:
                     raise _Conflict
                 if len(nv) != len(dom.values):
-                    env[e.name] = _SetDomain(nv)
+                    self._set(env, e.name, _SetDomain(nv))
                     return True
             return False
         if isinstance(e, Const):
@@ -842,6 +859,24 @@ class _Solver:
             if count > cap:
                 return
             yield combo
+
+
+def _split(dom: _IntDomain | _SetDomain):
+    """A domain's children in search order: each candidate of a set; the
+    bounds of an interval, then the two halves of what lies between."""
+    if isinstance(dom, _SetDomain):
+        for v in dom.values:
+            yield _SetDomain([v])
+        return
+    lo, hi, ct = dom.lo, dom.hi, dom.ctype
+    yield _IntDomain(lo, lo, ct)
+    yield _IntDomain(hi, hi, ct)
+    if hi - lo >= 2:
+        mid = lo + (hi - lo) // 2
+        if lo + 1 <= mid:
+            yield _IntDomain(lo + 1, mid, ct)
+        if mid + 1 <= hi - 1:
+            yield _IntDomain(mid + 1, hi - 1, ct)
 
 
 def _fit_interval(lo: int, hi: int, t: IntType) -> tuple[int, int]:
@@ -955,48 +990,70 @@ def _interval_cmp(op: str, a: tuple[int, int], b: tuple[int, int]) -> bool | Non
     return None
 
 
-def _float_comparisons(conjuncts: list[SymExpr]) -> set[int]:
-    """ids of the comparison nodes in the conjuncts that involve a float.
+_NO_NAMES: frozenset[str] = frozenset()
 
-    Every node the search evaluates is a subtree of a conjunct, and the
-    conjuncts outlive the search, so node identity is a stable key.
+# the subexpressions of each node type
+_CHILDREN = {
+    BinOp: ("lhs", "rhs"), UnOp: ("operand",), Cast: ("operand",),
+    Ite: ("cond", "then", "other"), Range: ("expr",), Ptr: ("base", "offset"),
+}
+
+
+def _scan_conjuncts(conjuncts: list[SymExpr]
+                    ) -> tuple[dict[int, tuple[str, ...]], list[frozenset[str]]]:
+    """One walk: the float comparisons, and each conjunct's symbol names.
+
+    The first result maps the id of each comparison node that involves a
+    float to the names of its symbols. Every node the search evaluates is a
+    subtree of a conjunct, and the conjuncts outlive the search, so node
+    identity is a stable key; shared subtrees are walked once.
     """
-    has_float: dict[int, bool] = {}
-    out: set[int] = set()
-
-    def visit(e: SymExpr) -> bool:
-        key = id(e)
-        if key in has_float:
-            return has_float[key]
-        found = isinstance(e.ctype, FloatType)
-        for attr in ("lhs", "rhs", "operand", "cond", "then", "other", "expr",
-                     "base", "offset"):
-            child = getattr(e, attr, None)
-            if child is not None and hasattr(child, "ctype"):
-                found |= visit(child)
-        has_float[key] = found
-        if found and isinstance(e, BinOp) and e.op in _CMP:
-            out.add(key)
-        return found
-
-    for c in conjuncts:
-        visit(c)
-    return out
+    seen: dict[int, tuple[bool, frozenset[str]]] = {}
+    float_cmps: dict[int, tuple[str, ...]] = {}
+    return float_cmps, [_scan(c, seen, float_cmps)[1] for c in conjuncts]
 
 
-def _syms(e: SymExpr):
-    from .symexpr import free_symbols
+def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
+          float_cmps: dict[int, tuple[str, ...]]) -> tuple[bool, frozenset[str]]:
+    """Whether e involves a float, and the names of its symbols."""
+    key = id(e)
+    hit = seen.get(key)
+    if hit is not None:
+        return hit
+    has_float = isinstance(e.ctype, FloatType)
+    if isinstance(e, Sym):
+        names = frozenset((e.name,))
+    else:
+        names = _NO_NAMES
+        for attr in _CHILDREN.get(type(e), ()):
+            child_float, child_names = _scan(getattr(e, attr), seen, float_cmps)
+            has_float |= child_float
+            if not names:
+                names = child_names
+            elif child_names and child_names is not names:
+                names = names | child_names
+        if has_float and isinstance(e, BinOp) and e.op in _CMP:
+            float_cmps[key] = tuple(names)
+    seen[key] = hit = (has_float, names)
+    return hit
 
-    yield from free_symbols(e)
+
+def _float_cmp(e: BinOp, names: tuple[str, ...], fenv: dict[str, float]
+               ) -> bool | None:
+    """A float comparison's value once each of its symbols has a value."""
+    if not all(n in fenv for n in names):
+        return None
+    try:
+        return bool(evaluate(e, fenv))
+    except EvalError:
+        return None
 
 
 def _float_literals(e: SymExpr):
     if isinstance(e, Const) and isinstance(e.ctype, FloatType):
         yield float(e.value)
-    for attr in ("lhs", "rhs", "operand", "cond", "then", "other", "expr"):
-        child = getattr(e, attr, None)
-        if child is not None and hasattr(child, "ctype"):
-            yield from _float_literals(child)
+    for attr in _CHILDREN.get(type(e), ()):
+        yield from _float_literals(getattr(e, attr))
 
 
 def verify_model(constraint: Constraint, model: Model) -> bool:
@@ -1011,26 +1068,38 @@ def verify_model(constraint: Constraint, model: Model) -> bool:
     return True
 
 
-def _hinted_model(constraint: Constraint, hint: Model) -> Model | None:
-    """The hint's values for the constraint's free symbols, if they solve it.
+def _in_start_domain(fs: FreeSymbol, v: int | float | None) -> bool:
+    """Whether v lies in the domain the search starts from for fs."""
+    if v is None:
+        return False
+    dom = _initial_domain(fs)
+    if dom is None:
+        return isinstance(v, float)
+    return isinstance(v, int) and dom.contains(v)
 
-    Each value must exist and lie in the domain the search would start
-    from, and the projection must pass ``verify_model``.
-    """
-    values: dict[str, int | float] = {}
-    for name, fs in constraint.free.items():
-        v = hint.values.get(name)
-        if v is None:
-            return None
-        dom = _initial_domain(fs)
-        if dom is None:
-            if not isinstance(v, float):
-                return None
-        elif not isinstance(v, int) or not dom.contains(v):
-            return None
-        values[name] = v
-    model = Model(values)
-    return model if verify_model(constraint, model) else None
+
+def model_fits(model: Model, free: dict[str, FreeSymbol],
+               conjuncts: list[SymExpr]) -> bool:
+    """The hint rule: each symbol of free has a value in the domain the
+    search starts from, and each conjunct evaluates true under the model."""
+    values = model.values
+    for name, fs in free.items():
+        if not _in_start_domain(fs, values.get(name)):
+            return False
+    try:
+        for c in conjuncts:
+            if not evaluate(c, values):
+                return False
+    except EvalError:
+        return False
+    return True
+
+
+def _hinted_model(constraint: Constraint, hint: Model) -> Model | None:
+    """The hint's values for the constraint's free symbols, if they solve it."""
+    model = Model({name: hint.values[name] for name in constraint.free
+                   if name in hint.values})
+    return model if model_fits(model, constraint.free, constraint.conjuncts) else None
 
 
 def solve(constraint: Constraint, max_nodes: int = 10000,
@@ -1041,9 +1110,12 @@ def solve(constraint: Constraint, max_nodes: int = 10000,
     alone, never on the clock. Sat models always verify under evaluation.
     A hint, such as an earlier answer's model, is tried before any search:
     its values for the constraint's free symbols are the answer, with 0
-    nodes, when each lies in the domain the search starts from and
-    ``verify_model`` accepts them. Otherwise ``_Solver._finish`` produces
-    the model, and it returns one only after ``verify_model`` accepts it.
+    nodes, when ``model_fits`` accepts them: each lies in the domain the
+    search starts from and every conjunct evaluates true. Otherwise
+    ``_Solver._finish`` produces the model, and it returns one only after
+    ``verify_model`` accepts it. Propagation pays per change (see the
+    module docstring), with the same domains, node counts and models as
+    full rounds.
     """
     if hint is not None:
         model = _hinted_model(constraint, hint)

@@ -84,14 +84,14 @@ def run_model_soundness(count: int, seed: int = 190237,
         t = (SCHAR, UCHAR, SHORT, INT)[i % 4]
         c = make_constraint(rng, t, n_syms=rng.randint(1, 3))
         result = solve(c, max_nodes)
-        if result.is_sat:
+        if result.status == "sat":
             stats.sats += 1
             env = dict(result.model.values)
             for cj in c.conjuncts:
                 if not evaluate(cj, env):
                     stats.bad_models += 1
                     break
-        elif result.is_unsat:
+        elif result.status == "unsat":
             stats.unsats += 1
         else:
             stats.unknowns += 1
@@ -122,7 +122,7 @@ def run_unsat_agreement(count: int, seed: int, t: IntType = SCHAR,
             stats.unknowns += 1
             continue
         stats.checked += 1
-        if verdict.is_sat != truth:
+        if (verdict.status == "sat") != truth:
             stats.disagreements += 1
     return stats
 
@@ -171,6 +171,6 @@ def run_pointer_compare_bruteforce(max_dim: int = 4) -> int:
                         break
                 verdict = solve(c)
                 assert verdict.status in ("sat", "unsat"), (omega, dim1, dim2)
-                assert verdict.is_sat == brute, (omega, dim1, dim2)
+                assert (verdict.status == "sat") == brute, (omega, dim1, dim2)
                 checked += 1
     return checked

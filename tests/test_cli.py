@@ -256,6 +256,21 @@ int ix(int *a, int i)
 }
 """
 
+# pointers compared with the addresses of scalar globals: m(&g, &h, 0) takes
+# both true sides
+POINTER_TO_SCALAR_GLOBAL = """\
+#include "rtt_annotations.h"
+int g;
+int h;
+int m(int *p, int *q, int x)
+{
+    __rtt_modifies(h);
+    if (p == &g) { *p = 3; }
+    if (q != &h && x > 2) { *q = x; }
+    return 0;
+}
+"""
+
 
 class TestPointerInputsAndLocals:
     def check(self, tmp_path, name: str, text: str, stubs: list[str],
@@ -282,6 +297,9 @@ class TestPointerInputsAndLocals:
 
     def test_member_read_at_symbolic_index_of_wide_struct(self, tmp_path):
         self.check(tmp_path, "k", WIDE_STRUCT_INDEX, [])
+
+    def test_pointer_equal_to_scalar_global(self, tmp_path):
+        self.check(tmp_path, "m", POINTER_TO_SCALAR_GLOBAL, [])
 
     def test_rtt_assign_value_side_conditions(self, tmp_path, capsys):
         # the C macro drops __rtt_assign, so only generation is checked

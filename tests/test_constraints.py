@@ -39,7 +39,7 @@ class TestPointerCompare:
         p = sym_ptr("p", 4)
         c = con.pointer_compare(p, p, "==")
         c.free = con.build_free_table(c.conjuncts, _regions())
-        assert solve(c).is_sat
+        assert solve(c).status == "sat"
 
     def test_distinct_declared_arrays_unsatisfiable(self):
         # two declared arrays have fixed, distinct base ids
@@ -47,19 +47,33 @@ class TestPointerCompare:
         b = pinfo(Const(2147483649, UINT), Sym("x2", UINT, Role.PTR_OFFSET), 4)
         c = con.pointer_compare(a, b, "<")
         c.free = con.build_free_table(c.conjuncts, _regions())
-        assert solve(c).is_unsat
+        assert solve(c).status == "unsat"
 
     def test_unequal_dims_fold_false(self):
-        c = con.pointer_compare(sym_ptr("p", 4), sym_ptr("q", 7), "<")
+        # two known regions of different dimensions
+        a = pinfo(Const(2147483648, UINT), Sym("x1", UINT, Role.PTR_OFFSET), 4)
+        b = pinfo(Const(2147483648, UINT), Sym("x2", UINT, Role.PTR_OFFSET), 7)
+        c = con.pointer_compare(a, b, "<")
         c.free = con.build_free_table(c.conjuncts, _regions())
-        assert solve(c).is_unsat
+        assert solve(c).status == "unsat"
+
+    def test_symbolic_base_takes_the_target_dimension(self):
+        # p's own fresh region has 10 elements, the scalar it is compared
+        # with has 1; p == &g holds when p's base is g's
+        g = pinfo(Const(2147483648, UINT), Const(0, UINT), 1)
+        for omega in ("==", "<="):
+            c = con.pointer_compare(sym_ptr("p", 10), g, omega)
+            c.free = con.build_free_table(c.conjuncts, _regions())
+            r = solve(c)
+            assert r.status == "sat", omega
+            assert r.model.values["p@baseAddress"] == 2147483648
 
     def test_inequality_across_regions_satisfiable(self):
         a = pinfo(Const(2147483648, UINT), Const(0, UINT), 4)
         b = pinfo(Const(2147483649, UINT), Const(0, UINT), 4)
         c = con.pointer_compare(a, b, "!=")
         c.free = con.build_free_table(c.conjuncts, _regions())
-        assert solve(c).is_sat
+        assert solve(c).status == "sat"
 
     @pytest.mark.parametrize("omega", ["<", "<=", ">", ">=", "==", "!="])
     @pytest.mark.parametrize("dim1,dim2", [(1, 1), (2, 3), (4, 4), (3, 1)])
@@ -96,7 +110,7 @@ class TestPointerCompare:
                 break
         verdict = solve(c)
         assert verdict.status in ("sat", "unsat")
-        assert verdict.is_sat == brute_sat
+        assert (verdict.status == "sat") == brute_sat
 
 
 def _regions():
@@ -141,7 +155,7 @@ class TestConjoin:
         states = self._state("select_demo", "fig3.c", trace_edges=1)
         _trace, state = states[0]
         c = con.conjoin(state)
-        assert solve(c).is_sat
+        assert solve(c).status == "sat"
 
     def test_bounds_present_for_every_offset(self):
         states = self._state("test", "table1.c", trace_edges=1)

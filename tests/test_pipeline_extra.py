@@ -1,11 +1,14 @@
 """End-to-end coverage for constructs the core corpus does not exercise."""
 
-from conftest import read_data
+import os
+
+from conftest import DATA_DIR, read_data
 
 import cunitgen.pipeline as pipeline
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.pipeline import generate_function
+from cunitgen.solver import solve
 
 
 def run_src(src: str, fn_name: str, **cfg_kwargs):
@@ -66,6 +69,19 @@ class TestConstructs:
                "int f(int a){ return clamp(a) + clamp(a + 1); }")
         outcome = run_src(src, "f")
         assert outcome.report.edge_percent == 100.0
+
+    def test_assert_undefined_for_some_inputs(self):
+        # the condition divides by y; an input with y == 0 violates the
+        # assert instead of failing replay
+        src = ('#include "rtt_annotations.h"\n'
+               "int f2(int x, int y) {\n"
+               "  __rtt_assert(x / y > 0);\n"
+               "  if (x > 0) return 1; return 0; }\n")
+        outcome = run_src(src, "f2")
+        assert outcome.report.edges_covered == outcome.report.edges_total == 2
+        assert not outcome.divergences
+        for tc in outcome.test_cases:
+            assert [(o.kind, o.line) for o in tc.outcomes] == [("assert", 3)]
 
     def test_float_builtin_best_effort(self):
         outcome = run_src(read_data("tritype_float.c"), "Tritype")
@@ -164,3 +180,77 @@ class TestEarlyStops:
         assert len(outcome.selection_log) == 3
         assert outcome.report.uncovered
         assert {u["verdict"] for u in outcome.report.uncovered} == {"iteration-bound"}
+
+
+# if (a_x + c > a_y) chains with a c = 0 cycle (a4 > a0 and a0 > a4), whose
+# second branch is unsat after the first one on every path through both
+BRANCH_CHAIN = """\
+int chain(int a0, int a1, int a2, int a3, int a4)
+{
+    int r = 0;
+    if (a0 + 7 > a1) { r = r + 1; }
+    if (a1 - 4 > a2) { r = r + 1; }
+    if (a2 + 9 > a3) { r = r + 1; }
+    if (a3 - 2 > a4) { r = r + 1; }
+    if (a0 + 7 > a1) { r = r + 1; }
+    if (a1 - 4 > a2) { r = r + 1; }
+    if (a4 + 0 > a0) { r = r + 1; }
+    if (a0 + 0 > a4) { r = r + 1; }
+    if (a2 + 9 > a3) { r = r + 1; }
+    return r;
+}
+"""
+
+
+class TestFailingPrefixScan:
+    """The scan for the smallest failing prefix answers as solving each
+    prefix in turn does, and calls ``solve`` only where that would search."""
+
+    def test_scan_matches_prefix_by_prefix(self, monkeypatch):
+        scan = pipeline._Session._min_failing_index
+        real_solve = pipeline.solve
+        calls = []
+        scans = []
+
+        def recording_solve(constraint, *args, **kwargs):
+            result = real_solve(constraint, *args, **kwargs)
+            calls.append((len(constraint.conjuncts), result.status, result.nodes))
+            return result
+
+        def prefix_by_prefix(session, constraint):
+            """The answer, and the calls that did not return the hint."""
+            hint, searched = session.last_model, []
+            total = constraint.branch_count()
+            for k in range(total + 1):
+                prefix = constraint.prefix(k)
+                r = solve(prefix, session.config.budget_nodes, hint=hint)
+                if r.status != "sat" or r.nodes:
+                    searched.append((len(prefix.conjuncts), r.status, r.nodes))
+                if r.model is not None and r.nodes:
+                    hint = r.model
+                if r.status != "sat":
+                    return (k - 1, r.status), searched
+            return (total - 1, "unsat"), searched
+
+        def checked_scan(session, constraint):
+            expected, searched = prefix_by_prefix(session, constraint)
+            calls.clear()
+            answer = scan(session, constraint)
+            assert answer == expected
+            assert calls == searched
+            scans.append((answer, len(calls)))
+            return answer
+
+        monkeypatch.setattr(pipeline, "solve", recording_solve)
+        monkeypatch.setattr(pipeline._Session, "_min_failing_index", checked_scan)
+        units = [(name, read_data(name)) for name in sorted(os.listdir(DATA_DIR))
+                 if name.endswith(".c")]
+        for name, text in units + [("chain.c", BRANCH_CHAIN)]:
+            unit = parse_unit(text, name)
+            for fn in unit.functions:
+                if fn.body is not None and not fn.annotation_only:
+                    generate_function(unit, fn, Config(out_dir="/tmp/ctg-extra"))
+        chain_scans = [s for s in scans if s[0] == (7, "unsat")]
+        assert chain_scans
+        # the chain's scans skip the 7 prefixes the last model satisfies
+        assert all(n == 1 for _answer, n in chain_scans)

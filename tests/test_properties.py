@@ -51,5 +51,5 @@ class TestDeterminism:
             a = solve(c, max_nodes=500)
             b = solve(c, max_nodes=500)
             assert a.status == b.status
-            if a.is_sat:
+            if a.status == "sat":
                 assert a.model.values == b.model.values

@@ -1,12 +1,15 @@
 """Built-in solver tests: verdicts, models, determinism, budgets."""
 
+import hashlib
 import itertools
+import json
 import random
 import time
 
 from bruteforce import grid_for, oracle_sat
 from property_checks import make_constraint
 
+import cunitgen.solver as solver_mod
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
@@ -67,7 +70,7 @@ class TestVerdicts:
             },
         )
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         m = r.model.values
         assert m["p1@baseAddress"] == m["p2@baseAddress"]
         assert 0 <= m["p1@offset"] < m["p2@offset"] < 10
@@ -76,14 +79,14 @@ class TestVerdicts:
         x = Sym("x", INT)
         r = solve(make([mk_binop(">", x, Const(0, INT)),
                         mk_binop("<", x, Const(0, INT))]))
-        assert r.is_unsat
+        assert r.status == "unsat"
 
     def test_wraparound_sat(self):
         x = Sym("x", INT)
         xp = mk_binop("+", x, Const(1, INT), INT)
         r = solve(make([mk_binop(">", x, Const(0, INT)),
                         mk_binop("<", xp, Const(0, INT))]))
-        assert r.is_sat
+        assert r.status == "sat"
         assert r.model.values["x"] == 2**31 - 1
 
     def test_triangle_prefix_sat(self):
@@ -95,16 +98,16 @@ class TestVerdicts:
         conj.append(mk_binop(">", mk_binop("+", j, k, INT), i))
         conj.append(mk_binop(">", mk_binop("+", k, i, INT), j))
         r = solve(make(conj))
-        assert r.is_sat
+        assert r.status == "sat"
 
     def test_difference_cycle_unsat(self):
         x, y = Sym("x", INT), Sym("y", INT)
         r = solve(make([mk_binop(">", x, y), mk_binop(">", y, x)]))
-        assert r.is_unsat
+        assert r.status == "unsat"
 
     def test_empty_constraint_sat(self):
         r = solve(make([]))
-        assert r.is_sat
+        assert r.status == "sat"
 
     def test_table2_shape_sat(self):
         r0 = Sym("func_ext@RETURN@0", INT, Role.STUB_RETURN)
@@ -117,7 +120,7 @@ class TestVerdicts:
             mk_binop("==", g1, p2),
         ])
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         assert verify_model(c, r.model)
 
     def test_disequality_chain(self):
@@ -127,7 +130,7 @@ class TestVerdicts:
                 mk_binop("!=", x, Const(0, SCHAR)),
                 mk_binop("!=", x, Const(1, SCHAR))]
         r = solve(make(conj))
-        assert r.is_unsat
+        assert r.status == "unsat"
 
     def test_budget_gives_unknown(self):
         # nonlinear equation the search cannot finish in two nodes
@@ -170,7 +173,7 @@ class TestWrapWindows:
     def test_tritype_scalene_sat(self):
         c = tritype_scalene()
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         assert verify_model(c, r.model)
 
     def test_wrap_only_chain_sat(self):
@@ -187,7 +190,7 @@ class TestWrapWindows:
                       le("b", 16, "a"), le("c", 3, "d")]):
             c = make(conj)
             r = solve(c)
-            assert r.is_sat
+            assert r.status == "sat"
             m = r.model.values
             assert m["a"] > INT_MAX - 17 or m["b"] > INT_MAX - 16
 
@@ -197,10 +200,10 @@ class TestWrapWindows:
         x_ge_y = mk_binop(">", mk_binop("+", x, one, INT), y)
         y_ge_x = mk_binop(">", mk_binop("+", y, one, INT), x)
         r = solve(make([x_ge_y, y_ge_x, mk_binop("!=", x, y)]))
-        assert r.is_unsat
+        assert r.status == "unsat"
         # one bound alone leaves x > y open
         r = solve(make([x_ge_y, mk_binop("!=", x, y)]))
-        assert r.is_sat
+        assert r.status == "sat"
 
     def test_near_limit_offsets_agree_with_enumeration(self):
         # x + c op y over signed char with c near the limits touches the
@@ -222,7 +225,7 @@ class TestWrapWindows:
             if r.status == "unknown":
                 continue
             decided += 1
-            assert r.is_sat == oracle_sat(c.conjuncts, grids), [str(e) for e in conj]
+            assert (r.status == "sat") == oracle_sat(c.conjuncts, grids), [str(e) for e in conj]
         assert decided == 300
 
 
@@ -237,7 +240,7 @@ class TestModels:
         c = make([mk_binop("==", a, Const(7, UINT)),
                   mk_binop(">=", x, Const(0, UINT))], free)
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         assert 0 <= r.model.values["p@offset"] < 3
 
     def test_null_base_forces_zero_offset(self):
@@ -248,7 +251,7 @@ class TestModels:
         }
         c = make([mk_binop("==", a, Const(0, UINT))], free)
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         assert r.model.values.get("p@offset", 0) == 0
 
     def test_unconstrained_defaults_are_deterministic(self):
@@ -263,14 +266,14 @@ class TestFloats:
         f = Sym("f", DOUBLE)
         c = make([mk_binop("==", f, Const(2.5, DOUBLE))])
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         assert r.model.values["f"] == 2.5
 
     def test_float_ordering_with_seeds(self):
         f, g = Sym("f", DOUBLE), Sym("g", DOUBLE)
         c = make([mk_binop("<", f, g)])
         r = solve(c)
-        assert r.is_sat
+        assert r.status == "sat"
         assert r.model.values["f"] < r.model.values["g"]
 
     def test_unknown_when_seeds_fail(self):
@@ -291,7 +294,7 @@ class TestFloats:
         conj.append(mk_binop(">", mk_binop("+", k, i, DOUBLE), j))
         conj.append(mk_binop("==", i, j))
         r = solve(c := make(conj))
-        assert r.is_sat
+        assert r.status == "sat"
         assert verify_model(c, r.model)
 
 
@@ -316,20 +319,20 @@ class TestHint:
     def test_verified_hint_needs_no_search(self):
         c = self.chain()
         r = solve(c, hint=Model({"z": 1, "y": 3, "x": 9}))
-        assert r.is_sat and r.nodes == 0
+        assert r.status == "sat" and r.nodes == 0
         assert list(r.model.values) == list(c.free) == ["x", "y"]
         assert r.model.values == {"x": 9, "y": 3}
 
     def test_hint_that_fails_verification_is_searched(self):
         c = self.chain()
         r = solve(c, hint=Model({"x": 0, "y": -1}))
-        assert r.is_sat and r.nodes > 0
+        assert r.status == "sat" and r.nodes > 0
         assert r.model.values["x"] > 5
         assert r.model.values == solve(c).model.values
 
     def test_hint_missing_a_symbol_is_searched(self):
         r = solve(self.chain(), hint=Model({"x": 9}))
-        assert r.is_sat and r.nodes > 0
+        assert r.status == "sat" and r.nodes > 0
 
     def test_hint_outside_the_domains_is_searched(self):
         a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
@@ -347,7 +350,7 @@ class TestHint:
             hint = Model({**inside, **wrong})
             assert verify_model(c, hint)
             r = solve(c, hint=hint)
-            assert r.is_sat and r.nodes > 0
+            assert r.status == "sat" and r.nodes > 0
             assert r.model.values["p@baseAddress"] == 7
             assert r.model.values["p@offset"] < 4
 
@@ -356,3 +359,70 @@ class TestHint:
         c = make([mk_binop(">", x, Const(5, SCHAR))])
         assert solve(c, hint=Model({"x": 300})).nodes > 0
         assert solve(c, hint=Model({"x": 6.0})).nodes > 0
+
+
+class TestPropagationCost:
+    """Propagation revisits a conjunct only after one of its symbols moved."""
+
+    def count_narrows(self, monkeypatch):
+        visits = []
+        original = solver_mod._Solver._narrow
+
+        def narrow(self, e, want, env, fenv):
+            visits.append((self.nodes, e))
+            return original(self, e, want, env, fenv)
+
+        monkeypatch.setattr(solver_mod._Solver, "_narrow", narrow)
+        return visits
+
+    def test_cycle_refuted_before_the_round_cap(self, monkeypatch):
+        # each round moves one bound of x and y by one; the difference check
+        # refutes the cycle once the rounds have not settled after three
+        visits = self.count_narrows(monkeypatch)
+        x, y = Sym("x", INT), Sym("y", INT)
+        zero = Const(0, INT)
+        cycle = [mk_binop(">", mk_binop("+", x, zero, INT), y),
+                 mk_binop(">", mk_binop("+", y, zero, INT), x)]
+        decoys = [mk_binop(">", Sym(f"z{i}", INT), Const(i, INT)) for i in range(10)]
+        r = solve(make(cycle + decoys))
+        assert r.status == "unsat" and r.nodes == 1
+        assert len(visits) < 60  # 32 full rounds made about 380
+
+    def test_child_renarrows_only_the_branched_watchers(self, monkeypatch):
+        visits = self.count_narrows(monkeypatch)
+        a, b, c, d = (Sym(n, INT) for n in "abcd")
+        a_pos = mk_binop(">", a, Const(0, INT))
+        a_small = mk_binop("<", a, Const(10, INT))
+        b_above = mk_binop(">", b, a)
+        c_not5 = mk_binop("!=", c, Const(5, INT))
+        d_below = mk_binop("<", d, c)
+        r = solve(make([a_pos, a_small, b_above, c_not5, d_below]))
+        assert r.status == "sat"
+        visited = {}
+        for node, e in visits:
+            visited.setdefault(node, []).append(e)
+        # node 2 probes a = 1 (a has the smallest domain), node 3 b = 2
+        assert r.model.values["a"] == 1 and r.model.values["b"] == 2
+        assert visited[2] == [a_pos, a_small, b_above]
+        assert visited[3] == [b_above]
+
+
+class TestPinnedAnswers:
+    def test_random_stream_answers_unchanged(self):
+        """Status, node count and model of the first 300 random constraints
+        of the model-soundness stream, as the solver gave them before its
+        propagation skipped unchanged conjuncts."""
+        rng = random.Random(190237)
+        answers = []
+        for i in range(300):
+            c = make_constraint(rng, (SCHAR, UCHAR, SHORT, INT)[i % 4],
+                                n_syms=rng.randint(1, 3))
+            r = solve(c, 250)
+            answers.append([r.status, r.nodes,
+                            sorted(r.model.values.items()) if r.model else None])
+        assert [a[0] for a in answers].count("sat") == 168
+        assert [a[0] for a in answers].count("unsat") == 42
+        assert sum(a[1] for a in answers) == 25346
+        assert answers[0] == ["sat", 4, [("x", -128), ("y", -128), ("z", -128)]]
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert digest == "9ebde439470c357fc0f2f7c22e08fd183e4ef3fd8845b185833161fe9a130959"
