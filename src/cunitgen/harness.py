@@ -33,7 +33,7 @@ from .replay import (
     concrete_replay,
 )
 from .stct import CoverageState, Trace
-from .stubs import StubSpec, c_literal
+from .stubs import StubSpec, c_literal, control_names
 from .symex import Layout, PathState
 from .typesys import (
     INT,
@@ -264,7 +264,7 @@ def emit_driver(fn: FunctionDef, unit_globals, test_cases: list[TestCase],
         w.line("")
         w.line("/* stub controls */")
         for spec in stub_specs:
-            tc_var, id_var, ret_var = spec.control_names()
+            tc_var, id_var, ret_var = control_names(spec.callee)
             w.line(f"extern unsigned int {tc_var};")
             w.line(f"extern unsigned int {id_var};")
             if not isinstance(spec.signature.return_type, VoidType):
@@ -343,8 +343,7 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
     for callee in sorted(tc.schedule):
         calls = tc.schedule[callee]
         sig = layout.stub_policies[callee].signature
-        tc_var, id_var, ret_var = (f"{callee}_STUB_testCaseNr",
-                                   f"{callee}_STUB_retID", f"{callee}_STUB_retVal")
+        tc_var, id_var, ret_var = control_names(callee)
         w.line(f"/***** STUB {callee} *****/")
         w.line(f"{tc_var} = {tc.tc_id};")
         w.line(f"{id_var} = 0;")
@@ -510,9 +509,9 @@ def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase],
     nodes_covered = sum(1 for n in node_targets if n in coverage.final_nodes)
     edges_covered = sum(1 for e in edge_targets if e in coverage.final_edges)
     # an untried prefix may reach these nodes through a depth-bounded subtree
-    truncated = cfg.reachable_from(coverage.bound_nodes)
+    truncated = cfg.distances(coverage.bound_nodes)
     # ... or through a subtree pruned on an unknown verdict
-    undecided = cfg.reachable_from(coverage.unknown_nodes)
+    undecided = cfg.distances(coverage.unknown_nodes)
     uncovered: list[dict] = []
     for eid in edge_targets:
         if eid in coverage.final_edges:

@@ -160,31 +160,36 @@ class Cfg:
             self._in[e.dst].append(e)
         for lst in self._out:
             lst.sort(key=lambda e: (e.polarity is not True, e.eid))
-        self.unreachable = {n.nid for n in self.nodes} - self.reachable_from({self.entry})
-        self._distance = {self.entry: 0}
-        frontier = [self.entry]
+        self._distance = self.distances({self.entry})
+        self.unreachable = {n.nid for n in self.nodes} - self._distance.keys()
+        self._exit_distance = self.distances({self.exit}, forward=False)
+
+    def distances(self, starts: set[int], forward: bool = True) -> dict[int, int]:
+        """Fewest edges from the nearest of starts to every node it reaches.
+
+        Against the edges (forward=False), the distances are to the starts
+        from every node that reaches one of them. The keys are exactly the
+        nodes reached, so the result doubles as the reachable set.
+        """
+        dist = dict.fromkeys(starts, 0)
+        frontier = list(starts)
         while frontier:
             nxt: list[int] = []
             for nid in frontier:
-                for e in self._out[nid]:
-                    if e.dst not in self._distance:
-                        self._distance[e.dst] = self._distance[nid] + 1
-                        nxt.append(e.dst)
+                for e in (self._out[nid] if forward else self._in[nid]):
+                    other = e.dst if forward else e.src
+                    if other not in dist:
+                        dist[other] = dist[nid] + 1
+                        nxt.append(other)
             frontier = nxt
-
-    def reachable_from(self, starts: set[int]) -> set[int]:
-        """The given nodes and every node reachable from one of them."""
-        reached = set(starts)
-        work = list(starts)
-        while work:
-            for e in self._out[work.pop()]:
-                if e.dst not in reached:
-                    reached.add(e.dst)
-                    work.append(e.dst)
-        return reached
+        return dist
 
     def root_distance(self, edge: CfgEdge) -> int:
         return self._distance.get(edge.src, 1 << 30)
+
+    def exit_distance(self, nid: int) -> int:
+        """Fewest edges from nid to the exit; huge when the exit is out of reach."""
+        return self._exit_distance.get(nid, 1 << 30)
 
     def decision_nodes(self) -> list[CfgNode]:
         return [n for n in self.nodes if n.is_decision and n.nid not in self.unreachable]

@@ -37,6 +37,7 @@ from .typesys import (
     IntType,
     PointerType,
     StructType,
+    is_pointer,
 )
 
 NULL_BASE = 0
@@ -252,6 +253,13 @@ def _const_eq(a: Const, b: Const) -> SymExpr:
         if lo <= a.value <= hi and lo <= b.value <= hi:
             return FALSE
     return mk_binop("==", a, b)
+
+
+def byte_offset(elem_off: SymExpr, size: int) -> SymExpr:
+    """The byte offset of an element-scaled offset into elements of size bytes."""
+    if size == 1:
+        return elem_off
+    return mk_binop("*", elem_off, Const(size, UINT), UINT)
 
 
 def offsets_overlap_cond(item: MemoryItem, place: Place) -> SymExpr | None:

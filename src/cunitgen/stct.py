@@ -14,11 +14,17 @@ uncovered edge (shortest CFG distance from the start node, ties broken by
 smaller node id, then true before false), finds a tree instance of it and
 walks bottom-up to the root.
 
-Pruning removes the subtree hanging off an infeasible branch and remembers
-the (prefix, edge) pair so the same choice is never proposed again; an edge
-pruned under one prefix stays selectable under others. A trace that can be
-neither extended nor completed within the depth bound loses its leaf the
-same way.
+The depth bound is enforced once, when a node is created: a node at depth
+d (the root has depth 0) gets no child c when d + 1 plus the CFG distance
+from c to the exit exceeds the bound, because no trace through c could reach
+the exit within it. Every tree node can therefore still complete within the
+bound, and the CFG node of each node that was refused a child is recorded in
+CoverageState.bound_nodes: edges reachable from there may lie beyond the
+bound, so they are never reported infeasible-proven.
+
+Pruning removes the subtree hanging off an infeasible branch for good; an
+edge pruned under one prefix stays selectable under others. A trace that can
+be neither extended nor completed loses its leaf the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ class StctNode:
     depth: int
     serial: int
     children: list["StctNode"] = field(default_factory=list)
-    pruned_edges: set[int] = field(default_factory=set)
     expanded: bool = False
 
     def __repr__(self) -> str:
@@ -74,7 +79,7 @@ class CoverageState:
     pending_nodes: set[int] = field(default_factory=set)
     # per-edge verdicts of failed attempts: unsat / unknown
     attempts: dict[int, list[str]] = field(default_factory=dict)
-    # CFG nodes of tree nodes whose expansion stopped at the depth bound
+    # CFG nodes of tree nodes refused a child by the depth bound
     bound_nodes: set[int] = field(default_factory=set)
     # CFG destinations of edges pruned on an unknown verdict: nothing
     # behind them was decided
@@ -139,11 +144,9 @@ class Stct:
     def ensure_children(self, node: StctNode) -> None:
         if node.expanded:
             return
-        if node.depth >= self.max_depth:
-            self.coverage.bound_nodes.add(node.node_id)
-            return
         for edge in self.cfg.out_edges(node.node_id):
-            if edge.eid in node.pruned_edges:
+            if node.depth + 1 + self.cfg.exit_distance(edge.dst) > self.max_depth:
+                self.coverage.bound_nodes.add(node.node_id)
                 continue
             child = self._make_node(edge.dst, node, edge)
             node.children.append(child)
@@ -154,8 +157,8 @@ class Stct:
         """Incremental expansion below leaf; returns number of nodes added.
 
         Descends through unconditional and already-covered edges, stopping
-        a branch at the first uncovered non-trivial edge, at the depth
-        bound, and wherever no uncovered target is reachable any more.
+        a branch at the first uncovered non-trivial edge and wherever no
+        uncovered target is reachable any more.
         """
         before = self._serial
         worth = self._reachable_uncovered()
@@ -172,12 +175,10 @@ class Stct:
                 assert e is not None
                 if e.conditional and not self.coverage.edge_covered(e.eid):
                     continue  # frontier target: stop this branch
-                if child.node_id == self.cfg.exit:
-                    continue
                 work.append(child)
         return self._serial - before
 
-    def _reachable_uncovered(self) -> set[int]:
+    def _reachable_uncovered(self) -> dict[int, int]:
         """CFG nodes from which an uncovered target is still reachable."""
         uncovered_srcs = set()
         for t in self.coverage.targets:
@@ -186,16 +187,7 @@ class Stct:
             elif t.kind == "node" and t.ident not in self.coverage.final_nodes \
                     and t.ident not in self.coverage.pending_nodes:
                 uncovered_srcs.add(t.ident)
-        # walk predecessors to a fixpoint
-        result = set(uncovered_srcs)
-        changed = True
-        while changed:
-            changed = False
-            for e in self.cfg.edges:
-                if e.dst in result and e.src not in result:
-                    result.add(e.src)
-                    changed = True
-        return result
+        return self.cfg.distances(uncovered_srcs, forward=False)
 
     # -- traces ----------------------------------------------------------------
 
@@ -221,9 +213,6 @@ class Stct:
             outs = self.cfg.out_edges(leaf.node_id)
             if len(outs) != 1 or outs[0].conditional:
                 return trace
-            if leaf.depth >= self.max_depth:
-                self.coverage.bound_nodes.add(leaf.node_id)
-                return trace
             self.ensure_children(leaf)
             nxt = [c for c in leaf.children if c.in_edge is outs[0]]
             if not nxt:
@@ -236,10 +225,10 @@ class Stct:
     def select_trace(self, active: Trace | None) -> Trace | None:
         """Next trace to hand to the interpreter, or None when done.
 
-        An active trace that can neither be extended nor completed within
-        the depth bound can never become a test case; its leaf is pruned so
-        that no later fresh trace proposes it again, and when that leaf is
-        the root nothing is left to select.
+        An active trace that can neither be extended nor completed (its
+        continuations were pruned) can never become a test case; its leaf is
+        pruned so that no later fresh trace proposes it again, and when that
+        leaf is the root nothing is left to select.
         """
         self.ensure_children(self.root)
         if active is not None and not active.complete:
@@ -281,35 +270,17 @@ class Stct:
 
     def _complete(self, active: Trace) -> Trace | None:
         """Shortest continuation from the active leaf to the exit node."""
-        leaf = active.leaf
-        if leaf.node_id == self.cfg.exit:
-            active.complete = True
-            return active
-        parents: dict[int, StctNode] = {leaf.serial: leaf}
-        frontier = [leaf]
-        seen = {leaf.serial}
-        goal: StctNode | None = None
-        while frontier and goal is None:
+        frontier = [active.leaf]
+        while frontier:
             nxt: list[StctNode] = []
             for node in frontier:
-                if node.depth >= self.max_depth:
-                    self.coverage.bound_nodes.add(node.node_id)
-                    continue
                 self.ensure_children(node)
                 for child in node.children:
-                    if child.serial in seen:
-                        continue
-                    seen.add(child.serial)
                     if child.node_id == self.cfg.exit:
-                        goal = child
-                        break
+                        return self.trace_to(child, "complete", None)
                     nxt.append(child)
-                if goal is not None:
-                    break
             frontier = nxt
-        if goal is None:
-            return None
-        return self.trace_to(goal, "complete", None)
+        return None
 
     def _fresh(self) -> Trace | None:
         while True:
@@ -319,22 +290,13 @@ class Stct:
                  and e.src not in self.cfg.unreachable),
                 key=self._edge_priority,
             )
-            if not ranked and not self._node_targets_left():
-                return None
             for edge in ranked:
                 options = self.instances.get(edge.eid, [])
                 if options:
                     child = min(options, key=lambda n: (n.depth, n.serial))
                     return self.trace_to(child, "fresh", edge)
-            grown = self._forced_expansion_sweep()
-            if not grown:
-                return self._fresh_for_nodes() if self._node_targets_left() else None
-
-    def _node_targets_left(self) -> bool:
-        return any(
-            t.kind == "node" and t.ident not in self.coverage.final_nodes
-            for t in self.coverage.targets
-        )
+            if not self._forced_expansion_sweep():
+                return self._fresh_for_nodes()
 
     def _fresh_for_nodes(self) -> Trace | None:
         """C0 backstop: reach an uncovered node through already-covered edges."""
@@ -377,9 +339,8 @@ class Stct:
 
     def _cut(self, node: StctNode) -> None:
         """Remove node and its subtree from its parent for good."""
-        parent, edge = node.parent, node.in_edge
-        assert parent is not None and edge is not None
-        parent.pruned_edges.add(edge.eid)
+        parent = node.parent
+        assert parent is not None
         if node in parent.children:
             parent.children.remove(node)
         self._deregister(node)

@@ -22,7 +22,7 @@ from .errors import StubPolicyError, UnsupportedOperation
 from .frontend.csyntax import FunctionDef
 from .frontend.writer import decl_text, type_text
 from .imr import ICall
-from .memory import Place
+from .memory import Place, byte_offset
 from .replay import StubCallValues
 from .symexpr import Const, Ptr, Role, Sym, SymExpr
 from .typesys import (
@@ -85,7 +85,7 @@ def intercept_call(state, interp, instr: ICall) -> None:
             state.flags.mark(f"{callee} argument {i} is not a pointer value")
             continue
         sym = output_symbol(callee, i, k, pointee)
-        place = Place(target.base, _scale_bytes(target.offset, pointee.size),
+        place = Place(target.base, byte_offset(target.offset, pointee.size),
                       pointee.size, pointee, hint=f"{callee}@OUT{i}")
         interp.write(place, sym, instr.line)
         event.outs.append((i, sym, target))
@@ -139,16 +139,14 @@ def intercept_call(state, interp, instr: ICall) -> None:
     state.stub_calls.append(event)
 
 
-def _scale_bytes(elem_off: SymExpr, size: int) -> SymExpr:
-    from .symexpr import mk_binop
-
-    if size == 1:
-        return elem_off
-    return mk_binop("*", elem_off, Const(size, UINT), UINT)
-
-
 # ---------------------------------------------------------------------------
 # Stub code generation
+
+
+def control_names(callee: str) -> tuple[str, str, str]:
+    """The driver-owned test case, call counter and return schedule variables."""
+    return (f"{callee}_STUB_testCaseNr", f"{callee}_STUB_retID",
+            f"{callee}_STUB_retVal")
 
 
 @dataclass
@@ -163,15 +161,11 @@ class StubSpec:
     def max_calls(self) -> int:
         return max((len(calls) for calls in self.schedule.values()), default=0)
 
-    def control_names(self) -> tuple[str, str, str]:
-        c = self.callee
-        return (f"{c}_STUB_testCaseNr", f"{c}_STUB_retID", f"{c}_STUB_retVal")
-
 
 def emit_stub(spec: StubSpec) -> str:
     """Compilable C stub in the retID/testCaseNr pattern."""
     sig = spec.signature
-    tc_var, id_var, ret_var = spec.control_names()
+    tc_var, id_var, ret_var = control_names(spec.callee)
     ret_t = sig.return_type
     void_ret = isinstance(ret_t, VoidType)
     lines = [

@@ -54,6 +54,7 @@ from .memory import (
     Region,
     RegionTable,
     base_eq_cond,
+    byte_offset,
     offsets_overlap_cond,
     reinterpret,
 )
@@ -295,7 +296,7 @@ class _Interp:
         # the path constraint
         self.state.add_side(
             mk_range(elem_off, 0, self.regions.dim_for_base(base_v.base)))
-        byte_off = _scale(elem_off, elem_t.size)
+        byte_off = byte_offset(elem_off, elem_t.size)
         return Place(base_v.base, byte_off, elem_t.size, elem_t,
                      hint=hint, elem_offset=elem_off)
 
@@ -330,6 +331,10 @@ class _Interp:
             if targets is not None and isinstance(item.base, Const) \
                     and int(item.base.value) not in targets:
                 continue  # a region the read pointer cannot name
+            writer = self.regions.pointer_of_base(item.base)
+            if writer is not None and isinstance(place.base, Const) \
+                    and int(place.base.value) not in self.regions.base_candidates(writer):
+                continue  # written through a pointer that cannot name this region
             b = base_eq_cond(item.base, place.base)
             if is_false(b):
                 continue
@@ -695,12 +700,6 @@ def _arith_pair(a: CType, b: CType) -> bool:
 
 def _is_zero(e: SymExpr) -> bool:
     return isinstance(e, Const) and e.value == 0
-
-
-def _scale(elem_off: SymExpr, size: int) -> SymExpr:
-    if size == 1:
-        return elem_off
-    return mk_binop("*", elem_off, Const(size, UINT), UINT)
 
 
 def _float_default(e: FloatLit):

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from conftest import compile_c, data_path, run_exe
 
 from cunitgen.cli import main
@@ -117,6 +119,20 @@ class TestRobustness:
         assert err.count("\n") == 1, err
         assert (tmp_path / "g_driver.c").exists()
         assert not (tmp_path / "f_driver.c").exists()
+
+    def test_union_of_pointer_types(self, tmp_path, capsys):
+        src = tmp_path / "pu.c"
+        src.write_text("union pu { int *a; char *b; }; union pu g; int x;\n"
+                       "int f(void) { g.a = &x; if (g.b == 0) return 1; return 0; }\n")
+        code = run_cli([str(src), "--out-dir", str(tmp_path), "-q"])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 2
+        report = json.loads((tmp_path / "f_coverage.json").read_text())
+        # g.b reads back the pointer stored through g.a, which is never null
+        assert [(u["description"], u["verdict"]) for u in report["uncovered"]] \
+            == [("n4 -> n2 [__t0 == 0]", "infeasible-proven")]
+        exe = compile_c(str(tmp_path), [str(tmp_path / "f_driver.c"), str(src)])
+        assert run_exe(exe)[0] == 0
 
     def test_deep_symbolic_expression_fails_one_function(self, tmp_path, capsys):
         # each assignment wraps the last value: one expression 1,200 deep
@@ -300,6 +316,9 @@ class TestPointerInputsAndLocals:
 
     def test_pointer_equal_to_scalar_global(self, tmp_path):
         self.check(tmp_path, "m", POINTER_TO_SCALAR_GLOBAL, [])
+        # p can only name g or its own array, never the parameter q, so the
+        # store through p leaves the read of q exact
+        assert "(approximate)" not in (tmp_path / "gen" / "m_coverage.txt").read_text()
 
     def test_rtt_assign_value_side_conditions(self, tmp_path, capsys):
         # the C macro drops __rtt_assign, so only generation is checked
@@ -321,6 +340,29 @@ class TestFlags:
         text = (tmp_path / "select_demo_cfg.txt").read_text()
         assert text.startswith("cfg select_demo")
         assert "[a]" in text
+
+    def test_dump_stct(self, tmp_path):
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            run_cli([data_path("fig3.c"), "--dump-stct", "--out-dir", str(out), "-q"])
+            texts.append((out / "select_demo_stct.txt").read_bytes())
+        assert texts[0].startswith(b"stct\n")
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("name, body", [
+        ("forever", "int i = 0; while (i >= 0) { i = i + 1; } return i;"),
+        ("loopn", "int i = 0; while (i < n) { i = i + 1; } return i;"),
+    ])
+    def test_dump_stct_stays_within_the_depth_bound(self, tmp_path, name, body):
+        src = tmp_path / f"{name}.c"
+        src.write_text(f"int {name}(int n) {{ {body} }}\n")
+        run_cli([str(src), "--dump-stct", "--max-depth", "12",
+                 "--out-dir", str(tmp_path), "-q"])
+        lines = (tmp_path / f"{name}_stct.txt").read_text().splitlines()
+        assert lines[0] == "stct"
+        # the root is indented one level, a node at depth d by d + 1 levels
+        depths = [(len(line) - len(line.lstrip(" "))) // 2 - 1 for line in lines[1:]]
+        assert depths[0] == 0 and max(depths) <= 12
 
     def test_coverage_c0(self, tmp_path):
         code = run_cli([data_path("tritype_int.c"), "--coverage", "c0",

@@ -1,8 +1,10 @@
 """CFG lowering tests: shapes, guards, coverage targets, dumps."""
 
+import os
+
 import pytest
 
-from conftest import read_data
+from conftest import DATA_DIR, read_data
 
 from cunitgen.frontend import extract_annotations, parse_unit
 from cunitgen.imr import (
@@ -173,3 +175,51 @@ class TestDump:
         assert text.count("decision") == 3
         assert "allocbufp == 0" in text
         assert "allocp == 0" in text
+
+
+def data_cfgs() -> list[Cfg]:
+    cfgs = []
+    for name in sorted(os.listdir(DATA_DIR)):
+        unit = parse_unit(read_data(name), name)
+        for fn in unit.functions:
+            if fn.body is not None and not fn.annotation_only:
+                extract_annotations(fn)
+                cfgs.append(lower(unit, fn))
+    return cfgs
+
+
+class TestDistances:
+    """Cfg.distances against the plain definitions, on every data CFG."""
+
+    @pytest.fixture(scope="class")
+    def cfgs(self):
+        cfgs = data_cfgs()
+        assert len(cfgs) >= 12
+        # a loop with no way out: the exit is out of reach from most nodes
+        return cfgs + [build("int f(int x){ for (;;) { if (x) x = x + 1; } return x; }", "f")]
+
+    def test_backward_reachability_is_the_predecessor_fixpoint(self, cfgs):
+        for cfg in cfgs:
+            start_sets = [{n.nid} for n in cfg.nodes]
+            start_sets.append({e.src for e in cfg.edges if e.conditional})
+            for starts in start_sets:
+                fixpoint = set(starts)
+                changed = True
+                while changed:
+                    changed = False
+                    for e in cfg.edges:
+                        if e.dst in fixpoint and e.src not in fixpoint:
+                            fixpoint.add(e.src)
+                            changed = True
+                assert set(cfg.distances(starts, forward=False)) == fixpoint
+
+    def test_exit_distance_is_a_forward_bfs_to_the_exit(self, cfgs):
+        for cfg in cfgs:
+            for n in cfg.nodes:
+                dist, frontier, seen = 0, {n.nid}, {n.nid}
+                while frontier and cfg.exit not in frontier:
+                    frontier = {e.dst for m in frontier for e in cfg.out_edges(m)} - seen
+                    seen |= frontier
+                    dist += 1
+                expected = dist if frontier else 1 << 30
+                assert cfg.exit_distance(n.nid) == expected, (cfg.name, n.nid)

@@ -145,3 +145,36 @@ class TestPruning:
         b = run(src, "Tritype")
         assert [r.labels for r in a.selection_log] == [r.labels for r in b.selection_log]
         assert [tc.inputs for tc in a.test_cases] == [tc.inputs for tc in b.test_cases]
+
+
+def nested_ifs(levels: int) -> str:
+    opens = "".join(f" if (x > {i}) {{" for i in range(levels))
+    return f"int deep(int x) {{ int r = 0;{opens} r = 1;{' }' * levels} return r; }}"
+
+
+class TestDepthBound:
+    def test_nested_ifs_past_the_bound_end_at_the_bound(self):
+        """Levels no trace can reach within --max-depth cost no deadline."""
+        outcome = run(nested_ifs(130), "deep", budget_ms=10000)
+        verdicts = [u["verdict"] for u in outcome.report.uncovered]
+        assert verdicts and set(verdicts) == {"depth-bound"}
+        assert outcome.report.edges_covered + len(verdicts) == outcome.report.edges_total
+
+    def test_every_tree_node_can_still_reach_the_exit(self):
+        """No node is created from which the exit lies beyond the bound."""
+        outcome = run(read_data("fig3.c"), "select_demo", max_depth=40,
+                      dump_stct=True)
+        lines = outcome.stct_dump.splitlines()
+        assert lines[0] == "stct" and len(lines) > 40
+        for line in lines[1:]:
+            depth = (len(line) - len(line.lstrip())) // 2 - 1
+            node_id = int(line.split()[0].split(",")[0].lstrip("(n"))
+            assert depth + outcome.cfg.exit_distance(node_id) <= 40, line
+
+    def test_loop_without_exit_grows_no_tree(self):
+        """No trace can reach the exit, so the root gets no child at all."""
+        outcome = run("int f(int x){ for (;;) { if (x > 3) x = x + 1; } return x; }",
+                      "f", dump_stct=True)
+        assert outcome.stct_dump == "stct\n  (n0,k0)\n"
+        assert [u["verdict"] for u in outcome.report.uncovered] == ["depth-bound"] * 2
+        assert not outcome.test_cases
