@@ -1,21 +1,23 @@
 """Test-case materialization, C driver emission and reporting.
 
-A solver model becomes a TestCase: concrete parameter and global values,
-pointer bindings into declared or auto-generated regions (two pointers
-whose model bases agree share one region), a stub schedule, and what
-concrete replay of the model found: the outcome of every contract check and
-the global writes that break __rtt_modifies. The driver is plain C:
-per test case it declares the auto-generated arrays, loads the stub
-schedule, assigns inputs, snapshots __rtt_initial values, calls the unit
-under test and checks every applicable contract, printing one PASS/FAIL
-line each. Its exit status is the number of outcomes that differed from
-the generation-time prediction.
+A solver model becomes a TestCase: the input cells ``replay.input_cells``
+maps it to, a stub schedule, and what concrete replay from those cells
+found: the outcome of every contract check, with the condition it
+evaluated, and the global writes that break __rtt_modifies. The driver is
+rendered from these alone. It is plain C: per test case it declares the
+auto-generated arrays some input pointer points into, each named after its
+region (two pointers whose bases agree share one), loads the stub
+schedule, assigns the input cells, snapshots __rtt_initial values, calls
+the unit under test and checks every applicable contract, printing one
+PASS/FAIL line each. Its exit status is the number of outcomes that
+differed from the generation-time prediction.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -24,21 +26,22 @@ from .frontend.annotations import AnnotationSet
 from .frontend.csyntax import FunctionDef
 from .frontend.writer import decl_text, expr_to_c, type_text
 from .imr import Cfg, guard_text
-from .memory import NULL_BASE, Region
+from .memory import NULL_BASE, Region, RegionTable
 from .replay import (
     CheckOutcome,
+    CPtr,
+    InputCell,
     ReplayError,
     ReplayResult,
     StubCallValues,
     concrete_replay,
+    input_cells,
 )
 from .stct import CoverageState, Trace
 from .stubs import StubSpec, c_literal, control_names
 from .symex import Layout, PathState
 from .typesys import (
-    INT,
     ArrayType,
-    CType,
     PointerType,
     StructType,
     VoidType,
@@ -46,24 +49,10 @@ from .typesys import (
 
 
 @dataclass
-class PointerBinding:
-    pointer: str  # variable (or cell) being initialized
-    region_name: str  # target array name, or &variable, in C
-    region_kind: str  # declared, autogen, null
-    size: int
-    elem_type: CType | None
-    offset: int
-
-
-@dataclass
 class TestCase:
     tc_id: int
     function: str
-    inputs: dict[str, int | float]  # scalar parameters and globals
-    cell_inputs: list[tuple[str, int, int | float]]  # (array name, index, value)
-    member_inputs: list[tuple[str, int | float, CType]]  # (x.field, value, type)
-    bindings: list[PointerBinding]
-    autogen_regions: list[tuple[str, int, CType]]  # (name, size, elem type)
+    cells: list[InputCell]  # the memory replay started from
     schedule: dict[str, list[StubCallValues]]
     outcomes: list[CheckOutcome]
     covered_edges: list[int]
@@ -95,37 +84,16 @@ class CoverageReport:
 def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
                     cfg: Cfg, layout: Layout, anns: AnnotationSet) -> TestCase:
     """Turn a verified model into a concrete test case via replay."""
-    regions = layout.regions
-    bindings, autogen = _pointer_bindings(model, layout)
+    cells = input_cells(layout.regions, model)
     schedule = _stub_schedule(state, model)
     try:
-        result = concrete_replay(cfg, layout, anns, model, schedule)
+        result = concrete_replay(cfg, layout, anns, cells, schedule)
     except ReplayError as exc:
         raise ReplayDivergence(f"replay impossible under this model: {exc}") from exc
     expected = [e.eid for e in trace.edges]
     if result.edges != expected:
         raise ReplayDivergence(
             f"replayed edges {result.edges} differ from trace {expected}")
-    inputs: dict[str, int | float] = {}
-    cells: list[tuple[str, int, int | float]] = []
-    members: list[tuple[str, int | float, CType]] = []
-    for key, sym in regions.cell_syms.items():
-        if sym.name not in model or isinstance(sym.ctype, PointerType):
-            continue
-        base_id, byte_off = key[0], key[1]
-        region = regions.by_id[base_id]
-        if not region.is_input:
-            continue
-        if isinstance(region.elem_type, StructType):
-            # the symbol is named after the region: <region>[i].field
-            c_name = _region_c_name(region, bindings) + sym.name[len(region.name):]
-            members.append((c_name, model[sym.name], sym.ctype))
-        elif region.kind in ("global", "param") and region.dim == 1:
-            inputs[sym.name] = model[sym.name]
-        else:
-            index = byte_off // max(region.elem_size, 1)
-            cells.append((_region_c_name(region, bindings), index, model[sym.name]))
-    violations = _modifies_violations(result, anns)
     tags: list[str] = []
     for i in result.applicable_testcases:
         for t in anns.testcases[i].tags:
@@ -134,59 +102,15 @@ def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
     return TestCase(
         tc_id=tc_id,
         function=layout.fn.name,
-        inputs=inputs,
-        cell_inputs=cells,
-        member_inputs=sorted(members),
-        bindings=bindings,
-        autogen_regions=autogen,
+        cells=cells,
         schedule=schedule,
         outcomes=result.outcomes,
         covered_edges=expected,
         tags=tags,
-        violations=violations,
+        violations=_modifies_violations(result, anns),
         trace_labels=trace.guard_labels(cfg),
         approximate=state.flags.approximate,
     )
-
-
-def _pointer_bindings(model: dict, layout: Layout
-                      ) -> tuple[list[PointerBinding], list[tuple[str, int, CType]]]:
-    regions = layout.regions
-    bindings: list[PointerBinding] = []
-    autogen_names: dict[int, tuple[str, int, CType]] = {}
-    for name, ps in regions.pointer_inputs.items():
-        var_region = regions.by_name.get(name)
-        if var_region is None or var_region.kind == "autogen":
-            continue  # cell-level pointers are handled through their arrays
-        base = int(model.get(ps.base.name, ps.fresh_region.base_id))
-        offset = int(model.get(ps.offset.name, 0))
-        if base == NULL_BASE:
-            bindings.append(PointerBinding(name, "0", "null", 0, None, 0))
-            continue
-        region = regions.by_id.get(base)
-        if region is None or region.kind == "autogen":
-            if base not in autogen_names:
-                if region is not None:
-                    size, elem = region.dim, region.elem_type
-                else:
-                    size, elem = regions.ptr_array_size, ps.pointee
-                autogen_names[base] = (f"{name}__autogen_array", size, elem)
-            arr_name, size, elem = autogen_names[base]
-            bindings.append(PointerBinding(name, arr_name, "autogen", size, elem, offset))
-        else:
-            target = region.name if region.is_array else f"&{region.name}"
-            bindings.append(PointerBinding(
-                name, target, "declared", region.dim, region.elem_type, offset))
-    return bindings, list(autogen_names.values())
-
-
-def _region_c_name(region: Region, bindings: list[PointerBinding]) -> str:
-    if region.kind != "autogen":
-        return region.name
-    for b in bindings:
-        if b.region_kind == "autogen" and region.name == f"{b.pointer}__autogen":
-            return b.region_name
-    return f"{region.name}_array"
 
 
 def _stub_schedule(state: PathState, model: dict) -> dict[str, list[StubCallValues]]:
@@ -316,6 +240,11 @@ class _Writer:
 def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
                     anns: AnnotationSet, unit_globals) -> None:
     regions = layout.regions
+    arrays = _declared_arrays(tc.cells, regions)
+    cells = [c for c in tc.cells
+             if c.region.kind != "autogen" or c.region.base_id in arrays]
+    pointer_vars = [c for c in cells if _is_variable(c) and isinstance(c.value, CPtr)]
+    scalars = {c.name: c.value for c in cells if _is_variable(c)}
     w.line(f"/* test case {tc.tc_id}: path <{', '.join(tc.trace_labels)}> */")
     w.line("{")
     w.indent += 1
@@ -324,11 +253,12 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
         w.line(f"{decl_text('__ctg_ret', fn.return_type)};")
     for p in fn.params:
         w.line(f"{decl_text(p.name, p.ctype)};")
-    for name, size, elem in tc.autogen_regions:
-        w.line(f"{decl_text(name, ArrayType(elem, size))} = {{0}};")
-    for b in tc.bindings:
-        if b.region_kind == "autogen":
-            w.line(f"unsigned int {b.pointer}__autogen_offset;")
+    for region in arrays.values():
+        w.line(f"{decl_text(_array_name(region), ArrayType(region.elem_type, region.dim))}"
+               " = {0};")
+    for c in pointer_vars:
+        if c.value.base in arrays:
+            w.line(f"unsigned int {c.name}__autogen_offset;")
     needed = _needed_initials(tc, anns)
     initial_decls = []
     for name in anns.initial_vars:
@@ -364,34 +294,35 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
         elif isinstance(g.ctype, StructType):
             w.line(f"memset(&{g.name}, 0, sizeof {g.name});")
         else:
-            value = tc.inputs.get(g.name, 0)
-            w.line(f"{g.name} = {c_literal(value, g.ctype)};")
+            w.line(f"{g.name} = {c_literal(scalars.get(g.name, 0), g.ctype)};")
     for p in fn.params:
         if isinstance(p.ctype, StructType):
             w.line(f"memset(&{p.name}, 0, sizeof {p.name});")
-    for arr_name, index, value in tc.cell_inputs:
-        region = _region_by_c_name(layout, tc, arr_name)
-        elem = region.elem_type if region is not None else INT
-        w.line(f"{arr_name}[{index}] = {c_literal(value, elem)};")
-    for member, value, ctype in tc.member_inputs:
-        w.line(f"{member} = {c_literal(value, ctype)};")
+    # array cells in the order they were read, then struct members by name
+    for c in cells:
+        if not isinstance(c.value, CPtr) and not _is_variable(c) \
+                and not isinstance(c.region.elem_type, StructType):
+            w.line(f"{_cell_lvalue(c)} = {c_literal(c.value, c.ctype)};")
+    members = [c for c in cells if not isinstance(c.value, CPtr)
+               and isinstance(c.region.elem_type, StructType)]
+    for c in sorted(members, key=_cell_lvalue):
+        w.line(f"{_cell_lvalue(c)} = {c_literal(c.value, c.ctype)};")
     # scalar parameters
     for p in fn.params:
         if isinstance(p.ctype, (PointerType, StructType)):
             continue
-        value = tc.inputs.get(p.name, 0)
-        w.line(f"{p.name} = {c_literal(value, p.ctype)};")
-    # pointer bindings, Table-1 style
-    for b in tc.bindings:
-        if b.region_kind == "null":
-            w.line(f"{b.pointer} = 0;")
-        elif b.region_kind == "autogen":
-            w.line(f"{b.pointer} = {b.region_name};")
-            w.line(f"{b.pointer}__autogen_offset = {b.offset}U;")
-            w.line(f"{b.pointer} += {b.pointer}__autogen_offset;")
+        w.line(f"{p.name} = {c_literal(scalars.get(p.name, 0), p.ctype)};")
+    # pointer variables, Table-1 style, then pointers stored in arrays and structs
+    for c in pointer_vars:
+        if c.value.base in arrays:
+            w.line(f"{c.name} = {_array_name(arrays[c.value.base])};")
+            w.line(f"{c.name}__autogen_offset = {c.value.offset}U;")
+            w.line(f"{c.name} += {c.name}__autogen_offset;")
         else:
-            suffix = f" + {b.offset}" if b.offset else ""
-            w.line(f"{b.pointer} = {b.region_name}{suffix};")
+            w.line(f"{c.name} = {_pointer_text(c.value, regions)};")
+    for c in cells:
+        if isinstance(c.value, CPtr) and not _is_variable(c):
+            w.line(f"{_cell_lvalue(c)} = {_pointer_text(c.value, regions)};")
     for name, _ctype in initial_decls:
         w.line(f"{name}__initial = {name};")
     w.line("")
@@ -408,51 +339,75 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
     w.line("")
 
 
-def _region_by_c_name(layout: Layout, tc: TestCase, c_name: str) -> Region | None:
-    if c_name in layout.regions.by_name:
-        return layout.regions.by_name[c_name]
-    for b in tc.bindings:
-        if b.region_name == c_name and b.region_kind == "autogen":
-            return layout.regions.by_name.get(f"{b.pointer}__autogen")
-    return None
+def _declared_arrays(cells: list[InputCell], regions: RegionTable) -> dict[int, Region]:
+    """Auto-generated regions that an assigned input pointer points into.
+
+    A cell of an auto-generated region is assigned only when its region is
+    declared, so this grows until no assigned pointer adds a region.
+    """
+    arrays: dict[int, Region] = {}
+    grew = True
+    while grew:
+        grew = False
+        for c in cells:
+            assigned = c.region.kind != "autogen" or c.region.base_id in arrays
+            if not assigned or not isinstance(c.value, CPtr) or c.value.base in arrays:
+                continue
+            target = regions.by_id.get(c.value.base)  # None: null
+            if target is not None and target.kind == "autogen":
+                arrays[target.base_id] = target
+                grew = True
+    return arrays
+
+
+def _is_variable(cell: InputCell) -> bool:
+    """A global or parameter itself, not a cell of an array or a struct."""
+    return cell.region.kind in ("global", "param") and not cell.region.is_array \
+        and cell.name == cell.region.name
+
+
+def _array_name(region: Region) -> str:
+    """The C name of a region: its own, or <region>_array if auto-generated."""
+    if region.kind != "autogen":
+        return region.name
+    return re.sub(r"[^0-9A-Za-z_]", "_", f"{region.name}_array")
+
+
+def _cell_lvalue(cell: InputCell) -> str:
+    """x, a[2], s.f or p__autogen_array[0].f: the cell name on its region's C name."""
+    suffix = cell.name[len(cell.region.name):]
+    if cell.region.is_array and not suffix.startswith("["):
+        suffix = "[0]" + suffix  # the symbol names the one element by its array
+    return _array_name(cell.region) + suffix
+
+
+def _pointer_text(ptr: CPtr, regions: RegionTable) -> str:
+    if ptr.base == NULL_BASE:
+        return "0"
+    region = regions.by_id[ptr.base]
+    target = _array_name(region) if region.is_array else f"&{region.name}"
+    return f"{target} + {ptr.offset}" if ptr.offset else target
 
 
 def _emit_checks(w: _Writer, tc: TestCase, anns: AnnotationSet) -> None:
     aux_note_emitted = False
-
-    def render(expr) -> str:
-        return expr_to_c(
-            expr,
-            initial=lambda v: f"{v}__initial",
-            returnref="__ctg_ret",
-        )
-
     for outcome in tc.outcomes:
         expect = 1 if outcome.passed else 0
         tags = ",".join(outcome.tags)
-        if outcome.kind == "post":
-            source = next(
-                (p for p, line in anns.posts if line == outcome.line), None)
-            label = f"postcondition line {outcome.line}"
-            if source is not None and not _mentions_aux(source, anns):
-                w.line(f"/* @rttAssert({render(source)}) */")
-                w.line(f'ctg_check({tc.tc_id}, "{label}", "{tags}", '
-                       f"({render(source)}), {expect});")
-                continue
-        if outcome.kind == "testcase" and outcome.tc_index is not None:
-            source = anns.testcases[outcome.tc_index].post
-            label = f"testcase line {outcome.line}"
-            if not _mentions_aux(source, anns):
-                w.line(f"/* @rttAssert({render(source)}) */")
-                w.line(f'ctg_check({tc.tc_id}, "{label}", "{tags}", '
-                       f"({render(source)}), {expect});")
-                continue
         if outcome.kind == "assert":
             if outcome.passed:
                 continue  # only violations are recorded in the procedure
             w.line(f"/* __rtt_assert violated at line {outcome.line} */")
             w.line(f'ctg_check({tc.tc_id}, "assert line {outcome.line}", '
                    f'"{tags}", 0, 0);')
+            continue
+        if not _mentions_aux(outcome.expr, anns):
+            kind = "postcondition" if outcome.kind == "post" else outcome.kind
+            cond = expr_to_c(outcome.expr, initial=lambda v: f"{v}__initial",
+                             returnref="__ctg_ret")
+            w.line(f"/* @rttAssert({cond}) */")
+            w.line(f'ctg_check({tc.tc_id}, "{kind} line {outcome.line}", "{tags}", '
+                   f"({cond}), {expect});")
             continue
         # checks over auxiliary variables were decided during generation
         label = f"{outcome.kind} line {outcome.line}"
@@ -483,19 +438,9 @@ def _needed_initials(tc: TestCase, anns: AnnotationSet) -> set[str]:
     from .frontend.annotations import walk_expr
     from .frontend.csyntax import InitialRef
 
-    needed: set[str] = set()
-    for outcome in tc.outcomes:
-        source = None
-        if outcome.kind == "post":
-            source = next((p for p, line in anns.posts if line == outcome.line), None)
-        elif outcome.kind == "testcase" and outcome.tc_index is not None:
-            source = anns.testcases[outcome.tc_index].post
-        if source is None or _mentions_aux(source, anns):
-            continue
-        for node in walk_expr(source):
-            if isinstance(node, InitialRef):
-                needed.add(node.var.name)
-    return needed
+    return {node.var.name for outcome in tc.outcomes
+            if outcome.kind != "assert" and not _mentions_aux(outcome.expr, anns)
+            for node in walk_expr(outcome.expr) if isinstance(node, InitialRef)}
 
 
 # ---------------------------------------------------------------------------

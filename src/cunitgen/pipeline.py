@@ -314,13 +314,11 @@ class _Session:
 
     def _accept(self, out: FunctionOutcome, trace: Trace, state: PathState,
                 model: Model) -> bool:
-        from .replay import ReplayError
-
         try:
             tc = build_test_case(
                 len(out.test_cases), trace, state, model.values,
                 out.cfg, out.layout, out.anns)
-        except (ReplayDivergence, ReplayError) as exc:
+        except ReplayDivergence as exc:
             out.divergences.append(f"{type(exc).__name__}: {exc}")
             self.say(f"test case dropped: {exc}")
             return False
@@ -387,8 +385,6 @@ class _Session:
         precondition assumed; a model whose replay makes that precondition
         hold yields one extra tagged test case.
         """
-        from .replay import ReplayError
-
         anns = out.anns
         assert anns is not None
         covered = {t for tc in out.test_cases for t in tc.tags}
@@ -412,7 +408,7 @@ class _Session:
                     tc = build_test_case(
                         len(out.test_cases), trace, state, result.model.values,
                         out.cfg, out.layout, anns)
-                except (ReplayDivergence, ReplayError):
+                except ReplayDivergence:
                     continue
                 if any(tag in tc.tags for tag in anns.testcases[tc_index].tags):
                     out.test_cases.append(tc)

@@ -1,14 +1,19 @@
-"""Concrete replay of a CFG under a solver model and stub schedule.
+"""Concrete replay of a CFG from a test case's input cells and stub schedule.
 
-This is the oracle side of the pipeline: it interprets instructions with
-plain concrete values (two's-complement ints, floats, (region, offset)
-pointers), follows whichever edge each decision evaluates to, and reports
-the executed edge sequence, the outcome of every contract check (the
-postconditions, the applicable test cases' postconditions and each
-__rtt_assert reached) and the lines that wrote each global, which the
-harness holds against __rtt_modifies. Replay is the only judge of these
-checks. The harness compares the edge sequence against the symbolic trace;
-any mismatch is a soundness bug and the test case is rejected.
+This is the oracle side of the pipeline. ``input_cells`` is the one place
+a solver model becomes test inputs: the value of every input cell
+(variable, array element, struct member, cell of an auto-generated array),
+a pointer's as a (region id, offset) pair. Replay starts from exactly these
+cells, and the harness renders the driver from them. Replay interprets
+instructions with plain concrete values (two's-complement ints, floats,
+(region, offset) pointers), follows whichever edge each decision evaluates
+to, and reports the executed edge sequence, the outcome of every contract
+check with the condition it evaluated (the postconditions, the applicable
+test cases' postconditions and each __rtt_assert reached) and the lines
+that wrote each global, which the harness holds against __rtt_modifies.
+Replay is the only judge of these checks. The harness compares the edge
+sequence against the symbolic trace; any mismatch is a soundness bug and
+the test case is rejected.
 
 The implementation deliberately avoids the symbolic expression machinery.
 It shares only the table of C scalar semantics in typesys (conversions,
@@ -43,7 +48,7 @@ from .frontend.csyntax import (
 )
 from .frontend.csyntax import AnnotationKind
 from .imr import Cfg, IAssign, ICall, IMarker, IReturn
-from .memory import Region
+from .memory import NULL_BASE, Region, RegionTable
 from .symex import Layout
 from .typesys import (
     PTRDIFF,
@@ -74,13 +79,67 @@ class CPtr:
 Value = int | float | CPtr
 
 
+@dataclass(frozen=True)
+class InputCell:
+    """One input location a test case sets before the call, with its value."""
+
+    name: str  # the cell symbol's name: x, a[2], s.f, p__autogen[0].next
+    region: Region
+    byte_off: int
+    bit: tuple[int, int] | None
+    ctype: CType
+    value: Value
+
+
+def input_cells(regions: RegionTable, model: dict[str, int | float]) -> list[InputCell]:
+    """The memory a test case starts from under model.
+
+    Pointer variables come first, in the order their inputs were made, then
+    every other cell read during interpretation, in the order of first read.
+    A scalar cell the model leaves out starts at zero and is not listed. A
+    pointer cell always is, at the model's offset or 0. Base 0 is null; a
+    base the model leaves out is the pointer's own fresh region, and one
+    that names no region is the fresh region of the first pointer with it.
+    """
+    stand_ins: dict[int, Region] = {}  # base naming no region -> its region
+
+    def pointer(name: str) -> CPtr:
+        ps = regions.pointer_inputs[name]
+        base = int(model.get(ps.base.name, ps.fresh_region.base_id))
+        if base == NULL_BASE:
+            return CPtr(0, 0)
+        region = regions.by_id.get(base) or stand_ins.setdefault(base, ps.fresh_region)
+        return CPtr(region.base_id, int(model.get(ps.offset.name, 0)))
+
+    cells: list[InputCell] = []
+    for name in regions.pointer_inputs:
+        region = regions.by_name.get(name)
+        if region is not None:
+            cells.append(InputCell(name, region, 0, None, region.elem_type,
+                                   pointer(name)))
+    listed = {cell.name for cell in cells}
+    for (base_id, byte_off, b0, b1), sym in regions.cell_syms.items():
+        if sym.name in listed:
+            continue
+        if isinstance(sym.ctype, PointerType):
+            value: Value = pointer(sym.name)
+        elif sym.name in model:
+            value = model[sym.name]
+        else:
+            continue
+        bit = None if (b0, b1) == (-1, -1) else (b0, b1)
+        cells.append(InputCell(sym.name, regions.by_id[base_id], byte_off, bit,
+                               sym.ctype, value))
+    return cells
+
+
 @dataclass
 class CheckOutcome:
     kind: str  # post, assert, testcase
     passed: bool
     tags: list[str]
     line: int
-    tc_index: int | None = None
+    expr: Expr  # the condition replay evaluated
 
 
 @dataclass
@@ -89,8 +148,6 @@ class ReplayResult:
     returned: Value | None
     outcomes: list[CheckOutcome]
     applicable_testcases: list[int]
-    aux_final: dict[str, Value]
-    steps: int
     # global name -> lines of the unit (not of a stub) that wrote it
     global_writes: dict[str, set[int]]
 
@@ -149,13 +206,12 @@ def _store_convert(value: Value, ctype: CType, bit: tuple[int, int] | None) -> V
 
 class _Replayer:
     def __init__(self, cfg: Cfg, layout: Layout, anns: AnnotationSet,
-                 model: dict[str, int | float],
+                 cells: list[InputCell],
                  schedule: dict[str, list[StubCallValues]],
                  max_steps: int = 200000):
         self.cfg = cfg
         self.layout = layout
         self.anns = anns
-        self.model = model
         self.schedule = schedule
         self.mem = _Memory(layout)
         self.stub_cursor: dict[str, int] = {}
@@ -164,48 +220,9 @@ class _Replayer:
         self.snapshots: dict[str, Value] = {}
         self.global_writes: dict[str, set[int]] = {}
         self.max_steps = max_steps
-        self.steps = 0
-        self._init_inputs()
-
-    # -- input initialization -------------------------------------------------
-
-    def _init_inputs(self) -> None:
-        regions = self.layout.regions
-        for region in regions.declared_order:
-            if region.kind not in ("param", "global") or region.dim != 1:
-                continue
-            if isinstance(region.elem_type, (PointerType, StructType)):
-                continue
-            if region.name in self.model:
-                self.mem.write(region.base_id, 0, None, region.elem_type,
-                               self.model[region.name])
-        for key, sym in regions.cell_syms.items():
-            base_id, byte_off, b0, b1 = key
-            bit = None if (b0, b1) == (-1, -1) else (b0, b1)
-            if isinstance(sym.ctype, PointerType):
-                self.mem.write(base_id, byte_off, bit, sym.ctype,
-                               self._pointer_value(sym.name, sym.ctype))
-            elif sym.name in self.model:
-                self.mem.write(base_id, byte_off, bit, sym.ctype,
-                               self.model[sym.name])
-        # pointer inputs may exist without a registered cell read
-        for name, ps in regions.pointer_inputs.items():
-            region = regions.by_name.get(name)
-            if region is None or region.dim != 1:
-                continue
-            ptr_t = PointerType(ps.pointee)
-            self.mem.write(region.base_id, 0, None, ptr_t,
-                           self._pointer_value(name, ptr_t))
-
-    def _pointer_value(self, name: str, ctype: PointerType) -> CPtr:
-        ps = self.layout.regions.pointer_inputs.get(name)
-        if ps is None:
-            return CPtr(0, 0)
-        base = int(self.model.get(ps.base.name, ps.fresh_region.base_id))
-        offset = int(self.model.get(ps.offset.name, 0))
-        if base == 0:
-            return CPtr(0, 0)
-        return CPtr(base, offset)
+        for cell in cells:
+            self.mem.write(cell.region.base_id, cell.byte_off, cell.bit,
+                           cell.ctype, cell.value)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -218,8 +235,7 @@ class _Replayer:
         edges: list[int] = []
         nid = self.cfg.entry
         while nid != self.cfg.exit:
-            self.steps += 1
-            if self.steps > self.max_steps:
+            if len(edges) >= self.max_steps:
                 raise ReplayError("replay step limit exceeded")
             node = self.cfg.node(nid)
             for instr in node.instrs:
@@ -235,12 +251,8 @@ class _Replayer:
             edges.append(edge.eid)
             nid = edge.dst
         self._check_exit_contracts(applicable)
-        aux_final = {
-            name: self._read_var(name)
-            for name in self.anns.aux
-        }
         return ReplayResult(edges, self.returned, self.outcomes, applicable,
-                            aux_final, self.steps, self.global_writes)
+                            self.global_writes)
 
     def _take_snapshots(self) -> None:
         for name in self.anns.initial_vars:
@@ -278,12 +290,13 @@ class _Replayer:
                 # the program never evaluates the condition, so one that is
                 # undefined here (x / y with y == 0) is violated, not a
                 # replay failure
+                cond = instr.payload.exprs[0]
                 try:
-                    ok = _truthy(self.eval(instr.payload.exprs[0]))
+                    ok = _truthy(self.eval(cond))
                 except ReplayError:
                     ok = False
                 self.outcomes.append(
-                    CheckOutcome("assert", ok, [], instr.line))
+                    CheckOutcome("assert", ok, [], instr.line, cond))
             return
         raise ReplayError(f"instruction {type(instr).__name__}")
 
@@ -320,13 +333,12 @@ class _Replayer:
     def _check_exit_contracts(self, applicable: list[int]) -> None:
         for post, line in self.anns.posts:
             self.outcomes.append(CheckOutcome(
-                "post", _truthy(self.eval(post)), [], line))
-        for i, tc in enumerate(self.anns.testcases):
-            if i not in applicable:
-                continue
+                "post", _truthy(self.eval(post)), [], line, post))
+        for i in applicable:
+            tc = self.anns.testcases[i]
             self.outcomes.append(CheckOutcome(
                 "testcase", _truthy(self.eval(tc.post)), list(tc.tags),
-                tc.line, tc_index=i))
+                tc.line, tc.post))
 
     # -- expression evaluation ----------------------------------------------------
 
@@ -537,7 +549,7 @@ def _truthy(v: Value) -> bool:
 
 
 def concrete_replay(cfg: Cfg, layout: Layout, anns: AnnotationSet,
-                    model: dict[str, int | float],
+                    cells: list[InputCell],
                     schedule: dict[str, list[StubCallValues]]) -> ReplayResult:
-    """Run the CFG concretely; raises ReplayError on impossible models."""
-    return _Replayer(cfg, layout, anns, model, schedule).run()
+    """Run the CFG concretely from cells; raises ReplayError on impossible inputs."""
+    return _Replayer(cfg, layout, anns, cells, schedule).run()

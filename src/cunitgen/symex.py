@@ -657,7 +657,10 @@ class _Interp:
             raise UnsupportedOperation(f"pointer converted to {want} (line {line})")
         if v.ctype is BOOL and isinstance(want, (IntType, FloatType)):
             return mk_ite(v, Const(1, want), Const(0, want), want)
-        return mk_cast(v, want)
+        out = mk_cast(v, want)
+        if isinstance(v, Const) and not isinstance(out, Const):
+            self.state.add_side(FALSE)  # undefined conversion: path dies
+        return out
 
     def as_uint(self, v: SymExpr) -> SymExpr:
         return self.value_as(v, UINT)

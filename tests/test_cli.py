@@ -77,10 +77,18 @@ class TestRobustness:
                        " return 0; }\n"
                        "int g(int y) { if (y > 3) return 1; return 0; }\n")
         code = run_cli([str(src), "--out-dir", str(tmp_path)])
-        assert code in (0, 1, 2)
+        assert code == 2
         assert "Traceback" not in capsys.readouterr().err
         # the other function in the unit is still generated
         assert (tmp_path / "g_driver.c").exists()
+        # (int)f is undefined, so the path through it dies as 1 / 0 would
+        report = json.loads((tmp_path / "h_coverage.json").read_text())
+        assert report["test_cases"] == 1
+        verdicts = {u["description"].split("[")[1].rstrip("]"): u["verdict"]
+                    for u in report["uncovered"] if u["kind"] == "edge"}
+        assert verdicts == {"x > 0": "infeasible-proven"}
+        exe = compile_c(str(tmp_path), [str(tmp_path / "h_driver.c"), str(src)])
+        assert run_exe(exe)[0] == 0
 
     def nesting_diagnostic(self, tmp_path, capsys, text: str) -> str:
         src = tmp_path / "deep.c"
@@ -288,13 +296,96 @@ int m(int *p, int *q, int x)
 """
 
 
+# Pointers stored in a global array, in a global struct and in a struct that
+# a pointer parameter points to. Each path returns its own value, so a
+# compiled test case that takes another path than generation predicted
+# fails the postcondition unexpectedly.
+POINTER_IN_ARRAY = """\
+#include "rtt_annotations.h"
+int *tab[3];
+int f(int i)
+{
+    __rtt_postcondition(__rtt_return == 0);
+    if (i >= 0 && i < 3) {
+        if (*tab[i] > 3) { return 0; }
+        return 1;
+    }
+    return 2;
+}
+"""
+
+POINTER_IN_STRUCT = """\
+#include "rtt_annotations.h"
+struct box { int *p; int n; } b;
+int f(void)
+{
+    __rtt_postcondition(__rtt_return == 0);
+    if (b.n > 0) {
+        if (*b.p > 3) { return 0; }
+        return 1;
+    }
+    return 2;
+}
+"""
+
+POINTER_IN_POINTED_STRUCT = """\
+#include "rtt_annotations.h"
+struct node { int *p; int v; };
+int f(struct node *n)
+{
+    __rtt_postcondition(__rtt_return == 0);
+    if (n->v > 0) {
+        if (*n->p > 3) { return 0; }
+        return 1;
+    }
+    return 2;
+}
+"""
+
+# p and q share one array on the p == q side; q's own cells are no input
+POINTERS_SHARING_AN_ARRAY = """\
+#include "rtt_annotations.h"
+int f(int *p, int *q)
+{
+    __rtt_postcondition(__rtt_return != 1);
+    if (p == q) { if (*p > 3) { return 1; } return 2; }
+    return 0;
+}
+"""
+
+# arrays of one element: a declared one, and auto-generated ones of int and
+# of a struct under --ptr-array-size 1
+ONE_ELEMENT_ARRAYS = """\
+struct s2 { int v; int w; };
+int a[1];
+int f(int *p, struct s2 *q)
+{
+    if (a[0] > 3 && *p > 2) {
+        if (q->w > 5) { return 1; }
+    }
+    return 0;
+}
+"""
+
+# each check is the condition replay evaluated, not the first on its line
+TWO_POSTS_ON_ONE_LINE = """\
+#include "rtt_annotations.h"
+int f(int x)
+{
+    __rtt_postcondition(__rtt_return > 0); __rtt_postcondition(__rtt_return < 3);
+    if (x > 2) { return 4; }
+    return 1;
+}
+"""
+
+
 class TestPointerInputsAndLocals:
     def check(self, tmp_path, name: str, text: str, stubs: list[str],
-              functions: tuple[str, ...] = ()):
+              functions: tuple[str, ...] = (), args: tuple[str, ...] = ()):
         src = tmp_path / f"{name}.c"
         src.write_text(text)
         out = tmp_path / "gen"
-        assert run_cli([str(src), "--out-dir", str(out), "-q"]) == 0
+        assert run_cli([str(src), "--out-dir", str(out), "-q", *args]) == 0
         for fn in functions or (name,):
             sources = [str(out / f"{fn}_driver.c"), str(src)]
             sources += [str(out / f"{stub}_stub.c") for stub in stubs]
@@ -319,6 +410,33 @@ class TestPointerInputsAndLocals:
         # p can only name g or its own array, never the parameter q, so the
         # store through p leaves the read of q exact
         assert "(approximate)" not in (tmp_path / "gen" / "m_coverage.txt").read_text()
+
+    def test_pointer_stored_in_an_array(self, tmp_path):
+        self.check(tmp_path, "f", POINTER_IN_ARRAY, [])
+
+    def test_pointer_stored_in_a_struct(self, tmp_path):
+        self.check(tmp_path, "f", POINTER_IN_STRUCT, [])
+
+    def test_pointer_in_a_struct_behind_a_parameter(self, tmp_path):
+        self.check(tmp_path, "f", POINTER_IN_POINTED_STRUCT, [])
+
+    def test_pointers_sharing_an_array(self, tmp_path):
+        self.check(tmp_path, "f", POINTERS_SHARING_AN_ARRAY, [])
+        driver = (tmp_path / "gen" / "f_driver.c").read_text()
+        shared = driver.split("/* test case 1")[0]
+        assert "q = p__autogen_array;" in shared
+        assert "q__autogen_array" not in shared
+
+    def test_two_postconditions_on_one_line(self, tmp_path):
+        self.check(tmp_path, "f", TWO_POSTS_ON_ONE_LINE, [])
+        driver = (tmp_path / "gen" / "f_driver.c").read_text()
+        assert "(__ctg_ret > 0)" in driver and "(__ctg_ret < 3)" in driver
+
+    def test_one_element_arrays(self, tmp_path):
+        self.check(tmp_path, "f", ONE_ELEMENT_ARRAYS, [], args=("--ptr-array-size", "1"))
+        driver = (tmp_path / "gen" / "f_driver.c").read_text()
+        assert "a[0] = " in driver
+        assert "q__autogen_array[0].w = " in driver
 
     def test_rtt_assign_value_side_conditions(self, tmp_path, capsys):
         # the C macro drops __rtt_assign, so only generation is checked

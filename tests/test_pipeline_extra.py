@@ -133,7 +133,7 @@ class TestRequirementFollowUp:
         outcome = run_src(src, "f")
         tagged = [tc for tc in outcome.test_cases if "LUCKY" in tc.tags]
         assert tagged, [tc.tags for tc in outcome.test_cases]
-        assert tagged[0].inputs["x"] == 7777
+        assert {c.name: c.value for c in tagged[0].cells}["x"] == 7777
 
     def test_infeasible_tag_reported_uncovered(self):
         src = ('#include "rtt_annotations.h"\n'

@@ -18,7 +18,7 @@ from cunitgen.frontend import extract_annotations
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.imr import lower
 from cunitgen import replay
-from cunitgen.replay import concrete_replay
+from cunitgen.replay import concrete_replay, input_cells
 from cunitgen.symex import Layout
 
 ARITH_SRC = """
@@ -92,6 +92,9 @@ def build_replayable(src: str, fn_name: str, file_name: str):
     anns = extract_annotations(fn)
     cfg = lower(unit, fn)
     layout = Layout(unit, fn, cfg, anns, Config())
+    # no interpretation runs here, so register the input cells it would read
+    for p in fn.params:
+        layout.regions.cell_symbol(layout.regions.by_name[p.name], 0)
     return cfg, layout, anns, fn
 
 
@@ -130,7 +133,8 @@ def test_cfg_execution_matches_gcc(tmp_path, src, fn_name, n_params, ptype, lo, 
     for _ in range(120):
         values = [rng.randint(lo, hi) for _ in range(n_params)]
         model = {p.name: v for p, v in zip(fn.params, values)}
-        result = concrete_replay(cfg, layout, anns, model, {})
+        result = concrete_replay(cfg, layout, anns,
+                                 input_cells(layout.regions, model), {})
         proc = subprocess.run([exe, *map(str, values)],
                               capture_output=True, text=True)
         assert proc.returncode == 0

@@ -1,11 +1,15 @@
-"""Static check: every global name the code reads is defined somewhere.
+"""Static checks: every global name the code reads is defined somewhere,
+and every name a module imports is used.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
 level (assigned, imported, or a def/class) or be a builtin; otherwise the
-first call that reaches it ends in a NameError.
+first call that reaches it ends in a NameError. A name imported at module
+level must also appear as a name in that module's syntax tree, except for
+``from __future__`` imports and the re-exports of a package's __init__.py.
 """
 
+import ast
 import builtins
 import os
 import symtable
@@ -40,6 +44,18 @@ def undefined_globals(text: str, name: str) -> list[str]:
     return sorted(missing)
 
 
+def unused_imports(text: str) -> list[str]:
+    tree = ast.parse(text)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
 @pytest.mark.parametrize("path", modules(), ids=lambda p: os.path.relpath(p, SRC))
 def test_no_undefined_globals(path):
     with open(path, encoding="utf-8") as fh:
@@ -52,3 +68,20 @@ def test_check_sees_a_missing_import():
            "    def m(self):\n"
            "        return a + b + len(__file__)\n")
     assert undefined_globals(src, "<probe>") == ["m: b"]
+
+
+@pytest.mark.parametrize("path", [p for p in modules()
+                                  if os.path.basename(p) != "__init__.py"],
+                         ids=lambda p: os.path.relpath(p, SRC))
+def test_no_unused_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
+def test_check_sees_an_unused_import():
+    src = ("from __future__ import annotations\n"
+           "import os.path\n"
+           "from x import a, b as c\n"
+           "def f() -> a:\n"
+           "    return os.sep\n")
+    assert unused_imports(src) == ["c"]

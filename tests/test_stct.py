@@ -144,7 +144,7 @@ class TestPruning:
         a = run(src, "Tritype")
         b = run(src, "Tritype")
         assert [r.labels for r in a.selection_log] == [r.labels for r in b.selection_log]
-        assert [tc.inputs for tc in a.test_cases] == [tc.inputs for tc in b.test_cases]
+        assert [tc.cells for tc in a.test_cases] == [tc.cells for tc in b.test_cases]
 
 
 def nested_ifs(levels: int) -> str:
