@@ -32,17 +32,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="maximal depth of the symbolic test case tree")
     p.add_argument("--ptr-array-size", type=int, default=10,
                    help="element count of auto-generated pointer regions")
-    p.add_argument("--solver", choices=["builtin", "smtlib-out"], default="builtin")
+    p.add_argument("--solver", choices=["builtin", "smtlib-out"], default="builtin",
+                   help="smtlib-out also writes each constraint to "
+                        "<fn>_<n>.smt2 and takes a <fn>_<n>.model answer "
+                        "that solves it as a hint")
     p.add_argument("--budget-ms", type=int, default=60000,
                    help="per-function wall-clock deadline; edges it leaves "
                         "undecided are reported as time-budget")
     p.add_argument("--budget-nodes", type=int, default=10000,
                    help="per-constraint solver search-node budget; the only "
                         "limit that decides a solver verdict")
-    p.add_argument("--smtlib-wait-ms", type=int, default=0,
-                   help="with --solver=smtlib-out, wait this long for a "
-                        ".model answer file before falling back to the "
-                        "built-in backend")
     p.add_argument("--out-dir", default="ctgout")
     p.add_argument("--function", help="generate only for this function")
     p.add_argument("--do-not-stub", default="",
@@ -81,7 +80,6 @@ def config_from_args(args: argparse.Namespace) -> Config:
         function=args.function,
         do_not_stub=[s.strip() for s in args.do_not_stub.split(",") if s.strip()],
         stub_globals=stub_globals,
-        smtlib_wait_ms=args.smtlib_wait_ms,
         verbose=args.verbose,
         quiet=args.quiet,
         jobs=max(1, args.jobs),

@@ -19,7 +19,6 @@ class Config:
     # per-callee globals a stub may write, in addition to what annotated
     # prototypes and the unit's own __rtt_modifies permit
     stub_globals: dict[str, list[str]] = field(default_factory=dict)
-    smtlib_wait_ms: int = 0
     verbose: bool = False
     quiet: bool = False
     jobs: int = 1

@@ -36,10 +36,12 @@ from .replay import (
     StubCallValues,
     concrete_replay,
     input_cells,
+    pointer_value,
 )
 from .stct import CoverageState, Trace
 from .stubs import StubSpec, c_literal, control_names
 from .symex import Layout, PathState
+from .symexpr import Ptr
 from .typesys import (
     ArrayType,
     PointerType,
@@ -59,7 +61,7 @@ class TestCase:
     tags: list[str]
     violations: list[tuple[str, list[int]]]  # (variable, lines)
     trace_labels: list[str]
-    approximate: bool = False
+    approximate: list[str]  # why symex was not exact on the trace; empty: exact
 
 
 @dataclass
@@ -85,7 +87,7 @@ def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
                     cfg: Cfg, layout: Layout, anns: AnnotationSet) -> TestCase:
     """Turn a verified model into a concrete test case via replay."""
     cells = input_cells(layout.regions, model)
-    schedule = _stub_schedule(state, model)
+    schedule = _stub_schedule(state, model, layout.regions)
     try:
         result = concrete_replay(cfg, layout, anns, cells, schedule)
     except ReplayError as exc:
@@ -109,18 +111,22 @@ def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
         tags=tags,
         violations=_modifies_violations(result, anns),
         trace_labels=trace.guard_labels(cfg),
-        approximate=state.flags.approximate,
+        approximate=list(dict.fromkeys(state.flags.notes)),
     )
 
 
-def _stub_schedule(state: PathState, model: dict) -> dict[str, list[StubCallValues]]:
+def _stub_schedule(state: PathState, model: dict, regions: RegionTable
+                   ) -> dict[str, list[StubCallValues]]:
     out: dict[str, list[StubCallValues]] = {}
     for event in state.stub_calls:
         calls = out.setdefault(event.callee, [])
         while len(calls) <= event.k:
             calls.append(StubCallValues())
         call = calls[event.k]
-        if event.ret is not None:
+        if isinstance(event.ret, Ptr):
+            ps = regions.pointer_of_base(event.ret.base)
+            call.ret = pointer_value(regions, model, ps.name)
+        elif event.ret is not None:
             call.ret = model.get(event.ret.name, 0)
         for i, sym, _target in event.outs:
             call.outs[i] = model.get(sym.name, 0)
@@ -240,7 +246,7 @@ class _Writer:
 def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
                     anns: AnnotationSet, unit_globals) -> None:
     regions = layout.regions
-    arrays = _declared_arrays(tc.cells, regions)
+    arrays = _declared_arrays(tc, regions)
     cells = [c for c in tc.cells
              if c.region.kind != "autogen" or c.region.base_id in arrays]
     pointer_vars = [c for c in cells if _is_variable(c) and isinstance(c.value, CPtr)]
@@ -280,7 +286,9 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
         if not isinstance(sig.return_type, VoidType):
             w.line("/* set values for return */")
             for k, call in enumerate(calls):
-                w.line(f"{ret_var}[{k}] = {c_literal(call.ret, sig.return_type)};")
+                value = _pointer_text(call.ret, regions) if isinstance(call.ret, CPtr) \
+                    else c_literal(call.ret, sig.return_type)
+                w.line(f"{ret_var}[{k}] = {value};")
         w.line(f"/***** end STUB {callee} *****/")
     # global inputs: deterministic reset, then model values
     for g in unit_globals:
@@ -339,21 +347,24 @@ def _emit_test_case(w: _Writer, fn: FunctionDef, tc: TestCase, layout: Layout,
     w.line("")
 
 
-def _declared_arrays(cells: list[InputCell], regions: RegionTable) -> dict[int, Region]:
-    """Auto-generated regions that an assigned input pointer points into.
+def _declared_arrays(tc: TestCase, regions: RegionTable) -> dict[int, Region]:
+    """Auto-generated regions that an assigned input pointer or a pointer a
+    stub returns points into.
 
     A cell of an auto-generated region is assigned only when its region is
     declared, so this grows until no assigned pointer adds a region.
     """
+    returned = [call.ret for calls in tc.schedule.values() for call in calls]
     arrays: dict[int, Region] = {}
     grew = True
     while grew:
         grew = False
-        for c in cells:
-            assigned = c.region.kind != "autogen" or c.region.base_id in arrays
-            if not assigned or not isinstance(c.value, CPtr) or c.value.base in arrays:
+        assigned = returned + [c.value for c in tc.cells if c.region.kind != "autogen"
+                               or c.region.base_id in arrays]
+        for value in assigned:
+            if not isinstance(value, CPtr) or value.base in arrays:
                 continue
-            target = regions.by_id.get(c.value.base)  # None: null
+            target = regions.by_id.get(value.base)  # None: null
             if target is not None and target.kind == "autogen":
                 arrays[target.base_id] = target
                 grew = True
@@ -447,8 +458,8 @@ def _needed_initials(tc: TestCase, anns: AnnotationSet) -> set[str]:
 # Reports
 
 
-def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase],
-                 criterion: str) -> CoverageReport:
+def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase]
+                 ) -> CoverageReport:
     node_targets = sorted(t.ident for t in coverage.targets if t.kind == "node")
     edge_targets = sorted(t.ident for t in coverage.targets if t.kind == "edge")
     nodes_covered = sum(1 for n in node_targets if n in coverage.final_nodes)
@@ -517,7 +528,7 @@ def report_text(report: CoverageReport, test_cases: list[TestCase]) -> str:
             lines.append(f"    {entry['description']}: {entry['verdict']}")
     for tc in test_cases:
         tag_text = f" tags={','.join(tc.tags)}" if tc.tags else ""
-        approx = " (approximate)" if tc.approximate else ""
+        approx = f" (approximate: {'; '.join(tc.approximate)})" if tc.approximate else ""
         lines.append(f"  TC {tc.tc_id}: <{', '.join(tc.trace_labels)}>"
                      f"{tag_text}{approx}")
     return "\n".join(lines) + "\n"

@@ -512,58 +512,47 @@ class _Lowerer:
             return self._bool_value(e, cur)
         if isinstance(e, Cond):
             return self._ternary_value(e, cur)
-        if isinstance(e, Bin):
+        if isinstance(e, Member):
+            formed = self.place(e, cur)
+        else:
+            formed = self._operation(e, cur)
+        if formed is None:
+            raise UnsupportedConstruct(f"expression {type(e).__name__}",
+                                       getattr(e, "line", 0))
+        return self._into_temp(*formed, e.line)
+
+    def _operation(self, e: Expr, cur: int) -> tuple[Expr, int] | None:
+        """e as one operator over atoms, or None if e is no such form."""
+        if isinstance(e, Bin) and e.op not in ("&&", "||"):
             lhs, cur = self.atom(e.lhs, cur)
             rhs, cur = self.atom(e.rhs, cur)
-            rhs_expr = Bin(e.op, lhs, rhs, e.line)
-            rhs_expr.ctype = e.ctype
-            return self._into_temp(rhs_expr, cur, e.line)
-        if isinstance(e, Un) and e.op in ("-", "~", "!"):
-            operand, cur = self.atom(e.operand, cur)
-            rhs_expr = Un(e.op, operand, e.line)
-            rhs_expr.ctype = e.ctype
-            return self._into_temp(rhs_expr, cur, e.line)
-        if isinstance(e, Un) and e.op == "*":
-            operand, cur = self.atom(e.operand, cur)
-            load = Un("*", operand, e.line)
-            load.ctype = e.ctype
-            return self._into_temp(load, cur, e.line)
-        if isinstance(e, Un) and e.op == "&":
+            out: Expr = Bin(e.op, lhs, rhs, e.line)
+        elif isinstance(e, Un) and e.op == "&":
             place, cur = self.place(e.operand, cur)
-            addr = Un("&", place, e.line)
-            addr.ctype = e.ctype
-            return self._into_temp(addr, cur, e.line)
-        if isinstance(e, Index):
+            out = Un("&", place, e.line)
+        elif isinstance(e, Un) and e.op in ("-", "~", "!", "*"):
+            operand, cur = self.atom(e.operand, cur)
+            out = Un(e.op, operand, e.line)
+        elif isinstance(e, Index):
             base, cur = self.atom(e.base, cur)
             index, cur = self.atom(e.index, cur)
-            load = Index(base, index, e.line)
-            load.ctype = e.ctype
-            return self._into_temp(load, cur, e.line)
-        if isinstance(e, Member):
-            place, cur = self.place(e, cur)
-            return self._into_temp(place, cur, e.line)
-        if isinstance(e, CastExpr):
+            out = Index(base, index, e.line)
+        elif isinstance(e, CastExpr):
             operand, cur = self.atom(e.operand, cur)
-            cast = CastExpr(e.target, operand, e.line)
-            cast.ctype = e.target
-            return self._into_temp(cast, cur, e.line)
-        raise UnsupportedConstruct(f"expression {type(e).__name__}", getattr(e, "line", 0))
+            out = CastExpr(e.target, operand, e.line)
+        else:
+            return None
+        out.ctype = e.target if isinstance(e, CastExpr) else e.ctype
+        return out, cur
 
     def place(self, e: Expr, cur: int) -> tuple[Expr, int]:
         """Lower an lvalue to a store/load place with atomic sub-expressions."""
         if isinstance(e, Name):
             return self._renamed(e), cur
-        if isinstance(e, Index):
-            base, cur = self.atom(e.base, cur)
-            index, cur = self.atom(e.index, cur)
-            out = Index(base, index, e.line)
-            out.ctype = e.ctype
-            return out, cur
-        if isinstance(e, Un) and e.op == "*":
-            operand, cur = self.atom(e.operand, cur)
-            out = Un("*", operand, e.line)
-            out.ctype = e.ctype
-            return out, cur
+        if isinstance(e, Index) or isinstance(e, Un) and e.op == "*":
+            formed = self._operation(e, cur)
+            assert formed is not None
+            return formed
         if isinstance(e, Member):
             if isinstance(e.base, Name) and not e.arrow:
                 base: Expr = self._renamed(e.base)
@@ -616,32 +605,7 @@ class _Lowerer:
 
     def rvalue(self, e: Expr, cur: int, want: CType) -> tuple[Expr, int]:
         """One-operator right-hand side (deeper trees spill through temps)."""
-        if isinstance(e, Bin) and e.op not in ("&&", "||"):
-            lhs, cur = self.atom(e.lhs, cur)
-            rhs, cur = self.atom(e.rhs, cur)
-            out = Bin(e.op, lhs, rhs, e.line)
-            out.ctype = e.ctype
-            return out, cur
-        if isinstance(e, Un) and e.op in ("-", "~", "!", "*", "&"):
-            if e.op == "&":
-                inner, cur = self.place(e.operand, cur)
-            else:
-                inner, cur = self.atom(e.operand, cur)
-            out = Un(e.op, inner, e.line)
-            out.ctype = e.ctype
-            return out, cur
-        if isinstance(e, Index):
-            base, cur = self.atom(e.base, cur)
-            index, cur = self.atom(e.index, cur)
-            out = Index(base, index, e.line)
-            out.ctype = e.ctype
-            return out, cur
-        if isinstance(e, CastExpr):
-            operand, cur = self.atom(e.operand, cur)
-            out = CastExpr(e.target, operand, e.line)
-            out.ctype = e.target
-            return out, cur
-        return self.atom(e, cur)
+        return self._operation(e, cur) or self.atom(e, cur)
 
     def _lower_update(self, e: Update, cur: int, want_value: bool
                       ) -> tuple[Expr | None, int]:

@@ -18,6 +18,13 @@ answer and the requirement follow-up, is first offered the model of the
 last search as a hint, which ``solve`` returns only if it verifies. The
 prefix scan after an unsat answer checks each branch segment once under
 that model and calls ``solve`` only at the first prefix it does not solve.
+
+In smtlib-out mode each constraint the loop solves is first exported, and
+an external answer to it is admitted by the same hint rule
+(``solver.hinted_model``); an answer it rejects is searched instead. A
+replay divergence on a trace that symex modelled only approximately prunes
+the branch as undecided; on an exact trace it counts toward the cap of
+divergences that ends the function in an error.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .harness import (
 )
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
 from .smtlib import export_smtlib, parse_model_file
-from .solver import Model, SolveResult, model_fits, solve, verify_model
+from .solver import Model, SolveResult, hinted_model, model_fits, solve
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
 from .symex import Checkpoint, Layout, PathState, interpret
@@ -83,70 +90,24 @@ class FunctionOutcome:
 
 
 class _SmtExporter:
-    """smtlib-out mode: write each constraint, look for an answered model."""
+    """smtlib-out mode: write each constraint; an answer file is a hint."""
 
-    def __init__(self, config: Config, fn_name: str, regions):
-        self.config = config
-        self.fn_name = fn_name
-        self.regions = regions
-        self.counter = 0
+    def __init__(self, out_dir: str, fn_name: str):
+        self.prefix = os.path.join(out_dir, fn_name)
         self.files: list[str] = []
 
     def consult(self, constraint: con.Constraint) -> Model | None:
-        self.counter += 1
-        base = os.path.join(self.config.out_dir,
-                            f"{self.fn_name}_{self.counter}.smt2")
-        write_atomically(base, export_smtlib(constraint))
-        self.files.append(base)
-        model_path = base[:-5] + ".model"
-        deadline = time.monotonic() + self.config.smtlib_wait_ms / 1000.0
-        while True:
-            if os.path.exists(model_path):
-                with open(model_path, "r", encoding="utf-8") as fh:
-                    values = parse_model_file(fh.read())
-                model = Model(values)
-                if _external_model_ok(constraint, model, self.regions,
-                                      self.config.ptr_array_size):
-                    return model
-                return None
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(0.05)
-
-
-def _external_model_ok(constraint: con.Constraint, model: Model, regions,
-                       default_dim: int) -> bool:
-    """Sanity for models produced outside the built-in solver.
-
-    Pointer bases must be null (offset 0), a type-compatible known region
-    with an in-range offset, or an unknown id, which later materializes as
-    a fresh auto-generated array of the configured size.
-    """
-    for name, fs in constraint.free.items():
-        if name not in model.values:
-            return False
-        if fs.role.value != "pointer-base":
-            continue
-        base = int(model.values[name])
-        ptr_name = name.removesuffix("@baseAddress")
-        off = int(model.values.get(fs.paired_offset or "", 0)) \
-            if fs.paired_offset else 0
-        if base == 0:
-            if off != 0:
-                return False
-            continue
-        region = regions.by_id.get(base)
-        if region is None:
-            if not 0 <= off < default_dim:
-                return False
-            continue
-        ps = regions.pointer_inputs.get(ptr_name)
-        pointee = ps.pointee if ps is not None else None
-        if pointee is not None and region.elem_type != pointee:
-            return False
-        if not region.is_input or not 0 <= off < max(region.dim, 1):
-            return False
-    return verify_model(constraint, model)
+        """The answer in <fn>_<n>.model, if there is one and it solves the
+        constraint within the domains the built-in search starts from."""
+        path = f"{self.prefix}_{len(self.files) + 1}.smt2"
+        write_atomically(path, export_smtlib(constraint))
+        self.files.append(path)
+        model_path = path[:-5] + ".model"
+        if not os.path.exists(model_path):
+            return None
+        with open(model_path, "r", encoding="utf-8") as fh:
+            values = parse_model_file(fh.read(), constraint.free)
+        return hinted_model(constraint, Model(values))
 
 
 @dataclass
@@ -174,18 +135,13 @@ class _Session:
         try:
             anns = extract_annotations(self.fn)
             cfg = lower(self.unit, self.fn)
-            targets = enumerate_coverage_targets(cfg, "c1")
-            coverage = CoverageState(targets)
+            coverage = CoverageState(enumerate_coverage_targets(cfg, "c1"))
             layout = Layout(self.unit, self.fn, cfg, anns, self.config)
             out.cfg, out.anns, out.layout, out.coverage = cfg, anns, layout, coverage
             self._generate(out)
             self._missing_tag_pass(out)
-            report_targets = enumerate_coverage_targets(cfg, self.config.coverage)
-            out.criterion_complete = CoverageState(
-                report_targets, coverage.final_nodes, coverage.final_edges
-            ).complete_for(self.config.coverage)
-            out.report = build_report(cfg, coverage, out.test_cases,
-                                      self.config.coverage)
+            out.criterion_complete = coverage.complete_for(self.config.coverage)
+            out.report = build_report(cfg, coverage, out.test_cases)
             out.stub_specs = build_stub_specs(out.test_cases, layout)
         except CunitgenError as exc:
             out.status = "error"
@@ -204,7 +160,7 @@ class _Session:
         cfg, anns, layout, coverage = out.cfg, out.anns, out.layout, out.coverage
         assert cfg and anns is not None and layout and coverage is not None
         tree = Stct(cfg, coverage, self.config.max_depth)
-        exporter = _SmtExporter(self.config, self.fn.name, layout.regions) \
+        exporter = _SmtExporter(self.config.out_dir, self.fn.name) \
             if self.config.solver == "smtlib-out" else None
         if not coverage.targets:
             # nothing to cover (an empty body) still yields one test case
@@ -266,7 +222,11 @@ class _Session:
                     if not self._accept(out, trace, state, model):
                         coverage.clear_pending()
                         active = None
-                        if len(out.divergences) >= _MAX_DIVERGENCES:
+                        if state.flags.approximate:
+                            # symex did not model this trace exactly, so the
+                            # model may not drive it: its branch stays undecided
+                            self._give_up_on(trace, coverage, tree, None, "unknown")
+                        elif len(out.divergences) >= _MAX_DIVERGENCES:
                             raise ReplayDivergence(
                                 "; ".join(out.divergences[-_MAX_DIVERGENCES:]))
                         continue
@@ -319,7 +279,9 @@ class _Session:
                 len(out.test_cases), trace, state, model.values,
                 out.cfg, out.layout, out.anns)
         except ReplayDivergence as exc:
-            out.divergences.append(f"{type(exc).__name__}: {exc}")
+            # on an exact trace a divergence is a soundness bug
+            if not state.flags.approximate:
+                out.divergences.append(f"{type(exc).__name__}: {exc}")
             self.say(f"test case dropped: {exc}")
             return False
         out.test_cases.append(tc)

@@ -91,38 +91,39 @@ class InputCell:
     value: Value
 
 
+def pointer_value(regions: RegionTable, model: dict[str, int | float],
+                  name: str) -> CPtr:
+    """The value of pointer input name under model, at the model's offset or
+    0. Base 0 is null, and a base the model leaves out is the pointer's own
+    fresh region. Every other base is one of the pointer's candidates, the
+    domain a model must lie in, so it names a region."""
+    ps = regions.pointer_inputs[name]
+    base = int(model.get(ps.base.name, ps.fresh_region.base_id))
+    if base == NULL_BASE:
+        return CPtr(0, 0)
+    return CPtr(regions.by_id[base].base_id, int(model.get(ps.offset.name, 0)))
+
+
 def input_cells(regions: RegionTable, model: dict[str, int | float]) -> list[InputCell]:
     """The memory a test case starts from under model.
 
     Pointer variables come first, in the order their inputs were made, then
     every other cell read during interpretation, in the order of first read.
     A scalar cell the model leaves out starts at zero and is not listed. A
-    pointer cell always is, at the model's offset or 0. Base 0 is null; a
-    base the model leaves out is the pointer's own fresh region, and one
-    that names no region is the fresh region of the first pointer with it.
+    pointer cell always is, with its ``pointer_value``.
     """
-    stand_ins: dict[int, Region] = {}  # base naming no region -> its region
-
-    def pointer(name: str) -> CPtr:
-        ps = regions.pointer_inputs[name]
-        base = int(model.get(ps.base.name, ps.fresh_region.base_id))
-        if base == NULL_BASE:
-            return CPtr(0, 0)
-        region = regions.by_id.get(base) or stand_ins.setdefault(base, ps.fresh_region)
-        return CPtr(region.base_id, int(model.get(ps.offset.name, 0)))
-
     cells: list[InputCell] = []
     for name in regions.pointer_inputs:
         region = regions.by_name.get(name)
         if region is not None:
             cells.append(InputCell(name, region, 0, None, region.elem_type,
-                                   pointer(name)))
+                                   pointer_value(regions, model, name)))
     listed = {cell.name for cell in cells}
     for (base_id, byte_off, b0, b1), sym in regions.cell_syms.items():
         if sym.name in listed:
             continue
         if isinstance(sym.ctype, PointerType):
-            value: Value = pointer(sym.name)
+            value: Value = pointer_value(regions, model, sym.name)
         elif sym.name in model:
             value = model[sym.name]
         else:

@@ -4,13 +4,19 @@ Integers map to fixed-width bit-vectors, floats to IEEE FloatingPoint
 sorts. Symbol names are emitted as quoted symbols |...| which makes the
 escaping trivially reversible (our names never contain pipes or
 backslashes). Every conjunct becomes one assertion, in order, including
-conjuncts that have folded to literal true; the text ends in (check-sat)
-and (get-model).
+conjuncts that have folded to literal true. Then the domains the built-in
+search starts from follow, one assertion for each symbol where that domain
+is narrower than the sort: a pointer base is one of its candidate regions
+(null included), an offset lies in [0, dim). The text therefore states the
+problem the built-in solver decides, and ends in (check-sat) and
+(get-model).
 
 parse_smtlib() reads back the subset this module emits and rebuilds an
 equisatisfiable constraint, which is what the round-trip tests check.
 Model files for the smtlib-out solver mode use a line-oriented
-name = value format, parsed by parse_model_file().
+name = value format, parsed by parse_model_file(). The pipeline reads each
+value by its symbol's sort and offers the answer to the solver as a hint,
+so an answer is used only where ``solver.model_fits`` admits it.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import struct
 
 from .constraints import Constraint, FreeSymbol
+from .errors import CunitgenError
+from .solver import narrowed_domain
 from .symexpr import (
     BinOp,
     Cast,
@@ -47,7 +55,7 @@ _FP_OPS = {
 }
 
 
-class SmtError(Exception):
+class SmtError(CunitgenError):
     pass
 
 
@@ -182,22 +190,36 @@ def _split_conjunction(e: SymExpr) -> list[SymExpr]:
     return [e]
 
 
+def _domain_text(fs: FreeSymbol, domain: list[int] | tuple[int, int]) -> str:
+    """The start domain of a symbol: its candidate values, or a range."""
+    assert isinstance(fs.ctype, IntType)
+    x = _quote(fs.name)
+    if isinstance(domain, list):
+        values = " ".join(f"(= {x} {_bv_literal(v, fs.ctype.width)})" for v in domain)
+        return f"(or {values})"
+    le = "bvsle" if fs.ctype.signed else "bvule"
+    lo, hi = (_bv_literal(v, fs.ctype.width) for v in domain)
+    return f"(and ({le} {lo} {x}) ({le} {x} {hi}))"
+
+
 def export_smtlib(constraint: Constraint) -> str:
-    """Deterministic SMT-LIB2 text with one assertion per conjunct."""
+    """Deterministic SMT-LIB2 text: one assertion per conjunct, then one per
+    declared symbol whose start domain in the search is narrower than its
+    sort (``solver.narrowed_domain``)."""
     asserts: list[SymExpr] = []
     for c in constraint.conjuncts:
         asserts.extend(_split_conjunction(c))
     has_int = False
     has_float = False
     decls: list[str] = []
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # declared names, in order
     from .symexpr import free_symbols
 
     for c in asserts:
         for s in free_symbols(c):
             if s.name in seen:
                 continue
-            seen.add(s.name)
+            seen[s.name] = None
             decls.append(f"(declare-fun {_quote(s.name)} () {_sort_text(s.ctype)})")
             if isinstance(s.ctype, FloatType):
                 has_float = True
@@ -213,6 +235,11 @@ def export_smtlib(constraint: Constraint) -> str:
     lines.extend(decls)
     for c in asserts:
         lines.append(f"(assert {_expr_text(c)})")
+    for name in seen:
+        fs = constraint.free.get(name)
+        domain = narrowed_domain(fs) if fs is not None else None
+        if domain is not None:
+            lines.append(f"(assert {_domain_text(fs, domain)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
@@ -442,8 +469,14 @@ def _fp_from_bits(sexp) -> float:
     return struct.unpack(">d", struct.pack(">Q", bits))[0]
 
 
-def parse_model_file(text: str) -> dict[str, int | float]:
-    """Read the documented name = value model format."""
+def parse_model_file(text: str, free: dict[str, FreeSymbol] | None = None
+                     ) -> dict[str, int | float]:
+    """Read the documented name = value model format.
+
+    Each value is read by the sort of its symbol in free: a float symbol's
+    as a float whatever its spelling ("f = 2" is 2.0), any other's as an
+    integer where the text is one.
+    """
     out: dict[str, int | float] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -453,12 +486,22 @@ def parse_model_file(text: str) -> dict[str, int | float]:
             raise SmtError(f"malformed model line: {raw!r}")
         name, _, value = line.partition("=")
         name = name.strip()
-        value = value.strip()
+        fs = (free or {}).get(name)
         try:
-            out[name] = int(value, 0)
+            out[name] = _model_value(value.strip(), fs is not None
+                                     and isinstance(fs.ctype, FloatType))
         except ValueError:
-            try:
-                out[name] = float.fromhex(value)
-            except ValueError:
-                out[name] = float(value)
+            raise SmtError(f"malformed model value: {raw!r}") from None
     return out
+
+
+def _model_value(text: str, is_float: bool) -> int | float:
+    if not is_float:
+        try:
+            return int(text, 0)
+        except ValueError:
+            pass
+    try:
+        return float(text)
+    except ValueError:
+        return float.fromhex(text)

@@ -66,9 +66,6 @@ _CMP = ("<", "<=", ">", ">=", "==", "!=")
 class Model:
     values: dict[str, int | float] = field(default_factory=dict)
 
-    def get(self, name: str, default: int | float = 0) -> int | float:
-        return self.values.get(name, default)
-
 
 @dataclass
 class SolveResult:
@@ -1078,6 +1075,19 @@ def _in_start_domain(fs: FreeSymbol, v: int | float | None) -> bool:
     return isinstance(v, int) and dom.contains(v)
 
 
+def narrowed_domain(fs: FreeSymbol) -> list[int] | tuple[int, int] | None:
+    """The domain the search starts from for fs where it is narrower than
+    fs's sort: a pointer base's candidate ids, or an offset's inclusive
+    (lo, hi) range. None where the sort is the domain."""
+    dom = _initial_domain(fs)
+    if isinstance(dom, _SetDomain):
+        return list(dom.values)
+    if isinstance(dom, _IntDomain) and isinstance(fs.ctype, IntType) \
+            and (dom.lo, dom.hi) != (fs.ctype.min_value(), fs.ctype.max_value()):
+        return dom.lo, dom.hi
+    return None
+
+
 def model_fits(model: Model, free: dict[str, FreeSymbol],
                conjuncts: list[SymExpr]) -> bool:
     """The hint rule: each symbol of free has a value in the domain the
@@ -1095,8 +1105,11 @@ def model_fits(model: Model, free: dict[str, FreeSymbol],
     return True
 
 
-def _hinted_model(constraint: Constraint, hint: Model) -> Model | None:
-    """The hint's values for the constraint's free symbols, if they solve it."""
+def hinted_model(constraint: Constraint, hint: Model) -> Model | None:
+    """The hint's values for the constraint's free symbols, if they solve it.
+
+    This is the one rule that admits a model no search found: an earlier
+    answer's, or an external solver's."""
     model = Model({name: hint.values[name] for name in constraint.free
                    if name in hint.values})
     return model if model_fits(model, constraint.free, constraint.conjuncts) else None
@@ -1118,7 +1131,7 @@ def solve(constraint: Constraint, max_nodes: int = 10000,
     full rounds.
     """
     if hint is not None:
-        model = _hinted_model(constraint, hint)
+        model = hinted_model(constraint, hint)
         if model is not None:
             return SolveResult("sat", model)
     return _Solver(constraint, max_nodes).run()

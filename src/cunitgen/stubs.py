@@ -24,7 +24,7 @@ from .frontend.writer import decl_text, type_text
 from .imr import ICall
 from .memory import Place, byte_offset
 from .replay import StubCallValues
-from .symexpr import Const, Ptr, Role, Sym, SymExpr
+from .symexpr import Const, Ptr, Role, Sym
 from .typesys import (
     INT,
     UINT,
@@ -107,16 +107,14 @@ def intercept_call(state, interp, instr: ICall) -> None:
     # the return value
     if instr.result is not None and not isinstance(sig.return_type, VoidType):
         ret = return_symbol(callee, k, sig.return_type)
-        ret_value: SymExpr = ret
         if isinstance(sig.return_type, PointerType):
-            state.flags.mark(f"{callee} returns a pointer; modeled as unconstrained")
-            ps = layout.regions.pointer_input(f"{callee}@RETURN@{k}", sig.return_type)
-            ret_value = Ptr(ps.base, ps.offset, sig.return_type)
-            event.ret = None
+            # a pointer input of its own: any of its base candidates, or null
+            ps = layout.regions.pointer_input(ret.name, sig.return_type)
+            event.ret = Ptr(ps.base, ps.offset, sig.return_type)
         else:
             event.ret = ret
         place = interp.resolve_place(instr.result)
-        interp.write(place, ret_value, instr.line)
+        interp.write(place, event.ret, instr.line)
 
     # an annotated prototype may constrain the stub's behaviour
     if policy.posts:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -378,6 +379,35 @@ int f(int x)
 }
 """
 
+# a stub that returns a pointer: null, or a pointer into an array of its own
+POINTER_FROM_A_STUB = """\
+#include "rtt_annotations.h"
+int *lookup(int k);
+int f(int k)
+{
+    __rtt_postcondition(__rtt_return == 0);
+    int *p = lookup(k);
+    if (p == 0) return -1;
+    if (*p > 3) return 1;
+    return 0;
+}
+"""
+
+# symex reads g.i as a fresh symbol, not as the bits of 1.5f, so a model for
+# the false side need not take it
+UNION_REINTERPRETED = """\
+#include "rtt_annotations.h"
+union u { int i; float f; };
+union u g;
+int h(int x)
+{
+    __rtt_postcondition(__rtt_return == 1);
+    g.f = 1.5f;
+    if (g.i > x) return 1;
+    return 0;
+}
+"""
+
 
 class TestPointerInputsAndLocals:
     def check(self, tmp_path, name: str, text: str, stubs: list[str],
@@ -409,7 +439,39 @@ class TestPointerInputsAndLocals:
         self.check(tmp_path, "m", POINTER_TO_SCALAR_GLOBAL, [])
         # p can only name g or its own array, never the parameter q, so the
         # store through p leaves the read of q exact
-        assert "(approximate)" not in (tmp_path / "gen" / "m_coverage.txt").read_text()
+        assert "(approximate" not in (tmp_path / "gen" / "m_coverage.txt").read_text()
+
+    def test_pointer_returned_by_a_stub(self, tmp_path):
+        self.check(tmp_path, "f", POINTER_FROM_A_STUB, ["lookup"])
+        out = tmp_path / "gen"
+        assert "branch coverage: 4/4" in (out / "f_coverage.txt").read_text()
+        driver = (out / "f_driver.c").read_text()
+        assert "lookup_STUB_retVal[0] = lookup_RETURN_0__autogen_array;" in driver
+        assert "lookup_RETURN_0__autogen_array[0] = " in driver
+
+    def test_annotated_stub_constrains_its_pointer(self, tmp_path):
+        # the prototype's postcondition is about the returned pointer itself
+        src = tmp_path / "f.c"
+        src.write_text(POINTER_FROM_A_STUB.replace(
+            "int *lookup(int k);",
+            "int *lookup(int k) { __rtt_postcondition(__rtt_return != 0); }"))
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--out-dir", str(out), "-q"]) == 2
+        report = (out / "f_coverage.txt").read_text()
+        assert "branch coverage: 3/4" in report
+        assert "[p == 0]: infeasible-proven" in report
+
+    def test_divergence_on_an_approximate_trace(self, tmp_path):
+        src = tmp_path / "h.c"
+        src.write_text(UNION_REINTERPRETED)
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--out-dir", str(out), "-q"]) == 2
+        report = (out / "h_coverage.txt").read_text()
+        assert "test cases:      1" in report
+        assert "[!(__t0 > x)]: budget-exhausted" in report
+        assert "(approximate: reinterpret float as int)" in report
+        exe = compile_c(str(out), [str(out / "h_driver.c"), str(src)])
+        assert run_exe(exe)[0] == 0
 
     def test_pointer_stored_in_an_array(self, tmp_path):
         self.check(tmp_path, "f", POINTER_IN_ARRAY, [])
@@ -533,12 +595,37 @@ class TestSmtlibOut:
             assert "(check-sat)" in text
             parse_smtlib(text)  # well-formed for the emitted subset
 
-    def test_external_model_answer_used(self, tmp_path):
-        # pre-answer the first constraint: the generator must accept the
-        # model from the file instead of solving on its own
+    def test_external_model_answer_used(self, tmp_path, capsys):
+        # pre-answer the first constraint within the domains it states: the
+        # generator uses the model from the file instead of searching
+        out = tmp_path / "gen"
+        assert run_cli([data_path("table1.c"), "--solver", "smtlib-out",
+                        "--out-dir", str(out), "-q"]) == 0
+        candidates = exported_candidates((out / "test_1.smt2").read_text())
+        base = candidates["p1@baseAddress"][0]  # p1's own array
+        (out / "test_1.model").write_text(
+            f"p1@baseAddress = {base}\n"
+            f"p2@baseAddress = {base}\n"
+            "p1@offset = 2\n"
+            "p2@offset = 9\n"
+        )
+        capsys.readouterr()
+        code = run_cli([data_path("table1.c"), "--solver", "smtlib-out",
+                        "--out-dir", str(out), "-v"])
+        assert code == 0
+        assert "sat (0 search nodes, external model)" in capsys.readouterr().out
+        text = (out / "test_driver.c").read_text().split("/* test case 1")[0]
+        assert "p1 = p1__autogen_array;" in text
+        assert "p2 = p1__autogen_array;" in text
+        assert "p1__autogen_offset = 2U;" in text
+        assert "p2__autogen_offset = 9U;" in text
+        exe = compile_c(str(out), [str(out / "test_driver.c"), data_path("table1.c")])
+        assert run_exe(exe)[0] == 0
+
+    def test_answer_outside_the_domains_is_searched(self, tmp_path, capsys):
+        # 3000000000 names no region: no candidate of either base
         out = tmp_path / "gen"
         out.mkdir()
-        # an id the generator has never seen: a fresh shared array appears
         (out / "test_1.model").write_text(
             "p1@baseAddress = 3000000000\n"
             "p2@baseAddress = 3000000000\n"
@@ -546,8 +633,40 @@ class TestSmtlibOut:
             "p2@offset = 9\n"
         )
         code = run_cli([data_path("table1.c"), "--solver", "smtlib-out",
-                        "--out-dir", str(out), "-q"])
+                        "--out-dir", str(out), "-v"])
         assert code == 0
-        text = (out / "test_driver.c").read_text()
-        assert "p1__autogen_offset = 2U;" in text
-        assert "p2__autogen_offset = 9U;" in text
+        assert "external model" not in capsys.readouterr().out
+        exe = compile_c(str(out), [str(out / "test_driver.c"), data_path("table1.c")])
+        assert run_exe(exe)[0] == 0
+
+    def test_integer_text_answers_a_float(self, tmp_path, capsys):
+        src = tmp_path / "g.c"
+        src.write_text("int g(float f) { if (f > 1.5f) return 1; return 0; }\n")
+        out = tmp_path / "gen"
+        out.mkdir()
+        (out / "g_1.model").write_text("f = 2\n")
+        code = run_cli([str(src), "--solver", "smtlib-out", "--out-dir", str(out), "-v"])
+        assert code == 0
+        assert "external model" in capsys.readouterr().out
+        assert "f = 2.0f;" in (out / "g_driver.c").read_text()
+
+    def test_malformed_answer_is_a_diagnostic(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        out.mkdir()
+        (out / "test_1.model").write_text("p1@offset = two\n")
+        code = run_cli([data_path("table1.c"), "--solver", "smtlib-out",
+                        "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [test]: malformed model value")
+        assert "Traceback" not in err
+
+
+def exported_candidates(text: str) -> dict[str, list[int]]:
+    """Each pointer base's candidate ids, from the domain assertions of text."""
+    out: dict[str, list[int]] = {}
+    for line in text.splitlines():
+        if line.startswith("(assert (or (= |") and "@baseAddress|" in line:
+            name = line.split("|")[1]
+            out[name] = [int(v) for v in re.findall(r"\(_ bv(\d+) 32\)", line)]
+    return out

@@ -1,10 +1,16 @@
 """SMT-LIB2 export and re-import tests."""
 
+import os
+import re
+
 import pytest
+from conftest import data_path
+
+from cunitgen.cli import main
 
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.smtlib import export_smtlib, parse_model_file, parse_smtlib
-from cunitgen.solver import solve
+from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Role, Sym, mk_binop, mk_cast, mk_range
 from cunitgen.typesys import DOUBLE, INT, SCHAR, UINT
 
@@ -103,10 +109,44 @@ class TestRoundTrip:
 
     def test_table1_roundtrip(self):
         c = table1_constraint()
-        # candidate domains do not survive the text, so give the reparsed
-        # form plain integer symbols; satisfiability must still agree
+        c.free["p1@baseAddress"].candidates = [2147483648, 2147483649, 0]
+        c.free["p2@baseAddress"].candidates = [2147483649, 2147483648, 0]
+        # the candidate domains survive the text as assertions, so the
+        # reparsed form, whose bases are plain integers, solves within them
+        # and no longer admits a base that names no region
         reparsed = parse_smtlib(export_smtlib(c))
-        assert solve(reparsed).status == "sat"
+        result = solve(reparsed)
+        assert result.status == "sat"
+        assert result.model.values["p1@baseAddress"] % 2**32 in (2147483648, 2147483649, 0)
+        outside = {"p1@baseAddress": -1294967296, "p2@baseAddress": -1294967296,
+                   "p1@offset": 2, "p2@offset": 9}  # bases 3000000000 as int32
+        assert not verify_model(reparsed, Model(outside))
+
+    def test_table1_unit_exports_the_start_domains(self, tmp_path):
+        # every exported constraint states each base's candidates and each
+        # offset's range; the reparsed text solves with a candidate base
+        assert main([data_path("table1.c"), "--solver", "smtlib-out",
+                     "--out-dir", str(tmp_path), "-q"]) == 0
+        names = sorted(p for p in os.listdir(tmp_path) if p.endswith(".smt2"))
+        assert names
+        for name in names:
+            text = (tmp_path / name).read_text()
+            lines = text.splitlines()
+            candidates = {}
+            for pointer in ("p1", "p2"):
+                base = f"|{pointer}@baseAddress|"
+                choices = [ln for ln in lines if ln.startswith(f"(assert (or (= {base} ")]
+                assert len(choices) == 1
+                candidates[pointer] = [int(v) for v in
+                                       re.findall(r"\(_ bv(\d+) 32\)", choices[0])]
+                assert len(candidates[pointer]) == 3 and candidates[pointer][-1] == 0
+                offset = f"|{pointer}@offset|"
+                assert lines.count(f"(assert (and (bvule (_ bv0 32) {offset}) "
+                                   f"(bvule {offset} (_ bv9 32))))") == 1
+            result = solve(parse_smtlib(text))
+            assert result.status == "sat"
+            for pointer, ids in candidates.items():
+                assert result.model.values[f"{pointer}@baseAddress"] % 2**32 in ids
 
 
 class TestModelFile:
