@@ -41,7 +41,6 @@ from .replay import (
 from .stct import CoverageState, Trace
 from .stubs import StubSpec, c_literal, control_names
 from .symex import Layout, PathState
-from .symexpr import Ptr
 from .typesys import (
     ArrayType,
     PointerType,
@@ -123,11 +122,10 @@ def _stub_schedule(state: PathState, model: dict, regions: RegionTable
         while len(calls) <= event.k:
             calls.append(StubCallValues())
         call = calls[event.k]
-        if isinstance(event.ret, Ptr):
-            ps = regions.pointer_of_base(event.ret.base)
-            call.ret = pointer_value(regions, model, ps.name)
-        elif event.ret is not None:
-            call.ret = model.get(event.ret.name, 0)
+        ret = event.ret
+        if ret is not None:
+            call.ret = pointer_value(regions, model, ret.name) \
+                if ret.name in regions.pointer_inputs else model.get(ret.name, 0)
         for i, sym, _target in event.outs:
             call.outs[i] = model.get(sym.name, 0)
         for gname, sym in event.globals_written:

@@ -23,8 +23,8 @@ In smtlib-out mode each constraint the loop solves is first exported, and
 an external answer to it is admitted by the same hint rule
 (``solver.hinted_model``); an answer it rejects is searched instead. A
 replay divergence on a trace that symex modelled only approximately prunes
-the branch as undecided; on an exact trace it counts toward the cap of
-divergences that ends the function in an error.
+the branch the trace was selected for as undecided; any other counts
+toward the cap of divergences that ends the function in an error.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class FunctionOutcome:
 class _SmtExporter:
     """smtlib-out mode: write each constraint; an answer file is a hint."""
 
-    def __init__(self, out_dir: str, fn_name: str):
+    def __init__(self, out_dir: str, fn_name: str, files: list[str]):
         self.prefix = os.path.join(out_dir, fn_name)
-        self.files: list[str] = []
+        self.files = files  # the paths written so far
 
     def consult(self, constraint: con.Constraint) -> Model | None:
         """The answer in <fn>_<n>.model, if there is one and it solves the
@@ -160,7 +160,7 @@ class _Session:
         cfg, anns, layout, coverage = out.cfg, out.anns, out.layout, out.coverage
         assert cfg and anns is not None and layout and coverage is not None
         tree = Stct(cfg, coverage, self.config.max_depth)
-        exporter = _SmtExporter(self.config.out_dir, self.fn.name) \
+        exporter = _SmtExporter(self.config.out_dir, self.fn.name, out.smt_files) \
             if self.config.solver == "smtlib-out" else None
         if not coverage.targets:
             # nothing to cover (an empty body) still yields one test case
@@ -170,8 +170,6 @@ class _Session:
                 result = self._solve(con.conjoin(state), exporter)
                 if result.status == "sat" and result.model is not None:
                     self._accept(out, trace, state, result.model)
-            if exporter is not None:
-                out.smt_files = exporter.files
             return
         verbose = self.config.verbose
         active: Trace | None = None
@@ -222,9 +220,11 @@ class _Session:
                     if not self._accept(out, trace, state, model):
                         coverage.clear_pending()
                         active = None
-                        if state.flags.approximate:
+                        if state.flags.approximate and trace.conditional_positions():
                             # symex did not model this trace exactly, so the
-                            # model may not drive it: its branch stays undecided
+                            # model may not drive it: no soundness bug, and
+                            # the branch it was selected for stays undecided
+                            out.divergences.pop()
                             self._give_up_on(trace, coverage, tree, None, "unknown")
                         elif len(out.divergences) >= _MAX_DIVERGENCES:
                             raise ReplayDivergence(
@@ -248,8 +248,6 @@ class _Session:
                 active = self._give_up_on(trace, coverage, tree, active, "unknown")
         else:
             coverage.stopped = "iteration-bound"
-        if exporter is not None:
-            out.smt_files = exporter.files
         if self.config.dump_stct:
             out.stct_dump = tree.dump()
 
@@ -279,9 +277,7 @@ class _Session:
                 len(out.test_cases), trace, state, model.values,
                 out.cfg, out.layout, out.anns)
         except ReplayDivergence as exc:
-            # on an exact trace a divergence is a soundness bug
-            if not state.flags.approximate:
-                out.divergences.append(f"{type(exc).__name__}: {exc}")
+            out.divergences.append(f"{type(exc).__name__}: {exc}")
             self.say(f"test case dropped: {exc}")
             return False
         out.test_cases.append(tc)

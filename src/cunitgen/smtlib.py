@@ -6,9 +6,10 @@ escaping trivially reversible (our names never contain pipes or
 backslashes). Every conjunct becomes one assertion, in order, including
 conjuncts that have folded to literal true. Then the domains the built-in
 search starts from follow, one assertion for each symbol where that domain
-is narrower than the sort: a pointer base is one of its candidate regions
-(null included), an offset lies in [0, dim). The text therefore states the
-problem the built-in solver decides, and ends in (check-sat) and
+is narrower than the sort: an offset lies in [0, dim), and a pointer base
+is one of its candidate regions (null included), each with its offset in
+that region ([0, dim) of the region, 0 for null). The text therefore states
+the problem the built-in solver decides, and ends in (check-sat) and
 (get-model).
 
 parse_smtlib() reads back the subset this module emits and rebuilds an
@@ -25,8 +26,10 @@ import struct
 
 from .constraints import Constraint, FreeSymbol
 from .errors import CunitgenError
-from .solver import narrowed_domain
+from .solver import narrowed_domain, paired_range
 from .symexpr import (
+    FALSE,
+    TRUE,
     BinOp,
     Cast,
     Const,
@@ -36,6 +39,8 @@ from .symexpr import (
     Sym,
     SymExpr,
     UnOp,
+    free_symbols,
+    negate,
 )
 from .typesys import BOOL, DOUBLE, FLOAT, FloatType, IntType, UINT, wrap_int
 
@@ -190,16 +195,21 @@ def _split_conjunction(e: SymExpr) -> list[SymExpr]:
     return [e]
 
 
-def _domain_text(fs: FreeSymbol, domain: list[int] | tuple[int, int]) -> str:
-    """The start domain of a symbol: its candidate values, or a range."""
+def _domain_text(fs: FreeSymbol, domain: list[int] | tuple[int, int],
+                 offset: FreeSymbol | None = None) -> str:
+    """The start domain of a symbol: a range, or its candidate values, each
+    with the range it bounds offset to (``solver.paired_range``)."""
     assert isinstance(fs.ctype, IntType)
     x = _quote(fs.name)
-    if isinstance(domain, list):
-        values = " ".join(f"(= {x} {_bv_literal(v, fs.ctype.width)})" for v in domain)
-        return f"(or {values})"
-    le = "bvsle" if fs.ctype.signed else "bvule"
-    lo, hi = (_bv_literal(v, fs.ctype.width) for v in domain)
-    return f"(and ({le} {lo} {x}) ({le} {x} {hi}))"
+    if isinstance(domain, tuple):
+        le = "bvsle" if fs.ctype.signed else "bvule"
+        lo, hi = (_bv_literal(v, fs.ctype.width) for v in domain)
+        return f"(and ({le} {lo} {x}) ({le} {x} {hi}))"
+    choices = [f"(= {x} {_bv_literal(c, fs.ctype.width)})" for c in domain]
+    if offset is not None:
+        choices = [f"(and {is_c} {_domain_text(offset, paired_range(fs, c))})"
+                   for is_c, c in zip(choices, domain)]
+    return f"(or {' '.join(choices)})"
 
 
 def export_smtlib(constraint: Constraint) -> str:
@@ -213,8 +223,6 @@ def export_smtlib(constraint: Constraint) -> str:
     has_float = False
     decls: list[str] = []
     seen: dict[str, None] = {}  # declared names, in order
-    from .symexpr import free_symbols
-
     for c in asserts:
         for s in free_symbols(c):
             if s.name in seen:
@@ -239,7 +247,9 @@ def export_smtlib(constraint: Constraint) -> str:
         fs = constraint.free.get(name)
         domain = narrowed_domain(fs) if fs is not None else None
         if domain is not None:
-            lines.append(f"(assert {_domain_text(fs, domain)})")
+            offset = constraint.free.get(fs.paired_offset) \
+                if fs.paired_offset in seen else None
+            lines.append(f"(assert {_domain_text(fs, domain, offset)})")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
@@ -356,25 +366,16 @@ def _unquote(tok: str) -> str:
 def _expr_from_sexp(sexp, symbols: dict[str, Sym]) -> SymExpr:
     if isinstance(sexp, str):
         if sexp == "true":
-            from .symexpr import TRUE
-
             return TRUE
         if sexp == "false":
-            from .symexpr import FALSE
-
             return FALSE
         name = _unquote(sexp)
         if name in symbols:
             return symbols[name]
         raise SmtError(f"unknown atom {sexp}")
     head = sexp[0]
-    if isinstance(head, list) and head and head[0] == "_":
-        if head[1].startswith("bv"):
-            value = int(head[1][2:])
-            width = int(head[2])
-            t = IntType(width, True, f"int{width}")
-            return Const(wrap_int(value, t), t)
-        raise SmtError(f"indexed constant {head}")
+    if isinstance(head, list):  # an indexed operator: a cast
+        return _cast_from_sexp(head, _expr_from_sexp(sexp[-1], symbols))
     if head == "_":
         value = int(sexp[1][2:])
         width = int(sexp[2])
@@ -383,8 +384,6 @@ def _expr_from_sexp(sexp, symbols: dict[str, Sym]) -> SymExpr:
     if head == "fp":
         return Const(_fp_from_bits(sexp), DOUBLE if len(sexp[2]) - 2 == 11 else FLOAT)
     if head == "not":
-        from .symexpr import negate
-
         return negate(_expr_from_sexp(sexp[1], symbols))
     if head in ("and", "or"):
         op = "&&" if head == "and" else "||"
@@ -398,33 +397,13 @@ def _expr_from_sexp(sexp, symbols: dict[str, Sym]) -> SymExpr:
         a = _expr_from_sexp(sexp[2], symbols)
         b = _expr_from_sexp(sexp[3], symbols)
         return Ite(c, a, b, a.ctype)
-    if head in ("=", "fp.eq"):
+    if head in ("=", "fp.eq", "distinct"):
         a = _expr_from_sexp(sexp[1], symbols)
         b = _expr_from_sexp(sexp[2], symbols)
-        return BinOp("==", a, b, BOOL)
-    if head == "distinct":
+        return BinOp("!=" if head == "distinct" else "==", a, b, BOOL)
+    if head in ("bvneg", "bvnot", "fp.neg"):
         a = _expr_from_sexp(sexp[1], symbols)
-        b = _expr_from_sexp(sexp[2], symbols)
-        return BinOp("!=", a, b, BOOL)
-    if head == "bvneg":
-        a = _expr_from_sexp(sexp[1], symbols)
-        return UnOp("-", a, a.ctype)
-    if head == "bvnot":
-        a = _expr_from_sexp(sexp[1], symbols)
-        return UnOp("~", a, a.ctype)
-    if head == "fp.neg":
-        a = _expr_from_sexp(sexp[1], symbols)
-        return UnOp("-", a, a.ctype)
-    if isinstance(head, list) and head and head[0] == "_" and head[1] in (
-            "extract", "sign_extend", "zero_extend"):
-        a = _expr_from_sexp(sexp[1], symbols)
-        if head[1] == "extract":
-            width = int(head[2]) + 1
-            return Cast(a, IntType(width, True, f"int{width}"))
-        extra = int(head[2])
-        assert isinstance(a.ctype, IntType)
-        width = a.ctype.width + extra
-        return Cast(a, IntType(width, head[1] == "sign_extend", f"int{width}"))
+        return UnOp("~" if head == "bvnot" else "-", a, a.ctype)
     if head in ("fp.add", "fp.sub", "fp.mul", "fp.div"):
         a = _expr_from_sexp(sexp[2], symbols)
         b = _expr_from_sexp(sexp[3], symbols)
@@ -448,6 +427,25 @@ def _expr_from_sexp(sexp, symbols: dict[str, Sym]) -> SymExpr:
             return BinOp(op, a, b, BOOL)
         return BinOp(op, a, b, a.ctype)
     raise SmtError(f"cannot parse {sexp}")
+
+
+def _cast_from_sexp(head: list, a: SymExpr) -> SymExpr:
+    """The cast ``_cast_text`` writes as the indexed operator head on a."""
+    op, n = head[1], int(head[2])
+    if op == "extract":
+        return Cast(a, IntType(n + 1, True, f"int{n + 1}"))
+    if op in ("sign_extend", "zero_extend"):
+        a = _retype_int(a, op == "sign_extend")  # the operand's signedness extends
+        assert isinstance(a.ctype, IntType)
+        return Cast(a, IntType(a.ctype.width + n, True, f"int{a.ctype.width + n}"))
+    if op in ("to_fp", "to_fp_unsigned"):
+        if isinstance(a.ctype, IntType):
+            a = _retype_int(a, op == "to_fp")
+        return Cast(a, FLOAT if n == 8 else DOUBLE)
+    if op in ("fp.to_sbv", "fp.to_ubv"):
+        signed = op == "fp.to_sbv"
+        return Cast(a, IntType(n, signed, f"{'' if signed else 'u'}int{n}"))
+    raise SmtError(f"indexed operator {head}")
 
 
 def _retype_int(e: SymExpr, signed: bool) -> SymExpr:

@@ -430,10 +430,10 @@ class _Solver:
                 continue
             if not fs.paired_offset or fs.paired_offset not in env:
                 continue
-            dim = fs.candidate_dims.get(dom.values[0], 0)
+            plo, phi = paired_range(fs, dom.values[0])
             off = env[fs.paired_offset]
             assert isinstance(off, _IntDomain)
-            lo, hi = max(off.lo, 0), min(off.hi, max(dim - 1, 0))
+            lo, hi = max(off.lo, plo), min(off.hi, phi)
             if lo > hi:
                 raise _Conflict
             if (lo, hi) != (off.lo, off.hi):
@@ -1082,20 +1082,31 @@ def narrowed_domain(fs: FreeSymbol) -> list[int] | tuple[int, int] | None:
     dom = _initial_domain(fs)
     if isinstance(dom, _SetDomain):
         return list(dom.values)
-    if isinstance(dom, _IntDomain) and isinstance(fs.ctype, IntType) \
-            and (dom.lo, dom.hi) != (fs.ctype.min_value(), fs.ctype.max_value()):
+    t = fs.ctype  # a float's domain is None, a bool's its sort
+    if isinstance(t, IntType) and (dom.lo, dom.hi) != (t.min_value(), t.max_value()):
         return dom.lo, dom.hi
     return None
+
+
+def paired_range(fs: FreeSymbol, base: int) -> tuple[int, int]:
+    """The inclusive range of fs's paired offset once fs is base: [0, dim)
+    of the region base names, 0 for null (see ``_pair_offsets``)."""
+    return 0, max(fs.candidate_dims.get(base, 0) - 1, 0)
 
 
 def model_fits(model: Model, free: dict[str, FreeSymbol],
                conjuncts: list[SymExpr]) -> bool:
     """The hint rule: each symbol of free has a value in the domain the
-    search starts from, and each conjunct evaluates true under the model."""
+    search starts from, each offset lies in its base's region
+    (``paired_range``), and each conjunct evaluates true under the model."""
     values = model.values
     for name, fs in free.items():
         if not _in_start_domain(fs, values.get(name)):
             return False
+        if fs.role is Role.PTR_BASE and fs.candidates and fs.paired_offset in values:
+            lo, hi = paired_range(fs, values[name])
+            if not lo <= values[fs.paired_offset] <= hi:
+                return False
     try:
         for c in conjuncts:
             if not evaluate(c, values):

@@ -24,7 +24,7 @@ from .frontend.writer import decl_text, type_text
 from .imr import ICall
 from .memory import Place, byte_offset
 from .replay import StubCallValues
-from .symexpr import Const, Ptr, Role, Sym
+from .symexpr import Const, Ptr, Role, Sym, SymExpr
 from .typesys import (
     INT,
     UINT,
@@ -105,16 +105,16 @@ def intercept_call(state, interp, instr: ICall) -> None:
         event.globals_written.append((gname, sym))
 
     # the return value
+    ret_value: SymExpr | None = None
     if instr.result is not None and not isinstance(sig.return_type, VoidType):
-        ret = return_symbol(callee, k, sig.return_type)
+        event.ret = return_symbol(callee, k, sig.return_type)
+        ret_value = event.ret
         if isinstance(sig.return_type, PointerType):
             # a pointer input of its own: any of its base candidates, or null
-            ps = layout.regions.pointer_input(ret.name, sig.return_type)
-            event.ret = Ptr(ps.base, ps.offset, sig.return_type)
-        else:
-            event.ret = ret
+            ps = layout.regions.pointer_input(event.ret.name, sig.return_type)
+            ret_value = Ptr(ps.base, ps.offset, sig.return_type)
         place = interp.resolve_place(instr.result)
-        interp.write(place, event.ret, instr.line)
+        interp.write(place, ret_value, instr.line)
 
     # an annotated prototype may constrain the stub's behaviour
     if policy.posts:
@@ -124,7 +124,7 @@ def intercept_call(state, interp, instr: ICall) -> None:
         saved_overrides = interp.overrides
         saved_return = interp.return_override
         interp.overrides = overrides
-        interp.return_override = event.ret
+        interp.return_override = ret_value
         try:
             for post in policy.posts:
                 from .symexpr import to_bool

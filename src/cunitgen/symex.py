@@ -179,7 +179,7 @@ class BranchEntry:
 class StubCallEvent:
     callee: str
     k: int
-    ret: Sym | Ptr | None  # a pointer return is a pointer input
+    ret: Sym | None
     outs: list[tuple[int, Sym, SymExpr]]  # (arg index, symbol, target pointer)
     globals_written: list[tuple[str, Sym]]
     line: int

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -33,3 +34,13 @@ def compile_c(workdir: str, sources: list[str], exe: str = "a.out",
 def run_exe(exe: str, args: list[str] | None = None) -> tuple[int, str]:
     proc = subprocess.run([exe, *(args or [])], capture_output=True, text=True)
     return proc.returncode, proc.stdout
+
+
+def exported_candidates(text: str) -> dict[str, list[int]]:
+    """Each pointer base's candidate ids, from the domain assertions of text."""
+    out: dict[str, list[int]] = {}
+    for line in text.splitlines():
+        if line.startswith("(assert (or (and (= |") and "@baseAddress|" in line:
+            name = line.split("|")[1]
+            out[name] = [int(v) for v in re.findall(r"\(= \|[^|]+\| \(_ bv(\d+) 32\)", line)]
+    return out

@@ -3,11 +3,10 @@
 import hashlib
 import json
 import os
-import re
 
 import pytest
 
-from conftest import compile_c, data_path, run_exe
+from conftest import compile_c, data_path, exported_candidates, run_exe
 
 from cunitgen.cli import main
 
@@ -408,6 +407,12 @@ int h(int x)
 }
 """
 
+UNION_INDEX = """\
+union u { int i; float f; };
+union u g;
+int f(int *p) { g.f = 1.5f; return p[g.i + 9]; }
+"""
+
 
 class TestPointerInputsAndLocals:
     def check(self, tmp_path, name: str, text: str, stubs: list[str],
@@ -472,6 +477,18 @@ class TestPointerInputsAndLocals:
         assert "(approximate: reinterpret float as int)" in report
         exe = compile_c(str(out), [str(out / "h_driver.c"), str(src)])
         assert run_exe(exe)[0] == 0
+
+    def test_divergence_with_no_branch_to_prune(self, tmp_path, capsys):
+        # the approximate trace has no branch to leave undecided, so each
+        # divergence counts and the function ends at the cap instead of
+        # replaying the same trace until the iteration bound
+        src = tmp_path / "f.c"
+        src.write_text(UNION_INDEX)
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--out-dir", str(out), "-v"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("test case dropped") == 3
+        assert err.startswith("error [f]: ReplayDivergence")
 
     def test_pointer_stored_in_an_array(self, tmp_path):
         self.check(tmp_path, "f", POINTER_IN_ARRAY, [])
@@ -639,6 +656,31 @@ class TestSmtlibOut:
         exe = compile_c(str(out), [str(out / "test_driver.c"), data_path("table1.c")])
         assert run_exe(exe)[0] == 0
 
+    def test_answer_outside_its_region_is_searched(self, tmp_path, capsys):
+        # base g is a candidate, but g has one element: offset 5 lies
+        # outside it, so the answer is searched; offset 0 is used
+        src = tmp_path / "g.c"
+        src.write_text("int g;\nint f(int *p) { if (*p > 3) return 1; return 0; }\n")
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--solver", "smtlib-out", "--out-dir", str(out),
+                        "-q"]) == 0
+        text = (out / "f_1.smt2").read_text()
+        assert "(bvsgt |*p@read@1| (_ bv3 32))" in text
+        g_base = exported_candidates(text)["p@baseAddress"][1]  # p's array, g, null
+        cells = "".join(f"p__autogen[{i}] = 0\n" for i in range(10))
+        for offset, used in ((5, False), (0, True)):
+            (out / "f_1.model").write_text(
+                f"p@baseAddress = {g_base}\np@offset = {offset}\n"
+                f"*p@read@1 = 4\ng = 4\n{cells}")
+            capsys.readouterr()
+            assert run_cli([str(src), "--solver", "smtlib-out", "--out-dir", str(out),
+                            "-v"]) == 0
+            assert ("external model" in capsys.readouterr().out) is used
+            driver = (out / "f_driver.c").read_text().split("/* test case 1")[0]
+            assert ("p = &g;" in driver) is used
+        exe = compile_c(str(out), [str(out / "f_driver.c"), str(src)])
+        assert run_exe(exe)[0] == 0
+
     def test_integer_text_answers_a_float(self, tmp_path, capsys):
         src = tmp_path / "g.c"
         src.write_text("int g(float f) { if (f > 1.5f) return 1; return 0; }\n")
@@ -661,12 +703,3 @@ class TestSmtlibOut:
         assert err.startswith("error [test]: malformed model value")
         assert "Traceback" not in err
 
-
-def exported_candidates(text: str) -> dict[str, list[int]]:
-    """Each pointer base's candidate ids, from the domain assertions of text."""
-    out: dict[str, list[int]] = {}
-    for line in text.splitlines():
-        if line.startswith("(assert (or (= |") and "@baseAddress|" in line:
-            name = line.split("|")[1]
-            out[name] = [int(v) for v in re.findall(r"\(_ bv(\d+) 32\)", line)]
-    return out

@@ -1,10 +1,9 @@
 """SMT-LIB2 export and re-import tests."""
 
 import os
-import re
 
 import pytest
-from conftest import data_path
+from conftest import data_path, exported_candidates
 
 from cunitgen.cli import main
 
@@ -12,7 +11,7 @@ from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.smtlib import export_smtlib, parse_model_file, parse_smtlib
 from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Role, Sym, mk_binop, mk_cast, mk_range
-from cunitgen.typesys import DOUBLE, INT, SCHAR, UINT
+from cunitgen.typesys import DOUBLE, FLOAT, INT, SCHAR, SHORT, UCHAR, UINT
 
 
 def table1_constraint() -> Constraint:
@@ -90,6 +89,17 @@ class TestRoundTrip:
         [mk_binop("||", mk_binop("==", Sym("x", INT), Const(1, INT)),
                   mk_binop("==", Sym("x", INT), Const(2, INT))),
          mk_binop("!=", Sym("x", INT), Const(1, INT))],
+        # one of each cast the writer emits as an indexed operator; reading
+        # zero_extend as sign_extend would make the first unsat
+        [mk_binop(">", mk_cast(Sym("c", UCHAR), INT), Const(200, INT))],
+        [mk_binop("==", mk_cast(Sym("s", SCHAR), INT), Const(-3, INT))],
+        [mk_binop("==", mk_cast(Sym("x", INT), UCHAR), Const(7, UCHAR))],
+        [mk_binop(">", mk_cast(Sym("d", DOUBLE), FLOAT), Const(1.5, FLOAT))],
+        [mk_binop(">", mk_cast(Sym("u", UINT), DOUBLE), Const(2.5, DOUBLE))],
+        [mk_binop(">", mk_cast(Sym("x", INT), FLOAT), Const(2.5, FLOAT))],
+        [mk_binop("==", mk_cast(Sym("d", DOUBLE), INT), Const(1, INT))],
+        [mk_binop("==", mk_cast(Sym("d", DOUBLE), UINT), Const(1, UINT))],
+        [mk_binop("<", mk_cast(Sym("f", FLOAT), SHORT), Const(0, SHORT))],
     ]
 
     @pytest.mark.parametrize("conjuncts", CASES)
@@ -135,14 +145,19 @@ class TestRoundTrip:
             candidates = {}
             for pointer in ("p1", "p2"):
                 base = f"|{pointer}@baseAddress|"
-                choices = [ln for ln in lines if ln.startswith(f"(assert (or (= {base} ")]
-                assert len(choices) == 1
-                candidates[pointer] = [int(v) for v in
-                                       re.findall(r"\(_ bv(\d+) 32\)", choices[0])]
-                assert len(candidates[pointer]) == 3 and candidates[pointer][-1] == 0
                 offset = f"|{pointer}@offset|"
                 assert lines.count(f"(assert (and (bvule (_ bv0 32) {offset}) "
                                    f"(bvule {offset} (_ bv9 32))))") == 1
+                choices = [ln for ln in lines if ln.startswith(f"(assert (or (and (= {base} ")]
+                assert len(choices) == 1
+                candidates[pointer] = exported_candidates(text)[f"{pointer}@baseAddress"]
+                assert len(candidates[pointer]) == 3 and candidates[pointer][-1] == 0
+                # each candidate comes with the offsets of the region it
+                # names: a fresh array's [0, 9], null's 0
+                pairs = [f"(and (= {base} (_ bv{c} 32)) (and (bvule (_ bv0 32) {offset}) "
+                         f"(bvule {offset} (_ bv{hi} 32))))"
+                         for c, hi in zip(candidates[pointer], (9, 9, 0))]
+                assert choices[0] == f"(assert (or {' '.join(pairs)}))"
             result = solve(parse_smtlib(text))
             assert result.status == "sat"
             for pointer, ids in candidates.items():

@@ -345,8 +345,10 @@ class TestHint:
                   mk_binop("<", x, Const(100, UINT))], free)
         inside = {"p@baseAddress": 7, "p@offset": 2}
         assert solve(c, hint=Model(inside)).nodes == 0
-        # each of these verifies, but no search could have produced it
-        for wrong in ({"p@baseAddress": 5}, {"p@offset": 50}):
+        # each of these verifies, but no search could have produced it: a
+        # base naming no candidate, an offset outside its start domain, and
+        # one inside it but beyond region 7's three elements
+        for wrong in ({"p@baseAddress": 5}, {"p@offset": 50}, {"p@offset": 3}):
             hint = Model({**inside, **wrong})
             assert verify_model(c, hint)
             r = solve(c, hint=hint)
