@@ -40,8 +40,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="per-function wall-clock deadline; edges it leaves "
                         "undecided are reported as time-budget")
     p.add_argument("--budget-nodes", type=int, default=10000,
-                   help="per-constraint solver search-node budget; the only "
-                        "limit that decides a solver verdict")
+                   help="per-constraint solver search-node budget (at least "
+                        "1); the only limit that decides a solver verdict")
     p.add_argument("--out-dir", default="ctgout")
     p.add_argument("--function", help="generate only for this function")
     p.add_argument("--do-not-stub", default="",

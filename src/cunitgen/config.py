@@ -30,5 +30,7 @@ class Config:
             raise ValueError("pointer region size must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max depth must be >= 1")
+        if self.budget_nodes < 1:
+            raise ValueError("solver node budget must be >= 1")
         if self.coverage not in ("c0", "c1"):
             raise ValueError(f"unknown coverage criterion {self.coverage!r}")

@@ -169,9 +169,11 @@ def pointer_null_compare(p: PtrInfo, omega: str) -> SymExpr:
     raise ValueError(f"ordered comparison against null: {omega}")
 
 
-def build_free_table(conjuncts: list[SymExpr], table: RegionTable) -> dict[str, FreeSymbol]:
-    """Free-symbol metadata (roles, domains, base candidates) in first-use order."""
-    out: dict[str, FreeSymbol] = {}
+def build_free_table(conjuncts: list[SymExpr], table: RegionTable,
+                     out: dict[str, FreeSymbol] | None = None) -> dict[str, FreeSymbol]:
+    """Free-symbol metadata (roles, domains, base candidates) in first-use
+    order; given out, the table of earlier conjuncts, it is extended."""
+    out = {} if out is None else out
     for c in conjuncts:
         for s in free_symbols(c):
             if s.name in out:
@@ -200,17 +202,32 @@ def conjoin(state) -> Constraint:
 
     Contract checks (postconditions, test-case postconditions, asserts and
     modifies) are no part of it: concrete replay of the model decides them.
+
+    A state resumed from a checkpoint starts from the checkpoint's head, the
+    constraint of the branches it had (``PathState.resumed_head``), and adds
+    only the later branches and the tail. The head of an incomplete trace's
+    own checkpoint is recorded here, for its extensions.
     """
-    conjuncts: list[SymExpr] = []
-    segments: list[tuple[str, int, int]] = []
-    segments.append(("assume", -1, len(conjuncts)))
-    conjuncts.extend(state.assumptions)
-    for i, branch in enumerate(state.branches):
-        segments.append(("branch", i, len(conjuncts)))
+    table = state.layout.regions
+    head = state.resumed_head()
+    if head is None:
+        conjuncts = list(state.assumptions)
+        segments: list[tuple[str, int, int]] = [("assume", -1, 0)]
+        free = build_free_table(conjuncts, table)
+    else:
+        conjuncts, free = list(head.conjuncts), dict(head.free)
+        segments = list(head.segments)
+    for i in range(len(segments) - 1, len(state.branches)):
+        branch = state.branches[i]
+        start = len(conjuncts)
+        segments.append(("branch", i, start))
         conjuncts.extend(branch.sides)
         if not is_true(branch.guard):
             conjuncts.append(branch.guard)
+        build_free_table(conjuncts[start:], table, free)
+    if state.checkpoint is not None:
+        state.checkpoint.head = Constraint(list(conjuncts), dict(free), list(segments))
     segments.append(("tail", -1, len(conjuncts)))
     conjuncts.extend(state.tail_sides)
-    c = Constraint(conjuncts, build_free_table(conjuncts, state.layout.regions), segments)
-    return c
+    build_free_table(state.tail_sides, table, free)
+    return Constraint(conjuncts, free, segments)

@@ -346,9 +346,3 @@ class SourceUnit:
             if f.name == name and f.body is not None:
                 return f
         raise KeyError(name)
-
-    def global_var(self, name: str) -> VarDecl:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        raise KeyError(name)

@@ -149,9 +149,6 @@ class Cfg:
     def out_edges(self, nid: int) -> list[CfgEdge]:
         return self._out[nid]
 
-    def in_edges(self, nid: int) -> list[CfgEdge]:
-        return self._in[nid]
-
     def finalize(self) -> None:
         self._out: list[list[CfgEdge]] = [[] for _ in self.nodes]
         self._in: list[list[CfgEdge]] = [[] for _ in self.nodes]
@@ -163,6 +160,9 @@ class Cfg:
         self._distance = self.distances({self.entry})
         self.unreachable = {n.nid for n in self.nodes} - self._distance.keys()
         self._exit_distance = self.distances({self.exit}, forward=False)
+        # each edge's guard as C text, by edge id: traces, reports and dumps
+        # label edges with it on every selection
+        self.guard_texts = [_render_guard(self, e) for e in self.edges]
 
     def distances(self, starts: set[int], forward: bool = True) -> dict[int, int]:
         """Fewest edges from the nearest of starts to every node it reaches.
@@ -190,9 +190,6 @@ class Cfg:
     def exit_distance(self, nid: int) -> int:
         """Fewest edges from nid to the exit; huge when the exit is out of reach."""
         return self._exit_distance.get(nid, 1 << 30)
-
-    def decision_nodes(self) -> list[CfgNode]:
-        return [n for n in self.nodes if n.is_decision and n.nid not in self.unreachable]
 
 
 @dataclass(frozen=True)
@@ -744,6 +741,11 @@ def lower(unit: SourceUnit, fn: FunctionDef) -> Cfg:
 
 
 def guard_text(cfg: Cfg, edge: CfgEdge) -> str:
+    """The edge's guard as C text ("true" when unconditional)."""
+    return cfg.guard_texts[edge.eid]
+
+
+def _render_guard(cfg: Cfg, edge: CfgEdge) -> str:
     if edge.polarity is None:
         return "true"
     cond = cfg.node(edge.src).cond

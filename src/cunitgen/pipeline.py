@@ -16,8 +16,11 @@ resumes from there (``symex.interpret`` decides whether the checkpoint still
 applies). Every solver call, including the prefix re-solves after an unsat
 answer and the requirement follow-up, is first offered the model of the
 last search as a hint, which ``solve`` returns only if it verifies. The
-prefix scan after an unsat answer checks each branch segment once under
-that model and calls ``solve`` only at the first prefix it does not solve.
+constraint of a resumed trace starts from the head of its checkpoint (the
+constraint up to the tail), and while the hint is known to solve that head,
+only what the new branches add is checked. The prefix scan after an unsat
+answer checks each branch segment once under that model and calls
+``solve`` only at the first prefix it does not solve.
 
 In smtlib-out mode each constraint the loop solves is first exported, and
 an external answer to it is admitted by the same hint rule
@@ -52,7 +55,7 @@ from .harness import (
 )
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
 from .smtlib import export_smtlib, parse_model_file
-from .solver import Model, SolveResult, hinted_model, model_fits, solve
+from .solver import Model, SolveResult, hinted_model, model_fits, solve, unchecked_symbols
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
 from .symex import Checkpoint, Layout, PathState, interpret
@@ -120,6 +123,9 @@ class _Session:
     deadline: float = 0.0  # time.monotonic() value at which generation stops
     # the model of the last solver search, tried before each new search
     last_model: Model | None = None
+    # the head of the active trace's checkpoint (its constraint without the
+    # tail), which last_model is known to solve
+    hint_holds: con.Constraint | None = None
 
     def say(self, text: str) -> None:
         if self.config.verbose:
@@ -208,7 +214,10 @@ class _Session:
             constraint = con.conjoin(state)
             if verbose:
                 self.say(f"constraint[{self.fn.name}]: {constraint.render()}")
-            result = self._solve(constraint, exporter)
+            # a constraint extending the one last_model solved: only the new
+            # part needs checking under it
+            holds = self.hint_holds if state.resumed_head() is self.hint_holds else None
+            result = self._solve(constraint, exporter, holds)
             if verbose:
                 self.say(_iteration_line(iteration, trace, state, result))
             model = result.model
@@ -235,6 +244,9 @@ class _Session:
                 else:
                     active = trace
                     checkpoint = state.checkpoint
+                    # last_model solves the constraint unless the answer
+                    # came from outside
+                    self.hint_holds = None if result.reason else checkpoint.head
             elif result.status == "unsat":
                 failing, verdict = self._min_failing_index(constraint)
                 if failing < 0:
@@ -251,23 +263,28 @@ class _Session:
         if self.config.dump_stct:
             out.stct_dump = tree.dump()
 
-    def _solve(self, constraint: con.Constraint,
-               exporter: _SmtExporter | None) -> SolveResult:
+    def _solve(self, constraint: con.Constraint, exporter: _SmtExporter | None,
+               holds: con.Constraint | None = None) -> SolveResult:
         if exporter is not None:
             external = exporter.consult(constraint)
             if external is not None:
                 return SolveResult("sat", external, "external model")
-        return self._search(constraint)
+        return self._search(constraint, holds)
 
-    def _search(self, constraint: con.Constraint) -> SolveResult:
+    def _search(self, constraint: con.Constraint,
+                holds: con.Constraint | None = None) -> SolveResult:
         """Solve, trying the last search's model first.
 
-        A sat answer with 0 nodes is that model, verified; any other answer
-        came from a search, and its model becomes the next hint.
+        ``holds`` is a leading part of the constraint that model is known
+        to solve (see ``solve``). A sat answer with 0 nodes is that model,
+        verified; any other answer came from a search, and its model becomes
+        the next hint.
         """
-        result = solve(constraint, self.config.budget_nodes, hint=self.last_model)
+        result = solve(constraint, self.config.budget_nodes, hint=self.last_model,
+                       hint_holds=holds)
         if result.model is not None and result.nodes:
             self.last_model = result.model
+            self.hint_holds = None
         return result
 
     def _accept(self, out: FunctionOutcome, trace: Trace, state: PathState,
@@ -288,6 +305,9 @@ class _Session:
                     active: Trace | None, verdict: str) -> Trace | None:
         positions = trace.conditional_positions()
         if not positions:
+            # no branch to blame: the trace itself goes, or it would be
+            # selected again
+            tree.retire(trace)
             return None
         # prune the branch this trace was selected for; prefix-local only
         index = len(positions) - 1
@@ -321,8 +341,7 @@ class _Session:
         for k in range(total + 1):
             end = constraint.prefix_end(k)
             segment = constraint.conjuncts[done:end]
-            new = {name: fs for name, fs in con.restrict_free(free, segment).items()
-                   if name not in checked}
+            new = unchecked_symbols(free, segment, checked)
             if model is not None and model_fits(model, new, segment):
                 done = end
                 checked.update(new)

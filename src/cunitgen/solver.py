@@ -38,9 +38,10 @@ of it is exact per window, so no feasible value is ever pruned.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
-from .constraints import Constraint, FreeSymbol
+from .constraints import Constraint, FreeSymbol, restrict_free
 from .symexpr import (
     BinOp,
     Cast,
@@ -1116,18 +1117,43 @@ def model_fits(model: Model, free: dict[str, FreeSymbol],
     return True
 
 
-def hinted_model(constraint: Constraint, hint: Model) -> Model | None:
+def unchecked_symbols(free: dict[str, FreeSymbol], conjuncts: list[SymExpr],
+                      checked: Container[str]) -> dict[str, FreeSymbol]:
+    """What the hint rule still checks for conjuncts added to a constraint
+    whose symbols in checked a model already passed: the entries of free the
+    conjuncts mention (with paired offsets) that checked lacks, and each base
+    whose paired offset is among them, so that the offset is held to the
+    base's region."""
+    new = {name: fs for name, fs in restrict_free(free, conjuncts).items()
+           if name not in checked}
+    for name, fs in free.items():
+        if fs.paired_offset in new and name not in new:
+            new[name] = fs
+    return new
+
+
+def hinted_model(constraint: Constraint, hint: Model,
+                 holds: Constraint | None = None) -> Model | None:
     """The hint's values for the constraint's free symbols, if they solve it.
 
     This is the one rule that admits a model no search found: an earlier
-    answer's, or an external solver's."""
-    model = Model({name: hint.values[name] for name in constraint.free
-                   if name in hint.values})
-    return model if model_fits(model, constraint.free, constraint.conjuncts) else None
+    answer's, or an external solver's. ``holds`` is a constraint the hint
+    is known to solve and that this one begins with: its conjuncts and its
+    free-table entries. Only the later conjuncts and the symbols they add
+    are checked then, with the same answer."""
+    free = constraint.free
+    model = Model({name: hint.values[name] for name in free if name in hint.values})
+    if holds is None:
+        fits = model_fits(model, free, constraint.conjuncts)
+    else:
+        rest = constraint.conjuncts[len(holds.conjuncts):]
+        fits = model_fits(model, unchecked_symbols(free, rest, holds.free), rest)
+    return model if fits else None
 
 
 def solve(constraint: Constraint, max_nodes: int = 10000,
-          hint: Model | None = None) -> SolveResult:
+          hint: Model | None = None, hint_holds: Constraint | None = None
+          ) -> SolveResult:
     """Decide a constraint within max_nodes search nodes.
 
     The answer depends on the constraint, the node budget and the hint
@@ -1135,14 +1161,16 @@ def solve(constraint: Constraint, max_nodes: int = 10000,
     A hint, such as an earlier answer's model, is tried before any search:
     its values for the constraint's free symbols are the answer, with 0
     nodes, when ``model_fits`` accepts them: each lies in the domain the
-    search starts from and every conjunct evaluates true. Otherwise
+    search starts from and every conjunct evaluates true. ``hint_holds``
+    names a leading part of the constraint the hint is known to solve,
+    which that check then skips (``hinted_model``). Otherwise
     ``_Solver._finish`` produces the model, and it returns one only after
     ``verify_model`` accepts it. Propagation pays per change (see the
     module docstring), with the same domains, node counts and models as
     full rounds.
     """
     if hint is not None:
-        model = hinted_model(constraint, hint)
+        model = hinted_model(constraint, hint, hint_holds)
         if model is not None:
             return SolveResult("sat", model)
     return _Solver(constraint, max_nodes).run()

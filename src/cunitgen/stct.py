@@ -65,9 +65,8 @@ class Trace:
         return [i for i, e in enumerate(self.edges) if e.conditional]
 
     def guard_labels(self, cfg: Cfg) -> list[str]:
-        from .imr import guard_text
-
-        return [guard_text(cfg, e) for e in self.edges if e.conditional]
+        texts = cfg.guard_texts
+        return [texts[e.eid] for e in self.edges if e.conditional]
 
 
 @dataclass
@@ -129,6 +128,7 @@ class Stct:
         self._k: dict[int, int] = {}
         self.root = self._make_node(cfg.entry, None, None)
         self.instances: dict[int, list[StctNode]] = {}  # cfg edge id -> children
+        self.exhausted = False  # retiring a trace left the root without a child
 
     # -- construction ---------------------------------------------------------
 
@@ -226,9 +226,8 @@ class Stct:
         """Next trace to hand to the interpreter, or None when done.
 
         An active trace that can neither be extended nor completed (its
-        continuations were pruned) can never become a test case; its leaf is
-        pruned so that no later fresh trace proposes it again, and when that
-        leaf is the root nothing is left to select.
+        continuations were pruned) can never become a test case, and is
+        retired.
         """
         self.ensure_children(self.root)
         if active is not None and not active.complete:
@@ -238,10 +237,8 @@ class Stct:
             completed = self._complete(active)
             if completed is not None:
                 return completed
-            if active.leaf.parent is None:
-                return None
-            self._cut(active.leaf)
-        return self._fresh()
+            self.retire(active)
+        return None if self.exhausted else self._fresh()
 
     def _edge_priority(self, edge: CfgEdge) -> tuple[int, int, int]:
         return (self.cfg.root_distance(edge), edge.src,
@@ -337,6 +334,20 @@ class Stct:
         self._cut(trace.nodes[pos + 1])
         return trace.edges[pos]
 
+    def retire(self, trace: Trace) -> None:
+        """Prune the trace's leaf, so that no later selection proposes the
+        trace again, and each ancestor that this leaves without a child: no
+        trace through it can reach the exit any more. When that reaches the
+        root, nothing is left to select."""
+        node = trace.leaf
+        while node.parent is not None:
+            parent = node.parent
+            self._cut(node)
+            if parent.children:
+                return
+            node = parent
+        self.exhausted = True
+
     def _cut(self, node: StctNode) -> None:
         """Remove node and its subtree from its parent for good."""
         parent = node.parent
@@ -359,12 +370,12 @@ class Stct:
     def dump(self) -> str:
         lines: list[str] = ["stct"]
 
-        def walk(node: StctNode, indent: int) -> None:
-            from .imr import guard_text
+        texts = self.cfg.guard_texts
 
+        def walk(node: StctNode, indent: int) -> None:
             label = f"(n{node.node_id},k{node.k})"
             if node.in_edge is not None and node.in_edge.conditional:
-                label += f" <{guard_text(self.cfg, node.in_edge)}>"
+                label += f" <{texts[node.in_edge.eid]}>"
             lines.append("  " * indent + label)
             for child in node.children:
                 walk(child, indent + 1)

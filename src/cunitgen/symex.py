@@ -18,6 +18,8 @@ equality) attach to the next branch entry.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import constraints as con
@@ -198,6 +200,9 @@ class Checkpoint:
     nodes: list[StctNode]
     state: PathState
     generation: int  # RegionTable.generation when that interpretation began
+    # the constraint of the trace's assumptions and branches, without the
+    # tail: conjoin records it, and an extension's constraint begins with it
+    head: con.Constraint | None = None
 
     def resumes(self, trace: Trace, regions: RegionTable) -> bool:
         return (regions.generation == self.generation
@@ -210,6 +215,9 @@ class PathState:
     layout: Layout
     step: int = 0
     items: list[MemoryItem] = field(default_factory=list)
+    # positions in items: per constant base id, and of the symbolic bases
+    base_items: dict[int, list[int]] = field(default_factory=dict)
+    symbolic_items: list[int] = field(default_factory=list)
     assumptions: list[SymExpr] = field(default_factory=list)
     branches: list[BranchEntry] = field(default_factory=list)
     tail_sides: list[SymExpr] = field(default_factory=list)
@@ -223,8 +231,22 @@ class PathState:
     _pending: list[SymExpr] = field(default_factory=list)
     # saved after the last node of an incomplete trace, for its extensions
     checkpoint: Checkpoint | None = None
-    # trace nodes taken over from a checkpoint (0: interpreted from the entry)
-    resumed_at: int = 0
+    # the checkpoint this state was resumed from (None: from the entry)
+    resumed_from: Checkpoint | None = None
+
+    @property
+    def resumed_at(self) -> int:
+        """Trace nodes taken over from a checkpoint (0: from the entry)."""
+        return len(self.resumed_from.nodes) if self.resumed_from else 0
+
+    def resumed_head(self) -> con.Constraint | None:
+        """The head of the checkpoint this state resumed from, while the
+        region table is as it was when that head was built: its free-table
+        entries (base candidates) are then still the ones conjoin builds."""
+        cp = self.resumed_from
+        if cp is None or cp.generation != self.layout.regions.generation:
+            return None
+        return cp.head
 
     def fork(self) -> PathState:
         """A copy that later steps on either side leave intact.
@@ -235,10 +257,30 @@ class PathState:
         """
         return PathState(
             self.layout, self.step, [item.copy() for item in self.items],
+            {base: list(positions) for base, positions in self.base_items.items()},
+            list(self.symbolic_items),
             list(self.assumptions), list(self.branches), list(self.tail_sides),
             dict(self.stub_counts), list(self.stub_calls), dict(self.snapshots),
             self.return_value, self.infeasible_branch, self.flags.fork(),
             self.complete, list(self._pending))
+
+    def add_item(self, item: MemoryItem) -> None:
+        """Append a memory item to the history and index its position."""
+        if isinstance(item.base, Const):
+            self.base_items.setdefault(int(item.base.value), []).append(len(self.items))
+        else:
+            self.symbolic_items.append(len(self.items))
+        self.items.append(item)
+
+    def history_at(self, base_id: int) -> Iterator[MemoryItem]:
+        """Newest first, the items a place with constant base base_id may
+        alias: those with that base and those with a symbolic base. Every
+        other item has a different constant base, which never aliases it."""
+        own = reversed(self.base_items.get(base_id, ()))
+        positions = heapq.merge(own, reversed(self.symbolic_items), reverse=True) \
+            if self.symbolic_items else own
+        items = self.items
+        return (items[pos] for pos in positions)
 
     def add_side(self, cond: SymExpr) -> None:
         if not is_true(cond):
@@ -327,7 +369,9 @@ class _Interp:
         candidates: list[tuple[SymExpr, SymExpr | None]] = []  # (condition, value)
         ps = self.regions.pointer_of_base(place.base)
         targets = set(self.regions.base_candidates(ps)) if ps is not None else None
-        for item in reversed(self.state.items):
+        history = self.state.history_at(int(place.base.value)) \
+            if isinstance(place.base, Const) else reversed(self.state.items)
+        for item in history:
             if targets is not None and isinstance(item.base, Const) \
                     and int(item.base.value) not in targets:
                 continue  # a region the read pointer cannot name
@@ -463,17 +507,14 @@ class _Interp:
                              f"{place.elem_type.name}:{place.bit[1]}")
             value = self.value_as(value, narrow, line)
         if isinstance(place.base, Const) and isinstance(place.offset, Const):
-            for item in self.state.items:
-                if not item.open:
-                    continue
-                if not (isinstance(item.base, Const)
-                        and item.base.value == place.base.value):
-                    continue
-                if isinstance(item.offset, Const) and item.bit == place.bit:
+            items = self.state.items
+            for pos in self.state.base_items.get(int(place.base.value), ()):
+                item = items[pos]
+                if item.open and isinstance(item.offset, Const) and item.bit == place.bit:
                     a, b = int(item.offset.value), int(place.offset.value)
                     if not (a + item.length <= b or b + place.length <= a):
                         item.valid_to = self.state.step
-        self.state.items.append(MemoryItem(
+        self.state.add_item(MemoryItem(
             place.base, place.offset, place.length, value,
             self.state.step, None, place.bit, line))
 
@@ -736,7 +777,8 @@ def interpret(trace: Trace, cfg: Cfg, anns: AnnotationSet, layout: Layout,
     """
     if resume is not None and resume.resumes(trace, layout.regions):
         state = resume.state.fork()
-        state.resumed_at = first = len(resume.nodes)
+        state.resumed_from = resume
+        first = len(resume.nodes)
         generation = resume.generation
         interp = _Interp(state)
     else:

@@ -54,6 +54,16 @@ class TestExitCodes:
         assert err[1] == f"error: {missing}: No such file or directory", err
         assert (out / "good_driver.c").exists()
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_node_budget_below_one_is_a_diagnostic(self, tmp_path, capsys, budget):
+        out = tmp_path / "gen"
+        code = run_cli([data_path("alloc.c"), "--budget-nodes", budget,
+                        "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == ["error: solver node budget must be >= 1"]
+        assert not out.exists()
+
     def test_unknown_function_exits_one(self, tmp_path):
         code = run_cli([data_path("alloc.c"), "--function", "nope",
                         "--out-dir", str(tmp_path), "-q"])

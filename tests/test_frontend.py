@@ -31,6 +31,10 @@ from cunitgen.typesys import (
 )
 
 
+def global_var(unit, name: str):
+    return next(g for g in unit.globals if g.name == name)
+
+
 def count_annotations(fn: FunctionDef) -> dict:
     kinds = {}
     for stmt in fn.body.stmts:
@@ -73,7 +77,7 @@ class TestParseUnit:
 
     def test_macro_expansion(self):
         unit = parse_unit("#define N 4\nint arr[N];\nint f(void){ return arr[N - 1]; }")
-        assert unit.global_var("arr").ctype == ArrayType(INT, 4)
+        assert global_var(unit, "arr").ctype == ArrayType(INT, 4)
 
     def test_recursion_rejected(self):
         with pytest.raises(UnsupportedConstruct) as exc:
@@ -114,7 +118,7 @@ class TestParseUnit:
             "struct flags fl;"
             "int f(void){ return fl.a + fl.wide; }"
         )
-        st = unit.global_var("fl").ctype
+        st = global_var(unit, "fl").ctype
         a = st.field("a")
         b = st.field("b")
         assert (a.byte_offset, a.bit_offset) == (0, 0)
@@ -379,7 +383,7 @@ class TestPreprocessor:
         fn = unit.function("f")
         cond = fn.body.stmts[0].cond
         assert cond.rhs.value == 5  # LIMIT expanded
-        assert unit.global_var("origin").ctype.tag == "pt"
+        assert global_var(unit, "origin").ctype.tag == "pt"
 
     def test_compat_header_skipped_by_name(self):
         unit = parse_unit('#include "rtt_annotations.h"\nint f(void){ return 1; }')

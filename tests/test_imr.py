@@ -30,8 +30,16 @@ def build_file(name: str, fn_name: str) -> Cfg:
     return lower(unit, fn)
 
 
+def decision_nodes(cfg: Cfg):
+    return [n for n in cfg.nodes if n.is_decision and n.nid not in cfg.unreachable]
+
+
+def in_edges(cfg: Cfg, nid: int):
+    return [e for e in cfg.edges if e.dst == nid]
+
+
 def decision_count(cfg: Cfg) -> int:
-    return len(cfg.decision_nodes())
+    return len(decision_nodes(cfg))
 
 
 def guarded_edges(cfg: Cfg):
@@ -41,7 +49,7 @@ def guarded_edges(cfg: Cfg):
 class TestLowering:
     def test_single_if(self):
         cfg = build("int f(int a){ if (a) { return 1; } return 0; }", "f")
-        decisions = cfg.decision_nodes()
+        decisions = decision_nodes(cfg)
         assert len(decisions) == 1
         outs = cfg.out_edges(decisions[0].nid)
         assert [e.polarity for e in outs] == [True, False]
@@ -50,15 +58,15 @@ class TestLowering:
 
     def test_entry_exit_unique(self):
         cfg = build_file("alloc.c", "alloc")
-        assert cfg.in_edges(cfg.entry) == []
+        assert in_edges(cfg, cfg.entry) == []
         assert cfg.out_edges(cfg.exit) == []
-        entries = [n for n in cfg.nodes if not cfg.in_edges(n.nid)
+        entries = [n for n in cfg.nodes if not in_edges(cfg, n.nid)
                    and n.nid not in cfg.unreachable]
         assert entries == [cfg.node(cfg.entry)]
 
     def test_short_circuit_and(self):
         cfg = build("int f(int p, int q){ if (p && q) { return 1; } return 0; }", "f")
-        decisions = cfg.decision_nodes()
+        decisions = decision_nodes(cfg)
         assert len(decisions) == 2
         p_node = next(n for n in decisions if guard_text(cfg, cfg.out_edges(n.nid)[0]) == "p")
         q_node = next(n for n in decisions if n is not p_node)
@@ -72,9 +80,9 @@ class TestLowering:
         for name, fn in [("alloc.c", "alloc"), ("alloc_ptr.c", "alloc_ptr"),
                          ("tritype_int.c", "Tritype"), ("fig3.c", "select_demo")]:
             cfg = build_file(name, fn)
-            total = sum(len(cfg.out_edges(n.nid)) for n in cfg.decision_nodes())
-            assert total == 2 * len(cfg.decision_nodes())
-            for n in cfg.decision_nodes():
+            total = sum(len(cfg.out_edges(n.nid)) for n in decision_nodes(cfg))
+            assert total == 2 * len(decision_nodes(cfg))
+            for n in decision_nodes(cfg):
                 outs = cfg.out_edges(n.nid)
                 assert [e.polarity for e in outs] == [True, False]
                 assert guard_text(cfg, outs[1]) in (
@@ -82,7 +90,7 @@ class TestLowering:
 
     def test_guards_are_literal_negations(self):
         cfg = build_file("comp_ptr.c", "comp_ptr")
-        for n in cfg.decision_nodes():
+        for n in decision_nodes(cfg):
             t, f = cfg.out_edges(n.nid)
             assert guard_text(cfg, f).lstrip("!").strip("()") == \
                 guard_text(cfg, t).strip("()")
@@ -97,8 +105,8 @@ class TestLowering:
         assert decision_count(cfg_for) == decision_count(cfg_while) == 1
         # both loops have a back edge to the condition node
         for cfg in (cfg_for, cfg_while):
-            cond = cfg.decision_nodes()[0]
-            assert any(e.src != cfg.entry for e in cfg.in_edges(cond.nid))
+            cond = decision_nodes(cfg)[0]
+            assert any(e.src != cfg.entry for e in in_edges(cfg, cond.nid))
 
     def test_ternary_is_a_decision(self):
         cfg = build("int f(int a){ int x = a > 0 ? 1 : 2; return x; }", "f")
@@ -151,7 +159,7 @@ class TestCoverageTargets:
         cfg = build_file("fig3.c", "select_demo")
         targets = enumerate_coverage_targets(cfg, "c1")
         edge_ids = {t.ident for t in targets if t.kind == "edge"}
-        outer = min(cfg.decision_nodes(), key=lambda n: n.nid)
+        outer = min(decision_nodes(cfg), key=lambda n: n.nid)
         for e in cfg.out_edges(outer.nid):
             assert e.eid in edge_ids
 

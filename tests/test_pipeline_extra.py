@@ -181,6 +181,19 @@ class TestEarlyStops:
         assert outcome.report.uncovered
         assert {u["verdict"] for u in outcome.report.uncovered} == {"iteration-bound"}
 
+    def test_undecided_trace_without_a_branch_is_not_selected_again(self):
+        # once both edges are pruned as unknown, the C0 backstop proposes the
+        # trace up to the decision, which has no conditional edge to prune;
+        # the loop used to select it again until the deadline
+        hard = "int f(int *p, int a, int b) { int v = p[a * b - 391]; if (v > 0) return 1; return 0; }"
+        easy = "int f(int *p, int x) { if (p[1] > x) return 1; return 0; }"
+        for src, budget in ((hard, 2000), (easy, 1)):
+            outcome = run_src(src, "f", budget_nodes=budget)
+            assert len(outcome.selection_log) <= 3
+            assert not outcome.coverage.stopped
+            assert [u["verdict"] for u in outcome.report.uncovered] == \
+                ["budget-exhausted"] * 2
+
 
 # if (a_x + c > a_y) chains with a c = 0 cycle (a4 > a0 and a0 > a4), whose
 # second branch is unsat after the first one on every path through both

@@ -356,6 +356,36 @@ class TestHint:
             assert r.model.values["p@baseAddress"] == 7
             assert r.model.values["p@offset"] < 4
 
+    def test_known_part_is_not_checked_again(self, monkeypatch):
+        c = self.chain()
+        evaluated = []
+        real = solver_mod.evaluate
+        monkeypatch.setattr(solver_mod, "evaluate",
+                            lambda e, env: evaluated.append(e) or real(e, env))
+        head = make(c.conjuncts[:1])
+        r = solve(c, hint=Model({"x": 9, "y": 3}), hint_holds=head)
+        assert r.status == "sat" and r.nodes == 0
+        assert r.model.values == {"x": 9, "y": 3}
+        assert evaluated == [c.conjuncts[1]]
+
+    def test_offset_added_later_is_held_to_its_base(self):
+        # the base passed alone; its offset, mentioned only later, lies in
+        # its own start domain but beyond the one element of region 8
+        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
+        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        free = {
+            "p@baseAddress": ptr_free("p", [7, 8, 0], {7: 4, 8: 1, 0: 0}, "p"),
+            "p@offset": off_free("p", 4),
+        }
+        head = make([mk_binop("!=", a, Const(0, UINT))],
+                    {"p@baseAddress": free["p@baseAddress"]})
+        c = make(head.conjuncts + [mk_binop("<", x, Const(100, UINT))], free)
+        hint = Model({"p@baseAddress": 8, "p@offset": 2})
+        assert solver_mod.hinted_model(head, hint) is not None
+        assert solver_mod.hinted_model(c, hint) is None
+        assert solver_mod.hinted_model(c, hint, holds=head) is None
+        assert solve(c, hint=hint, hint_holds=head).nodes > 0
+
     def test_hint_value_outside_the_type_is_searched(self):
         x = Sym("x", SCHAR)
         c = make([mk_binop(">", x, Const(5, SCHAR))])

@@ -1,5 +1,6 @@
 """Static checks: every global name the code reads is defined somewhere,
-and every name a module imports is used.
+every name a module imports is used, and every function, method and class
+is referenced by the code under src/ (test oracles excepted).
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -85,3 +86,58 @@ def test_check_sees_an_unused_import():
            "def f() -> a:\n"
            "    return os.sep\n")
     assert unused_imports(src) == ["c"]
+
+
+# Definitions that only tests reach, each kept as an oracle for them.
+TEST_ORACLES = {
+    "smtlib.py: parse_smtlib": "reads an exported .smt2 back, so tests can "
+                               "check the export against the constraint it states",
+    "frontend/writer.py: unit_to_c": "prints a parsed unit as C, which the parser "
+                                     "round-trip test compares with its input",
+}
+
+
+def unreferenced_definitions(src_dir: str) -> list[str]:
+    """Functions, methods and classes defined under src_dir whose name no
+    code there mentions: as a name, an attribute or an imported name.
+    Dunder methods are called by Python itself and are not listed."""
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for root, _dirs, files in os.walk(src_dir):
+        for f in sorted(files):
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(root, f)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.setdefault(node.name, os.path.relpath(path, src_dir))
+                elif isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    referenced |= {a.name.split(".")[-1] for a in node.names}
+    return sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in referenced
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_definition_is_reachable_from_src():
+    assert unreferenced_definitions(SRC) == sorted(TEST_ORACLES)
+
+
+def test_reachability_check_sees_an_unused_method(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import os\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        return helper(os.sep)\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def helper(x):\n"
+        "    return C\n")
+    assert unreferenced_definitions(str(tmp_path)) == ["m.py: unused"]

@@ -125,6 +125,26 @@ class TestMemory:
             expected = 5 if iv == jv else r.model.values.get(f"a[{jv}]", 0)
             assert r.model.values[ret.name] == expected, (iv, jv)
 
+    def test_write_through_pointer_then_read_of_global(self):
+        """g = 1; *p = x; g: the read sees x exactly when p names g."""
+        src = "int g; int h; int f(int *p, int x){ g = 1; h = 2; *p = x; h = 3; return g; }"
+        state, cfg, layout, anns = first_complete_state(src, "f")
+        ret = state.return_value
+        assert isinstance(ret, Sym)  # the newest item, *p, may alias g
+        base = con.conjoin(state)
+        g_id = layout.regions.region_of("g").base_id
+        own = layout.regions.pointer_inputs["p"].fresh_region.base_id
+        p_base = Sym("p@baseAddress", UINT)
+        for b, x in itertools.product((g_id, own), (9, -4)):
+            c = con.Constraint(list(base.conjuncts) + [
+                mk_binop("==", p_base, Const(b, UINT)),
+                mk_binop("==", Sym("x", INT), Const(x, INT)),
+            ])
+            c.free = con.build_free_table(c.conjuncts, layout.regions)
+            r = solve(c)
+            assert r.status == "sat", (b, x)
+            assert r.model.values[ret.name] == (x if b == g_id else 1), (b, x)
+
     def test_initial_snapshot_unaffected_by_writes(self):
         state, cfg, layout, anns = first_complete_state(
             read_data("alloc.c"), "alloc")
