@@ -203,10 +203,12 @@ def conjoin(state) -> Constraint:
     Contract checks (postconditions, test-case postconditions, asserts and
     modifies) are no part of it: concrete replay of the model decides them.
 
-    A state resumed from a checkpoint starts from the checkpoint's head, the
-    constraint of the branches it had (``PathState.resumed_head``), and adds
-    only the later branches and the tail. The head of an incomplete trace's
-    own checkpoint is recorded here, for its extensions.
+    The tail is the side conditions no branch has taken (``PathState.pending``),
+    read and left in place. A resumed state's constraint starts from the head
+    of the state it was forked from, the constraint of the branches that one
+    had (``PathState.resumed_head``), and adds only the later branches and
+    the tail. The head of an incomplete trace's state is recorded on it here,
+    for its extensions.
     """
     table = state.layout.regions
     head = state.resumed_head()
@@ -225,9 +227,9 @@ def conjoin(state) -> Constraint:
         if not is_true(branch.guard):
             conjuncts.append(branch.guard)
         build_free_table(conjuncts[start:], table, free)
-    if state.checkpoint is not None:
-        state.checkpoint.head = Constraint(list(conjuncts), dict(free), list(segments))
+    if not state.complete:
+        state.head = Constraint(list(conjuncts), dict(free), list(segments))
     segments.append(("tail", -1, len(conjuncts)))
-    conjuncts.extend(state.tail_sides)
-    build_free_table(state.tail_sides, table, free)
+    conjuncts.extend(state.pending)
+    build_free_table(state.pending, table, free)
     return Constraint(conjuncts, free, segments)

@@ -56,7 +56,6 @@ class TestCase:
     cells: list[InputCell]  # the memory replay started from
     schedule: dict[str, list[StubCallValues]]
     outcomes: list[CheckOutcome]
-    covered_edges: list[int]
     tags: list[str]
     violations: list[tuple[str, list[int]]]  # (variable, lines)
     trace_labels: list[str]
@@ -106,7 +105,6 @@ def build_test_case(tc_id: int, trace: Trace, state: PathState, model: dict,
         cells=cells,
         schedule=schedule,
         outcomes=result.outcomes,
-        covered_edges=expected,
         tags=tags,
         violations=_modifies_violations(result, anns),
         trace_labels=trace.guard_labels(cfg),

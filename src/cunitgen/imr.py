@@ -140,7 +140,6 @@ class Cfg:
     exit: int
     temps: dict[str, CType]
     inline_locals: dict[str, CType]
-    dropped_annotations: list[tuple[str, int]]
     unreachable: set[int] = field(default_factory=set)
 
     def node(self, nid: int) -> CfgNode:
@@ -222,7 +221,6 @@ class _Lowerer:
         self.edges: list[CfgEdge] = []
         self.temps: dict[str, CType] = {}
         self.inline_locals: dict[str, CType] = {}
-        self.dropped: list[tuple[str, int]] = []
         self.temp_count = 0
         self.inline_count = 0
         self.entry = self.new_node(fn.line)
@@ -264,7 +262,7 @@ class _Lowerer:
                 self.emit(cur, IReturn(None, last))
             self.add_edge(cur, self.exit, None, last)
         cfg = Cfg(self.fn.name, self.fn, self.nodes, self.edges, self.entry,
-                  self.exit, self.temps, self.inline_locals, self.dropped)
+                  self.exit, self.temps, self.inline_locals)
         cfg.finalize()
         return cfg
 
@@ -370,8 +368,7 @@ class _Lowerer:
             return self.lower_stmts(s.stmts, cur, brk, cont)
         if isinstance(s, Annotation):
             if self.frames:
-                self.dropped.append((s.kind.value, s.line))
-                return cur
+                return cur  # an inlined callee's annotations are ignored
             self.emit(cur, IMarker(s.kind, s, s.line))
             return cur
         if isinstance(s, EmptyStmt):

@@ -2,8 +2,10 @@
 
 Every named storage location (global, parameter, local, temporary,
 auxiliary variable) is a region with an abstract base address. A write
-appends a memory item (base, offset, length, value, validity interval); a
-read walks the history newest-first. When the accessed location is decidable
+appends a memory item (base, offset, length, value) and changes no earlier
+one; a read walks the history newest-first and stops at the first item that
+covers it exactly, which shadows every older one, so the history needs no
+validity intervals. When the accessed location is decidable
 the read returns the stored value directly; otherwise it returns a fresh
 read symbol constrained by a case split over the candidate items. A write
 through a pointer whose base is symbolic simply records the symbolic base,
@@ -71,24 +73,15 @@ class PointerSyms:
     from_memory: bool = False  # read back, so it may name a local
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryItem:
+    """One write, never changed once recorded: path states share it."""
+
     base: SymExpr  # Const(region id) or a pointer-base symbol
     offset: SymExpr  # bytes
     length: int  # bytes
     value: SymExpr
-    valid_from: int
-    valid_to: int | None = None
     bit: tuple[int, int] | None = None  # (bit offset, bit length) for bit fields
-    line: int = 0
-
-    @property
-    def open(self) -> bool:
-        return self.valid_to is None
-
-    def copy(self) -> "MemoryItem":
-        return MemoryItem(self.base, self.offset, self.length, self.value,
-                          self.valid_from, self.valid_to, self.bit, self.line)
 
 
 @dataclass

@@ -10,17 +10,18 @@ behind it. Generation ends when no selectable trace remains or the coverage
 criterion is met, or early at the per-function deadline or the iteration
 bound, whose name then becomes the verdict of the edges left undecided.
 
-Each iteration reuses what the last ones established. The active trace's
-interpretation leaves a checkpoint, and a trace extending or completing it
-resumes from there (``symex.interpret`` decides whether the checkpoint still
-applies). Every solver call, including the prefix re-solves after an unsat
-answer and the requirement follow-up, is first offered the model of the
-last search as a hint, which ``solve`` returns only if it verifies. The
-constraint of a resumed trace starts from the head of its checkpoint (the
-constraint up to the tail), and while the hint is known to solve that head,
-only what the new branches add is checked. The prefix scan after an unsat
-answer checks each branch segment once under that model and calls
-``solve`` only at the first prefix it does not solve.
+Each iteration reuses what the last ones established. The state the active
+trace's interpretation returned is the checkpoint: a trace extending or
+completing it resumes from a fork of that state, which is never changed
+(``symex.interpret`` decides whether it still applies). Every solver call,
+including the prefix re-solves after an unsat answer and the requirement
+follow-up, is first offered the model of the last search as a hint, which
+``solve`` returns only if it verifies. The constraint of a resumed trace
+starts from the checkpoint's head (its constraint up to the tail), and
+while the hint is known to solve that head, only what the new branches add
+is checked. The prefix scan after an unsat answer checks each branch
+segment once under that model and calls ``solve`` only at the first prefix
+it does not solve.
 
 In smtlib-out mode each constraint the loop solves is first exported, and
 an external answer to it is admitted by the same hint rule
@@ -58,7 +59,7 @@ from .smtlib import export_smtlib, parse_model_file
 from .solver import Model, SolveResult, hinted_model, model_fits, solve, unchecked_symbols
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
-from .symex import Checkpoint, Layout, PathState, interpret
+from .symex import Layout, PathState, interpret
 
 _MAX_ITERATIONS = 20000
 _MAX_DIVERGENCES = 3
@@ -123,7 +124,7 @@ class _Session:
     deadline: float = 0.0  # time.monotonic() value at which generation stops
     # the model of the last solver search, tried before each new search
     last_model: Model | None = None
-    # the head of the active trace's checkpoint (its constraint without the
+    # the head of the active trace's state (its constraint without the
     # tail), which last_model is known to solve
     hint_holds: con.Constraint | None = None
 
@@ -179,7 +180,7 @@ class _Session:
             return
         verbose = self.config.verbose
         active: Trace | None = None
-        checkpoint: Checkpoint | None = None  # the active trace's saved state
+        checkpoint: PathState | None = None  # the active trace's state
         for iteration in range(_MAX_ITERATIONS):
             if coverage.complete_for(self.config.coverage):
                 break
@@ -243,10 +244,10 @@ class _Session:
                     active = None
                 else:
                     active = trace
-                    checkpoint = state.checkpoint
+                    checkpoint = state
                     # last_model solves the constraint unless the answer
                     # came from outside
-                    self.hint_holds = None if result.reason else checkpoint.head
+                    self.hint_holds = None if result.reason else state.head
             elif result.status == "unsat":
                 failing, verdict = self._min_failing_index(constraint)
                 if failing < 0:

@@ -1056,14 +1056,7 @@ def _float_literals(e: SymExpr):
 
 def verify_model(constraint: Constraint, model: Model) -> bool:
     """Independent check: every conjunct evaluates true under the model."""
-    env = dict(model.values)
-    try:
-        for c in constraint.conjuncts:
-            if not evaluate(c, env):
-                return False
-    except EvalError:
-        return False
-    return True
+    return model_fits(model, {}, constraint.conjuncts)
 
 
 def _in_start_domain(fs: FreeSymbol, v: int | float | None) -> bool:

@@ -13,7 +13,14 @@ concrete replay alone decides what a test case does with its contracts.
 Reads and writes implement the aliasing-aware history semantics described
 in memory.py; all side conditions produced while evaluating an expression
 (dereference bounds, divisor != 0, shift ranges, pointer-subtraction base
-equality) attach to the next branch entry.
+equality) attach to the next branch entry, or form the constraint's tail
+where the trace ends.
+
+A path state is only appended to: a write adds a memory item and changes
+no earlier one. So the state interpret returns for an incomplete trace is
+the checkpoint of its extensions: each one resumes from a fork, which
+copies the lists and shares what they hold, and the checkpoint itself is
+never changed.
 """
 
 from __future__ import annotations
@@ -171,10 +178,8 @@ class Layout:
 
 @dataclass
 class BranchEntry:
-    edge: CfgEdge
     guard: SymExpr
     sides: list[SymExpr]
-    folded: bool | None  # True: constant-true guard, no solver needed
 
 
 @dataclass
@@ -188,30 +193,15 @@ class StubCallEvent:
 
 
 @dataclass
-class Checkpoint:
+class PathState:
     """The path state reached after the last node of a trace.
 
-    An interpretation of a trace whose nodes begin with these node objects
-    may resume from a fork of the state instead of from the entry, as long
-    as the region table has not grown since the interpretation that built
-    the state began: reads look up pointer base candidates as they run.
+    What a state records is never changed: memory items, branches and
+    events are only appended. The state interpret returns for an incomplete
+    trace is the checkpoint its extensions resume from: each resumes from a
+    fork of it, and it stays as it was.
     """
 
-    nodes: list[StctNode]
-    state: PathState
-    generation: int  # RegionTable.generation when that interpretation began
-    # the constraint of the trace's assumptions and branches, without the
-    # tail: conjoin records it, and an extension's constraint begins with it
-    head: con.Constraint | None = None
-
-    def resumes(self, trace: Trace, regions: RegionTable) -> bool:
-        return (regions.generation == self.generation
-                and len(trace.nodes) >= len(self.nodes)
-                and all(a is b for a, b in zip(self.nodes, trace.nodes)))
-
-
-@dataclass
-class PathState:
     layout: Layout
     step: int = 0
     items: list[MemoryItem] = field(default_factory=list)
@@ -220,7 +210,6 @@ class PathState:
     symbolic_items: list[int] = field(default_factory=list)
     assumptions: list[SymExpr] = field(default_factory=list)
     branches: list[BranchEntry] = field(default_factory=list)
-    tail_sides: list[SymExpr] = field(default_factory=list)
     stub_counts: dict[str, int] = field(default_factory=dict)
     stub_calls: list[StubCallEvent] = field(default_factory=list)
     snapshots: dict[str, SymExpr] = field(default_factory=dict)
@@ -228,41 +217,53 @@ class PathState:
     infeasible_branch: int | None = None
     flags: ApproxFlags = field(default_factory=ApproxFlags)
     complete: bool = False
-    _pending: list[SymExpr] = field(default_factory=list)
-    # saved after the last node of an incomplete trace, for its extensions
-    checkpoint: Checkpoint | None = None
-    # the checkpoint this state was resumed from (None: from the entry)
-    resumed_from: Checkpoint | None = None
+    # side conditions no branch has taken yet: the next branch's, or the
+    # constraint's tail where the trace ends
+    pending: list[SymExpr] = field(default_factory=list)
+    # recorded when interpret returns: the trace's nodes and the region
+    # table's generation when the interpretation from the entry began
+    nodes: list[StctNode] = field(default_factory=list)
+    generation: int | None = None
+    # the constraint without the tail, recorded by conjoin for an
+    # incomplete trace: an extension's constraint begins with it
+    head: con.Constraint | None = None
+    # trace nodes taken over from the state this one was forked from (0:
+    # interpreted from the entry), and that state's head
+    resumed_at: int = 0
+    resumed_from_head: con.Constraint | None = None
 
-    @property
-    def resumed_at(self) -> int:
-        """Trace nodes taken over from a checkpoint (0: from the entry)."""
-        return len(self.resumed_from.nodes) if self.resumed_from else 0
+    def resumes(self, trace: Trace) -> bool:
+        """Whether an interpretation of trace may go on from a fork of this
+        state: the trace begins with this state's node objects, and the
+        region table has not grown since the interpretation that built the
+        state began (reads look up pointer base candidates as they run)."""
+        return (self.layout.regions.generation == self.generation
+                and len(trace.nodes) >= len(self.nodes)
+                and all(a is b for a, b in zip(self.nodes, trace.nodes)))
 
     def resumed_head(self) -> con.Constraint | None:
-        """The head of the checkpoint this state resumed from, while the
-        region table is as it was when that head was built: its free-table
-        entries (base candidates) are then still the ones conjoin builds."""
-        cp = self.resumed_from
-        if cp is None or cp.generation != self.layout.regions.generation:
+        """The head of the state this one was forked from, while the region
+        table is as it was when that head was built: its free-table entries
+        (base candidates) are then still the ones conjoin builds."""
+        if self.generation != self.layout.regions.generation:
             return None
-        return cp.head
+        return self.resumed_from_head
 
     def fork(self) -> PathState:
         """A copy that later steps on either side leave intact.
 
-        Branch entries, events and expressions are never changed once
-        recorded, so the lists holding them are copied and they are shared;
-        memory items are copied because a write closes them.
+        Nothing recorded in a path state is ever changed: memory items,
+        branch entries, events and expressions are shared, and only the
+        lists and maps that hold them are copied. The copy has not reached
+        the end of a trace: it has no nodes, generation or head yet.
         """
         return PathState(
-            self.layout, self.step, [item.copy() for item in self.items],
+            self.layout, self.step, list(self.items),
             {base: list(positions) for base, positions in self.base_items.items()},
-            list(self.symbolic_items),
-            list(self.assumptions), list(self.branches), list(self.tail_sides),
+            list(self.symbolic_items), list(self.assumptions), list(self.branches),
             dict(self.stub_counts), list(self.stub_calls), dict(self.snapshots),
             self.return_value, self.infeasible_branch, self.flags.fork(),
-            self.complete, list(self._pending))
+            self.complete, list(self.pending))
 
     def add_item(self, item: MemoryItem) -> None:
         """Append a memory item to the history and index its position."""
@@ -284,11 +285,11 @@ class PathState:
 
     def add_side(self, cond: SymExpr) -> None:
         if not is_true(cond):
-            self._pending.append(cond)
+            self.pending.append(cond)
 
     def take_pending(self) -> list[SymExpr]:
-        out = self._pending
-        self._pending = []
+        out = self.pending
+        self.pending = []
         return out
 
 
@@ -506,17 +507,8 @@ class _Interp:
             narrow = IntType(place.bit[1], place.elem_type.signed,
                              f"{place.elem_type.name}:{place.bit[1]}")
             value = self.value_as(value, narrow, line)
-        if isinstance(place.base, Const) and isinstance(place.offset, Const):
-            items = self.state.items
-            for pos in self.state.base_items.get(int(place.base.value), ()):
-                item = items[pos]
-                if item.open and isinstance(item.offset, Const) and item.bit == place.bit:
-                    a, b = int(item.offset.value), int(place.offset.value)
-                    if not (a + item.length <= b or b + place.length <= a):
-                        item.valid_to = self.state.step
         self.state.add_item(MemoryItem(
-            place.base, place.offset, place.length, value,
-            self.state.step, None, place.bit, line))
+            place.base, place.offset, place.length, value, place.bit))
 
     # ---- expression evaluation ---------------------------------------------
 
@@ -767,18 +759,19 @@ def _hint(e: Expr) -> str:
 
 def interpret(trace: Trace, cfg: Cfg, anns: AnnotationSet, layout: Layout,
               active_testcase: int | None = None,
-              resume: Checkpoint | None = None) -> PathState:
+              resume: PathState | None = None) -> PathState:
     """Symbolically execute one trace and return the resulting path state.
 
-    With a ``resume`` checkpoint that applies to the trace, execution goes on
-    from a fork of its state at the first edge the checkpoint's trace did not
-    have; the result is the one an interpretation from the entry gives. An
-    incomplete trace's state carries a checkpoint for its own extensions.
+    When the state ``resume`` resumes the trace (``PathState.resumes``),
+    execution goes on from a fork of it at the first edge its trace did not
+    have, and ``resume`` stays as it was; the result is the one an
+    interpretation from the entry gives. The state returned for an
+    incomplete trace is the one its extensions resume from.
     """
-    if resume is not None and resume.resumes(trace, layout.regions):
-        state = resume.state.fork()
-        state.resumed_from = resume
-        first = len(resume.nodes)
+    if resume is not None and resume.resumes(trace):
+        state = resume.fork()
+        state.resumed_at = first = len(resume.nodes)
+        state.resumed_from_head = resume.head
         generation = resume.generation
         interp = _Interp(state)
     else:
@@ -798,9 +791,7 @@ def interpret(trace: Trace, cfg: Cfg, anns: AnnotationSet, layout: Layout,
         for instr in cfg.node(trace.nodes[pos].node_id).instrs:
             state.step += 1
             _exec_instr(state, interp, instr)
-    if not trace.complete:
-        state.checkpoint = Checkpoint(list(trace.nodes), state.fork(), generation)
-    state.tail_sides.extend(state.take_pending())
+    state.nodes, state.generation = list(trace.nodes), generation
     state.complete = trace.complete
     return state
 
@@ -835,7 +826,7 @@ def _take_snapshots(state: PathState, interp: _Interp, anns: AnnotationSet) -> N
         expr.ctype = region.elem_type if region.dim == 1 else \
             ArrayType(region.elem_type, region.dim)
         state.snapshots[name] = interp.eval(expr)
-    state._pending = []  # entry reads carry no feasibility conditions
+    state.pending = []  # entry reads carry no feasibility conditions
 
 
 def _assume_preconditions(state: PathState, interp: _Interp, anns: AnnotationSet,
@@ -882,12 +873,7 @@ def _take_branch(state: PathState, interp: _Interp, cfg: Cfg, edge: CfgEdge) -> 
     assert cond is not None and edge.polarity is not None
     guard = _polarized_guard(interp, cond, edge.polarity)
     sides = state.take_pending()
-    folded: bool | None = None
-    if is_true(guard):
-        folded = True
-    elif is_false(guard):
-        folded = False
-    state.branches.append(BranchEntry(edge, guard, sides, folded))
-    if folded is False or any(is_false(s) for s in sides):
+    state.branches.append(BranchEntry(guard, sides))
+    if is_false(guard) or any(is_false(s) for s in sides):
         state.infeasible_branch = len(state.branches) - 1
 

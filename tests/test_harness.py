@@ -126,7 +126,7 @@ class TestReplay:
         constraint = con.conjoin(state)
         model = solve(constraint).model.values
         good = build_test_case(0, trace, state, model, cfg, layout, anns)
-        assert good.covered_edges
+        assert good.trace_labels
         # out-of-bounds offset: replay must refuse the test case
         bad = dict(model)
         bad["p1@offset"] = 99

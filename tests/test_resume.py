@@ -1,6 +1,7 @@
 """Resumed interpretation: an extension of the active trace continues from
-the path state saved at the end of that trace, and must reach the state an
-interpretation from the entry reaches."""
+a fork of the path state that trace's interpretation returned, must reach
+the state an interpretation from the entry reaches, and leaves the state it
+resumed from as it was."""
 
 import dataclasses
 import glob
@@ -75,10 +76,10 @@ CASES = _cases()
 
 
 def _observable(state: PathState):
-    """Everything later steps read from a path state."""
-    c = con.conjoin(state)
-    items = [(i.base, i.offset, i.length, i.value, i.valid_from, i.valid_to,
-              i.bit) for i in state.items]
+    """Everything later steps read from a path state. The constraint is
+    built from a shallow copy, so the head conjoin records lands there."""
+    c = con.conjoin(dataclasses.replace(state))
+    items = [(i.base, i.offset, i.length, i.value, i.bit) for i in state.items]
     # the free table's order breaks ties in the solver's branching and fixes
     # the model's order, and dict equality ignores it
     return (c.conjuncts, list(c.free.items()), c.segments, state.infeasible_branch,
@@ -138,9 +139,9 @@ def test_resumed_constraint_equals_one_built_whole(label, text, name, monkeypatc
 
     def checking_conjoin(state):
         c = real_conjoin(state)
-        if state.resumed_from is not None:
+        if state.resumed_at:
             heads.append(state.resumed_head() is not None)
-            whole = real_conjoin(dataclasses.replace(state, resumed_from=None, checkpoint=None))
+            whole = real_conjoin(dataclasses.replace(state, resumed_from_head=None))
             assert (c.conjuncts, list(c.free.items()), c.segments) == \
                 (whole.conjuncts, list(whole.free.items()), whole.segments)
         return c
@@ -203,11 +204,48 @@ def test_fork_copies_every_mutable_part(monkeypatch):
         a, b = getattr(state, f.name), getattr(fork, f.name)
         if isinstance(a, (list, dict, ApproxFlags)):
             assert a is not b, f.name
-    assert all(x is not y for x, y in zip(state.items, fork.items))
+    # the items are shared, and none of them can change
+    assert all(x is y for x, y in zip(state.items, fork.items))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fork.items[-1].value = fork.items[0].value
     # steps on the fork leave the original as it was
     before = _observable(state)
-    fork.items[-1].valid_to = fork.step
+    fork.add_item(dataclasses.replace(fork.items[-1]))
     fork.flags.mark("fork only")
     assert fork.flags.fresh(INT).name == "__approx@2"
     assert state.flags.fresh(INT).name == "__approx@2"
     assert _observable(state) == before
+
+
+def test_resumed_from_state_stays_as_it_was(monkeypatch):
+    """Every interpretation that resumes from a state, the sibling that
+    resumes after an unsat extension included, leaves it as it was."""
+    real_interpret, real_solve = pipeline.interpret, pipeline.solve
+    before = {}  # id of a resumed-from state: (the state, its observable)
+    log = []  # per interpretation: [id of the state it resumed from, first answer]
+
+    def checking_interpret(trace, *args, **kwargs):
+        origin = kwargs.get("resume")
+        if origin is not None:
+            before.setdefault(id(origin), (origin, _observable(origin)))
+        state = real_interpret(trace, *args, **kwargs)
+        log.append([id(origin) if state.resumed_at else None, None])
+        for kept, seen in before.values():
+            assert _observable(kept) == seen
+        return state
+
+    def recording_solve(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        if log and log[-1][1] is None:
+            log[-1][1] = result.status
+        return result
+
+    monkeypatch.setattr(pipeline, "interpret", checking_interpret)
+    monkeypatch.setattr(pipeline, "solve", recording_solve)
+    unit = parse_unit(CHAIN, "<resume>")
+    outcome = pipeline.generate_function(
+        unit, unit.function("chain"), Config(out_dir="/tmp/ctg-resume", ptr_array_size=3))
+    assert outcome.status == "ok", outcome.message
+    # an extension that was unsat, then its sibling from the same state
+    assert any(a[0] is not None and a[1] == "unsat" and b[0] == a[0]
+               for a, b in zip(log, log[1:]))

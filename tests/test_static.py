@@ -1,6 +1,7 @@
 """Static checks: every global name the code reads is defined somewhere,
-every name a module imports is used, and every function, method and class
-is referenced by the code under src/ (test oracles excepted).
+every name a module imports is used, every function, method and class is
+referenced by the code under src/ (test oracles excepted), and every
+dataclass field is read there (a few kept for outside readers excepted).
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -126,6 +127,72 @@ def unreferenced_definitions(src_dir: str) -> list[str]:
 
 def test_every_definition_is_reachable_from_src():
     assert unreferenced_definitions(SRC) == sorted(TEST_ORACLES)
+
+
+# Dataclass fields that no code under src/ reads, each kept for a reader
+# outside it.
+_SELECTION_LOG = ("the selection log is part of generate_function's result: "
+                  "perfbench/run.py's counters read verdict, the STCT tests "
+                  "read labels")
+UNREAD_FIELDS = {
+    "pipeline.py: SelectionRecord.labels": _SELECTION_LOG,
+    "pipeline.py: SelectionRecord.verdict": _SELECTION_LOG,
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(src_dir: str) -> list[str]:
+    """Fields of the dataclasses defined under src_dir whose name no code
+    there reads as an attribute (``x.name`` in a load, not a store)."""
+    fields: dict[str, str] = {}
+    read: set[str] = set()
+    for root, _dirs, files in os.walk(src_dir):
+        for f in sorted(files):
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(root, f)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            fields[f"{node.name}.{stmt.target.id}"] = \
+                                os.path.relpath(path, src_dir)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return sorted(f"{module}: {name}" for name, module in fields.items()
+                  if name.split(".")[1] not in read)
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_fields(SRC) == sorted(UNREAD_FIELDS)
+
+
+def test_field_check_sees_an_unread_field(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    read: int\n"
+        "    written: int = 0\n"
+        "    unread: int = 0\n"
+        "@dataclass\n"
+        "class Q:\n"
+        "    kept: int\n"
+        "class R:\n"
+        "    plain: int = 0\n"
+        "def f(p, q):\n"
+        "    q.written = p.read + q.kept\n"
+        "    return p\n")
+    assert unread_fields(str(tmp_path)) == ["m.py: P.unread", "m.py: P.written"]
 
 
 def test_reachability_check_sees_an_unused_method(tmp_path):
