@@ -20,8 +20,6 @@ them) but suppressed when rendering text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .memory import NULL_BASE, RegionTable
 from .symexpr import (
     Const,
@@ -43,27 +41,32 @@ _ORDERING = ("<", "<=", ">", ">=")
 _ALL_OMEGA = _ORDERING + ("==", "!=")
 
 
-@dataclass
 class FreeSymbol:
-    name: str
-    ctype: CType
-    role: Role
-    # pointer-offset symbols: the default input domain [0, dim)
-    dim: int | None = None
-    # pointer-base symbols: allowed region ids and their dimensions
-    candidates: list[int] = field(default_factory=list)
-    candidate_dims: dict[int, int] = field(default_factory=dict)
-    paired_offset: str | None = None
+    def __init__(self, name: str, ctype: CType, role: Role, dim: int | None = None,
+                 candidates: list[int] | None = None,
+                 candidate_dims: dict[int, int] | None = None,
+                 paired_offset: str | None = None):
+        self.name = name
+        self.ctype = ctype
+        self.role = role
+        # pointer-offset symbols: the default input domain [0, dim)
+        self.dim = dim
+        # pointer-base symbols: allowed region ids and their dimensions
+        self.candidates = [] if candidates is None else candidates
+        self.candidate_dims = {} if candidate_dims is None else candidate_dims
+        self.paired_offset = paired_offset
 
 
-@dataclass
 class Constraint:
     """Ordered conjunction plus the free-symbol table the solver needs."""
 
-    conjuncts: list[SymExpr] = field(default_factory=list)
-    free: dict[str, FreeSymbol] = field(default_factory=dict)
-    # (kind, branch index, first conjunct position); kind is assume/branch/tail
-    segments: list[tuple[str, int, int]] = field(default_factory=list)
+    def __init__(self, conjuncts: list[SymExpr] | None = None,
+                 free: dict[str, FreeSymbol] | None = None,
+                 segments: list[tuple[str, int, int]] | None = None):
+        self.conjuncts = [] if conjuncts is None else conjuncts
+        self.free = {} if free is None else free
+        # (kind, branch index, first conjunct position); kind is assume/branch/tail
+        self.segments = [] if segments is None else segments
 
     def render(self) -> str:
         return render_conjunction(self.conjuncts)
@@ -108,11 +111,11 @@ def restrict_free(free: dict[str, FreeSymbol], conjuncts: list[SymExpr]
     return out
 
 
-@dataclass
 class PtrInfo:
-    base: SymExpr
-    offset: SymExpr
-    dim: int
+    def __init__(self, base: SymExpr, offset: SymExpr, dim: int):
+        self.base = base
+        self.offset = offset
+        self.dim = dim
 
 
 def ptr_info(p: Ptr, table: RegionTable) -> PtrInfo:

@@ -8,8 +8,6 @@ __rtt_assign must be a plain assignment to an auxiliary variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import AnnotationPlacementError, AnnotationScopeError, CunitgenError
 from ..typesys import CType
 from .csyntax import (
@@ -41,23 +39,28 @@ _HEADER_KINDS = (
 )
 
 
-@dataclass
 class TestCaseAnn:
-    pre: Expr
-    post: Expr
-    tags: list[str]
-    line: int
+    def __init__(self, pre: Expr, post: Expr, tags: list[str], line: int):
+        self.pre = pre
+        self.post = post
+        self.tags = tags
+        self.line = line
 
 
-@dataclass
 class AnnotationSet:
-    pres: list[Expr] = field(default_factory=list)
-    posts: list[tuple[Expr, int]] = field(default_factory=list)
-    testcases: list[TestCaseAnn] = field(default_factory=list)
-    aux: dict[str, CType] = field(default_factory=dict)
-    modifies: list[str] | None = None  # None: no restriction was declared
-    initial_vars: list[str] = field(default_factory=list)
-    annotations: list[Annotation] = field(default_factory=list)  # source order
+    def __init__(self, pres: list[Expr] | None = None,
+                 posts: list[tuple[Expr, int]] | None = None,
+                 testcases: list[TestCaseAnn] | None = None,
+                 aux: dict[str, CType] | None = None, modifies: list[str] | None = None,
+                 initial_vars: list[str] | None = None,
+                 annotations: list[Annotation] | None = None):
+        self.pres = [] if pres is None else pres
+        self.posts = [] if posts is None else posts
+        self.testcases = [] if testcases is None else testcases
+        self.aux = {} if aux is None else aux
+        self.modifies = modifies  # None: no restriction was declared
+        self.initial_vars = [] if initial_vars is None else initial_vars
+        self.annotations = [] if annotations is None else annotations  # source order
 
     @property
     def requirement_tags(self) -> list[str]:

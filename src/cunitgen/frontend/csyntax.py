@@ -6,7 +6,6 @@ additionally get a binding describing what declaration they resolve to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from ..typesys import CType
@@ -26,144 +25,155 @@ class AnnotationKind(Enum):
 # Expressions
 
 
-@dataclass
 class Name:
-    name: str
-    line: int = 0
-    ctype: CType | None = None
-    binding: "Binding | None" = None
+    def __init__(self, name: str, line: int = 0, ctype: CType | None = None,
+                 binding: Binding | None = None):
+        self.name = name
+        self.line = line
+        self.ctype = ctype
+        self.binding = binding
 
 
-@dataclass
 class IntLit:
-    value: int
-    line: int = 0
-    suffix: str = ""
-    ctype: CType | None = None
+    def __init__(self, value: int, line: int = 0, suffix: str = "",
+                 ctype: CType | None = None):
+        self.value = value
+        self.line = line
+        self.suffix = suffix
+        self.ctype = ctype
 
 
-@dataclass
 class FloatLit:
-    value: float
-    line: int = 0
-    is_single: bool = False
-    ctype: CType | None = None
+    def __init__(self, value: float, line: int = 0, is_single: bool = False,
+                 ctype: CType | None = None):
+        self.value = value
+        self.line = line
+        self.is_single = is_single
+        self.ctype = ctype
 
 
-@dataclass
 class CharLit:
-    value: int
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, value: int, line: int = 0, ctype: CType | None = None):
+        self.value = value
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class StrLit:
-    value: str
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, value: str, line: int = 0, ctype: CType | None = None):
+        self.value = value
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Bin:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0,
+                 ctype: CType | None = None):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Un:
-    op: str  # one of - + ~ ! & *
-    operand: "Expr"
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, op: str, operand: Expr, line: int = 0, ctype: CType | None = None):
+        self.op = op  # one of - + ~ ! & *
+        self.operand = operand
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Assign:
-    op: str  # = += -= *= /= %= &= |= ^= <<= >>=
-    target: "Expr"
-    value: "Expr"
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, op: str, target: Expr, value: Expr, line: int = 0,
+                 ctype: CType | None = None):
+        self.op = op  # = += -= *= /= %= &= |= ^= <<= >>=
+        self.target = target
+        self.value = value
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Update:
-    op: str  # ++ or --
-    operand: "Expr"
-    is_prefix: bool
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, op: str, operand: Expr, is_prefix: bool, line: int = 0,
+                 ctype: CType | None = None):
+        self.op = op  # ++ or --
+        self.operand = operand
+        self.is_prefix = is_prefix
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Cond:
-    cond: "Expr"
-    then: "Expr"
-    other: "Expr"
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, cond: Expr, then: Expr, other: Expr, line: int = 0,
+                 ctype: CType | None = None):
+        self.cond = cond
+        self.then = then
+        self.other = other
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Call:
-    name: str
-    args: list["Expr"]
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, name: str, args: list[Expr], line: int = 0,
+                 ctype: CType | None = None):
+        self.name = name
+        self.args = args
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Index:
-    base: "Expr"
-    index: "Expr"
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, base: Expr, index: Expr, line: int = 0, ctype: CType | None = None):
+        self.base = base
+        self.index = index
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class Member:
-    base: "Expr"
-    field_name: str
-    arrow: bool
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, base: Expr, field_name: str, arrow: bool, line: int = 0,
+                 ctype: CType | None = None):
+        self.base = base
+        self.field_name = field_name
+        self.arrow = arrow
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class CastExpr:
-    target: CType
-    operand: "Expr"
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, target: CType, operand: Expr, line: int = 0,
+                 ctype: CType | None = None):
+        self.target = target
+        self.operand = operand
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class SizeofType:
-    target: CType | None
-    line: int = 0
-    operand: "Expr | None" = None  # sizeof(expr) form; sema fills target
-    ctype: CType | None = None
+    def __init__(self, target: CType | None, line: int = 0, operand: Expr | None = None,
+                 ctype: CType | None = None):
+        self.target = target
+        self.line = line
+        self.operand = operand  # sizeof(expr) form; sema fills target
+        self.ctype = ctype
 
 
-@dataclass
 class InitialRef:
     """__rtt_initial(v): the value of v on function entry."""
 
-    var: Name
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, var: Name, line: int = 0, ctype: CType | None = None):
+        self.var = var
+        self.line = line
+        self.ctype = ctype
 
 
-@dataclass
 class ReturnRef:
     """__rtt_return: the value returned by the unit under test."""
 
-    line: int = 0
-    ctype: CType | None = None
+    def __init__(self, line: int = 0, ctype: CType | None = None):
+        self.line = line
+        self.ctype = ctype
 
 
 Expr = (
@@ -176,103 +186,107 @@ Expr = (
 # Statements
 
 
-@dataclass
 class DeclStmt:
-    name: str
-    ctype: CType
-    init: Expr | None
-    line: int = 0
+    def __init__(self, name: str, ctype: CType, init: Expr | None, line: int = 0):
+        self.name = name
+        self.ctype = ctype
+        self.init = init
+        self.line = line
 
 
-@dataclass
 class ExprStmt:
-    expr: Expr
-    line: int = 0
+    def __init__(self, expr: Expr, line: int = 0):
+        self.expr = expr
+        self.line = line
 
 
-@dataclass
 class If:
-    cond: Expr
-    then: "Block"
-    orelse: "Block | None"
-    line: int = 0
+    def __init__(self, cond: Expr, then: Block, orelse: Block | None, line: int = 0):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
+        self.line = line
 
 
-@dataclass
 class While:
-    cond: Expr
-    body: "Block"
-    line: int = 0
+    def __init__(self, cond: Expr, body: Block, line: int = 0):
+        self.cond = cond
+        self.body = body
+        self.line = line
 
 
-@dataclass
 class DoWhile:
-    body: "Block"
-    cond: Expr
-    line: int = 0
+    def __init__(self, body: Block, cond: Expr, line: int = 0):
+        self.body = body
+        self.cond = cond
+        self.line = line
 
 
-@dataclass
 class For:
-    init: "Stmt | None"
-    cond: Expr | None
-    step: Expr | None
-    body: "Block"
-    line: int = 0
+    def __init__(self, init: Stmt | None, cond: Expr | None, step: Expr | None,
+                 body: Block, line: int = 0):
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.body = body
+        self.line = line
 
 
-@dataclass
 class SwitchCase:
-    value: int | None  # None is the default label
-    body: list["Stmt"]
-    line: int = 0
+    def __init__(self, value: int | None, body: list[Stmt], line: int = 0):
+        self.value = value  # None is the default label
+        self.body = body
+        self.line = line
 
 
-@dataclass
 class Switch:
-    scrutinee: Expr
-    cases: list[SwitchCase]
-    line: int = 0
+    def __init__(self, scrutinee: Expr, cases: list[SwitchCase], line: int = 0):
+        self.scrutinee = scrutinee
+        self.cases = cases
+        self.line = line
 
 
-@dataclass
 class Break:
-    line: int = 0
+    def __init__(self, line: int = 0):
+        self.line = line
 
 
-@dataclass
 class Continue:
-    line: int = 0
+    def __init__(self, line: int = 0):
+        self.line = line
 
 
-@dataclass
 class Return:
-    value: Expr | None
-    line: int = 0
+    def __init__(self, value: Expr | None, line: int = 0):
+        self.value = value
+        self.line = line
 
 
-@dataclass
 class Block:
-    stmts: list["Stmt"]
-    line: int = 0
+    def __init__(self, stmts: list[Stmt], line: int = 0):
+        self.stmts = stmts
+        self.line = line
 
 
-@dataclass
 class Annotation:
     """One __rtt_* statement, payload kept as AST."""
 
-    kind: AnnotationKind
-    exprs: list[Expr] = field(default_factory=list)
-    tags: list[str] = field(default_factory=list)
-    aux_name: str = ""
-    aux_type: CType | None = None
-    names: list[Name] = field(default_factory=list)  # MODIFIES arguments
-    line: int = 0
+    def __init__(self, kind: AnnotationKind, exprs: list[Expr] | None = None,
+                 tags: list[str] | None = None, aux_name: str = "",
+                 aux_type: CType | None = None, names: list[Name] | None = None,
+                 line: int = 0):
+        self.kind = kind
+        self.exprs = [] if exprs is None else exprs
+        self.tags = [] if tags is None else tags
+        self.aux_name = aux_name
+        self.aux_type = aux_type
+        self.names = [] if names is None else names  # MODIFIES arguments
+        self.line = line
 
 
-@dataclass
 class EmptyStmt:
-    line: int = 0
+    def __init__(self, line: int = 0):
+        self.line = line
 
 
 Stmt = (
@@ -285,61 +299,69 @@ Stmt = (
 # Top level
 
 
-@dataclass
 class Param:
-    name: str
-    ctype: CType
-    line: int = 0
+    def __init__(self, name: str, ctype: CType, line: int = 0):
+        self.name = name
+        self.ctype = ctype
+        self.line = line
 
 
-@dataclass
 class FunctionDef:
-    name: str
-    return_type: CType
-    params: list[Param]
-    body: Block | None  # None for a prototype
-    line: int = 0
-    annotation_only: bool = False  # body holds only annotations (external spec)
-    # Filled by the sema pass:
-    locals_types: dict[str, CType] = field(default_factory=dict)
-    aux_types: dict[str, CType] = field(default_factory=dict)
-    end_line: int = 0
-    # extraction strips the body, so the result is cached for reuse
-    extracted: object | None = field(default=None, compare=False, repr=False)
+    def __init__(self, name: str, return_type: CType, params: list[Param],
+                 body: Block | None, line: int = 0, annotation_only: bool = False,
+                 locals_types: dict[str, CType] | None = None,
+                 aux_types: dict[str, CType] | None = None, end_line: int = 0,
+                 extracted: object | None = None):
+        self.name = name
+        self.return_type = return_type
+        self.params = params
+        self.body = body  # None for a prototype
+        self.line = line
+        self.annotation_only = annotation_only  # body holds only annotations (external spec)
+        # Filled by the sema pass:
+        self.locals_types = {} if locals_types is None else locals_types
+        self.aux_types = {} if aux_types is None else aux_types
+        self.end_line = end_line
+        # extraction strips the body, so the result is cached for reuse
+        self.extracted = extracted
 
 
-@dataclass
 class VarDecl:
-    name: str
-    ctype: CType
-    init: Expr | None
-    line: int = 0
-    is_extern: bool = False
+    def __init__(self, name: str, ctype: CType, init: Expr | None, line: int = 0,
+                 is_extern: bool = False):
+        self.name = name
+        self.ctype = ctype
+        self.init = init
+        self.line = line
+        self.is_extern = is_extern
 
 
-@dataclass
 class TypeDecl:
-    name: str
-    ctype: CType
-    line: int = 0
-    enum_consts: list[tuple[str, int]] = field(default_factory=list)
+    def __init__(self, name: str, ctype: CType, line: int = 0,
+                 enum_consts: list[tuple[str, int]] | None = None):
+        self.name = name
+        self.ctype = ctype
+        self.line = line
+        self.enum_consts = [] if enum_consts is None else enum_consts
 
 
-@dataclass
 class Binding:
-    kind: str  # global, param, local, aux, enum-const
-    name: str  # unique resolved name
-    ctype: CType
-    line: int = 0
-    enum_value: int = 0
+    def __init__(self, kind: str, name: str, ctype: CType, line: int = 0,
+                 enum_value: int = 0):
+        self.kind = kind  # global, param, local, aux, enum-const
+        self.name = name  # unique resolved name
+        self.ctype = ctype
+        self.line = line
+        self.enum_value = enum_value
 
 
-@dataclass
 class SourceUnit:
-    file_name: str
-    functions: list[FunctionDef]
-    globals: list[VarDecl]
-    typedecls: list[TypeDecl]
+    def __init__(self, file_name: str, functions: list[FunctionDef],
+                 globals: list[VarDecl], typedecls: list[TypeDecl]):
+        self.file_name = file_name
+        self.functions = functions
+        self.globals = globals
+        self.typedecls = typedecls
 
     def function(self, name: str) -> FunctionDef:
         for f in self.functions:

@@ -6,9 +6,8 @@ first on raw text and feeds expanded text per line into here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ParseError
+from ..frozen import Frozen
 
 KEYWORDS = {
     "void", "char", "short", "int", "long", "float", "double", "signed",
@@ -37,13 +36,15 @@ _SIMPLE_ESCAPES = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, keyword, annkw, int, float, char, string, punct, eof
-    text: str
-    value: object = None
-    line: int = 0
-    col: int = 0
+class Token(Frozen):
+    def __init__(self, kind: str, text: str, value: object = None, line: int = 0,
+                 col: int = 0):
+        self.__dict__.update(
+            kind=kind,  # ident, keyword, annkw, int, float, char, string, punct, eof
+            text=text,
+            value=value,
+            line=line,
+            col=col)
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, line={self.line})"

@@ -6,8 +6,6 @@ the sema pass so every expression node carries its static type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import CunitgenError, ParseError, UnsupportedConstruct
 from ..typesys import (
     BUILTIN_TYPES,
@@ -73,11 +71,13 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 _DYNAMIC_MEMORY = {"malloc", "calloc", "realloc", "free"}
 
 
-@dataclass
 class TypeEnv:
-    typedefs: dict[str, CType] = field(default_factory=dict)
-    tags: dict[tuple[str, str], StructType] = field(default_factory=dict)
-    enum_consts: dict[str, int] = field(default_factory=dict)
+    def __init__(self, typedefs: dict[str, CType] | None = None,
+                 tags: dict[tuple[str, str], StructType] | None = None,
+                 enum_consts: dict[str, int] | None = None):
+        self.typedefs = {} if typedefs is None else typedefs
+        self.tags = {} if tags is None else tags
+        self.enum_consts = {} if enum_consts is None else enum_consts
 
 
 class _Parser:

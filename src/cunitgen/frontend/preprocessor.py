@@ -10,7 +10,6 @@ sources.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from ..errors import ParseError, UnsupportedConstruct
 from .lexer import Token, lex
@@ -18,9 +17,9 @@ from .lexer import Token, lex
 COMPAT_HEADER = "rtt_annotations.h"
 
 
-@dataclass
 class MacroTable:
-    macros: dict[str, list[Token]] = field(default_factory=dict)
+    def __init__(self, macros: dict[str, list[Token]] | None = None):
+        self.macros = {} if macros is None else macros
 
 
 def strip_comments(text: str) -> str:

@@ -7,8 +7,6 @@ of the pipeline can key memory regions by name alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import SemaError, UnsupportedConstruct
 from ..typesys import (
     DOUBLE,
@@ -72,10 +70,11 @@ from .csyntax import (
 from .parser import TypeEnv
 
 
-@dataclass
 class _Scope:
-    parent: "_Scope | None" = None
-    names: dict[str, Binding] = field(default_factory=dict)
+    def __init__(self, parent: _Scope | None = None,
+                 names: dict[str, Binding] | None = None):
+        self.parent = parent
+        self.names = {} if names is None else names
 
     def lookup(self, name: str) -> Binding | None:
         scope: _Scope | None = self

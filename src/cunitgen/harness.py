@@ -19,7 +19,6 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 
 from .errors import ReplayDivergence
 from .frontend.annotations import AnnotationSet
@@ -49,28 +48,33 @@ from .typesys import (
 )
 
 
-@dataclass
 class TestCase:
-    tc_id: int
-    function: str
-    cells: list[InputCell]  # the memory replay started from
-    schedule: dict[str, list[StubCallValues]]
-    outcomes: list[CheckOutcome]
-    tags: list[str]
-    violations: list[tuple[str, list[int]]]  # (variable, lines)
-    trace_labels: list[str]
-    approximate: list[str]  # why symex was not exact on the trace; empty: exact
+    def __init__(self, tc_id: int, function: str, cells: list[InputCell],
+                 schedule: dict[str, list[StubCallValues]], outcomes: list[CheckOutcome],
+                 tags: list[str], violations: list[tuple[str, list[int]]],
+                 trace_labels: list[str], approximate: list[str]):
+        self.tc_id = tc_id
+        self.function = function
+        self.cells = cells  # the memory replay started from
+        self.schedule = schedule
+        self.outcomes = outcomes
+        self.tags = tags
+        self.violations = violations  # (variable, lines)
+        self.trace_labels = trace_labels
+        self.approximate = approximate  # why symex was not exact on the trace; empty: exact
 
 
-@dataclass
 class CoverageReport:
-    function: str
-    nodes_total: int
-    nodes_covered: int
-    edges_total: int
-    edges_covered: int
-    uncovered: list[dict]
-    test_case_count: int
+    def __init__(self, function: str, nodes_total: int, nodes_covered: int,
+                 edges_total: int, edges_covered: int, uncovered: list[dict],
+                 test_case_count: int):
+        self.function = function
+        self.nodes_total = nodes_total
+        self.nodes_covered = nodes_covered
+        self.edges_total = edges_total
+        self.edges_covered = edges_covered
+        self.uncovered = uncovered
+        self.test_case_count = test_case_count
 
     @property
     def node_percent(self) -> float:

@@ -16,8 +16,6 @@ stub machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import UnsupportedConstruct
 from .frontend.csyntax import (
     Annotation,
@@ -54,6 +52,7 @@ from .frontend.csyntax import (
     While,
 )
 from .frontend.writer import expr_to_c
+from .frozen import Frozen
 from .typesys import (
     INT,
     UINT,
@@ -70,43 +69,44 @@ from .typesys import (
 TEMP_PREFIX = "__t"
 
 
-@dataclass
 class IAssign:
-    place: Expr
-    value: Expr
-    line: int
+    def __init__(self, place: Expr, value: Expr, line: int):
+        self.place = place
+        self.value = value
+        self.line = line
 
 
-@dataclass
 class ICall:
-    callee: str
-    args: list[Expr]
-    result: Name | None
-    line: int
+    def __init__(self, callee: str, args: list[Expr], result: Name | None, line: int):
+        self.callee = callee
+        self.args = args
+        self.result = result
+        self.line = line
 
 
-@dataclass
 class IReturn:
-    value: Expr | None
-    line: int
+    def __init__(self, value: Expr | None, line: int):
+        self.value = value
+        self.line = line
 
 
-@dataclass
 class IMarker:
-    kind: AnnotationKind  # ASSERT or ASSIGN
-    payload: Annotation
-    line: int
+    def __init__(self, kind: AnnotationKind, payload: Annotation, line: int):
+        self.kind = kind  # ASSERT or ASSIGN
+        self.payload = payload
+        self.line = line
 
 
 Instr = IAssign | ICall | IReturn | IMarker
 
 
-@dataclass
 class CfgNode:
-    nid: int
-    instrs: list[Instr] = field(default_factory=list)
-    cond: Expr | None = None
-    line: int = 0
+    def __init__(self, nid: int, instrs: list[Instr] | None = None,
+                 cond: Expr | None = None, line: int = 0):
+        self.nid = nid
+        self.instrs = [] if instrs is None else instrs
+        self.cond = cond
+        self.line = line
 
     @property
     def is_decision(self) -> bool:
@@ -117,30 +117,32 @@ class CfgNode:
         return any(isinstance(i, (IAssign, ICall, IReturn)) for i in self.instrs)
 
 
-@dataclass
 class CfgEdge:
-    eid: int
-    src: int
-    dst: int
-    polarity: bool | None  # None: unconditional
-    line: int = 0
+    def __init__(self, eid: int, src: int, dst: int, polarity: bool | None, line: int = 0):
+        self.eid = eid
+        self.src = src
+        self.dst = dst
+        self.polarity = polarity  # None: unconditional
+        self.line = line
 
     @property
     def conditional(self) -> bool:
         return self.polarity is not None
 
 
-@dataclass
 class Cfg:
-    name: str
-    fn: FunctionDef
-    nodes: list[CfgNode]
-    edges: list[CfgEdge]
-    entry: int
-    exit: int
-    temps: dict[str, CType]
-    inline_locals: dict[str, CType]
-    unreachable: set[int] = field(default_factory=set)
+    def __init__(self, name: str, fn: FunctionDef, nodes: list[CfgNode],
+                 edges: list[CfgEdge], entry: int, exit: int, temps: dict[str, CType],
+                 inline_locals: dict[str, CType], unreachable: set[int] | None = None):
+        self.name = name
+        self.fn = fn
+        self.nodes = nodes
+        self.edges = edges
+        self.entry = entry
+        self.exit = exit
+        self.temps = temps
+        self.inline_locals = inline_locals
+        self.unreachable = set() if unreachable is None else unreachable
 
     def node(self, nid: int) -> CfgNode:
         return self.nodes[nid]
@@ -191,10 +193,9 @@ class Cfg:
         return self._exit_distance.get(nid, 1 << 30)
 
 
-@dataclass(frozen=True)
-class Target:
-    kind: str  # "node" or "edge"
-    ident: int
+class Target(Frozen):
+    def __init__(self, kind: str, ident: int):
+        self.__dict__.update(kind=kind, ident=ident)  # kind: "node" or "edge"
 
 
 def enumerate_coverage_targets(cfg: Cfg, criterion: str) -> set[Target]:

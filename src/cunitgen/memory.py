@@ -19,8 +19,7 @@ offsets from their region base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .frozen import Frozen
 from .symexpr import (
     FALSE,
     TRUE,
@@ -46,57 +45,63 @@ NULL_BASE = 0
 BASE_COUNTER_START = 2147483648
 
 
-@dataclass
 class Region:
-    base_id: int
-    name: str
-    elem_type: CType
-    dim: int
-    kind: str  # global, param, local, temp, aux, autogen
-    is_input: bool
-    is_array: bool  # declared as an array, not as a single object
+    def __init__(self, base_id: int, name: str, elem_type: CType, dim: int, kind: str,
+                 is_input: bool, is_array: bool):
+        self.base_id = base_id
+        self.name = name
+        self.elem_type = elem_type
+        self.dim = dim
+        self.kind = kind  # global, param, local, temp, aux, autogen
+        self.is_input = is_input
+        self.is_array = is_array  # declared as an array, not as a single object
 
     @property
     def elem_size(self) -> int:
         return self.elem_type.size
 
 
-@dataclass
 class PointerSyms:
     """Free symbols describing a pointer test input."""
 
-    name: str
-    base: Sym
-    offset: Sym
-    fresh_region: Region
-    pointee: CType
-    from_memory: bool = False  # read back, so it may name a local
+    def __init__(self, name: str, base: Sym, offset: Sym, fresh_region: Region,
+                 pointee: CType, from_memory: bool = False):
+        self.name = name
+        self.base = base
+        self.offset = offset
+        self.fresh_region = fresh_region
+        self.pointee = pointee
+        self.from_memory = from_memory  # read back, so it may name a local
 
 
-@dataclass(frozen=True)
-class MemoryItem:
+class MemoryItem(Frozen):
     """One write, never changed once recorded: path states share it."""
 
-    base: SymExpr  # Const(region id) or a pointer-base symbol
-    offset: SymExpr  # bytes
-    length: int  # bytes
-    value: SymExpr
-    bit: tuple[int, int] | None = None  # (bit offset, bit length) for bit fields
+    def __init__(self, base: SymExpr, offset: SymExpr, length: int, value: SymExpr,
+                 bit: tuple[int, int] | None = None):
+        self.__dict__.update(
+            base=base,  # Const(region id) or a pointer-base symbol
+            offset=offset,  # bytes
+            length=length,  # bytes
+            value=value,
+            bit=bit)  # (bit offset, bit length) for bit fields
 
 
-@dataclass
 class Place:
     """A resolved lvalue: where a read or write lands."""
 
-    base: SymExpr
-    offset: SymExpr  # bytes
-    length: int
-    elem_type: CType
-    bit: tuple[int, int] | None = None
-    hint: str = ""  # naming hint for fresh read symbols
-    # element-scaled view for pointer formation (&x)
-    elem_offset: SymExpr | None = None
-    member_offset: int = 0  # a struct member's byte offset in its element
+    def __init__(self, base: SymExpr, offset: SymExpr, length: int, elem_type: CType,
+                 bit: tuple[int, int] | None = None, hint: str = "",
+                 elem_offset: SymExpr | None = None, member_offset: int = 0):
+        self.base = base
+        self.offset = offset  # bytes
+        self.length = length
+        self.elem_type = elem_type
+        self.bit = bit
+        self.hint = hint  # naming hint for fresh read symbols
+        # element-scaled view for pointer formation (&x)
+        self.elem_offset = elem_offset
+        self.member_offset = member_offset  # a struct member's byte offset in its element
 
 
 class RegionTable:

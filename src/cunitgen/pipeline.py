@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 
 from . import constraints as con
 from .config import Config
@@ -55,7 +54,6 @@ from .harness import (
     write_atomically,
 )
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
-from .smtlib import export_smtlib, parse_model_file
 from .solver import Model, SolveResult, hinted_model, model_fits, solve, unchecked_symbols
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec, emit_stub
@@ -65,32 +63,41 @@ _MAX_ITERATIONS = 20000
 _MAX_DIVERGENCES = 3
 
 
-@dataclass
 class SelectionRecord:
-    mode: str
-    labels: list[str]
-    complete: bool
-    verdict: str = ""
+    def __init__(self, mode: str, labels: list[str], complete: bool, verdict: str = ""):
+        self.mode = mode
+        self.labels = labels
+        self.complete = complete
+        self.verdict = verdict
 
 
-@dataclass
 class FunctionOutcome:
-    name: str
-    status: str = "ok"  # ok, error
-    message: str = ""
-    cfg: Cfg | None = None
-    anns: AnnotationSet | None = None
-    layout: Layout | None = None
-    coverage: CoverageState | None = None
-    test_cases: list[TestCase] = field(default_factory=list)
-    stub_specs: list[StubSpec] = field(default_factory=list)
-    report: CoverageReport | None = None
-    selection_log: list[SelectionRecord] = field(default_factory=list)
-    divergences: list[str] = field(default_factory=list)
-    smt_files: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-    criterion_complete: bool = False
-    stct_dump: str = ""
+    def __init__(self, name: str, status: str = "ok", message: str = "",
+                 cfg: Cfg | None = None, anns: AnnotationSet | None = None,
+                 layout: Layout | None = None, coverage: CoverageState | None = None,
+                 test_cases: list[TestCase] | None = None,
+                 stub_specs: list[StubSpec] | None = None,
+                 report: CoverageReport | None = None,
+                 selection_log: list[SelectionRecord] | None = None,
+                 divergences: list[str] | None = None, smt_files: list[str] | None = None,
+                 elapsed_s: float = 0.0, criterion_complete: bool = False,
+                 stct_dump: str = ""):
+        self.name = name
+        self.status = status  # ok, error
+        self.message = message
+        self.cfg = cfg
+        self.anns = anns
+        self.layout = layout
+        self.coverage = coverage
+        self.test_cases = [] if test_cases is None else test_cases
+        self.stub_specs = [] if stub_specs is None else stub_specs
+        self.report = report
+        self.selection_log = [] if selection_log is None else selection_log
+        self.divergences = [] if divergences is None else divergences
+        self.smt_files = [] if smt_files is None else smt_files
+        self.elapsed_s = elapsed_s
+        self.criterion_complete = criterion_complete
+        self.stct_dump = stct_dump
 
 
 class _SmtExporter:
@@ -103,6 +110,8 @@ class _SmtExporter:
     def consult(self, constraint: con.Constraint) -> Model | None:
         """The answer in <fn>_<n>.model, if there is one and it solves the
         constraint within the domains the built-in search starts from."""
+        from .smtlib import export_smtlib, parse_model_file
+
         path = f"{self.prefix}_{len(self.files) + 1}.smt2"
         write_atomically(path, export_smtlib(constraint))
         self.files.append(path)
@@ -114,19 +123,22 @@ class _SmtExporter:
         return hinted_model(constraint, Model(values))
 
 
-@dataclass
 class _Session:
-    unit: SourceUnit
-    fn: FunctionDef
-    config: Config
-    log: list[str] = field(default_factory=list)
-    accepted_traces: list[Trace] = field(default_factory=list)
-    deadline: float = 0.0  # time.monotonic() value at which generation stops
-    # the model of the last solver search, tried before each new search
-    last_model: Model | None = None
-    # the head of the active trace's state (its constraint without the
-    # tail), which last_model is known to solve
-    hint_holds: con.Constraint | None = None
+    def __init__(self, unit: SourceUnit, fn: FunctionDef, config: Config,
+                 log: list[str] | None = None, accepted_traces: list[Trace] | None = None,
+                 deadline: float = 0.0, last_model: Model | None = None,
+                 hint_holds: con.Constraint | None = None):
+        self.unit = unit
+        self.fn = fn
+        self.config = config
+        self.log = [] if log is None else log
+        self.accepted_traces = [] if accepted_traces is None else accepted_traces
+        self.deadline = deadline  # time.monotonic() value at which generation stops
+        # the model of the last solver search, tried before each new search
+        self.last_model = last_model
+        # the head of the active trace's state (its constraint without the
+        # tail), which last_model is known to solve
+        self.hint_holds = hint_holds
 
     def say(self, text: str) -> None:
         if self.config.verbose:

@@ -25,8 +25,6 @@ gcc-compiled drivers check the shared table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .frontend.annotations import AnnotationSet
 from .frontend.csyntax import (
     Assign,
@@ -47,6 +45,7 @@ from .frontend.csyntax import (
     Un,
 )
 from .frontend.csyntax import AnnotationKind
+from .frozen import Frozen
 from .imr import Cfg, IAssign, ICall, IMarker, IReturn
 from .memory import NULL_BASE, Region, RegionTable
 from .symex import Layout
@@ -70,25 +69,27 @@ class ReplayError(Exception):
     """The model drove the concrete interpreter somewhere impossible."""
 
 
-@dataclass(frozen=True)
-class CPtr:
-    base: int  # region id; 0 is null
-    offset: int  # elements
+class CPtr(Frozen):
+    def __init__(self, base: int, offset: int):
+        # base: region id, 0 is null; offset: in elements
+        self.__dict__.update(base=base, offset=offset)
 
 
 Value = int | float | CPtr
 
 
-@dataclass(frozen=True)
-class InputCell:
+class InputCell(Frozen):
     """One input location a test case sets before the call, with its value."""
 
-    name: str  # the cell symbol's name: x, a[2], s.f, p__autogen[0].next
-    region: Region
-    byte_off: int
-    bit: tuple[int, int] | None
-    ctype: CType
-    value: Value
+    def __init__(self, name: str, region: Region, byte_off: int,
+                 bit: tuple[int, int] | None, ctype: CType, value: Value):
+        self.__dict__.update(
+            name=name,  # the cell symbol's name: x, a[2], s.f, p__autogen[0].next
+            region=region,
+            byte_off=byte_off,
+            bit=bit,
+            ctype=ctype,
+            value=value)
 
 
 def pointer_value(regions: RegionTable, model: dict[str, int | float],
@@ -134,32 +135,35 @@ def input_cells(regions: RegionTable, model: dict[str, int | float]) -> list[Inp
     return cells
 
 
-@dataclass
 class CheckOutcome:
-    kind: str  # post, assert, testcase
-    passed: bool
-    tags: list[str]
-    line: int
-    expr: Expr  # the condition replay evaluated
+    def __init__(self, kind: str, passed: bool, tags: list[str], line: int, expr: Expr):
+        self.kind = kind  # post, assert, testcase
+        self.passed = passed
+        self.tags = tags
+        self.line = line
+        self.expr = expr  # the condition replay evaluated
 
 
-@dataclass
 class ReplayResult:
-    edges: list[int]
-    returned: Value | None
-    outcomes: list[CheckOutcome]
-    applicable_testcases: list[int]
-    # global name -> lines of the unit (not of a stub) that wrote it
-    global_writes: dict[str, set[int]]
+    def __init__(self, edges: list[int], returned: Value | None,
+                 outcomes: list[CheckOutcome], applicable_testcases: list[int],
+                 global_writes: dict[str, set[int]]):
+        self.edges = edges
+        self.returned = returned
+        self.outcomes = outcomes
+        self.applicable_testcases = applicable_testcases
+        # global name -> lines of the unit (not of a stub) that wrote it
+        self.global_writes = global_writes
 
 
-@dataclass
 class StubCallValues:
     """What one call of a stub returns and writes."""
 
-    ret: Value | None = None
-    outs: dict[int, Value] = field(default_factory=dict)
-    globals_set: dict[str, Value] = field(default_factory=dict)
+    def __init__(self, ret: Value | None = None, outs: dict[int, Value] | None = None,
+                 globals_set: dict[str, Value] | None = None):
+        self.ret = ret
+        self.outs = {} if outs is None else outs
+        self.globals_set = {} if globals_set is None else globals_set
 
 
 class _Memory:

@@ -39,7 +39,6 @@ of it is exact per window, so no feasible value is ever pruned.
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass, field
 
 from .constraints import Constraint, FreeSymbol, restrict_free
 from .symexpr import (
@@ -63,17 +62,18 @@ from .typesys import BOOL, FloatType, IntType, Undefined, binary
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
 
 
-@dataclass
 class Model:
-    values: dict[str, int | float] = field(default_factory=dict)
+    def __init__(self, values: dict[str, int | float] | None = None):
+        self.values = {} if values is None else values
 
 
-@dataclass
 class SolveResult:
-    status: str  # sat, unsat, unknown
-    model: Model | None = None
-    reason: str = ""
-    nodes: int = 0
+    def __init__(self, status: str, model: Model | None = None, reason: str = "",
+                 nodes: int = 0):
+        self.status = status  # sat, unsat, unknown
+        self.model = model
+        self.reason = reason
+        self.nodes = nodes
 
 
 class _OutOfNodes(Exception):
@@ -84,11 +84,11 @@ class _Conflict(Exception):
     pass
 
 
-@dataclass
 class _IntDomain:
-    lo: int
-    hi: int
-    ctype: IntType
+    def __init__(self, lo: int, hi: int, ctype: IntType):
+        self.lo = lo
+        self.hi = hi
+        self.ctype = ctype
 
     def singleton(self) -> bool:
         return self.lo == self.hi
@@ -100,9 +100,9 @@ class _IntDomain:
         return self.lo <= v <= self.hi
 
 
-@dataclass
 class _SetDomain:
-    values: list[int]  # ordered candidates
+    def __init__(self, values: list[int]):
+        self.values = values  # ordered candidates
 
     def empty(self) -> bool:
         return not self.values

@@ -29,33 +29,34 @@ be neither extended nor completed loses its leaf the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .imr import Cfg, CfgEdge, Target
 
 
-@dataclass
 class StctNode:
-    node_id: int
-    k: int
-    parent: "StctNode | None"
-    in_edge: CfgEdge | None
-    depth: int
-    serial: int
-    children: list["StctNode"] = field(default_factory=list)
-    expanded: bool = False
+    def __init__(self, node_id: int, k: int, parent: StctNode | None,
+                 in_edge: CfgEdge | None, depth: int, serial: int,
+                 children: list[StctNode] | None = None, expanded: bool = False):
+        self.node_id = node_id
+        self.k = k
+        self.parent = parent
+        self.in_edge = in_edge
+        self.depth = depth
+        self.serial = serial
+        self.children = [] if children is None else children
+        self.expanded = expanded
 
     def __repr__(self) -> str:
         return f"StctNode(n{self.node_id},k{self.k})"
 
 
-@dataclass
 class Trace:
-    nodes: list[StctNode]
-    edges: list[CfgEdge]
-    complete: bool
-    mode: str = "fresh"  # fresh, extend, complete
-    target_edge: CfgEdge | None = None
+    def __init__(self, nodes: list[StctNode], edges: list[CfgEdge], complete: bool,
+                 mode: str = "fresh", target_edge: CfgEdge | None = None):
+        self.nodes = nodes
+        self.edges = edges
+        self.complete = complete
+        self.mode = mode  # fresh, extend, complete
+        self.target_edge = target_edge
 
     @property
     def leaf(self) -> StctNode:
@@ -69,23 +70,29 @@ class Trace:
         return [texts[e.eid] for e in self.edges if e.conditional]
 
 
-@dataclass
 class CoverageState:
-    targets: set[Target]
-    final_nodes: set[int] = field(default_factory=set)
-    final_edges: set[int] = field(default_factory=set)
-    pending_edges: set[int] = field(default_factory=set)
-    pending_nodes: set[int] = field(default_factory=set)
-    # per-edge verdicts of failed attempts: unsat / unknown
-    attempts: dict[int, list[str]] = field(default_factory=dict)
-    # CFG nodes of tree nodes refused a child by the depth bound
-    bound_nodes: set[int] = field(default_factory=set)
-    # CFG destinations of edges pruned on an unknown verdict: nothing
-    # behind them was decided
-    unknown_nodes: set[int] = field(default_factory=set)
-    # why generation stopped before exhausting the tree, if it did:
-    # time-budget or iteration-bound
-    stopped: str = ""
+    def __init__(self, targets: set[Target], final_nodes: set[int] | None = None,
+                 final_edges: set[int] | None = None,
+                 pending_edges: set[int] | None = None,
+                 pending_nodes: set[int] | None = None,
+                 attempts: dict[int, list[str]] | None = None,
+                 bound_nodes: set[int] | None = None,
+                 unknown_nodes: set[int] | None = None, stopped: str = ""):
+        self.targets = targets
+        self.final_nodes = set() if final_nodes is None else final_nodes
+        self.final_edges = set() if final_edges is None else final_edges
+        self.pending_edges = set() if pending_edges is None else pending_edges
+        self.pending_nodes = set() if pending_nodes is None else pending_nodes
+        # per-edge verdicts of failed attempts: unsat / unknown
+        self.attempts = {} if attempts is None else attempts
+        # CFG nodes of tree nodes refused a child by the depth bound
+        self.bound_nodes = set() if bound_nodes is None else bound_nodes
+        # CFG destinations of edges pruned on an unknown verdict: nothing
+        # behind them was decided
+        self.unknown_nodes = set() if unknown_nodes is None else unknown_nodes
+        # why generation stopped before exhausting the tree, if it did:
+        # time-budget or iteration-bound
+        self.stopped = stopped
 
     def edge_covered(self, eid: int) -> bool:
         return eid in self.final_edges or eid in self.pending_edges

@@ -16,8 +16,6 @@ per-call return schedule). Output parameters and globals are assigned under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import StubPolicyError, UnsupportedOperation
 from .frontend.csyntax import FunctionDef
 from .frontend.writer import decl_text, type_text
@@ -147,13 +145,15 @@ def control_names(callee: str) -> tuple[str, str, str]:
             f"{callee}_STUB_retVal")
 
 
-@dataclass
 class StubSpec:
-    callee: str
-    signature: FunctionDef
-    # schedule[test case id] = per-call values, index = retID
-    schedule: dict[int, list[StubCallValues]] = field(default_factory=dict)
-    globals_types: dict[str, CType] = field(default_factory=dict)
+    def __init__(self, callee: str, signature: FunctionDef,
+                 schedule: dict[int, list[StubCallValues]] | None = None,
+                 globals_types: dict[str, CType] | None = None):
+        self.callee = callee
+        self.signature = signature
+        # schedule[test case id] = per-call values, index = retID
+        self.schedule = {} if schedule is None else schedule
+        self.globals_types = {} if globals_types is None else globals_types
 
     @property
     def max_calls(self) -> int:

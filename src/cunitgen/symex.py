@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from . import constraints as con
 from .config import Config
@@ -108,26 +107,24 @@ _CMP = _ORDERING + ("==", "!=")
 _MAX_ALIAS_CANDIDATES = 8
 
 
-@dataclass
 class StubPolicy:
-    signature: FunctionDef
-    permitted_globals: list[str]
-    posts: list[Expr]
+    def __init__(self, signature: FunctionDef, permitted_globals: list[str],
+                 posts: list[Expr]):
+        self.signature = signature
+        self.permitted_globals = permitted_globals
+        self.posts = posts
 
 
-@dataclass
 class Layout:
     """Per-function address space, input symbols and stub policies."""
 
-    unit: SourceUnit
-    fn: FunctionDef
-    cfg: Cfg
-    anns: AnnotationSet
-    config: Config
-    regions: RegionTable = field(init=False)
-    stub_policies: dict[str, StubPolicy] = field(init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, unit: SourceUnit, fn: FunctionDef, cfg: Cfg, anns: AnnotationSet,
+                 config: Config):
+        self.unit = unit
+        self.fn = fn
+        self.cfg = cfg
+        self.anns = anns
+        self.config = config
         self.regions = RegionTable(self.config.ptr_array_size)
         for g in self.unit.globals:
             self.regions.new_region(g.name, g.ctype, "global", True)
@@ -176,23 +173,24 @@ class Layout:
         return out
 
 
-@dataclass
 class BranchEntry:
-    guard: SymExpr
-    sides: list[SymExpr]
+    def __init__(self, guard: SymExpr, sides: list[SymExpr]):
+        self.guard = guard
+        self.sides = sides
 
 
-@dataclass
 class StubCallEvent:
-    callee: str
-    k: int
-    ret: Sym | None
-    outs: list[tuple[int, Sym, SymExpr]]  # (arg index, symbol, target pointer)
-    globals_written: list[tuple[str, Sym]]
-    line: int
+    def __init__(self, callee: str, k: int, ret: Sym | None,
+                 outs: list[tuple[int, Sym, SymExpr]],
+                 globals_written: list[tuple[str, Sym]], line: int):
+        self.callee = callee
+        self.k = k
+        self.ret = ret
+        self.outs = outs  # (arg index, symbol, target pointer)
+        self.globals_written = globals_written
+        self.line = line
 
 
-@dataclass
 class PathState:
     """The path state reached after the last node of a trace.
 
@@ -202,35 +200,49 @@ class PathState:
     fork of it, and it stays as it was.
     """
 
-    layout: Layout
-    step: int = 0
-    items: list[MemoryItem] = field(default_factory=list)
-    # positions in items: per constant base id, and of the symbolic bases
-    base_items: dict[int, list[int]] = field(default_factory=dict)
-    symbolic_items: list[int] = field(default_factory=list)
-    assumptions: list[SymExpr] = field(default_factory=list)
-    branches: list[BranchEntry] = field(default_factory=list)
-    stub_counts: dict[str, int] = field(default_factory=dict)
-    stub_calls: list[StubCallEvent] = field(default_factory=list)
-    snapshots: dict[str, SymExpr] = field(default_factory=dict)
-    return_value: SymExpr | None = None
-    infeasible_branch: int | None = None
-    flags: ApproxFlags = field(default_factory=ApproxFlags)
-    complete: bool = False
-    # side conditions no branch has taken yet: the next branch's, or the
-    # constraint's tail where the trace ends
-    pending: list[SymExpr] = field(default_factory=list)
-    # recorded when interpret returns: the trace's nodes and the region
-    # table's generation when the interpretation from the entry began
-    nodes: list[StctNode] = field(default_factory=list)
-    generation: int | None = None
-    # the constraint without the tail, recorded by conjoin for an
-    # incomplete trace: an extension's constraint begins with it
-    head: con.Constraint | None = None
-    # trace nodes taken over from the state this one was forked from (0:
-    # interpreted from the entry), and that state's head
-    resumed_at: int = 0
-    resumed_from_head: con.Constraint | None = None
+    def __init__(self, layout: Layout, step: int = 0,
+                 items: list[MemoryItem] | None = None,
+                 base_items: dict[int, list[int]] | None = None,
+                 symbolic_items: list[int] | None = None,
+                 assumptions: list[SymExpr] | None = None,
+                 branches: list[BranchEntry] | None = None,
+                 stub_counts: dict[str, int] | None = None,
+                 stub_calls: list[StubCallEvent] | None = None,
+                 snapshots: dict[str, SymExpr] | None = None,
+                 return_value: SymExpr | None = None, infeasible_branch: int | None = None,
+                 flags: ApproxFlags | None = None, complete: bool = False,
+                 pending: list[SymExpr] | None = None, nodes: list[StctNode] | None = None,
+                 generation: int | None = None, head: con.Constraint | None = None,
+                 resumed_at: int = 0, resumed_from_head: con.Constraint | None = None):
+        self.layout = layout
+        self.step = step
+        self.items = [] if items is None else items
+        # positions in items: per constant base id, and of the symbolic bases
+        self.base_items = {} if base_items is None else base_items
+        self.symbolic_items = [] if symbolic_items is None else symbolic_items
+        self.assumptions = [] if assumptions is None else assumptions
+        self.branches = [] if branches is None else branches
+        self.stub_counts = {} if stub_counts is None else stub_counts
+        self.stub_calls = [] if stub_calls is None else stub_calls
+        self.snapshots = {} if snapshots is None else snapshots
+        self.return_value = return_value
+        self.infeasible_branch = infeasible_branch
+        self.flags = ApproxFlags() if flags is None else flags
+        self.complete = complete
+        # side conditions no branch has taken yet: the next branch's, or the
+        # constraint's tail where the trace ends
+        self.pending = [] if pending is None else pending
+        # recorded when interpret returns: the trace's nodes and the region
+        # table's generation when the interpretation from the entry began
+        self.nodes = [] if nodes is None else nodes
+        self.generation = generation
+        # the constraint without the tail, recorded by conjoin for an
+        # incomplete trace: an extension's constraint begins with it
+        self.head = head
+        # trace nodes taken over from the state this one was forked from (0:
+        # interpreted from the entry), and that state's head
+        self.resumed_at = resumed_at
+        self.resumed_from_head = resumed_from_head
 
     def resumes(self, trace: Trace) -> bool:
         """Whether an interpretation of trace may go on from a fork of this

@@ -15,10 +15,10 @@ expression and an element-scaled offset expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Union
 
+from .frozen import Frozen
 from .typesys import (
     BOOL,
     INT,
@@ -47,10 +47,9 @@ class Role(Enum):
     FRESH_READ = "fresh-read"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int | float
-    ctype: CType
+class Const(Frozen):
+    def __init__(self, value: int | float, ctype: CType):
+        self.__dict__.update(value=value, ctype=ctype)
 
     def __str__(self) -> str:
         if self.ctype is BOOL:
@@ -60,77 +59,62 @@ class Const:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str
-    ctype: CType
-    role: Role = Role.INPUT
+class Sym(Frozen):
+    def __init__(self, name: str, ctype: CType, role: Role = Role.INPUT):
+        self.__dict__.update(name=name, ctype=ctype, role=role)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    lhs: "SymExpr"
-    rhs: "SymExpr"
-    ctype: CType
+class BinOp(Frozen):
+    def __init__(self, op: str, lhs: SymExpr, rhs: SymExpr, ctype: CType):
+        self.__dict__.update(op=op, lhs=lhs, rhs=rhs, ctype=ctype)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
-class UnOp:
-    op: str
-    operand: "SymExpr"
-    ctype: CType
+class UnOp(Frozen):
+    def __init__(self, op: str, operand: SymExpr, ctype: CType):
+        self.__dict__.update(op=op, operand=operand, ctype=ctype)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
-class Cast:
-    operand: "SymExpr"
-    ctype: CType
+class Cast(Frozen):
+    def __init__(self, operand: SymExpr, ctype: CType):
+        self.__dict__.update(operand=operand, ctype=ctype)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
-class Ite:
-    cond: "SymExpr"
-    then: "SymExpr"
-    other: "SymExpr"
-    ctype: CType
+class Ite(Frozen):
+    def __init__(self, cond: SymExpr, then: SymExpr, other: SymExpr, ctype: CType):
+        self.__dict__.update(cond=cond, then=then, other=other, ctype=ctype)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(Frozen):
     """Bounds fact lo <= expr < hi, printed in the chained form."""
 
-    expr: "SymExpr"
-    lo: int
-    hi: int
-    ctype: CType = BOOL
+    def __init__(self, expr: SymExpr, lo: int, hi: int, ctype: CType = BOOL):
+        self.__dict__.update(expr=expr, lo=lo, hi=hi, ctype=ctype)
 
     def __str__(self) -> str:
         return f"{self.lo} <= {render(self.expr)} < {self.hi}"
 
 
-@dataclass(frozen=True)
-class Ptr:
+class Ptr(Frozen):
     """A pointer value: abstract base address plus element-scaled offset."""
 
-    base: "SymExpr"
-    offset: "SymExpr"
-    ctype: CType  # the PointerType of the value
+    def __init__(self, base: SymExpr, offset: SymExpr, ctype: CType):
+        # ctype: the PointerType of the value
+        self.__dict__.update(base=base, offset=offset, ctype=ctype)
 
     def __str__(self) -> str:
         return f"({render(self.base)} + {render(self.offset)})"
@@ -345,10 +329,9 @@ def render_conjunction(parts: list[SymExpr]) -> str:
 # Evaluation (the independent check on solver models)
 
 
-@dataclass(frozen=True)
-class PointerVal:
-    base: int
-    offset: int
+class PointerVal(Frozen):
+    def __init__(self, base: int, offset: int):
+        self.__dict__.update(base=base, offset=offset)
 
 
 Value = Union[int, float, bool, PointerVal]

@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
+
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class IntType:
-    width: int
-    signed: bool
-    name: str
+class IntType(Frozen):
+    def __init__(self, width: int, signed: bool, name: str):
+        self.__dict__.update(width=width, signed=signed, name=name)
 
     @property
     def size(self) -> int:
@@ -42,10 +41,9 @@ class IntType:
         return self.name
 
 
-@dataclass(frozen=True)
-class FloatType:
-    width: int
-    name: str
+class FloatType(Frozen):
+    def __init__(self, width: int, name: str):
+        self.__dict__.update(width=width, name=name)
 
     @property
     def size(self) -> int:
@@ -55,8 +53,7 @@ class FloatType:
         return self.name
 
 
-@dataclass(frozen=True)
-class VoidType:
+class VoidType(Frozen):
     def __str__(self) -> str:
         return "void"
 
@@ -65,8 +62,7 @@ class VoidType:
         return 0
 
 
-@dataclass(frozen=True)
-class BoolType:
+class BoolType(Frozen):
     """Internal type of guards and resolved constraints; not a C type."""
 
     def __str__(self) -> str:
@@ -77,10 +73,9 @@ class BoolType:
         return 1
 
 
-@dataclass(frozen=True)
-class PointerType:
-    pointee: "CType"
-    const_pointee: bool = False
+class PointerType(Frozen):
+    def __init__(self, pointee: CType, const_pointee: bool = False):
+        self.__dict__.update(pointee=pointee, const_pointee=const_pointee)
 
     @property
     def size(self) -> int:
@@ -91,10 +86,9 @@ class PointerType:
         return f"{c}{self.pointee} *"
 
 
-@dataclass(frozen=True)
-class ArrayType:
-    elem: "CType"
-    length: int
+class ArrayType(Frozen):
+    def __init__(self, elem: CType, length: int):
+        self.__dict__.update(elem=elem, length=length)
 
     @property
     def size(self) -> int:
@@ -104,22 +98,22 @@ class ArrayType:
         return f"{self.elem} [{self.length}]"
 
 
-@dataclass(frozen=True)
-class StructField:
-    name: str
-    ctype: "CType"
-    bit_width: int | None = None
-    # Filled in by layout():
-    byte_offset: int = 0
-    bit_offset: int = 0
+class StructField(Frozen):
+    def __init__(self, name: str, ctype: CType, bit_width: int | None = None,
+                 byte_offset: int = 0, bit_offset: int = 0):
+        self.__dict__.update(
+            name=name,
+            ctype=ctype,
+            bit_width=bit_width,
+            # Filled in by layout():
+            byte_offset=byte_offset,
+            bit_offset=bit_offset)
 
 
-@dataclass(frozen=True)
-class StructType:
-    tag: str
-    fields: tuple[StructField, ...]
-    is_union: bool = False
-    total_size: int = 0
+class StructType(Frozen):
+    def __init__(self, tag: str, fields: tuple[StructField, ...], is_union: bool = False,
+                 total_size: int = 0):
+        self.__dict__.update(tag=tag, fields=fields, is_union=is_union, total_size=total_size)
 
     @property
     def size(self) -> int:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from enum import Enum
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -44,3 +45,22 @@ def exported_candidates(text: str) -> dict[str, list[int]]:
             name = line.split("|")[1]
             out[name] = [int(v) for v in re.findall(r"\(= \|[^|]+\| \(_ bv(\d+) 32\)", line)]
     return out
+
+
+def same_records(a, b) -> bool:
+    """Structural equality: records (objects with attributes) are equal when
+    they are of the same class and their vars() are, recursively; lists,
+    tuples and dicts element by element; anything else by ==. The program's
+    mutable records compare by identity, so tests that check two runs or
+    two paths build equal values compare them with this."""
+    if a is b:
+        return True
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) \
+            and all(same_records(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() \
+            and all(same_records(a[k], b[k]) for k in a)
+    if hasattr(a, "__dict__") and not isinstance(a, Enum):
+        return type(a) is type(b) and same_records(vars(a), vars(b))
+    return a == b

@@ -3,19 +3,19 @@ a fork of the path state that trace's interpretation returned, must reach
 the state an interpretation from the entry reaches, and leaves the state it
 resumed from as it was."""
 
-import dataclasses
+import copy
 import glob
 import os
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, same_records
 
 import cunitgen.pipeline as pipeline
 from cunitgen import constraints as con
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
-from cunitgen.memory import ApproxFlags
+from cunitgen.memory import ApproxFlags, MemoryItem
 from cunitgen.symex import PathState, interpret
 from cunitgen.typesys import INT
 
@@ -78,7 +78,7 @@ CASES = _cases()
 def _observable(state: PathState):
     """Everything later steps read from a path state. The constraint is
     built from a shallow copy, so the head conjoin records lands there."""
-    c = con.conjoin(dataclasses.replace(state))
+    c = con.conjoin(copy.copy(state))
     items = [(i.base, i.offset, i.length, i.value, i.bit) for i in state.items]
     # the free table's order breaks ties in the solver's branching and fixes
     # the model's order, and dict equality ignores it
@@ -122,7 +122,7 @@ def test_resumed_state_equals_interpretation_from_entry(label, text, name, monke
     resumed = _generate(text, name, True, monkeypatch)
     assert len(resumed) == len(fresh)
     for i, ((a, _), (b, how)) in enumerate(zip(fresh, resumed)):
-        assert _observable(a) == _observable(b), f"interpretation {i} ({how})"
+        assert same_records(_observable(a), _observable(b)), f"interpretation {i} ({how})"
     hows = {how for _, how in resumed}
     if label == "chain":
         assert "resumed" in hows
@@ -141,9 +141,11 @@ def test_resumed_constraint_equals_one_built_whole(label, text, name, monkeypatc
         c = real_conjoin(state)
         if state.resumed_at:
             heads.append(state.resumed_head() is not None)
-            whole = real_conjoin(dataclasses.replace(state, resumed_from_head=None))
-            assert (c.conjuncts, list(c.free.items()), c.segments) == \
-                (whole.conjuncts, list(whole.free.items()), whole.segments)
+            without_head = copy.copy(state)
+            without_head.resumed_from_head = None
+            whole = real_conjoin(without_head)
+            assert same_records((c.conjuncts, list(c.free.items()), c.segments),
+                                (whole.conjuncts, list(whole.free.items()), whole.segments))
         return c
 
     monkeypatch.setattr(con, "conjoin", checking_conjoin)
@@ -200,21 +202,21 @@ def test_fork_copies_every_mutable_part(monkeypatch):
     state.flags.mark("note")
     state.flags.fresh(INT)
     fork = state.fork()
-    for f in dataclasses.fields(PathState):
-        a, b = getattr(state, f.name), getattr(fork, f.name)
+    for name, a in vars(state).items():
+        b = getattr(fork, name)
         if isinstance(a, (list, dict, ApproxFlags)):
-            assert a is not b, f.name
+            assert a is not b, name
     # the items are shared, and none of them can change
     assert all(x is y for x, y in zip(state.items, fork.items))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         fork.items[-1].value = fork.items[0].value
     # steps on the fork leave the original as it was
     before = _observable(state)
-    fork.add_item(dataclasses.replace(fork.items[-1]))
+    fork.add_item(MemoryItem(**vars(fork.items[-1])))
     fork.flags.mark("fork only")
     assert fork.flags.fresh(INT).name == "__approx@2"
     assert state.flags.fresh(INT).name == "__approx@2"
-    assert _observable(state) == before
+    assert same_records(_observable(state), before)
 
 
 def test_resumed_from_state_stays_as_it_was(monkeypatch):
@@ -231,7 +233,7 @@ def test_resumed_from_state_stays_as_it_was(monkeypatch):
         state = real_interpret(trace, *args, **kwargs)
         log.append([id(origin) if state.resumed_at else None, None])
         for kept, seen in before.values():
-            assert _observable(kept) == seen
+            assert same_records(_observable(kept), seen)
         return state
 
     def recording_solve(*args, **kwargs):

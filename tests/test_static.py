@@ -1,7 +1,8 @@
 """Static checks: every global name the code reads is defined somewhere,
 every name a module imports is used, every function, method and class is
-referenced by the code under src/ (test oracles excepted), and every
-dataclass field is read there (a few kept for outside readers excepted).
+referenced by the code under src/ (test oracles excepted), every field a
+class's __init__ sets is read there (a few kept for outside readers
+excepted), and no module imports dataclasses.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -129,7 +130,7 @@ def test_every_definition_is_reachable_from_src():
     assert unreferenced_definitions(SRC) == sorted(TEST_ORACLES)
 
 
-# Dataclass fields that no code under src/ reads, each kept for a reader
+# Fields that no code under src/ reads, each kept for a reader
 # outside it.
 _SELECTION_LOG = ("the selection log is part of generate_function's result: "
                   "perfbench/run.py's counters read verdict, the STCT tests "
@@ -140,59 +141,111 @@ UNREAD_FIELDS = {
 }
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        target = d.func if isinstance(d, ast.Call) else d
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+def _is_self_attr(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+        and node.value.id == "self"
+
+
+def init_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a class: the names its __init__ stores, as
+    ``self.<name> = ...`` or, in the immutable records, as keywords of
+    ``self.__dict__.update(...)``."""
+    names: list[str] = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            for n in ast.walk(stmt):
+                if _is_self_attr(n) and isinstance(n.ctx, ast.Store):
+                    names.append(n.attr)
+                elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                        and n.func.attr == "update" and _is_self_attr(n.func.value) \
+                        and n.func.value.attr == "__dict__":
+                    names += [k.arg for k in n.keywords if k.arg is not None]
+    return names
+
+
+def _parsed(src_dir: str) -> list[tuple[str, ast.AST]]:
+    out = []
+    for root, _dirs, files in os.walk(src_dir):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(root, f)
+                with open(path, encoding="utf-8") as fh:
+                    out.append((os.path.relpath(path, src_dir), ast.parse(fh.read())))
+    return out
+
+
+def _exception_classes(classes: list[ast.ClassDef]) -> set[str]:
+    """Names of the classes that derive, directly or not, from a builtin
+    exception."""
+    found = {name for name in dir(builtins)
+             if isinstance(getattr(builtins, name), type)
+             and issubclass(getattr(builtins, name), BaseException)}
+    grew = True
+    while grew:
+        grew = False
+        for c in classes:
+            if c.name not in found and any(isinstance(b, ast.Name) and b.id in found
+                                           for b in c.bases):
+                found.add(c.name)
+                grew = True
+    return found
 
 
 def unread_fields(src_dir: str) -> list[str]:
-    """Fields of the dataclasses defined under src_dir whose name no code
-    there reads as an attribute (``x.name`` in a load, not a store)."""
-    fields: dict[str, str] = {}
-    read: set[str] = set()
-    for root, _dirs, files in os.walk(src_dir):
-        for f in sorted(files):
-            if not f.endswith(".py"):
-                continue
-            path = os.path.join(root, f)
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                    for stmt in node.body:
-                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                            fields[f"{node.name}.{stmt.target.id}"] = \
-                                os.path.relpath(path, src_dir)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
+    """Fields of the classes defined under src_dir (see init_fields) whose
+    name no code there reads as an attribute (``x.name`` in a load, not a
+    store). An exception's attributes are for whoever catches it, so
+    exception classes are not checked."""
+    parsed = _parsed(src_dir)
+    classes = [(module, node) for module, tree in parsed for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions = _exception_classes([node for _module, node in classes])
+    fields = {f"{node.name}.{name}": module for module, node in classes
+              if node.name not in exceptions for name in init_fields(node)}
+    read = {node.attr for _module, tree in parsed for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return sorted(f"{module}: {name}" for name, module in fields.items()
                   if name.split(".")[1] not in read)
 
 
-def test_every_dataclass_field_is_read_in_src():
+def test_every_field_is_read_in_src():
     assert unread_fields(SRC) == sorted(UNREAD_FIELDS)
 
 
 def test_field_check_sees_an_unread_field(tmp_path):
     (tmp_path / "m.py").write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class P:\n"
-        "    read: int\n"
-        "    written: int = 0\n"
-        "    unread: int = 0\n"
-        "@dataclass\n"
+        "class P(Frozen):\n"
+        "    def __init__(self, read, written=0, unread=0):\n"
+        "        self.__dict__.update(read=read, written=written, unread=unread)\n"
         "class Q:\n"
-        "    kept: int\n"
+        "    def __init__(self, kept, dropped=0):\n"
+        "        self.kept = kept\n"
+        "        self.dropped = dropped\n"
         "class R:\n"
         "    plain: int = 0\n"
+        "class E(ValueError):\n"
+        "    def __init__(self, detail):\n"
+        "        self.detail = detail\n"
+        "class F(E):\n"
+        "    def __init__(self, more):\n"
+        "        self.more = more\n"
         "def f(p, q):\n"
         "    q.written = p.read + q.kept\n"
         "    return p\n")
-    assert unread_fields(str(tmp_path)) == ["m.py: P.unread", "m.py: P.written"]
+    assert unread_fields(str(tmp_path)) == ["m.py: P.unread", "m.py: P.written",
+                                            "m.py: Q.dropped"]
+
+
+def test_no_module_imports_dataclasses():
+    """Generating dataclass methods dominated the package's import time."""
+    importers = []
+    for module, tree in _parsed(SRC):
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) \
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "dataclasses" in names:
+                importers.append(module)
+    assert importers == []
 
 
 def test_reachability_check_sees_an_unused_method(tmp_path):
