@@ -27,7 +27,6 @@ class UnsupportedConstruct(CunitgenError):
     """
 
     def __init__(self, construct: str, line: int = 0):
-        self.construct = construct
         self.line = line
         loc = f" at line {line}" if line else ""
         super().__init__(f"unsupported construct{loc}: {construct}")

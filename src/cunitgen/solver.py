@@ -10,19 +10,23 @@ leftover dirty set plus the branched symbol's watchers, and the cycle check
 re-linearizes only the comparisons whose symbols moved. The check also runs
 once when the rounds have not settled after 3, so a cycle such as
 x > y && y > x is refuted before it creeps to the cap; (3) base-address
-symbols keep finite candidate domains, and each comparison of two bases
-intersects or trims them inside the same fixpoint; (4) search that picks
-the symbol with the smallest residual domain, probes the boundary values,
-then splits at the midpoint and backtracks on propagation failure; (5)
-floats are handled by propagating exact literals through equality classes
-and trying a fixed seed set (0, +-1, +-0.5 and the boundary constants found
-in the constraint).
+and float symbols keep finite candidate domains, and each == or != between
+two of them, or between one and a constant, intersects or trims them inside
+the same fixpoint; (4) search that picks the symbol with the smallest
+residual domain, probes the boundary values, then splits at the midpoint
+and backtracks on propagation failure; a candidate domain branches on each
+candidate in turn; (5) a float symbol's candidates are a fixed seed set (0,
++-1, +-0.5, and each float literal of the constraint with its neighbours at
++-1), and a comparison over floats is decided by the expression evaluator
+once every symbol under it is decided.
 
 Sat answers are only reported after the model passes the independent
 expression evaluator; the search is never trusted. Unsat is only reported
 when the search space was covered exhaustively; a spent node budget yields
-Unknown with the reason attached. Nothing here reads a clock, so a verdict
-depends only on the constraint and the node budget.
+Unknown with the reason attached, and so does a search that covers the
+float seeds without a model, since the seeds are not every float. Nothing
+here reads a clock, so a verdict depends only on the constraint and the
+node budget.
 
 Interval arithmetic here is wraparound-aware. The unwrapped (raw) values
 of a sum or difference fall into wrap windows: window w holds the raw
@@ -46,6 +50,7 @@ from .symexpr import (
     Cast,
     Const,
     EvalError,
+    FLIP,
     Ite,
     Ptr,
     Range,
@@ -57,7 +62,7 @@ from .symexpr import (
     is_false,
     is_true,
 )
-from .typesys import BOOL, FloatType, IntType, Undefined, binary
+from .typesys import FloatType, IntType, Undefined, binary
 
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -93,6 +98,9 @@ class _IntDomain:
     def singleton(self) -> bool:
         return self.lo == self.hi
 
+    def value(self) -> int:
+        return self.lo
+
     def size(self) -> int:
         return max(0, self.hi - self.lo + 1)
 
@@ -101,14 +109,14 @@ class _IntDomain:
 
 
 class _SetDomain:
-    def __init__(self, values: list[int]):
+    def __init__(self, values: list[int] | list[float]):
         self.values = values  # ordered candidates
-
-    def empty(self) -> bool:
-        return not self.values
 
     def singleton(self) -> bool:
         return len(self.values) == 1
+
+    def value(self) -> int | float:
+        return self.values[0]
 
     def size(self) -> int:
         return len(self.values)
@@ -139,8 +147,24 @@ class _Solver:
         self.max_nodes = max_nodes
         self.nodes = 0
         self.conjuncts = _flatten(constraint.conjuncts)
-        # float comparison ids -> their symbol names; each conjunct's names
-        self.float_cmps, names = _scan_conjuncts(self.conjuncts)
+        self.order: list[str] = list(constraint.free.keys())
+        self.int_syms: dict[str, FreeSymbol] = {}
+        self.base_syms: dict[str, FreeSymbol] = {}
+        self.float_syms: dict[str, FreeSymbol] = {}
+        for name, fs in constraint.free.items():
+            if isinstance(fs.ctype, FloatType):
+                self.float_syms[name] = fs
+            elif fs.role is Role.PTR_BASE and fs.candidates:
+                self.base_syms[name] = fs
+            else:
+                self.int_syms[name] = fs
+        # the symbols whose domain is a candidate list (_narrow_set_cmp)
+        self.set_syms = {**self.base_syms, **self.float_syms}
+        # float comparison ids -> their symbol names; each conjunct's names;
+        # the float literals, collected only when a float symbol needs seeds
+        literals: list[float] | None = [] if self.float_syms else None
+        self.float_cmps, names = _scan_conjuncts(self.conjuncts, literals)
+        self.seeds = _float_seeds(literals) if literals is not None else []
         # the watch lists: symbol name -> the conjuncts that mention it
         self.watchers: dict[str, list[int]] = {}
         for i, syms in enumerate(names):
@@ -152,19 +176,6 @@ class _Solver:
         # each comparison's cached difference edge (None: recompute)
         self.dirty: list[bool] = []
         self.lin: list[tuple | None] = []
-        self.order: list[str] = list(constraint.free.keys())
-        self.int_syms: dict[str, FreeSymbol] = {}
-        self.base_syms: dict[str, FreeSymbol] = {}
-        self.float_syms: dict[str, FreeSymbol] = {}
-        for name, fs in constraint.free.items():
-            if isinstance(fs.ctype, FloatType):
-                self.float_syms[name] = fs
-            elif fs.role is Role.PTR_BASE and fs.candidates:
-                self.base_syms[name] = fs
-            elif isinstance(fs.ctype, IntType) or fs.ctype is BOOL:
-                self.int_syms[name] = fs
-            else:
-                self.int_syms[name] = fs  # treated as full-range integer
 
     # -- entry ----------------------------------------------------------------
 
@@ -173,28 +184,15 @@ class _Solver:
             if is_false(c):
                 return SolveResult("unsat", nodes=self.nodes)
         try:
-            if self.float_syms:
-                return self._run_with_floats()
-            env = self._initial_env()
-            model = self._search(env, {})
-            if model is not None:
-                return SolveResult("sat", model, nodes=self.nodes)
-            return SolveResult("unsat", nodes=self.nodes)
+            model = self._search(self._initial_env())
         except _OutOfNodes as exc:
             return SolveResult("unknown", reason=str(exc), nodes=self.nodes)
-
-    def _run_with_floats(self) -> SolveResult:
-        combos = self._float_assignments()
-        for fenv in combos:
-            self._tick()
-            model = self._search(self._initial_env(), fenv)
-            if model is not None:
-                return SolveResult("sat", model, nodes=self.nodes)
-        return SolveResult(
-            "unknown",
-            reason="float seed set exhausted without a verified model",
-            nodes=self.nodes,
-        )
+        if model is not None:
+            return SolveResult("sat", model, nodes=self.nodes)
+        if self.float_syms:  # the seeds are not every float: no proof
+            return SolveResult("unknown", nodes=self.nodes,
+                               reason="float seed set exhausted without a verified model")
+        return SolveResult("unsat", nodes=self.nodes)
 
     # -- domains ----------------------------------------------------------------
 
@@ -207,6 +205,8 @@ class _Solver:
             env[name] = _initial_domain(fs)
         for name, fs in self.int_syms.items():
             env[name] = _initial_domain(fs)
+        for name in self.float_syms:
+            env[name] = _SetDomain(self.seeds)  # narrowing copies, never edits
         return env
 
     # -- search ------------------------------------------------------------------
@@ -216,8 +216,7 @@ class _Solver:
         if self.nodes > self.max_nodes:
             raise _OutOfNodes(f"search node budget ({self.max_nodes}) exhausted")
 
-    def _search(self, env: dict[str, _IntDomain | _SetDomain],
-                fenv: dict[str, float]) -> Model | None:
+    def _search(self, env: dict[str, _IntDomain | _SetDomain]) -> Model | None:
         """One search node: propagate, then branch on the smallest domain.
 
         ``self.dirty`` and ``self.lin`` hold this node's propagation state
@@ -227,17 +226,17 @@ class _Solver:
         self._tick()
         dirty, lin = self.dirty, self.lin
         try:
-            self._propagate(env, fenv)
+            self._propagate(env)
         except _Conflict:
             return None
         name = self._pick(env)
         if name is None:
-            return self._finish(env, fenv)
+            return self._finish(env)
         for branch in _split(env[name]):
             self.dirty, self.lin = list(dirty), list(lin)
             child = dict(env)
             self._set(child, name, branch)
-            model = self._search(child, fenv)
+            model = self._search(child)
             if model is not None:
                 return model
         return None
@@ -246,8 +245,8 @@ class _Solver:
         best: tuple[int, int] | None = None
         best_name: str | None = None
         for idx, name in enumerate(self.order):
-            dom = env.get(name)
-            if dom is None or dom.singleton():
+            dom = env[name]
+            if dom.singleton():
                 continue
             key = (dom.size(), idx)
             if best is None or key < best:
@@ -255,21 +254,8 @@ class _Solver:
                 best_name = name
         return best_name
 
-    def _finish(self, env: dict[str, _IntDomain | _SetDomain],
-                fenv: dict[str, float]) -> Model | None:
-        values: dict[str, int | float] = {}
-        for name in self.order:
-            if name in fenv:
-                values[name] = fenv[name]
-                continue
-            dom = env.get(name)
-            if isinstance(dom, _SetDomain):
-                values[name] = dom.values[0]
-            elif isinstance(dom, _IntDomain):
-                values[name] = dom.lo
-            else:
-                values[name] = 0
-        model = Model(values)
+    def _finish(self, env: dict[str, _IntDomain | _SetDomain]) -> Model | None:
+        model = Model({name: env[name].value() for name in self.order})
         return model if verify_model(self.constraint, model) else None
 
     # -- propagation ----------------------------------------------------------------
@@ -283,8 +269,7 @@ class _Solver:
             dirty[i] = True
             lin[i] = None
 
-    def _propagate(self, env: dict[str, _IntDomain | _SetDomain],
-                   fenv: dict[str, float]) -> None:
+    def _propagate(self, env: dict[str, _IntDomain | _SetDomain]) -> None:
         """Narrow in rounds over the conjuncts, skipping clean ones.
 
         A conjunct is clean when none of its symbols was written since its
@@ -300,15 +285,15 @@ class _Solver:
             for i, c in enumerate(self.conjuncts):
                 if dirty[i]:
                     dirty[i] = False
-                    changed |= self._narrow(c, True, env, fenv)
+                    changed |= self._narrow(c, True, env)
             self._pair_offsets(env)
             if not changed:
                 break
             if rounds == 3:
-                self._difference_cycles(env, fenv)
-        self._difference_cycles(env, fenv)
+                self._difference_cycles(env)
+        self._difference_cycles(env)
 
-    def _difference_cycles(self, env, fenv) -> None:
+    def _difference_cycles(self, env) -> None:
         """Detect contradictory chains like x > y && y > x.
 
         Conjuncts whose sides linearize to at most one wide variable plus a
@@ -326,8 +311,8 @@ class _Solver:
             sides = lin[i]
             c = self.conjuncts[i]
             if sides is None:
-                left = self._linearize(c.lhs, env, fenv)
-                right = self._linearize(c.rhs, env, fenv) if left is not None else None
+                left = self._linearize(c.lhs, env)
+                right = self._linearize(c.rhs, env) if left is not None else None
                 sides = lin[i] = () if right is None else left + right
             if not sides:
                 continue
@@ -379,7 +364,7 @@ class _Solver:
             if dist[i][j] == c and dist[j][i] == -c:
                 raise _Conflict
 
-    def _linearize(self, e: SymExpr, env, fenv) -> tuple[str | None, int] | None:
+    def _linearize(self, e: SymExpr, env) -> tuple[str | None, int] | None:
         """Express e as one non-singleton variable plus a constant, or None.
 
         Singleton-domain symbols fold into the constant. A sum or difference
@@ -387,29 +372,29 @@ class _Solver:
         -w * 2**width folded into the constant; one that straddles a window
         boundary is rejected.
         """
-        iv = self._ival(e, env, fenv)
+        iv = self._ival(e, env)
         if iv is not None and iv[0] == iv[1]:
             return (None, iv[0])
         if isinstance(e, Sym):
             return (e.name, 0)
         if isinstance(e, Cast) and isinstance(e.ctype, IntType):
-            inner = self._ival(e.operand, env, fenv)
+            inner = self._ival(e.operand, env)
             if inner is not None and e.ctype.min_value() <= inner[0] \
                     and inner[1] <= e.ctype.max_value():
-                return self._linearize(e.operand, env, fenv)
+                return self._linearize(e.operand, env)
             return None
         if isinstance(e, BinOp) and e.op in ("+", "-") \
                 and isinstance(e.ctype, IntType):
-            a = self._ival(e.lhs, env, fenv)
-            b = self._ival(e.rhs, env, fenv)
+            a = self._ival(e.lhs, env)
+            b = self._ival(e.rhs, env)
             if a is None or b is None:
                 return None
             raw_lo, raw_hi = _interval_arith(e.op, a, b)
             first, last = _windows(raw_lo, raw_hi, e.ctype)
             if first != last:
                 return None
-            left = self._linearize(e.lhs, env, fenv)
-            right = self._linearize(e.rhs, env, fenv)
+            left = self._linearize(e.lhs, env)
+            right = self._linearize(e.rhs, env)
             if left is None or right is None:
                 return None
             (xl, cl), (xr, cr) = left, right
@@ -442,37 +427,34 @@ class _Solver:
 
     # forward interval evaluation; returns (lo, hi) or None for unknown
 
-    def _ival(self, e: SymExpr, env, fenv) -> tuple[int, int] | None:
+    def _ival(self, e: SymExpr, env) -> tuple[int, int] | None:
         if isinstance(e, Const):
             if isinstance(e.value, float):
                 return None
             return (int(e.value), int(e.value))
         if isinstance(e, Sym):
-            if e.name in fenv:
-                return None
             dom = env.get(e.name)
             if isinstance(dom, _IntDomain):
                 return (dom.lo, dom.hi)
-            if isinstance(dom, _SetDomain):
-                if dom.empty():
-                    raise _Conflict
+            if isinstance(dom, _SetDomain) and e.name not in self.float_syms:
+                # a base's ids; a float's seeds bound no integer view of it
                 return (min(dom.values), max(dom.values))
             return None
         if isinstance(e, Cast):
             if not isinstance(e.ctype, IntType):
                 return None
-            inner = self._ival(e.operand, env, fenv)
+            inner = self._ival(e.operand, env)
             if inner is None:
                 return self._type_range(e.ctype)
             return _fit_interval(inner[0], inner[1], e.ctype)
         if isinstance(e, UnOp):
             if e.op == "-" and isinstance(e.ctype, IntType):
-                inner = self._ival(e.operand, env, fenv)
+                inner = self._ival(e.operand, env)
                 if inner is None:
                     return self._type_range(e.ctype)
                 return _fit_interval(-inner[1], -inner[0], e.ctype)
             if e.op == "!":
-                b = self._bval(e.operand, env, fenv)
+                b = self._bval(e.operand, env)
                 if b is None:
                     return (0, 1)
                 return (0, 0) if b else (1, 1)
@@ -480,31 +462,31 @@ class _Solver:
                 return self._type_range(e.ctype)
             return None
         if isinstance(e, Ite):
-            b = self._bval(e.cond, env, fenv)
+            b = self._bval(e.cond, env)
             if b is True:
-                return self._ival(e.then, env, fenv)
+                return self._ival(e.then, env)
             if b is False:
-                return self._ival(e.other, env, fenv)
-            a = self._ival(e.then, env, fenv)
-            c = self._ival(e.other, env, fenv)
+                return self._ival(e.other, env)
+            a = self._ival(e.then, env)
+            c = self._ival(e.other, env)
             if a is None or c is None:
                 return None
             return (min(a[0], c[0]), max(a[1], c[1]))
         if isinstance(e, Range):
-            b = self._bval(e, env, fenv)
+            b = self._bval(e, env)
             if b is None:
                 return (0, 1)
             return (1, 1) if b else (0, 0)
         if isinstance(e, BinOp):
             if e.op in _CMP or e.op in ("&&", "||"):
-                b = self._bval(e, env, fenv)
+                b = self._bval(e, env)
                 if b is None:
                     return (0, 1)
                 return (1, 1) if b else (0, 0)
             if not isinstance(e.ctype, IntType):
                 return None
-            a = self._ival(e.lhs, env, fenv)
-            b2 = self._ival(e.rhs, env, fenv)
+            a = self._ival(e.lhs, env)
+            b2 = self._ival(e.rhs, env)
             if a is None or b2 is None:
                 return self._type_range(e.ctype)
             if a[0] == a[1] and b2[0] == b2[1] and e.op not in ("+", "-", "*"):
@@ -529,11 +511,11 @@ class _Solver:
 
     # tri-state boolean evaluation
 
-    def _bval(self, e: SymExpr, env, fenv) -> bool | None:
+    def _bval(self, e: SymExpr, env) -> bool | None:
         if isinstance(e, Const):
             return bool(e.value)
         if isinstance(e, Range):
-            iv = self._ival(e.expr, env, fenv)
+            iv = self._ival(e.expr, env)
             if iv is None:
                 return None
             if e.lo <= iv[0] and iv[1] < e.hi:
@@ -542,20 +524,20 @@ class _Solver:
                 return False
             return None
         if isinstance(e, UnOp) and e.op == "!":
-            b = self._bval(e.operand, env, fenv)
+            b = self._bval(e.operand, env)
             return None if b is None else not b
         if isinstance(e, BinOp):
             if e.op == "&&":
-                a = self._bval(e.lhs, env, fenv)
-                b = self._bval(e.rhs, env, fenv)
+                a = self._bval(e.lhs, env)
+                b = self._bval(e.rhs, env)
                 if a is False or b is False:
                     return False
                 if a is True and b is True:
                     return True
                 return None
             if e.op == "||":
-                a = self._bval(e.lhs, env, fenv)
-                b = self._bval(e.rhs, env, fenv)
+                a = self._bval(e.lhs, env)
+                b = self._bval(e.rhs, env)
                 if a is True or b is True:
                     return True
                 if a is False and b is False:
@@ -564,14 +546,14 @@ class _Solver:
             if e.op in _CMP:
                 names = self.float_cmps.get(id(e))
                 if names is not None:
-                    return _float_cmp(e, names, fenv)
-                a = self._ival(e.lhs, env, fenv)
-                b = self._ival(e.rhs, env, fenv)
+                    return _float_cmp(e, names, env)
+                a = self._ival(e.lhs, env)
+                b = self._ival(e.rhs, env)
                 if a is None or b is None:
                     return None
                 return _interval_cmp(e.op, a, b)
         if isinstance(e, Sym):
-            iv = self._ival(e, env, fenv)
+            iv = self._ival(e, env)
             if iv is None:
                 return None
             if iv[0] > 0 or iv[1] < 0:
@@ -583,97 +565,103 @@ class _Solver:
 
     # backward narrowing; returns True when some domain changed
 
-    def _narrow(self, e: SymExpr, want: bool, env, fenv) -> bool:
-        if isinstance(e, BinOp) and e.op in _CMP and id(e) not in self.float_cmps:
-            return self._narrow_cmp(e, want, env, fenv)
-        b = self._bval(e, env, fenv)
+    def _narrow(self, e: SymExpr, want: bool, env) -> bool:
+        if isinstance(e, BinOp) and e.op in _CMP:
+            return self._narrow_cmp(e, want, env)
+        b = self._bval(e, env)
         if b is not None:
             if b != want:
                 raise _Conflict
             return False
         if isinstance(e, UnOp) and e.op == "!":
-            return self._narrow(e.operand, not want, env, fenv)
+            return self._narrow(e.operand, not want, env)
         if isinstance(e, Range):
             if want:
-                return self._push(e.expr, e.lo, e.hi - 1, env, fenv)
+                return self._push(e.expr, e.lo, e.hi - 1, env)
             return False
         if isinstance(e, BinOp):
             if e.op == "&&" and want:
-                changed = self._narrow(e.lhs, True, env, fenv)
-                changed |= self._narrow(e.rhs, True, env, fenv)
+                changed = self._narrow(e.lhs, True, env)
+                changed |= self._narrow(e.rhs, True, env)
                 return changed
             if e.op == "||" and not want:
-                changed = self._narrow(e.lhs, False, env, fenv)
-                changed |= self._narrow(e.rhs, False, env, fenv)
+                changed = self._narrow(e.lhs, False, env)
+                changed |= self._narrow(e.rhs, False, env)
                 return changed
             if e.op == "&&" and not want:
-                a = self._bval(e.lhs, env, fenv)
-                b2 = self._bval(e.rhs, env, fenv)
+                a = self._bval(e.lhs, env)
+                b2 = self._bval(e.rhs, env)
                 if a is True:
-                    return self._narrow(e.rhs, False, env, fenv)
+                    return self._narrow(e.rhs, False, env)
                 if b2 is True:
-                    return self._narrow(e.lhs, False, env, fenv)
+                    return self._narrow(e.lhs, False, env)
                 return False
             if e.op == "||" and want:
-                a = self._bval(e.lhs, env, fenv)
-                b2 = self._bval(e.rhs, env, fenv)
+                a = self._bval(e.lhs, env)
+                b2 = self._bval(e.rhs, env)
                 if a is False:
-                    return self._narrow(e.rhs, True, env, fenv)
+                    return self._narrow(e.rhs, True, env)
                 if b2 is False:
-                    return self._narrow(e.lhs, True, env, fenv)
+                    return self._narrow(e.lhs, True, env)
                 return False
         return False
 
-    def _narrow_cmp(self, e: BinOp, want: bool, env, fenv) -> bool:
-        a = self._ival(e.lhs, env, fenv)
-        b = self._ival(e.rhs, env, fenv)
-        if a is not None and b is not None:
-            decided = _interval_cmp(e.op, a, b)
-            if decided is not None:
-                if decided != want:
-                    raise _Conflict
-                return False
-        op = e.op if want else {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
-                                "==": "!=", "!=": "=="}[e.op]
-        # base-address set domains get dedicated handling; they change no
-        # domain when they return False, so a and b stay current
-        if self._narrow_base_cmp(e, op, env):
+    def _narrow_cmp(self, e: BinOp, want: bool, env) -> bool:
+        names = self.float_cmps.get(id(e))
+        if names is None:
+            a = self._ival(e.lhs, env)
+            b = self._ival(e.rhs, env)
+            decided = None if a is None or b is None else _interval_cmp(e.op, a, b)
+        else:
+            a = b = None  # no interval for a float
+            decided = _float_cmp(e, names, env)
+        if decided is not None:
+            if decided != want:
+                raise _Conflict
+            return False
+        op = e.op if want else FLIP[e.op]
+        # candidate lists get their own rule; it changes no domain when it
+        # returns False, so a and b stay current
+        if self._narrow_set_cmp(e, op, env):
             return True
         if a is None or b is None:
             return False
         changed = False
         if op == "<":
-            changed |= self._push(e.lhs, None, b[1] - 1, env, fenv)
-            changed |= self._push(e.rhs, a[0] + 1, None, env, fenv)
+            changed |= self._push(e.lhs, None, b[1] - 1, env)
+            changed |= self._push(e.rhs, a[0] + 1, None, env)
         elif op == "<=":
-            changed |= self._push(e.lhs, None, b[1], env, fenv)
-            changed |= self._push(e.rhs, a[0], None, env, fenv)
+            changed |= self._push(e.lhs, None, b[1], env)
+            changed |= self._push(e.rhs, a[0], None, env)
         elif op == ">":
-            changed |= self._push(e.lhs, b[0] + 1, None, env, fenv)
-            changed |= self._push(e.rhs, None, a[1] - 1, env, fenv)
+            changed |= self._push(e.lhs, b[0] + 1, None, env)
+            changed |= self._push(e.rhs, None, a[1] - 1, env)
         elif op == ">=":
-            changed |= self._push(e.lhs, b[0], None, env, fenv)
-            changed |= self._push(e.rhs, None, a[1], env, fenv)
+            changed |= self._push(e.lhs, b[0], None, env)
+            changed |= self._push(e.rhs, None, a[1], env)
         elif op == "==":
             lo, hi = max(a[0], b[0]), min(a[1], b[1])
             if lo > hi:
                 raise _Conflict
-            changed |= self._push(e.lhs, lo, hi, env, fenv)
-            changed |= self._push(e.rhs, lo, hi, env, fenv)
+            changed |= self._push(e.lhs, lo, hi, env)
+            changed |= self._push(e.rhs, lo, hi, env)
         elif op == "!=":
-            changed |= self._bump_neq(e.lhs, b, env, fenv)
-            changed |= self._bump_neq(e.rhs, a, env, fenv)
+            changed |= self._bump_neq(e.lhs, b, env)
+            changed |= self._bump_neq(e.rhs, a, env)
         return changed
 
-    def _narrow_base_cmp(self, e: BinOp, op: str, env) -> bool:
-        lhs_base = isinstance(e.lhs, Sym) and e.lhs.name in self.base_syms
-        rhs_base = isinstance(e.rhs, Sym) and e.rhs.name in self.base_syms
-        if not lhs_base and not rhs_base:
+    def _narrow_set_cmp(self, e: BinOp, op: str, env) -> bool:
+        """== or != between two candidate-list symbols (pointer bases or
+        floats), or between one and a constant: drop the candidates that
+        cannot hold it."""
+        lhs_set = isinstance(e.lhs, Sym) and e.lhs.name in self.set_syms
+        rhs_set = isinstance(e.rhs, Sym) and e.rhs.name in self.set_syms
+        if not lhs_set and not rhs_set:
             return False
         if op not in ("==", "!="):
             return False
         changed = False
-        if lhs_base and rhs_base:
+        if lhs_set and rhs_set:
             da, db = env[e.lhs.name], env[e.rhs.name]
             assert isinstance(da, _SetDomain) and isinstance(db, _SetDomain)
             if op == "==":
@@ -704,12 +692,12 @@ class _Solver:
                         self._set(env, e.lhs.name, _SetDomain(nv))
                         changed = True
             return changed
-        sym, other = (e.lhs, e.rhs) if lhs_base else (e.rhs, e.lhs)
+        sym, other = (e.lhs, e.rhs) if lhs_set else (e.rhs, e.lhs)
         if not isinstance(other, Const):
             return False
         dom = env[sym.name]
         assert isinstance(dom, _SetDomain)
-        val = int(other.value)
+        val = other.value
         if op == "==":
             nv = [v for v in dom.values if v == val]
         else:
@@ -721,7 +709,7 @@ class _Solver:
             return True
         return changed
 
-    def _bump_neq(self, e: SymExpr, other: tuple[int, int], env, fenv) -> bool:
+    def _bump_neq(self, e: SymExpr, other: tuple[int, int], env) -> bool:
         if other[0] != other[1]:
             return False
         v = other[0]
@@ -737,7 +725,7 @@ class _Solver:
                 return True
         return False
 
-    def _push(self, e: SymExpr, lo: int | None, hi: int | None, env, fenv) -> bool:
+    def _push(self, e: SymExpr, lo: int | None, hi: int | None, env) -> bool:
         """Intersect the value set of e with [lo, hi], descending where exact."""
         if isinstance(e, Sym):
             dom = env.get(e.name)
@@ -764,16 +752,16 @@ class _Solver:
                 raise _Conflict
             return False
         if isinstance(e, Cast) and isinstance(e.ctype, IntType):
-            inner = self._ival(e.operand, env, fenv)
+            inner = self._ival(e.operand, env)
             if inner is None:
                 return False
             if e.ctype.min_value() <= inner[0] and inner[1] <= e.ctype.max_value():
-                return self._push(e.operand, lo, hi, env, fenv)
+                return self._push(e.operand, lo, hi, env)
             return False
         if isinstance(e, BinOp) and isinstance(e.ctype, IntType) \
                 and e.op in ("+", "-"):
-            a = self._ival(e.lhs, env, fenv)
-            b = self._ival(e.rhs, env, fenv)
+            a = self._ival(e.lhs, env)
+            b = self._ival(e.rhs, env)
             if a is None or b is None:
                 return False
             raw_lo, raw_hi = _interval_arith(e.op, a, b)
@@ -782,14 +770,14 @@ class _Solver:
                 return False
             r_lo, r_hi = hull
             if e.op == "+":
-                changed = self._push(e.lhs, r_lo - b[1], r_hi - b[0], env, fenv)
-                changed |= self._push(e.rhs, r_lo - a[1], r_hi - a[0], env, fenv)
+                changed = self._push(e.lhs, r_lo - b[1], r_hi - b[0], env)
+                changed |= self._push(e.rhs, r_lo - a[1], r_hi - a[0], env)
             else:
-                changed = self._push(e.lhs, r_lo + b[0], r_hi + b[1], env, fenv)
-                changed |= self._push(e.rhs, a[0] - r_hi, a[1] - r_lo, env, fenv)
+                changed = self._push(e.lhs, r_lo + b[0], r_hi + b[1], env)
+                changed |= self._push(e.rhs, a[0] - r_hi, a[1] - r_lo, env)
             return changed
         if isinstance(e, UnOp) and e.op == "-" and isinstance(e.ctype, IntType):
-            inner = self._ival(e.operand, env, fenv)
+            inner = self._ival(e.operand, env)
             if inner is None:
                 return False
             if -inner[1] < e.ctype.min_value() or -inner[0] > e.ctype.max_value():
@@ -797,66 +785,8 @@ class _Solver:
             return self._push(
                 e.operand,
                 None if hi is None else -hi,
-                None if lo is None else -lo, env, fenv)
+                None if lo is None else -lo, env)
         return False
-
-    # -- floats --------------------------------------------------------------------
-
-    def _float_assignments(self):
-        """Deterministic seed combinations, equalities propagated first."""
-        names = list(self.float_syms.keys())
-        parent = {n: n for n in names}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        fixed: dict[str, float] = {}
-        for c in self.conjuncts:
-            if isinstance(c, BinOp) and c.op == "==":
-                lt, rt = c.lhs, c.rhs
-                if isinstance(lt, Sym) and lt.name in self.float_syms \
-                        and isinstance(rt, Sym) and rt.name in self.float_syms:
-                    parent[find(lt.name)] = find(rt.name)
-                elif isinstance(lt, Sym) and lt.name in self.float_syms \
-                        and isinstance(rt, Const):
-                    fixed[find(lt.name)] = float(rt.value)
-                elif isinstance(rt, Sym) and rt.name in self.float_syms \
-                        and isinstance(lt, Const):
-                    fixed[find(rt.name)] = float(lt.value)
-        seeds = [0.0, 1.0, -1.0, 0.5, -0.5]
-        for c in self.conjuncts:
-            for lit in _float_literals(c):
-                for v in (lit, lit + 1.0, lit - 1.0):
-                    if v not in seeds:
-                        seeds.append(v)
-        reps: list[str] = []
-        for n in names:
-            r = find(n)
-            if r not in reps:
-                reps.append(r)
-        free_reps = [r for r in reps if r not in fixed]
-        cap = self.max_nodes
-
-        def assignments(idx: int, cur: dict[str, float]):
-            if idx == len(free_reps):
-                out = dict(cur)
-                for r, v in fixed.items():
-                    out[find(r)] = v
-                yield {n: out[find(n)] for n in names}
-                return
-            for v in seeds:
-                cur[free_reps[idx]] = v
-                yield from assignments(idx + 1, cur)
-
-        count = 0
-        for combo in assignments(0, {}):
-            count += 1
-            if count > cap:
-                return
-            yield combo
 
 
 def _split(dom: _IntDomain | _SetDomain):
@@ -997,22 +927,25 @@ _CHILDREN = {
 }
 
 
-def _scan_conjuncts(conjuncts: list[SymExpr]
+def _scan_conjuncts(conjuncts: list[SymExpr], literals: list[float] | None
                     ) -> tuple[dict[int, tuple[str, ...]], list[frozenset[str]]]:
     """One walk: the float comparisons, and each conjunct's symbol names.
 
     The first result maps the id of each comparison node that involves a
     float to the names of its symbols. Every node the search evaluates is a
     subtree of a conjunct, and the conjuncts outlive the search, so node
-    identity is a stable key; shared subtrees are walked once.
+    identity is a stable key; shared subtrees are walked once. Unless
+    ``literals`` is None, the walk appends to it the value of each float
+    constant it visits, in walk order.
     """
     seen: dict[int, tuple[bool, frozenset[str]]] = {}
     float_cmps: dict[int, tuple[str, ...]] = {}
-    return float_cmps, [_scan(c, seen, float_cmps)[1] for c in conjuncts]
+    return float_cmps, [_scan(c, seen, float_cmps, literals)[1] for c in conjuncts]
 
 
 def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
-          float_cmps: dict[int, tuple[str, ...]]) -> tuple[bool, frozenset[str]]:
+          float_cmps: dict[int, tuple[str, ...]], literals: list[float] | None
+          ) -> tuple[bool, frozenset[str]]:
     """Whether e involves a float, and the names of its symbols."""
     key = id(e)
     hit = seen.get(key)
@@ -1024,34 +957,44 @@ def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
     else:
         names = _NO_NAMES
         for attr in _CHILDREN.get(type(e), ()):
-            child_float, child_names = _scan(getattr(e, attr), seen, float_cmps)
+            child_float, child_names = _scan(getattr(e, attr), seen, float_cmps, literals)
             has_float |= child_float
             if not names:
                 names = child_names
             elif child_names and child_names is not names:
                 names = names | child_names
-        if has_float and isinstance(e, BinOp) and e.op in _CMP:
-            float_cmps[key] = tuple(names)
+        if has_float:
+            if isinstance(e, BinOp) and e.op in _CMP:
+                float_cmps[key] = tuple(names)
+            elif literals is not None and isinstance(e, Const):
+                literals.append(float(e.value))
     seen[key] = hit = (has_float, names)
     return hit
 
 
-def _float_cmp(e: BinOp, names: tuple[str, ...], fenv: dict[str, float]
-               ) -> bool | None:
-    """A float comparison's value once each of its symbols has a value."""
-    if not all(n in fenv for n in names):
-        return None
+def _float_cmp(e: BinOp, names: tuple[str, ...], env) -> bool | None:
+    """A float comparison's value once each of its symbols is decided."""
+    values = {}
+    for n in names:
+        dom = env.get(n)
+        if dom is None or not dom.singleton():
+            return None
+        values[n] = dom.value()
     try:
-        return bool(evaluate(e, fenv))
+        return bool(evaluate(e, values))
     except EvalError:
         return None
 
 
-def _float_literals(e: SymExpr):
-    if isinstance(e, Const) and isinstance(e.ctype, FloatType):
-        yield float(e.value)
-    for attr in _CHILDREN.get(type(e), ()):
-        yield from _float_literals(getattr(e, attr))
+def _float_seeds(literals: list[float]) -> list[float]:
+    """A float symbol's candidates: 0, +-1, +-0.5, then each literal and its
+    neighbours at +-1, without repeats."""
+    seeds = [0.0, 1.0, -1.0, 0.5, -0.5]
+    for lit in literals:
+        for v in (lit, lit + 1.0, lit - 1.0):
+            if v not in seeds:
+                seeds.append(v)
+    return seeds
 
 
 def verify_model(constraint: Constraint, model: Model) -> bool:

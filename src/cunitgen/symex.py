@@ -71,6 +71,7 @@ from .symexpr import (
     BinOp,
     Const,
     FALSE,
+    FLIP,
     Ptr,
     Role,
     Sym,
@@ -808,9 +809,6 @@ def interpret(trace: Trace, cfg: Cfg, anns: AnnotationSet, layout: Layout,
     return state
 
 
-_AST_FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-
-
 def _polarized_guard(interp: _Interp, cond: Expr, polarity: bool) -> SymExpr:
     """Evaluate a decision condition under the edge's polarity.
 
@@ -818,8 +816,8 @@ def _polarized_guard(interp: _Interp, cond: Expr, polarity: bool) -> SymExpr:
     expansion: the false branch of p1 < p2 is the same-region comparison
     p1 >= p2, not the disjunctive negation of the in-bounds formula.
     """
-    if not polarity and isinstance(cond, Bin) and cond.op in _AST_FLIP:
-        flipped = Bin(_AST_FLIP[cond.op], cond.lhs, cond.rhs, cond.line)
+    if not polarity and isinstance(cond, Bin) and cond.op in FLIP:
+        flipped = Bin(FLIP[cond.op], cond.lhs, cond.rhs, cond.line)
         flipped.ctype = cond.ctype
         return to_bool(interp.eval(flipped))
     value = interp.eval(cond)

@@ -127,7 +127,8 @@ FALSE = Const(0, BOOL)
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _BOOL_OPS = ("&&", "||")
-_FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
+# each comparison operator's negation
+FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
 def is_true(e: SymExpr) -> bool:
@@ -244,9 +245,9 @@ def negate(e: SymExpr) -> SymExpr:
     if isinstance(e, UnOp) and e.op == "!":
         return to_bool(e.operand)
     if isinstance(e, BinOp):
-        if e.op in _FLIP:
+        if e.op in FLIP:
             # no NaN in the value model, so flipping is valid for floats too
-            return BinOp(_FLIP[e.op], e.lhs, e.rhs, BOOL)
+            return BinOp(FLIP[e.op], e.lhs, e.rhs, BOOL)
         if e.op == "&&":
             return mk_binop("||", negate(e.lhs), negate(e.rhs))
         if e.op == "||":

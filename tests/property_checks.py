@@ -11,7 +11,7 @@ from bruteforce import grid_for, oracle_sat
 from cunitgen import constraints as con
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.memory import NULL_BASE
-from cunitgen.solver import solve
+from cunitgen.solver import solve, verify_model
 from cunitgen.symexpr import (
     Const,
     Role,
@@ -20,9 +20,22 @@ from cunitgen.symexpr import (
     evaluate,
     free_symbols,
     mk_binop,
+    mk_cast,
     mk_unop,
 )
-from cunitgen.typesys import INT, IntType, SCHAR, SHORT, UCHAR, UINT, wrap_int
+from cunitgen.typesys import (
+    DOUBLE,
+    FLOAT,
+    INT,
+    FloatType,
+    IntType,
+    SCHAR,
+    SHORT,
+    UCHAR,
+    UINT,
+    round_float,
+    wrap_int,
+)
 
 _ARITH = ["+", "-", "*", "&", "|", "^"]
 _CMP = ["<", "<=", ">", ">=", "==", "!="]
@@ -174,3 +187,81 @@ def run_pointer_compare_bruteforce(max_dim: int = 4) -> int:
                 assert (verdict.status == "sat") == brute, (omega, dim1, dim2)
                 checked += 1
     return checked
+
+
+_FLOAT_ARITH = ["+", "-", "*"]
+_FLOAT_LITERALS = (0.1, 0.5, 1.5, 2.0, 2.5, 3.0, 7.25, 100.0, 1e-3)
+
+
+def random_float_arith(rng: random.Random, syms: list[Sym], n: Sym, t: FloatType,
+                       depth: int) -> SymExpr:
+    """A float expression of type t over syms, float literals and (t) n."""
+    if depth == 0 or rng.random() < 0.4:
+        r = rng.random()
+        if r < 0.5:
+            return mk_cast(rng.choice(syms), t)
+        if r < 0.6:
+            return mk_cast(n, t)
+        v = rng.choice(_FLOAT_LITERALS) * rng.choice((1, -1))
+        return Const(round_float(v, t), t)
+    return mk_binop(rng.choice(_FLOAT_ARITH),
+                    random_float_arith(rng, syms, n, t, depth - 1),
+                    random_float_arith(rng, syms, n, t, depth - 1), t)
+
+
+def make_float_constraint(rng: random.Random) -> Constraint:
+    """A conjunction of 1-3 comparisons over 1-3 float/double symbols, float
+    literals, + - * and one int symbol cast to float."""
+    syms = [Sym(name, rng.choice((FLOAT, DOUBLE)))
+            for name in ("f", "g", "h")[:rng.randint(1, 3)]]
+    n = Sym("n", INT)
+    n_conjuncts = rng.randint(1, 3)
+    conjuncts: list[SymExpr] = []
+    while len(conjuncts) < n_conjuncts:
+        t = rng.choice((FLOAT, DOUBLE))
+        cmp = mk_binop(rng.choice(_CMP), random_float_arith(rng, syms, n, t, 2),
+                       random_float_arith(rng, syms, n, t, 2))
+        if not isinstance(cmp, Const):  # a folded one would decide the answer
+            conjuncts.append(cmp)
+    c = Constraint(conjuncts)
+    c.free = {}
+    for cj in conjuncts:
+        for s in free_symbols(cj):
+            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
+    return c
+
+
+@dataclass
+class FloatStreamStats:
+    sats: int = 0
+    unknowns: int = 0
+    unsats: int = 0
+    unsats_with_float: int = 0
+    bad_models: int = 0
+    unrepeatable: int = 0
+
+
+def run_float_stream(count: int, seed: int, max_nodes: int = 300) -> FloatStreamStats:
+    """Solve `count` random float constraints twice each: verify every Sat
+    model, count unsat answers over a float symbol (the seeds are no proof)
+    and answers that differ between the two solves."""
+    rng = random.Random(seed)
+    stats = FloatStreamStats()
+    for _ in range(count):
+        c = make_float_constraint(rng)
+        first, second = solve(c, max_nodes), solve(c, max_nodes)
+        answers = [(r.status, r.reason, r.nodes, r.model.values if r.model else None)
+                   for r in (first, second)]
+        if answers[0] != answers[1]:
+            stats.unrepeatable += 1
+        if first.status == "sat":
+            stats.sats += 1
+            if not verify_model(c, first.model):
+                stats.bad_models += 1
+        elif first.status == "unsat":
+            stats.unsats += 1
+            if any(isinstance(fs.ctype, FloatType) for fs in c.free.values()):
+                stats.unsats_with_float += 1
+        else:
+            stats.unknowns += 1
+    return stats

@@ -9,6 +9,7 @@ import random
 
 from property_checks import (
     make_constraint,
+    run_float_stream,
     run_model_soundness,
     run_pointer_compare_bruteforce,
     run_unsat_agreement,
@@ -24,6 +25,17 @@ class TestModelSoundness:
         assert stats.bad_models == 0
         assert stats.sats > stats.total // 2
         assert stats.unknowns < stats.total // 3
+
+
+class TestFloatStream:
+    def test_random_float_constraints(self):
+        # float symbols search their seed sets in the one search: models
+        # verify, covering the seeds proves nothing, answers repeat
+        stats = run_float_stream(400, seed=2718)
+        assert stats.bad_models == 0
+        assert stats.unsats_with_float == 0
+        assert stats.unrepeatable == 0
+        assert stats.sats > 400 // 2
 
 
 class TestUnsatAgreement:

@@ -6,11 +6,16 @@ import json
 import random
 import time
 
+import pytest
 from bruteforce import grid_for, oracle_sat
+from conftest import read_data
 from property_checks import make_constraint
 
+import cunitgen.pipeline as pipeline
 import cunitgen.solver as solver_mod
+from cunitgen.config import Config
 from cunitgen.constraints import Constraint, FreeSymbol
+from cunitgen.frontend.parser import parse_unit
 from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
 from cunitgen.typesys import DOUBLE, INT, SCHAR, SHORT, UCHAR, UINT
@@ -286,6 +291,25 @@ class TestFloats:
         if r.status == "unknown":
             assert "seed" in r.reason
 
+    def test_mixed_comparison_decided_once_its_symbols_are(self):
+        # (double)n > f is evaluated as soon as n and f are decided, so each
+        # n the search tries is refuted at once instead of after searching b
+        n, f, b = Sym("n", INT), Sym("f", DOUBLE), Sym("b", INT)
+        c = make([mk_binop(">", mk_cast(n, DOUBLE), f),
+                  mk_binop(">", f, Const(2.5, DOUBLE)),
+                  mk_binop("<", n, Const(7, INT)), mk_binop("!=", b, Const(0, INT))])
+        r = solve(c)
+        assert r.status == "sat" and r.nodes < 20
+        assert r.model.values["n"] == 6 and r.model.values["f"] == 3.5
+
+    def test_int_cast_does_not_narrow_the_seeds(self):
+        # (int)f == 0 holds for f = -0.5, which integer bounds on f would drop
+        f = Sym("f", DOUBLE)
+        c = make([mk_binop("==", mk_cast(f, INT), Const(0, INT)),
+                  mk_binop("<", f, Const(0.0, DOUBLE))])
+        r = solve(c)
+        assert r.status == "sat" and r.model.values["f"] == -0.5
+
     def test_triangle_floats(self):
         i, j, k = (Sym(n, DOUBLE) for n in "ijk")
         conj = [mk_binop(">=", v, Const(0.0, DOUBLE)) for v in (i, j, k)]
@@ -296,6 +320,107 @@ class TestFloats:
         r = solve(c := make(conj))
         assert r.status == "sat"
         assert verify_model(c, r.model)
+
+
+SEEDS_OUT = ("unknown", None)
+REASONS = {"sat": "", "unknown": "float seed set exhausted without a verified model"}
+
+# Each float function's solver calls in order as (status, model), and the
+# total search nodes of all calls, as the solver gave them when it reran the
+# integer search once per float seed combination.
+FLOAT_FUNCTIONS = {
+    "fl2": ("""int fl2(double d)
+{
+    if (d > 0.1 && d < 0.2)
+        return 1;
+    return 0;
+}
+""", [("sat", {"d": 1.0}), SEEDS_OUT, ("sat", {"d": 1.0}), ("sat", {"d": 0.0})], 28),
+    "fl": ("""int fl(float x)
+{
+    if (x * x > 2.0f && x < 1.5f)
+        return 1;
+    return 0;
+}
+""", [("sat", {"x": 2.0}), SEEDS_OUT, ("sat", {"x": 2.0}), ("sat", {"x": 0.0})], 32),
+    "flu": ("""int flu(float x)
+{
+    if (x > 3.0f && x < 2.0f)
+        return 1;
+    return 0;
+}
+""", [("sat", {"x": 4.0}), SEEDS_OUT, ("sat", {"x": 4.0}), ("sat", {"x": 0.0})], 32),
+    "feq": ("""int feq(float a, float b)
+{
+    if (a == b) {
+        if (a > 0.5f)
+            return 1;
+        return 2;
+    } else if (a < b) {
+        return 3;
+    }
+    return 0;
+}
+""", [("sat", {"a": 0.0, "b": 0.0}), ("sat", {"a": 1.0, "b": 1.0}),
+      ("sat", {"a": 0.0, "b": 1.0}), ("sat", {"a": 0.0, "b": 1.0}),
+      ("sat", {"a": 0.0, "b": 0.0}), ("sat", {"a": 0.0, "b": -1.0})], 18),
+    "fg": ("""double g;
+
+int fg(double x)
+{
+    if (x == g) {
+        if (g > 1.0)
+            return 1;
+        return 2;
+    }
+    return 0;
+}
+""", [("sat", {"g": 0.0, "x": 0.0}), ("sat", {"g": 2.0, "x": 2.0}),
+      ("sat", {"g": 1.0, "x": 0.0}), ("sat", {"g": 0.0, "x": 0.0})], 20),
+    "Tritype": (read_data("tritype_float.c"), [
+        ("sat", {"i": -1.0}), ("sat", {"i": 0.0}), ("sat", {"i": 0.0, "j": -1.0}),
+        ("sat", {"i": 0.0, "j": 0.0}), ("sat", {"i": 0.0, "j": 0.0, "k": -1.0}),
+        ("sat", {"i": 0.0, "j": 0.0, "k": 0.0}), ("sat", {"i": 0.0, "j": 0.0, "k": 0.0}),
+        ("sat", {"i": 0.0, "j": 1.0, "k": 0.0}), ("sat", {"i": 1.0, "j": 0.0, "k": 0.0}),
+        ("sat", {"i": 0.0, "j": 1.0, "k": 0.0}), ("sat", {"i": 0.0, "j": 1.0, "k": 0.0}),
+        *[("sat", {"i": 1.0, "j": 1.0, "k": 1.0})] * 5,
+        ("sat", {"i": 1.0, "j": 0.5, "k": 1.0}), ("sat", {"i": 0.5, "j": 1.0, "k": 1.0}),
+        SEEDS_OUT,
+        ("sat", {"i": 0.5, "j": 1.0, "k": 1.0}), ("sat", {"i": 1.0, "j": 0.5, "k": 1.0}),
+        ("sat", {"i": 1.0, "j": 0.5, "k": 1.0})], 680),
+}
+
+
+def _model_text(values):
+    """Values by repr, so 1 != 1.0 and -0.0 != 0.0."""
+    return None if values is None else {n: repr(v) for n, v in values.items()}
+
+
+class TestFloatFunctionsPinned:
+    """Every solver call of the float functions keeps its answer, and no
+    function searches more nodes than when each seed combination had a
+    search of its own."""
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_FUNCTIONS))
+    def test_answers_unchanged(self, name, tmp_path, monkeypatch):
+        source, expected, nodes_before = FLOAT_FUNCTIONS[name]
+        calls = []
+        original = pipeline.solve
+
+        def solve_logged(*args, **kwargs):
+            r = original(*args, **kwargs)
+            calls.append(r)
+            return r
+
+        monkeypatch.setattr(pipeline, "solve", solve_logged)
+        unit = parse_unit(source, f"{name}.c")
+        config = Config(out_dir=str(tmp_path), budget_ms=10**9, quiet=True)
+        assert pipeline.generate_function(unit, unit.function(name), config).status == "ok"
+        answers = [(r.status, r.reason, _model_text(r.model and r.model.values))
+                   for r in calls]
+        assert answers == [(status, REASONS[status], _model_text(model))
+                           for status, model in expected]
+        assert sum(r.nodes for r in calls) <= nodes_before
 
 
 class TestDeterminism:
@@ -400,9 +525,9 @@ class TestPropagationCost:
         visits = []
         original = solver_mod._Solver._narrow
 
-        def narrow(self, e, want, env, fenv):
+        def narrow(self, e, want, env):
             visits.append((self.nodes, e))
-            return original(self, e, want, env, fenv)
+            return original(self, e, want, env)
 
         monkeypatch.setattr(solver_mod._Solver, "_narrow", narrow)
         return visits
