@@ -99,7 +99,8 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
 
     A file that cannot be read or parsed costs only its own functions: its
     diagnostic names it, the other files are still generated, and the exit
-    status is 1.
+    status is 1. So does a function whose artifacts cannot be written. An
+    output directory that cannot be made stops the run with exit status 1.
     """
     status = 0
     work: list[tuple] = []
@@ -124,7 +125,12 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
         if not config.quiet:
             print(f"error: function {config.function} not found", file=sys.stderr)
         return 1, []
-    ship_compat_header(config.out_dir)
+    try:
+        ship_compat_header(config.out_dir)
+    except OSError as exc:
+        if not config.quiet:
+            print(f"error: {config.out_dir}: {exc.strerror}", file=sys.stderr)
+        return 1, []
     if config.jobs > 1 and len(work) > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(
@@ -137,7 +143,14 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
             if not config.quiet:
                 print(f"error [{outcome.name}]: {outcome.message}", file=sys.stderr)
             continue
-        write_outputs(outcome, unit, config)
+        try:
+            write_outputs(outcome, unit, config)
+        except OSError as exc:
+            status = 1
+            if not config.quiet:
+                print(f"error [{outcome.name}]: {exc.filename}: {exc.strerror}",
+                      file=sys.stderr)
+            continue
         if not outcome.criterion_complete and status == 0:
             status = 2
         if not config.quiet:

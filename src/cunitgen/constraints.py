@@ -58,15 +58,24 @@ class FreeSymbol:
 
 
 class Constraint:
-    """Ordered conjunction plus the free-symbol table the solver needs."""
+    """Ordered conjunction plus the free-symbol table the solver needs.
+
+    ``head`` is a constraint whose conjuncts this one's begin with (conjoin
+    passes the head it extends), and ``analysis`` the solver's analysis of
+    the conjuncts: with both, the solver analyses only the conjuncts the
+    head lacks (``solver.analyse``). Neither changes an answer.
+    """
 
     def __init__(self, conjuncts: list[SymExpr] | None = None,
                  free: dict[str, FreeSymbol] | None = None,
-                 segments: list[tuple[str, int, int]] | None = None):
+                 segments: list[tuple[str, int, int]] | None = None,
+                 head: "Constraint | None" = None):
         self.conjuncts = [] if conjuncts is None else conjuncts
         self.free = {} if free is None else free
         # (kind, branch index, first conjunct position); kind is assume/branch/tail
         self.segments = [] if segments is None else segments
+        self.head = head
+        self.analysis = None
 
     def render(self) -> str:
         return render_conjunction(self.conjuncts)
@@ -211,7 +220,8 @@ def conjoin(state) -> Constraint:
     of the state it was forked from, the constraint of the branches that one
     had (``PathState.resumed_head``), and adds only the later branches and
     the tail. The head of an incomplete trace's state is recorded on it here,
-    for its extensions.
+    for its extensions. Each constraint built here names the head it begins
+    with, so the solver analyses each conjunct once along the chain.
     """
     table = state.layout.regions
     head = state.resumed_head()
@@ -231,8 +241,8 @@ def conjoin(state) -> Constraint:
             conjuncts.append(branch.guard)
         build_free_table(conjuncts[start:], table, free)
     if not state.complete:
-        state.head = Constraint(list(conjuncts), dict(free), list(segments))
+        state.head = head = Constraint(list(conjuncts), dict(free), list(segments), head)
     segments.append(("tail", -1, len(conjuncts)))
     conjuncts.extend(state.pending)
     build_free_table(state.pending, table, free)
-    return Constraint(conjuncts, free, segments)
+    return Constraint(conjuncts, free, segments, head)

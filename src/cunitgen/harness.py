@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 
 from .errors import ReplayDivergence
 from .frontend.annotations import AnnotationSet
@@ -554,14 +553,30 @@ def trace_matrix_csv(fn_name: str, anns: AnnotationSet,
 
 
 def write_atomically(path: str, content: str) -> None:
+    """Replace path's content through a temporary file beside it and a
+    rename, so that a reader sees the old content or the new, never a part.
+
+    The file gets the mode a plain ``open`` gives a new file, 0o666 less the
+    umask: the temporary file is created with that request. A failure
+    leaves no temporary file and raises an OSError that names path.
+    """
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ctg-")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        while tmp is None:
+            name = os.path.join(directory, f".ctg-{os.urandom(6).hex()}")
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            tmp = name
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

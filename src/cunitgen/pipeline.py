@@ -170,6 +170,10 @@ class _Session:
             # dependent assignments builds one too deep to walk
             out.status = "error"
             out.message = "symbolic expressions nested too deeply to analyze"
+        except OSError as exc:
+            # smtlib-out writes and reads files while it generates
+            out.status = "error"
+            out.message = f"{exc.filename}: {exc.strerror}"
         out.elapsed_s = time.monotonic() - start
         return out
 

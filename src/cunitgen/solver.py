@@ -38,6 +38,27 @@ narrows each operand to the hull of what the surviving windows allow; no
 surviving window is a conflict. The difference-constraint check accepts a
 side inside a single window with the shift folded into its constant. All
 of it is exact per window, so no feasible value is ever pruned.
+
+Two caches make a search node cost what it narrows and a call cost what its
+constraint adds; neither changes an answer.
+
+- The interval memo (``_Solver.memo``) keeps each compound node's forward
+  interval, keyed by the node's id, so that narrowing a comparison, pushing
+  a bound into its sides and linearizing them read one evaluation. Its rule:
+  an entry is valid until the next domain write. ``_set``, the only way a
+  domain is written, empties it, and so does each search node on entry. The
+  interval of a node is a function of the node and the domains alone, so a
+  memoized interval is the one recomputing it would give.
+- The conjunct analysis (``analyse``) splits each conjunct at its && into
+  pieces and records each piece's symbol names (the watch lists), the float
+  comparisons under it and its float literals. It is kept on the
+  ``Constraint`` and reused along the chain of heads that ``conjoin``
+  records, so each conjunct of one function's constraints is analysed once:
+  an extension of a trace analyses only the conjuncts its head lacks. Each
+  fact depends on one piece alone, and the literals keep their order of
+  first occurrence, so the float seeds and every watch list are those of a
+  walk over the whole constraint. Nothing is kept at module level, and the
+  analysis goes with the constraints when the function's generation ends.
 """
 
 from __future__ import annotations
@@ -65,6 +86,10 @@ from .symexpr import (
 from .typesys import FloatType, IntType, Undefined, binary
 
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
+# the operators whose result is a truth value
+_BOOLEAN = frozenset(_CMP + ("&&", "||"))
+# the memo's mark for a node not evaluated yet (None is an interval: unknown)
+_UNSET = object()
 
 
 class Model:
@@ -101,9 +126,6 @@ class _IntDomain:
     def value(self) -> int:
         return self.lo
 
-    def size(self) -> int:
-        return max(0, self.hi - self.lo + 1)
-
     def contains(self, v: int) -> bool:
         return self.lo <= v <= self.hi
 
@@ -117,9 +139,6 @@ class _SetDomain:
 
     def value(self) -> int | float:
         return self.values[0]
-
-    def size(self) -> int:
-        return len(self.values)
 
     def contains(self, v: int) -> bool:
         return v in self.values
@@ -146,7 +165,6 @@ class _Solver:
         self.constraint = constraint
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.conjuncts = _flatten(constraint.conjuncts)
         self.order: list[str] = list(constraint.free.keys())
         self.int_syms: dict[str, FreeSymbol] = {}
         self.base_syms: dict[str, FreeSymbol] = {}
@@ -160,22 +178,18 @@ class _Solver:
                 self.int_syms[name] = fs
         # the symbols whose domain is a candidate list (_narrow_set_cmp)
         self.set_syms = {**self.base_syms, **self.float_syms}
-        # float comparison ids -> their symbol names; each conjunct's names;
-        # the float literals, collected only when a float symbol needs seeds
-        literals: list[float] | None = [] if self.float_syms else None
-        self.float_cmps, names = _scan_conjuncts(self.conjuncts, literals)
-        self.seeds = _float_seeds(literals) if literals is not None else []
-        # the watch lists: symbol name -> the conjuncts that mention it
-        self.watchers: dict[str, list[int]] = {}
-        for i, syms in enumerate(names):
-            for s in syms:
-                self.watchers.setdefault(s, []).append(i)
-        self.comparisons = [i for i, c in enumerate(self.conjuncts)
-                            if isinstance(c, BinOp) and c.op in _CMP]
+        a = analyse(constraint)
+        self.conjuncts = a.pieces
+        self.watchers = a.watchers
+        self.comparisons = a.comparisons
+        self.float_cmps = a.float_cmps
+        self.seeds = _float_seeds(a.literals) if self.float_syms else []
         # the node being propagated: which conjuncts may narrow (dirty), and
         # each comparison's cached difference edge (None: recompute)
         self.dirty: list[bool] = []
         self.lin: list[tuple | None] = []
+        # id(compound node) -> its interval under the current domains
+        self.memo: dict[int, tuple[int, int] | None] = {}
 
     # -- entry ----------------------------------------------------------------
 
@@ -224,6 +238,7 @@ class _Solver:
         with the branched symbol written through ``_set``.
         """
         self._tick()
+        self.memo.clear()  # the memo held another node's domains
         dirty, lin = self.dirty, self.lin
         try:
             self._propagate(env)
@@ -242,15 +257,14 @@ class _Solver:
         return None
 
     def _pick(self, env: dict[str, _IntDomain | _SetDomain]) -> str | None:
-        best: tuple[int, int] | None = None
+        """The first symbol with the smallest domain that is no singleton."""
+        best_size = 0
         best_name: str | None = None
-        for idx, name in enumerate(self.order):
+        for name in self.order:
             dom = env[name]
-            if dom.singleton():
-                continue
-            key = (dom.size(), idx)
-            if best is None or key < best:
-                best = key
+            size = dom.hi - dom.lo + 1 if type(dom) is _IntDomain else len(dom.values)
+            if size != 1 and (best_name is None or size < best_size):
+                best_size = size
                 best_name = name
         return best_name
 
@@ -262,8 +276,10 @@ class _Solver:
 
     def _set(self, env: dict[str, _IntDomain | _SetDomain], name: str,
              dom: _IntDomain | _SetDomain) -> None:
-        """Every domain write: store it and mark the symbol's watchers."""
+        """Every domain write: store it, mark the symbol's watchers and
+        forget the intervals computed under the old domain."""
         env[name] = dom
+        self.memo.clear()
         dirty, lin = self.dirty, self.lin
         for i in self.watchers.get(name, ()):
             dirty[i] = True
@@ -286,7 +302,8 @@ class _Solver:
                 if dirty[i]:
                     dirty[i] = False
                     changed |= self._narrow(c, True, env)
-            self._pair_offsets(env)
+            if self.base_syms:
+                self._pair_offsets(env)
             if not changed:
                 break
             if rounds == 3:
@@ -375,30 +392,36 @@ class _Solver:
         iv = self._ival(e, env)
         if iv is not None and iv[0] == iv[1]:
             return (None, iv[0])
-        if isinstance(e, Sym):
+        t = type(e)
+        if t is Sym:
             return (e.name, 0)
-        if isinstance(e, Cast) and isinstance(e.ctype, IntType):
+        ct = e.ctype
+        if type(ct) is not IntType:
+            return None
+        if t is Cast:
             inner = self._ival(e.operand, env)
-            if inner is not None and e.ctype.min_value() <= inner[0] \
-                    and inner[1] <= e.ctype.max_value():
+            if inner is not None and ct.min_value() <= inner[0] \
+                    and inner[1] <= ct.max_value():
                 return self._linearize(e.operand, env)
             return None
-        if isinstance(e, BinOp) and e.op in ("+", "-") \
-                and isinstance(e.ctype, IntType):
+        if t is BinOp and (e.op == "+" or e.op == "-"):
             a = self._ival(e.lhs, env)
             b = self._ival(e.rhs, env)
             if a is None or b is None:
                 return None
-            raw_lo, raw_hi = _interval_arith(e.op, a, b)
-            first, last = _windows(raw_lo, raw_hi, e.ctype)
-            if first != last:
+            raw_lo, raw_hi = (a[0] + b[0], a[1] + b[1]) if e.op == "+" \
+                else (a[0] - b[1], a[1] - b[0])
+            w = ct.width
+            t_min = -(1 << (w - 1)) if ct.signed else 0
+            first = (raw_lo - t_min) >> w
+            if first != (raw_hi - t_min) >> w:
                 return None
             left = self._linearize(e.lhs, env)
             right = self._linearize(e.rhs, env)
             if left is None or right is None:
                 return None
             (xl, cl), (xr, cr) = left, right
-            shift = first << e.ctype.width
+            shift = first << w
             if e.op == "+":
                 if xl is not None and xr is not None:
                     return None
@@ -428,40 +451,87 @@ class _Solver:
     # forward interval evaluation; returns (lo, hi) or None for unknown
 
     def _ival(self, e: SymExpr, env) -> tuple[int, int] | None:
-        if isinstance(e, Const):
-            if isinstance(e.value, float):
-                return None
-            return (int(e.value), int(e.value))
-        if isinstance(e, Sym):
+        t = type(e)
+        if t is Sym:
             dom = env.get(e.name)
-            if isinstance(dom, _IntDomain):
+            if type(dom) is _IntDomain:
                 return (dom.lo, dom.hi)
-            if isinstance(dom, _SetDomain) and e.name not in self.float_syms:
+            if dom is not None and e.name not in self.float_syms:
                 # a base's ids; a float's seeds bound no integer view of it
                 return (min(dom.values), max(dom.values))
             return None
-        if isinstance(e, Cast):
-            if not isinstance(e.ctype, IntType):
+        if t is Const:
+            v = e.value
+            if type(v) is float:
+                return None
+            return (int(v), int(v))
+        memo = self.memo
+        key = id(e)
+        iv = memo.get(key, _UNSET)
+        if iv is _UNSET:
+            iv = memo[key] = self._forward(e, t, env)
+        return iv
+
+    def _forward(self, e: SymExpr, t: type, env) -> tuple[int, int] | None:
+        """The interval of a compound node of type t, from its children's.
+
+        An integer result's raw interval [lo, hi] is reduced to its type at
+        the end: exact when it lies inside one wrap window (shifted by the
+        window), the type range when it straddles a boundary or is unknown
+        (lo None).
+        """
+        if t is BinOp:
+            op = e.op
+            if op in _BOOLEAN:
+                b = self._bval(e, env)
+                if b is None:
+                    return (0, 1)
+                return (1, 1) if b else (0, 0)
+            ct = e.ctype
+            if type(ct) is not IntType:
+                return None
+            a = self._ival(e.lhs, env)
+            b2 = self._ival(e.rhs, env)
+            lo = hi = None
+            if a is not None and b2 is not None:
+                if op == "+":
+                    lo, hi = a[0] + b2[0], a[1] + b2[1]
+                elif op == "-":
+                    lo, hi = a[0] - b2[1], a[1] - b2[0]
+                elif op == "*":
+                    corners = (a[0] * b2[0], a[0] * b2[1], a[1] * b2[0], a[1] * b2[1])
+                    lo, hi = min(corners), max(corners)
+                elif a[0] == a[1] and b2[0] == b2[1]:
+                    # exact fold for fully decided operands; the interval
+                    # rule above is already exact for +, - and *
+                    try:
+                        v = binary(op, a[0], b2[0], e.lhs.ctype, e.rhs.ctype, ct)
+                        return (v, v)
+                    except Undefined:
+                        # undefined here (for example division by zero); the
+                        # final concrete verification rejects such assignments
+                        pass
+        elif t is Cast:
+            ct = e.ctype
+            if type(ct) is not IntType:
                 return None
             inner = self._ival(e.operand, env)
-            if inner is None:
-                return self._type_range(e.ctype)
-            return _fit_interval(inner[0], inner[1], e.ctype)
-        if isinstance(e, UnOp):
-            if e.op == "-" and isinstance(e.ctype, IntType):
-                inner = self._ival(e.operand, env)
-                if inner is None:
-                    return self._type_range(e.ctype)
-                return _fit_interval(-inner[1], -inner[0], e.ctype)
+            lo, hi = (None, None) if inner is None else inner
+        elif t is UnOp:
+            ct = e.ctype
             if e.op == "!":
                 b = self._bval(e.operand, env)
                 if b is None:
                     return (0, 1)
                 return (0, 0) if b else (1, 1)
-            if isinstance(e.ctype, IntType):
-                return self._type_range(e.ctype)
-            return None
-        if isinstance(e, Ite):
+            if type(ct) is not IntType:
+                return None
+            lo = hi = None
+            if e.op == "-":
+                inner = self._ival(e.operand, env)
+                if inner is not None:
+                    lo, hi = -inner[1], -inner[0]
+        elif t is Ite:
             b = self._bval(e.cond, env)
             if b is True:
                 return self._ival(e.then, env)
@@ -472,49 +542,57 @@ class _Solver:
             if a is None or c is None:
                 return None
             return (min(a[0], c[0]), max(a[1], c[1]))
-        if isinstance(e, Range):
+        elif t is Range:
             b = self._bval(e, env)
             if b is None:
                 return (0, 1)
             return (1, 1) if b else (0, 0)
-        if isinstance(e, BinOp):
-            if e.op in _CMP or e.op in ("&&", "||"):
-                b = self._bval(e, env)
-                if b is None:
-                    return (0, 1)
-                return (1, 1) if b else (0, 0)
-            if not isinstance(e.ctype, IntType):
-                return None
-            a = self._ival(e.lhs, env)
-            b2 = self._ival(e.rhs, env)
-            if a is None or b2 is None:
-                return self._type_range(e.ctype)
-            if a[0] == a[1] and b2[0] == b2[1] and e.op not in ("+", "-", "*"):
-                # exact fold for fully decided operands; the interval rule
-                # below is already exact for +, - and *
-                try:
-                    v = binary(e.op, a[0], b2[0], e.lhs.ctype, e.rhs.ctype, e.ctype)
-                except Undefined:
-                    # undefined here (for example division by zero); the
-                    # final concrete verification rejects such assignments
-                    return self._type_range(e.ctype)
-                return (v, v)
-            lo, hi = _interval_arith(e.op, a, b2)
-            if lo is None or hi is None:
-                return self._type_range(e.ctype)
-            return _fit_interval(lo, hi, e.ctype)
-        return None
-
-    @staticmethod
-    def _type_range(t: IntType) -> tuple[int, int]:
-        return (t.min_value(), t.max_value())
+        else:
+            return None
+        w = ct.width
+        t_min = -(1 << (w - 1)) if ct.signed else 0
+        if lo is not None:
+            first = (lo - t_min) >> w
+            if first == (hi - t_min) >> w:
+                shift = first << w
+                return (lo - shift, hi - shift)
+        return (t_min, t_min + (1 << w) - 1)
 
     # tri-state boolean evaluation
 
     def _bval(self, e: SymExpr, env) -> bool | None:
-        if isinstance(e, Const):
+        t = type(e)
+        if t is BinOp:
+            op = e.op
+            if op == "&&":
+                a = self._bval(e.lhs, env)
+                b = self._bval(e.rhs, env)
+                if a is False or b is False:
+                    return False
+                if a is True and b is True:
+                    return True
+                return None
+            if op == "||":
+                a = self._bval(e.lhs, env)
+                b = self._bval(e.rhs, env)
+                if a is True or b is True:
+                    return True
+                if a is False and b is False:
+                    return False
+                return None
+            if op in _CMP:
+                names = self.float_cmps.get(id(e))
+                if names is not None:
+                    return _float_cmp(e, names, env)
+                a = self._ival(e.lhs, env)
+                b = self._ival(e.rhs, env)
+                if a is None or b is None:
+                    return None
+                return _interval_cmp(op, a, b)
+            return None
+        if t is Const:
             return bool(e.value)
-        if isinstance(e, Range):
+        if t is Range:
             iv = self._ival(e.expr, env)
             if iv is None:
                 return None
@@ -523,36 +601,12 @@ class _Solver:
             if iv[1] < e.lo or iv[0] >= e.hi:
                 return False
             return None
-        if isinstance(e, UnOp) and e.op == "!":
+        if t is UnOp:
+            if e.op != "!":
+                return None
             b = self._bval(e.operand, env)
             return None if b is None else not b
-        if isinstance(e, BinOp):
-            if e.op == "&&":
-                a = self._bval(e.lhs, env)
-                b = self._bval(e.rhs, env)
-                if a is False or b is False:
-                    return False
-                if a is True and b is True:
-                    return True
-                return None
-            if e.op == "||":
-                a = self._bval(e.lhs, env)
-                b = self._bval(e.rhs, env)
-                if a is True or b is True:
-                    return True
-                if a is False and b is False:
-                    return False
-                return None
-            if e.op in _CMP:
-                names = self.float_cmps.get(id(e))
-                if names is not None:
-                    return _float_cmp(e, names, env)
-                a = self._ival(e.lhs, env)
-                b = self._ival(e.rhs, env)
-                if a is None or b is None:
-                    return None
-                return _interval_cmp(e.op, a, b)
-        if isinstance(e, Sym):
+        if t is Sym:
             iv = self._ival(e, env)
             if iv is None:
                 return None
@@ -560,50 +614,45 @@ class _Solver:
                 return True
             if iv == (0, 0):
                 return False
-            return None
         return None
 
     # backward narrowing; returns True when some domain changed
 
     def _narrow(self, e: SymExpr, want: bool, env) -> bool:
-        if isinstance(e, BinOp) and e.op in _CMP:
+        t = type(e)
+        if t is BinOp and e.op in _CMP:
             return self._narrow_cmp(e, want, env)
         b = self._bval(e, env)
         if b is not None:
             if b != want:
                 raise _Conflict
             return False
-        if isinstance(e, UnOp) and e.op == "!":
-            return self._narrow(e.operand, not want, env)
-        if isinstance(e, Range):
-            if want:
-                return self._push(e.expr, e.lo, e.hi - 1, env)
-            return False
-        if isinstance(e, BinOp):
-            if e.op == "&&" and want:
+        if t is BinOp:
+            op = e.op
+            if op == "&&" and want:
                 changed = self._narrow(e.lhs, True, env)
                 changed |= self._narrow(e.rhs, True, env)
                 return changed
-            if e.op == "||" and not want:
+            if op == "||" and not want:
                 changed = self._narrow(e.lhs, False, env)
                 changed |= self._narrow(e.rhs, False, env)
                 return changed
-            if e.op == "&&" and not want:
-                a = self._bval(e.lhs, env)
-                b2 = self._bval(e.rhs, env)
-                if a is True:
+            if op == "&&":  # not want
+                if self._bval(e.lhs, env) is True:
                     return self._narrow(e.rhs, False, env)
-                if b2 is True:
+                if self._bval(e.rhs, env) is True:
                     return self._narrow(e.lhs, False, env)
                 return False
-            if e.op == "||" and want:
-                a = self._bval(e.lhs, env)
-                b2 = self._bval(e.rhs, env)
-                if a is False:
+            if op == "||":  # want
+                if self._bval(e.lhs, env) is False:
                     return self._narrow(e.rhs, True, env)
-                if b2 is False:
+                if self._bval(e.rhs, env) is False:
                     return self._narrow(e.lhs, True, env)
-                return False
+            return False
+        if t is UnOp and e.op == "!":
+            return self._narrow(e.operand, not want, env)
+        if t is Range and want:
+            return self._push(e.expr, e.lo, e.hi - 1, env)
         return False
 
     def _narrow_cmp(self, e: BinOp, want: bool, env) -> bool:
@@ -622,31 +671,30 @@ class _Solver:
         op = e.op if want else FLIP[e.op]
         # candidate lists get their own rule; it changes no domain when it
         # returns False, so a and b stay current
-        if self._narrow_set_cmp(e, op, env):
+        if self.set_syms and self._narrow_set_cmp(e, op, env):
             return True
         if a is None or b is None:
             return False
-        changed = False
         if op == "<":
-            changed |= self._push(e.lhs, None, b[1] - 1, env)
+            changed = self._push(e.lhs, None, b[1] - 1, env)
             changed |= self._push(e.rhs, a[0] + 1, None, env)
         elif op == "<=":
-            changed |= self._push(e.lhs, None, b[1], env)
+            changed = self._push(e.lhs, None, b[1], env)
             changed |= self._push(e.rhs, a[0], None, env)
         elif op == ">":
-            changed |= self._push(e.lhs, b[0] + 1, None, env)
+            changed = self._push(e.lhs, b[0] + 1, None, env)
             changed |= self._push(e.rhs, None, a[1] - 1, env)
         elif op == ">=":
-            changed |= self._push(e.lhs, b[0], None, env)
+            changed = self._push(e.lhs, b[0], None, env)
             changed |= self._push(e.rhs, None, a[1], env)
         elif op == "==":
             lo, hi = max(a[0], b[0]), min(a[1], b[1])
             if lo > hi:
                 raise _Conflict
-            changed |= self._push(e.lhs, lo, hi, env)
+            changed = self._push(e.lhs, lo, hi, env)
             changed |= self._push(e.rhs, lo, hi, env)
-        elif op == "!=":
-            changed |= self._bump_neq(e.lhs, b, env)
+        else:  # !=
+            changed = self._bump_neq(e.lhs, b, env)
             changed |= self._bump_neq(e.rhs, a, env)
         return changed
 
@@ -727,17 +775,18 @@ class _Solver:
 
     def _push(self, e: SymExpr, lo: int | None, hi: int | None, env) -> bool:
         """Intersect the value set of e with [lo, hi], descending where exact."""
-        if isinstance(e, Sym):
+        t = type(e)
+        if t is Sym:
             dom = env.get(e.name)
-            if isinstance(dom, _IntDomain):
+            if type(dom) is _IntDomain:
                 nlo = dom.lo if lo is None else max(dom.lo, lo)
                 nhi = dom.hi if hi is None else min(dom.hi, hi)
                 if nlo > nhi:
                     raise _Conflict
-                if (nlo, nhi) != (dom.lo, dom.hi):
+                if nlo != dom.lo or nhi != dom.hi:
                     self._set(env, e.name, _IntDomain(nlo, nhi, dom.ctype))
                     return True
-            if isinstance(dom, _SetDomain):
+            elif dom is not None:
                 nv = [v for v in dom.values
                       if (lo is None or v >= lo) and (hi is None or v <= hi)]
                 if not nv:
@@ -746,37 +795,46 @@ class _Solver:
                     self._set(env, e.name, _SetDomain(nv))
                     return True
             return False
-        if isinstance(e, Const):
-            v = int(e.value)
-            if (lo is not None and v < lo) or (hi is not None and v > hi):
-                raise _Conflict
-            return False
-        if isinstance(e, Cast) and isinstance(e.ctype, IntType):
-            inner = self._ival(e.operand, env)
-            if inner is None:
+        if t is BinOp:
+            op = e.op
+            ct = e.ctype
+            if (op != "+" and op != "-") or type(ct) is not IntType:
                 return False
-            if e.ctype.min_value() <= inner[0] and inner[1] <= e.ctype.max_value():
-                return self._push(e.operand, lo, hi, env)
-            return False
-        if isinstance(e, BinOp) and isinstance(e.ctype, IntType) \
-                and e.op in ("+", "-"):
             a = self._ival(e.lhs, env)
             b = self._ival(e.rhs, env)
             if a is None or b is None:
                 return False
-            raw_lo, raw_hi = _interval_arith(e.op, a, b)
-            hull = _unwrap(raw_lo, raw_hi, lo, hi, e.ctype)
-            if hull is None:
-                return False
-            r_lo, r_hi = hull
-            if e.op == "+":
+            if op == "+":
+                hull = _unwrap(a[0] + b[0], a[1] + b[1], lo, hi, ct)
+                if hull is None:
+                    return False
+                r_lo, r_hi = hull
                 changed = self._push(e.lhs, r_lo - b[1], r_hi - b[0], env)
                 changed |= self._push(e.rhs, r_lo - a[1], r_hi - a[0], env)
             else:
+                hull = _unwrap(a[0] - b[1], a[1] - b[0], lo, hi, ct)
+                if hull is None:
+                    return False
+                r_lo, r_hi = hull
                 changed = self._push(e.lhs, r_lo + b[0], r_hi + b[1], env)
                 changed |= self._push(e.rhs, a[0] - r_hi, a[1] - r_lo, env)
             return changed
-        if isinstance(e, UnOp) and e.op == "-" and isinstance(e.ctype, IntType):
+        if t is Const:
+            v = int(e.value)
+            if (lo is not None and v < lo) or (hi is not None and v > hi):
+                raise _Conflict
+            return False
+        if t is Cast:
+            ct = e.ctype
+            if type(ct) is not IntType:
+                return False
+            inner = self._ival(e.operand, env)
+            if inner is None:
+                return False
+            if ct.min_value() <= inner[0] and inner[1] <= ct.max_value():
+                return self._push(e.operand, lo, hi, env)
+            return False
+        if t is UnOp and e.op == "-" and type(e.ctype) is IntType:
             inner = self._ival(e.operand, env)
             if inner is None:
                 return False
@@ -807,31 +865,6 @@ def _split(dom: _IntDomain | _SetDomain):
             yield _IntDomain(mid + 1, hi - 1, ct)
 
 
-def _fit_interval(lo: int, hi: int, t: IntType) -> tuple[int, int]:
-    """Reduce an unwrapped interval to type t, staying exact where possible.
-
-    If the raw interval lies inside the type range it is returned as is; if
-    it lies entirely within one later (or earlier) wrap window the uniform
-    shift keeps it exact; only an interval straddling a wrap boundary
-    widens to the full type range.
-    """
-    first, last = _windows(lo, hi, t)
-    if first == last:
-        shift = first << t.width
-        return (lo - shift, hi - shift)
-    return (t.min_value(), t.max_value())
-
-
-def _windows(lo: int, hi: int, t: IntType) -> tuple[int, int]:
-    """The first and last wrap window that the raw interval [lo, hi] touches.
-
-    Window w holds the raw values t_min + w * 2**width .. t_max + w * 2**width,
-    which wrap to raw - w * 2**width; window 0 is the type range itself.
-    """
-    t_min = t.min_value()
-    return (lo - t_min) >> t.width, (hi - t_min) >> t.width
-
-
 def _unwrap(raw_lo: int, raw_hi: int, lo: int | None, hi: int | None,
             t: IntType) -> tuple[int, int] | None:
     """Hull of the raw values in [raw_lo, raw_hi] that wrap into [lo, hi].
@@ -841,47 +874,29 @@ def _unwrap(raw_lo: int, raw_hi: int, lo: int | None, hi: int | None,
     no window keeps a value; returns None (no narrowing) when the raw
     interval spans more than three windows.
     """
-    first, last = _windows(raw_lo, raw_hi, t)
+    width = t.width
+    t_min = -(1 << (width - 1)) if t.signed else 0
+    t_max = t_min + (1 << width) - 1
+    first, last = (raw_lo - t_min) >> width, (raw_hi - t_min) >> width
     if last - first > 2:
         return None
-    lo = t.min_value() if lo is None else max(lo, t.min_value())
-    hi = t.max_value() if hi is None else min(hi, t.max_value())
+    lo = t_min if lo is None else max(lo, t_min)
+    hi = t_max if hi is None else min(hi, t_max)
+    if first == last:  # the common case: one window
+        shift = first << width
+        w_lo, w_hi = max(raw_lo, lo + shift), min(raw_hi, hi + shift)
+        if w_lo > w_hi:
+            raise _Conflict
+        return (w_lo, w_hi)
     hull: tuple[int, int] | None = None
     for w in range(first, last + 1):
-        shift = w << t.width
+        shift = w << width
         w_lo, w_hi = max(raw_lo, lo + shift), min(raw_hi, hi + shift)
         if w_lo <= w_hi:
             hull = (w_lo if hull is None else hull[0], w_hi)
     if hull is None:
         raise _Conflict
     return hull
-
-
-def _flatten(conjuncts: list[SymExpr]) -> list[SymExpr]:
-    out: list[SymExpr] = []
-
-    def add(e: SymExpr) -> None:
-        if isinstance(e, BinOp) and e.op == "&&":
-            add(e.lhs)
-            add(e.rhs)
-        elif not is_true(e):
-            out.append(e)
-
-    for c in conjuncts:
-        add(c)
-    return out
-
-
-def _interval_arith(op: str, a: tuple[int, int], b: tuple[int, int]
-                    ) -> tuple[int | None, int | None]:
-    if op == "+":
-        return (a[0] + b[0], a[1] + b[1])
-    if op == "-":
-        return (a[0] - b[1], a[1] - b[0])
-    if op == "*":
-        corners = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-        return (min(corners), max(corners))
-    return (None, None)
 
 
 def _interval_cmp(op: str, a: tuple[int, int], b: tuple[int, int]) -> bool | None:
@@ -927,36 +942,105 @@ _CHILDREN = {
 }
 
 
-def _scan_conjuncts(conjuncts: list[SymExpr], literals: list[float] | None
-                    ) -> tuple[dict[int, tuple[str, ...]], list[frozenset[str]]]:
-    """One walk: the float comparisons, and each conjunct's symbol names.
+class _Analysis:
+    """What the search reads of the first ``count`` conjuncts of a constraint.
 
-    The first result maps the id of each comparison node that involves a
-    float to the names of its symbols. Every node the search evaluates is a
-    subtree of a conjunct, and the conjuncts outlive the search, so node
-    identity is a stable key; shared subtrees are walked once. Unless
-    ``literals`` is None, the walk appends to it the value of each float
-    constant it visits, in walk order.
+    ``pieces`` are the conjuncts with each && split into its sides and each
+    true dropped; ``watchers`` maps a symbol name to the positions of the
+    pieces that mention it (the watch lists), and ``comparisons`` lists the
+    positions of the comparison pieces; ``float_cmps`` maps the id of each
+    comparison node that involves a float to the names of its symbols, and
+    ``literals`` holds the value of each float constant, in walk order.
+    Node identity is a stable key: the analysis is kept on the constraint,
+    whose conjuncts hold every node it names.
     """
+
+    def __init__(self, count: int, pieces: list[SymExpr],
+                 watchers: dict[str, tuple[int, ...]], comparisons: list[int],
+                 float_cmps: dict[int, tuple[str, ...]], literals: list[float]):
+        self.count = count
+        self.pieces = pieces
+        self.watchers = watchers
+        self.comparisons = comparisons
+        self.float_cmps = float_cmps
+        self.literals = literals
+
+
+def analyse(constraint: Constraint) -> _Analysis:
+    """The analysis of the constraint's conjuncts, kept on it.
+
+    A constraint whose ``head`` begins it extends the head's analysis, made
+    the same way, by the conjuncts after the head's; each conjunct is then
+    walked once along a chain of heads. Once a constraint is analysed its
+    analysis stands for its head, so the link is dropped. Every fact is a
+    function of one piece alone, and the literals keep their order, so the
+    result is the one a walk over all the conjuncts gives.
+    """
+    chain = []
+    c = constraint
+    while c is not None and c.analysis is None:
+        chain.append(c)
+        c = c.head
+    done = None if c is None else c.analysis
+    for c in reversed(chain):
+        done = c.analysis = _extended(done, c.conjuncts)
+        c.head = None
+    return done
+
+
+def _extended(base: _Analysis | None, conjuncts: list[SymExpr]) -> _Analysis:
+    """base (None: nothing) extended by the conjuncts after its count."""
+    if base is not None and base.count == len(conjuncts):
+        return base  # nothing added, as when a trace ends with no tail
+    if base is None:
+        count, pieces, watchers, comparisons, float_cmps, literals = 0, [], {}, [], {}, []
+    else:
+        count = base.count
+        pieces, comparisons = list(base.pieces), list(base.comparisons)
+        watchers, float_cmps = dict(base.watchers), dict(base.float_cmps)
+        literals = list(base.literals)
     seen: dict[int, tuple[bool, frozenset[str]]] = {}
-    float_cmps: dict[int, tuple[str, ...]] = {}
-    return float_cmps, [_scan(c, seen, float_cmps, literals)[1] for c in conjuncts]
+    added: dict[str, list[int]] = {}
+    for c in conjuncts[count:]:
+        stack = [c]
+        while stack:
+            e = stack.pop()
+            if type(e) is BinOp and e.op == "&&":
+                stack.append(e.rhs)
+                stack.append(e.lhs)
+                continue
+            if is_true(e):
+                continue
+            i = len(pieces)
+            pieces.append(e)
+            if type(e) is BinOp and e.op in _CMP:
+                comparisons.append(i)
+            for name in _scan(e, seen, float_cmps, literals)[1]:
+                added.setdefault(name, []).append(i)
+    for name, positions in added.items():
+        watchers[name] = watchers.get(name, ()) + tuple(positions)
+    return _Analysis(len(conjuncts), pieces, watchers, comparisons, float_cmps, literals)
 
 
 def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
-          float_cmps: dict[int, tuple[str, ...]], literals: list[float] | None
+          float_cmps: dict[int, tuple[str, ...]], literals: list[float]
           ) -> tuple[bool, frozenset[str]]:
-    """Whether e involves a float, and the names of its symbols."""
+    """Whether e involves a float, and the names of its symbols.
+
+    Records each float comparison under e in float_cmps and appends each
+    float constant's value to literals; shared subtrees (seen) are walked
+    once."""
     key = id(e)
     hit = seen.get(key)
     if hit is not None:
         return hit
-    has_float = isinstance(e.ctype, FloatType)
-    if isinstance(e, Sym):
+    has_float = type(e.ctype) is FloatType
+    t = type(e)
+    if t is Sym:
         names = frozenset((e.name,))
     else:
         names = _NO_NAMES
-        for attr in _CHILDREN.get(type(e), ()):
+        for attr in _CHILDREN.get(t, ()):
             child_float, child_names = _scan(getattr(e, attr), seen, float_cmps, literals)
             has_float |= child_float
             if not names:
@@ -964,9 +1048,9 @@ def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
             elif child_names and child_names is not names:
                 names = names | child_names
         if has_float:
-            if isinstance(e, BinOp) and e.op in _CMP:
+            if t is BinOp and e.op in _CMP:
                 float_cmps[key] = tuple(names)
-            elif literals is not None and isinstance(e, Const):
+            elif t is Const:
                 literals.append(float(e.value))
     seen[key] = hit = (has_float, names)
     return hit

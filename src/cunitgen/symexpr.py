@@ -344,15 +344,19 @@ class EvalError(Exception):
 
 def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
     """Evaluate under a model. Independent of the solver's search machinery."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is BinOp:
+        return _eval_binop(e, env)
+    if t is Sym:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise EvalError(f"unassigned symbol {e.name}") from None
+    if t is Const:
         return e.value
-    if isinstance(e, Sym):
-        if e.name not in env:
-            raise EvalError(f"unassigned symbol {e.name}")
-        return env[e.name]
-    if isinstance(e, Cast):
+    if t is Cast:
         v = evaluate(e.operand, env)
-        if isinstance(v, PointerVal):
+        if type(v) is PointerVal:
             if isinstance(e.ctype, PointerType):
                 return v
             raise EvalError("pointer cast to non-pointer")
@@ -360,50 +364,49 @@ def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
             return convert(v, e.ctype)
         except Undefined as exc:
             raise EvalError(str(exc)) from exc
-    if isinstance(e, UnOp):
+    if t is UnOp:
         v = evaluate(e.operand, env)
         if e.op == "!":
             return 0 if _truthy(v) else 1
-        if isinstance(v, PointerVal):
+        if type(v) is PointerVal:
             raise EvalError(f"unary {e.op} on pointer")
         try:
             return unary(e.op, v, e.ctype)
         except Undefined as exc:
             raise EvalError(str(exc)) from exc
-    if isinstance(e, Ite):
+    if t is Ite:
         c = evaluate(e.cond, env)
         return evaluate(e.then if _truthy(c) else e.other, env)
-    if isinstance(e, Range):
+    if t is Range:
         v = evaluate(e.expr, env)
-        if isinstance(v, PointerVal):
+        if type(v) is PointerVal:
             raise EvalError("range over pointer")
         return 1 if e.lo <= v < e.hi else 0
-    if isinstance(e, Ptr):
+    if t is Ptr:
         b = evaluate(e.base, env)
         o = evaluate(e.offset, env)
         return PointerVal(int(b), int(o))  # type: ignore[arg-type]
-    if isinstance(e, BinOp):
-        return _eval_binop(e, env)
     raise EvalError(f"cannot evaluate {e!r}")
 
 
 def _truthy(v: Value) -> bool:
-    if isinstance(v, PointerVal):
+    if type(v) is PointerVal:
         return v.base != 0
     return bool(v)
 
 
 def _eval_binop(e: BinOp, env: Mapping[str, Value]) -> Value:
-    if e.op == "&&":
+    op = e.op
+    if op == "&&":
         return 1 if _truthy(evaluate(e.lhs, env)) and _truthy(evaluate(e.rhs, env)) else 0
-    if e.op == "||":
+    if op == "||":
         return 1 if _truthy(evaluate(e.lhs, env)) or _truthy(evaluate(e.rhs, env)) else 0
     a = evaluate(e.lhs, env)
     b = evaluate(e.rhs, env)
-    if isinstance(a, PointerVal) or isinstance(b, PointerVal):
-        return _eval_ptr_cmp(e.op, a, b)
+    if type(a) is PointerVal or type(b) is PointerVal:
+        return _eval_ptr_cmp(op, a, b)
     try:
-        return binary(e.op, a, b, e.lhs.ctype, e.rhs.ctype, e.ctype)
+        return binary(op, a, b, e.lhs.ctype, e.rhs.ctype, e.ctype)
     except Undefined as exc:
         raise EvalError(str(exc)) from exc
 

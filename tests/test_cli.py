@@ -54,6 +54,30 @@ class TestExitCodes:
         assert err[1] == f"error: {missing}: No such file or directory", err
         assert (out / "good_driver.c").exists()
 
+    def test_out_dir_naming_a_file_is_a_diagnostic(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        code = run_cli([data_path("alloc.c"), "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {out}: File exists"]
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("blocked, solver", [("f_driver.c", "builtin"),
+                                                 ("f_1.smt2", "smtlib-out")])
+    def test_unwritable_artifact_costs_only_its_function(self, tmp_path, capsys,
+                                                         blocked, solver):
+        src = tmp_path / "two.c"
+        src.write_text("int f(int x) { if (x > 3) return 1; return 0; }\n"
+                       "int g(int y) { if (y < 2) return 1; return 0; }\n")
+        out = tmp_path / "gen"
+        (out / blocked).mkdir(parents=True)
+        code = run_cli([str(src), "--out-dir", str(out), "--solver", solver])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error [f]: {out / blocked}: Is a directory"]
+        assert (out / "g_driver.c").exists()
+        assert not (out / "f_coverage.txt").exists()
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_node_budget_below_one_is_a_diagnostic(self, tmp_path, capsys, budget):
         out = tmp_path / "gen"

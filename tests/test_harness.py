@@ -197,6 +197,27 @@ class TestAtomicWrites:
         write_atomically(str(target), "two\n")
         assert target.read_text() == "two\n"
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_driver_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            generate_to(tmp_path, "table1.c", "test")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("")
+        finally:
+            os.umask(old)
+        driver_mode = (tmp_path / "test_driver.c").stat().st_mode & 0o777
+        assert driver_mode == 0o666 & ~umask
+        assert driver_mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
+
+    def test_failure_names_the_target(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_atomically(str(target), "text\n")
+        assert info.value.filename == str(target)
+        assert os.listdir(tmp_path) == ["taken"]
+
 
 class TestAggregateInputs:
     def test_struct_inputs_materialize_and_run(self, tmp_path):

@@ -1,6 +1,8 @@
 """End-to-end coverage for constructs the core corpus does not exercise."""
 
+import gc
 import os
+import weakref
 
 from conftest import DATA_DIR, read_data
 
@@ -267,3 +269,34 @@ class TestFailingPrefixScan:
         assert chain_scans
         # the chain's scans skip the 7 prefixes the last model satisfies
         assert all(n == 1 for _answer, n in chain_scans)
+
+
+class TestAnalysisLifetime:
+    """The solver's per-conjunct analysis lives on the function's
+    constraints and goes with them."""
+
+    def test_conjunct_nodes_do_not_outlive_the_function(self, tmp_path, monkeypatch):
+        real_solve = pipeline.solve
+        refs = []
+
+        def watching_solve(constraint, *args, **kwargs):
+            refs.append(weakref.ref(constraint.conjuncts[-1]))
+            return real_solve(constraint, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "solve", watching_solve)
+        unit = parse_unit(BRANCH_CHAIN, "chain.c")
+        outcome = generate_function(unit, unit.functions[0], Config(out_dir=str(tmp_path)))
+        assert outcome.status == "ok" and len(refs) > 10
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+
+    def test_same_unit_twice_same_artifacts(self, tmp_path):
+        unit = parse_unit(BRANCH_CHAIN, "chain.c")
+        texts = []
+        for run in ("a", "b"):
+            config = Config(out_dir=str(tmp_path / run))
+            outcome = generate_function(unit, unit.functions[0], config)
+            pipeline.write_outputs(outcome, unit, config)
+            texts.append({name: (tmp_path / run / name).read_bytes()
+                          for name in sorted(os.listdir(tmp_path / run))})
+        assert len(texts[0]) == 4 and texts[0] == texts[1]

@@ -423,6 +423,79 @@ class TestFloatFunctionsPinned:
         assert sum(r.nodes for r in calls) <= nodes_before
 
 
+CHAIN_K12 = """int chain_k12(int a0, int a1, int a2, int a3, int a4, int a5, int a6, int a7)
+{
+    int r = 0;
+    if (a6 + 6 > a0) { r = r + 1; }
+    if (a7 + -2 > a3) { r = r + 1; }
+    if (a4 + 16 > a3) { r = r + 1; }
+    if (a1 + 13 > a2) { r = r + 1; }
+    if (a1 + -19 > a4) { r = r + 1; }
+    if (a7 + -8 > a5) { r = r + 1; }
+    if (a1 + 13 > a2) { r = r + 1; }
+    if (a7 + -8 > a5) { r = r + 1; }
+    if (a7 + -2 > a3) { r = r + 1; }
+    if (a6 + 0 > a3) { r = r + 1; }
+    if (a3 + 0 > a6) { r = r + 1; }
+    if (a4 + 16 > a3) { r = r + 1; }
+    return r;
+}
+"""
+
+# Per unit: the number of solver calls of all its functions, their search
+# nodes, and a digest of every call's status, reason, node count and model,
+# as the solver gave them before it memoized intervals per domain state and
+# analysed each conjunct once per function.
+PINNED_UNITS = {
+    "alloc.c": (2, 6, "adf9a5e19ce8d30f1bf2c92307a8e46a1ecde03c62272d51c27c94f6610a80c2"),
+    "alloc_mutated.c": (2, 6, "adf9a5e19ce8d30f1bf2c92307a8e46a1ecde03c62272d51c27c94f6610a80c2"),
+    "alloc_ptr.c": (6, 17, "cf05ea7c512aacb6fafe1e6e6523e5208fa5b8955865688a5b4c9a8430d1e1a6"),
+    "chain_k12": (26, 78, "ccf1a296295746fbcb0c76c5b9698bb4b8bab915081e180d2827895961166ac7"),
+    "comp_ptr.c": (6, 16, "d4fcb4296b1c5065953bf3ccb890605f30ce0eaadb29a412cb9d23fea20ed75e"),
+    "contradiction.c": (5, 6, "f3bf9f7ede6688b2cab25b824161138502922a3f90fe8915c7e70cab4b7f09c7"),
+    "deref_param.c": (6, 48, "cb50ec0397a15a3d60e470a2b753a26dffb3843052a661abe377ca5b08b46ffa"),
+    "fig3.c": (6, 8, "4b50705fc0925b9eb136074f201b335d0471ff03630439c5c4a946d5084c7d38"),
+    "struct_input.c": (6, 17, "3bd655f098890cf3459be73cce716771e4531348f50385212e58aa4f6326ec71"),
+    "table1.c": (2, 7, "fa99a08884fa98688d3c2b287c323547a0d7c13fcde7f92a8392d4d1628bbd65"),
+    "table2.c": (6, 19, "40fd4c8ddd138f4f0063d3f740628073f71db4281c16d02b2ba5052e9da697e9"),
+    "tritype_int.c": (20, 56, "3d9b99fc919a26edc0225b97b62e45e9d258ca1fc2aefce14f3ff8f16ab92b75"),
+}
+
+
+def pipeline_answers(name, out_dir, monkeypatch):
+    """Each pipeline solver call of the unit's functions, in order, as
+    (status, reason, nodes, digest of the model's values)."""
+    source = CHAIN_K12 if name == "chain_k12" else read_data(name)
+    answers = []
+    original = pipeline.solve
+
+    def solve_logged(*args, **kwargs):
+        r = original(*args, **kwargs)
+        model = None if r.model is None else [[n, repr(v)] for n, v in r.model.values.items()]
+        digest = hashlib.sha256(json.dumps(model).encode()).hexdigest()
+        answers.append([r.status, r.reason, r.nodes, digest])
+        return r
+
+    monkeypatch.setattr(pipeline, "solve", solve_logged)
+    unit = parse_unit(source, name)
+    config = Config(out_dir=str(out_dir), budget_ms=10**9, quiet=True)
+    for fn in unit.functions:
+        if fn.body is not None and not fn.annotation_only:
+            pipeline.generate_function(unit, fn, config)
+    return answers
+
+
+class TestIntegerFunctionsPinned:
+    """Every pipeline solver call on the integer and pointer units keeps its
+    status, reason, node count and model."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_UNITS))
+    def test_answers_unchanged(self, name, tmp_path, monkeypatch):
+        answers = pipeline_answers(name, tmp_path, monkeypatch)
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert (len(answers), sum(a[2] for a in answers), digest) == PINNED_UNITS[name]
+
+
 class TestDeterminism:
     def test_same_constraint_same_model(self):
         x1 = Sym("p1@offset", UINT, Role.PTR_OFFSET)

@@ -2,7 +2,8 @@
 every name a module imports is used, every function, method and class is
 referenced by the code under src/ (test oracles excepted), every field a
 class's __init__ sets is read there (a few kept for outside readers
-excepted), and no module imports dataclasses.
+excepted), no module imports dataclasses, and no function mutates a
+module-level container.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -261,3 +262,111 @@ def test_reachability_check_sees_an_unused_method(tmp_path):
         "def helper(x):\n"
         "    return C\n")
     assert unreferenced_definitions(str(tmp_path)) == ["m.py: unused"]
+
+
+# Calls that change a list, dict or set in place.
+_MUTATING_METHODS = {"append", "extend", "insert", "update", "setdefault", "add",
+                     "pop", "popitem", "remove", "discard", "clear"}
+_CONTAINER_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter",
+                    "deque", "bytearray"}
+
+
+def _is_container(value: ast.AST) -> bool:
+    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+                          ast.SetComp)):
+        return True
+    return isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+        and value.func.id in _CONTAINER_CALLS
+
+
+def module_containers(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level to a list, dict or set."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_container(value):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function's body, not those of the functions, lambdas
+    and classes defined inside it."""
+    work = list(ast.iter_child_nodes(fn))
+    while work:
+        node = work.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+            work += ast.iter_child_nodes(node)
+
+
+def mutated_module_containers(text: str) -> list[str]:
+    """(function: name) for each module-level container a function changes
+    in place: a subscript store or delete, or a call of a mutating method.
+    A name the function binds itself is its own, not the module's."""
+    tree = ast.parse(text)
+    containers = module_containers(tree)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        local |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        declared: set[str] = set()
+        changed: set[str] = set()
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Global):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                local.add(node.id)
+            elif isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and isinstance(node.value, ast.Name):
+                changed.add(node.value.id)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATING_METHODS \
+                    and isinstance(node.func.value, ast.Name):
+                changed.add(node.func.value.id)
+        name = getattr(fn, "name", "<lambda>")
+        found |= {f"{name}: {g}" for g in changed & containers
+                  if g in declared or g not in local}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", modules(), ids=lambda p: os.path.relpath(p, SRC))
+def test_no_function_mutates_a_module_container(path):
+    """State shared across calls belongs to an object the caller creates,
+    not to the module, where one function's generation could reach the
+    next's."""
+    with open(path, encoding="utf-8") as fh:
+        assert mutated_module_containers(fh.read()) == []
+
+
+def test_mutation_check_sees_a_module_cache():
+    src = ("_CACHE = {}\n"
+           "_SEEN: list = []\n"
+           "_TABLE = {'a': 1}\n"
+           "_FROZEN = frozenset()\n"
+           "def f(k):\n"
+           "    _CACHE[k] = _TABLE[k]\n"
+           "    return _FROZEN\n"
+           "def g(x):\n"
+           "    _SEEN.append(x)\n"
+           "def h(_CACHE):\n"
+           "    _CACHE.pop(0)\n"
+           "    seen = []\n"
+           "    seen.append(_TABLE.get(1))\n"
+           "def k():\n"
+           "    global _CACHE\n"
+           "    _CACHE = {}\n"
+           "    _CACHE.setdefault(1, 2)\n"
+           "    del _TABLE['a']\n")
+    assert mutated_module_containers(src) == ["f: _CACHE", "g: _SEEN", "k: _CACHE",
+                                              "k: _TABLE"]
