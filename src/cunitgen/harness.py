@@ -557,22 +557,32 @@ def write_atomically(path: str, content: str) -> None:
     rename, so that a reader sees the old content or the new, never a part.
 
     The file gets the mode a plain ``open`` gives a new file, 0o666 less the
-    umask: the temporary file is created with that request. A failure
-    leaves no temporary file and raises an OSError that names path.
+    umask: the temporary file is created with that request. The directory
+    is made only when creating the temporary file finds it missing. A
+    failure leaves no temporary file and raises an OSError that names path.
     """
+    data = content.encode("utf-8")
     directory = os.path.dirname(path) or "."
     tmp = None
     try:
-        os.makedirs(directory, exist_ok=True)
         while tmp is None:
             name = os.path.join(directory, f".ctg-{os.urandom(6).hex()}")
             try:
                 fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:
                 continue
+            except FileNotFoundError:
+                if os.path.isdir(directory):
+                    raise
+                os.makedirs(directory, exist_ok=True)
+                continue
             tmp = name
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -123,11 +123,9 @@ class CfgEdge:
         self.src = src
         self.dst = dst
         self.polarity = polarity  # None: unconditional
+        # selection reads this on every tree edge it walks
+        self.conditional = polarity is not None
         self.line = line
-
-    @property
-    def conditional(self) -> bool:
-        return self.polarity is not None
 
 
 class Cfg:
@@ -184,6 +182,28 @@ class Cfg:
                         nxt.append(other)
             frontier = nxt
         return dist
+
+    def reach_masks(self, anchors: list[int]) -> list[int]:
+        """Per node, a mask of the anchors it reaches: bit i is set when
+        anchors[i] is the node itself or a node it has a path to.
+
+        One fixpoint over the predecessor edges: a node's mask takes in its
+        successors' masks until no mask grows. A node's mask meets a set of
+        bits exactly when the node is a key of ``distances`` from those
+        bits' anchors against the edges.
+        """
+        masks = [0] * len(self.nodes)
+        for bit, nid in enumerate(anchors):
+            masks[nid] |= 1 << bit
+        work = [nid for nid, mask in enumerate(masks) if mask]
+        while work:
+            nid = work.pop()
+            mask = masks[nid]
+            for e in self._in[nid]:
+                if masks[e.src] | mask != masks[e.src]:
+                    masks[e.src] |= mask
+                    work.append(e.src)
+        return masks
 
     def root_distance(self, edge: CfgEdge) -> int:
         return self._distance.get(edge.src, 1 << 30)

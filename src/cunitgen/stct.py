@@ -5,14 +5,20 @@ id, occurrence number k); (n, k) is unique in the tree even when n repeats
 along cyclic paths. Expansion is incremental: children are added node by
 node along unconditional chains and stops as soon as an uncovered edge with
 a non-trivial guard shows up at the frontier, or when no expansion below a
-node can reveal further uncovered edges.
+node can reveal further uncovered edges. That last test reads a reach mask:
+each coverage target has a bit, each CFG node a mask of the targets it
+reaches, computed once per function, and expansion goes on below a node
+only while its mask meets the bits of the targets still uncovered, which
+the coverage state keeps up as traces are marked, committed and cleared.
 
 Selection extends the trace currently under investigation when its frontier
 still offers an uncovered non-trivial edge; otherwise it runs the trace to
 the exit to finish a test case, and after that picks the globally closest
 uncovered edge (shortest CFG distance from the start node, ties broken by
 smaller node id, then true before false), finds a tree instance of it and
-walks bottom-up to the root.
+walks bottom-up to the root. An extension or completion is the active trace
+followed by the new path from its leaf down, so it costs what it adds, not
+the depth of the trace.
 
 The depth bound is enforced once, when a node is created: a node at depth
 d (the root has depth 0) gets no child c when d + 1 plus the CFG distance
@@ -33,17 +39,20 @@ from .imr import Cfg, CfgEdge, Target
 
 
 class StctNode:
+    # deep functions grow trees of many thousand nodes
+    __slots__ = ("node_id", "k", "parent", "in_edge", "depth", "serial", "children",
+                 "expanded")
+
     def __init__(self, node_id: int, k: int, parent: StctNode | None,
-                 in_edge: CfgEdge | None, depth: int, serial: int,
-                 children: list[StctNode] | None = None, expanded: bool = False):
+                 in_edge: CfgEdge | None, depth: int, serial: int):
         self.node_id = node_id
         self.k = k
         self.parent = parent
         self.in_edge = in_edge
         self.depth = depth
         self.serial = serial
-        self.children = [] if children is None else children
-        self.expanded = expanded
+        self.children: list[StctNode] = []
+        self.expanded = False
 
     def __repr__(self) -> str:
         return f"StctNode(n{self.node_id},k{self.k})"
@@ -61,6 +70,16 @@ class Trace:
     @property
     def leaf(self) -> StctNode:
         return self.nodes[-1]
+
+    def starts_with(self, nodes: list[StctNode]) -> bool:
+        """Whether this trace begins with nodes, a root path of the same
+        tree. Comparing the last of them compares them all: a tree node has
+        one parent, so two root paths that hold the same node at one
+        position hold the same nodes up to it. Checking whether a trace
+        resumes a path state, or extends the trace marked pending last,
+        costs one comparison, not one per node."""
+        n = len(nodes)
+        return len(self.nodes) >= n and self.nodes[n - 1] is nodes[-1]
 
     def conditional_positions(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.conditional]
@@ -93,24 +112,53 @@ class CoverageState:
         # why generation stopped before exhausting the tree, if it did:
         # time-budget or iteration-bound
         self.stopped = stopped
+        # one bit per target, in kind and id order, which selection meets
+        # with its reach masks; uncovered holds the bits of the targets that
+        # neither a test case nor a pending trace covers, _unfinal those no
+        # test case covers
+        self.ordered = sorted(targets, key=lambda t: (t.kind, t.ident))
+        self._node_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
+                          if t.kind == "node"}
+        self._edge_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
+                          if t.kind == "edge"}
+        self._unfinal = self._bits_outside(self.final_nodes, self.final_edges)
+        self.uncovered = self._unfinal & self._bits_outside(self.pending_nodes,
+                                                             self.pending_edges)
+        self._marked: Trace | None = None  # the trace marked pending last
+
+    def _bits_outside(self, nodes: set[int], edges: set[int]) -> int:
+        """The bits of the targets in neither set."""
+        return sum(bit for nid, bit in self._node_bit.items() if nid not in nodes) \
+            + sum(bit for eid, bit in self._edge_bit.items() if eid not in edges)
 
     def edge_covered(self, eid: int) -> bool:
         return eid in self.final_edges or eid in self.pending_edges
 
     def mark_pending(self, trace: Trace) -> None:
-        for sn in trace.nodes:
+        """Count the trace as covered until the marks are committed or
+        cleared. A trace that extends the one marked last adds only what
+        lies beyond it: the nodes and edges before are marked already."""
+        last = self._marked
+        new = len(last.nodes) if last is not None and trace.starts_with(last.nodes) else 0
+        for sn in trace.nodes[new:]:
             self.pending_nodes.add(sn.node_id)
-        for e in trace.edges:
+            self.uncovered &= ~self._node_bit.get(sn.node_id, 0)
+        for e in trace.edges[max(new - 1, 0):]:
             self.pending_edges.add(e.eid)
+            self.uncovered &= ~self._edge_bit.get(e.eid, 0)
+        self._marked = trace
 
     def commit_pending(self) -> None:
         self.final_nodes |= self.pending_nodes
         self.final_edges |= self.pending_edges
+        self._unfinal = self.uncovered
         self.clear_pending()
 
     def clear_pending(self) -> None:
         self.pending_edges.clear()
         self.pending_nodes.clear()
+        self.uncovered = self._unfinal
+        self._marked = None
 
     def record_attempt(self, edge: CfgEdge, verdict: str) -> None:
         self.attempts.setdefault(edge.eid, []).append(verdict)
@@ -131,34 +179,36 @@ class Stct:
         self.cfg = cfg
         self.coverage = coverage
         self.max_depth = max_depth
-        self._serial = 0
-        self._k: dict[int, int] = {}
-        self.root = self._make_node(cfg.entry, None, None)
-        self.instances: dict[int, list[StctNode]] = {}  # cfg edge id -> children
+        self.root = StctNode(cfg.entry, 0, None, None, 0, 0)
+        self._serial = 1  # the serial the next node gets
+        self._k = [0] * len(cfg.nodes)  # by CFG node: occurrences made so far
+        self._k[cfg.entry] = 1
+        # by CFG edge id: the tree nodes entered through it
+        self.instances: list[list[StctNode]] = [[] for _ in cfg.edges]
         self.exhausted = False  # retiring a trace left the root without a child
+        # by CFG node: the bits (coverage.ordered) of the targets it reaches,
+        # each anchored where it is reached: an edge's source, a node itself
+        self._reach = cfg.reach_masks([cfg.edges[t.ident].src if t.kind == "edge"
+                                       else t.ident for t in coverage.ordered])
 
     # -- construction ---------------------------------------------------------
-
-    def _make_node(self, cfg_node: int, parent: StctNode | None,
-                   in_edge: CfgEdge | None) -> StctNode:
-        k = self._k.get(cfg_node, 0)
-        self._k[cfg_node] = k + 1
-        depth = 0 if parent is None else parent.depth + 1
-        node = StctNode(cfg_node, k, parent, in_edge, depth, self._serial)
-        self._serial += 1
-        return node
 
     def ensure_children(self, node: StctNode) -> None:
         if node.expanded:
             return
+        node.expanded = True
+        room = self.max_depth - node.depth - 1  # edges left below a child
         for edge in self.cfg.out_edges(node.node_id):
-            if node.depth + 1 + self.cfg.exit_distance(edge.dst) > self.max_depth:
+            dst = edge.dst
+            if self.cfg.exit_distance(dst) > room:
                 self.coverage.bound_nodes.add(node.node_id)
                 continue
-            child = self._make_node(edge.dst, node, edge)
+            k = self._k[dst]
+            self._k[dst] = k + 1
+            child = StctNode(dst, k, node, edge, node.depth + 1, self._serial)
+            self._serial += 1
             node.children.append(child)
-            self.instances.setdefault(edge.eid, []).append(child)
-        node.expanded = True
+            self.instances[edge.eid].append(child)
 
     def expand(self, leaf: StctNode) -> int:
         """Incremental expansion below leaf; returns number of nodes added.
@@ -168,11 +218,10 @@ class Stct:
         uncovered target is reachable any more.
         """
         before = self._serial
-        worth = self._reachable_uncovered()
+        reach, uncovered = self._reach, self.coverage.uncovered
         work = [leaf]
-        while work:
-            node = work.pop(0)
-            if node.node_id not in worth:
+        for node in work:  # appended to while it runs: a breadth-first queue
+            if not reach[node.node_id] & uncovered:
                 continue
             self.ensure_children(node)
             for child in node.children:
@@ -184,17 +233,6 @@ class Stct:
                     continue  # frontier target: stop this branch
                 work.append(child)
         return self._serial - before
-
-    def _reachable_uncovered(self) -> dict[int, int]:
-        """CFG nodes from which an uncovered target is still reachable."""
-        uncovered_srcs = set()
-        for t in self.coverage.targets:
-            if t.kind == "edge" and not self.coverage.edge_covered(t.ident):
-                uncovered_srcs.add(self.cfg.edges[t.ident].src)
-            elif t.kind == "node" and t.ident not in self.coverage.final_nodes \
-                    and t.ident not in self.coverage.pending_nodes:
-                uncovered_srcs.add(t.ident)
-        return self.cfg.distances(uncovered_srcs, forward=False)
 
     # -- traces ----------------------------------------------------------------
 
@@ -208,6 +246,24 @@ class Stct:
         chain.reverse()
         edges = [sn.in_edge for sn in chain[1:]]
         trace = Trace(chain, edges, chain[-1].node_id == self.cfg.exit, mode, target)
+        return self._slide(trace)
+
+    def _continued(self, active: Trace, node: StctNode, mode: str,
+                   target: CfgEdge | None) -> Trace:
+        """The trace to node, a descendant of the active leaf: the active
+        trace's nodes and the path from its leaf down to node. Trace nodes
+        are a root path of this one tree, so this is the list trace_to
+        builds, at the cost of the new path only."""
+        path: list[StctNode] = []
+        cur = node
+        while cur is not active.leaf:
+            path.append(cur)
+            assert cur.parent is not None
+            cur = cur.parent
+        path.reverse()
+        nodes = active.nodes + path
+        edges = active.edges + [sn.in_edge for sn in path]
+        trace = Trace(nodes, edges, node.node_id == self.cfg.exit, mode, target)
         return self._slide(trace)
 
     def _slide(self, trace: Trace) -> Trace:
@@ -256,8 +312,7 @@ class Stct:
         self.expand(leaf)
         best: tuple[tuple[int, int, int], int, StctNode] | None = None
         work = [leaf]
-        while work:
-            node = work.pop(0)
+        for node in work:  # appended to while it runs: a breadth-first queue
             for child in node.children:
                 e = child.in_edge
                 assert e is not None
@@ -270,7 +325,7 @@ class Stct:
         if best is None:
             return None
         child = best[2]
-        return self.trace_to(child, "extend", child.in_edge)
+        return self._continued(active, child, "extend", child.in_edge)
 
     def _complete(self, active: Trace) -> Trace | None:
         """Shortest continuation from the active leaf to the exit node."""
@@ -281,7 +336,7 @@ class Stct:
                 self.ensure_children(node)
                 for child in node.children:
                     if child.node_id == self.cfg.exit:
-                        return self.trace_to(child, "complete", None)
+                        return self._continued(active, child, "complete", None)
                     nxt.append(child)
             frontier = nxt
         return None
@@ -295,7 +350,7 @@ class Stct:
                 key=self._edge_priority,
             )
             for edge in ranked:
-                options = self.instances.get(edge.eid, [])
+                options = self.instances[edge.eid]
                 if options:
                     child = min(options, key=lambda n: (n.depth, n.serial))
                     return self.trace_to(child, "fresh", edge)
@@ -366,7 +421,7 @@ class Stct:
     def _deregister(self, node: StctNode) -> None:
         e = node.in_edge
         if e is not None:
-            lst = self.instances.get(e.eid, [])
+            lst = self.instances[e.eid]
             if node in lst:
                 lst.remove(node)
         for child in node.children:

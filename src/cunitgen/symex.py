@@ -144,6 +144,9 @@ class Layout:
         for name, ctype in self.anns.aux.items():
             self.regions.new_region(name, ctype, "aux", False)
         self.stub_policies = self._stub_policies()
+        # each variable's place, built at its first access: a name keeps its
+        # region, and a place is never changed once built
+        self.name_places: dict[str, Place] = {}
 
     def _stub_policies(self) -> dict[str, StubPolicy]:
         out: dict[str, StubPolicy] = {}
@@ -249,10 +252,15 @@ class PathState:
         """Whether an interpretation of trace may go on from a fork of this
         state: the trace begins with this state's node objects, and the
         region table has not grown since the interpretation that built the
-        state began (reads look up pointer base candidates as they run)."""
+        state began (reads look up pointer base candidates as they run).
+
+        Only the last of this state's nodes is compared (Trace.starts_with):
+        the nodes of a trace are the path from the root of one tree down to
+        its leaf, and a tree node has one parent, so two traces that hold
+        the same node at one position hold the same nodes up to it.
+        """
         return (self.layout.regions.generation == self.generation
-                and len(trace.nodes) >= len(self.nodes)
-                and all(a is b for a, b in zip(self.nodes, trace.nodes)))
+                and trace.starts_with(self.nodes))
 
     def resumed_head(self) -> con.Constraint | None:
         """The head of the state this one was forked from, while the region
@@ -321,16 +329,10 @@ class _Interp:
 
     def resolve_place(self, e: Expr) -> Place:
         if isinstance(e, Name):
-            region = self.regions.region_of(e.name)
-            if isinstance(region.elem_type, StructType) and region.dim == 1:
-                raise UnsupportedOperation(
-                    f"whole-aggregate access to {e.name} (line {e.line})")
-            if region.dim != 1:
-                raise UnsupportedOperation(
-                    f"whole-array access to {e.name} (line {e.line})")
-            return Place(Const(region.base_id, UINT), Const(0, UINT),
-                         region.elem_size, region.elem_type,
-                         hint=e.name, elem_offset=Const(0, UINT))
+            place = self.layout.name_places.get(e.name)
+            if place is None:
+                place = self.layout.name_places[e.name] = self._name_place(e)
+            return place
         if isinstance(e, Index):
             base_v = self.eval(e.base)
             idx = self.as_uint(self.eval(e.index))
@@ -341,6 +343,18 @@ class _Interp:
         if isinstance(e, Member):
             return self._member_place(e)
         raise UnsupportedOperation(f"lvalue {type(e).__name__} (line {getattr(e, 'line', 0)})")
+
+    def _name_place(self, e: Name) -> Place:
+        region = self.regions.region_of(e.name)
+        if isinstance(region.elem_type, StructType) and region.dim == 1:
+            raise UnsupportedOperation(
+                f"whole-aggregate access to {e.name} (line {e.line})")
+        if region.dim != 1:
+            raise UnsupportedOperation(
+                f"whole-array access to {e.name} (line {e.line})")
+        return Place(Const(region.base_id, UINT), Const(0, UINT),
+                     region.elem_size, region.elem_type,
+                     hint=e.name, elem_offset=Const(0, UINT))
 
     def _deref_place(self, base_v: SymExpr, idx: SymExpr, line: int, hint: str) -> Place:
         if not isinstance(base_v, Ptr):

@@ -3,9 +3,13 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, read_data
 
+import cunitgen.pipeline as pipeline
+from cunitgen.config import Config
 from cunitgen.frontend import extract_annotations, parse_unit
 from cunitgen.imr import (
     Cfg,
@@ -14,6 +18,7 @@ from cunitgen.imr import (
     guard_text,
     lower,
 )
+from cunitgen.stct import CoverageState, Stct
 
 
 def build(src: str, fn_name: str) -> Cfg:
@@ -231,3 +236,66 @@ class TestDistances:
                     dist += 1
                 expected = dist if frontier else 1 << 30
                 assert cfg.exit_distance(n.nid) == expected, (cfg.name, n.nid)
+
+
+def chain(k: int) -> str:
+    """k decisions in a row, each over two of four int inputs."""
+    body = "\n".join(f"    if (a{i % 4} + {i - 20} > a{(i + 1) % 4}) {{ r = r + 1; }}"
+                     for i in range(k))
+    return (f"int chain(int a0, int a1, int a2, int a3)\n{{\n    int r = 0;\n"
+            f"{body}\n    return r;\n}}\n")
+
+
+def _target_key(t):
+    return (t.kind, t.ident)
+
+
+class TestReachMasks:
+    """Selection's reach masks against the backward search they replace."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cfgs = data_cfgs() + [build(chain(20), "chain"),
+                              build("int f(int x){ for (;;) { if (x) x = x + 1; } return x; }",
+                                    "f")]
+        return [(cfg, sorted(enumerate_coverage_targets(cfg, "c1"), key=_target_key))
+                for cfg in cfgs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mask_meets_uncovered_bits_where_the_backward_search_reaches(self, cases, data):
+        for cfg, targets in cases:
+            final = data.draw(st.sets(st.sampled_from(targets)) if targets else st.just(set()))
+            pending = data.draw(st.sets(st.sampled_from(targets)) if targets else st.just(set()))
+            coverage = CoverageState(
+                set(targets),
+                final_nodes={t.ident for t in final if t.kind == "node"},
+                final_edges={t.ident for t in final if t.kind == "edge"},
+                pending_nodes={t.ident for t in pending if t.kind == "node"},
+                pending_edges={t.ident for t in pending if t.kind == "edge"})
+            tree = Stct(cfg, coverage, 256)
+            anchors = {cfg.edges[t.ident].src if t.kind == "edge" else t.ident
+                       for t in targets if t not in final and t not in pending}
+            reached = {n.nid for n in cfg.nodes if tree._reach[n.nid] & coverage.uncovered}
+            assert reached == set(cfg.distances(anchors, forward=False)), cfg.name
+
+    def test_generation_runs_no_backward_search_per_expansion(self, monkeypatch):
+        """Cfg.distances runs while the CFG is built and while the report is
+        written, as often for 40 decisions as for 8."""
+        calls = []
+        original = Cfg.distances
+
+        def counting(cfg, *args, **kwargs):
+            calls.append(cfg.name)
+            return original(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(Cfg, "distances", counting)
+        counts = []
+        for k in (8, 40):
+            unit = parse_unit(chain(k), "chain.c")
+            calls.clear()
+            outcome = pipeline.generate_function(
+                unit, unit.function("chain"), Config(out_dir="/tmp/ctg-imr", budget_ms=10**9))
+            assert outcome.status == "ok" and len(outcome.selection_log) >= 2 * k
+            counts.append(len(calls))
+        assert counts == [4, 4]

@@ -2,8 +2,9 @@
 every name a module imports is used, every function, method and class is
 referenced by the code under src/ (test oracles excepted), every field a
 class's __init__ sets is read there (a few kept for outside readers
-excepted), no module imports dataclasses, and no function mutates a
-module-level container.
+excepted), no module imports dataclasses, no function mutates a
+module-level container, and no code takes a list's first element with
+``.pop(0)``.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -370,3 +371,31 @@ def test_mutation_check_sees_a_module_cache():
            "    del _TABLE['a']\n")
     assert mutated_module_containers(src) == ["f: _CACHE", "g: _SEEN", "k: _CACHE",
                                               "k: _TABLE"]
+
+
+def front_pops(text: str) -> list[int]:
+    """The lines of the ``.pop(0)`` calls in text. On a list this moves
+    every element after the first: an O(n) step that makes a queue loop
+    quadratic. A breadth-first loop iterates over its list instead."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "pop" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Constant) and node.args[0].value == 0)
+
+
+@pytest.mark.parametrize("path", modules(), ids=lambda p: os.path.relpath(p, SRC))
+def test_no_list_is_used_as_a_queue(path):
+    with open(path, encoding="utf-8") as fh:
+        assert front_pops(fh.read()) == []
+
+
+def test_queue_check_sees_a_front_pop():
+    src = ("def bfs(root):\n"
+           "    work = [root]\n"
+           "    while work:\n"
+           "        node = work.pop(0)\n"
+           "        work.pop()\n"
+           "        work.pop(1)\n"
+           "        seen = {}.pop(0, None)\n"
+           "    return work.pop(-1), node, seen\n")
+    assert front_pops(src) == [4]

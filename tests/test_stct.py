@@ -1,10 +1,18 @@
 """Symbolic test case tree: expansion, selection order, pruning."""
 
-from conftest import read_data, same_records
+import hashlib
+import importlib.util
+import json
+import os
+import random
+
+import pytest
+from conftest import DATA_DIR, read_data, same_records
 
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.pipeline import generate_function
+from cunitgen.stct import CoverageState
 
 
 def run(src: str, fn_name: str, file_name: str = "<test>", **cfg_kwargs):
@@ -179,3 +187,114 @@ class TestDepthBound:
         assert outcome.stct_dump == "stct\n  (n0,k0)\n"
         assert [u["verdict"] for u in outcome.report.uncovered] == ["depth-bound"] * 2
         assert not outcome.test_cases
+
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+
+
+def _pinned_cases() -> list[tuple[str, str, str]]:
+    """(label, C text, function): every tests/data function, the five
+    branch-chain functions of seed 31 and a k = 80 chain, both drawn by the
+    benchmark's workload builder."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = []
+    for name in sorted(os.listdir(DATA_DIR)):
+        if name.endswith(".c"):
+            text = read_data(name)
+            cases += [(f"{name}:{fn.name}", text, fn.name)
+                      for fn in parse_unit(text, name).functions
+                      if fn.body is not None and not fn.annotation_only]
+    [(_file, chains)] = workloads.branch_chain(31)
+    cases += [(f"branch_chain:{fn.name}", chains, fn.name)
+              for fn in parse_unit(chains, "branch_chain.c").functions]
+    deep = workloads._chain_function("deep", workloads._seeded_chain(random.Random(1), 80))
+    return cases + [("deep_k80", deep, "deep")]
+
+
+PINNED_CASES = _pinned_cases()
+
+# Per case: the number of selections and a digest of the selection log
+# (mode, labels, complete, verdict) and of the -v iteration lines, which say
+# where each interpretation resumed, as recorded before selection kept reach
+# masks and built extension traces from the active trace.
+PINNED_SELECTIONS = {
+    "alloc.c:alloc": (2, "f53454c1940220b545460cb49e522b1892f4d4ab742df046488dff7b7359f78c"),
+    "alloc_mutated.c:alloc": (2, "f53454c1940220b545460cb49e522b1892f4d4ab742df046488dff7b7359f78c"),
+    "alloc_ptr.c:alloc_ptr": (6, "2c1e5a503c56d77e3ca4d302146ea0d2d2501af6700e1544796c327760011996"),
+    "comp_ptr.c:comp_ptr": (6, "1d909dc428a30515dda1993c25077f24bc5da1a6034ae5a37a20e34861661384"),
+    "contradiction.c:contradiction": (4, "5d8b3e2cb68adb02bc187feca3e7ac1d923902da2169e23d70a155d476301dc8"),
+    "deref_param.c:pick": (6, "6d6dff0e8ea9aa56d4bd8519202bb5cb8a79364493d3d1067a6bfd58fa19f53b"),
+    "fig3.c:select_demo": (6, "fc0f52cb7f926351ce495e02f00256f2c812e7fbd157b6fc06def8f9aac4bd90"),
+    "struct_input.c:classify": (6, "1dd74d82850f1f6a9d95a62b6db7344dfd88f15b66da720a6fa59ee720997423"),
+    "table1.c:test": (2, "147c7d35adcd25fc64a52f2fe99f8fb878ddf0c612be2caef84422820e11b540"),
+    "table2.c:test": (6, "2004e313573b5ca63f0f009adc0cc21c77662a0aed0b42dddac55cb9a64fe51c"),
+    "tritype_float.c:Tritype": (22, "536aaacdfd27ad9ee939417149bdd183cff6fb3a0b9deeb0648b843da4578817"),
+    "tritype_int.c:Tritype": (20, "f929294ff334a4d37b192ce388d3a8acb723c5829f58309ba16e829d1ebeb5ad"),
+    "branch_chain:chain_k8": (19, "7096209c44117b9f9df9f02177cd1632d49b8e7e407ec68ba3191feeb7a62263"),
+    "branch_chain:chain_k12": (25, "cb615e122a124f2068c7b4be8894229cacda483d8b28c7c195ad12ffc4dae740"),
+    "branch_chain:chain_k16": (33, "a450976b43f6f05f7e4e4b8d301b4928d733c95414354b2f2b02d8a3658e17d0"),
+    "branch_chain:chain_k20": (41, "9ab9046c90e7f00cf085b753d6ae25fc451b95517ae3ccedfdc7618e06666bde"),
+    "branch_chain:chain_hard": (24, "f1b0ae1770a379c34d6290b9042978130b658bb1fdfa7be642b5d948ed2c7a5b"),
+    "deep_k80": (161, "66a1f9b25a2ec26f24ecec9794304b15281a7579c89732fc816027782e38d765"),
+}
+
+
+class TestPinnedSelections:
+    """Every selection and every resume point stays as it was."""
+
+    @pytest.mark.parametrize("label,text,name", PINNED_CASES,
+                             ids=[c[0] for c in PINNED_CASES])
+    def test_selections_and_resume_points_unchanged(self, label, text, name):
+        outcome = run(text, name, label, verbose=True, budget_ms=10**9)
+        log = [[r.mode, r.labels, r.complete, r.verdict] for r in outcome.selection_log]
+        lines = [ln for ln in outcome.message.splitlines() if ln.startswith("iteration ")]
+        digest = hashlib.sha256(json.dumps([log, lines]).encode()).hexdigest()
+        assert (len(log), digest) == PINNED_SELECTIONS[label]
+
+
+def _recount(cov: CoverageState) -> int:
+    """The bits of the targets that neither the final nor the pending sets
+    hold, counted from the sets."""
+    bits = 0
+    for bit, t in enumerate(cov.ordered):
+        held = cov.final_nodes | cov.pending_nodes if t.kind == "node" \
+            else cov.final_edges | cov.pending_edges
+        if t.ident not in held:
+            bits |= 1 << bit
+    return bits
+
+
+class TestCoverageBits:
+    """The pending marks and uncovered bits, kept up step by step as traces
+    are marked, committed and cleared, equal a recount from scratch."""
+
+    @pytest.mark.parametrize("label,text,name", PINNED_CASES,
+                             ids=[c[0] for c in PINNED_CASES])
+    def test_marks_and_bits_equal_a_recount(self, label, text, name, monkeypatch):
+        mark, commit, clear = (CoverageState.mark_pending, CoverageState.commit_pending,
+                               CoverageState.clear_pending)
+        marked = []
+
+        def marking(cov, trace):
+            nodes = cov.pending_nodes | {sn.node_id for sn in trace.nodes}
+            edges = cov.pending_edges | {e.eid for e in trace.edges}
+            mark(cov, trace)
+            assert (cov.pending_nodes, cov.pending_edges) == (nodes, edges)
+            assert cov.uncovered == _recount(cov)
+            marked.append(trace.mode)
+
+        def committing(cov):
+            commit(cov)
+            assert cov.uncovered == _recount(cov)
+
+        def clearing(cov):
+            clear(cov)
+            assert not cov.pending_nodes and cov.uncovered == _recount(cov)
+
+        monkeypatch.setattr(CoverageState, "mark_pending", marking)
+        monkeypatch.setattr(CoverageState, "commit_pending", committing)
+        monkeypatch.setattr(CoverageState, "clear_pending", clearing)
+        run(text, name, label, budget_ms=10**9)
+        assert marked
