@@ -17,8 +17,8 @@ the exit to finish a test case, and after that picks the globally closest
 uncovered edge (shortest CFG distance from the start node, ties broken by
 smaller node id, then true before false), finds a tree instance of it and
 walks bottom-up to the root. An extension or completion is the active trace
-followed by the new path from its leaf down, so it costs what it adds, not
-the depth of the trace.
+followed by the new path from its leaf down: its upward walk stops at the
+active leaf instead of the root.
 
 The depth bound is enforced once, when a node is created: a node at depth
 d (the root has depth 0) gets no child c when d + 1 plus the CFG distance
@@ -190,6 +190,13 @@ class Stct:
         # each anchored where it is reached: an edge's source, a node itself
         self._reach = cfg.reach_masks([cfg.edges[t.ident].src if t.kind == "edge"
                                        else t.ident for t in coverage.ordered])
+        # by CFG node: its out edges, each with its destination, that
+        # destination's distance to the exit, which the depth bound reads,
+        # and the edge's instances
+        self._outs = [[(e, e.dst, cfg.exit_distance(e.dst), self.instances[e.eid])
+                       for e in cfg.out_edges(n.nid)] for n in cfg.nodes]
+        # by CFG edge id: its selection priority (_edge_priority)
+        self._priority = [self._edge_priority(e) for e in cfg.edges]
 
     # -- construction ---------------------------------------------------------
 
@@ -198,17 +205,19 @@ class Stct:
             return
         node.expanded = True
         room = self.max_depth - node.depth - 1  # edges left below a child
-        for edge in self.cfg.out_edges(node.node_id):
-            dst = edge.dst
-            if self.cfg.exit_distance(dst) > room:
+        depth = node.depth + 1
+        occurrences, serial, children = self._k, self._serial, node.children
+        for edge, dst, to_exit, instances in self._outs[node.node_id]:
+            if to_exit > room:
                 self.coverage.bound_nodes.add(node.node_id)
                 continue
-            k = self._k[dst]
-            self._k[dst] = k + 1
-            child = StctNode(dst, k, node, edge, node.depth + 1, self._serial)
-            self._serial += 1
-            node.children.append(child)
-            self.instances[edge.eid].append(child)
+            k = occurrences[dst]
+            occurrences[dst] = k + 1
+            child = StctNode(dst, k, node, edge, depth, serial)
+            serial += 1
+            children.append(child)
+            instances.append(child)
+        self._serial = serial
 
     def expand(self, leaf: StctNode) -> int:
         """Incremental expansion below leaf; returns number of nodes added.
@@ -219,6 +228,7 @@ class Stct:
         """
         before = self._serial
         reach, uncovered = self._reach, self.coverage.uncovered
+        final, pending = self.coverage.final_edges, self.coverage.pending_edges
         work = [leaf]
         for node in work:  # appended to while it runs: a breadth-first queue
             if not reach[node.node_id] & uncovered:
@@ -229,40 +239,32 @@ class Stct:
                     continue
                 e = child.in_edge
                 assert e is not None
-                if e.conditional and not self.coverage.edge_covered(e.eid):
+                if e.conditional and e.eid not in final and e.eid not in pending:
                     continue  # frontier target: stop this branch
                 work.append(child)
         return self._serial - before
 
     # -- traces ----------------------------------------------------------------
 
-    def trace_to(self, node: StctNode, mode: str,
-                 target: CfgEdge | None) -> Trace:
-        chain: list[StctNode] = []
-        cur: StctNode | None = node
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.parent
-        chain.reverse()
-        edges = [sn.in_edge for sn in chain[1:]]
-        trace = Trace(chain, edges, chain[-1].node_id == self.cfg.exit, mode, target)
-        return self._slide(trace)
-
-    def _continued(self, active: Trace, node: StctNode, mode: str,
-                   target: CfgEdge | None) -> Trace:
-        """The trace to node, a descendant of the active leaf: the active
-        trace's nodes and the path from its leaf down to node. Trace nodes
-        are a root path of this one tree, so this is the list trace_to
-        builds, at the cost of the new path only."""
+    def trace_to(self, node: StctNode, mode: str, target: CfgEdge | None,
+                 above: Trace | None = None) -> Trace:
+        """The trace from the root to node. Given above, a trace whose leaf
+        is an ancestor of node, it is above's nodes followed by the path from
+        that leaf down to node: trace nodes are a root path of this one
+        tree, so the upward walk stops at above's leaf instead of the root."""
+        stop = None if above is None else above.leaf
         path: list[StctNode] = []
-        cur = node
-        while cur is not active.leaf:
+        cur: StctNode | None = node
+        while cur is not stop:
+            assert cur is not None
             path.append(cur)
-            assert cur.parent is not None
             cur = cur.parent
         path.reverse()
-        nodes = active.nodes + path
-        edges = active.edges + [sn.in_edge for sn in path]
+        if above is None:
+            nodes, edges = path, [sn.in_edge for sn in path[1:]]
+        else:
+            nodes = above.nodes + path
+            edges = above.edges + [sn.in_edge for sn in path]
         trace = Trace(nodes, edges, node.node_id == self.cfg.exit, mode, target)
         return self._slide(trace)
 
@@ -310,22 +312,24 @@ class Stct:
     def _extend(self, active: Trace) -> Trace | None:
         leaf = active.leaf
         self.expand(leaf)
-        best: tuple[tuple[int, int, int], int, StctNode] | None = None
+        final, pending = self.coverage.final_edges, self.coverage.pending_edges
+        priority = self._priority
+        best: StctNode | None = None
+        best_key: tuple[tuple[int, int, int], int] | None = None
         work = [leaf]
         for node in work:  # appended to while it runs: a breadth-first queue
             for child in node.children:
                 e = child.in_edge
                 assert e is not None
-                if e.conditional and not self.coverage.edge_covered(e.eid):
-                    key = (self._edge_priority(e), child.serial, child)
-                    if best is None or key[:2] < best[:2]:
-                        best = key
+                if e.conditional and e.eid not in final and e.eid not in pending:
+                    key = (priority[e.eid], child.serial)
+                    if best_key is None or key < best_key:
+                        best, best_key = child, key
                     continue
                 work.append(child)
         if best is None:
             return None
-        child = best[2]
-        return self._continued(active, child, "extend", child.in_edge)
+        return self.trace_to(best, "extend", best.in_edge, active)
 
     def _complete(self, active: Trace) -> Trace | None:
         """Shortest continuation from the active leaf to the exit node."""
@@ -336,7 +340,7 @@ class Stct:
                 self.ensure_children(node)
                 for child in node.children:
                     if child.node_id == self.cfg.exit:
-                        return self._continued(active, child, "complete", None)
+                        return self.trace_to(child, "complete", None, active)
                     nxt.append(child)
             frontier = nxt
         return None

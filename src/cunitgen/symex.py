@@ -206,7 +206,7 @@ class PathState:
 
     def __init__(self, layout: Layout, step: int = 0,
                  items: list[MemoryItem] | None = None,
-                 base_items: dict[int, list[int]] | None = None,
+                 base_items: dict[int, tuple[int, ...]] | None = None,
                  symbolic_items: list[int] | None = None,
                  assumptions: list[SymExpr] | None = None,
                  branches: list[BranchEntry] | None = None,
@@ -221,7 +221,8 @@ class PathState:
         self.layout = layout
         self.step = step
         self.items = [] if items is None else items
-        # positions in items: per constant base id, and of the symbolic bases
+        # positions in items: per constant base id, and of the symbolic bases;
+        # a base's positions are a tuple, so a fork shares them uncopied
         self.base_items = {} if base_items is None else base_items
         self.symbolic_items = [] if symbolic_items is None else symbolic_items
         self.assumptions = [] if assumptions is None else assumptions
@@ -280,7 +281,7 @@ class PathState:
         """
         return PathState(
             self.layout, self.step, list(self.items),
-            {base: list(positions) for base, positions in self.base_items.items()},
+            dict(self.base_items),
             list(self.symbolic_items), list(self.assumptions), list(self.branches),
             dict(self.stub_counts), list(self.stub_calls), dict(self.snapshots),
             self.return_value, self.infeasible_branch, self.flags.fork(),
@@ -289,7 +290,8 @@ class PathState:
     def add_item(self, item: MemoryItem) -> None:
         """Append a memory item to the history and index its position."""
         if isinstance(item.base, Const):
-            self.base_items.setdefault(int(item.base.value), []).append(len(self.items))
+            base = int(item.base.value)
+            self.base_items[base] = self.base_items.get(base, ()) + (len(self.items),)
         else:
             self.symbolic_items.append(len(self.items))
         self.items.append(item)

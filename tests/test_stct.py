@@ -12,7 +12,7 @@ from conftest import DATA_DIR, read_data, same_records
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.pipeline import generate_function
-from cunitgen.stct import CoverageState
+from cunitgen.stct import CoverageState, Stct
 
 
 def run(src: str, fn_name: str, file_name: str = "<test>", **cfg_kwargs):
@@ -298,3 +298,32 @@ class TestCoverageBits:
         monkeypatch.setattr(CoverageState, "clear_pending", clearing)
         run(text, name, label, budget_ms=10**9)
         assert marked
+
+
+class TestTraces:
+    """A trace built from the active one is the trace a walk from its leaf
+    to the root gives."""
+
+    @pytest.mark.parametrize("label,text,name", PINNED_CASES,
+                             ids=[c[0] for c in PINNED_CASES])
+    def test_every_trace_is_the_root_path_of_its_leaf(self, label, text, name,
+                                                       monkeypatch):
+        select = Stct.select_trace
+        modes = set()
+
+        def selecting(stct, active):
+            trace = select(stct, active)
+            if trace is not None:
+                path, node = [], trace.leaf
+                while node is not None:
+                    path.append(node)
+                    node = node.parent
+                path.reverse()
+                assert trace.nodes == path
+                assert trace.edges == [sn.in_edge for sn in path[1:]]
+                modes.add(trace.mode)
+            return trace
+
+        monkeypatch.setattr(Stct, "select_trace", selecting)
+        run(text, name, label, budget_ms=10**9)
+        assert "fresh" in modes
