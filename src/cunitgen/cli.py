@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .config import Config
 from .errors import CunitgenError
 from .frontend.parser import parse_unit
+from .frontend.preprocessor import read_source
 from .pipeline import FunctionOutcome, generate_function, write_outputs
 
 
@@ -106,9 +107,8 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
     work: list[tuple] = []
     for path in sources:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            unit = parse_unit(text, path, os.path.dirname(os.path.abspath(path)))
+            unit = parse_unit(read_source(path), path,
+                              os.path.dirname(os.path.abspath(path)))
         except (CunitgenError, OSError) as exc:
             status = 1
             if not config.quiet:

@@ -48,19 +48,14 @@ class TestCaseAnn:
 
 
 class AnnotationSet:
-    def __init__(self, pres: list[Expr] | None = None,
-                 posts: list[tuple[Expr, int]] | None = None,
-                 testcases: list[TestCaseAnn] | None = None,
-                 aux: dict[str, CType] | None = None, modifies: list[str] | None = None,
-                 initial_vars: list[str] | None = None,
-                 annotations: list[Annotation] | None = None):
-        self.pres = [] if pres is None else pres
-        self.posts = [] if posts is None else posts
-        self.testcases = [] if testcases is None else testcases
-        self.aux = {} if aux is None else aux
-        self.modifies = modifies  # None: no restriction was declared
-        self.initial_vars = [] if initial_vars is None else initial_vars
-        self.annotations = [] if annotations is None else annotations  # source order
+    def __init__(self):
+        self.pres: list[Expr] = []
+        self.posts: list[tuple[Expr, int]] = []
+        self.testcases: list[TestCaseAnn] = []
+        self.aux: dict[str, CType] = {}
+        self.modifies: list[str] | None = None  # None: no restriction was declared
+        self.initial_vars: list[str] = []
+        self.annotations: list[Annotation] = []  # source order
 
     @property
     def requirement_tags(self) -> list[str]:

@@ -26,154 +26,143 @@ class AnnotationKind(Enum):
 
 
 class Name:
-    def __init__(self, name: str, line: int = 0, ctype: CType | None = None,
-                 binding: Binding | None = None):
+    def __init__(self, name: str, line: int = 0):
         self.name = name
         self.line = line
-        self.ctype = ctype
-        self.binding = binding
+        self.ctype: CType | None = None
+        self.binding: Binding | None = None
 
 
 class IntLit:
-    def __init__(self, value: int, line: int = 0, suffix: str = "",
-                 ctype: CType | None = None):
+    def __init__(self, value: int, line: int = 0, suffix: str = ""):
         self.value = value
         self.line = line
         self.suffix = suffix
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class FloatLit:
-    def __init__(self, value: float, line: int = 0, is_single: bool = False,
-                 ctype: CType | None = None):
+    def __init__(self, value: float, line: int = 0, is_single: bool = False):
         self.value = value
         self.line = line
         self.is_single = is_single
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class CharLit:
-    def __init__(self, value: int, line: int = 0, ctype: CType | None = None):
+    def __init__(self, value: int, line: int = 0):
         self.value = value
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class StrLit:
-    def __init__(self, value: str, line: int = 0, ctype: CType | None = None):
+    def __init__(self, value: str, line: int = 0):
         self.value = value
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Bin:
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0):
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Un:
-    def __init__(self, op: str, operand: Expr, line: int = 0, ctype: CType | None = None):
+    def __init__(self, op: str, operand: Expr, line: int = 0):
         self.op = op  # one of - + ~ ! & *
         self.operand = operand
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Assign:
-    def __init__(self, op: str, target: Expr, value: Expr, line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, op: str, target: Expr, value: Expr, line: int = 0):
         self.op = op  # = += -= *= /= %= &= |= ^= <<= >>=
         self.target = target
         self.value = value
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Update:
-    def __init__(self, op: str, operand: Expr, is_prefix: bool, line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, op: str, operand: Expr, is_prefix: bool, line: int = 0):
         self.op = op  # ++ or --
         self.operand = operand
         self.is_prefix = is_prefix
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Cond:
-    def __init__(self, cond: Expr, then: Expr, other: Expr, line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, cond: Expr, then: Expr, other: Expr, line: int = 0):
         self.cond = cond
         self.then = then
         self.other = other
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Call:
-    def __init__(self, name: str, args: list[Expr], line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, name: str, args: list[Expr], line: int = 0):
         self.name = name
         self.args = args
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Index:
-    def __init__(self, base: Expr, index: Expr, line: int = 0, ctype: CType | None = None):
+    def __init__(self, base: Expr, index: Expr, line: int = 0):
         self.base = base
         self.index = index
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class Member:
-    def __init__(self, base: Expr, field_name: str, arrow: bool, line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, base: Expr, field_name: str, arrow: bool, line: int = 0):
         self.base = base
         self.field_name = field_name
         self.arrow = arrow
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class CastExpr:
-    def __init__(self, target: CType, operand: Expr, line: int = 0,
-                 ctype: CType | None = None):
+    def __init__(self, target: CType, operand: Expr, line: int = 0):
         self.target = target
         self.operand = operand
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class SizeofType:
-    def __init__(self, target: CType | None, line: int = 0, operand: Expr | None = None,
-                 ctype: CType | None = None):
+    def __init__(self, target: CType | None, line: int = 0, operand: Expr | None = None):
         self.target = target
         self.line = line
         self.operand = operand  # sizeof(expr) form; sema fills target
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class InitialRef:
     """__rtt_initial(v): the value of v on function entry."""
 
-    def __init__(self, var: Name, line: int = 0, ctype: CType | None = None):
+    def __init__(self, var: Name, line: int = 0):
         self.var = var
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 class ReturnRef:
     """__rtt_return: the value returned by the unit under test."""
 
-    def __init__(self, line: int = 0, ctype: CType | None = None):
+    def __init__(self, line: int = 0):
         self.line = line
-        self.ctype = ctype
+        self.ctype: CType | None = None
 
 
 Expr = (
@@ -271,16 +260,13 @@ class Block:
 class Annotation:
     """One __rtt_* statement, payload kept as AST."""
 
-    def __init__(self, kind: AnnotationKind, exprs: list[Expr] | None = None,
-                 tags: list[str] | None = None, aux_name: str = "",
-                 aux_type: CType | None = None, names: list[Name] | None = None,
-                 line: int = 0):
+    def __init__(self, kind: AnnotationKind, line: int = 0):
         self.kind = kind
-        self.exprs = [] if exprs is None else exprs
-        self.tags = [] if tags is None else tags
-        self.aux_name = aux_name
-        self.aux_type = aux_type
-        self.names = [] if names is None else names  # MODIFIES arguments
+        self.exprs: list[Expr] = []
+        self.tags: list[str] = []
+        self.aux_name = ""
+        self.aux_type: CType | None = None
+        self.names: list[Name] = []  # MODIFIES arguments
         self.line = line
 
 
@@ -308,22 +294,19 @@ class Param:
 
 class FunctionDef:
     def __init__(self, name: str, return_type: CType, params: list[Param],
-                 body: Block | None, line: int = 0, annotation_only: bool = False,
-                 locals_types: dict[str, CType] | None = None,
-                 aux_types: dict[str, CType] | None = None, end_line: int = 0,
-                 extracted: object | None = None):
+                 body: Block | None, line: int = 0):
         self.name = name
         self.return_type = return_type
         self.params = params
         self.body = body  # None for a prototype
         self.line = line
-        self.annotation_only = annotation_only  # body holds only annotations (external spec)
+        self.annotation_only = False  # body holds only annotations (external spec)
         # Filled by the sema pass:
-        self.locals_types = {} if locals_types is None else locals_types
-        self.aux_types = {} if aux_types is None else aux_types
-        self.end_line = end_line
+        self.locals_types: dict[str, CType] = {}
+        self.aux_types: dict[str, CType] = {}
+        self.end_line = 0
         # extraction strips the body, so the result is cached for reuse
-        self.extracted = extracted
+        self.extracted: object | None = None
 
 
 class VarDecl:

@@ -72,12 +72,10 @@ _DYNAMIC_MEMORY = {"malloc", "calloc", "realloc", "free"}
 
 
 class TypeEnv:
-    def __init__(self, typedefs: dict[str, CType] | None = None,
-                 tags: dict[tuple[str, str], StructType] | None = None,
-                 enum_consts: dict[str, int] | None = None):
-        self.typedefs = {} if typedefs is None else typedefs
-        self.tags = {} if tags is None else tags
-        self.enum_consts = {} if enum_consts is None else enum_consts
+    def __init__(self):
+        self.typedefs: dict[str, CType] = {}
+        self.tags: dict[tuple[str, str], StructType] = {}
+        self.enum_consts: dict[str, int] = {}
 
 
 class _Parser:
@@ -94,8 +92,8 @@ class _Parser:
     def cur(self) -> Token:
         return self.toks[self.pos]
 
-    def peek(self, ahead: int = 1) -> Token:
-        idx = min(self.pos + ahead, len(self.toks) - 1)
+    def peek(self) -> Token:
+        idx = min(self.pos + 1, len(self.toks) - 1)
         return self.toks[idx]
 
     def advance(self) -> Token:
@@ -448,18 +446,17 @@ class _Parser:
         self.expect(")")
         self.expect("{")
         cases: list[SwitchCase] = []
-        seen_default = False
+        seen: set[int | None] = set()  # the labels so far, None for default
         while not self.accept("}"):
-            if self.accept("case"):
-                value = self._const_int_expr()
+            if self.cur.kind == "keyword" and self.cur.text in ("case", "default"):
+                value = self._const_int_expr() if self.advance().text == "case" else None
+                if value in seen:
+                    raise ParseError("duplicate default label" if value is None
+                                     else f"duplicate case value {value}",
+                                     self.cur.line, self.cur.col)
+                seen.add(value)
                 self.expect(":")
                 cases.append(SwitchCase(value, [], self.cur.line))
-            elif self.accept("default"):
-                if seen_default:
-                    raise ParseError("duplicate default label", self.cur.line, self.cur.col)
-                seen_default = True
-                self.expect(":")
-                cases.append(SwitchCase(None, [], self.cur.line))
             else:
                 if not cases:
                     raise ParseError("statement before first case label",

@@ -11,15 +11,26 @@ from __future__ import annotations
 
 import os
 
-from ..errors import ParseError, UnsupportedConstruct
+from ..errors import CunitgenError, ParseError, UnsupportedConstruct
 from .lexer import Token, lex
 
 COMPAT_HEADER = "rtt_annotations.h"
 
 
 class MacroTable:
-    def __init__(self, macros: dict[str, list[Token]] | None = None):
-        self.macros = {} if macros is None else macros
+    def __init__(self):
+        self.macros: dict[str, list[Token]] = {}
+        self.including: list[str] = []  # the headers being read, outermost first
+
+
+def read_source(path: str) -> str:
+    """The text of a C file; one that is not UTF-8 is a CunitgenError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CunitgenError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
+                            f"{exc.start} of {path}") from None
 
 
 def strip_comments(text: str) -> str:
@@ -111,9 +122,14 @@ def _directive(line: str, lineno: int, include_dir: str, table: MacroTable,
         path = os.path.join(include_dir, name)
         if not os.path.exists(path):
             raise ParseError(f"include file not found: {name}", lineno)
-        with open(path, "r", encoding="utf-8") as fh:
-            included = fh.read()
-        out.extend(preprocess(included, path, os.path.dirname(path), table))
+        real = os.path.realpath(path)
+        if real in table.including:
+            cycle = table.including[table.including.index(real):] + [real]
+            raise ParseError("#include cycle: "
+                             + " -> ".join(os.path.basename(p) for p in cycle), lineno)
+        table.including.append(real)
+        out.extend(preprocess(read_source(path), path, os.path.dirname(path), table))
+        table.including.pop()
         return
     word = body.split()[0] if body else ""
     raise UnsupportedConstruct(f"preprocessor directive #{word}", lineno)

@@ -71,10 +71,9 @@ from .parser import TypeEnv
 
 
 class _Scope:
-    def __init__(self, parent: _Scope | None = None,
-                 names: dict[str, Binding] | None = None):
+    def __init__(self, parent: _Scope | None = None):
         self.parent = parent
-        self.names = {} if names is None else names
+        self.names: dict[str, Binding] = {}
 
     def lookup(self, name: str) -> Binding | None:
         scope: _Scope | None = self

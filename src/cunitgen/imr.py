@@ -101,11 +101,10 @@ Instr = IAssign | ICall | IReturn | IMarker
 
 
 class CfgNode:
-    def __init__(self, nid: int, instrs: list[Instr] | None = None,
-                 cond: Expr | None = None, line: int = 0):
+    def __init__(self, nid: int, line: int = 0):
         self.nid = nid
-        self.instrs = [] if instrs is None else instrs
-        self.cond = cond
+        self.instrs: list[Instr] = []
+        self.cond: Expr | None = None
         self.line = line
 
     @property
@@ -131,7 +130,7 @@ class CfgEdge:
 class Cfg:
     def __init__(self, name: str, fn: FunctionDef, nodes: list[CfgNode],
                  edges: list[CfgEdge], entry: int, exit: int, temps: dict[str, CType],
-                 inline_locals: dict[str, CType], unreachable: set[int] | None = None):
+                 inline_locals: dict[str, CType]):
         self.name = name
         self.fn = fn
         self.nodes = nodes
@@ -140,7 +139,7 @@ class Cfg:
         self.exit = exit
         self.temps = temps
         self.inline_locals = inline_locals
-        self.unreachable = set() if unreachable is None else unreachable
+        self.unreachable: set[int] = set()
 
     def node(self, nid: int) -> CfgNode:
         return self.nodes[nid]

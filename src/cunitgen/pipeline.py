@@ -64,40 +64,31 @@ _MAX_DIVERGENCES = 3
 
 
 class SelectionRecord:
-    def __init__(self, mode: str, labels: list[str], complete: bool, verdict: str = ""):
+    def __init__(self, mode: str, labels: list[str], complete: bool):
         self.mode = mode
         self.labels = labels
         self.complete = complete
-        self.verdict = verdict
+        self.verdict = ""
 
 
 class FunctionOutcome:
-    def __init__(self, name: str, status: str = "ok", message: str = "",
-                 cfg: Cfg | None = None, anns: AnnotationSet | None = None,
-                 layout: Layout | None = None, coverage: CoverageState | None = None,
-                 test_cases: list[TestCase] | None = None,
-                 stub_specs: list[StubSpec] | None = None,
-                 report: CoverageReport | None = None,
-                 selection_log: list[SelectionRecord] | None = None,
-                 divergences: list[str] | None = None, smt_files: list[str] | None = None,
-                 elapsed_s: float = 0.0, criterion_complete: bool = False,
-                 stct_dump: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.status = status  # ok, error
-        self.message = message
-        self.cfg = cfg
-        self.anns = anns
-        self.layout = layout
-        self.coverage = coverage
-        self.test_cases = [] if test_cases is None else test_cases
-        self.stub_specs = [] if stub_specs is None else stub_specs
-        self.report = report
-        self.selection_log = [] if selection_log is None else selection_log
-        self.divergences = [] if divergences is None else divergences
-        self.smt_files = [] if smt_files is None else smt_files
-        self.elapsed_s = elapsed_s
-        self.criterion_complete = criterion_complete
-        self.stct_dump = stct_dump
+        self.status = "ok"  # ok, error
+        self.message = ""
+        self.cfg: Cfg | None = None
+        self.anns: AnnotationSet | None = None
+        self.layout: Layout | None = None
+        self.coverage: CoverageState | None = None
+        self.test_cases: list[TestCase] = []
+        self.stub_specs: list[StubSpec] = []
+        self.report: CoverageReport | None = None
+        self.selection_log: list[SelectionRecord] = []
+        self.divergences: list[str] = []
+        self.smt_files: list[str] = []
+        self.elapsed_s = 0.0
+        self.criterion_complete = False
+        self.stct_dump = ""
 
 
 class _SmtExporter:
@@ -124,21 +115,18 @@ class _SmtExporter:
 
 
 class _Session:
-    def __init__(self, unit: SourceUnit, fn: FunctionDef, config: Config,
-                 log: list[str] | None = None, accepted_traces: list[Trace] | None = None,
-                 deadline: float = 0.0, last_model: Model | None = None,
-                 hint_holds: con.Constraint | None = None):
+    def __init__(self, unit: SourceUnit, fn: FunctionDef, config: Config):
         self.unit = unit
         self.fn = fn
         self.config = config
-        self.log = [] if log is None else log
-        self.accepted_traces = [] if accepted_traces is None else accepted_traces
-        self.deadline = deadline  # time.monotonic() value at which generation stops
+        self.log: list[str] = []
+        self.accepted_traces: list[Trace] = []
+        self.deadline = 0.0  # time.monotonic() value at which generation stops
         # the model of the last solver search, tried before each new search
-        self.last_model = last_model
+        self.last_model: Model | None = None
         # the head of the active trace's state (its constraint without the
         # tail), which last_model is known to solve
-        self.hint_holds = hint_holds
+        self.hint_holds: con.Constraint | None = None
 
     def say(self, text: str) -> None:
         if self.config.verbose:

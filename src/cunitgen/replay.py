@@ -64,6 +64,8 @@ from .typesys import (
     wrap_int,
 )
 
+MAX_STEPS = 200000  # CFG edges one replay may take
+
 
 class ReplayError(Exception):
     """The model drove the concrete interpreter somewhere impossible."""
@@ -159,11 +161,10 @@ class ReplayResult:
 class StubCallValues:
     """What one call of a stub returns and writes."""
 
-    def __init__(self, ret: Value | None = None, outs: dict[int, Value] | None = None,
-                 globals_set: dict[str, Value] | None = None):
+    def __init__(self, ret: Value | None = None, outs: dict[int, Value] | None = None):
         self.ret = ret
         self.outs = {} if outs is None else outs
-        self.globals_set = {} if globals_set is None else globals_set
+        self.globals_set: dict[str, Value] = {}
 
 
 class _Memory:
@@ -212,8 +213,7 @@ def _store_convert(value: Value, ctype: CType, bit: tuple[int, int] | None) -> V
 class _Replayer:
     def __init__(self, cfg: Cfg, layout: Layout, anns: AnnotationSet,
                  cells: list[InputCell],
-                 schedule: dict[str, list[StubCallValues]],
-                 max_steps: int = 200000):
+                 schedule: dict[str, list[StubCallValues]]):
         self.cfg = cfg
         self.layout = layout
         self.anns = anns
@@ -224,7 +224,6 @@ class _Replayer:
         self.outcomes: list[CheckOutcome] = []
         self.snapshots: dict[str, Value] = {}
         self.global_writes: dict[str, set[int]] = {}
-        self.max_steps = max_steps
         for cell in cells:
             self.mem.write(cell.region.base_id, cell.byte_off, cell.bit,
                            cell.ctype, cell.value)
@@ -240,7 +239,7 @@ class _Replayer:
         edges: list[int] = []
         nid = self.cfg.entry
         while nid != self.cfg.exit:
-            if len(edges) >= self.max_steps:
+            if len(edges) >= MAX_STEPS:
                 raise ReplayError("replay step limit exceeded")
             node = self.cfg.node(nid)
             for instr in node.instrs:

@@ -93,25 +93,22 @@ class CoverageState:
     def __init__(self, targets: set[Target], final_nodes: set[int] | None = None,
                  final_edges: set[int] | None = None,
                  pending_edges: set[int] | None = None,
-                 pending_nodes: set[int] | None = None,
-                 attempts: dict[int, list[str]] | None = None,
-                 bound_nodes: set[int] | None = None,
-                 unknown_nodes: set[int] | None = None, stopped: str = ""):
+                 pending_nodes: set[int] | None = None):
         self.targets = targets
         self.final_nodes = set() if final_nodes is None else final_nodes
         self.final_edges = set() if final_edges is None else final_edges
         self.pending_edges = set() if pending_edges is None else pending_edges
         self.pending_nodes = set() if pending_nodes is None else pending_nodes
         # per-edge verdicts of failed attempts: unsat / unknown
-        self.attempts = {} if attempts is None else attempts
+        self.attempts: dict[int, list[str]] = {}
         # CFG nodes of tree nodes refused a child by the depth bound
-        self.bound_nodes = set() if bound_nodes is None else bound_nodes
+        self.bound_nodes: set[int] = set()
         # CFG destinations of edges pruned on an unknown verdict: nothing
         # behind them was decided
-        self.unknown_nodes = set() if unknown_nodes is None else unknown_nodes
+        self.unknown_nodes: set[int] = set()
         # why generation stopped before exhausting the tree, if it did:
         # time-budget or iteration-bound
-        self.stopped = stopped
+        self.stopped = ""
         # one bit per target, in kind and id order, which selection meets
         # with its reach masks; uncovered holds the bits of the targets that
         # neither a test case nor a pending trace covers, _unfinal those no
@@ -121,6 +118,7 @@ class CoverageState:
                           if t.kind == "node"}
         self._edge_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
                           if t.kind == "edge"}
+        self._node_mask = sum(self._node_bit.values())
         self._unfinal = self._bits_outside(self.final_nodes, self.final_edges)
         self.uncovered = self._unfinal & self._bits_outside(self.pending_nodes,
                                                              self.pending_edges)
@@ -166,12 +164,11 @@ class CoverageState:
             self.unknown_nodes.add(edge.dst)
 
     def complete_for(self, criterion: str) -> bool:
-        for t in self.targets:
-            if t.kind == "node" and t.ident not in self.final_nodes:
-                return False
-            if t.kind == "edge" and criterion == "c1" and t.ident not in self.final_edges:
-                return False
-        return True
+        """Whether test cases cover every target: node and edge targets for
+        c1, node targets for c0."""
+        if criterion == "c1":
+            return self._unfinal == 0
+        return self._unfinal & self._node_mask == 0
 
 
 class Stct:
@@ -195,8 +192,10 @@ class Stct:
         # and the edge's instances
         self._outs = [[(e, e.dst, cfg.exit_distance(e.dst), self.instances[e.eid])
                        for e in cfg.out_edges(n.nid)] for n in cfg.nodes]
-        # by CFG edge id: its selection priority (_edge_priority)
-        self._priority = [self._edge_priority(e) for e in cfg.edges]
+        # by CFG edge id: its selection priority, lowest first: the edge's
+        # distance from the root, its source, the true edge before the false
+        self._priority = [(cfg.root_distance(e), e.src, 0 if e.polarity else 1)
+                          for e in cfg.edges]
 
     # -- construction ---------------------------------------------------------
 
@@ -305,10 +304,6 @@ class Stct:
             self.retire(active)
         return None if self.exhausted else self._fresh()
 
-    def _edge_priority(self, edge: CfgEdge) -> tuple[int, int, int]:
-        return (self.cfg.root_distance(edge), edge.src,
-                0 if edge.polarity else 1)
-
     def _extend(self, active: Trace) -> Trace | None:
         leaf = active.leaf
         self.expand(leaf)
@@ -351,7 +346,7 @@ class Stct:
                 (e for e in self.cfg.edges
                  if e.conditional and not self.coverage.edge_covered(e.eid)
                  and e.src not in self.cfg.unreachable),
-                key=self._edge_priority,
+                key=lambda e: self._priority[e.eid],
             )
             for edge in ranked:
                 options = self.instances[edge.eid]

@@ -146,14 +146,12 @@ def control_names(callee: str) -> tuple[str, str, str]:
 
 
 class StubSpec:
-    def __init__(self, callee: str, signature: FunctionDef,
-                 schedule: dict[int, list[StubCallValues]] | None = None,
-                 globals_types: dict[str, CType] | None = None):
+    def __init__(self, callee: str, signature: FunctionDef):
         self.callee = callee
         self.signature = signature
         # schedule[test case id] = per-call values, index = retID
-        self.schedule = {} if schedule is None else schedule
-        self.globals_types = {} if globals_types is None else globals_types
+        self.schedule: dict[int, list[StubCallValues]] = {}
+        self.globals_types: dict[str, CType] = {}
 
     @property
     def max_calls(self) -> int:

@@ -215,9 +215,7 @@ class PathState:
                  snapshots: dict[str, SymExpr] | None = None,
                  return_value: SymExpr | None = None, infeasible_branch: int | None = None,
                  flags: ApproxFlags | None = None, complete: bool = False,
-                 pending: list[SymExpr] | None = None, nodes: list[StctNode] | None = None,
-                 generation: int | None = None, head: con.Constraint | None = None,
-                 resumed_at: int = 0, resumed_from_head: con.Constraint | None = None):
+                 pending: list[SymExpr] | None = None):
         self.layout = layout
         self.step = step
         self.items = [] if items is None else items
@@ -239,15 +237,15 @@ class PathState:
         self.pending = [] if pending is None else pending
         # recorded when interpret returns: the trace's nodes and the region
         # table's generation when the interpretation from the entry began
-        self.nodes = [] if nodes is None else nodes
-        self.generation = generation
+        self.nodes: list[StctNode] = []
+        self.generation: int | None = None
         # the constraint without the tail, recorded by conjoin for an
         # incomplete trace: an extension's constraint begins with it
-        self.head = head
+        self.head: con.Constraint | None = None
         # trace nodes taken over from the state this one was forked from (0:
         # interpreted from the entry), and that state's head
-        self.resumed_at = resumed_at
-        self.resumed_from_head = resumed_from_head
+        self.resumed_at = 0
+        self.resumed_from_head: con.Constraint | None = None
 
     def resumes(self, trace: Trace) -> bool:
         """Whether an interpretation of trace may go on from a fork of this

@@ -102,8 +102,8 @@ class Ite(Frozen):
 class Range(Frozen):
     """Bounds fact lo <= expr < hi, printed in the chained form."""
 
-    def __init__(self, expr: SymExpr, lo: int, hi: int, ctype: CType = BOOL):
-        self.__dict__.update(expr=expr, lo=lo, hi=hi, ctype=ctype)
+    def __init__(self, expr: SymExpr, lo: int, hi: int):
+        self.__dict__.update(expr=expr, lo=lo, hi=hi, ctype=BOOL)
 
     def __str__(self) -> str:
         return f"{self.lo} <= {render(self.expr)} < {self.hi}"

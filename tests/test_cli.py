@@ -191,6 +191,42 @@ class TestRobustness:
         assert (tmp_path / "g_driver.c").exists()
         assert not (tmp_path / "chain_driver.c").exists()
 
+    def test_source_not_utf8_costs_only_itself(self, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_bytes(b"int f(int x) { /* \xff */ if (x > 0) return 1; return 0; }\n")
+        good = tmp_path / "good.c"
+        good.write_text("int g(int y) { if (y > 3) return 1; return 0; }\n")
+        code = run_cli([str(bad), str(good), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {bad}: not UTF-8: byte 0xff at offset 18 of {bad}\n"
+        assert (tmp_path / "out" / "g_driver.c").exists()
+
+    def test_included_header_not_utf8_is_a_diagnostic(self, tmp_path, capsys):
+        (tmp_path / "latin.h").write_bytes(b"/* caf\xe9 */\n#define K 3\n")
+        src = tmp_path / "inc.c"
+        src.write_text('#include "latin.h"\n'
+                       "int h(int x) { if (x > K) return 1; return 0; }\n")
+        code = run_cli([str(src), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {src}: not UTF-8: byte 0xe9 at offset 6 of "
+                       f"{tmp_path / 'latin.h'}\n")
+
+    def test_include_cycle_is_named(self, tmp_path, capsys):
+        (tmp_path / "self.h").write_text('#include "self.h"\nint s;\n')
+        (tmp_path / "a.h").write_text('#include "b.h"\n')
+        (tmp_path / "b.h").write_text('#include "a.h"\n')
+        one = tmp_path / "one.c"
+        one.write_text('#include "self.h"\nint f(int x) { return x; }\n')
+        two = tmp_path / "two.c"
+        two.write_text('#include "a.h"\nint g(int x) { return x; }\n')
+        code = run_cli([str(one), str(two), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {one}: line 1: #include cycle: self.h -> self.h\n"
+                       f"error: {two}: line 1: #include cycle: a.h -> b.h -> a.h\n")
+
 
 # x * 2654435761 is odd times a multiplicative-hash constant, so the second
 # branch is feasible (x = -7) but costs the solver more than its node budget.

@@ -161,6 +161,17 @@ class TestParseUnit:
         decl = unit.function("f").body.stmts[0]
         assert decl.init.value == 10
 
+    @pytest.mark.parametrize("labels, message", [
+        ("case 1: case 1:", "duplicate case value 1"),
+        ("case ONE: case 2 - 1:", "duplicate case value 1"),
+        ("case ONE: case TWO: default: case 0: default:", "duplicate default label"),
+    ])
+    def test_duplicate_switch_label(self, labels, message):
+        src = ("enum n { ONE = 1, TWO };"
+               f"int f(int x) {{ switch (x) {{ {labels} return 1; }} return 0; }}")
+        with pytest.raises(ParseError, match=message):
+            parse_unit(src)
+
     def test_determinism(self):
         src = read_data("alloc.c")
         a = parse_unit(src, "alloc.c")

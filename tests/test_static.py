@@ -3,8 +3,8 @@ every name a module imports is used, every function, method and class is
 referenced by the code under src/ (test oracles excepted), every field a
 class's __init__ sets is read there (a few kept for outside readers
 excepted), no module imports dataclasses, no function mutates a
-module-level container, and no code takes a list's first element with
-``.pop(0)``.
+module-level container, no code takes a list's first element with
+``.pop(0)``, and some call passes each defaulted parameter.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -399,3 +399,108 @@ def test_queue_check_sees_a_front_pop():
            "        seen = {}.pop(0, None)\n"
            "    return work.pop(-1), node, seen\n")
     assert front_pops(src) == [4]
+
+
+def _defaulted(fn: ast.AST, bound: int) -> list[tuple[str, int | None]]:
+    """(name, position) of each defaulted parameter of fn. The position
+    counts the arguments a call writes, after the ``bound`` ones that Python
+    passes itself (self or cls); a keyword-only parameter has none."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _callee(call: ast.Call, bases: list[str]) -> list[str]:
+    """The names a call may reach: a bare or attribute name, or for
+    ``super().__init__(...)`` the base classes of the class it is in."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    if func.attr == "__init__" and isinstance(func.value, ast.Call) \
+            and isinstance(func.value.func, ast.Name) and func.value.func.id == "super":
+        return bases
+    return [func.attr]
+
+
+def unset_defaults(src_dir: str, caller_dirs: list[str]) -> list[str]:
+    """Defaulted parameters of the functions, methods and classes (their
+    __init__) under src_dir that no call under caller_dirs passes. A call
+    is resolved by its bare or attribute name, and reaches every definition
+    of that name; a ``*`` or ``**`` argument passes every parameter."""
+    defs = []
+    for module, tree in _parsed(src_dir):
+        methods = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.add(fn)
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    # a class is called by its own name
+                    init = fn.name == "__init__"
+                    defs.append((module, cls.name if init else f"{cls.name}.{fn.name}",
+                                 cls.name if init else fn.name,
+                                 _defaulted(fn, 0 if static else 1)))
+        defs += [(module, fn.name, fn.name, _defaulted(fn, 0)) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and fn not in methods]
+    positions: dict[str, int] = {}
+    keywords: dict[str, set[str]] = {}
+    spread: set[str] = set()
+    for caller_dir in caller_dirs:
+        for _module, tree in _parsed(caller_dir):
+            bases = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    names = [b.id if isinstance(b, ast.Name) else b.attr
+                             for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))]
+                    bases.update((id(n), names) for n in ast.walk(cls))
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                for name in _callee(call, bases.get(id(call), [])):
+                    positions[name] = max(positions.get(name, 0), len(call.args))
+                    keywords.setdefault(name, set()).update(
+                        k.arg for k in call.keywords if k.arg is not None)
+                    if any(isinstance(a, ast.Starred) for a in call.args) \
+                            or any(k.arg is None for k in call.keywords):
+                        spread.add(name)
+    return sorted(f"{module}: {label}({param})" for module, label, name, params in defs
+                  for param, position in params
+                  if name not in spread and param not in keywords.get(name, ())
+                  and (position is None or positions.get(name, 0) <= position))
+
+
+def test_every_default_is_set_by_a_caller():
+    """A parameter that no caller passes is a setting nothing sets: its
+    default belongs in the body. Calls are read under src/, tests/ and
+    perfbench/."""
+    root = os.path.join(SRC, "..", "..")
+    callers = [SRC] + [os.path.join(root, d) for d in ("tests", "perfbench")]
+    assert unset_defaults(SRC, callers) == []
+
+
+def test_default_check_sees_an_unset_default(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Base:\n"
+        "    def __init__(self, a, b=0):\n"
+        "        self.a, self.b = a, b\n"
+        "class P(Base):\n"
+        "    def __init__(self, a, by_key=0, by_pos=0, never=0):\n"
+        "        super().__init__(a, by_pos)\n"
+        "        self.ks = (by_key, never)\n"
+        "    def m(self, x=0, *, k=1):\n"
+        "        return x, k\n"
+        "def f(x, y=1, z=2):\n"
+        "    return P(x, by_key=y).m(z)\n"
+        "def g(*args, w=0, **kwargs):\n"
+        "    return f(*args)\n")
+    assert unset_defaults(str(tmp_path), [str(tmp_path)]) == [
+        "m.py: P(by_pos)", "m.py: P(never)", "m.py: P.m(k)", "m.py: g(w)"]
