@@ -446,15 +446,12 @@ class _Parser:
         self.expect(")")
         self.expect("{")
         cases: list[SwitchCase] = []
-        seen: set[int | None] = set()  # the labels so far, None for default
         while not self.accept("}"):
             if self.cur.kind == "keyword" and self.cur.text in ("case", "default"):
+                # case values are checked once converted (sema._convert_labels)
                 value = self._const_int_expr() if self.advance().text == "case" else None
-                if value in seen:
-                    raise ParseError("duplicate default label" if value is None
-                                     else f"duplicate case value {value}",
-                                     self.cur.line, self.cur.col)
-                seen.add(value)
+                if value is None and any(c.value is None for c in cases):
+                    raise ParseError("duplicate default label", self.cur.line, self.cur.col)
                 self.expect(":")
                 cases.append(SwitchCase(value, [], self.cur.line))
             else:

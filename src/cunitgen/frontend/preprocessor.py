@@ -24,7 +24,8 @@ class MacroTable:
 
 
 def read_source(path: str) -> str:
-    """The text of a C file; one that is not UTF-8 is a CunitgenError."""
+    """The text of a C file or of an answer file; one that is not UTF-8 is
+    a CunitgenError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -127,8 +128,14 @@ def _directive(line: str, lineno: int, include_dir: str, table: MacroTable,
             cycle = table.including[table.including.index(real):] + [real]
             raise ParseError("#include cycle: "
                              + " -> ".join(os.path.basename(p) for p in cycle), lineno)
+        text = read_source(path)
         table.including.append(real)
-        out.extend(preprocess(read_source(path), path, os.path.dirname(path), table))
+        try:
+            out.extend(preprocess(text, path, os.path.dirname(path), table))
+        except (ParseError, UnsupportedConstruct) as exc:
+            # the line is the header's; the innermost header names it, and
+            # the plain error passes the includers' handlers unchanged
+            raise CunitgenError(f"{path}: {exc}") from None
         table.including.pop()
         return
     word = body.split()[0] if body else ""

@@ -7,7 +7,7 @@ of the pipeline can key memory regions by name alone.
 
 from __future__ import annotations
 
-from ..errors import SemaError, UnsupportedConstruct
+from ..errors import ParseError, SemaError, UnsupportedConstruct
 from ..typesys import (
     DOUBLE,
     FLOAT,
@@ -28,6 +28,7 @@ from ..typesys import (
     is_scalar,
     promote,
     usual_arith,
+    wrap_int,
 )
 from .csyntax import (
     Annotation,
@@ -170,6 +171,7 @@ class _FunctionSema:
             t = self._expr(s.scrutinee, scope)
             if not is_integer(t):
                 raise SemaError("switch scrutinee must be an integer", s.line)
+            _convert_labels(s, promote(t))
             for case in s.cases:
                 self._stmt_list(case.body, _Scope(scope))
         elif isinstance(s, Return):
@@ -539,6 +541,20 @@ def _check_convertible(got: CType, want: CType, line: int) -> None:
     if isinstance(want_d, StructType) and got == want_d:
         return
     raise SemaError(f"cannot convert {got} to {want_d}", line)
+
+
+def _convert_labels(s: Switch, t: IntType) -> None:
+    """Convert each case label to t, the promoted type of the controlling
+    expression (C11 6.8.4.2p5), and reject a value two labels share there:
+    on an int, case 1 and case 4294967297 are one label."""
+    seen: set[int] = set()
+    for case in s.cases:
+        if case.value is None:
+            continue
+        case.value = wrap_int(case.value, t)
+        if case.value in seen:
+            raise ParseError(f"duplicate case value {case.value}", case.line)
+        seen.add(case.value)
 
 
 def _max_line(node: object, best: int) -> int:

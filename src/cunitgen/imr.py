@@ -434,8 +434,8 @@ class _Lowerer:
             if case.value is None:
                 continue
             nxt = self.new_node(case.line)
-            cmp_expr = Bin("==", scrutinee, _typed_int(case.value, scrutinee.ctype),
-                           case.line)
+            cmp_expr = Bin("==", scrutinee,
+                           _typed_int(case.value, promote(scrutinee.ctype)), case.line)
             cmp_expr.ctype = INT
             self.lower_cond_atom(cmp_expr, entry, nxt, chain, case.line)
             chain = nxt

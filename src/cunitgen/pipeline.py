@@ -41,6 +41,7 @@ from .config import Config
 from .errors import CunitgenError, ReplayDivergence, StubPolicyError, UnsupportedOperation
 from .frontend.annotations import AnnotationSet, extract_annotations
 from .frontend.csyntax import FunctionDef, SourceUnit
+from .frontend.preprocessor import read_source
 from .harness import (
     CoverageReport,
     TestCase,
@@ -109,8 +110,7 @@ class _SmtExporter:
         model_path = path[:-5] + ".model"
         if not os.path.exists(model_path):
             return None
-        with open(model_path, "r", encoding="utf-8") as fh:
-            values = parse_model_file(fh.read(), constraint.free)
+        values = parse_model_file(read_source(model_path), constraint.free)
         return hinted_model(constraint, Model(values))
 
 

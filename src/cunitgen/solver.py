@@ -12,13 +12,23 @@ once when the rounds have not settled after 3, so a cycle such as
 x > y && y > x is refuted before it creeps to the cap; (3) base-address
 and float symbols keep finite candidate domains, and each == or != between
 two of them, or between one and a constant, intersects or trims them inside
-the same fixpoint; (4) search that picks the symbol with the smallest
-residual domain, probes the boundary values, then splits at the midpoint
-and backtracks on propagation failure; a candidate domain branches on each
-candidate in turn; (5) a float symbol's candidates are a fixed seed set (0,
-+-1, +-0.5, and each float literal of the constraint with its neighbours at
-+-1), and a comparison over floats is decided by the expression evaluator
-once every symbol under it is decided.
+the same fixpoint; (4) search that, at each node after propagation,
+returns the box's lower corner if it is a model, and otherwise picks the
+symbol with the smallest residual domain, probes the boundary values, then
+splits at the midpoint and backtracks on propagation failure; a candidate
+domain branches on each candidate in turn; (5) a float symbol's candidates
+are a fixed seed set (0, +-1, +-0.5, and each float literal of the
+constraint with its neighbours at +-1), and a comparison over floats is
+decided by the expression evaluator once every symbol under it is decided.
+
+The corner rule of step (4) keeps every answer of a search that accepts a
+model only at a leaf. The corner is each integer domain's lower bound and
+each candidate list's first entry. Propagation never prunes a value of a
+model inside the box, and each split tries a domain's first value first, so
+when the corner verifies and holds each pointer offset in its base's
+region, the depth-first descent would reach that same corner as its first
+leaf. Sat models are therefore the same, found in fewer nodes; an unsat
+answer visits the same nodes; an unknown can only become sat.
 
 Sat answers are only reported after the model passes the independent
 expression evaluator; the search is never trusted. Unsat is only reported
@@ -244,9 +254,12 @@ class _Solver:
             self._propagate(env)
         except _Conflict:
             return None
+        model = self._corner(env)
+        if model is not None:
+            return model
         name = self._pick(env)
         if name is None:
-            return self._finish(env)
+            return None  # a leaf is its own corner, which failed
         for branch in _split(env[name]):
             self.dirty, self.lin = list(dirty), list(lin)
             child = dict(env)
@@ -268,8 +281,17 @@ class _Solver:
                 best_name = name
         return best_name
 
-    def _finish(self, env: dict[str, _IntDomain | _SetDomain]) -> Model | None:
-        model = Model({name: env[name].value() for name in self.order})
+    def _corner(self, env: dict[str, _IntDomain | _SetDomain]) -> Model | None:
+        """The box's lower corner, if it is a model the descent would reach
+        (the corner rule, see the module docstring): it verifies, and holds
+        each offset in its base's region (``_in_region``), which
+        ``_pair_offsets`` makes true at a leaf. ``verify_model`` evaluates
+        the newest conjuncts first, where a failing corner usually fails."""
+        values = {name: env[name].value() for name in self.order}
+        for fs in self.base_syms.values():
+            if not _in_region(fs, values):
+                return None
+        model = Model(values)
         return model if verify_model(self.constraint, model) else None
 
     # -- propagation ----------------------------------------------------------------
@@ -1115,21 +1137,30 @@ def paired_range(fs: FreeSymbol, base: int) -> tuple[int, int]:
     return 0, max(fs.candidate_dims.get(base, 0) - 1, 0)
 
 
+def _in_region(fs: FreeSymbol, values: dict[str, int | float]) -> bool:
+    """Whether the pointer base fs's paired offset, where values has it,
+    lies in the region that values gives fs (``paired_range``)."""
+    if fs.paired_offset not in values:
+        return True
+    lo, hi = paired_range(fs, values[fs.name])
+    return lo <= values[fs.paired_offset] <= hi
+
+
 def model_fits(model: Model, free: dict[str, FreeSymbol],
                conjuncts: list[SymExpr]) -> bool:
     """The hint rule: each symbol of free has a value in the domain the
     search starts from, each offset lies in its base's region
-    (``paired_range``), and each conjunct evaluates true under the model."""
+    (``_in_region``), and each conjunct evaluates true under the model. The
+    newest conjuncts are evaluated first: a model found for an earlier
+    constraint usually fails the ones added since."""
     values = model.values
     for name, fs in free.items():
         if not _in_start_domain(fs, values.get(name)):
             return False
-        if fs.role is Role.PTR_BASE and fs.candidates and fs.paired_offset in values:
-            lo, hi = paired_range(fs, values[name])
-            if not lo <= values[fs.paired_offset] <= hi:
-                return False
+        if fs.role is Role.PTR_BASE and fs.candidates and not _in_region(fs, values):
+            return False
     try:
-        for c in conjuncts:
+        for c in reversed(conjuncts):
             if not evaluate(c, values):
                 return False
     except EvalError:
@@ -1184,7 +1215,7 @@ def solve(constraint: Constraint, max_nodes: int = 10000,
     search starts from and every conjunct evaluates true. ``hint_holds``
     names a leading part of the constraint the hint is known to solve,
     which that check then skips (``hinted_model``). Otherwise
-    ``_Solver._finish`` produces the model, and it returns one only after
+    ``_Solver._corner`` produces the model, and it returns one only after
     ``verify_model`` accepts it. Propagation pays per change (see the
     module docstring), with the same domains, node counts and models as
     full rounds.

@@ -226,9 +226,10 @@ _F32 = struct.Struct("<f")
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-            "/": c_div, "%": c_rem, "<<": operator.lshift, ">>": operator.rshift,
-            "&": operator.and_, "|": operator.or_, "^": operator.xor}
+# wrapping commutes with these operators, so their result is wrapped once
+_WRAPPING_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "&": operator.and_, "|": operator.or_, "^": operator.xor}
+_INT_OPS = {"/": c_div, "%": c_rem, "<<": operator.lshift, ">>": operator.rshift}
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
@@ -262,15 +263,24 @@ def binary(op: str, a: int | float, b: int | float,
 
     Comparisons convert both sides to their usual-arithmetic common type and
     give 1 or 0. Integer operations convert both operands to t, except that a
-    shift amount keeps its own value.
+    shift amount keeps its own value. Two steps skip conversions that change
+    nothing: operands of one integer type that promotion keeps are already
+    of their common type, so each is wrapped to it once; and since wrapping
+    commutes with + - * & | ^, their result is wrapped once, not three
+    times.
     """
     cmp = _COMPARE.get(op)
     if cmp is not None:
+        if ta is tb and type(ta) is IntType and ta.width >= INT.width:
+            return 1 if cmp(wrap_int(int(a), ta), wrap_int(int(b), ta)) else 0
         if is_arith(ta) and is_arith(tb):
             common = usual_arith(ta, tb)
             a, b = convert(a, common), convert(b, common)
         return 1 if cmp(a, b) else 0
     if isinstance(t, IntType):
+        fn = _WRAPPING_OPS.get(op)
+        if fn is not None:
+            return wrap_int(fn(int(a), int(b)), t)
         fn = _INT_OPS.get(op)
         if fn is None:
             raise Undefined(f"operator {op}")

@@ -224,8 +224,23 @@ class TestRobustness:
         code = run_cli([str(one), str(two), "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == (f"error: {one}: line 1: #include cycle: self.h -> self.h\n"
-                       f"error: {two}: line 1: #include cycle: a.h -> b.h -> a.h\n")
+        assert err == (f"error: {one}: {tmp_path / 'self.h'}: line 1: "
+                       "#include cycle: self.h -> self.h\n"
+                       f"error: {two}: {tmp_path / 'b.h'}: line 1: "
+                       "#include cycle: a.h -> b.h -> a.h\n")
+
+    def test_diagnostic_in_a_header_names_the_header(self, tmp_path, capsys):
+        (tmp_path / "nest.h").write_text("#define K 3\n#include \"missing.h\"\n")
+        (tmp_path / "outer.h").write_text('#include "nest.h"\n')
+        nest = tmp_path / "nest.c"
+        nest.write_text('#include "nest.h"\nint f(int x) { return x + K; }\n')
+        outer = tmp_path / "outer.c"
+        outer.write_text('\n#include "outer.h"\nint g(int x) { return x; }\n')
+        code = run_cli([str(nest), str(outer), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        missing = f"{tmp_path / 'nest.h'}: line 2: include file not found: missing.h"
+        assert err == f"error: {nest}: {missing}\nerror: {outer}: {missing}\n"
 
 
 # x * 2654435761 is odd times a multiplicative-hash constant, so the second
@@ -773,3 +788,17 @@ class TestSmtlibOut:
         assert err.startswith("error [test]: malformed model value")
         assert "Traceback" not in err
 
+    def test_answer_not_utf8_is_a_diagnostic(self, tmp_path, capsys):
+        # f's answer file is Latin-1; g, in the same file, is still generated
+        src = tmp_path / "two.c"
+        src.write_text("int f(int x) { if (x > 3) return 1; return 0; }\n"
+                       "int g(int y) { if (y < 2) return 1; return 0; }\n")
+        out = tmp_path / "gen"
+        out.mkdir()
+        (out / "f_1.model").write_bytes(b"x = 4 /* \xe9 */\n")
+        code = run_cli([str(src), "--solver", "smtlib-out", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error [f]: not UTF-8: byte 0xe9 at offset 9 of "
+                       f"{out / 'f_1.model'}\n")
+        assert (out / "g_driver.c").exists()

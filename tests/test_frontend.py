@@ -164,6 +164,7 @@ class TestParseUnit:
     @pytest.mark.parametrize("labels, message", [
         ("case 1: case 1:", "duplicate case value 1"),
         ("case ONE: case 2 - 1:", "duplicate case value 1"),
+        ("case 1: case 4294967297:", "duplicate case value 1"),
         ("case ONE: case TWO: default: case 0: default:", "duplicate default label"),
     ])
     def test_duplicate_switch_label(self, labels, message):

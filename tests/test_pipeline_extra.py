@@ -46,6 +46,16 @@ class TestConstructs:
         outcome = run_src(src, "f")
         assert outcome.report.edge_percent == 100.0
 
+    def test_case_labels_take_the_scrutinee_type(self):
+        # case -1 on an unsigned is 4294967295, a value u takes; case 300 on
+        # a char compares in int, where c never reaches it
+        src = ("int f(unsigned u, char c){ switch (u) { case -1: return 1; }"
+               " switch (c) { case 300: return 2; } return 0; }")
+        outcome = run_src(src, "f")
+        assert any("u == 4294967295" in tc.trace_labels for tc in outcome.test_cases)
+        assert [(u["description"], u["verdict"]) for u in outcome.report.uncovered] \
+            == [("n2 -> n7 [c == 300]", "infeasible-proven")]
+
     def test_ternary_generation(self):
         outcome = run_src("int f(int a){ int m = a > 7 ? a : 7; return m; }", "f")
         assert outcome.report.edge_percent == 100.0
@@ -188,7 +198,9 @@ class TestEarlyStops:
         # trace up to the decision, which has no conditional edge to prune;
         # the loop used to select it again until the deadline
         hard = "int f(int *p, int a, int b) { int v = p[a * b - 391]; if (v > 0) return 1; return 0; }"
-        easy = "int f(int *p, int x) { if (p[1] > x) return 1; return 0; }"
+        # the lower corner of the index bounds, x and p's offset at their
+        # least, misses the array, so one node decides no trace of easy
+        easy = "int f(int *p, int x) { if (p[x + 1] > 0) return 1; return 0; }"
         for src, budget in ((hard, 2000), (easy, 1)):
             outcome = run_src(src, "f", budget_nodes=budget)
             assert len(outcome.selection_log) <= 3

@@ -442,35 +442,39 @@ CHAIN_K12 = """int chain_k12(int a0, int a1, int a2, int a3, int a4, int a5, int
 }
 """
 
-# Per unit: the number of solver calls of all its functions, their search
-# nodes, and a digest of every call's status, reason, node count and model,
-# as the solver gave them before it memoized intervals per domain state and
-# analysed each conjunct once per function.
+# Per unit: the number of solver calls of all its functions, a digest of
+# every call's status, reason and model, and the search nodes the calls took
+# when a search returned a model only at a leaf, as the solver gave them
+# before it returned the box's corner as soon as it verified. The digests
+# leave the node counts out; the nodes are an upper bound.
 PINNED_UNITS = {
-    "alloc.c": (2, 6, "adf9a5e19ce8d30f1bf2c92307a8e46a1ecde03c62272d51c27c94f6610a80c2"),
-    "alloc_mutated.c": (2, 6, "adf9a5e19ce8d30f1bf2c92307a8e46a1ecde03c62272d51c27c94f6610a80c2"),
-    "alloc_ptr.c": (6, 17, "cf05ea7c512aacb6fafe1e6e6523e5208fa5b8955865688a5b4c9a8430d1e1a6"),
-    "chain_k12": (26, 78, "ccf1a296295746fbcb0c76c5b9698bb4b8bab915081e180d2827895961166ac7"),
-    "comp_ptr.c": (6, 16, "d4fcb4296b1c5065953bf3ccb890605f30ce0eaadb29a412cb9d23fea20ed75e"),
-    "contradiction.c": (5, 6, "f3bf9f7ede6688b2cab25b824161138502922a3f90fe8915c7e70cab4b7f09c7"),
-    "deref_param.c": (6, 48, "cb50ec0397a15a3d60e470a2b753a26dffb3843052a661abe377ca5b08b46ffa"),
-    "fig3.c": (6, 8, "4b50705fc0925b9eb136074f201b335d0471ff03630439c5c4a946d5084c7d38"),
-    "struct_input.c": (6, 17, "3bd655f098890cf3459be73cce716771e4531348f50385212e58aa4f6326ec71"),
-    "table1.c": (2, 7, "fa99a08884fa98688d3c2b287c323547a0d7c13fcde7f92a8392d4d1628bbd65"),
-    "table2.c": (6, 19, "40fd4c8ddd138f4f0063d3f740628073f71db4281c16d02b2ba5052e9da697e9"),
-    "tritype_int.c": (20, 56, "3d9b99fc919a26edc0225b97b62e45e9d258ca1fc2aefce14f3ff8f16ab92b75"),
+    "alloc.c": (2, "d9be32f03f0e86e642e873d06a96a3a60b896ab675ac2d4b025e6ed38b685bf1", 6),
+    "alloc_mutated.c": (2, "d9be32f03f0e86e642e873d06a96a3a60b896ab675ac2d4b025e6ed38b685bf1", 6),
+    "alloc_ptr.c": (6, "86df499e943c639149d28806d795525714d6437f44194209c1d1ce8c617a0c62", 17),
+    "chain_k12": (26, "1c895a5b266f87d09d7e37702a34379223cd97f2144345b8b4be4cae859c3621", 78),
+    "comp_ptr.c": (6, "c9f903b56ed5da6fb321b56a51072bf34961ef2699b7ab10297ba64f284fab6a", 16),
+    "contradiction.c": (5, "d86c68122014ad14d0c8237e249d7ac54aea69ff7901b21700f2b97be3a3e957", 6),
+    "deref_param.c": (6, "31c1ba98c1184f1d9fab3e90a9a6ada358a738cfb9ac24cb376fce25feccd14d", 48),
+    "fig3.c": (6, "cd0b7698e20e57ac5ff8fcb794e9104775b909dcfdb1a2a15244387af3a47970", 8),
+    "struct_input.c": (6, "fcb12aebb85ef43bbc3936c43a1196f545fe328969dfcddf7c954b1536e9e595", 17),
+    "table1.c": (2, "fc19d870f047fc0be8aa267887366b6f657e75bfc1c65e3e4cee96a552e9013b", 7),
+    "table2.c": (6, "88a13a9677b9fe958289834b8dbb3beb505336e51b3436e07a615dd155a382d4", 19),
+    "tritype_int.c": (20, "d531fd192dbbedaf83fe5bd48b56853e2d57fba1675234fdb20c627dcde9e35d", 56),
 }
 
 
-def pipeline_answers(name, out_dir, monkeypatch):
+def pipeline_answers(name, out_dir, monkeypatch, check=None):
     """Each pipeline solver call of the unit's functions, in order, as
-    (status, reason, nodes, digest of the model's values)."""
+    (status, reason, nodes, digest of the model's values). ``check`` is
+    called with each call's positional arguments."""
     source = CHAIN_K12 if name == "chain_k12" else read_data(name)
     answers = []
     original = pipeline.solve
 
     def solve_logged(*args, **kwargs):
         r = original(*args, **kwargs)
+        if check is not None:
+            check(args)
         model = None if r.model is None else [[n, repr(v)] for n, v in r.model.values.items()]
         digest = hashlib.sha256(json.dumps(model).encode()).hexdigest()
         answers.append([r.status, r.reason, r.nodes, digest])
@@ -487,13 +491,82 @@ def pipeline_answers(name, out_dir, monkeypatch):
 
 class TestIntegerFunctionsPinned:
     """Every pipeline solver call on the integer and pointer units keeps its
-    status, reason, node count and model."""
+    status, reason and model, and no unit searches more nodes than when a
+    search returned a model only at a leaf."""
 
     @pytest.mark.parametrize("name", sorted(PINNED_UNITS))
     def test_answers_unchanged(self, name, tmp_path, monkeypatch):
         answers = pipeline_answers(name, tmp_path, monkeypatch)
-        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
-        assert (len(answers), sum(a[2] for a in answers), digest) == PINNED_UNITS[name]
+        calls, digest, nodes_before = PINNED_UNITS[name]
+        kept = [[status, reason, model] for status, reason, _nodes, model in answers]
+        assert len(answers) == calls
+        assert hashlib.sha256(json.dumps(kept).encode()).hexdigest() == digest
+        assert sum(a[2] for a in answers) <= nodes_before
+
+
+class FullDescent(solver_mod._Solver):
+    """The reference search: a model is accepted only at a leaf, so every
+    answer is the first leaf of a full depth-first descent."""
+
+    def _corner(self, env):
+        return super()._corner(env) if self._pick(env) is None else None
+
+
+def _search_answers(constraint, max_nodes):
+    """The corner search's and the full descent's results on one constraint."""
+    return (solver_mod._Solver(constraint, max_nodes).run(),
+            FullDescent(constraint, max_nodes).run())
+
+
+def _same_answer(corner, full):
+    return (corner.status, corner.reason, corner.model and corner.model.values) \
+        == (full.status, full.reason, full.model and full.model.values)
+
+
+class TestCornerMatchesFullDescent:
+    """Returning the box's corner once it verifies gives the answer and model
+    of the full descent, in no more nodes."""
+
+    def test_random_stream(self):
+        rng = random.Random(190237)
+        fewer = 0
+        for i in range(300):
+            c = make_constraint(rng, (SCHAR, UCHAR, SHORT, INT)[i % 4],
+                                n_syms=rng.randint(1, 3))
+            corner, full = _search_answers(c, 250)
+            assert _same_answer(corner, full)
+            assert corner.nodes <= full.nodes
+            fewer += corner.nodes < full.nodes
+        assert fewer
+
+    def test_corner_offset_outside_its_region_is_not_returned(self):
+        # the root's corner, base 7 and offset 2, verifies, but region 7
+        # has one element: the descent prunes that offset once the base is
+        # decided, and answers with base 8
+        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
+        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        free = {
+            "p@baseAddress": ptr_free("p", [7, 8, 0], {7: 1, 8: 4, 0: 0}, "p"),
+            "p@offset": off_free("p", 4),
+        }
+        c = make([mk_binop("!=", a, Const(0, UINT)),
+                  mk_binop(">=", x, Const(2, UINT))], free)
+        corner, full = _search_answers(c, 100)
+        assert _same_answer(corner, full)
+        assert corner.model.values == {"p@baseAddress": 8, "p@offset": 2}
+
+    @pytest.mark.parametrize("name", sorted(PINNED_UNITS))
+    def test_pipeline_calls(self, name, tmp_path, monkeypatch):
+        searched = []
+
+        def check(args):
+            corner, full = _search_answers(args[0], args[1])
+            assert _same_answer(corner, full)
+            assert corner.nodes <= full.nodes
+            searched.append(full.nodes)
+
+        pipeline_answers(name, tmp_path, monkeypatch, check)
+        assert searched
 
 
 class TestDeterminism:
@@ -625,8 +698,10 @@ class TestPropagationCost:
         a_small = mk_binop("<", a, Const(10, INT))
         b_above = mk_binop(">", b, a)
         c_not5 = mk_binop("!=", c, Const(5, INT))
-        d_below = mk_binop("<", d, c)
-        r = solve(make([a_pos, a_small, b_above, c_not5, d_below]))
+        # no bound of c or d moves for it, and the corner, c = d = INT_MIN,
+        # fails it, so the search goes on below the root and node 2
+        d_not_c = mk_binop("!=", d, c)
+        r = solve(make([a_pos, a_small, b_above, c_not5, d_not_c]))
         assert r.status == "sat"
         visited = {}
         for node, e in visits:
@@ -639,20 +714,22 @@ class TestPropagationCost:
 
 class TestPinnedAnswers:
     def test_random_stream_answers_unchanged(self):
-        """Status, node count and model of the first 300 random constraints
-        of the model-soundness stream, as the solver gave them before its
-        propagation skipped unchanged conjuncts."""
+        """Status and model of the first 300 random constraints of the
+        model-soundness stream, as the solver gave them before it returned
+        the box's corner as soon as it verified, with no more nodes."""
         rng = random.Random(190237)
         answers = []
+        nodes = 0
         for i in range(300):
             c = make_constraint(rng, (SCHAR, UCHAR, SHORT, INT)[i % 4],
                                 n_syms=rng.randint(1, 3))
             r = solve(c, 250)
-            answers.append([r.status, r.nodes,
+            nodes += r.nodes
+            answers.append([r.status,
                             sorted(r.model.values.items()) if r.model else None])
         assert [a[0] for a in answers].count("sat") == 168
         assert [a[0] for a in answers].count("unsat") == 42
-        assert sum(a[1] for a in answers) == 25346
-        assert answers[0] == ["sat", 4, [("x", -128), ("y", -128), ("z", -128)]]
+        assert nodes <= 25346
+        assert answers[0] == ["sat", [("x", -128), ("y", -128), ("z", -128)]]
         digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
-        assert digest == "9ebde439470c357fc0f2f7c22e08fd183e4ef3fd8845b185833161fe9a130959"
+        assert digest == "a623cc311892a9e9566ab3b7d420e247c238be7bb1b5c0ab21348f46dc754c28"

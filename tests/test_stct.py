@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 
 import pytest
 from conftest import DATA_DIR, read_data, same_records
@@ -218,27 +219,32 @@ PINNED_CASES = _pinned_cases()
 # Per case: the number of selections and a digest of the selection log
 # (mode, labels, complete, verdict) and of the -v iteration lines, which say
 # where each interpretation resumed, as recorded before selection kept reach
-# masks and built extension traces from the active trace.
+# masks and built extension traces from the active trace. The lines' search
+# node counts are masked: they fell when a search began returning the box's
+# corner as soon as it verified, and every other part stayed.
 PINNED_SELECTIONS = {
-    "alloc.c:alloc": (2, "f53454c1940220b545460cb49e522b1892f4d4ab742df046488dff7b7359f78c"),
-    "alloc_mutated.c:alloc": (2, "f53454c1940220b545460cb49e522b1892f4d4ab742df046488dff7b7359f78c"),
-    "alloc_ptr.c:alloc_ptr": (6, "2c1e5a503c56d77e3ca4d302146ea0d2d2501af6700e1544796c327760011996"),
-    "comp_ptr.c:comp_ptr": (6, "1d909dc428a30515dda1993c25077f24bc5da1a6034ae5a37a20e34861661384"),
-    "contradiction.c:contradiction": (4, "5d8b3e2cb68adb02bc187feca3e7ac1d923902da2169e23d70a155d476301dc8"),
-    "deref_param.c:pick": (6, "6d6dff0e8ea9aa56d4bd8519202bb5cb8a79364493d3d1067a6bfd58fa19f53b"),
-    "fig3.c:select_demo": (6, "fc0f52cb7f926351ce495e02f00256f2c812e7fbd157b6fc06def8f9aac4bd90"),
-    "struct_input.c:classify": (6, "1dd74d82850f1f6a9d95a62b6db7344dfd88f15b66da720a6fa59ee720997423"),
-    "table1.c:test": (2, "147c7d35adcd25fc64a52f2fe99f8fb878ddf0c612be2caef84422820e11b540"),
-    "table2.c:test": (6, "2004e313573b5ca63f0f009adc0cc21c77662a0aed0b42dddac55cb9a64fe51c"),
-    "tritype_float.c:Tritype": (22, "536aaacdfd27ad9ee939417149bdd183cff6fb3a0b9deeb0648b843da4578817"),
-    "tritype_int.c:Tritype": (20, "f929294ff334a4d37b192ce388d3a8acb723c5829f58309ba16e829d1ebeb5ad"),
-    "branch_chain:chain_k8": (19, "7096209c44117b9f9df9f02177cd1632d49b8e7e407ec68ba3191feeb7a62263"),
-    "branch_chain:chain_k12": (25, "cb615e122a124f2068c7b4be8894229cacda483d8b28c7c195ad12ffc4dae740"),
-    "branch_chain:chain_k16": (33, "a450976b43f6f05f7e4e4b8d301b4928d733c95414354b2f2b02d8a3658e17d0"),
-    "branch_chain:chain_k20": (41, "9ab9046c90e7f00cf085b753d6ae25fc451b95517ae3ccedfdc7618e06666bde"),
-    "branch_chain:chain_hard": (24, "f1b0ae1770a379c34d6290b9042978130b658bb1fdfa7be642b5d948ed2c7a5b"),
-    "deep_k80": (161, "66a1f9b25a2ec26f24ecec9794304b15281a7579c89732fc816027782e38d765"),
+    "alloc.c:alloc": (2, "04e56e7b1469e8c5612c789350c7e324b9db891e0a54c7163a193ddbaee566b3"),
+    "alloc_mutated.c:alloc": (2, "04e56e7b1469e8c5612c789350c7e324b9db891e0a54c7163a193ddbaee566b3"),
+    "alloc_ptr.c:alloc_ptr": (6, "ca8ae9d47ed56dbef5edc2276101ec48859b8cb87fe427c2a2316b5311d1f327"),
+    "comp_ptr.c:comp_ptr": (6, "118e27506380724d6c0026f612b70f751a96606c5b6be5cf7e80accff25c1741"),
+    "contradiction.c:contradiction": (4, "1d5b76a2c4e6d33578c95427a14f6a276b8b972298b8f6842625279991078602"),
+    "deref_param.c:pick": (6, "91a9db074c7dd66b81d564630970ea9fdd81e4f705d4b5596289fa67ab1660bf"),
+    "fig3.c:select_demo": (6, "7f017070ca166a583b83133f8a10fdf8f4b0a58154c8520531a81297022778f0"),
+    "struct_input.c:classify": (6, "66bdfada6f99029fb58772e9374e5680046b4cf2ab6b1538eca24176ce53c198"),
+    "table1.c:test": (2, "13155db74c8bce3daedc5cedd04d08c2716fb8322446284fb4ed9a2579d007c7"),
+    "table2.c:test": (6, "fd6efe2ceefc5e9fefb8759351cd30f38492470b12b09d655908a5c7268b4a73"),
+    "tritype_float.c:Tritype": (22, "41b38cc36d93df23f56971832226667342ec88f605549790c877aa5367c2661e"),
+    "tritype_int.c:Tritype": (20, "e2b28f29e28d9cacbeaef9ed6181433529c98573d3fbe6ae6d3f6af2d6035685"),
+    "branch_chain:chain_k8": (19, "11658e075ba43f6fea309cc5d61636a18261e2bd07fceafcf73a137693b4b711"),
+    "branch_chain:chain_k12": (25, "fb5a88e2d8aab072d4c8001da1d44899f6b7ace7ef068db14de2d2c3ab861074"),
+    "branch_chain:chain_k16": (33, "10204188532061b95616328186932bf14ecd7ec4d4f8c401efc64f046efa29f3"),
+    "branch_chain:chain_k20": (41, "1a6a1f23e0d7ea41b29e0ef7f5c2bbbbf4010cb7141e176bdf313f1050536583"),
+    "branch_chain:chain_hard": (24, "cfded95ca1a0e50cf4bc1e34c8e17569f740a69466d10819404c712968e323c0"),
+    "deep_k80": (161, "70633fc8fd6af4d13c8271e791a8ddcf0ac325d1df6f2a1171a80662374c15f1"),
 }
+
+
+_SEARCH_NODES = re.compile(r"\d+ search nodes")
 
 
 class TestPinnedSelections:
@@ -249,7 +255,8 @@ class TestPinnedSelections:
     def test_selections_and_resume_points_unchanged(self, label, text, name):
         outcome = run(text, name, label, verbose=True, budget_ms=10**9)
         log = [[r.mode, r.labels, r.complete, r.verdict] for r in outcome.selection_log]
-        lines = [ln for ln in outcome.message.splitlines() if ln.startswith("iteration ")]
+        lines = [_SEARCH_NODES.sub("N search nodes", ln)
+                 for ln in outcome.message.splitlines() if ln.startswith("iteration ")]
         digest = hashlib.sha256(json.dumps([log, lines]).encode()).hexdigest()
         assert (len(log), digest) == PINNED_SELECTIONS[label]
 

@@ -38,6 +38,8 @@ from cunitgen.typesys import (
     UINT,
     ULONG,
     USHORT,
+    Undefined,
+    binary,
     c_div,
     c_rem,
     promote,
@@ -247,4 +249,37 @@ def test_binop_matches_reference_wraparound(ta, x, tb, y, op):
         assert op in ("/", "%", "<<", ">>") and undefined
         return
     assert isinstance(folded, Const) and folded.value == got
+    assert got == _reference(op, x, y, ta, tb, t)
+
+
+@settings(max_examples=600)
+@given(
+    st.sampled_from(_INT_TYPES),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(_INT_TYPES) | st.none(),
+    st.integers(-(2**70), 2**70) | st.integers(-3, 70),
+    st.sampled_from(["+", "-", "*", "&", "|", "^", "<<", ">>", "/", "%", *_CMP_OPS]),
+)
+@example(INT, 2**32 + 7, None, 7, "==")
+@example(ULONG, -1, None, 2**64 - 1, "==")
+@example(SCHAR, 200, None, -56, "==")
+def test_binary_matches_usual_conversions(ta, x, tb, y, op):
+    """binary, on operands outside their types' ranges and on operands of
+    one type (tb None), gives what the usual arithmetic conversions give
+    when each step is taken by hand, and is undefined exactly where C is."""
+    tb = ta if tb is None else tb
+    if op in _CMP_OPS:
+        t = BOOL
+    elif op in ("<<", ">>"):
+        t = promote(ta)
+    else:
+        t = usual_arith(ta, tb)
+    try:
+        got = binary(op, x, y, ta, tb, t)
+    except Undefined:
+        if op in ("/", "%"):
+            assert wrap_int(y, t) == 0
+        else:
+            assert op in ("<<", ">>") and not 0 <= y < t.width
+        return
     assert got == _reference(op, x, y, ta, tb, t)
