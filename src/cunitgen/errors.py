@@ -8,13 +8,17 @@ class CunitgenError(Exception):
 
 
 class ParseError(CunitgenError):
-    """Malformed source text. Carries location and the expected tokens."""
+    """Malformed source text. Carries location and the expected tokens; the
+    location names the header (file) when the text came from one."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0, expected: tuple[str, ...] = ()):
+    def __init__(self, message: str, line: int = 0, col: int = 0,
+                 expected: tuple[str, ...] = (), file: str = ""):
         self.line = line
         self.col = col
         self.expected = expected
         loc = f"line {line}" if line else "input"
+        if file:
+            loc = f"{file}: {loc}"
         exp = f" (expected {', '.join(expected)})" if expected else ""
         super().__init__(f"{loc}: {message}{exp}")
 

@@ -38,13 +38,14 @@ _SIMPLE_ESCAPES = {
 
 class Token(Frozen):
     def __init__(self, kind: str, text: str, value: object = None, line: int = 0,
-                 col: int = 0):
+                 col: int = 0, file: str = ""):
         self.__dict__.update(
             kind=kind,  # ident, keyword, annkw, int, float, char, string, punct, eof
             text=text,
             value=value,
             line=line,
-            col=col)
+            col=col,
+            file=file)  # the header the token came from; "" for the main file
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, line={self.line})"

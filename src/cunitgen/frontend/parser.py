@@ -111,13 +111,17 @@ class _Parser:
     def expect(self, text: str) -> Token:
         if self.cur.text == text and self.cur.kind in ("punct", "keyword"):
             return self.advance()
-        raise ParseError(f"got {self.cur.text!r}", self.cur.line, self.cur.col, (text,))
+        raise self.error(f"got {self.cur.text!r}", self.cur, (text,))
 
     def expect_ident(self) -> Token:
         if self.cur.kind != "ident":
-            raise ParseError(f"got {self.cur.text!r}", self.cur.line, self.cur.col,
-                             ("identifier",))
+            raise self.error(f"got {self.cur.text!r}", self.cur, ("identifier",))
         return self.advance()
+
+    @staticmethod
+    def error(message: str, tok: Token, expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at tok, naming the header tok came from."""
+        return ParseError(message, tok.line, tok.col, expected, tok.file)
 
     # -- types --------------------------------------------------------------
 
@@ -148,7 +152,7 @@ class _Parser:
         ):
             words.append(self.advance().text)
         if not words:
-            raise ParseError(f"got {t.text!r}", t.line, t.col, ("type name",))
+            raise self.error(f"got {t.text!r}", t, ("type name",))
         key = " ".join(words)
         if key in BUILTIN_TYPES:
             base = BUILTIN_TYPES[key]
@@ -157,7 +161,7 @@ class _Parser:
             if normalized in BUILTIN_TYPES:
                 base = BUILTIN_TYPES[normalized]
             else:
-                raise ParseError(f"unknown type {' '.join(words)!r}", t.line, t.col)
+                raise self.error(f"unknown type {' '.join(words)!r}", t)
         if self.accept("const"):
             self._const_seen = True
         return base
@@ -186,7 +190,7 @@ class _Parser:
         if self.cur.text != "{":
             if tag and key in self.env.tags:
                 return self.env.tags[key]
-            raise ParseError(f"unknown {kw} {tag!r}", tag_tok.line, tag_tok.col)
+            raise self.error(f"unknown {kw} {tag!r}", tag_tok)
         self.expect("{")
         raw_fields: list[StructField] = []
         while not self.accept("}"):
@@ -239,8 +243,8 @@ class _Parser:
         return INT
 
     def _const_int_expr(self) -> int:
-        expr = self.parse_conditional()
-        return eval_const_int(expr, self.env)
+        file = self.cur.file
+        return eval_const_int(self.parse_conditional(), self.env, file)
 
     # -- top level -----------------------------------------------------------
 
@@ -267,8 +271,7 @@ class _Parser:
             while self.cur.text in ("extern", "static"):
                 is_extern = self.advance().text == "extern"
             if not self.at_type_start():
-                raise ParseError(f"got {self.cur.text!r}", self.cur.line, self.cur.col,
-                                 ("declaration",))
+                raise self.error(f"got {self.cur.text!r}", self.cur, ("declaration",))
             base = self.parse_type_specifier()
             if self.accept(";"):
                 continue  # bare struct/union/enum definition
@@ -332,8 +335,7 @@ class _Parser:
             return FunctionDef(name_tok.text, ret, params, None, name_tok.line)
         for p in params:
             if not p.name:
-                raise ParseError("parameter name required in definition",
-                                 name_tok.line, name_tok.col)
+                raise self.error("parameter name required in definition", name_tok)
         body = self.parse_block()
         fn = FunctionDef(name_tok.text, ret, params, body, name_tok.line)
         fn.annotation_only = bool(body.stmts) and all(
@@ -396,7 +398,7 @@ class _Parser:
         if tok.text == "goto":
             raise UnsupportedConstruct("goto", tok.line)
         if tok.text in ("case", "default"):
-            raise ParseError("case label outside switch", tok.line, tok.col)
+            raise self.error("case label outside switch", tok)
         if self.at_type_start():
             return self._parse_local_decl()
         expr = self.parse_expression()
@@ -451,13 +453,12 @@ class _Parser:
                 # case values are checked once converted (sema._convert_labels)
                 value = self._const_int_expr() if self.advance().text == "case" else None
                 if value is None and any(c.value is None for c in cases):
-                    raise ParseError("duplicate default label", self.cur.line, self.cur.col)
+                    raise self.error("duplicate default label", self.cur)
                 self.expect(":")
                 cases.append(SwitchCase(value, [], self.cur.line))
             else:
                 if not cases:
-                    raise ParseError("statement before first case label",
-                                     self.cur.line, self.cur.col)
+                    raise self.error("statement before first case label", self.cur)
                 cases[-1].body.append(self.parse_statement())
         return Switch(scrutinee, cases, tok.line)
 
@@ -500,8 +501,7 @@ class _Parser:
             "__rtt_modifies": AnnotationKind.MODIFIES,
         }
         if tok.text not in kind_map:
-            raise ParseError(f"{tok.text} is only valid inside annotation expressions",
-                             tok.line, tok.col)
+            raise self.error(f"{tok.text} is only valid inside annotation expressions", tok)
         kind = kind_map[tok.text]
         self.expect("(")
         ann = Annotation(kind, line=tok.line)
@@ -523,8 +523,7 @@ class _Parser:
             self.expect(",")
             while True:
                 if self.cur.kind != "string":
-                    raise ParseError("requirement tag string expected",
-                                     self.cur.line, self.cur.col)
+                    raise self.error("requirement tag string expected", self.cur)
                 raw = self.advance()
                 ann.tags.extend(t.strip() for t in str(raw.value).split(",") if t.strip())
                 if not self.accept(","):
@@ -674,7 +673,7 @@ class _Parser:
             self.expect(")")
             return InitialRef(Name(var.text, var.line), tok.line)
         if tok.kind == "annkw":
-            raise ParseError(f"{tok.text} is not valid here", tok.line, tok.col)
+            raise self.error(f"{tok.text} is not valid here", tok)
         if tok.kind == "ident":
             self.advance()
             return Name(tok.text, tok.line)
@@ -683,11 +682,12 @@ class _Parser:
             expr = self.parse_expression()
             self.expect(")")
             return expr
-        raise ParseError(f"got {tok.text!r}", tok.line, tok.col, ("expression",))
+        raise self.error(f"got {tok.text!r}", tok, ("expression",))
 
 
-def eval_const_int(expr: Expr, env: TypeEnv) -> int:
-    """Constant folding for array sizes, case labels and enum initializers."""
+def eval_const_int(expr: Expr, env: TypeEnv, file: str = "") -> int:
+    """Constant folding for array sizes, case labels and enum initializers;
+    file names the header the expression came from in errors."""
     if isinstance(expr, IntLit):
         return expr.value
     if isinstance(expr, CharLit):
@@ -695,24 +695,24 @@ def eval_const_int(expr: Expr, env: TypeEnv) -> int:
     if isinstance(expr, Name):
         if expr.name in env.enum_consts:
             return env.enum_consts[expr.name]
-        raise ParseError(f"{expr.name} is not a constant", expr.line)
+        raise ParseError(f"{expr.name} is not a constant", expr.line, file=file)
     try:  # operator values come from typesys, computed in long
         if isinstance(expr, Un):
-            v = eval_const_int(expr.operand, env)
+            v = eval_const_int(expr.operand, env, file)
             return int(not v) if expr.op == "!" else unary(expr.op, v, LONG)
         if isinstance(expr, Bin):
-            a = eval_const_int(expr.lhs, env)
-            b = eval_const_int(expr.rhs, env)
+            a = eval_const_int(expr.lhs, env, file)
+            b = eval_const_int(expr.rhs, env, file)
             if expr.op == "&&":
                 return int(bool(a) and bool(b))
             if expr.op == "||":
                 return int(bool(a) or bool(b))
             return binary(expr.op, a, b, LONG, LONG, LONG)
     except Undefined as exc:
-        raise ParseError(f"constant expression: {exc}", expr.line) from exc
+        raise ParseError(f"constant expression: {exc}", expr.line, file=file) from exc
     if isinstance(expr, SizeofType) and expr.target is not None:
         return expr.target.size
-    raise ParseError("constant expression required", getattr(expr, "line", 0))
+    raise ParseError("constant expression required", getattr(expr, "line", 0), file=file)
 
 
 def parse_unit(text: str, file_name: str = "<input>",

@@ -80,6 +80,7 @@ def preprocess(text: str, file_name: str = "<input>", include_dir: str | None = 
     if include_dir is None:
         include_dir = os.path.dirname(os.path.abspath(file_name)) if os.path.sep in file_name else "."
     text = strip_comments(text)
+    header = file_name if table.including else ""  # the file its tokens name
     tokens: list[Token] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
@@ -87,15 +88,18 @@ def preprocess(text: str, file_name: str = "<input>", include_dir: str | None = 
             _directive(stripped, lineno, include_dir, table, tokens)
             continue
         if stripped:
-            tokens.extend(lex(raw, first_line=lineno)[:-1])
+            toks = lex(raw, first_line=lineno)[:-1]
+            if header:
+                toks = [Token(t.kind, t.text, t.value, t.line, t.col, header) for t in toks]
+            tokens.extend(toks)
     return _expand(tokens, table)
 
 
 def preprocess_and_lex(text: str, file_name: str = "<input>",
                        include_dir: str | None = None) -> list[Token]:
     tokens = preprocess(text, file_name, include_dir)
-    last_line = tokens[-1].line if tokens else 1
-    return tokens + [Token("eof", "", None, last_line, 1)]
+    line, file = (tokens[-1].line, tokens[-1].file) if tokens else (1, "")
+    return tokens + [Token("eof", "", None, line, 1, file)]
 
 
 def _directive(line: str, lineno: int, include_dir: str, table: MacroTable,
@@ -153,7 +157,7 @@ def _expand_one(tok: Token, table: MacroTable, out: list[Token], active: frozens
     if tok.kind == "ident" and tok.text in table.macros and tok.text not in active:
         inner = active | {tok.text}
         for rep in table.macros[tok.text]:
-            relined = Token(rep.kind, rep.text, rep.value, tok.line, tok.col)
+            relined = Token(rep.kind, rep.text, rep.value, tok.line, tok.col, tok.file)
             _expand_one(relined, table, out, inner)
         return
     out.append(tok)

@@ -281,12 +281,15 @@ class _FunctionSema:
             return self._unary(e, scope)
         if isinstance(e, Update):
             t = self._expr(e.operand, scope)
-            _require_lvalue(e.operand)
-            if not (is_arith(t) or is_pointer(t)):
-                raise SemaError(f"{e.op} needs an arithmetic or pointer operand", e.line)
-            return _decay(t)
+            _require_assignable(e.operand, t)
+            one = IntLit(1, e.line)
+            one.ctype = INT
+            binary_type("+" if e.op == "++" else "-", e.operand, one, e.line)
+            return t
         if isinstance(e, Bin):
-            return self._binary(e, scope)
+            self._expr(e.lhs, scope)
+            self._expr(e.rhs, scope)
+            return binary_type(e.op, e.lhs, e.rhs, e.line)
         if isinstance(e, Cond):
             self._cond_expr(e.cond, scope)
             a = _decay(self._expr(e.then, scope))
@@ -299,18 +302,16 @@ class _FunctionSema:
                 return b
             raise SemaError("incompatible branches of ?:", e.line)
         if isinstance(e, Assign):
-            target_t = _decay(self._expr(e.target, scope))
-            _require_lvalue(e.target)
+            target_t = self._expr(e.target, scope)
+            _require_assignable(e.target, target_t)
             self._check_aux_flow(e)
             value_t = self._expr(e.value, scope)
             if e.op == "=":
                 _check_convertible(value_t, target_t, e.line)
-            elif e.op in ("+=", "-=") and is_pointer(target_t):
-                if not is_integer(_decay(value_t)):
-                    raise SemaError("pointer adjust needs an integer", e.line)
-            else:
-                if not (is_arith(target_t) and is_arith(_decay(value_t))):
-                    raise SemaError(f"invalid operands to {e.op}", e.line)
+            elif is_pointer(binary_type(e.op[:-1], e.target, e.value, e.line)) \
+                    != is_pointer(target_t):
+                # a result the target cannot hold: int += pointer, pointer -= pointer
+                raise SemaError(f"invalid operands to {e.op}", e.line)
             return target_t
         if isinstance(e, Index):
             base_t = _decay(self._expr(e.base, scope))
@@ -393,43 +394,6 @@ class _FunctionSema:
             return promote(t) if is_integer(t) else t
         raise SemaError(f"unhandled unary {e.op}", e.line)
 
-    def _binary(self, e: Bin, scope: _Scope) -> CType:
-        lt = _decay(self._expr(e.lhs, scope))
-        rt = _decay(self._expr(e.rhs, scope))
-        op = e.op
-        if op in ("&&", "||"):
-            for side, t in ((e.lhs, lt), (e.rhs, rt)):
-                if not is_scalar(t):
-                    raise SemaError(f"operand of {op} must be scalar", side.line)
-            return INT
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            if is_pointer(lt) or is_pointer(rt):
-                ok = (is_pointer(lt) and is_pointer(rt)) or \
-                    (is_pointer(lt) and _is_null_const(e.rhs)) or \
-                    (is_pointer(rt) and _is_null_const(e.lhs))
-                if not ok:
-                    raise SemaError("invalid pointer comparison", e.line)
-                return INT
-            if not (is_arith(lt) and is_arith(rt)):
-                raise SemaError(f"invalid operands to {op}", e.line)
-            return INT
-        if op in ("+", "-"):
-            if is_pointer(lt) and is_integer(rt):
-                return lt
-            if op == "+" and is_integer(lt) and is_pointer(rt):
-                return rt
-            if op == "-" and is_pointer(lt) and is_pointer(rt):
-                return PTRDIFF
-        if op in ("%", "&", "|", "^", "<<", ">>"):
-            if not (is_integer(lt) and is_integer(rt)):
-                raise SemaError(f"{op} needs integer operands", e.line)
-            if op in ("<<", ">>"):
-                return promote(lt)
-            return usual_arith(lt, rt)
-        if not (is_arith(lt) and is_arith(rt)):
-            raise SemaError(f"invalid operands to {op}", e.line)
-        return usual_arith(lt, rt)
-
     def _call(self, e: Call, scope: _Scope) -> CType:
         sig = self.unit.functions.get(e.name)
         if sig is None:
@@ -498,6 +462,46 @@ class _UnitSema:
                 visit(name, [])
 
 
+def binary_type(op: str, lhs: Expr, rhs: Expr, line: int) -> CType:
+    """The type of lhs op rhs, whose operands are typed, or a SemaError when
+    C gives op no meaning for them. Compound assignment, ++ and -- are
+    checked by the same rule, and imr types the operations it lowers them
+    to with it."""
+    lt, rt = _decay(lhs.ctype), _decay(rhs.ctype)
+    if op in ("&&", "||"):
+        for side, t in ((lhs, lt), (rhs, rt)):
+            if not is_scalar(t):
+                raise SemaError(f"operand of {op} must be scalar", side.line)
+        return INT
+    if op in ("==", "!=", "<", "<=", ">", ">="):
+        if is_pointer(lt) or is_pointer(rt):
+            ok = (is_pointer(lt) and is_pointer(rt)) or \
+                (is_pointer(lt) and _is_null_const(rhs)) or \
+                (is_pointer(rt) and _is_null_const(lhs))
+            if not ok:
+                raise SemaError("invalid pointer comparison", line)
+            return INT
+        if not (is_arith(lt) and is_arith(rt)):
+            raise SemaError(f"invalid operands to {op}", line)
+        return INT
+    if op in ("+", "-"):
+        if is_pointer(lt) and is_integer(rt):
+            return lt
+        if op == "+" and is_integer(lt) and is_pointer(rt):
+            return rt
+        if op == "-" and is_pointer(lt) and is_pointer(rt):
+            return PTRDIFF
+    if op in ("%", "&", "|", "^", "<<", ">>"):
+        if not (is_integer(lt) and is_integer(rt)):
+            raise SemaError(f"{op} needs integer operands", line)
+        if op in ("<<", ">>"):
+            return promote(lt)
+        return usual_arith(lt, rt)
+    if not (is_arith(lt) and is_arith(rt)):
+        raise SemaError(f"invalid operands to {op}", line)
+    return usual_arith(lt, rt)
+
+
 def _int_literal_type(e: IntLit) -> IntType:
     suffix = e.suffix.upper()
     if "U" in suffix and "L" in suffix:
@@ -527,6 +531,12 @@ def _require_lvalue(e: Expr) -> None:
     if isinstance(e, Un) and e.op == "*":
         return
     raise SemaError("lvalue required", getattr(e, "line", 0))
+
+
+def _require_assignable(e: Expr, t: CType) -> None:
+    _require_lvalue(e)
+    if isinstance(t, ArrayType):
+        raise SemaError("assignment to an array", e.line)
 
 
 def _check_convertible(got: CType, want: CType, line: int) -> None:

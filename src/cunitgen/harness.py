@@ -459,18 +459,15 @@ def _needed_initials(tc: TestCase, anns: AnnotationSet) -> set[str]:
 
 def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase]
                  ) -> CoverageReport:
-    node_targets = sorted(t.ident for t in coverage.targets if t.kind == "node")
-    edge_targets = sorted(t.ident for t in coverage.targets if t.kind == "edge")
-    nodes_covered = sum(1 for n in node_targets if n in coverage.final_nodes)
-    edges_covered = sum(1 for e in edge_targets if e in coverage.final_edges)
+    unfinal = coverage.unfinal
+    missed_nodes = sum(1 for bit in coverage.node_bit.values() if unfinal & bit)
+    missed_edges = [eid for eid, bit in coverage.edge_bit.items() if unfinal & bit]
     # an untried prefix may reach these nodes through a depth-bounded subtree
     truncated = cfg.distances(coverage.bound_nodes)
     # ... or through a subtree pruned on an unknown verdict
     undecided = cfg.distances(coverage.unknown_nodes)
     uncovered: list[dict] = []
-    for eid in edge_targets:
-        if eid in coverage.final_edges:
-            continue
+    for eid in missed_edges:
         edge = cfg.edges[eid]
         attempts = coverage.attempts.get(eid, [])
         if attempts and all(a == "unsat" for a in attempts) and not coverage.stopped \
@@ -489,10 +486,10 @@ def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase]
         })
     return CoverageReport(
         function=cfg.name,
-        nodes_total=len(node_targets),
-        nodes_covered=nodes_covered,
-        edges_total=len(edge_targets),
-        edges_covered=edges_covered,
+        nodes_total=len(coverage.node_bit),
+        nodes_covered=len(coverage.node_bit) - missed_nodes,
+        edges_total=len(coverage.edge_bit),
+        edges_covered=len(coverage.edge_bit) - len(missed_edges),
         uncovered=uncovered,
         test_case_count=len(test_cases),
     )

@@ -51,19 +51,16 @@ from .frontend.csyntax import (
     Update,
     While,
 )
+from .frontend.sema import binary_type
 from .frontend.writer import expr_to_c
 from .frozen import Frozen
 from .typesys import (
     INT,
     UINT,
-    ArrayType,
     CType,
     IntType,
-    PointerType,
     VoidType,
-    is_pointer,
     promote,
-    usual_arith,
 )
 
 TEMP_PREFIX = "__t"
@@ -217,20 +214,13 @@ class Target(Frozen):
         self.__dict__.update(kind=kind, ident=ident)  # kind: "node" or "edge"
 
 
-def enumerate_coverage_targets(cfg: Cfg, criterion: str) -> set[Target]:
-    """C0: executable nodes. C1: C0 plus every guarded decision edge."""
-    if criterion not in ("c0", "c1"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    targets = {
-        Target("node", n.nid)
-        for n in cfg.nodes
-        if n.executable and n.nid not in cfg.unreachable
-    }
-    if criterion == "c1":
-        for e in cfg.edges:
-            if e.conditional and e.src not in cfg.unreachable:
-                targets.add(Target("edge", e.eid))
-    return targets
+def enumerate_coverage_targets(cfg: Cfg) -> set[Target]:
+    """The C1 targets: every reachable executable node and guarded decision
+    edge. C0 asks for the node targets alone (CoverageState.complete_for)."""
+    nodes = {Target("node", n.nid) for n in cfg.nodes
+             if n.executable and n.nid not in cfg.unreachable}
+    return nodes | {Target("edge", e.eid) for e in cfg.edges
+                    if e.conditional and e.src not in cfg.unreachable}
 
 
 class _Lowerer:
@@ -611,8 +601,7 @@ class _Lowerer:
             loaded, cur = self._into_temp(_clone_load(place), cur, e.line)
             rhs_atom, cur = self.atom(e.value, cur)
             combined = Bin(op, loaded, rhs_atom, e.line)
-            combined.ctype = place.ctype if is_pointer(place.ctype) \
-                else _binop_type(op, loaded, rhs_atom)
+            combined.ctype = binary_type(op, loaded, rhs_atom, e.line)
             value, cur = self._into_temp(combined, cur, e.line)
         self.emit(cur, IAssign(place, value, e.line))
         return (value if want_value else None), cur
@@ -629,7 +618,7 @@ class _Lowerer:
         one.ctype = INT
         op = "+" if e.op == "++" else "-"
         stepped = Bin(op, old, one, e.line)
-        stepped.ctype = place.ctype if is_pointer(place.ctype) else _binop_type(op, old, one)
+        stepped.ctype = binary_type(op, old, one, e.line)
         new, cur = self._into_temp(stepped, cur, e.line)
         self.emit(cur, IAssign(place, new, e.line))
         if not want_value:
@@ -709,20 +698,6 @@ class _Lowerer:
         self.emit(end_f, IAssign(temp, else_v, e.line))
         self.add_edge(end_f, join, None)
         return temp, join
-
-
-def _binop_type(op: str, lhs: Expr, rhs: Expr) -> CType:
-    if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-        return INT
-    lt, rt = lhs.ctype, rhs.ctype
-    if is_pointer(lt) or isinstance(lt, ArrayType):
-        return lt if not isinstance(lt, ArrayType) else PointerType(lt.elem)
-    if is_pointer(rt) or isinstance(rt, ArrayType):
-        return rt if not isinstance(rt, ArrayType) else PointerType(rt.elem)
-    if op in ("<<", ">>"):
-        assert isinstance(lt, IntType)
-        return promote(lt)
-    return usual_arith(lt, rt)
 
 
 def _typed_int(value: int, ctype: CType | None) -> IntLit:

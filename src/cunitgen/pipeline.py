@@ -142,7 +142,7 @@ class _Session:
         try:
             anns = extract_annotations(self.fn)
             cfg = lower(self.unit, self.fn)
-            coverage = CoverageState(enumerate_coverage_targets(cfg, "c1"))
+            coverage = CoverageState(enumerate_coverage_targets(cfg))
             layout = Layout(self.unit, self.fn, cfg, anns, self.config)
             out.cfg, out.anns, out.layout, out.coverage = cfg, anns, layout, coverage
             self._generate(out)
@@ -173,7 +173,7 @@ class _Session:
         tree = Stct(cfg, coverage, self.config.max_depth)
         exporter = _SmtExporter(self.config.out_dir, self.fn.name, out.smt_files) \
             if self.config.solver == "smtlib-out" else None
-        if not coverage.targets:
+        if not coverage.ordered:
             # nothing to cover (an empty body) still yields one test case
             trace = tree.trace_to(tree.root, "fresh", None)
             state = interpret(trace, cfg, anns, layout)

@@ -5,11 +5,12 @@ id, occurrence number k); (n, k) is unique in the tree even when n repeats
 along cyclic paths. Expansion is incremental: children are added node by
 node along unconditional chains and stops as soon as an uncovered edge with
 a non-trivial guard shows up at the frontier, or when no expansion below a
-node can reveal further uncovered edges. That last test reads a reach mask:
-each coverage target has a bit, each CFG node a mask of the targets it
-reaches, computed once per function, and expansion goes on below a node
-only while its mask meets the bits of the targets still uncovered, which
-the coverage state keeps up as traces are marked, committed and cleared.
+node can reveal further uncovered edges. That last test reads a reach mask.
+Coverage is one bit per target, held in CoverageState.uncovered (no test
+case and no pending trace covers it) and CoverageState.unfinal (no test
+case covers it), kept up as traces are marked, committed and cleared. Each
+CFG node has a mask of the targets it reaches, computed once per function,
+and expansion goes on below a node only while its mask meets uncovered.
 
 Selection extends the trace currently under investigation when its frontier
 still offers an uncovered non-trivial edge; otherwise it runs the trace to
@@ -90,15 +91,19 @@ class Trace:
 
 
 class CoverageState:
-    def __init__(self, targets: set[Target], final_nodes: set[int] | None = None,
-                 final_edges: set[int] | None = None,
-                 pending_edges: set[int] | None = None,
-                 pending_nodes: set[int] | None = None):
-        self.targets = targets
-        self.final_nodes = set() if final_nodes is None else final_nodes
-        self.final_edges = set() if final_edges is None else final_edges
-        self.pending_edges = set() if pending_edges is None else pending_edges
-        self.pending_nodes = set() if pending_nodes is None else pending_nodes
+    """Coverage is one bit per target, in kind and id order (ordered):
+    uncovered holds the bits of the targets that neither a test case nor a
+    trace marked pending covers, unfinal those no test case covers.
+    Selection meets uncovered with its reach masks; reports read unfinal."""
+
+    def __init__(self, targets: set[Target]):
+        self.ordered = sorted(targets, key=lambda t: (t.kind, t.ident))
+        self.node_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
+                         if t.kind == "node"}
+        self.edge_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
+                         if t.kind == "edge"}
+        self.unfinal = self.uncovered = (1 << len(self.ordered)) - 1
+        self._marked: Trace | None = None  # the trace marked pending last
         # per-edge verdicts of failed attempts: unsat / unknown
         self.attempts: dict[int, list[str]] = {}
         # CFG nodes of tree nodes refused a child by the depth bound
@@ -109,28 +114,6 @@ class CoverageState:
         # why generation stopped before exhausting the tree, if it did:
         # time-budget or iteration-bound
         self.stopped = ""
-        # one bit per target, in kind and id order, which selection meets
-        # with its reach masks; uncovered holds the bits of the targets that
-        # neither a test case nor a pending trace covers, _unfinal those no
-        # test case covers
-        self.ordered = sorted(targets, key=lambda t: (t.kind, t.ident))
-        self._node_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
-                          if t.kind == "node"}
-        self._edge_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
-                          if t.kind == "edge"}
-        self._node_mask = sum(self._node_bit.values())
-        self._unfinal = self._bits_outside(self.final_nodes, self.final_edges)
-        self.uncovered = self._unfinal & self._bits_outside(self.pending_nodes,
-                                                             self.pending_edges)
-        self._marked: Trace | None = None  # the trace marked pending last
-
-    def _bits_outside(self, nodes: set[int], edges: set[int]) -> int:
-        """The bits of the targets in neither set."""
-        return sum(bit for nid, bit in self._node_bit.items() if nid not in nodes) \
-            + sum(bit for eid, bit in self._edge_bit.items() if eid not in edges)
-
-    def edge_covered(self, eid: int) -> bool:
-        return eid in self.final_edges or eid in self.pending_edges
 
     def mark_pending(self, trace: Trace) -> None:
         """Count the trace as covered until the marks are committed or
@@ -138,24 +121,20 @@ class CoverageState:
         lies beyond it: the nodes and edges before are marked already."""
         last = self._marked
         new = len(last.nodes) if last is not None and trace.starts_with(last.nodes) else 0
+        uncovered, node_bit, edge_bit = self.uncovered, self.node_bit, self.edge_bit
         for sn in trace.nodes[new:]:
-            self.pending_nodes.add(sn.node_id)
-            self.uncovered &= ~self._node_bit.get(sn.node_id, 0)
+            uncovered &= ~node_bit.get(sn.node_id, 0)
         for e in trace.edges[max(new - 1, 0):]:
-            self.pending_edges.add(e.eid)
-            self.uncovered &= ~self._edge_bit.get(e.eid, 0)
+            uncovered &= ~edge_bit.get(e.eid, 0)
+        self.uncovered = uncovered
         self._marked = trace
 
     def commit_pending(self) -> None:
-        self.final_nodes |= self.pending_nodes
-        self.final_edges |= self.pending_edges
-        self._unfinal = self.uncovered
-        self.clear_pending()
+        self.unfinal = self.uncovered
+        self._marked = None
 
     def clear_pending(self) -> None:
-        self.pending_edges.clear()
-        self.pending_nodes.clear()
-        self.uncovered = self._unfinal
+        self.uncovered = self.unfinal
         self._marked = None
 
     def record_attempt(self, edge: CfgEdge, verdict: str) -> None:
@@ -165,10 +144,10 @@ class CoverageState:
 
     def complete_for(self, criterion: str) -> bool:
         """Whether test cases cover every target: node and edge targets for
-        c1, node targets for c0."""
+        c1, node targets for c0, whose bits follow the edges'."""
         if criterion == "c1":
-            return self._unfinal == 0
-        return self._unfinal & self._node_mask == 0
+            return self.unfinal == 0
+        return self.unfinal >> len(self.edge_bit) == 0
 
 
 class Stct:
@@ -196,6 +175,10 @@ class Stct:
         # distance from the root, its source, the true edge before the false
         self._priority = [(cfg.root_distance(e), e.src, 0 if e.polarity else 1)
                           for e in cfg.edges]
+        # by CFG edge id: its bit in coverage, 0 for an edge that is no
+        # target; every conditional edge in the tree is one, since every
+        # tree node descends from the entry
+        self._bit = [coverage.edge_bit.get(e.eid, 0) for e in cfg.edges]
 
     # -- construction ---------------------------------------------------------
 
@@ -226,8 +209,7 @@ class Stct:
         uncovered target is reachable any more.
         """
         before = self._serial
-        reach, uncovered = self._reach, self.coverage.uncovered
-        final, pending = self.coverage.final_edges, self.coverage.pending_edges
+        reach, uncovered, bit = self._reach, self.coverage.uncovered, self._bit
         work = [leaf]
         for node in work:  # appended to while it runs: a breadth-first queue
             if not reach[node.node_id] & uncovered:
@@ -238,7 +220,7 @@ class Stct:
                     continue
                 e = child.in_edge
                 assert e is not None
-                if e.conditional and e.eid not in final and e.eid not in pending:
+                if uncovered & bit[e.eid]:
                     continue  # frontier target: stop this branch
                 work.append(child)
         return self._serial - before
@@ -307,8 +289,7 @@ class Stct:
     def _extend(self, active: Trace) -> Trace | None:
         leaf = active.leaf
         self.expand(leaf)
-        final, pending = self.coverage.final_edges, self.coverage.pending_edges
-        priority = self._priority
+        uncovered, bit, priority = self.coverage.uncovered, self._bit, self._priority
         best: StctNode | None = None
         best_key: tuple[tuple[int, int, int], int] | None = None
         work = [leaf]
@@ -316,7 +297,7 @@ class Stct:
             for child in node.children:
                 e = child.in_edge
                 assert e is not None
-                if e.conditional and e.eid not in final and e.eid not in pending:
+                if uncovered & bit[e.eid]:
                     key = (priority[e.eid], child.serial)
                     if best_key is None or key < best_key:
                         best, best_key = child, key
@@ -341,13 +322,10 @@ class Stct:
         return None
 
     def _fresh(self) -> Trace | None:
+        uncovered, bit = self.coverage.uncovered, self._bit
         while True:
-            ranked = sorted(
-                (e for e in self.cfg.edges
-                 if e.conditional and not self.coverage.edge_covered(e.eid)
-                 and e.src not in self.cfg.unreachable),
-                key=lambda e: self._priority[e.eid],
-            )
+            ranked = sorted((e for e in self.cfg.edges if uncovered & bit[e.eid]),
+                            key=lambda e: self._priority[e.eid])
             for edge in ranked:
                 options = self.instances[edge.eid]
                 if options:
@@ -358,8 +336,8 @@ class Stct:
 
     def _fresh_for_nodes(self) -> Trace | None:
         """C0 backstop: reach an uncovered node through already-covered edges."""
-        wanted = {t.ident for t in self.coverage.targets
-                  if t.kind == "node" and t.ident not in self.coverage.final_nodes}
+        unfinal = self.coverage.unfinal
+        wanted = {nid for nid, bit in self.coverage.node_bit.items() if unfinal & bit}
         if not wanted:
             return None
         best: StctNode | None = None

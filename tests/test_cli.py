@@ -242,6 +242,24 @@ class TestRobustness:
         missing = f"{tmp_path / 'nest.h'}: line 2: include file not found: missing.h"
         assert err == f"error: {nest}: {missing}\nerror: {outer}: {missing}\n"
 
+    def test_parse_error_in_a_header_names_the_header(self, tmp_path, capsys):
+        """A token names the file it came from; a macro's expansion, the
+        file where the macro is used."""
+        (tmp_path / "bad.h").write_text("int k = ;\n")
+        (tmp_path / "semi.h").write_text("#define SEMI ;\n")
+        (tmp_path / "use.h").write_text("\nint j = SEMI\n")
+        files = [tmp_path / name for name in ("m.c", "n.c", "o.c")]
+        files[0].write_text('int g;\n\n#include "bad.h"\nint f(int x) { return x; }\n')
+        files[1].write_text('#include "semi.h"\nint j = SEMI\n')
+        files[2].write_text('#define SEMI ;\n#include "use.h"\n')
+        code = run_cli([str(f) for f in files] + ["--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        got = "got ';' (expected expression)"
+        assert err == (f"error: {files[0]}: {tmp_path / 'bad.h'}: line 1: {got}\n"
+                       f"error: {files[1]}: line 2: {got}\n"
+                       f"error: {files[2]}: {tmp_path / 'use.h'}: line 2: {got}\n")
+
 
 # x * 2654435761 is odd times a multiplicative-hash constant, so the second
 # branch is feasible (x = -7) but costs the solver more than its node budget.

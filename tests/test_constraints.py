@@ -130,7 +130,7 @@ class TestConjoin:
         anns = extract_annotations(fn)
         cfg = lower(unit, fn)
         layout = Layout(unit, fn, cfg, anns, Config())
-        coverage = CoverageState(enumerate_coverage_targets(cfg, "c1"))
+        coverage = CoverageState(enumerate_coverage_targets(cfg))
         tree = Stct(cfg, coverage, 256)
         trace = tree.select_trace(None)
         states = []

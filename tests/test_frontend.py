@@ -156,6 +156,22 @@ class TestParseUnit:
         with pytest.raises(SemaError):
             parse_unit("int f(int x){ return mystery(x); }")
 
+    @pytest.mark.parametrize("decl, statement, message", [
+        ("double d = x;", "d %= 2;", "line 1: % needs integer operands"),
+        ("float f = x;", "f &= 1;", "line 1: & needs integer operands"),
+        ("", "x <<= 1.5;", "line 1: << needs integer operands"),
+        ("int *p = &x;", "x += p;", "line 1: invalid operands to +="),
+        ("int a[2];", "a++;", "line 1: assignment to an array"),
+        ("int a[2];", "a += 1;", "line 1: assignment to an array"),
+    ])
+    def test_assignment_takes_its_operators_rule(self, decl, statement, message):
+        """Each is an error in gcc: invalid operands to the binary operator,
+        assignment to an array, or (since gcc 14) a pointer converted to an
+        int without a cast."""
+        with pytest.raises(SemaError) as info:
+            parse_unit(f"int f(int x) {{ {decl} {statement} return x; }}")
+        assert str(info.value) == message
+
     def test_char_escapes(self):
         unit = parse_unit("int f(void){ char c = '\\n'; return c; }")
         decl = unit.function("f").body.stmts[0]

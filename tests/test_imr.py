@@ -156,21 +156,13 @@ class TestLowering:
 
 
 class TestCoverageTargets:
-    def test_straight_line_c0_equals_c1(self):
-        cfg = build("int f(int a){ int b = a + 1; return b; }", "f")
-        assert enumerate_coverage_targets(cfg, "c0") == enumerate_coverage_targets(cfg, "c1")
-
     def test_fig3_c1_includes_both_outer_edges(self):
         cfg = build_file("fig3.c", "select_demo")
-        targets = enumerate_coverage_targets(cfg, "c1")
+        targets = enumerate_coverage_targets(cfg)
         edge_ids = {t.ident for t in targets if t.kind == "edge"}
         outer = min(decision_nodes(cfg), key=lambda n: n.nid)
         for e in cfg.out_edges(outer.nid):
             assert e.eid in edge_ids
-
-    def test_c1_superset_of_c0(self):
-        cfg = build_file("tritype_int.c", "Tritype")
-        assert enumerate_coverage_targets(cfg, "c0") <= enumerate_coverage_targets(cfg, "c1")
 
 
 class TestDump:
@@ -258,7 +250,7 @@ class TestReachMasks:
         cfgs = data_cfgs() + [build(chain(20), "chain"),
                               build("int f(int x){ for (;;) { if (x) x = x + 1; } return x; }",
                                     "f")]
-        return [(cfg, sorted(enumerate_coverage_targets(cfg, "c1"), key=_target_key))
+        return [(cfg, sorted(enumerate_coverage_targets(cfg), key=_target_key))
                 for cfg in cfgs]
 
     @settings(max_examples=40, deadline=None)
@@ -267,12 +259,9 @@ class TestReachMasks:
         for cfg, targets in cases:
             final = data.draw(st.sets(st.sampled_from(targets)) if targets else st.just(set()))
             pending = data.draw(st.sets(st.sampled_from(targets)) if targets else st.just(set()))
-            coverage = CoverageState(
-                set(targets),
-                final_nodes={t.ident for t in final if t.kind == "node"},
-                final_edges={t.ident for t in final if t.kind == "edge"},
-                pending_nodes={t.ident for t in pending if t.kind == "node"},
-                pending_edges={t.ident for t in pending if t.kind == "edge"})
+            coverage = CoverageState(set(targets))
+            coverage.uncovered = sum(1 << bit for bit, t in enumerate(coverage.ordered)
+                                     if t not in final and t not in pending)
             tree = Stct(cfg, coverage, 256)
             anchors = {cfg.edges[t.ident].src if t.kind == "edge" else t.ident
                        for t in targets if t not in final and t not in pending}

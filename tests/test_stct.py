@@ -261,50 +261,52 @@ class TestPinnedSelections:
         assert (len(log), digest) == PINNED_SELECTIONS[label]
 
 
-def _recount(cov: CoverageState) -> int:
-    """The bits of the targets that neither the final nor the pending sets
-    hold, counted from the sets."""
-    bits = 0
-    for bit, t in enumerate(cov.ordered):
-        held = cov.final_nodes | cov.pending_nodes if t.kind == "node" \
-            else cov.final_edges | cov.pending_edges
-        if t.ident not in held:
-            bits |= 1 << bit
-    return bits
+def _recount(cov: CoverageState, traces: list[tuple[set, set]]) -> int:
+    """The bits of the targets that none of the traces, given by their CFG
+    node and edge ids, passes through."""
+    nodes = set().union(*(n for n, _ in traces))
+    edges = set().union(*(e for _, e in traces))
+    return sum(1 << bit for bit, t in enumerate(cov.ordered)
+               if t.ident not in (nodes if t.kind == "node" else edges))
 
 
 class TestCoverageBits:
-    """The pending marks and uncovered bits, kept up step by step as traces
-    are marked, committed and cleared, equal a recount from scratch."""
+    """The uncovered and unfinal bits, kept up step by step as traces are
+    marked, committed and cleared, equal a recount from the traces of the
+    committed test cases and the traces marked since the last clear."""
 
     @pytest.mark.parametrize("label,text,name", PINNED_CASES,
                              ids=[c[0] for c in PINNED_CASES])
     def test_marks_and_bits_equal_a_recount(self, label, text, name, monkeypatch):
         mark, commit, clear = (CoverageState.mark_pending, CoverageState.commit_pending,
                                CoverageState.clear_pending)
-        marked = []
+        committed, marked = [], []
+
+        def check(cov):
+            assert cov.unfinal == _recount(cov, committed)
+            assert cov.uncovered == _recount(cov, committed + marked)
 
         def marking(cov, trace):
-            nodes = cov.pending_nodes | {sn.node_id for sn in trace.nodes}
-            edges = cov.pending_edges | {e.eid for e in trace.edges}
             mark(cov, trace)
-            assert (cov.pending_nodes, cov.pending_edges) == (nodes, edges)
-            assert cov.uncovered == _recount(cov)
-            marked.append(trace.mode)
+            marked.append(({sn.node_id for sn in trace.nodes}, {e.eid for e in trace.edges}))
+            check(cov)
 
         def committing(cov):
             commit(cov)
-            assert cov.uncovered == _recount(cov)
+            committed.extend(marked)
+            marked.clear()
+            check(cov)
 
         def clearing(cov):
             clear(cov)
-            assert not cov.pending_nodes and cov.uncovered == _recount(cov)
+            marked.clear()
+            check(cov)
 
         monkeypatch.setattr(CoverageState, "mark_pending", marking)
         monkeypatch.setattr(CoverageState, "commit_pending", committing)
         monkeypatch.setattr(CoverageState, "clear_pending", clearing)
         run(text, name, label, budget_ms=10**9)
-        assert marked
+        assert committed
 
 
 class TestTraces:

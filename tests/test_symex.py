@@ -35,7 +35,7 @@ def session(src: str, fn_name: str, config: Config | None = None,
     anns = extract_annotations(fn)
     cfg = lower(unit, fn)
     layout = Layout(unit, fn, cfg, anns, config or Config())
-    coverage = CoverageState(enumerate_coverage_targets(cfg, "c1"))
+    coverage = CoverageState(enumerate_coverage_targets(cfg))
     tree = Stct(cfg, coverage, 256)
     return unit, fn, anns, cfg, layout, coverage, tree
 
@@ -240,7 +240,7 @@ class TestStubInterception:
         cfg = lower(unit, fn)
         config = Config(do_not_stub=["func_ext"])
         layout = Layout(unit, fn, cfg, anns, config)
-        coverage = CoverageState(enumerate_coverage_targets(cfg, "c1"))
+        coverage = CoverageState(enumerate_coverage_targets(cfg))
         tree = Stct(cfg, coverage, 256)
         trace = tree.select_trace(None)
         with pytest.raises(StubPolicyError):
