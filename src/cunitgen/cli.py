@@ -11,13 +11,12 @@ import argparse
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import Config
 from .errors import CunitgenError
 from .frontend.parser import parse_unit
 from .frontend.preprocessor import read_source
-from .pipeline import FunctionOutcome, generate_function, write_outputs
+from .pipeline import generate_function, write_outputs
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -54,8 +53,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="write <fn>_cfg.txt next to the other outputs")
     p.add_argument("--dump-stct", action="store_true",
                    help="print the final symbolic test case tree")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="generate for this many functions concurrently")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log selected traces and constraint text")
     p.add_argument("-q", "--quiet", action="store_true")
@@ -83,7 +80,6 @@ def config_from_args(args: argparse.Namespace) -> Config:
         stub_globals=stub_globals,
         verbose=args.verbose,
         quiet=args.quiet,
-        jobs=max(1, args.jobs),
         dump_cfg=args.dump_cfg,
         dump_stct=args.dump_stct,
     )
@@ -95,16 +91,20 @@ def ship_compat_header(out_dir: str) -> None:
     shutil.copyfile(src, os.path.join(out_dir, "rtt_annotations.h"))
 
 
-def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutcome]]:
-    """Run the whole pipeline; returns (exit status, per-function outcomes).
+def generate(config: Config, sources: list[str]) -> int:
+    """Run the whole pipeline, one function at a time; returns the exit status.
 
-    A file that cannot be read or parsed costs only its own functions: its
-    diagnostic names it, the other files are still generated, and the exit
-    status is 1. So does a function whose artifacts cannot be written. An
+    Every source is parsed first, so that parse diagnostics come in the
+    order of the sources. A file that cannot be read or parsed costs only
+    its own functions: its diagnostic names it, the other files are still
+    generated, and the exit status is 1. So does a function whose artifacts
+    cannot be written, and a function whose name an earlier source already
+    defines: its files would overwrite that one's, so it writes nothing. An
     output directory that cannot be made stops the run with exit status 1.
     """
     status = 0
     work: list[tuple] = []
+    owner: dict[str, str] = {}  # function name -> the source generating it
     for path in sources:
         try:
             unit = parse_unit(read_source(path), path,
@@ -120,24 +120,26 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
                 continue
             if config.function and fn.name != config.function:
                 continue
+            if fn.name in owner:
+                status = 1
+                if not config.quiet:
+                    print(f"error [{fn.name}]: {path}: {fn.name} is already "
+                          f"generated from {owner[fn.name]}", file=sys.stderr)
+                continue
+            owner[fn.name] = path
             work.append((unit, fn))
     if config.function and not work:
         if not config.quiet:
             print(f"error: function {config.function} not found", file=sys.stderr)
-        return 1, []
+        return 1
     try:
         ship_compat_header(config.out_dir)
     except OSError as exc:
         if not config.quiet:
             print(f"error: {config.out_dir}: {exc.strerror}", file=sys.stderr)
-        return 1, []
-    if config.jobs > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(
-                lambda item: generate_function(item[0], item[1], config), work))
-    else:
-        outcomes = [generate_function(unit, fn, config) for unit, fn in work]
-    for (unit, _fn), outcome in zip(work, outcomes):
+        return 1
+    for unit, fn in work:
+        outcome = generate_function(unit, fn, config)
         if outcome.status != "ok":
             status = 1
             if not config.quiet:
@@ -161,18 +163,22 @@ def generate(config: Config, sources: list[str]) -> tuple[int, list[FunctionOutc
                   f"({outcome.elapsed_s:.2f}s)")
             if config.verbose and outcome.message:
                 print(outcome.message)
-    return status, outcomes
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse ends a usage error with status 2, which here means
+        # incomplete coverage; -h ends with 0
+        return 1 if exc.code else 0
     try:
         config = config_from_args(args)
     except (CunitgenError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    status, _ = generate(config, args.sources)
-    return status
+    return generate(config, args.sources)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,12 @@ class Config:
         self.stub_globals = {} if stub_globals is None else stub_globals
         self.verbose = verbose
         self.quiet = quiet
-        self.jobs = jobs
         self.dump_cfg = dump_cfg
         self.dump_stct = dump_stct
+        # perfbench/run.py still passes jobs=1; functions are generated one
+        # at a time, so no other value means anything
+        if jobs != 1:
+            raise ValueError("functions are generated one at a time: jobs must be 1")
         if self.ptr_array_size < 1:
             raise ValueError("pointer region size must be >= 1")
         if self.max_depth < 1:

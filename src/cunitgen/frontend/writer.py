@@ -1,7 +1,9 @@
-"""AST back to C text.
+"""AST back to C text: expressions, declarators, types and annotations.
 
-Used for the parse/print round-trip check, CFG dumps, and by the harness
-when it renders annotation expressions into driver checks.
+Used for CFG dumps, by the harness when it renders declarations and
+annotation expressions into drivers, and by the stub writer. The statement
+printer the parser round-trip test uses is a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,38 +16,23 @@ from .csyntax import (
     AnnotationKind,
     Assign,
     Bin,
-    Block,
-    Break,
     Call,
     CastExpr,
     CharLit,
     Cond,
-    Continue,
-    DeclStmt,
-    DoWhile,
-    EmptyStmt,
     Expr,
-    ExprStmt,
     FloatLit,
-    For,
-    FunctionDef,
-    If,
     Index,
     InitialRef,
     IntLit,
     Member,
     Name,
-    Return,
     ReturnRef,
     SizeofType,
-    SourceUnit,
-    Stmt,
     StrLit,
-    Switch,
     TypeDecl,
     Un,
     Update,
-    While,
 )
 
 _PREC = {
@@ -159,84 +146,6 @@ def _char_lit_text(value: int) -> str:
     return str(value)
 
 
-class _Printer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.depth = 0
-
-    def emit(self, text: str = "") -> None:
-        self.lines.append("    " * self.depth + text if text else "")
-
-    def block(self, block: Block) -> None:
-        self.emit("{")
-        self.depth += 1
-        for s in block.stmts:
-            self.stmt(s)
-        self.depth -= 1
-        self.emit("}")
-
-    def stmt(self, s: Stmt) -> None:
-        if isinstance(s, DeclStmt):
-            init = f" = {expr_to_c(s.init)}" if s.init is not None else ""
-            self.emit(f"{decl_text(s.name, s.ctype)}{init};")
-        elif isinstance(s, ExprStmt):
-            self.emit(f"{expr_to_c(s.expr)};")
-        elif isinstance(s, If):
-            self.emit(f"if ({expr_to_c(s.cond)})")
-            self.block(s.then)
-            if s.orelse is not None:
-                self.emit("else")
-                self.block(s.orelse)
-        elif isinstance(s, While):
-            self.emit(f"while ({expr_to_c(s.cond)})")
-            self.block(s.body)
-        elif isinstance(s, DoWhile):
-            self.emit("do")
-            self.block(s.body)
-            self.emit(f"while ({expr_to_c(s.cond)});")
-        elif isinstance(s, For):
-            init = ""
-            if isinstance(s.init, DeclStmt):
-                ini_val = f" = {expr_to_c(s.init.init)}" if s.init.init is not None else ""
-                init = f"{decl_text(s.init.name, s.init.ctype)}{ini_val}"
-            elif isinstance(s.init, ExprStmt):
-                init = expr_to_c(s.init.expr)
-            cond = expr_to_c(s.cond) if s.cond is not None else ""
-            step = expr_to_c(s.step) if s.step is not None else ""
-            self.emit(f"for ({init}; {cond}; {step})")
-            self.block(s.body)
-        elif isinstance(s, Switch):
-            self.emit(f"switch ({expr_to_c(s.scrutinee)})")
-            self.emit("{")
-            self.depth += 1
-            for case in s.cases:
-                label = "default:" if case.value is None else f"case {case.value}:"
-                self.emit(label)
-                self.depth += 1
-                for inner in case.body:
-                    self.stmt(inner)
-                self.depth -= 1
-            self.depth -= 1
-            self.emit("}")
-        elif isinstance(s, Break):
-            self.emit("break;")
-        elif isinstance(s, Continue):
-            self.emit("continue;")
-        elif isinstance(s, Return):
-            if s.value is None:
-                self.emit("return;")
-            else:
-                self.emit(f"return {expr_to_c(s.value)};")
-        elif isinstance(s, Block):
-            self.block(s)
-        elif isinstance(s, Annotation):
-            self.emit(annotation_to_c(s))
-        elif isinstance(s, EmptyStmt):
-            self.emit(";")
-        else:
-            raise TypeError(f"cannot print {s!r}")
-
-
 def annotation_to_c(ann: Annotation) -> str:
     k = ann.kind
     if k is AnnotationKind.AUX:
@@ -256,22 +165,6 @@ def annotation_to_c(ann: Annotation) -> str:
     return f"{macro}({expr_to_c(ann.exprs[0])});"
 
 
-def function_to_c(fn: FunctionDef) -> list[str]:
-    if fn.params:
-        params = ", ".join(decl_text(p.name, p.ctype).strip() for p in fn.params)
-    else:
-        params = "void"
-    ret = type_text(fn.return_type)
-    sep = "" if ret.endswith("*") else " "
-    head = f"{ret}{sep}{fn.name}({params})"
-    if fn.body is None:
-        return [head + ";"]
-    printer = _Printer()
-    printer.emit(head)
-    printer.block(fn.body)
-    return printer.lines
-
-
 def typedecl_to_c(td: TypeDecl) -> list[str]:
     if isinstance(td.ctype, StructType) and td.name.startswith(("struct ", "union ")):
         st = td.ctype
@@ -288,20 +181,3 @@ def typedecl_to_c(td: TypeDecl) -> list[str]:
         tag = td.name[len("enum "):]
         return [f"enum {tag} {{ {body} }};"]
     return [f"typedef {decl_text(td.name, td.ctype)};"]
-
-
-def unit_to_c(unit: SourceUnit) -> str:
-    lines: list[str] = []
-    for td in unit.typedecls:
-        lines.extend(typedecl_to_c(td))
-        lines.append("")
-    for g in unit.globals:
-        prefix = "extern " if g.is_extern else ""
-        init = f" = {expr_to_c(g.init)}" if g.init is not None else ""
-        lines.append(f"{prefix}{decl_text(g.name, g.ctype)}{init};")
-    if unit.globals:
-        lines.append("")
-    for fn in unit.functions:
-        lines.extend(function_to_c(fn))
-        lines.append("")
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""SMT-LIB2 emission and re-parsing for path constraints.
+"""SMT-LIB2 emission for path constraints, and the model files that answer it.
 
 Integers map to fixed-width bit-vectors, floats to IEEE FloatingPoint
 sorts. Symbol names are emitted as quoted symbols |...| which makes the
@@ -12,8 +12,10 @@ that region ([0, dim) of the region, 0 for null). The text therefore states
 the problem the built-in solver decides, and ends in (check-sat) and
 (get-model).
 
-parse_smtlib() reads back the subset this module emits and rebuilds an
-equisatisfiable constraint, which is what the round-trip tests check.
+The reader of this text, parse_smtlib(), is a test oracle in
+``tests/oracles.py``: it rebuilds an equisatisfiable constraint, which is
+what the round-trip tests check.
+
 Model files for the smtlib-out solver mode use a line-oriented
 name = value format, parsed by parse_model_file(). The pipeline reads each
 value by its symbol's sort and offers the answer to the solver as a hint,
@@ -28,21 +30,17 @@ from .constraints import Constraint, FreeSymbol
 from .errors import CunitgenError
 from .solver import narrowed_domain, paired_range
 from .symexpr import (
-    FALSE,
-    TRUE,
     BinOp,
     Cast,
     Const,
     Ite,
     Range,
-    Role,
     Sym,
     SymExpr,
     UnOp,
     free_symbols,
-    negate,
 )
-from .typesys import BOOL, DOUBLE, FLOAT, FloatType, IntType, UINT, wrap_int
+from .typesys import BOOL, FloatType, IntType, UINT, wrap_int
 
 _INT_OPS_SIGNED = {
     "+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvsdiv", "%": "bvsrem",
@@ -253,218 +251,6 @@ def export_smtlib(constraint: Constraint) -> str:
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Parsing the emitted subset back
-
-
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtError("unterminated quoted symbol")
-            out.append(text[i:j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n()|;":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
-
-
-def _read_sexp(tokens: list[str], pos: int):
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while tokens[pos] != ")":
-            item, pos = _read_sexp(tokens, pos)
-            items.append(item)
-        return items, pos + 1
-    return tok, pos + 1
-
-
-def _sort_from_sexp(sexp) -> object:
-    if sexp == "Bool":
-        return BOOL
-    if isinstance(sexp, list) and len(sexp) == 3 and sexp[1] == "BitVec":
-        width = int(sexp[2])
-        # bit-vector sorts carry no signedness; operators re-type operands
-        return IntType(width, True, f"int{width}")
-    if isinstance(sexp, list) and sexp[1] == "FloatingPoint":
-        return FLOAT if sexp[2] == "8" else DOUBLE
-    raise SmtError(f"unknown sort {sexp}")
-
-
-_REV_SIGNED = {v: k for k, v in _INT_OPS_SIGNED.items()}
-_REV_UNSIGNED = {v: k for k, v in _INT_OPS_UNSIGNED.items()}
-_REV_FP = {"fp.lt": "<", "fp.leq": "<=", "fp.gt": ">", "fp.geq": ">=",
-           "fp.add": "+", "fp.sub": "-", "fp.mul": "*", "fp.div": "/"}
-
-
-def parse_smtlib(text: str) -> Constraint:
-    """Rebuild a constraint from text this module emitted."""
-    tokens = _tokenize(text)
-    pos = 0
-    symbols: dict[str, Sym] = {}
-    conjuncts: list[SymExpr] = []
-    while pos < len(tokens):
-        sexp, pos = _read_sexp(tokens, pos)
-        if not isinstance(sexp, list) or not sexp:
-            continue
-        head = sexp[0]
-        if head == "declare-fun":
-            name = _unquote(sexp[1])
-            ctype = _sort_from_sexp(sexp[3])
-            sym = Sym(name, ctype, _role_from_name(name))
-            symbols[name] = sym
-        elif head == "assert":
-            conjuncts.append(_expr_from_sexp(sexp[1], symbols))
-    c = Constraint(conjuncts)
-    c.free = {
-        name: FreeSymbol(name, sym.ctype, sym.role) for name, sym in symbols.items()
-    }
-    return c
-
-
-def _role_from_name(name: str) -> Role:
-    if name.endswith("@baseAddress"):
-        return Role.PTR_BASE
-    if name.endswith("@offset"):
-        return Role.PTR_OFFSET
-    if "@RETURN@" in name:
-        return Role.STUB_RETURN
-    if "@OUT" in name:
-        return Role.STUB_OUTPUT
-    if "@read@" in name:
-        return Role.FRESH_READ
-    return Role.INPUT
-
-
-def _unquote(tok: str) -> str:
-    if tok.startswith("|") and tok.endswith("|"):
-        return tok[1:-1]
-    return tok
-
-
-def _expr_from_sexp(sexp, symbols: dict[str, Sym]) -> SymExpr:
-    if isinstance(sexp, str):
-        if sexp == "true":
-            return TRUE
-        if sexp == "false":
-            return FALSE
-        name = _unquote(sexp)
-        if name in symbols:
-            return symbols[name]
-        raise SmtError(f"unknown atom {sexp}")
-    head = sexp[0]
-    if isinstance(head, list):  # an indexed operator: a cast
-        return _cast_from_sexp(head, _expr_from_sexp(sexp[-1], symbols))
-    if head == "_":
-        value = int(sexp[1][2:])
-        width = int(sexp[2])
-        t = IntType(width, True, f"int{width}")
-        return Const(wrap_int(value, t), t)
-    if head == "fp":
-        return Const(_fp_from_bits(sexp), DOUBLE if len(sexp[2]) - 2 == 11 else FLOAT)
-    if head == "not":
-        return negate(_expr_from_sexp(sexp[1], symbols))
-    if head in ("and", "or"):
-        op = "&&" if head == "and" else "||"
-        parts = [_expr_from_sexp(s, symbols) for s in sexp[1:]]
-        out = parts[0]
-        for p in parts[1:]:
-            out = BinOp(op, out, p, BOOL)
-        return out
-    if head == "ite":
-        c = _expr_from_sexp(sexp[1], symbols)
-        a = _expr_from_sexp(sexp[2], symbols)
-        b = _expr_from_sexp(sexp[3], symbols)
-        return Ite(c, a, b, a.ctype)
-    if head in ("=", "fp.eq", "distinct"):
-        a = _expr_from_sexp(sexp[1], symbols)
-        b = _expr_from_sexp(sexp[2], symbols)
-        return BinOp("!=" if head == "distinct" else "==", a, b, BOOL)
-    if head in ("bvneg", "bvnot", "fp.neg"):
-        a = _expr_from_sexp(sexp[1], symbols)
-        return UnOp("~" if head == "bvnot" else "-", a, a.ctype)
-    if head in ("fp.add", "fp.sub", "fp.mul", "fp.div"):
-        a = _expr_from_sexp(sexp[2], symbols)
-        b = _expr_from_sexp(sexp[3], symbols)
-        return BinOp(_REV_FP[head], a, b, a.ctype)
-    if head in _REV_FP:
-        a = _expr_from_sexp(sexp[1], symbols)
-        b = _expr_from_sexp(sexp[2], symbols)
-        return BinOp(_REV_FP[head], a, b, BOOL)
-    if head in _REV_SIGNED or head in _REV_UNSIGNED:
-        a = _expr_from_sexp(sexp[1], symbols)
-        b = _expr_from_sexp(sexp[2], symbols)
-        op = _REV_SIGNED.get(head) or _REV_UNSIGNED[head]
-        signed_only = {"bvsdiv", "bvsrem", "bvashr", "bvslt", "bvsle",
-                       "bvsgt", "bvsge"}
-        unsigned_only = {"bvudiv", "bvurem", "bvlshr", "bvult", "bvule",
-                         "bvugt", "bvuge"}
-        if head in signed_only or head in unsigned_only:
-            a = _retype_int(a, head in signed_only)
-            b = _retype_int(b, head in signed_only)
-        if op in ("<", "<=", ">", ">="):
-            return BinOp(op, a, b, BOOL)
-        return BinOp(op, a, b, a.ctype)
-    raise SmtError(f"cannot parse {sexp}")
-
-
-def _cast_from_sexp(head: list, a: SymExpr) -> SymExpr:
-    """The cast ``_cast_text`` writes as the indexed operator head on a."""
-    op, n = head[1], int(head[2])
-    if op == "extract":
-        return Cast(a, IntType(n + 1, True, f"int{n + 1}"))
-    if op in ("sign_extend", "zero_extend"):
-        a = _retype_int(a, op == "sign_extend")  # the operand's signedness extends
-        assert isinstance(a.ctype, IntType)
-        return Cast(a, IntType(a.ctype.width + n, True, f"int{a.ctype.width + n}"))
-    if op in ("to_fp", "to_fp_unsigned"):
-        if isinstance(a.ctype, IntType):
-            a = _retype_int(a, op == "to_fp")
-        return Cast(a, FLOAT if n == 8 else DOUBLE)
-    if op in ("fp.to_sbv", "fp.to_ubv"):
-        signed = op == "fp.to_sbv"
-        return Cast(a, IntType(n, signed, f"{'' if signed else 'u'}int{n}"))
-    raise SmtError(f"indexed operator {head}")
-
-
-def _retype_int(e: SymExpr, signed: bool) -> SymExpr:
-    if isinstance(e.ctype, IntType) and e.ctype.signed != signed:
-        t = IntType(e.ctype.width, signed, f"{'' if signed else 'u'}int{e.ctype.width}")
-        if isinstance(e, Const):
-            return Const(wrap_int(int(e.value), t), t)
-        return Cast(e, t)
-    return e
-
-
-def _fp_from_bits(sexp) -> float:
-    sign = sexp[1][2:]
-    exp = sexp[2][2:]
-    mant = sexp[3][2:]
-    bits = int(sign + exp + mant, 2)
-    if len(exp) == 8:
-        return struct.unpack(">f", struct.pack(">I", bits))[0]
-    return struct.unpack(">d", struct.pack(">Q", bits))[0]
 
 
 def parse_model_file(text: str, free: dict[str, FreeSymbol] | None = None

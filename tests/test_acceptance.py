@@ -13,12 +13,12 @@ import time
 import pytest
 
 from conftest import compile_c, data_path, read_data, run_exe
+from oracles import parse_smtlib
 
 from cunitgen.cli import main as cli_main, ship_compat_header
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.pipeline import generate_function, write_outputs
-from cunitgen.smtlib import parse_smtlib
 
 
 def criterion(num: int, title: str):

@@ -45,7 +45,7 @@ def test_benchmark_wrappers_see_every_layer(tmp_path, monkeypatch):
     log.install()
     try:
         ship_compat_header(out_dir)
-        config = Config(out_dir=out_dir, quiet=True, jobs=1)
+        config = Config(out_dir=out_dir, quiet=True)
         unit = parser_mod.parse_unit(TWO_BRANCHES, "two.c")
         log.function = "two"
         tracer.set_function("two")

@@ -93,6 +93,34 @@ class TestExitCodes:
                         "--out-dir", str(tmp_path), "-q"])
         assert code == 1
 
+    @pytest.mark.parametrize("option", [["--coverage", "c2"], ["--jobs", "2"]])
+    def test_usage_error_exits_one(self, tmp_path, capsys, option):
+        # 2 would mean that coverage is incomplete
+        out = tmp_path / "gen"
+        code = run_cli([data_path("alloc.c"), *option, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err[0].startswith("usage: cunitgen "), err
+        assert err[-1].startswith("cunitgen: error: "), err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli(["-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cunitgen ")
+
+    def test_function_defined_by_two_units_is_generated_once(self, tmp_path, capsys):
+        first, second = data_path("tritype_int.c"), data_path("tritype_float.c")
+        alone = tmp_path / "alone"
+        assert run_cli([first, "--out-dir", str(alone), "-q"]) == 0
+        out = tmp_path / "gen"
+        code = run_cli([first, second, "--out-dir", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err == [f"error [Tritype]: {second}: Tritype is already generated "
+                       f"from {first}"]
+        # the files are the first unit's, and none was written over
+        assert tree_digest(str(out)) == tree_digest(str(alone))
+
 
     def test_void_cast_statement(self, tmp_path):
         src = tmp_path / "voidcast.c"
@@ -680,15 +708,6 @@ class TestFlags:
         run_cli([data_path("alloc.c"), "--out-dir", str(tmp_path), "-q"])
         assert (tmp_path / "rtt_annotations.h").exists()
 
-    def test_jobs_parallel_same_results(self, tmp_path):
-        one = tmp_path / "one"
-        many = tmp_path / "many"
-        run_cli([data_path("tritype_int.c"), data_path("alloc_ptr.c"),
-                 "--out-dir", str(one), "-q"])
-        run_cli([data_path("tritype_int.c"), data_path("alloc_ptr.c"),
-                 "--jobs", "4", "--out-dir", str(many), "-q"])
-        assert tree_digest(str(one)) == tree_digest(str(many))
-
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
@@ -708,7 +727,7 @@ class TestSmtlibOut:
         assert code == 0
         smt_files = sorted(p for p in os.listdir(tmp_path) if p.endswith(".smt2"))
         assert smt_files
-        from cunitgen.smtlib import parse_smtlib
+        from oracles import parse_smtlib
 
         for name in smt_files:
             text = (tmp_path / name).read_text()

@@ -5,6 +5,7 @@ from enum import Enum
 import pytest
 
 from conftest import read_data, same_records
+from oracles import unit_to_c
 
 from cunitgen.errors import (
     AnnotationPlacementError,
@@ -22,7 +23,6 @@ from cunitgen.frontend.csyntax import (
     FunctionDef,
     Name,
 )
-from cunitgen.frontend.writer import unit_to_c
 from cunitgen.typesys import (
     DOUBLE,
     INT,

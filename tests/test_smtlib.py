@@ -4,11 +4,12 @@ import os
 
 import pytest
 from conftest import data_path, exported_candidates
+from oracles import parse_smtlib
 
 from cunitgen.cli import main
 
 from cunitgen.constraints import Constraint, FreeSymbol
-from cunitgen.smtlib import export_smtlib, parse_model_file, parse_smtlib
+from cunitgen.smtlib import export_smtlib, parse_model_file
 from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Role, Sym, mk_binop, mk_cast, mk_range
 from cunitgen.typesys import DOUBLE, FLOAT, INT, SCHAR, SHORT, UCHAR, UINT

@@ -1,10 +1,11 @@
 """Static checks: every global name the code reads is defined somewhere,
 every name a module imports is used, every function, method and class is
-referenced by the code under src/ (test oracles excepted), every field a
-class's __init__ sets is read there (a few kept for outside readers
-excepted), no module imports dataclasses, no function mutates a
+referenced by the code under src/ (test oracles live in tests/oracles.py),
+every field a class's __init__ sets is read there (a few kept for outside
+readers excepted), no module imports dataclasses, no function mutates a
 module-level container, no code takes a list's first element with
-``.pop(0)``, and some call passes each defaulted parameter.
+``.pop(0)``, some call passes each defaulted parameter, and README's
+command-line block lists exactly the CLI's options.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -17,11 +18,15 @@ level must also appear as a name in that module's syntax tree, except for
 import ast
 import builtins
 import os
+import re
 import symtable
 
 import pytest
 
+from cunitgen.cli import build_arg_parser
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "cunitgen")
+README = os.path.join(SRC, "..", "..", "README.md")
 MODULE_DUNDERS = {"__file__", "__name__", "__doc__", "__package__", "__spec__",
                   "__loader__", "__path__", "__builtins__"}
 
@@ -92,13 +97,9 @@ def test_check_sees_an_unused_import():
     assert unused_imports(src) == ["c"]
 
 
-# Definitions that only tests reach, each kept as an oracle for them.
-TEST_ORACLES = {
-    "smtlib.py: parse_smtlib": "reads an exported .smt2 back, so tests can "
-                               "check the export against the constraint it states",
-    "frontend/writer.py: unit_to_c": "prints a parsed unit as C, which the parser "
-                                     "round-trip test compares with its input",
-}
+# Definitions under src/ that only tests reach. An oracle that only tests
+# run belongs in tests/oracles.py instead.
+TEST_ORACLES: dict[str, str] = {}
 
 
 def unreferenced_definitions(src_dir: str) -> list[str]:
@@ -138,6 +139,8 @@ _SELECTION_LOG = ("the selection log is part of generate_function's result: "
                   "perfbench/run.py's counters read verdict, the STCT tests "
                   "read labels")
 UNREAD_FIELDS = {
+    "frontend/csyntax.py: VarDecl.is_extern": "the parsed unit records it; the unit "
+                                              "printer in tests/oracles.py reads it",
     "pipeline.py: SelectionRecord.labels": _SELECTION_LOG,
     "pipeline.py: SelectionRecord.verdict": _SELECTION_LOG,
 }
@@ -504,3 +507,37 @@ def test_default_check_sees_an_unset_default(tmp_path):
         "    return f(*args)\n")
     assert unset_defaults(str(tmp_path), [str(tmp_path)]) == [
         "m.py: P(by_pos)", "m.py: P(never)", "m.py: P.m(k)", "m.py: g(w)"]
+
+
+def readme_options(text: str) -> set[str]:
+    """The options README's "Command line" block lists: the flags in the
+    first column of each of its lines that starts with a dash."""
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    found: set[str] = set()
+    for line in block.splitlines():
+        column = re.split(r"\s{2,}", line.strip())[0]
+        if column.startswith("-"):
+            found |= set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", column))
+    return found
+
+
+def parser_options() -> set[str]:
+    return {s for action in build_arg_parser()._actions
+            for s in action.option_strings} - {"-h", "--help"}
+
+
+def _readme() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_readme_lists_the_cli_options():
+    assert readme_options(_readme()) == parser_options()
+
+
+def test_readme_check_sees_a_stale_and_a_missing_option():
+    text = _readme()
+    dump_cfg = re.search(r"\n  --dump-cfg .*", text).group()
+    stale = text.replace(dump_cfg, "\n  --jobs N                process functions "
+                                   "concurrently", 1)
+    assert readme_options(stale) ^ parser_options() == {"--jobs", "--dump-cfg"}
