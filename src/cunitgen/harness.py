@@ -457,26 +457,49 @@ def _needed_initials(tc: TestCase, anns: AnnotationSet) -> set[str]:
 # Reports
 
 
-def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase]
-                 ) -> CoverageReport:
+def build_report(cfg: Cfg, coverage: CoverageState, test_cases: list[TestCase],
+                 criterion: str = "c1") -> CoverageReport:
     unfinal = coverage.unfinal
     missed_nodes = sum(1 for bit in coverage.node_bit.values() if unfinal & bit)
-    missed_edges = [eid for eid, bit in coverage.edge_bit.items() if unfinal & bit]
+    missed_edges = sorted(eid for eid, bit in coverage.edge_bit.items() if unfinal & bit)
     # an untried prefix may reach these nodes through a depth-bounded subtree
     truncated = cfg.distances(coverage.bound_nodes)
     # ... or through a subtree pruned on an unknown verdict
     undecided = cfg.distances(coverage.unknown_nodes)
+    # why generation stopped before exhausting the tree, if it did: c0
+    # stops as soon as every node is covered
+    stopped = coverage.stopped or \
+        ("not-needed" if criterion == "c0" and coverage.complete_for("c0") else "")
+    # every attempt was unsat, generation ran to the end, and no untried
+    # prefix can reach the edge's source
+    attempts = coverage.attempts
+    proven = {eid for eid in missed_edges
+              if not stopped and set(attempts.get(eid, ())) == {"unsat"}
+              and cfg.edges[eid].src not in truncated
+              and cfg.edges[eid].src not in undecided}
+    # with proofs: the nodes a CFG path from the entry reaches without
+    # crossing a proven edge; an edge whose source it misses is unreachable
+    reached = cfg.distances({cfg.entry}, avoid=proven) if proven else None
     uncovered: list[dict] = []
     for eid in missed_edges:
         edge = cfg.edges[eid]
-        attempts = coverage.attempts.get(eid, [])
-        if attempts and all(a == "unsat" for a in attempts) and not coverage.stopped \
-                and edge.src not in truncated and edge.src not in undecided:
+        tried = attempts.get(eid, [])
+        if eid in proven:
             verdict = "infeasible-proven"
-        elif "unknown" in attempts or edge.src in undecided:
+        elif reached is not None and edge.src not in reached:
+            verdict = "unreachable"
+        elif "unknown" in tried or edge.src in undecided:
             verdict = "budget-exhausted"
+        elif stopped:
+            verdict = stopped
+        elif edge.src in truncated:
+            verdict = "depth-bound"
         else:
-            verdict = coverage.stopped or "depth-bound"
+            # no attempt reached the edge before the tree ran out: a verdict
+            # left undecided or the depth bound elsewhere may have hidden
+            # it; without either, every path to it was refuted
+            verdict = "budget-exhausted" if coverage.unknown_nodes else \
+                "depth-bound" if coverage.bound_nodes else "unreachable"
         uncovered.append({
             "kind": "edge",
             "id": eid,

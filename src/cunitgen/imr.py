@@ -159,8 +159,10 @@ class Cfg:
         # label edges with it on every selection
         self.guard_texts = [_render_guard(self, e) for e in self.edges]
 
-    def distances(self, starts: set[int], forward: bool = True) -> dict[int, int]:
-        """Fewest edges from the nearest of starts to every node it reaches.
+    def distances(self, starts: set[int], forward: bool = True,
+                  avoid: set[int] = frozenset()) -> dict[int, int]:
+        """Fewest edges from the nearest of starts to every node it reaches
+        without crossing an edge whose id is in avoid.
 
         Against the edges (forward=False), the distances are to the starts
         from every node that reaches one of them. The keys are exactly the
@@ -173,7 +175,7 @@ class Cfg:
             for nid in frontier:
                 for e in (self._out[nid] if forward else self._in[nid]):
                     other = e.dst if forward else e.src
-                    if other not in dist:
+                    if other not in dist and e.eid not in avoid:
                         dist[other] = dist[nid] + 1
                         nxt.append(other)
             frontier = nxt
@@ -214,13 +216,16 @@ class Target(Frozen):
         self.__dict__.update(kind=kind, ident=ident)  # kind: "node" or "edge"
 
 
-def enumerate_coverage_targets(cfg: Cfg) -> set[Target]:
-    """The C1 targets: every reachable executable node and guarded decision
-    edge. C0 asks for the node targets alone (CoverageState.complete_for)."""
-    nodes = {Target("node", n.nid) for n in cfg.nodes
-             if n.executable and n.nid not in cfg.unreachable}
-    return nodes | {Target("edge", e.eid) for e in cfg.edges
-                    if e.conditional and e.src not in cfg.unreachable}
+def enumerate_coverage_targets(cfg: Cfg) -> list[Target]:
+    """The C1 targets in selection order: every guarded decision edge from
+    a reachable node, nearest the entry first, then by source, the true
+    edge before the false; then every reachable executable node. C0 asks
+    for the node targets alone (CoverageState.complete_for)."""
+    edges = sorted((e for e in cfg.edges if e.conditional and e.src not in cfg.unreachable),
+                   key=lambda e: (cfg.root_distance(e), e.src, e.polarity is not True, e.eid))
+    return [Target("edge", e.eid) for e in edges] \
+        + [Target("node", n.nid) for n in cfg.nodes
+           if n.executable and n.nid not in cfg.unreachable]
 
 
 class _Lowerer:

@@ -148,7 +148,7 @@ class _Session:
             self._generate(out)
             self._missing_tag_pass(out)
             out.criterion_complete = coverage.complete_for(self.config.coverage)
-            out.report = build_report(cfg, coverage, out.test_cases)
+            out.report = build_report(cfg, coverage, out.test_cases, self.config.coverage)
             out.stub_specs = build_stub_specs(out.test_cases, layout)
         except CunitgenError as exc:
             out.status = "error"
@@ -256,6 +256,8 @@ class _Session:
                 failing, verdict = self._min_failing_index(constraint)
                 if failing < 0:
                     record.verdict = "preconditions-unsat"
+                    if verdict == "unknown":  # nothing was decided
+                        coverage.unknown_nodes.add(cfg.entry)
                     break
                 edge = tree.prune_infeasible(trace, failing)
                 coverage.record_attempt(edge, verdict)

@@ -1,25 +1,31 @@
-"""Symbolic test case tree: lazy expansion and prioritized trace selection.
+"""Symbolic test case tree: lazy expansion and best-first trace selection.
 
 The tree stores bounded paths through the CFG. A node is the pair (CFG node
 id, occurrence number k); (n, k) is unique in the tree even when n repeats
-along cyclic paths. Expansion is incremental: children are added node by
-node along unconditional chains and stops as soon as an uncovered edge with
-a non-trivial guard shows up at the frontier, or when no expansion below a
-node can reveal further uncovered edges. That last test reads a reach mask.
+along cyclic paths. A node gets its children only when a search takes it
+off its heap or a trace slides through it along an unconditional chain.
+
 Coverage is one bit per target, held in CoverageState.uncovered (no test
 case and no pending trace covers it) and CoverageState.unfinal (no test
-case covers it), kept up as traces are marked, committed and cleared. Each
-CFG node has a mask of the targets it reaches, computed once per function,
-and expansion goes on below a node only while its mask meets uncovered.
+case covers it). The bits follow selection order, edges nearest the entry
+first, so the best of a set of targets is its lowest bit. A tree node's
+live mask holds the targets it may still reach: its CFG node's reach mask
+until it has children, then its own bit and each child's in-edge bit and
+live mask. The depth bound and pruning only shrink it, upward.
 
-Selection extends the trace currently under investigation when its frontier
-still offers an uncovered non-trivial edge; otherwise it runs the trace to
-the exit to finish a test case, and after that picks the globally closest
-uncovered edge (shortest CFG distance from the start node, ties broken by
-smaller node id, then true before false), finds a tree instance of it and
-walks bottom-up to the root. An extension or completion is the active trace
-followed by the new path from its leaf down: its upward walk stops at the
-active leaf instead of the root.
+Selection is one best-first descent over the nodes whose live mask meets
+the wanted bits, keyed by the lowest such bit, then deepest first (a
+descent heads down instead of sweeping the levels near its start), then a
+met target before a node still to expand, then insertion order. Extension
+descends from the active trace's leaf, wants the uncovered edges and stops
+at the first one met; failing that, completion runs the trace to the exit
+along a shortest path, a heap keyed by depth plus the CFG distance to the
+exit. A fresh trace descends from the root, wanting every target no test
+case covers and passing through the targets it meets, so that it also
+finds an uncovered node behind covered edges. An extension or completion
+is the active trace followed by the new path from its leaf down. A search
+that finds nothing has expanded every node whose live mask met its wanted
+bits.
 
 The depth bound is enforced once, when a node is created: a node at depth
 d (the root has depth 0) gets no child c when d + 1 plus the CFG distance
@@ -36,22 +42,24 @@ be neither extended nor completed loses its leaf the same way.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .imr import Cfg, CfgEdge, Target
 
 
 class StctNode:
     # deep functions grow trees of many thousand nodes
-    __slots__ = ("node_id", "k", "parent", "in_edge", "depth", "serial", "children",
+    __slots__ = ("node_id", "k", "parent", "in_edge", "depth", "live", "children",
                  "expanded")
 
     def __init__(self, node_id: int, k: int, parent: StctNode | None,
-                 in_edge: CfgEdge | None, depth: int, serial: int):
+                 in_edge: CfgEdge | None, depth: int, live: int):
         self.node_id = node_id
         self.k = k
         self.parent = parent
         self.in_edge = in_edge
         self.depth = depth
-        self.serial = serial
+        self.live = live  # the bits of the targets it may still reach
         self.children: list[StctNode] = []
         self.expanded = False
 
@@ -91,13 +99,14 @@ class Trace:
 
 
 class CoverageState:
-    """Coverage is one bit per target, in kind and id order (ordered):
-    uncovered holds the bits of the targets that neither a test case nor a
-    trace marked pending covers, unfinal those no test case covers.
-    Selection meets uncovered with its reach masks; reports read unfinal."""
+    """Coverage is one bit per target, in the selection order of
+    enumerate_coverage_targets (ordered), edges before nodes: uncovered
+    holds the bits of the targets that neither a test case nor a trace
+    marked pending covers, unfinal those no test case covers. Selection
+    meets uncovered with the tree's live masks; reports read unfinal."""
 
-    def __init__(self, targets: set[Target]):
-        self.ordered = sorted(targets, key=lambda t: (t.kind, t.ident))
+    def __init__(self, targets: list[Target]):
+        self.ordered = list(targets)
         self.node_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
                          if t.kind == "node"}
         self.edge_bit = {t.ident: 1 << bit for bit, t in enumerate(self.ordered)
@@ -108,8 +117,9 @@ class CoverageState:
         self.attempts: dict[int, list[str]] = {}
         # CFG nodes of tree nodes refused a child by the depth bound
         self.bound_nodes: set[int] = set()
-        # CFG destinations of edges pruned on an unknown verdict: nothing
-        # behind them was decided
+        # CFG nodes behind which nothing was decided: destinations of edges
+        # pruned on an unknown verdict, the entry when the assumptions alone
+        # were undecided
         self.unknown_nodes: set[int] = set()
         # why generation stopped before exhausting the tree, if it did:
         # time-budget or iteration-bound
@@ -155,30 +165,28 @@ class Stct:
         self.cfg = cfg
         self.coverage = coverage
         self.max_depth = max_depth
-        self.root = StctNode(cfg.entry, 0, None, None, 0, 0)
-        self._serial = 1  # the serial the next node gets
+        # by CFG node: the bits of the targets it reaches, each anchored
+        # where it is reached: an edge's source, a node itself
+        reach = cfg.reach_masks([cfg.edges[t.ident].src if t.kind == "edge"
+                                 else t.ident for t in coverage.ordered])
+        self.root = StctNode(cfg.entry, 0, None, None, 0, reach[cfg.entry])
         self._k = [0] * len(cfg.nodes)  # by CFG node: occurrences made so far
         self._k[cfg.entry] = 1
-        # by CFG edge id: the tree nodes entered through it
-        self.instances: list[list[StctNode]] = [[] for _ in cfg.edges]
         self.exhausted = False  # retiring a trace left the root without a child
-        # by CFG node: the bits (coverage.ordered) of the targets it reaches,
-        # each anchored where it is reached: an edge's source, a node itself
-        self._reach = cfg.reach_masks([cfg.edges[t.ident].src if t.kind == "edge"
-                                       else t.ident for t in coverage.ordered])
-        # by CFG node: its out edges, each with its destination, that
-        # destination's distance to the exit, which the depth bound reads,
-        # and the edge's instances
-        self._outs = [[(e, e.dst, cfg.exit_distance(e.dst), self.instances[e.eid])
-                       for e in cfg.out_edges(n.nid)] for n in cfg.nodes]
-        # by CFG edge id: its selection priority, lowest first: the edge's
-        # distance from the root, its source, the true edge before the false
-        self._priority = [(cfg.root_distance(e), e.src, 0 if e.polarity else 1)
-                          for e in cfg.edges]
         # by CFG edge id: its bit in coverage, 0 for an edge that is no
         # target; every conditional edge in the tree is one, since every
         # tree node descends from the entry
-        self._bit = [coverage.edge_bit.get(e.eid, 0) for e in cfg.edges]
+        self._bit = bit = [coverage.edge_bit.get(e.eid, 0) for e in cfg.edges]
+        self._edge_bits = (1 << len(coverage.edge_bit)) - 1  # edges hold the low bits
+        # by CFG node: its bit in coverage, 0 for a node that is no target
+        self._node_bit = [coverage.node_bit.get(n.nid, 0) for n in cfg.nodes]
+        # by CFG node: its distance to the exit, which the depth bound and
+        # completion read
+        self._to_exit = to_exit = [cfg.exit_distance(n.nid) for n in cfg.nodes]
+        # by CFG node: its out edges, each with its bit, its destination,
+        # that destination's distance to the exit and its reach mask
+        self._outs = [[(e, bit[e.eid], e.dst, to_exit[e.dst], reach[e.dst])
+                       for e in cfg.out_edges(n.nid)] for n in cfg.nodes]
 
     # -- construction ---------------------------------------------------------
 
@@ -188,42 +196,31 @@ class Stct:
         node.expanded = True
         room = self.max_depth - node.depth - 1  # edges left below a child
         depth = node.depth + 1
-        occurrences, serial, children = self._k, self._serial, node.children
-        for edge, dst, to_exit, instances in self._outs[node.node_id]:
+        occurrences, children = self._k, node.children
+        live = self._node_bit[node.node_id]
+        for edge, bit, dst, to_exit, reach in self._outs[node.node_id]:
             if to_exit > room:
                 self.coverage.bound_nodes.add(node.node_id)
                 continue
             k = occurrences[dst]
             occurrences[dst] = k + 1
-            child = StctNode(dst, k, node, edge, depth, serial)
-            serial += 1
-            children.append(child)
-            instances.append(child)
-        self._serial = serial
+            children.append(StctNode(dst, k, node, edge, depth, reach))
+            live |= bit | reach
+        if live != node.live:  # the bound refused a child
+            node.live = live
+            self._shrink(node.parent)
 
-    def expand(self, leaf: StctNode) -> int:
-        """Incremental expansion below leaf; returns number of nodes added.
-
-        Descends through unconditional and already-covered edges, stopping
-        a branch at the first uncovered non-trivial edge and wherever no
-        uncovered target is reachable any more.
-        """
-        before = self._serial
-        reach, uncovered, bit = self._reach, self.coverage.uncovered, self._bit
-        work = [leaf]
-        for node in work:  # appended to while it runs: a breadth-first queue
-            if not reach[node.node_id] & uncovered:
-                continue
-            self.ensure_children(node)
+    def _shrink(self, node: StctNode | None) -> None:
+        """Recompute the live masks from node upward while they shrink."""
+        bit, node_bit = self._bit, self._node_bit
+        while node is not None:
+            live = node_bit[node.node_id]
             for child in node.children:
-                if child.expanded:
-                    continue
-                e = child.in_edge
-                assert e is not None
-                if uncovered & bit[e.eid]:
-                    continue  # frontier target: stop this branch
-                work.append(child)
-        return self._serial - before
+                live |= bit[child.in_edge.eid] | child.live
+            if live == node.live:
+                return
+            node.live = live
+            node = node.parent
 
     # -- traces ----------------------------------------------------------------
 
@@ -275,95 +272,72 @@ class Stct:
         continuations were pruned) can never become a test case, and is
         retired.
         """
-        self.ensure_children(self.root)
+        coverage = self.coverage
         if active is not None and not active.complete:
-            extended = self._extend(active)
-            if extended is not None:
-                return extended
-            completed = self._complete(active)
-            if completed is not None:
-                return completed
+            node = self._search(active.leaf, coverage.uncovered & self._edge_bits, False)
+            if node is not None:
+                return self.trace_to(node, "extend", node.in_edge, active)
+            node = self._complete(active.leaf)
+            if node is not None:
+                return self.trace_to(node, "complete", None, active)
             self.retire(active)
-        return None if self.exhausted else self._fresh()
-
-    def _extend(self, active: Trace) -> Trace | None:
-        leaf = active.leaf
-        self.expand(leaf)
-        uncovered, bit, priority = self.coverage.uncovered, self._bit, self._priority
-        best: StctNode | None = None
-        best_key: tuple[tuple[int, int, int], int] | None = None
-        work = [leaf]
-        for node in work:  # appended to while it runs: a breadth-first queue
-            for child in node.children:
-                e = child.in_edge
-                assert e is not None
-                if uncovered & bit[e.eid]:
-                    key = (priority[e.eid], child.serial)
-                    if best_key is None or key < best_key:
-                        best, best_key = child, key
-                    continue
-                work.append(child)
-        if best is None:
+        if self.exhausted:
             return None
-        return self.trace_to(best, "extend", best.in_edge, active)
+        # a fresh trace starts over: what a retired trace marked is wanted
+        node = self._search(self.root, coverage.unfinal, True)
+        return None if node is None else self.trace_to(node, "fresh", node.in_edge)
 
-    def _complete(self, active: Trace) -> Trace | None:
-        """Shortest continuation from the active leaf to the exit node."""
-        frontier = [active.leaf]
-        while frontier:
-            nxt: list[StctNode] = []
-            for node in frontier:
-                self.ensure_children(node)
-                for child in node.children:
-                    if child.node_id == self.cfg.exit:
-                        return self.trace_to(child, "complete", None, active)
-                    nxt.append(child)
-            frontier = nxt
+    def _search(self, start: StctNode, want: int, through: bool) -> StctNode | None:
+        """The first node at or below start that meets a wanted target, by
+        its in-edge or its own bit, in the order of the heap key (see the
+        module docstring), or None. Only the nodes taken off the heap get
+        children. With through, the descent goes on below a met target;
+        without, a met target ends its branch."""
+        bit, node_bit = self._bit, self._node_bit
+        heap: list[tuple[int, int, int, int, StctNode]] = []
+        hit = node_bit[start.node_id] & want
+        if hit:
+            heap.append((hit & -hit, -start.depth, 0, 0, start))
+        live = start.live & want
+        if live:
+            heappush(heap, (live & -live, -start.depth, 1, 1, start))
+        count = 2
+        while heap:
+            _, _, expand, _, node = heappop(heap)
+            if not expand:
+                return node
+            self.ensure_children(node)
+            for child in node.children:
+                depth = -child.depth
+                hit = (bit[child.in_edge.eid] | node_bit[child.node_id]) & want
+                if hit:
+                    heappush(heap, (hit & -hit, depth, 0, count, child))
+                    count += 1
+                    if not through:
+                        continue
+                live = child.live & want
+                if live:
+                    heappush(heap, (live & -live, depth, 1, count, child))
+                    count += 1
         return None
 
-    def _fresh(self) -> Trace | None:
-        uncovered, bit = self.coverage.uncovered, self._bit
-        while True:
-            ranked = sorted((e for e in self.cfg.edges if uncovered & bit[e.eid]),
-                            key=lambda e: self._priority[e.eid])
-            for edge in ranked:
-                options = self.instances[edge.eid]
-                if options:
-                    child = min(options, key=lambda n: (n.depth, n.serial))
-                    return self.trace_to(child, "fresh", edge)
-            if not self._forced_expansion_sweep():
-                return self._fresh_for_nodes()
-
-    def _fresh_for_nodes(self) -> Trace | None:
-        """C0 backstop: reach an uncovered node through already-covered edges."""
-        unfinal = self.coverage.unfinal
-        wanted = {nid for nid, bit in self.coverage.node_bit.items() if unfinal & bit}
-        if not wanted:
-            return None
-        best: StctNode | None = None
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.node_id in wanted:
-                if best is None or node.serial < best.serial:
-                    best = node
-            stack.extend(reversed(node.children))
-        if best is None:
-            return None
-        return self.trace_to(best, "fresh", best.in_edge)
-
-    def _forced_expansion_sweep(self) -> int:
-        grown = 0
-        stack = [self.root]
-        leaves: list[StctNode] = []
-        while stack:
-            node = stack.pop()
-            if not node.expanded:
-                leaves.append(node)
-            stack.extend(reversed(node.children))
-        for leaf in sorted(leaves, key=lambda n: n.serial):
-            grown += self.expand(leaf)
-        return grown
+    def _complete(self, start: StctNode) -> StctNode | None:
+        """The exit node of a shortest continuation from start: a
+        best-first descent keyed by depth plus the CFG distance to the
+        exit, then deepest first, then insertion order."""
+        exit_id, to_exit = self.cfg.exit, self._to_exit
+        heap: list[tuple[int, int, int, StctNode]] = [(0, 0, 0, start)]
+        count = 1
+        while heap:
+            node = heappop(heap)[3]
+            if node.node_id == exit_id:
+                return node
+            self.ensure_children(node)
+            for child in node.children:
+                heappush(heap, (child.depth + to_exit[child.node_id], -child.depth,
+                                count, child))
+                count += 1
+        return None
 
     # -- pruning -----------------------------------------------------------------
 
@@ -393,16 +367,7 @@ class Stct:
         assert parent is not None
         if node in parent.children:
             parent.children.remove(node)
-        self._deregister(node)
-
-    def _deregister(self, node: StctNode) -> None:
-        e = node.in_edge
-        if e is not None:
-            lst = self.instances[e.eid]
-            if node in lst:
-                lst.remove(node)
-        for child in node.children:
-            self._deregister(child)
+            self._shrink(parent)
 
     # -- debugging -----------------------------------------------------------------
 

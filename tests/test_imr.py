@@ -238,20 +238,16 @@ def chain(k: int) -> str:
             f"{body}\n    return r;\n}}\n")
 
 
-def _target_key(t):
-    return (t.kind, t.ident)
-
-
 class TestReachMasks:
-    """Selection's reach masks against the backward search they replace."""
+    """The reach masks selection starts from, against the backward search
+    they replace."""
 
     @pytest.fixture(scope="class")
     def cases(self):
         cfgs = data_cfgs() + [build(chain(20), "chain"),
                               build("int f(int x){ for (;;) { if (x) x = x + 1; } return x; }",
                                     "f")]
-        return [(cfg, sorted(enumerate_coverage_targets(cfg), key=_target_key))
-                for cfg in cfgs]
+        return [(cfg, enumerate_coverage_targets(cfg)) for cfg in cfgs]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -259,13 +255,16 @@ class TestReachMasks:
         for cfg, targets in cases:
             final = data.draw(st.sets(st.sampled_from(targets)) if targets else st.just(set()))
             pending = data.draw(st.sets(st.sampled_from(targets)) if targets else st.just(set()))
-            coverage = CoverageState(set(targets))
+            coverage = CoverageState(targets)
             coverage.uncovered = sum(1 << bit for bit, t in enumerate(coverage.ordered)
                                      if t not in final and t not in pending)
-            tree = Stct(cfg, coverage, 256)
+            masks = cfg.reach_masks([cfg.edges[t.ident].src if t.kind == "edge"
+                                     else t.ident for t in coverage.ordered])
+            # the root's live mask before the first selection is its node's
+            assert Stct(cfg, coverage, 256).root.live == masks[cfg.entry], cfg.name
             anchors = {cfg.edges[t.ident].src if t.kind == "edge" else t.ident
                        for t in targets if t not in final and t not in pending}
-            reached = {n.nid for n in cfg.nodes if tree._reach[n.nid] & coverage.uncovered}
+            reached = {n.nid for n in cfg.nodes if masks[n.nid] & coverage.uncovered}
             assert reached == set(cfg.distances(anchors, forward=False)), cfg.name
 
     def test_generation_runs_no_backward_search_per_expansion(self, monkeypatch):

@@ -386,8 +386,9 @@ int fg(double x)
         *[("sat", {"i": 1.0, "j": 1.0, "k": 1.0})] * 5,
         ("sat", {"i": 1.0, "j": 0.5, "k": 1.0}), ("sat", {"i": 0.5, "j": 1.0, "k": 1.0}),
         SEEDS_OUT,
-        ("sat", {"i": 0.5, "j": 1.0, "k": 1.0}), ("sat", {"i": 1.0, "j": 0.5, "k": 1.0}),
-        ("sat", {"i": 1.0, "j": 0.5, "k": 1.0})], 680),
+        ("sat", {"i": 0.5, "j": 1.0, "k": 1.0}),
+        SEEDS_OUT,
+        ("sat", {"i": 1.0, "j": 1.0, "k": 0.5}), ("sat", {"i": 1.0, "j": 1.0, "k": 0.5})], 680),
 }
 
 

@@ -162,6 +162,25 @@ def nested_ifs(levels: int) -> str:
     return f"int deep(int x) {{ int r = 0;{opens} r = 1;{' }' * levels} return r; }}"
 
 
+def completion_probe(k: int) -> str:
+    """A nested pair of decisions before k diamonds: the trace that takes
+    the inner decision's false edge has nothing left to extend and is run
+    to the exit across all k diamonds."""
+    params = "".join(f", int a{i}" for i in range(k))
+    body = "".join(f" if (a{i} > 0) {{ r = r + 1; }}" for i in range(k))
+    return (f"int h(int x, int y{params}) {{ int r = 0;"
+            f" if (x > 0) {{ if (y > 0) {{ r = 1; }} }}{body} return r; }}")
+
+
+def dead_edge(j: int) -> str:
+    """j diamonds before an infeasible edge: x < 3 under x > 5 is refuted
+    under each of the 2^j prefixes."""
+    params = "".join(f", int a{i}" for i in range(j))
+    body = "".join(f" if (a{i} > 0) {{ r = r + 1; }}" for i in range(j))
+    return (f"int h(int x{params}) {{ int r = 0;"
+            f" if (x > 5) {{{body} if (x < 3) {{ r = 99; }} }} return r; }}")
+
+
 class TestDepthBound:
     def test_nested_ifs_past_the_bound_end_at_the_bound(self):
         """Levels no trace can reach within --max-depth cost no deadline."""
@@ -171,9 +190,10 @@ class TestDepthBound:
         assert outcome.report.edges_covered + len(verdicts) == outcome.report.edges_total
 
     def test_every_tree_node_can_still_reach_the_exit(self):
-        """No node is created from which the exit lies beyond the bound."""
-        outcome = run(read_data("fig3.c"), "select_demo", max_depth=40,
-                      dump_stct=True)
+        """No node is created from which the exit lies beyond the bound,
+        though the selected traces run into it."""
+        outcome = run(nested_ifs(130), "deep", max_depth=40, dump_stct=True)
+        assert outcome.coverage.bound_nodes
         lines = outcome.stct_dump.splitlines()
         assert lines[0] == "stct" and len(lines) > 40
         for line in lines[1:]:
@@ -190,16 +210,95 @@ class TestDepthBound:
         assert not outcome.test_cases
 
 
+def tree_sizes(text: str, name: str, monkeypatch) -> tuple[int, int]:
+    """The tree nodes one generation creates, and how many of them lie on a
+    selected trace."""
+    ensure, select = Stct.ensure_children, Stct.select_trace
+    created, selected = [1], set()  # the root
+
+    def ensuring(tree, node):
+        fresh = not node.expanded
+        ensure(tree, node)
+        if fresh:
+            created[0] += len(node.children)
+
+    def selecting(tree, active):
+        trace = select(tree, active)
+        if trace is not None:
+            selected.update(trace.nodes)
+        return trace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Stct, "ensure_children", ensuring)
+        patch.setattr(Stct, "select_trace", selecting)
+        run(text, name, budget_ms=10**9)
+    return created[0], len(selected)
+
+
+class TestLazyTree:
+    """The tree holds little more than what the searches take."""
+
+    def test_deep_chain_builds_about_its_selected_traces(self, monkeypatch):
+        created, selected = tree_sizes(DEEP_K80, "deep", monkeypatch)
+        assert created <= 2 * selected
+
+    def test_completion_does_not_build_every_path_to_the_exit(self, monkeypatch):
+        """Completing across k diamonds builds one path, not 2^k."""
+        small, _ = tree_sizes(completion_probe(20), "h", monkeypatch)
+        large, _ = tree_sizes(completion_probe(40), "h", monkeypatch)
+        assert large <= 2 * small
+
+
+class TestReportVerdicts:
+    def test_edges_behind_a_proof_are_unreachable(self):
+        outcome = run("int h(int x, int y) { int r = 0; if (x > 5) { if (x < 3) {"
+                      " if (y > 0) { r = 1; } } } return r; }", "h")
+        verdicts = {u["description"].split("[")[1]: u["verdict"]
+                    for u in outcome.report.uncovered}
+        assert verdicts == {"x < 3]": "infeasible-proven", "y > 0]": "unreachable",
+                            "!(y > 0)]": "unreachable"}
+
+    def test_c0_edges_never_tried_are_not_needed(self):
+        outcome = run(read_data("fig3.c"), "select_demo", coverage="c0")
+        assert outcome.criterion_complete
+        verdicts = {u["description"].split("[")[1]: u["verdict"]
+                    for u in outcome.report.uncovered}
+        assert verdicts == {"!a]": "not-needed", "!b]": "not-needed"}
+
+    def test_unsatisfiable_preconditions_leave_every_edge_unreachable(self):
+        outcome = run("int f(int x) { __rtt_precondition(x > 0 && x < 0);"
+                      " if (x > 3) { return 1; } return 0; }", "f")
+        assert not outcome.test_cases
+        assert [u["verdict"] for u in outcome.report.uncovered] == ["unreachable"] * 2
+
+    def test_undecided_preconditions_leave_every_edge_undecided(self):
+        """x < 0 against x > 1 is refuted at once, but five search nodes do
+        not decide the assumptions alone."""
+        outcome = run("int f(int x, int y) { __rtt_precondition(x * y == 391"
+                      " && x > 1 && y > 1); if (x < 0) { return 2; } return 0; }",
+                      "f", budget_nodes=5)
+        assert [u["verdict"] for u in outcome.report.uncovered] == ["budget-exhausted"] * 2
+
+
 WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+workloads = _load_workloads()
+DEEP_K80 = workloads._chain_function("deep", workloads._seeded_chain(random.Random(1), 80))
 
 
 def _pinned_cases() -> list[tuple[str, str, str]]:
     """(label, C text, function): every tests/data function, the five
     branch-chain functions of seed 31 and a k = 80 chain, both drawn by the
-    benchmark's workload builder."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    benchmark's workload builder, the completion probe and the dead-edge
+    shape."""
     cases = []
     for name in sorted(os.listdir(DATA_DIR)):
         if name.endswith(".c"):
@@ -210,8 +309,9 @@ def _pinned_cases() -> list[tuple[str, str, str]]:
     [(_file, chains)] = workloads.branch_chain(31)
     cases += [(f"branch_chain:{fn.name}", chains, fn.name)
               for fn in parse_unit(chains, "branch_chain.c").functions]
-    deep = workloads._chain_function("deep", workloads._seeded_chain(random.Random(1), 80))
-    return cases + [("deep_k80", deep, "deep")]
+    return cases + [("deep_k80", DEEP_K80, "deep"),
+                    ("completion_probe_k20", completion_probe(20), "h"),
+                    ("dead_edge_j6", dead_edge(6), "h")]
 
 
 PINNED_CASES = _pinned_cases()
@@ -221,7 +321,10 @@ PINNED_CASES = _pinned_cases()
 # where each interpretation resumed, as recorded before selection kept reach
 # masks and built extension traces from the active trace. The lines' search
 # node counts are masked: they fell when a search began returning the box's
-# corner as soon as it verified, and every other part stayed.
+# corner as soon as it verified, and every other part stayed. The lazy tree
+# moved one: float Tritype's ninth test case takes i == j instead of
+# i == k, and the dead-edge shape tries its prefixes in another order; the
+# completion probe and the dead-edge shape were recorded with it.
 PINNED_SELECTIONS = {
     "alloc.c:alloc": (2, "04e56e7b1469e8c5612c789350c7e324b9db891e0a54c7163a193ddbaee566b3"),
     "alloc_mutated.c:alloc": (2, "04e56e7b1469e8c5612c789350c7e324b9db891e0a54c7163a193ddbaee566b3"),
@@ -233,7 +336,7 @@ PINNED_SELECTIONS = {
     "struct_input.c:classify": (6, "66bdfada6f99029fb58772e9374e5680046b4cf2ab6b1538eca24176ce53c198"),
     "table1.c:test": (2, "13155db74c8bce3daedc5cedd04d08c2716fb8322446284fb4ed9a2579d007c7"),
     "table2.c:test": (6, "fd6efe2ceefc5e9fefb8759351cd30f38492470b12b09d655908a5c7268b4a73"),
-    "tritype_float.c:Tritype": (22, "41b38cc36d93df23f56971832226667342ec88f605549790c877aa5367c2661e"),
+    "tritype_float.c:Tritype": (23, "0e437476ce58ca8ce755a6d77586afb02e7d1a07ad8faf412ba46ee29290914b"),
     "tritype_int.c:Tritype": (20, "e2b28f29e28d9cacbeaef9ed6181433529c98573d3fbe6ae6d3f6af2d6035685"),
     "branch_chain:chain_k8": (19, "11658e075ba43f6fea309cc5d61636a18261e2bd07fceafcf73a137693b4b711"),
     "branch_chain:chain_k12": (25, "fb5a88e2d8aab072d4c8001da1d44899f6b7ace7ef068db14de2d2c3ab861074"),
@@ -241,6 +344,8 @@ PINNED_SELECTIONS = {
     "branch_chain:chain_k20": (41, "1a6a1f23e0d7ea41b29e0ef7f5c2bbbbf4010cb7141e176bdf313f1050536583"),
     "branch_chain:chain_hard": (24, "cfded95ca1a0e50cf4bc1e34c8e17569f740a69466d10819404c712968e323c0"),
     "deep_k80": (161, "70633fc8fd6af4d13c8271e791a8ddcf0ac325d1df6f2a1171a80662374c15f1"),
+    "completion_probe_k20": (45, "bdd83797b8099967687183db9fc8ab119d80b0acfec1d63c5d3842eba7c9e8cd"),
+    "dead_edge_j6": (80, "969924d42a7dc737aa21a074a3cdf691489d69dd663cb8bc3d0df65b2e5c0aaa"),
 }
 
 
@@ -336,3 +441,45 @@ class TestTraces:
         monkeypatch.setattr(Stct, "select_trace", selecting)
         run(text, name, label, budget_ms=10**9)
         assert "fresh" in modes
+
+
+def _nodes(node):
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+class TestSearchExhaustion:
+    """A search that finds nothing has given children to every node whose
+    live mask meets its wanted bits, so the depth bound's refusals on the
+    way to an undecided target are all in bound_nodes; and each live mask
+    is what its node's children leave reachable."""
+
+    CASES = PINNED_CASES + [("deep_at_40", nested_ifs(130), "deep", 40),
+                            ("forever", "int forever(int n){ int i = 0;"
+                             " while (i >= 0) { i = i + 1; } return i; }", "forever", 12)]
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_empty_search_expanded_every_live_node(self, case, monkeypatch):
+        label, text, name, *depth = case
+        search = Stct._search
+        empty = []
+
+        def searching(tree, start, want, through):
+            node = search(tree, start, want, through)
+            if node is None:
+                empty.append(want)
+                for sn in _nodes(start):
+                    assert sn.expanded or not sn.live & want, sn
+            for sn in _nodes(tree.root):
+                if sn.expanded:
+                    live = tree._node_bit[sn.node_id]
+                    for child in sn.children:
+                        live |= tree._bit[child.in_edge.eid] | child.live
+                    assert sn.live == live, sn
+            return node
+
+        monkeypatch.setattr(Stct, "_search", searching)
+        outcome = run(text, name, label, budget_ms=10**9,
+                      **({"max_depth": depth[0]} if depth else {}))
+        # generation ends short of full coverage only when a search is empty
+        assert empty or not outcome.report.uncovered
