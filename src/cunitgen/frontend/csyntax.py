@@ -345,6 +345,7 @@ class SourceUnit:
         self.functions = functions
         self.globals = globals
         self.typedecls = typedecls
+        self.calls: dict[str, set[str]] = {}  # caller -> callees, from sema
 
     def function(self, name: str) -> FunctionDef:
         for f in self.functions:

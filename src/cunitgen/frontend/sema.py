@@ -414,7 +414,7 @@ class _UnitSema:
         self.env = env
         self.global_scope = _Scope()
         self.functions: dict[str, FunctionDef] = {}
-        self.calls: dict[str, set[str]] = {}
+        self.calls = unit.calls
 
     def run(self) -> None:
         for fn in self.unit.functions:

@@ -4,12 +4,14 @@ A solver model becomes a TestCase: the input cells ``replay.input_cells``
 maps it to, a stub schedule, and what concrete replay from those cells
 found: the outcome of every contract check, with the condition it
 evaluated, and the global writes that break __rtt_modifies. The driver is
-rendered from these alone. It is plain C: per test case it declares the
-auto-generated arrays some input pointer points into, each named after its
-region (two pointers whose bases agree share one), loads the stub
-schedule, assigns the input cells, snapshots __rtt_initial values, calls
-the unit under test and checks every applicable contract, printing one
-PASS/FAIL line each. Its exit status is the number of outcomes that
+rendered from these alone. It is plain C and the whole test procedure: it
+defines the stubs of the external functions its unit calls
+(``stubs.emit_stub``), so it builds with its unit alone. Per test case it
+declares the auto-generated arrays some input pointer points into, each
+named after its region (two pointers whose bases agree share one), loads
+the stub schedule, assigns the input cells, snapshots __rtt_initial values,
+calls the unit under test and checks every applicable contract, printing
+one PASS/FAIL line each. Its exit status is the number of outcomes that
 differed from the generation-time prediction.
 """
 
@@ -37,7 +39,7 @@ from .replay import (
     pointer_value,
 )
 from .stct import CoverageState, Trace
-from .stubs import StubSpec, c_literal, control_names
+from .stubs import StubSpec, c_literal, control_names, emit_stub
 from .symex import Layout, PathState
 from .typesys import (
     ArrayType,
@@ -157,6 +159,13 @@ def build_stub_specs(test_cases: list[TestCase], layout: Layout) -> list[StubSpe
                     region = layout.regions.by_name.get(g)
                     if region is not None:
                         spec.globals_types[g] = region.elem_type
+    # the unit's other calls of a function it only declares need a
+    # definition to link the driver, too; an annotated prototype is defined
+    # by the unit itself once rtt_annotations.h empties its body
+    for callee in set().union(*layout.unit.calls.values()):
+        policy = layout.stub_policies.get(callee)
+        if policy is not None and policy.signature.body is None:
+            specs.setdefault(callee, StubSpec(callee, policy.signature))
     return [specs[name] for name in sorted(specs)]
 
 
@@ -189,16 +198,10 @@ def emit_driver(fn: FunctionDef, unit_globals, test_cases: list[TestCase],
     w.line(f"extern {ret_text}{sep}{fn.name}({params});")
     for g in unit_globals:
         w.line(f"extern {decl_text(g.name, g.ctype).strip()};")
-    if stub_specs:
+    for spec in stub_specs:
         w.line("")
-        w.line("/* stub controls */")
-        for spec in stub_specs:
-            tc_var, id_var, ret_var = control_names(spec.callee)
-            w.line(f"extern unsigned int {tc_var};")
-            w.line(f"extern unsigned int {id_var};")
-            if not isinstance(spec.signature.return_type, VoidType):
-                w.line(f"extern {type_text(spec.signature.return_type)} "
-                       f"{ret_var}[{max(spec.max_calls, 1)}];")
+        for line in emit_stub(spec).splitlines():
+            w.line(line)
     w.line("")
     w.line("static int ctg_checks;")
     w.line("static int ctg_failures;")

@@ -57,7 +57,7 @@ from .harness import (
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
 from .solver import Model, SolveResult, hinted_model, model_fits, solve, unchecked_symbols
 from .stct import CoverageState, Stct, Trace
-from .stubs import StubSpec, emit_stub
+from .stubs import StubSpec
 from .symex import Layout, PathState, interpret
 
 _MAX_ITERATIONS = 20000
@@ -437,9 +437,6 @@ def write_outputs(outcome: FunctionOutcome, unit: SourceUnit, config: Config) ->
                          outcome.stub_specs, outcome.layout, outcome.anns,
                          unit.typedecls)
     write_atomically(os.path.join(out_dir, f"{name}_driver.c"), driver)
-    for spec in outcome.stub_specs:
-        write_atomically(os.path.join(out_dir, f"{spec.callee}_stub.c"),
-                         emit_stub(spec))
     write_atomically(os.path.join(out_dir, f"{name}_coverage.txt"),
                      report_text(outcome.report, outcome.test_cases))
     write_atomically(os.path.join(out_dir, f"{name}_coverage.json"),

@@ -6,12 +6,14 @@ versioned stub variables: <callee>@RETURN@<k> for the return value,
 <globalName>@<callee>@<k> for globals the stub is permitted to modify. The
 version k is the running call number on the trace.
 
-For the generated test procedures each stubbed callee becomes one C file
-driven by three control variables the driver owns: _STUB_testCaseNr (set
-once per test case), _STUB_retID (reset before each call of the unit under
-test, incremented by the stub on every invocation) and _STUB_retVal (the
-per-call return schedule). Output parameters and globals are assigned under
-(testCaseNr, retID) guards.
+In a generated test procedure each external function the unit calls is a
+C definition in the driver, so a function's stubs are its own and the
+driver builds with its unit alone. Three static control variables drive
+it: _STUB_testCaseNr (set once per test case), _STUB_retID (reset before
+each call of the unit under test, incremented by the stub on every
+invocation) and _STUB_retVal (the per-call return schedule, sized by the
+function's longest). Output parameters and globals are assigned under
+(testCaseNr, retID) guards; a null output pointer is not written.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ def intercept_call(state, interp, instr: ICall) -> None:
 
     layout = state.layout
     callee = instr.callee
-    if callee in layout.config.do_not_stub:
-        raise StubPolicyError(
-            f"{callee} is on the do-not-stub list (line {instr.line})")
     policy = layout.stub_policies.get(callee)
     if policy is None:
+        if callee in layout.config.do_not_stub:
+            raise StubPolicyError(
+                f"{callee} is on the do-not-stub list (line {instr.line})")
         raise UnsupportedOperation(f"no signature known for {callee}")
     sig = policy.signature
     k = state.stub_counts.get(callee, 0)
@@ -140,7 +142,7 @@ def intercept_call(state, interp, instr: ICall) -> None:
 
 
 def control_names(callee: str) -> tuple[str, str, str]:
-    """The driver-owned test case, call counter and return schedule variables."""
+    """The stub's test case, call counter and return schedule variables."""
     return (f"{callee}_STUB_testCaseNr", f"{callee}_STUB_retID",
             f"{callee}_STUB_retVal")
 
@@ -159,26 +161,19 @@ class StubSpec:
 
 
 def emit_stub(spec: StubSpec) -> str:
-    """Compilable C stub in the retID/testCaseNr pattern."""
+    """The stub's C definition in the retID/testCaseNr pattern, with its
+    control variables static, for the driver that loads its schedule. The
+    globals it sets are the driver's extern declarations of the unit's."""
     sig = spec.signature
     tc_var, id_var, ret_var = control_names(spec.callee)
     ret_t = sig.return_type
     void_ret = isinstance(ret_t, VoidType)
-    lines = [
-        f"/* auto-generated stub for {spec.callee} */",
-        "",
-        f"unsigned int {tc_var};",
-        f"unsigned int {id_var};",
-    ]
+    lines = [f"/* stub for {spec.callee} */"]
+    if spec.schedule:  # unreferenced, so a warning, when no test case calls it
+        lines.append(f"static unsigned int {tc_var};")
+    lines.append(f"static unsigned int {id_var};")
     if not void_ret:
-        lines.append(f"{type_text(ret_t)} {ret_var}[{max(spec.max_calls, 1)}];")
-    globals_used = sorted({
-        g for calls in spec.schedule.values()
-        for call in calls for g in call.globals_set
-    })
-    for g in globals_used:
-        lines.append(f"extern {decl_text(g, _global_type(spec, g)).strip()};")
-    lines.append("")
+        lines.append(f"static {type_text(ret_t)} {ret_var}[{max(spec.max_calls, 1)}];")
     params = ", ".join(
         decl_text(p.name or f"arg{i}", p.ctype).strip()
         for i, p in enumerate(sig.params)
@@ -200,7 +195,7 @@ def emit_stub(spec: StubSpec) -> str:
             for arg_i, value in sorted(call.outs.items()):
                 pname = sig.params[arg_i].name or f"arg{arg_i}"
                 pointee = sig.params[arg_i].ctype.pointee
-                body.append(f"*{pname} = {c_literal(value, pointee)};")
+                body.append(f"if ({pname}) *{pname} = {c_literal(value, pointee)};")
             for g, value in sorted(call.globals_set.items()):
                 gtype = _global_type(spec, g)
                 body.append(f"{g} = {c_literal(value, gtype)};")

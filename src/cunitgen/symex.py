@@ -149,11 +149,18 @@ class Layout:
         self.name_places: dict[str, Place] = {}
 
     def _stub_policies(self) -> dict[str, StubPolicy]:
+        """A policy for each function the unit declares and may be stubbed:
+        not one it defines (a forward prototype yields to the definition)
+        nor one on the do-not-stub list."""
+        declared: dict[str, FunctionDef] = {}
+        for fn in self.unit.functions:
+            if fn.body is not None or fn.name not in declared:
+                declared[fn.name] = fn
         out: dict[str, StubPolicy] = {}
         uut_modifies = list(self.anns.modifies or [])
-        for fn in self.unit.functions:
+        for fn in declared.values():
             defined = fn.body is not None and not fn.annotation_only
-            if defined or fn.name == self.fn.name:
+            if defined or fn.name in self.config.do_not_stub:
                 continue
             permitted: list[str] = []
             posts: list[Expr] = []
@@ -613,20 +620,14 @@ class _Interp:
             else usual_arith(lhs.ctype, rhs.ctype)
         if e.op in ("/", "%"):
             rhs_v = self.value_as(rhs, common, e.line)
-            if isinstance(rhs_v, Const) and rhs_v.value == 0:
-                self.state.add_side(FALSE)  # division by zero: path dies
-            elif not isinstance(rhs_v, Const):
-                self.state.add_side(
-                    mk_binop("!=", rhs_v, Const(0, common)))
+            # undefined behaviour ends the path; a constant operand folds
+            # the side condition to FALSE or to TRUE, which add_side drops
+            self.state.add_side(mk_binop("!=", rhs_v, Const(0, common)))
             return mk_binop(e.op, self.value_as(lhs, common, e.line), rhs_v, common)
         if e.op in ("<<", ">>"):
             assert isinstance(common, IntType)
             amt = self.value_as(rhs, INT, e.line)
-            if isinstance(amt, Const):
-                if not 0 <= int(amt.value) < common.width:
-                    self.state.add_side(FALSE)
-            else:
-                self.state.add_side(mk_range(amt, 0, common.width))
+            self.state.add_side(mk_range(amt, 0, common.width))
             return mk_binop(e.op, self.value_as(lhs, common, e.line), amt, common)
         return mk_binop(e.op, self.value_as(lhs, common, e.line),
                         self.value_as(rhs, common, e.line), common)

@@ -546,7 +546,7 @@ int f(int *p) { g.f = 1.5f; return p[g.i + 9]; }
 
 
 class TestPointerInputsAndLocals:
-    def check(self, tmp_path, name: str, text: str, stubs: list[str],
+    def check(self, tmp_path, name: str, text: str,
               functions: tuple[str, ...] = (), args: tuple[str, ...] = ()):
         src = tmp_path / f"{name}.c"
         src.write_text(text)
@@ -554,31 +554,30 @@ class TestPointerInputsAndLocals:
         assert run_cli([str(src), "--out-dir", str(out), "-q", *args]) == 0
         for fn in functions or (name,):
             sources = [str(out / f"{fn}_driver.c"), str(src)]
-            sources += [str(out / f"{stub}_stub.c") for stub in stubs]
             exe = compile_c(str(out), sources, exe=f"{fn}.out")
             assert run_exe(exe)[0] == 0
 
     def test_loop_before_buffer_branch(self, tmp_path):
-        self.check(tmp_path, "f", LOOP_THEN_BUFFER, [])
+        self.check(tmp_path, "f", LOOP_THEN_BUFFER)
 
     def test_stub_bitfield_and_switch(self, tmp_path):
-        self.check(tmp_path, "mw", STUB_BITFIELD_SWITCH, ["probe"])
+        self.check(tmp_path, "mw", STUB_BITFIELD_SWITCH)
 
     def test_member_reads_through_index_and_deref(self, tmp_path):
-        self.check(tmp_path, "nodes", STRUCT_MEMBER_BASES, [],
+        self.check(tmp_path, "nodes", STRUCT_MEMBER_BASES,
                    functions=("g", "g2", "g3"))
 
     def test_member_read_at_symbolic_index_of_wide_struct(self, tmp_path):
-        self.check(tmp_path, "k", WIDE_STRUCT_INDEX, [])
+        self.check(tmp_path, "k", WIDE_STRUCT_INDEX)
 
     def test_pointer_equal_to_scalar_global(self, tmp_path):
-        self.check(tmp_path, "m", POINTER_TO_SCALAR_GLOBAL, [])
+        self.check(tmp_path, "m", POINTER_TO_SCALAR_GLOBAL)
         # p can only name g or its own array, never the parameter q, so the
         # store through p leaves the read of q exact
         assert "(approximate" not in (tmp_path / "gen" / "m_coverage.txt").read_text()
 
     def test_pointer_returned_by_a_stub(self, tmp_path):
-        self.check(tmp_path, "f", POINTER_FROM_A_STUB, ["lookup"])
+        self.check(tmp_path, "f", POINTER_FROM_A_STUB)
         out = tmp_path / "gen"
         assert "branch coverage: 4/4" in (out / "f_coverage.txt").read_text()
         driver = (out / "f_driver.c").read_text()
@@ -622,28 +621,28 @@ class TestPointerInputsAndLocals:
         assert err.startswith("error [f]: ReplayDivergence")
 
     def test_pointer_stored_in_an_array(self, tmp_path):
-        self.check(tmp_path, "f", POINTER_IN_ARRAY, [])
+        self.check(tmp_path, "f", POINTER_IN_ARRAY)
 
     def test_pointer_stored_in_a_struct(self, tmp_path):
-        self.check(tmp_path, "f", POINTER_IN_STRUCT, [])
+        self.check(tmp_path, "f", POINTER_IN_STRUCT)
 
     def test_pointer_in_a_struct_behind_a_parameter(self, tmp_path):
-        self.check(tmp_path, "f", POINTER_IN_POINTED_STRUCT, [])
+        self.check(tmp_path, "f", POINTER_IN_POINTED_STRUCT)
 
     def test_pointers_sharing_an_array(self, tmp_path):
-        self.check(tmp_path, "f", POINTERS_SHARING_AN_ARRAY, [])
+        self.check(tmp_path, "f", POINTERS_SHARING_AN_ARRAY)
         driver = (tmp_path / "gen" / "f_driver.c").read_text()
         shared = driver.split("/* test case 1")[0]
         assert "q = p__autogen_array;" in shared
         assert "q__autogen_array" not in shared
 
     def test_two_postconditions_on_one_line(self, tmp_path):
-        self.check(tmp_path, "f", TWO_POSTS_ON_ONE_LINE, [])
+        self.check(tmp_path, "f", TWO_POSTS_ON_ONE_LINE)
         driver = (tmp_path / "gen" / "f_driver.c").read_text()
         assert "(__ctg_ret > 0)" in driver and "(__ctg_ret < 3)" in driver
 
     def test_one_element_arrays(self, tmp_path):
-        self.check(tmp_path, "f", ONE_ELEMENT_ARRAYS, [], args=("--ptr-array-size", "1"))
+        self.check(tmp_path, "f", ONE_ELEMENT_ARRAYS, args=("--ptr-array-size", "1"))
         driver = (tmp_path / "gen" / "f_driver.c").read_text()
         assert "a[0] = " in driver
         assert "q__autogen_array[0].w = " in driver

@@ -92,7 +92,6 @@ class TestEmission:
         ship_compat_header(str(tmp_path))
         exe = compile_c(str(tmp_path), [
             str(tmp_path / "test_driver.c"),
-            str(tmp_path / "func_ext_stub.c"),
             data_path("table2.c"),
         ])
         code, stdout = run_exe(exe)
