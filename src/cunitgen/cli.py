@@ -52,7 +52,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-cfg", action="store_true",
                    help="write <fn>_cfg.txt next to the other outputs")
     p.add_argument("--dump-stct", action="store_true",
-                   help="print the final symbolic test case tree")
+                   help="write <fn>_stct.txt, the final symbolic test case tree")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="log selected traces and constraint text")
     p.add_argument("-q", "--quiet", action="store_true")

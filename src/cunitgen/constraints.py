@@ -6,11 +6,18 @@ over pointers becomes the constraint
     A1 == A2 && x1 w x2 && 0 <= x1 < dim(p1) && 0 <= x2 < dim(p2)
     && dim(p1) == dim(p2)
 
-for ordering operators. Equality is the same-region same-offset case or the
-null/null case; inequality is the negation of the equality body, which
-keeps cross-region pointers distinguishable. Comparisons against a literal
-null compare the base id with the reserved null id. The trailing dimension
-conjunct compares two known dimensions only when both bases are constants,
+for ordering operators. The range conjunct of each side is where that
+pointer may point when compared (``_comparable``): an input offset symbol
+keeps its search domain [0, dim), the paper's Table 1 text; an offset
+formed by arithmetic or a constant may also be dim, one past the end, as C
+allows (C11 6.5.6p8, 6.5.8p5). A dereference still requires offset < dim
+(``symex``). These conjuncts are all that is left of a pointer here: no
+conjunct holds a ``Ptr`` node.
+
+Equality is the same-region same-offset case or the null/null case;
+inequality is the negation of the equality body, which keeps cross-region
+pointers distinguishable. Comparisons against a literal null compare the
+base id with the reserved null id. The trailing dimension conjunct compares two known dimensions only when both bases are constants,
 and folds to a boolean constant. A symbolic base's dimension is that of its
 own fresh region, not of the region it may resolve to, and A1 == A2 already
 implies equal dimensions, so with a symbolic base the conjunct is true.
@@ -25,6 +32,7 @@ from .symexpr import (
     Const,
     Ptr,
     Role,
+    Sym,
     SymExpr,
     TRUE,
     conj,
@@ -139,8 +147,8 @@ def pointer_compare(p1: PtrInfo, p2: PtrInfo, omega: str) -> Constraint:
         conjuncts = [
             mk_binop("==", p1.base, p2.base),
             mk_binop(omega, p1.offset, p2.offset),
-            mk_range(p1.offset, 0, p1.dim),
-            mk_range(p2.offset, 0, p2.dim),
+            _comparable(p1),
+            _comparable(p2),
             _same_dims(p1, p2),
         ]
         return Constraint(conjuncts)
@@ -159,11 +167,20 @@ def _pointer_eq_expr(p1: PtrInfo, p2: PtrInfo) -> SymExpr:
     same = conj([
         mk_binop("==", p1.base, p2.base),
         mk_binop("==", p1.offset, p2.offset),
-        mk_range(p1.offset, 0, p1.dim),
-        mk_range(p2.offset, 0, p2.dim),
+        _comparable(p1),
+        _comparable(p2),
         _same_dims(p1, p2),
     ])
     return mk_binop("||", null_case, same)
+
+
+def _comparable(p: PtrInfo) -> SymExpr:
+    """Where p may point when compared: 0 <= x < dim for an input offset
+    symbol, its search domain; 0 <= x <= dim for an offset formed by
+    arithmetic or a constant, which may point one past the end."""
+    if isinstance(p.offset, Sym):
+        return mk_range(p.offset, 0, p.dim)
+    return mk_range(p.offset, 0, p.dim + 1)
 
 
 def _same_dims(p1: PtrInfo, p2: PtrInfo) -> SymExpr:

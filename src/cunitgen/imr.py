@@ -301,7 +301,7 @@ class _Lowerer:
             if s.init is not None:
                 place = Name(self._local_name(s.name), s.line)
                 place.ctype = s.ctype
-                value, cur = self.rvalue(s.init, cur, s.ctype)
+                value, cur = self.rvalue(s.init, cur)
                 self.emit(cur, IAssign(place, value, s.line))
             elif self.frames:
                 self.inline_locals.setdefault(self._local_name(s.name), s.ctype)
@@ -394,7 +394,7 @@ class _Lowerer:
         if self.frames:
             prefix, place, join = self.frames[-1]
             if s.value is not None and place is not None:
-                value, cur = self.rvalue(s.value, cur, place.ctype)
+                value, cur = self.rvalue(s.value, cur)
                 self.emit(cur, IAssign(place, value, s.line))
             self.add_edge(cur, join, None)
             return None
@@ -600,7 +600,7 @@ class _Lowerer:
                       ) -> tuple[Expr | None, int]:
         place, cur = self.place(e.target, cur)
         if e.op == "=":
-            value, cur = self.rvalue(e.value, cur, place.ctype)
+            value, cur = self.rvalue(e.value, cur)
         else:
             op = e.op[:-1]
             loaded, cur = self._into_temp(_clone_load(place), cur, e.line)
@@ -611,7 +611,7 @@ class _Lowerer:
         self.emit(cur, IAssign(place, value, e.line))
         return (value if want_value else None), cur
 
-    def rvalue(self, e: Expr, cur: int, want: CType) -> tuple[Expr, int]:
+    def rvalue(self, e: Expr, cur: int) -> tuple[Expr, int]:
         """One-operator right-hand side (deeper trees spill through temps)."""
         return self._operation(e, cur) or self.atom(e, cur)
 
@@ -696,10 +696,10 @@ class _Lowerer:
         false_n = self.new_node(e.line)
         join = self.new_node(e.line)
         self.lower_cond(e.cond, true_n, false_n, cur)
-        then_v, end_t = self.rvalue(e.then, true_n, e.ctype)
+        then_v, end_t = self.rvalue(e.then, true_n)
         self.emit(end_t, IAssign(temp, then_v, e.line))
         self.add_edge(end_t, join, None)
-        else_v, end_f = self.rvalue(e.other, false_n, e.ctype)
+        else_v, end_f = self.rvalue(e.other, false_n)
         self.emit(end_f, IAssign(temp, else_v, e.line))
         self.add_edge(end_f, join, None)
         return temp, join

@@ -255,7 +255,7 @@ class _Session:
             elif result.status == "unsat":
                 failing, verdict = self._min_failing_index(constraint)
                 if failing < 0:
-                    record.verdict = "preconditions-unsat"
+                    record.verdict = f"preconditions-{verdict}"
                     if verdict == "unknown":  # nothing was decided
                         coverage.unknown_nodes.add(cfg.entry)
                     break

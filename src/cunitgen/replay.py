@@ -376,7 +376,7 @@ class _Replayer:
         if isinstance(e, Member):
             return self._load_member(e)
         if isinstance(e, CastExpr):
-            return self._cast(self.eval(e.operand), e.operand.ctype, e.target)
+            return self._cast(self.eval(e.operand), e.target)
         if isinstance(e, Cond):
             return self.eval(e.then if _truthy(self.eval(e.cond)) else e.other)
         raise ReplayError(f"expression {type(e).__name__}")
@@ -534,7 +534,7 @@ class _Replayer:
             return v
         raise ReplayError("& of unsupported place")
 
-    def _cast(self, v: Value, src: CType, dst: CType) -> Value:
+    def _cast(self, v: Value, dst: CType) -> Value:
         if isinstance(v, CPtr):
             if isinstance(dst, PointerType):
                 return v

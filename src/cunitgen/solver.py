@@ -83,7 +83,6 @@ from .symexpr import (
     EvalError,
     FLIP,
     Ite,
-    Ptr,
     Range,
     Role,
     Sym,
@@ -960,7 +959,7 @@ _NO_NAMES: frozenset[str] = frozenset()
 # the subexpressions of each node type
 _CHILDREN = {
     BinOp: ("lhs", "rhs"), UnOp: ("operand",), Cast: ("operand",),
-    Ite: ("cond", "then", "other"), Range: ("expr",), Ptr: ("base", "offset"),
+    Ite: ("cond", "then", "other"), Range: ("expr",),
 }
 
 

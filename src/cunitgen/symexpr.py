@@ -7,10 +7,15 @@ model verifier evaluates them.
 Integer operations use two's-complement wraparound at the width of the
 expression type. Float operations round to the expression type's width.
 Both constant folding and evaluation take operator values from the scalar
-table in typesys; only short-circuit logic, negation, conditionals and
-pointer values are evaluated here.
-Pointer values are a dedicated node carrying an abstract base address
-expression and an element-scaled offset expression.
+table in typesys; only short-circuit logic, negation and conditionals are
+evaluated here.
+
+A pointer value is a ``Ptr`` node: an abstract base address expression and
+an element-scaled offset expression. Pointers end at symex: it splits every
+pointer relation, truth test and store match into conjuncts over the base
+and the offset (``constraints.pointer_compare``), so no conjunct that
+reaches the solver, the model check or evaluation holds a ``Ptr``, and
+``render``, ``free_symbols`` and ``evaluate`` have no case for one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .typesys import (
     CType,
     FloatType,
     IntType,
-    PointerType,
     Undefined,
     binary,
     convert,
@@ -116,9 +120,6 @@ class Ptr(Frozen):
         # ctype: the PointerType of the value
         self.__dict__.update(base=base, offset=offset, ctype=ctype)
 
-    def __str__(self) -> str:
-        return f"({render(self.base)} + {render(self.offset)})"
-
 
 SymExpr = Union[Const, Sym, BinOp, UnOp, Cast, Ite, Range, Ptr]
 
@@ -164,7 +165,7 @@ def mk_binop(op: str, lhs: SymExpr, rhs: SymExpr, ctype: CType | None = None) ->
             return rhs
         if is_false(rhs):
             return lhs
-    if isinstance(lhs, Const) and isinstance(rhs, Const) and not isinstance(ctype, PointerType):
+    if isinstance(lhs, Const) and isinstance(rhs, Const):
         if op == "&&":
             return mk_bool(bool(lhs.value) and bool(rhs.value))
         if op == "||":
@@ -197,8 +198,7 @@ def mk_unop(op: str, operand: SymExpr, ctype: CType | None = None) -> SymExpr:
 def mk_cast(operand: SymExpr, ctype: CType) -> SymExpr:
     if operand.ctype == ctype:
         return operand
-    if isinstance(operand, Const) and not isinstance(ctype, PointerType) \
-            and not isinstance(operand.ctype, PointerType):
+    if isinstance(operand, Const):
         try:
             return Const(convert(operand.value, ctype), ctype)
         except Undefined:
@@ -271,9 +271,6 @@ def free_symbols(e: SymExpr) -> Iterator[Sym]:
         yield from free_symbols(e.other)
     elif isinstance(e, Range):
         yield from free_symbols(e.expr)
-    elif isinstance(e, Ptr):
-        yield from free_symbols(e.base)
-        yield from free_symbols(e.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +311,6 @@ def render(e: SymExpr, parent_prec: int = 0) -> str:
     if isinstance(e, Ite):
         text = f"{render(e.cond, 1)} ? {render(e.then, 1)} : {render(e.other, 1)}"
         return f"({text})" if parent_prec > 0 else text
-    if isinstance(e, Ptr):
-        return f"{render(e.base, _PREC['+'])}[{render(e.offset)}]"
     raise TypeError(f"cannot render {e!r}")
 
 
@@ -330,12 +325,7 @@ def render_conjunction(parts: list[SymExpr]) -> str:
 # Evaluation (the independent check on solver models)
 
 
-class PointerVal(Frozen):
-    def __init__(self, base: int, offset: int):
-        self.__dict__.update(base=base, offset=offset)
-
-
-Value = Union[int, float, bool, PointerVal]
+Value = Union[int, float, bool]
 
 
 class EvalError(Exception):
@@ -355,73 +345,34 @@ def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
     if t is Const:
         return e.value
     if t is Cast:
-        v = evaluate(e.operand, env)
-        if type(v) is PointerVal:
-            if isinstance(e.ctype, PointerType):
-                return v
-            raise EvalError("pointer cast to non-pointer")
         try:
-            return convert(v, e.ctype)
+            return convert(evaluate(e.operand, env), e.ctype)
         except Undefined as exc:
             raise EvalError(str(exc)) from exc
     if t is UnOp:
         v = evaluate(e.operand, env)
         if e.op == "!":
-            return 0 if _truthy(v) else 1
-        if type(v) is PointerVal:
-            raise EvalError(f"unary {e.op} on pointer")
+            return 0 if v else 1
         try:
             return unary(e.op, v, e.ctype)
         except Undefined as exc:
             raise EvalError(str(exc)) from exc
     if t is Ite:
-        c = evaluate(e.cond, env)
-        return evaluate(e.then if _truthy(c) else e.other, env)
+        return evaluate(e.then if evaluate(e.cond, env) else e.other, env)
     if t is Range:
-        v = evaluate(e.expr, env)
-        if type(v) is PointerVal:
-            raise EvalError("range over pointer")
-        return 1 if e.lo <= v < e.hi else 0
-    if t is Ptr:
-        b = evaluate(e.base, env)
-        o = evaluate(e.offset, env)
-        return PointerVal(int(b), int(o))  # type: ignore[arg-type]
+        return 1 if e.lo <= evaluate(e.expr, env) < e.hi else 0
     raise EvalError(f"cannot evaluate {e!r}")
-
-
-def _truthy(v: Value) -> bool:
-    if type(v) is PointerVal:
-        return v.base != 0
-    return bool(v)
 
 
 def _eval_binop(e: BinOp, env: Mapping[str, Value]) -> Value:
     op = e.op
     if op == "&&":
-        return 1 if _truthy(evaluate(e.lhs, env)) and _truthy(evaluate(e.rhs, env)) else 0
+        return 1 if evaluate(e.lhs, env) and evaluate(e.rhs, env) else 0
     if op == "||":
-        return 1 if _truthy(evaluate(e.lhs, env)) or _truthy(evaluate(e.rhs, env)) else 0
-    a = evaluate(e.lhs, env)
-    b = evaluate(e.rhs, env)
-    if type(a) is PointerVal or type(b) is PointerVal:
-        return _eval_ptr_cmp(op, a, b)
+        return 1 if evaluate(e.lhs, env) or evaluate(e.rhs, env) else 0
     try:
-        return binary(op, a, b, e.lhs.ctype, e.rhs.ctype, e.ctype)
+        return binary(op, evaluate(e.lhs, env), evaluate(e.rhs, env),
+                      e.lhs.ctype, e.rhs.ctype, e.ctype)
     except Undefined as exc:
         raise EvalError(str(exc)) from exc
 
-
-def _eval_ptr_cmp(op: str, a: Value, b: Value) -> int:
-    if not isinstance(a, PointerVal):
-        a = PointerVal(0, 0) if a == 0 else PointerVal(int(a), 0)  # type: ignore[arg-type]
-    if not isinstance(b, PointerVal):
-        b = PointerVal(0, 0) if b == 0 else PointerVal(int(b), 0)  # type: ignore[arg-type]
-    if op == "==":
-        return 1 if (a.base, a.offset) == (b.base, b.offset) or (a.base == 0 and b.base == 0) else 0
-    if op == "!=":
-        return 0 if (a.base, a.offset) == (b.base, b.offset) or (a.base == 0 and b.base == 0) else 1
-    if a.base != b.base:
-        raise EvalError("ordered comparison of pointers into different regions")
-    res = {"<": a.offset < b.offset, "<=": a.offset <= b.offset,
-           ">": a.offset > b.offset, ">=": a.offset >= b.offset}[op]
-    return 1 if res else 0

@@ -10,6 +10,27 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 GCC_FLAGS = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fwrapv"]
 
+# pointer loops that compare a pointer formed by arithmetic one past the
+# end of its array, which C allows (C11 6.5.6p8, 6.5.8p5)
+POINTER_LOOPS = """\
+int b[4];
+int g[5];
+struct s { int v; };
+struct s arr[3];
+int sum_lt(void) { int s = 0; int *p; for (p = b; p < b + 4; p++) s = s + *p; return s; }
+int sum_ne(void) { int s = 0; int *p; for (p = b; p != b + 4; p++) s = s + *p; return s; }
+int sum_le(void) { int s = 0; int *p; for (p = g; p <= g + 4; p++) s = s + *p; return s; }
+int count_gt(int c)
+{
+    int n = 0;
+    struct s *p;
+    for (p = arr; p < arr + 3; p++) if (p->v > c) n = n + 1;
+    return n;
+}
+int sum_down(void) { int s = 0; int *p; for (p = g + 5; p > g; ) { p--; s = s + *p; } return s; }
+"""
+POINTER_LOOP_FUNCTIONS = ("count_gt", "sum_down", "sum_le", "sum_lt", "sum_ne")
+
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)

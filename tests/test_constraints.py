@@ -1,18 +1,33 @@
 """Pointer-comparison formula and constraint-assembly tests."""
 
 import itertools
+import os
 
 import pytest
 
-from conftest import read_data
+from conftest import DATA_DIR, POINTER_LOOPS, read_data
 
+import cunitgen.pipeline as pipeline
 from cunitgen import constraints as con
 from cunitgen.config import Config
 from cunitgen.frontend import extract_annotations, parse_unit
 from cunitgen.imr import lower
 from cunitgen.memory import NULL_BASE
 from cunitgen.solver import solve
-from cunitgen.symexpr import Const, PointerVal, Role, Sym, evaluate, render_conjunction
+from cunitgen.symexpr import (
+    BinOp,
+    Cast,
+    Const,
+    Ite,
+    Ptr,
+    Range,
+    Role,
+    Sym,
+    UnOp,
+    evaluate,
+    mk_binop,
+    render_conjunction,
+)
 from cunitgen.typesys import UINT
 
 
@@ -111,6 +126,84 @@ class TestPointerCompare:
         verdict = solve(c)
         assert verdict.status in ("sat", "unsat")
         assert (verdict.status == "sat") == brute_sat
+
+
+class TestOnePastTheEnd:
+    """A pointer formed by arithmetic or a constant may be compared one past
+    the end of its array, offset dim, but not beyond."""
+
+    ARR = Const(2147483648, UINT)  # a declared int arr[4]
+
+    def _solve(self, p1, p2, omega):
+        c = con.pointer_compare(p1, p2, omega)
+        c.free = con.build_free_table(c.conjuncts, _regions())
+        return solve(c)
+
+    @pytest.mark.parametrize("omega", ["<", "<=", "==", "!="])
+    def test_constant_offsets(self, omega):
+        # p omega arr + 4 at p = arr + 3 and p = arr + 4
+        expect = {"<": [True, False], "<=": [True, True],
+                  "==": [False, True], "!=": [True, False]}[omega]
+        end = pinfo(self.ARR, Const(4, UINT), 4)
+        for k, want in zip((3, 4), expect):
+            p = pinfo(self.ARR, Const(k, UINT), 4)
+            assert (self._solve(p, end, omega).status == "sat") == want, (omega, k)
+        # != is the negation of ==, so only the others refuse arr + 5
+        start = pinfo(self.ARR, Const(0, UINT), 4)
+        past = pinfo(self.ARR, Const(5, UINT), 4)
+        refused = self._solve(start, past, omega).status == "unsat"
+        assert refused == (omega != "!="), omega
+
+    def test_compound_offset(self):
+        i = Sym("i", UINT)
+        p = pinfo(self.ARR, mk_binop("+", i, Const(1, UINT), UINT), 4)
+        end = pinfo(self.ARR, Const(4, UINT), 4)
+        r = self._solve(p, end, "==")
+        assert r.status == "sat" and r.model.values["i"] == 3
+        # arr + i + 1 == arr + 5 needs i + 1 == 5, past the end
+        past = pinfo(self.ARR, Const(5, UINT), 4)
+        assert self._solve(p, past, "==").status == "unsat"
+        assert self._solve(p, past, "<").status == "unsat"
+
+    def test_an_input_offset_keeps_its_domain(self):
+        # an input pointer's offset symbol lies in [0, dim), as in Table 1
+        p = pinfo(self.ARR, Sym("q@offset", UINT, Role.PTR_OFFSET), 4)
+        end = pinfo(self.ARR, Const(4, UINT), 4)
+        assert self._solve(p, end, "==").status == "unsat"
+        assert self._solve(p, end, "<").status == "sat"
+
+
+_NODES = (Const, Sym, BinOp, UnOp, Cast, Ite, Range, Ptr)
+
+
+def _terms(e):
+    yield e
+    for v in vars(e).values():
+        if isinstance(v, _NODES):
+            yield from _terms(v)
+
+
+def test_no_pointer_term_reaches_the_solver(monkeypatch):
+    """Symex splits every pointer relation into base and offset terms."""
+    real_solve = pipeline.solve
+    seen = []
+
+    def checking_solve(constraint, *args, **kwargs):
+        # name and fn are the unit and function being generated
+        assert not any(isinstance(t, Ptr) for c in constraint.conjuncts
+                       for t in _terms(c)), f"{name}: {fn.name}"
+        seen.append(fn.name)
+        return real_solve(constraint, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve", checking_solve)
+    units = [(name, read_data(name)) for name in sorted(os.listdir(DATA_DIR))
+             if name.endswith(".c")]
+    for name, text in units + [("pointer_loops.c", POINTER_LOOPS)]:
+        unit = parse_unit(text, name)
+        for fn in unit.functions:
+            if fn.body is not None and not fn.annotation_only:
+                pipeline.generate_function(unit, fn, Config(out_dir="/tmp/ctg-extra"))
+    assert seen
 
 
 def _regions():

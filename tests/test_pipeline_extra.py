@@ -208,6 +208,19 @@ class TestEarlyStops:
             assert [u["verdict"] for u in outcome.report.uncovered] == \
                 ["budget-exhausted"] * 2
 
+    def test_preconditions_log_their_verdict(self):
+        # the solver leaves x * y == 391 undecided at the default budget
+        pre = ('#include "rtt_annotations.h"\n'
+               "int f(int x, int y) { __rtt_precondition(%s); "
+               "if (x < 0) { return 2; } return 0; }\n")
+        for cond, verdict, edges in (
+                ("x * y == 391 && x > 1 && y > 1", "unknown", "budget-exhausted"),
+                ("x > 1 && x < 0", "unsat", "unreachable")):
+            outcome = run_src(pre % cond, "f")
+            assert [(r.mode, r.verdict) for r in outcome.selection_log] == \
+                [("fresh", f"preconditions-{verdict}")]
+            assert [u["verdict"] for u in outcome.report.uncovered] == [edges] * 2
+
 
 # if (a_x + c > a_y) chains with a c = 0 cycle (a4 > a0 and a0 > a4), whose
 # second branch is unsat after the first one on every path through both

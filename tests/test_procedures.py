@@ -2,12 +2,13 @@
 unit alone and runs clean under AddressSanitizer and UBSan, and every file a
 run writes belongs to one generated function."""
 
+import json
 import os
 import subprocess
 
 import pytest
 
-from conftest import DATA_DIR, compile_c
+from conftest import DATA_DIR, POINTER_LOOP_FUNCTIONS, POINTER_LOOPS, compile_c
 
 from cunitgen.cli import main
 
@@ -122,6 +123,20 @@ def test_stub_shape_runs_sanitized(tmp_path, shape):
     for path, fns in units:
         for fn in fns:
             build_and_run(out, fn, path)
+
+
+def test_pointer_loops_are_covered_and_run_sanitized(tmp_path):
+    # each loop ends at a pointer one past the end of its array
+    path = tmp_path / "pointer_loops.c"
+    path.write_text(POINTER_LOOPS)
+    out = str(tmp_path / "out")
+    assert generate([str(path)], out) == sorted(POINTER_LOOP_FUNCTIONS)
+    for fn in POINTER_LOOP_FUNCTIONS:
+        with open(os.path.join(out, f"{fn}_coverage.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["edges_covered"] == report["edges_total"] > 0, fn
+        assert report["uncovered"] == [], fn
+        build_and_run(out, fn, str(path))
 
 
 def test_annotated_prototype_sibling_runs_sanitized(tmp_path):

@@ -21,7 +21,7 @@ from cunitgen.memory import MemoryItem, Region
 from cunitgen.replay import CPtr, InputCell
 from cunitgen.stct import CoverageState
 from cunitgen.symex import PathState
-from cunitgen.symexpr import BinOp, Cast, Const, Ite, PointerVal, Ptr, Range, Sym, UnOp
+from cunitgen.symexpr import BinOp, Cast, Const, Ite, Ptr, Range, Sym, UnOp
 from cunitgen.typesys import (
     INT,
     ArrayType,
@@ -59,7 +59,6 @@ SAMPLES = {
     Ite: lambda: Ite(X, ONE, X, INT),
     Range: lambda: Range(X, 0, 4),
     Ptr: lambda: Ptr(X, ONE, PointerType(INT)),
-    PointerVal: lambda: PointerVal(2, 1),
     Target: lambda: Target("edge", 3),
     Token: lambda: Token("int", "1", 1, 2, 5),
     MemoryItem: lambda: MemoryItem(ONE, Const(0, INT), 4, X, (0, 3)),
@@ -96,8 +95,9 @@ def test_equal_fields_make_equal_records(make):
 
 def test_records_of_different_classes_or_fields_differ():
     # same field names and values, different classes
-    assert CPtr(2, 1) != PointerVal(2, 1)
     assert VoidType() != BoolType()
+    # the same field values in the same order, different classes
+    assert CPtr(2, 1) != Target(2, 1)
     assert Const(1, INT).__eq__(1) is NotImplemented
     assert Const(1, INT) != 1
     assert Const(1, INT) != Const(2, INT)

@@ -2,10 +2,11 @@
 every name a module imports is used, every function, method and class is
 referenced by the code under src/ (test oracles live in tests/oracles.py),
 every field a class's __init__ sets is read there (a few kept for outside
-readers excepted), no module imports dataclasses, no function mutates a
-module-level container, no code takes a list's first element with
-``.pop(0)``, some call passes each defaulted parameter, and README's
-command-line block lists exactly the CLI's options.
+readers excepted), every parameter is read by its function, no module
+imports dataclasses, no function mutates a module-level container, no code
+takes a list's first element with ``.pop(0)``, some call passes each
+defaulted parameter, and README's command-line block lists exactly the
+CLI's options.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -239,6 +240,51 @@ def test_field_check_sees_an_unread_field(tmp_path):
         "    return p\n")
     assert unread_fields(str(tmp_path)) == ["m.py: P.unread", "m.py: P.written",
                                             "m.py: Q.dropped"]
+
+
+def unread_parameters(src_dir: str) -> list[str]:
+    """Parameters of the functions, methods and lambdas under src_dir that
+    their body never reads: a value each caller passes for nothing. self and
+    cls are Python's own, and a dunder method keeps the signature Python
+    calls it with."""
+    found = []
+    for module, tree in _parsed(src_dir):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            read = {n.id for n in ast.walk(fn)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{module}: {name}({p})" for p in params
+                      if p not in read and p not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(SRC) == []
+
+
+def test_parameter_check_sees_an_unread_parameter(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class C:\n"
+        "    def __exit__(self, *exc):\n"
+        "        return None\n"
+        "    def m(self, used, unused, *rest, key=0, **extra):\n"
+        "        def inner(x):\n"
+        "            return used + key\n"
+        "        return inner, extra\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return cls\n"
+        "f = lambda a, b: a\n")
+    assert unread_parameters(str(tmp_path)) == [
+        "m.py: <lambda>(b)", "m.py: inner(x)", "m.py: m(rest)", "m.py: m(unused)",
+        "m.py: make(n)"]
 
 
 def test_no_module_imports_dataclasses():
