@@ -190,11 +190,10 @@ def _same_dims(p1: PtrInfo, p2: PtrInfo) -> SymExpr:
     return TRUE
 
 
-def pointer_null_compare(p: PtrInfo, omega: str) -> SymExpr:
-    if omega == "==":
-        return mk_binop("==", p.base, Const(NULL_BASE, UINT))
-    if omega == "!=":
-        return mk_binop("!=", p.base, Const(NULL_BASE, UINT))
+def pointer_null_compare(base: SymExpr, omega: str) -> SymExpr:
+    """A pointer with this base compared with null: the dim plays no part."""
+    if omega in ("==", "!="):
+        return mk_binop(omega, base, Const(NULL_BASE, UINT))
     raise ValueError(f"ordered comparison against null: {omega}")
 
 

@@ -19,11 +19,13 @@ offsets from their region base.
 
 from __future__ import annotations
 
+from .errors import UnsupportedOperation
 from .frozen import Frozen
 from .symexpr import (
     FALSE,
     TRUE,
     Const,
+    Ite,
     Role,
     Sym,
     SymExpr,
@@ -191,6 +193,13 @@ class RegionTable:
             if region is not None:
                 return region.dim
             return self.ptr_array_size
+        if isinstance(base, Ite):
+            # a pointer ?: has the dim its arms past null agree on
+            dims = {self.dim_for_base(arm) for arm in (base.then, base.other)
+                    if not (isinstance(arm, Const) and arm.value == NULL_BASE)}
+            if len(dims) > 1:
+                raise UnsupportedOperation("?: over arrays of different sizes")
+            return dims.pop() if dims else self.ptr_array_size
         ps = self.pointer_of_base(base)
         if ps is not None:
             return ps.fresh_region.dim

@@ -72,6 +72,7 @@ from .symexpr import (
     Const,
     FALSE,
     FLIP,
+    Ite,
     Ptr,
     Role,
     Sym,
@@ -366,6 +367,8 @@ class _Interp:
     def _deref_place(self, base_v: SymExpr, idx: SymExpr, line: int, hint: str) -> Place:
         if not isinstance(base_v, Ptr):
             raise UnsupportedOperation(f"dereference of a non-pointer value (line {line})")
+        if isinstance(base_v.base, Ite):
+            raise UnsupportedOperation(f"dereference of a pointer ?: (line {line})")
         elem_t = base_v.ctype.pointee if isinstance(base_v.ctype, PointerType) else INT
         elem_off = mk_binop("+", base_v.offset, idx, UINT) \
             if not _is_zero(idx) else base_v.offset
@@ -582,7 +585,10 @@ class _Interp:
             return self._eval_cast(e)
         if isinstance(e, Cond):
             cond = to_bool(self.eval(e.cond))
-            return mk_ite(cond, self.eval(e.then), self.eval(e.other), e.ctype)
+            then, other = self.eval(e.then), self.eval(e.other)
+            if isinstance(e.ctype, PointerType):
+                return self._choose_ptr(cond, then, other, e)
+            return mk_ite(cond, then, other, e.ctype)
         if isinstance(e, Call):
             raise UnsupportedOperation(
                 f"function call inside an annotation expression (line {e.line})")
@@ -590,6 +596,19 @@ class _Interp:
             raise UnsupportedOperation(
                 f"assignment inside an annotation expression (line {e.line})")
         raise UnsupportedOperation(f"expression {type(e).__name__}")
+
+    def _choose_ptr(self, cond: SymExpr, then: SymExpr, other: SymExpr, e: Cond) -> Ptr:
+        """A pointer ?: is one pointer whose base and offset are chosen apart,
+        so its relations split into base and offset terms like any other's.
+        Its offsets must count one element size."""
+        arms = []
+        for v in (then, other):
+            if isinstance(v, Ptr) and v.ctype.pointee.size != e.ctype.pointee.size:
+                raise UnsupportedOperation(
+                    f"?: over pointers of different element sizes (line {e.line})")
+            arms.append(self.value_as(v, e.ctype, e.line))
+        a, b = arms
+        return Ptr(mk_ite(cond, a.base, b.base), mk_ite(cond, a.offset, b.offset), e.ctype)
 
     def _eval_name(self, e: Name) -> SymExpr:
         if e.name in self.overrides:
@@ -642,8 +661,7 @@ class _Interp:
             ptr, other, flipped = (lhs, rhs, False) if lp else (rhs, lhs, True)
             if isinstance(other, Const) and other.value == 0:
                 o = op if not flipped else _swap_cmp(op)
-                return con.pointer_null_compare(
-                    con.ptr_info(ptr, self.regions), o)
+                return con.pointer_null_compare(ptr.base, o)
             raise UnsupportedOperation(
                 f"pointer compared against a non-pointer (line {line})")
         common = usual_arith(lhs.ctype, rhs.ctype) \

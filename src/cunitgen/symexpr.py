@@ -11,7 +11,8 @@ table in typesys; only short-circuit logic, negation and conditionals are
 evaluated here.
 
 A pointer value is a ``Ptr`` node: an abstract base address expression and
-an element-scaled offset expression. Pointers end at symex: it splits every
+an element-scaled offset expression; a pointer ``?:`` is one ``Ptr`` whose
+base and offset are each an ``Ite``. Pointers end at symex: it splits every
 pointer relation, truth test and store match into conjuncts over the base
 and the offset (``constraints.pointer_compare``), so no conjunct that
 reaches the solver, the model check or evaluation holds a ``Ptr``, and

@@ -31,6 +31,33 @@ int sum_down(void) { int s = 0; int *p; for (p = g + 5; p > g; ) { p--; s = s + 
 """
 POINTER_LOOP_FUNCTIONS = ("count_gt", "sum_down", "sum_le", "sum_lt", "sum_ne")
 
+# an annotation's pointer ?: compared with null, as a truth value, and
+# ordered against a pointer one past its array
+POINTER_CHOICE = """\
+#include "rtt_annotations.h"
+int b[4];
+int pick(int x, int *p, int *q)
+{
+    __rtt_precondition((x > 0 ? p : q) != 0);
+    if (x > 0) { return *p; }
+    return *q;
+}
+int either(int x, int *p, int *q)
+{
+    __rtt_precondition(x > 0 ? p : q);
+    if (x > 0) { return *p; }
+    return *q;
+}
+int before_end(int x, int i)
+{
+    __rtt_precondition(i >= 0 && i < 4);
+    __rtt_precondition((x > 0 ? b + i : b) < b + 4);
+    if (x > 0) { return b[i]; }
+    return b[0];
+}
+"""
+POINTER_CHOICE_FUNCTIONS = ("before_end", "either", "pick")
+
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)

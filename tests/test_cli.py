@@ -6,7 +6,14 @@ import os
 
 import pytest
 
-from conftest import compile_c, data_path, exported_candidates, run_exe
+from conftest import (
+    POINTER_CHOICE,
+    POINTER_CHOICE_FUNCTIONS,
+    compile_c,
+    data_path,
+    exported_candidates,
+    run_exe,
+)
 
 from cunitgen.cli import main
 
@@ -595,6 +602,15 @@ class TestPointerInputsAndLocals:
         report = (out / "f_coverage.txt").read_text()
         assert "branch coverage: 3/4" in report
         assert "[p == 0]: infeasible-proven" in report
+
+    def test_pointer_choice_renders_under_verbose(self, tmp_path):
+        # -v renders every constraint; a pointer ?: leaves no pointer term
+        src = tmp_path / "c.c"
+        src.write_text(POINTER_CHOICE)
+        out = tmp_path / "gen"
+        assert run_cli([str(src), "--out-dir", str(out), "-v"]) == 0
+        assert sorted(name[:-len("_driver.c")] for name in os.listdir(out)
+                      if name.endswith("_driver.c")) == list(POINTER_CHOICE_FUNCTIONS)
 
     def test_divergence_on_an_approximate_trace(self, tmp_path):
         src = tmp_path / "h.c"

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from conftest import DATA_DIR, POINTER_LOOPS, read_data
+from conftest import DATA_DIR, POINTER_CHOICE, POINTER_LOOPS, read_data
 
 import cunitgen.pipeline as pipeline
 from cunitgen import constraints as con
@@ -183,7 +183,7 @@ def _terms(e):
             yield from _terms(v)
 
 
-def test_no_pointer_term_reaches_the_solver(monkeypatch):
+def test_no_pointer_term_reaches_the_solver(monkeypatch, tmp_path):
     """Symex splits every pointer relation into base and offset terms."""
     real_solve = pipeline.solve
     seen = []
@@ -198,11 +198,12 @@ def test_no_pointer_term_reaches_the_solver(monkeypatch):
     monkeypatch.setattr(pipeline, "solve", checking_solve)
     units = [(name, read_data(name)) for name in sorted(os.listdir(DATA_DIR))
              if name.endswith(".c")]
-    for name, text in units + [("pointer_loops.c", POINTER_LOOPS)]:
+    units += [("pointer_loops.c", POINTER_LOOPS), ("pointer_choice.c", POINTER_CHOICE)]
+    for name, text in units:
         unit = parse_unit(text, name)
         for fn in unit.functions:
             if fn.body is not None and not fn.annotation_only:
-                pipeline.generate_function(unit, fn, Config(out_dir="/tmp/ctg-extra"))
+                pipeline.generate_function(unit, fn, Config(out_dir=str(tmp_path)))
     assert seen
 
 

@@ -8,7 +8,14 @@ import subprocess
 
 import pytest
 
-from conftest import DATA_DIR, POINTER_LOOP_FUNCTIONS, POINTER_LOOPS, compile_c
+from conftest import (
+    DATA_DIR,
+    POINTER_CHOICE,
+    POINTER_CHOICE_FUNCTIONS,
+    POINTER_LOOP_FUNCTIONS,
+    POINTER_LOOPS,
+    compile_c,
+)
 
 from cunitgen.cli import main
 
@@ -64,6 +71,8 @@ SHAPES = {
     "two_units": [("a.c", EXT_ONCE, ("f",)), ("b.c", EXT_TWICE_ALONE, ("g",))],
     "forward_prototype": [("forward_prototype.c", FORWARD_PROTOTYPE,
                            ("f", "helper"))],
+    "pointer_loops": [("pointer_loops.c", POINTER_LOOPS, POINTER_LOOP_FUNCTIONS)],
+    "pointer_choice": [("pointer_choice.c", POINTER_CHOICE, POINTER_CHOICE_FUNCTIONS)],
 }
 
 # tick is an annotated prototype, which the unit defines once
@@ -125,18 +134,17 @@ def test_stub_shape_runs_sanitized(tmp_path, shape):
             build_and_run(out, fn, path)
 
 
-def test_pointer_loops_are_covered_and_run_sanitized(tmp_path):
-    # each loop ends at a pointer one past the end of its array
-    path = tmp_path / "pointer_loops.c"
-    path.write_text(POINTER_LOOPS)
+@pytest.mark.parametrize("shape", ["pointer_choice", "pointer_loops"])
+def test_pointer_shape_is_fully_covered(tmp_path, shape):
+    # the loops end at a pointer one past the end of their array
     out = str(tmp_path / "out")
-    assert generate([str(path)], out) == sorted(POINTER_LOOP_FUNCTIONS)
-    for fn in POINTER_LOOP_FUNCTIONS:
+    [(path, functions)] = write_shape(tmp_path, shape)
+    generate([path], out)
+    for fn in functions:
         with open(os.path.join(out, f"{fn}_coverage.json"), encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["edges_covered"] == report["edges_total"] > 0, fn
         assert report["uncovered"] == [], fn
-        build_and_run(out, fn, str(path))
 
 
 def test_annotated_prototype_sibling_runs_sanitized(tmp_path):
