@@ -67,15 +67,14 @@ def type_text(ctype: CType) -> str:
 def expr_to_c(
     e: Expr,
     parent_prec: int = 0,
-    rename: Callable[[Name], str] | None = None,
     initial: Callable[[str], str] | None = None,
     returnref: str = "__rtt_return",
 ) -> str:
     def rec(node: Expr, prec: int) -> str:
-        return expr_to_c(node, prec, rename, initial, returnref)
+        return expr_to_c(node, prec, initial, returnref)
 
     if isinstance(e, Name):
-        return rename(e) if rename else e.name
+        return e.name
     if isinstance(e, IntLit):
         return _int_lit_text(e.value, e.suffix)
     if isinstance(e, FloatLit):

@@ -6,7 +6,8 @@ satisfiable complete trace becomes a test case (after the model survives
 concrete replay), a satisfiable prefix stays active and is extended next
 round, an unsatisfiable branch is pruned from the tree and remembered, an
 unknown verdict is pruned too but reported separately, and so is what lies
-behind it. Generation ends when no selectable trace remains or the coverage
+behind it. So is a branch whose constraint fails with the assumptions
+alone undecided; only unsatisfiable assumptions end generation. Generation ends when no selectable trace remains or the coverage
 criterion is met, or early at the per-function deadline or the iteration
 bound, whose name then becomes the verdict of the edges left undecided.
 
@@ -254,14 +255,17 @@ class _Session:
                     self.hint_holds = None if result.reason else state.head
             elif result.status == "unsat":
                 failing, verdict = self._min_failing_index(constraint)
-                if failing < 0:
-                    record.verdict = f"preconditions-{verdict}"
-                    if verdict == "unknown":  # nothing was decided
-                        coverage.unknown_nodes.add(cfg.entry)
+                if failing >= 0:
+                    edge = tree.prune_infeasible(trace, failing)
+                    coverage.record_attempt(edge, verdict)
+                    record.verdict = verdict
+                elif verdict == "unsat":
+                    record.verdict = "preconditions-unsat"
                     break
-                edge = tree.prune_infeasible(trace, failing)
-                coverage.record_attempt(edge, verdict)
-                record.verdict = verdict
+                else:  # the assumptions alone are undecided, so is the trace
+                    record.verdict = "preconditions-unknown"
+                    coverage.unknown_nodes.add(cfg.entry)
+                    active = self._give_up_on(trace, coverage, tree, active, "unknown")
             else:
                 record.verdict = f"unknown({result.reason})"
                 active = self._give_up_on(trace, coverage, tree, active, "unknown")
@@ -331,7 +335,8 @@ class _Session:
     def _min_failing_index(self, constraint: con.Constraint) -> tuple[int, str]:
         """Smallest branch whose prefix fails, with the failing verdict.
 
-        Index -1 means the assumptions alone are unsatisfiable. The answer
+        Index -1 means the assumptions alone fail: unsatisfiable ones end
+        generation, and undecided ones leave the trace undecided. The answer
         is that of solving each prefix in turn (assumptions, then one more
         branch each time) with the last search's model as the hint. While
         that model satisfies the prefixes, ``solve`` would return it

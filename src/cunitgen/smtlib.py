@@ -12,6 +12,12 @@ that region ([0, dim) of the region, 0 for null). The text therefore states
 the problem the built-in solver decides, and ends in (check-sat) and
 (get-model).
 
+Every assertion is well-sorted. The nodes carry C's types (see
+``symexpr``), so the operands of each bit-vector and floating-point
+operator, of ``=`` and ``distinct``, and the arms of each ``ite`` share one
+sort, from which each operator is read; a truth value is a Bool term, and
+appears only under ``and``, ``or`` and ``not`` and as an ``ite`` condition.
+
 The reader of this text, parse_smtlib(), is a test oracle in
 ``tests/oracles.py``: it rebuilds an equisatisfiable constraint, which is
 what the round-trip tests check.
@@ -40,7 +46,7 @@ from .symexpr import (
     UnOp,
     free_symbols,
 )
-from .typesys import BOOL, FloatType, IntType, UINT, wrap_int
+from .typesys import BOOL, FloatType, IntType, wrap_int
 
 _INT_OPS_SIGNED = {
     "+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvsdiv", "%": "bvsrem",
@@ -67,8 +73,6 @@ def _sort_text(t) -> str:
         return f"(_ BitVec {t.width})"
     if isinstance(t, FloatType):
         return "(_ FloatingPoint 8 24)" if t.width == 32 else "(_ FloatingPoint 11 53)"
-    if t is BOOL:
-        return "Bool"
     raise SmtError(f"no SMT sort for {t}")
 
 
@@ -104,8 +108,7 @@ def _expr_text(e: SymExpr) -> str:
         return _quote(e.name)
     if isinstance(e, Range):
         x = _expr_text(e.expr)
-        assert isinstance(e.expr.ctype, IntType) or e.expr.ctype is BOOL
-        t = e.expr.ctype if isinstance(e.expr.ctype, IntType) else UINT
+        t = e.expr.ctype
         le = "bvsle" if t.signed else "bvule"
         lt = "bvslt" if t.signed else "bvult"
         lo = _bv_literal(wrap_int(e.lo, t), t.width)
@@ -138,34 +141,22 @@ def _expr_text(e: SymExpr) -> str:
             if isinstance(e.lhs.ctype, FloatType):
                 return f"(not (fp.eq {a} {b}))"
             return f"(distinct {a} {b})"
-        if isinstance(e.lhs.ctype, FloatType) or isinstance(e.ctype, FloatType):
+        # both operands have one sort, which picks the operator
+        if isinstance(e.lhs.ctype, FloatType):
             if e.op not in _FP_OPS:
                 raise SmtError(f"float operator {e.op}")
             return f"({_FP_OPS[e.op]} {a} {b})"
-        ops = _INT_OPS_SIGNED if _signed_of(e) else _INT_OPS_UNSIGNED
+        ops = _INT_OPS_SIGNED if e.lhs.ctype.signed else _INT_OPS_UNSIGNED
         if e.op not in ops:
             raise SmtError(f"operator {e.op}")
         return f"({ops[e.op]} {a} {b})"
     raise SmtError(f"cannot export {type(e).__name__}")
 
 
-def _signed_of(e: BinOp) -> bool:
-    t = e.lhs.ctype
-    if isinstance(t, IntType):
-        return t.signed
-    if isinstance(e.ctype, IntType):
-        return e.ctype.signed
-    return True
-
-
 def _cast_text(e: Cast) -> str:
     src = e.operand.ctype
     dst = e.ctype
     x = _expr_text(e.operand)
-    if src is BOOL and isinstance(dst, IntType):
-        one = _bv_literal(1, dst.width)
-        zero = _bv_literal(0, dst.width)
-        return f"(ite {x} {one} {zero})"
     if isinstance(src, IntType) and isinstance(dst, IntType):
         if dst.width == src.width:
             return x

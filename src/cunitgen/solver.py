@@ -95,8 +95,6 @@ from .symexpr import (
 from .typesys import FloatType, IntType, Undefined, binary
 
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
-# the operators whose result is a truth value
-_BOOLEAN = frozenset(_CMP + ("&&", "||"))
 # the memo's mark for a node not evaluated yet (None is an interval: unknown)
 _UNSET = object()
 
@@ -159,14 +157,9 @@ def _initial_domain(fs: FreeSymbol) -> _IntDomain | _SetDomain | None:
         return None
     if fs.role is Role.PTR_BASE and fs.candidates:
         return _SetDomain(list(fs.candidates))
-    if isinstance(fs.ctype, IntType):
-        lo, hi = fs.ctype.min_value(), fs.ctype.max_value()
-    else:
-        lo, hi = 0, 1  # booleans
     if fs.role is Role.PTR_OFFSET and fs.dim is not None:
-        lo, hi = 0, fs.dim - 1
-    ct = fs.ctype if isinstance(fs.ctype, IntType) else IntType(8, False, "bool")
-    return _IntDomain(lo, hi, ct)
+        return _IntDomain(0, fs.dim - 1, fs.ctype)
+    return _IntDomain(fs.ctype.min_value(), fs.ctype.max_value(), fs.ctype)
 
 
 class _Solver:
@@ -503,11 +496,6 @@ class _Solver:
         """
         if t is BinOp:
             op = e.op
-            if op in _BOOLEAN:
-                b = self._bval(e, env)
-                if b is None:
-                    return (0, 1)
-                return (1, 1) if b else (0, 0)
             ct = e.ctype
             if type(ct) is not IntType:
                 return None
@@ -540,11 +528,6 @@ class _Solver:
             lo, hi = (None, None) if inner is None else inner
         elif t is UnOp:
             ct = e.ctype
-            if e.op == "!":
-                b = self._bval(e.operand, env)
-                if b is None:
-                    return (0, 1)
-                return (0, 0) if b else (1, 1)
             if type(ct) is not IntType:
                 return None
             lo = hi = None
@@ -563,11 +546,6 @@ class _Solver:
             if a is None or c is None:
                 return None
             return (min(a[0], c[0]), max(a[1], c[1]))
-        elif t is Range:
-            b = self._bval(e, env)
-            if b is None:
-                return (0, 1)
-            return (1, 1) if b else (0, 0)
         else:
             return None
         w = ct.width
@@ -627,14 +605,6 @@ class _Solver:
                 return None
             b = self._bval(e.operand, env)
             return None if b is None else not b
-        if t is Sym:
-            iv = self._ival(e, env)
-            if iv is None:
-                return None
-            if iv[0] > 0 or iv[1] < 0:
-                return True
-            if iv == (0, 0):
-                return False
         return None
 
     # backward narrowing; returns True when some domain changed
@@ -1124,7 +1094,7 @@ def narrowed_domain(fs: FreeSymbol) -> list[int] | tuple[int, int] | None:
     dom = _initial_domain(fs)
     if isinstance(dom, _SetDomain):
         return list(dom.values)
-    t = fs.ctype  # a float's domain is None, a bool's its sort
+    t = fs.ctype  # a float's domain is None
     if isinstance(t, IntType) and (dom.lo, dom.hi) != (t.min_value(), t.max_value()):
         return dom.lo, dom.hi
     return None

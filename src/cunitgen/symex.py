@@ -16,6 +16,13 @@ in memory.py; all side conditions produced while evaluating an expression
 equality) attach to the next branch entry, or form the constraint's tail
 where the trace ends.
 
+Each operand is converted here, once, to the type C gives it in its
+expression, read from the types sema recorded: a comparison or logical
+result used as a value becomes the int 1 or 0, the arms of a ?: take its
+type, and a shift amount is promoted and range-checked in its own type
+before it takes the result's. So every node built here keeps the typing
+rule that ``symexpr`` states.
+
 A path state is only appended to: a write adds a memory item and changes
 no earlier one. So the state interpret returns for an incomplete trace is
 the checkpoint of its extensions: each one resumes from a fork, which
@@ -99,6 +106,7 @@ from .typesys import (
     PointerType,
     StructType,
     VoidType,
+    promote,
     usual_arith,
 )
 
@@ -430,7 +438,7 @@ class _Interp:
                 cond = mk_binop("&&", b, o)
                 value = item.value
             if is_true(cond) and value is not None and not candidates:
-                return reinterpret(value, place.elem_type, self.state.flags)
+                return self._adapt(value, place)
             candidates.append((cond, value))
             if is_true(cond):
                 break  # older items are fully shadowed
@@ -449,13 +457,21 @@ class _Interp:
                 self.state.flags.mark(f"partial overlap at {place.hint}")
                 value = self.state.flags.fresh(place.elem_type)
             hit = mk_binop("&&", remaining, cond)
-            adapted = reinterpret(value, place.elem_type, self.state.flags)
+            adapted = self._adapt(value, place)
             self.state.add_side(
                 mk_binop("||", negate(hit), _value_eq(fresh, adapted)))
             remaining = mk_binop("&&", remaining, negate(cond))
         if not terminated:
             self._constrain_base_content(fresh, place, remaining)
         return fresh
+
+    def _adapt(self, value: SymExpr, place: Place) -> SymExpr:
+        """A stored value as the read's type (``reinterpret``); where that
+        is a fresh symbol of a pointer type, the read is a fresh pointer."""
+        out = reinterpret(value, place.elem_type, self.state.flags)
+        if isinstance(place.elem_type, PointerType) and not isinstance(out, Ptr):
+            return self._fresh_read(place)
+        return out
 
     def _fresh_read(self, place: Place) -> SymExpr:
         name = f"{place.hint or 'mem'}@read@{self.state.step}"
@@ -550,12 +566,8 @@ class _Interp:
     # ---- expression evaluation ---------------------------------------------
 
     def eval(self, e: Expr) -> SymExpr:
-        if isinstance(e, IntLit):
-            return Const(e.value, e.ctype or INT)
-        if isinstance(e, CharLit):
-            return Const(e.value, INT)
-        if isinstance(e, FloatLit):
-            return Const(e.value, e.ctype or _float_default(e))
+        if isinstance(e, (IntLit, CharLit, FloatLit)):
+            return Const(e.value, e.ctype)
         if isinstance(e, StrLit):
             raise UnsupportedOperation(f"string literal (line {e.line})")
         if isinstance(e, SizeofType):
@@ -588,7 +600,9 @@ class _Interp:
             then, other = self.eval(e.then), self.eval(e.other)
             if isinstance(e.ctype, PointerType):
                 return self._choose_ptr(cond, then, other, e)
-            return mk_ite(cond, then, other, e.ctype)
+            # both arms take the type of the ?: (C11 6.5.15p5)
+            return mk_ite(cond, self.value_as(then, e.ctype, e.line),
+                          self.value_as(other, e.ctype, e.line))
         if isinstance(e, Call):
             raise UnsupportedOperation(
                 f"function call inside an annotation expression (line {e.line})")
@@ -625,33 +639,32 @@ class _Interp:
         return self.read(self.resolve_place(e))
 
     def _eval_bin(self, e: Bin) -> SymExpr:
+        """Each operand is converted to the type C gives it in e, from the
+        types sema recorded, so the node is well-typed (see symexpr)."""
         if e.op in ("&&", "||"):
-            lhs = to_bool(self.eval(e.lhs))
-            rhs = to_bool(self.eval(e.rhs))
-            return mk_binop(e.op, lhs, rhs)
+            return mk_binop(e.op, to_bool(self.eval(e.lhs)), to_bool(self.eval(e.rhs)))
         lhs = self.eval(e.lhs)
         rhs = self.eval(e.rhs)
         if e.op in _CMP:
-            return self._compare(e.op, lhs, rhs, e.line)
+            return self._compare(e, lhs, rhs)
         if isinstance(lhs, Ptr) or isinstance(rhs, Ptr):
             return self._ptr_arith(e.op, lhs, rhs, e.line)
-        common = e.ctype if e.ctype is not None and not isinstance(e.ctype, BOOL.__class__) \
-            else usual_arith(lhs.ctype, rhs.ctype)
-        if e.op in ("/", "%"):
-            rhs_v = self.value_as(rhs, common, e.line)
+        t = e.ctype
+        if e.op in ("<<", ">>"):
+            # the amount is promoted and checked in its own type, and only
+            # then converted to the result's (C11 6.5.7p3)
+            rhs = self.value_as(rhs, promote(e.rhs.ctype), e.line)
+            self.state.add_side(mk_range(rhs, 0, t.width))
+        elif e.op in ("/", "%"):
+            rhs = self.value_as(rhs, t, e.line)
             # undefined behaviour ends the path; a constant operand folds
             # the side condition to FALSE or to TRUE, which add_side drops
-            self.state.add_side(mk_binop("!=", rhs_v, Const(0, common)))
-            return mk_binop(e.op, self.value_as(lhs, common, e.line), rhs_v, common)
-        if e.op in ("<<", ">>"):
-            assert isinstance(common, IntType)
-            amt = self.value_as(rhs, INT, e.line)
-            self.state.add_side(mk_range(amt, 0, common.width))
-            return mk_binop(e.op, self.value_as(lhs, common, e.line), amt, common)
-        return mk_binop(e.op, self.value_as(lhs, common, e.line),
-                        self.value_as(rhs, common, e.line), common)
+            self.state.add_side(mk_binop("!=", rhs, Const(0, t)))
+        return mk_binop(e.op, self.value_as(lhs, t, e.line),
+                        self.value_as(rhs, t, e.line), t)
 
-    def _compare(self, op: str, lhs: SymExpr, rhs: SymExpr, line: int) -> SymExpr:
+    def _compare(self, e: Bin, lhs: SymExpr, rhs: SymExpr) -> SymExpr:
+        op, line = e.op, e.line
         lp, rp = isinstance(lhs, Ptr), isinstance(rhs, Ptr)
         if lp or rp:
             if lp and rp:
@@ -664,12 +677,9 @@ class _Interp:
                 return con.pointer_null_compare(ptr.base, o)
             raise UnsupportedOperation(
                 f"pointer compared against a non-pointer (line {line})")
-        common = usual_arith(lhs.ctype, rhs.ctype) \
-            if _arith_pair(lhs.ctype, rhs.ctype) else None
-        if common is not None:
-            lhs = self.value_as(lhs, common, line)
-            rhs = self.value_as(rhs, common, line)
-        return mk_binop(op, lhs, rhs, BOOL)
+        # both sides in their usual arithmetic type (C11 6.5.8p3, 6.5.9p4)
+        t = usual_arith(e.lhs.ctype, e.rhs.ctype)
+        return mk_binop(op, self.value_as(lhs, t, line), self.value_as(rhs, t, line))
 
     def _ptr_arith(self, op: str, lhs: SymExpr, rhs: SymExpr, line: int) -> SymExpr:
         if op == "-" and isinstance(lhs, Ptr) and isinstance(rhs, Ptr):
@@ -700,7 +710,7 @@ class _Interp:
             return negate(to_bool(v))
         if isinstance(v, Ptr):
             raise UnsupportedOperation(f"unary {e.op} on a pointer (line {e.line})")
-        return mk_unop(e.op, self.value_as(v, e.ctype, e.line) if e.ctype else v, e.ctype)
+        return mk_unop(e.op, self.value_as(v, e.ctype, e.line), e.ctype)
 
     def _eval_cast(self, e: CastExpr) -> SymExpr:
         v = self.eval(e.operand)
@@ -721,8 +731,8 @@ class _Interp:
 
     # ---- conversions ---------------------------------------------------------
 
-    def value_as(self, v: SymExpr, want: CType | None, line: int = 0) -> SymExpr:
-        if want is None or v.ctype == want:
+    def value_as(self, v: SymExpr, want: CType, line: int = 0) -> SymExpr:
+        if v.ctype == want:
             return v
         if isinstance(want, PointerType):
             if isinstance(v, Ptr):
@@ -735,7 +745,8 @@ class _Interp:
         if isinstance(v, Ptr):
             raise UnsupportedOperation(f"pointer converted to {want} (line {line})")
         if v.ctype is BOOL and isinstance(want, (IntType, FloatType)):
-            return mk_ite(v, Const(1, want), Const(0, want), want)
+            # a truth value used as a value is the int 1 or 0 (C11 6.5.8p6)
+            return mk_ite(v, Const(1, want), Const(0, want))
         out = mk_cast(v, want)
         if isinstance(v, Const) and not isinstance(out, Const):
             self.state.add_side(FALSE)  # undefined conversion: path dies
@@ -746,19 +757,11 @@ class _Interp:
 
 
 def _value_eq(a: SymExpr, b: SymExpr) -> SymExpr:
-    if isinstance(a, Ptr) and isinstance(b, Ptr):
+    """a == b for two values of one type, such as a read and what it reads."""
+    if isinstance(a, Ptr):
         return mk_binop("&&",
                         mk_binop("==", a.base, b.base),
                         mk_binop("==", a.offset, b.offset))
-    if isinstance(a, Ptr) or isinstance(b, Ptr):
-        p = a if isinstance(a, Ptr) else b
-        o = b if isinstance(a, Ptr) else a
-        return mk_binop("&&",
-                        mk_binop("==", p.base, Const(NULL_BASE, UINT)),
-                        mk_binop("==", o, Const(0, o.ctype)))
-    common = usual_arith(a.ctype, b.ctype) if _arith_pair(a.ctype, b.ctype) else None
-    if common is not None:
-        return mk_binop("==", mk_cast(a, common), mk_cast(b, common))
     return mk_binop("==", a, b)
 
 
@@ -776,18 +779,8 @@ def _swap_cmp(op: str) -> str:
     return {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}[op]
 
 
-def _arith_pair(a: CType, b: CType) -> bool:
-    return isinstance(a, (IntType, FloatType)) and isinstance(b, (IntType, FloatType))
-
-
 def _is_zero(e: SymExpr) -> bool:
     return isinstance(e, Const) and e.value == 0
-
-
-def _float_default(e: FloatLit):
-    from .typesys import DOUBLE, FLOAT
-
-    return FLOAT if e.is_single else DOUBLE
 
 
 def _hint(e: Expr) -> str:

@@ -17,6 +17,16 @@ pointer relation, truth test and store match into conjuncts over the base
 and the offset (``constraints.pointer_compare``), so no conjunct that
 reaches the solver, the model check or evaluation holds a ``Ptr``, and
 ``render``, ``free_symbols`` and ``evaluate`` have no case for one.
+
+Every node is well-typed, because symex converts each operand to the C
+type sema gave its expression before it builds a node: both operands of an
+arithmetic or shift node have the node's type, both sides of a comparison
+share one arithmetic type, and the arms of an ``Ite`` have its type. A
+truth value (type ``BOOL``: a comparison, ``&&``, ``||``, ``!`` or a
+``Range``) appears only under ``&&``, ``||`` and ``!`` and as an ``Ite``
+condition; where C uses one as a value, symex makes it the ``int`` 1 or 0.
+So the builders take an arithmetic node's type from their caller and infer
+none, and the solver and the SMT-LIB export read each node's sort from it.
 """
 
 from __future__ import annotations
@@ -27,16 +37,12 @@ from typing import Iterator, Mapping, Union
 from .frozen import Frozen
 from .typesys import (
     BOOL,
-    INT,
     CType,
     FloatType,
-    IntType,
     Undefined,
     binary,
     convert,
-    promote,
     unary,
-    usual_arith,
 )
 
 
@@ -128,7 +134,6 @@ TRUE = Const(1, BOOL)
 FALSE = Const(0, BOOL)
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
-_BOOL_OPS = ("&&", "||")
 # each comparison operator's negation
 FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
@@ -145,13 +150,10 @@ def mk_bool(value: bool) -> Const:
     return TRUE if value else FALSE
 
 
-def mk_binop(op: str, lhs: SymExpr, rhs: SymExpr, ctype: CType | None = None) -> SymExpr:
-    """Build a binary node, folding constants and boolean identities."""
-    if ctype is None:
-        if op in _CMP_OPS or op in _BOOL_OPS:
-            ctype = BOOL
-        else:
-            ctype = usual_arith(lhs.ctype, rhs.ctype)
+def mk_binop(op: str, lhs: SymExpr, rhs: SymExpr, ctype: CType = BOOL) -> SymExpr:
+    """Build a binary node, folding constants and boolean identities. An
+    arithmetic node's ctype is its operands' type; a comparison or logical
+    node is a truth value."""
     if op == "&&":
         if is_false(lhs) or is_false(rhs):
             return FALSE
@@ -179,15 +181,8 @@ def mk_binop(op: str, lhs: SymExpr, rhs: SymExpr, ctype: CType | None = None) ->
     return BinOp(op, lhs, rhs, ctype)
 
 
-def mk_unop(op: str, operand: SymExpr, ctype: CType | None = None) -> SymExpr:
-    if op == "!":
-        if isinstance(operand, Const):
-            return mk_bool(not operand.value)
-        return negate(to_bool(operand))
-    if ctype is None:
-        ctype = operand.ctype
-        if isinstance(ctype, IntType):
-            ctype = promote(ctype)
+def mk_unop(op: str, operand: SymExpr, ctype: CType) -> SymExpr:
+    """Build a ``-`` or ``~`` node, folding a constant; ``negate`` is ``!``."""
     if isinstance(operand, Const):
         try:
             return Const(unary(op, operand.value, ctype), ctype)
@@ -207,12 +202,13 @@ def mk_cast(operand: SymExpr, ctype: CType) -> SymExpr:
     return Cast(operand, ctype)
 
 
-def mk_ite(cond: SymExpr, then: SymExpr, other: SymExpr, ctype: CType | None = None) -> SymExpr:
+def mk_ite(cond: SymExpr, then: SymExpr, other: SymExpr) -> SymExpr:
+    """Build a ?: node of its arms' type."""
     if is_true(cond):
         return then
     if is_false(cond):
         return other
-    return Ite(cond, then, other, ctype or then.ctype)
+    return Ite(cond, then, other, then.ctype)
 
 
 def mk_range(expr: SymExpr, lo: int, hi: int) -> SymExpr:
@@ -234,9 +230,8 @@ def to_bool(e: SymExpr) -> SymExpr:
     if e.ctype is BOOL:
         return e
     if isinstance(e, Ptr):
-        return mk_binop("!=", e.base, Const(0, e.base.ctype), BOOL)
-    zero = Const(0, e.ctype) if isinstance(e.ctype, (IntType, FloatType)) else Const(0, INT)
-    return mk_binop("!=", e, zero, BOOL)
+        return mk_binop("!=", e.base, Const(0, e.base.ctype))
+    return mk_binop("!=", e, Const(0, e.ctype))
 
 
 def negate(e: SymExpr) -> SymExpr:

@@ -58,6 +58,30 @@ int before_end(int x, int i)
 """
 POINTER_CHOICE_FUNCTIONS = ("before_end", "either", "pick")
 
+# C's conversions of operands: a comparison used as an int (f, and m's
+# shift amount), a ?: arm narrower than the ?: (g), and shift amounts
+# narrower (h) and wider (k) than the shifted value, which are promoted and
+# range-checked in their own type (C11 6.5.7p3); f, g and m read in their
+# bodies the parameter only their annotations read otherwise, or gcc
+# -Wextra -Werror rejects the unit once rtt_annotations.h empties them
+CONVERSIONS = """\
+#include "rtt_annotations.h"
+int f(int x, int y) { __rtt_precondition((x < y) == 1); if (x > 0) return 1; return y; }
+int g(int x, int y) { __rtt_precondition((x > 0 ? (char)y : 300) > 5); if (y > 0) return x; return 0; }
+long h(long x, int s) { long t = x << s; if (t > 5) return 1; return 0; }
+int k(int x, long s) { int t = x << s; if (t > 5) return 1; return 0; }
+int m(int x, int y) { __rtt_precondition((x << (y < 3)) > 1); if (x > 0) return y; return 0; }
+"""
+CONVERSION_FUNCTIONS = ("f", "g", "h", "k", "m")
+
+# a pointer read from a union member that an integer was written to: symex
+# cannot model it, so the read is a fresh pointer
+UNION_POINTER = """\
+union u { long l; int *p; };
+union u g;
+int f(long v) { g.l = v; if (g.p == 0) return 1; return 0; }
+"""
+
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)

@@ -4,7 +4,9 @@ unit_to_c prints a parsed unit back as C, which the parser round-trip test
 compares with its input. parse_smtlib reads back the subset of SMT-LIB2
 that ``cunitgen.smtlib.export_smtlib`` writes and rebuilds an
 equisatisfiable constraint, so tests can check the export against the
-constraint it states.
+constraint it states. ill_typed checks the typing rule of
+``cunitgen.symexpr`` on a symbolic expression, and smt_sort_errors checks
+that exported SMT-LIB2 text is well-sorted.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ from cunitgen.symexpr import (
     Cast,
     Const,
     Ite,
+    Ptr,
+    Range,
     Role,
     Sym,
     SymExpr,
     UnOp,
     negate,
 )
-from cunitgen.typesys import BOOL, DOUBLE, FLOAT, IntType, wrap_int
+from cunitgen.typesys import BOOL, DOUBLE, FLOAT, FloatType, IntType, wrap_int
 
 # ---------------------------------------------------------------------------
 # A parsed unit back to C
@@ -378,3 +382,142 @@ def _fp_from_bits(sexp) -> float:
     if len(exp) == 8:
         return struct.unpack(">f", struct.pack(">I", bits))[0]
     return struct.unpack(">d", struct.pack(">Q", bits))[0]
+
+
+# ---------------------------------------------------------------------------
+# The typing rule of symbolic expressions
+
+
+def ill_typed(e: SymExpr) -> list[SymExpr]:
+    """The nodes of e that break the typing rule of ``cunitgen.symexpr``:
+    both operands of an arithmetic or shift node have the node's type, both
+    sides of a comparison share one arithmetic type, the arms of an Ite
+    have its type, and a truth value (BOOL) appears only under &&, || and
+    ! and as an Ite condition. e itself is a truth value, as a conjunct
+    is. A shared subterm is checked once."""
+    bad: list[SymExpr] = []
+    seen: set[int] = set()
+
+    def truth(x: SymExpr) -> bool:
+        return x.ctype is BOOL
+
+    def arith(x: SymExpr) -> bool:
+        return isinstance(x.ctype, (IntType, FloatType))
+
+    def ok(x: SymExpr) -> bool:
+        if isinstance(x, Sym):
+            return arith(x)
+        if isinstance(x, Const):
+            return arith(x) or truth(x)
+        if isinstance(x, BinOp):
+            if x.op in ("&&", "||"):
+                return truth(x) and truth(x.lhs) and truth(x.rhs)
+            if x.op in ("<", "<=", ">", ">=", "==", "!="):
+                return truth(x) and arith(x.lhs) and x.lhs.ctype == x.rhs.ctype
+            return arith(x) and x.lhs.ctype == x.ctype == x.rhs.ctype
+        if isinstance(x, UnOp):
+            if x.op == "!":
+                return truth(x) and truth(x.operand)
+            return arith(x) and x.operand.ctype == x.ctype
+        if isinstance(x, Cast):
+            return arith(x) and arith(x.operand)
+        if isinstance(x, Ite):
+            return truth(x.cond) and arith(x) \
+                and x.then.ctype == x.ctype == x.other.ctype
+        if isinstance(x, Range):
+            return isinstance(x.expr.ctype, IntType)
+        return False  # a Ptr, or no node at all
+
+    def walk(x: SymExpr) -> None:
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if not ok(x):
+            bad.append(x)
+        if isinstance(x, Ptr):
+            return
+        for v in vars(x).values():
+            if isinstance(v, (Const, Sym, BinOp, UnOp, Cast, Ite, Range, Ptr)):
+                walk(v)
+
+    if not truth(e):
+        bad.append(e)
+    walk(e)
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# Sorts of exported SMT-LIB2
+
+
+_BV_PREDICATES = {"bvslt", "bvsle", "bvsgt", "bvsge", "bvult", "bvule", "bvugt", "bvuge"}
+_FP_PREDICATES = {"fp.eq", "fp.lt", "fp.leq", "fp.gt", "fp.geq"}
+
+
+def smt_sort_errors(text: str) -> list[str]:
+    """The terms of SMT-LIB2 text that are ill-sorted: each bv operator,
+    ``=``, ``distinct`` and both arms of an ``ite`` take operands of one
+    sort, floating-point operators take one FloatingPoint sort, and
+    ``ite`` (its condition), ``and``, ``or``, ``not`` and ``assert`` take
+    Bool. A sort is "Bool", ("BitVec", width) or ("FP", eb, sb)."""
+    errors: list[str] = []
+    sorts: dict[str, object] = {}
+
+    def sort_of(sexp) -> object:
+        if isinstance(sexp, str):
+            if sexp in ("true", "false"):
+                return "Bool"
+            if sexp in ("RNE", "RTZ"):
+                return "RoundingMode"
+            return sorts[sexp]
+        head, args = sexp[0], sexp[1:]
+        if head == "_":
+            return ("BitVec", int(sexp[2]))
+        if head == "fp":
+            return ("FP", len(sexp[2]) - 2, len(sexp[3]) - 1)
+        arg_sorts = [sort_of(a) for a in args]
+        if isinstance(head, list):  # an indexed operator
+            op, n = head[1], int(head[2])
+            x = arg_sorts[-1]
+            if op == "extract":
+                return ("BitVec", n - int(head[3]) + 1)
+            if op in ("sign_extend", "zero_extend"):
+                return ("BitVec", x[1] + n)
+            if op in ("to_fp", "to_fp_unsigned"):
+                return ("FP", n, int(head[3]))
+            return ("BitVec", n)  # fp.to_sbv, fp.to_ubv
+        if head in ("and", "or", "not"):
+            if any(s != "Bool" for s in arg_sorts):
+                errors.append(f"{head} over {arg_sorts}: {sexp}")
+            return "Bool"
+        if head == "ite":
+            if arg_sorts[0] != "Bool":
+                errors.append(f"ite condition of sort {arg_sorts[0]}: {sexp}")
+            if arg_sorts[1] != arg_sorts[2]:
+                errors.append(f"ite arms of sorts {arg_sorts[1:]}: {sexp}")
+            return arg_sorts[1]
+        if head.startswith("fp."):
+            operands = [s for s in arg_sorts if s != "RoundingMode"]
+            if len(set(operands)) != 1 or operands[0][0] != "FP":
+                errors.append(f"{head} over {arg_sorts}: {sexp}")
+            return "Bool" if head in _FP_PREDICATES else operands[0]
+        if head in ("=", "distinct") or head.startswith("bv"):
+            if len(set(arg_sorts)) != 1 or (head.startswith("bv")
+                                            and arg_sorts[0][0] != "BitVec"):
+                errors.append(f"{head} over {arg_sorts}: {sexp}")
+            return "Bool" if head in _BV_PREDICATES or not head.startswith("bv") \
+                else arg_sorts[0]
+        raise SmtError(f"no sort rule for {head}")
+
+    tokens = _tokenize(text)
+    pos = 0
+    while pos < len(tokens):
+        sexp, pos = _read_sexp(tokens, pos)
+        if sexp[0] == "declare-fun":
+            sort = sexp[3]
+            sorts[sexp[1]] = "Bool" if sort == "Bool" else \
+                ("BitVec", int(sort[2])) if sort[1] == "BitVec" else \
+                ("FP", int(sort[2]), int(sort[3]))
+        elif sexp[0] == "assert" and sort_of(sexp[1]) != "Bool":
+            errors.append(f"assertion not Bool: {sexp[1]}")
+    return errors

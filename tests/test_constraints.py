@@ -5,7 +5,9 @@ import os
 
 import pytest
 
-from conftest import DATA_DIR, POINTER_CHOICE, POINTER_LOOPS, read_data
+from conftest import DATA_DIR, UNION_POINTER, read_data
+from oracles import ill_typed
+from test_procedures import SHAPES
 
 import cunitgen.pipeline as pipeline
 from cunitgen import constraints as con
@@ -28,7 +30,7 @@ from cunitgen.symexpr import (
     mk_binop,
     render_conjunction,
 )
-from cunitgen.typesys import UINT
+from cunitgen.typesys import BOOL, INT, LONG, SCHAR, UINT
 
 
 def pinfo(base, offset, dim):
@@ -183,28 +185,77 @@ def _terms(e):
             yield from _terms(v)
 
 
-def test_no_pointer_term_reaches_the_solver(monkeypatch, tmp_path):
-    """Symex splits every pointer relation into base and offset terms."""
+def walk_solver_calls(monkeypatch, tmp_path, check) -> int:
+    """Generate each function of tests/data, of every SHAPES unit and of
+    UNION_POINTER, calling check(where, constraint) on each constraint that
+    ``solve`` receives, where names the unit and the function. Returns the
+    number of calls."""
     real_solve = pipeline.solve
-    seen = []
+    where = ""
+    calls = 0
 
     def checking_solve(constraint, *args, **kwargs):
-        # name and fn are the unit and function being generated
-        assert not any(isinstance(t, Ptr) for c in constraint.conjuncts
-                       for t in _terms(c)), f"{name}: {fn.name}"
-        seen.append(fn.name)
+        nonlocal calls
+        check(where, constraint)
+        calls += 1
         return real_solve(constraint, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "solve", checking_solve)
     units = [(name, read_data(name)) for name in sorted(os.listdir(DATA_DIR))
              if name.endswith(".c")]
-    units += [("pointer_loops.c", POINTER_LOOPS), ("pointer_choice.c", POINTER_CHOICE)]
+    units += [(name, text) for shape in SHAPES.values() for name, text, _ in shape]
+    units.append(("union_pointer.c", UNION_POINTER))
     for name, text in units:
         unit = parse_unit(text, name)
         for fn in unit.functions:
             if fn.body is not None and not fn.annotation_only:
+                where = f"{name}: {fn.name}"
                 pipeline.generate_function(unit, fn, Config(out_dir=str(tmp_path)))
-    assert seen
+    return calls
+
+
+def test_no_pointer_term_reaches_the_solver(monkeypatch, tmp_path):
+    """Symex splits every pointer relation into base and offset terms."""
+    def check(where, constraint):
+        assert not any(isinstance(t, Ptr) for c in constraint.conjuncts
+                       for t in _terms(c)), where
+
+    assert walk_solver_calls(monkeypatch, tmp_path, check)
+
+
+def test_every_conjunct_is_well_typed(monkeypatch, tmp_path):
+    """Symex converts each operand to the type C gives it, so every node
+    keeps the typing rule of symexpr."""
+    def check(where, constraint):
+        for c in constraint.conjuncts:
+            assert ill_typed(c) == [], f"{where}: {c}"
+
+    assert walk_solver_calls(monkeypatch, tmp_path, check)
+
+
+class TestTypingRule:
+    X, Y = Sym("x", INT), Sym("y", INT)
+    LESS = BinOp("<", X, Y, BOOL)
+
+    def test_a_truth_value_used_as_an_int_is_ill_typed(self):
+        bad = BinOp("==", self.LESS, Const(1, INT), BOOL)
+        assert ill_typed(bad) == [bad]
+        as_int = Ite(self.LESS, Const(1, INT), Const(0, INT), INT)
+        assert ill_typed(BinOp("==", as_int, Const(1, INT), BOOL)) == []
+
+    def test_operands_and_arms_take_the_node_type(self):
+        s = Sym("s", LONG)
+        shift = BinOp("<<", self.X, s, INT)
+        assert ill_typed(BinOp(">", shift, Const(5, INT), BOOL)) == [shift]
+        arm = Cast(self.Y, SCHAR)
+        ite = Ite(self.LESS, arm, Const(300, INT), INT)
+        assert ill_typed(BinOp(">", ite, Const(5, INT), BOOL)) == [ite]
+        mixed = BinOp("<", self.X, s, BOOL)
+        assert ill_typed(mixed) == [mixed]
+
+    def test_a_conjunct_is_a_truth_value(self):
+        assert ill_typed(self.X) == [self.X]
+        assert ill_typed(UnOp("!", self.X, BOOL))  # ! of an int
 
 
 def _regions():

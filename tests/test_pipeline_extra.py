@@ -208,18 +208,28 @@ class TestEarlyStops:
             assert [u["verdict"] for u in outcome.report.uncovered] == \
                 ["budget-exhausted"] * 2
 
+    PRE = ('#include "rtt_annotations.h"\n'
+           "int f(int x, int y) { __rtt_precondition(%s); "
+           "if (x < 0) { return 2; } return 0; }\n")
+
     def test_preconditions_log_their_verdict(self):
-        # the solver leaves x * y == 391 undecided at the default budget
-        pre = ('#include "rtt_annotations.h"\n'
-               "int f(int x, int y) { __rtt_precondition(%s); "
-               "if (x < 0) { return 2; } return 0; }\n")
-        for cond, verdict, edges in (
-                ("x * y == 391 && x > 1 && y > 1", "unknown", "budget-exhausted"),
-                ("x > 1 && x < 0", "unsat", "unreachable")):
-            outcome = run_src(pre % cond, "f")
-            assert [(r.mode, r.verdict) for r in outcome.selection_log] == \
-                [("fresh", f"preconditions-{verdict}")]
-            assert [u["verdict"] for u in outcome.report.uncovered] == [edges] * 2
+        # contradictory assumptions end generation after one selection
+        outcome = run_src(self.PRE % "x > 1 && x < 0", "f")
+        assert [(r.mode, r.verdict) for r in outcome.selection_log] == \
+            [("fresh", "preconditions-unsat")]
+        assert [u["verdict"] for u in outcome.report.uncovered] == ["unreachable"] * 2
+
+    def test_undecided_preconditions_do_not_end_generation(self):
+        # x < 0 against x > 1 is refuted, but five nodes do not decide the
+        # assumptions alone: that branch is pruned as undecided, and the
+        # feasible !(x < 0) is still tried
+        outcome = run_src(self.PRE % "x * y == 391 && x > 1 && y > 1", "f",
+                          budget_nodes=5)
+        assert [(r.mode, r.verdict) for r in outcome.selection_log] == \
+            [("fresh", "preconditions-unknown"),
+             ("fresh", "unknown(search node budget (5) exhausted)")]
+        assert [u["verdict"] for u in outcome.report.uncovered] == \
+            ["budget-exhausted"] * 2
 
 
 # if (a_x + c > a_y) chains with a c = 0 cycle (a4 > a0 and a0 > a4), whose

@@ -9,6 +9,8 @@ import subprocess
 import pytest
 
 from conftest import (
+    CONVERSION_FUNCTIONS,
+    CONVERSIONS,
     DATA_DIR,
     POINTER_CHOICE,
     POINTER_CHOICE_FUNCTIONS,
@@ -19,7 +21,9 @@ from conftest import (
 
 from cunitgen.cli import main
 
-SANITIZE = ["-fsanitize=address,undefined", "-fno-sanitize-recover"]
+SANITIZE = ["-fsanitize=address,undefined",
+            "-fsanitize=float-cast-overflow,float-divide-by-zero",
+            "-fno-sanitize-recover"]
 
 # two functions of one unit stub ext with schedules of different lengths,
 # and h, which calls nothing, links against the unit's call of ext too
@@ -73,6 +77,7 @@ SHAPES = {
                            ("f", "helper"))],
     "pointer_loops": [("pointer_loops.c", POINTER_LOOPS, POINTER_LOOP_FUNCTIONS)],
     "pointer_choice": [("pointer_choice.c", POINTER_CHOICE, POINTER_CHOICE_FUNCTIONS)],
+    "conversions": [("conversions.c", CONVERSIONS, CONVERSION_FUNCTIONS)],
 }
 
 # tick is an annotated prototype, which the unit defines once
@@ -134,9 +139,10 @@ def test_stub_shape_runs_sanitized(tmp_path, shape):
             build_and_run(out, fn, path)
 
 
-@pytest.mark.parametrize("shape", ["pointer_choice", "pointer_loops"])
-def test_pointer_shape_is_fully_covered(tmp_path, shape):
-    # the loops end at a pointer one past the end of their array
+@pytest.mark.parametrize("shape", ["conversions", "pointer_choice", "pointer_loops"])
+def test_shape_is_fully_covered(tmp_path, shape):
+    # the loops end at a pointer one past the end of their array; k's shift
+    # amount is checked as a long, not cut to an int first
     out = str(tmp_path / "out")
     [(path, functions)] = write_shape(tmp_path, shape)
     generate([path], out)

@@ -3,8 +3,9 @@
 import os
 
 import pytest
-from conftest import data_path, exported_candidates
-from oracles import parse_smtlib
+from conftest import DATA_DIR, UNION_POINTER, data_path, exported_candidates
+from oracles import parse_smtlib, smt_sort_errors
+from test_procedures import SHAPES
 
 from cunitgen.cli import main
 
@@ -163,6 +164,43 @@ class TestRoundTrip:
             assert result.status == "sat"
             for pointer, ids in candidates.items():
                 assert result.model.values[f"{pointer}@baseAddress"] % 2**32 in ids
+
+
+class TestSorts:
+    def test_every_export_is_well_sorted(self, tmp_path):
+        """The export of every solver call over tests/data, every SHAPES
+        unit and UNION_POINTER; a truth value used as an int, a ?: arm of
+        another width and a shift amount of another width were not."""
+        units = [data_path(name) for name in sorted(os.listdir(DATA_DIR))
+                 if name.endswith(".c")]
+        for name, text in [(name, text) for shape in SHAPES.values()
+                           for name, text, _ in shape] + [("union.c", UNION_POINTER)]:
+            (tmp_path / name).write_text(text)
+            units.append(str(tmp_path / name))
+        exports = 0
+        for i, unit in enumerate(units):
+            out = tmp_path / f"out{i}"
+            assert main([unit, "--solver", "smtlib-out", "--out-dir", str(out), "-q"]) \
+                in (0, 2), unit
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".smt2"):
+                    exports += 1
+                    assert smt_sort_errors((out / name).read_text()) == [], \
+                        f"{unit}: {name}"
+        assert exports
+
+    def test_sort_check_sees_ill_sorted_terms(self):
+        decls = ("(declare-fun |x| () (_ BitVec 32))\n"
+                 "(declare-fun |s| () (_ BitVec 64))\n")
+        well = "(assert (bvsgt (bvshl ((_ sign_extend 32) |x|) |s|) (_ bv5 64)))\n"
+        assert smt_sort_errors(decls + well) == []
+        for bad in ("(assert (= (bvslt |x| |x|) (_ bv1 32)))",
+                    "(assert (bvsgt (bvshl |s| |x|) (_ bv5 64)))",
+                    "(assert (bvsgt (ite true ((_ extract 7 0) |x|) |x|) |x|))",
+                    "(assert (ite |x| true false))",
+                    "(assert (and (bvslt |x| |x|) |x|))",
+                    "(assert (bvadd |x| |x|))"):
+            assert smt_sort_errors(decls + bad) != [], bad
 
 
 class TestModelFile:

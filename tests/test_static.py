@@ -476,11 +476,37 @@ def _callee(call: ast.Call, bases: list[str]) -> list[str]:
     return [func.attr]
 
 
+def _calls_in(node: ast.AST, enclosing: dict[str, list[str]]):
+    """Each call under node, with the functions it is made in: a map from
+    the name a call reaches each of them by (its class's for an __init__)
+    to its parameter names after the bound one, positional ones first."""
+    for child in ast.iter_child_nodes(node):
+        inner = enclosing
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            method = isinstance(node, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list)
+            name = node.name if method and child.name == "__init__" else child.name
+            params = [a.arg for a in child.args.posonlyargs + child.args.args]
+            inner = {**enclosing, name: params[1 if method else 0:]
+                     + [a.arg for a in child.args.kwonlyargs]}
+        elif isinstance(child, ast.Call):
+            yield child, enclosing
+        yield from _calls_in(child, inner)
+
+
+def _names(arg: ast.AST, param: str) -> bool:
+    return isinstance(arg, ast.Name) and arg.id == param
+
+
 def unset_defaults(src_dir: str, caller_dirs: list[str]) -> list[str]:
     """Defaulted parameters of the functions, methods and classes (their
     __init__) under src_dir that no call under caller_dirs passes. A call
     is resolved by its bare or attribute name, and reaches every definition
-    of that name; a ``*`` or ``**`` argument passes every parameter."""
+    of that name; a ``*`` or ``**`` argument passes every parameter. A call
+    made inside the function it reaches, or in a function nested in that
+    one, does not pass a parameter it passes on unchanged: the same name at
+    the same position or keyword."""
     defs = []
     for module, tree in _parsed(src_dir):
         methods = set()
@@ -500,7 +526,7 @@ def unset_defaults(src_dir: str, caller_dirs: list[str]) -> list[str]:
         defs += [(module, fn.name, fn.name, _defaulted(fn, 0)) for fn in ast.walk(tree)
                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                  and fn not in methods]
-    positions: dict[str, int] = {}
+    positions: dict[str, set[int]] = {}
     keywords: dict[str, set[str]] = {}
     spread: set[str] = set()
     for caller_dir in caller_dirs:
@@ -511,20 +537,23 @@ def unset_defaults(src_dir: str, caller_dirs: list[str]) -> list[str]:
                     names = [b.id if isinstance(b, ast.Name) else b.attr
                              for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))]
                     bases.update((id(n), names) for n in ast.walk(cls))
-            for call in ast.walk(tree):
-                if not isinstance(call, ast.Call):
-                    continue
+            for call, enclosing in _calls_in(tree, {}):
                 for name in _callee(call, bases.get(id(call), [])):
-                    positions[name] = max(positions.get(name, 0), len(call.args))
+                    # the parameters of the callee the call is made in
+                    own = enclosing.get(name, [])
+                    positions.setdefault(name, set()).update(
+                        i for i, a in enumerate(call.args)
+                        if not (i < len(own) and _names(a, own[i])))
                     keywords.setdefault(name, set()).update(
-                        k.arg for k in call.keywords if k.arg is not None)
+                        k.arg for k in call.keywords if k.arg is not None
+                        and not (k.arg in own and _names(k.value, k.arg)))
                     if any(isinstance(a, ast.Starred) for a in call.args) \
                             or any(k.arg is None for k in call.keywords):
                         spread.add(name)
     return sorted(f"{module}: {label}({param})" for module, label, name, params in defs
                   for param, position in params
                   if name not in spread and param not in keywords.get(name, ())
-                  and (position is None or positions.get(name, 0) <= position))
+                  and (position is None or position not in positions.get(name, ())))
 
 
 def test_every_default_is_set_by_a_caller():
@@ -550,9 +579,17 @@ def test_default_check_sees_an_unset_default(tmp_path):
         "def f(x, y=1, z=2):\n"
         "    return P(x, by_key=y).m(z)\n"
         "def g(*args, w=0, **kwargs):\n"
-        "    return f(*args)\n")
+        "    return f(*args)\n"
+        "def walk(t, depth=0, seen=None, mode=0):\n"
+        "    def rec(c):\n"
+        "        return walk(c, depth + 1, seen=seen, mode=mode)\n"
+        "    return [rec(c) for c in t] if walk(t, depth, seen) else mode\n"
+        "walk([], mode=1)\n")
+    # walk's own calls pass seen and depth on unchanged, which sets
+    # neither; rec passes depth + 1, and the last line mode
     assert unset_defaults(str(tmp_path), [str(tmp_path)]) == [
-        "m.py: P(by_pos)", "m.py: P(never)", "m.py: P.m(k)", "m.py: g(w)"]
+        "m.py: P(by_pos)", "m.py: P(never)", "m.py: P.m(k)", "m.py: g(w)",
+        "m.py: walk(seen)"]
 
 
 def readme_options(text: str) -> set[str]:
