@@ -36,12 +36,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="smtlib-out also writes each constraint to "
                         "<fn>_<n>.smt2 and takes a <fn>_<n>.model answer "
                         "that solves it as a hint")
-    p.add_argument("--budget-ms", type=int, default=60000,
-                   help="per-function wall-clock deadline; edges it leaves "
-                        "undecided are reported as time-budget")
+    p.add_argument("--budget-ms", type=int, default=600000,
+                   help="per-function wall-clock guard: a function still "
+                        "generating at it is an error; it decides no verdict")
     p.add_argument("--budget-nodes", type=int, default=10000,
                    help="per-constraint solver search-node budget (at least "
-                        "1); the only limit that decides a solver verdict")
+                        "1); a function's calls share 50 times it")
     p.add_argument("--out-dir", default="ctgout")
     p.add_argument("--function", help="generate only for this function")
     p.add_argument("--do-not-stub", default="",

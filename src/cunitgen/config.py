@@ -5,7 +5,7 @@ from __future__ import annotations
 
 class Config:
     def __init__(self, coverage: str = "c1", max_depth: int = 256,
-                 ptr_array_size: int = 10, solver: str = "builtin", budget_ms: int = 60000,
+                 ptr_array_size: int = 10, solver: str = "builtin", budget_ms: int = 600000,
                  budget_nodes: int = 10000, out_dir: str = "ctgout",
                  function: str | None = None, do_not_stub: list[str] | None = None,
                  stub_globals: dict[str, list[str]] | None = None, verbose: bool = False,
@@ -15,8 +15,8 @@ class Config:
         self.max_depth = max_depth
         self.ptr_array_size = ptr_array_size
         self.solver = solver  # builtin or smtlib-out
-        self.budget_ms = budget_ms  # per-function wall-clock deadline
-        self.budget_nodes = budget_nodes  # per solver call; alone decides its verdict
+        self.budget_ms = budget_ms  # per-function wall-clock guard, an error
+        self.budget_nodes = budget_nodes  # per solver call; with the pool, decides verdicts
         self.out_dir = out_dir
         self.function = function
         self.do_not_stub = [] if do_not_stub is None else do_not_stub

@@ -15,9 +15,7 @@ from .csyntax import (
     AnnotationKind,
     Assign,
     Block,
-    DeclStmt,
     DoWhile,
-    EmptyStmt,
     Expr,
     For,
     FunctionDef,
@@ -28,6 +26,7 @@ from .csyntax import (
     Stmt,
     Switch,
     While,
+    is_passive,
 )
 
 _HEADER_KINDS = (
@@ -93,7 +92,7 @@ def extract_annotations(fn: FunctionDef) -> AnnotationSet:
             kept.append(stmt)  # assign/assert markers stay put
             _scan_initials(out, stmt.exprs)
             continue
-        if not _is_passive(stmt):
+        if not is_passive(stmt):
             executable_seen = True
         _reject_nested_headers(stmt, out)
         kept.append(stmt)
@@ -114,12 +113,6 @@ def _assigns_aux(ann: Annotation, out: AnnotationSet) -> bool:
     payload = ann.exprs[0] if ann.exprs else None
     return isinstance(payload, Assign) and payload.op == "=" \
         and isinstance(payload.target, Name) and payload.target.name in out.aux
-
-
-def _is_passive(stmt: Stmt) -> bool:
-    if isinstance(stmt, EmptyStmt):
-        return True
-    return isinstance(stmt, DeclStmt) and stmt.init is None
 
 
 def _collect_header(out: AnnotationSet, ann: Annotation) -> None:

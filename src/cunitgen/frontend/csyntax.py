@@ -281,6 +281,12 @@ Stmt = (
 )
 
 
+def is_passive(stmt: Stmt) -> bool:
+    """Whether executing stmt does nothing: ``;`` or a declaration without
+    an initializer."""
+    return isinstance(stmt, EmptyStmt) or (isinstance(stmt, DeclStmt) and stmt.init is None)
+
+
 # --------------------------------------------------------------------------
 # Top level
 

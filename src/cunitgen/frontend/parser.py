@@ -6,9 +6,12 @@ the sema pass so every expression node carries its static type.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import CunitgenError, ParseError, UnsupportedConstruct
 from ..typesys import (
     BUILTIN_TYPES,
+    FLOAT,
     INT,
     LONG,
     ArrayType,
@@ -20,6 +23,7 @@ from ..typesys import (
     Undefined,
     binary,
     layout_struct,
+    round_float,
     unary,
 )
 from .csyntax import (
@@ -656,6 +660,11 @@ class _Parser:
         if tok.kind == "float":
             self.advance()
             value, single = tok.value  # type: ignore[misc]
+            if single:
+                value = round_float(value, FLOAT)
+            if not math.isfinite(value):  # C11 6.4.4p2
+                raise self.error(f"floating constant {tok.text} is out of range "
+                                 f"for {'float' if single else 'double'}", tok)
             return FloatLit(value, tok.line, single)
         if tok.kind == "char":
             self.advance()

@@ -50,6 +50,7 @@ from .frontend.csyntax import (
     Un,
     Update,
     While,
+    is_passive,
 )
 from .frontend.sema import binary_type
 from .frontend.writer import expr_to_c
@@ -289,7 +290,7 @@ class _Lowerer:
                     brk: int | None, cont: int | None) -> int | None:
         for s in stmts:
             if cur is None:
-                if _is_passive_stmt(s):
+                if is_passive(s):
                     continue
                 cur = self.new_node(getattr(s, "line", 0))  # unreachable code
             cur = self.lower_stmt(s, cur, brk, cont)
@@ -726,10 +727,6 @@ def _clone_load(place: Expr) -> Expr:
         raise TypeError(f"not a place: {place!r}")
     out.ctype = place.ctype
     return out
-
-
-def _is_passive_stmt(s: Stmt) -> bool:
-    return isinstance(s, (EmptyStmt,)) or (isinstance(s, DeclStmt) and s.init is None)
 
 
 def lower(unit: SourceUnit, fn: FunctionDef) -> Cfg:

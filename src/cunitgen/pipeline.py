@@ -7,9 +7,12 @@ concrete replay), a satisfiable prefix stays active and is extended next
 round, an unsatisfiable branch is pruned from the tree and remembered, an
 unknown verdict is pruned too but reported separately, and so is what lies
 behind it. So is a branch whose constraint fails with the assumptions
-alone undecided; only unsatisfiable assumptions end generation. Generation ends when no selectable trace remains or the coverage
-criterion is met, or early at the per-function deadline or the iteration
-bound, whose name then becomes the verdict of the edges left undecided.
+alone undecided; only unsatisfiable assumptions end generation. Generation
+ends when no selectable trace remains or the coverage criterion is met, or
+early at the iteration bound, whose name then becomes the verdict of the
+edges left undecided. Each search draws its nodes from the function's pool
+(``_POOL_CALLS`` per-call budgets), so counts alone decide verdicts; the
+clock is only a guard, and a function it stops at ``--budget-ms`` fails.
 
 Each iteration reuses what the last ones established. The state the active
 trace's interpretation returned is the checkpoint: a trace extending or
@@ -62,6 +65,7 @@ from .stubs import StubSpec
 from .symex import Layout, PathState, interpret
 
 _MAX_ITERATIONS = 20000
+_POOL_CALLS = 50  # a function's search nodes, in per-call budgets
 _MAX_DIVERGENCES = 3
 
 
@@ -122,7 +126,8 @@ class _Session:
         self.config = config
         self.log: list[str] = []
         self.accepted_traces: list[Trace] = []
-        self.deadline = 0.0  # time.monotonic() value at which generation stops
+        self.deadline = 0.0  # time.monotonic() value at which the guard fires
+        self.pool = _POOL_CALLS * config.budget_nodes  # search nodes left
         # the model of the last solver search, tried before each new search
         self.last_model: Model | None = None
         # the head of the active trace's state (its constraint without the
@@ -133,8 +138,10 @@ class _Session:
         if self.config.verbose:
             self.log.append(text)
 
-    def _out_of_time(self) -> bool:
-        return time.monotonic() >= self.deadline
+    def _check_clock(self) -> None:
+        if time.monotonic() >= self.deadline:
+            raise CunitgenError(f"--budget-ms ({self.config.budget_ms}) "
+                                "reached before generation finished")
 
     def run(self) -> FunctionOutcome:
         start = time.monotonic()
@@ -189,9 +196,7 @@ class _Session:
         for iteration in range(_MAX_ITERATIONS):
             if coverage.complete_for(self.config.coverage):
                 break
-            if self._out_of_time():
-                coverage.stopped = "time-budget"
-                break
+            self._check_clock()
             trace = tree.select_trace(active)
             if trace is None:
                 break
@@ -291,8 +296,9 @@ class _Session:
         verified; any other answer came from a search, and its model becomes
         the next hint.
         """
-        result = solve(constraint, self.config.budget_nodes, hint=self.last_model,
-                       hint_holds=holds)
+        result = solve(constraint, min(self.config.budget_nodes, self.pool),
+                       hint=self.last_model, hint_holds=holds)
+        self.pool = max(self.pool - result.nodes, 0)
         if result.model is not None and result.nodes:
             self.last_model = result.model
             self.hint_holds = None
@@ -381,8 +387,7 @@ class _Session:
                    if any(tag not in covered for tag in tc.tags)]
         for tc_index in missing:
             for trace in self.accepted_traces:
-                if self._out_of_time():
-                    return
+                self._check_clock()
                 try:
                     state = interpret(trace, out.cfg, anns, out.layout,
                                       active_testcase=tc_index)

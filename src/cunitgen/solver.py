@@ -18,7 +18,8 @@ symbol with the smallest residual domain, probes the boundary values, then
 splits at the midpoint and backtracks on propagation failure; a candidate
 domain branches on each candidate in turn; (5) a float symbol's candidates
 are a fixed seed set (0, +-1, +-0.5, and each float literal of the
-constraint with its neighbours at +-1), and a comparison over floats is
+constraint with its neighbours at +-1, each rounded to the symbol's type,
+without repeats or values beyond its range), and a comparison over floats is
 decided by the expression evaluator once every symbol under it is decided.
 
 The corner rule of step (4) keeps every answer of a search that accepts a
@@ -73,6 +74,7 @@ constraint adds; neither changes an answer.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Container
 
 from .constraints import Constraint, FreeSymbol, restrict_free
@@ -92,7 +94,7 @@ from .symexpr import (
     is_false,
     is_true,
 )
-from .typesys import FloatType, IntType, Undefined, binary
+from .typesys import FloatType, IntType, Undefined, binary, round_float
 
 _CMP = ("<", "<=", ">", ">=", "==", "!=")
 # the memo's mark for a node not evaluated yet (None is an interval: unknown)
@@ -185,7 +187,9 @@ class _Solver:
         self.watchers = a.watchers
         self.comparisons = a.comparisons
         self.float_cmps = a.float_cmps
-        self.seeds = _float_seeds(a.literals) if self.float_syms else []
+        # float type -> the candidates of its symbols
+        self.seeds = {fs.ctype: _float_seeds(a.literals, fs.ctype)
+                      for fs in self.float_syms.values()}
         # the node being propagated: which conjuncts may narrow (dirty), and
         # each comparison's cached difference edge (None: recompute)
         self.dirty: list[bool] = []
@@ -221,8 +225,8 @@ class _Solver:
             env[name] = _initial_domain(fs)
         for name, fs in self.int_syms.items():
             env[name] = _initial_domain(fs)
-        for name in self.float_syms:
-            env[name] = _SetDomain(self.seeds)  # narrowing copies, never edits
+        for name, fs in self.float_syms.items():
+            env[name] = _SetDomain(self.seeds[fs.ctype])  # narrowing copies, never edits
         return env
 
     # -- search ------------------------------------------------------------------
@@ -1061,14 +1065,18 @@ def _float_cmp(e: BinOp, names: tuple[str, ...], env) -> bool | None:
         return None
 
 
-def _float_seeds(literals: list[float]) -> list[float]:
-    """A float symbol's candidates: 0, +-1, +-0.5, then each literal and its
-    neighbours at +-1, without repeats."""
-    seeds = [0.0, 1.0, -1.0, 0.5, -0.5]
+def _float_seeds(literals: list[float], t: FloatType) -> list[float]:
+    """The candidates of a float symbol of type t: 0, +-1, +-0.5, then each
+    literal and its neighbours at +-1, rounded to t, without repeats or
+    values beyond t's range."""
+    candidates = [0.0, 1.0, -1.0, 0.5, -0.5]
     for lit in literals:
-        for v in (lit, lit + 1.0, lit - 1.0):
-            if v not in seeds:
-                seeds.append(v)
+        candidates += (lit, lit + 1.0, lit - 1.0)
+    seeds: list[float] = []
+    for v in candidates:
+        v = round_float(v, t)
+        if math.isfinite(v) and v not in seeds:
+            seeds.append(v)
     return seeds
 
 
@@ -1082,8 +1090,8 @@ def _in_start_domain(fs: FreeSymbol, v: int | float | None) -> bool:
     if v is None:
         return False
     dom = _initial_domain(fs)
-    if dom is None:
-        return isinstance(v, float)
+    if dom is None:  # a float of fs's type
+        return isinstance(v, float) and math.isfinite(v) and round_float(v, fs.ctype) == v
     return isinstance(v, int) and dom.contains(v)
 
 

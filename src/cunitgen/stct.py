@@ -122,7 +122,7 @@ class CoverageState:
         # were undecided
         self.unknown_nodes: set[int] = set()
         # why generation stopped before exhausting the tree, if it did:
-        # time-budget or iteration-bound
+        # iteration-bound
         self.stopped = ""
 
     def mark_pending(self, trace: Trace) -> None:

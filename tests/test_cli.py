@@ -159,6 +159,13 @@ class TestRobustness:
         exe = compile_c(str(tmp_path), [str(tmp_path / "h_driver.c"), str(src)])
         assert run_exe(exe)[0] == 0
 
+    def test_double_constant_beyond_its_range_is_a_diagnostic(self, tmp_path, capsys):
+        src = tmp_path / "huge.c"
+        src.write_text("int f(double x) { if (x == 1e309) return 1; return 0; }\n")
+        assert run_cli([str(src), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: line 1: floating constant 1e309 is out of range for double"]
+
     def nesting_diagnostic(self, tmp_path, capsys, text: str) -> str:
         src = tmp_path / "deep.c"
         src.write_text(text)

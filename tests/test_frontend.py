@@ -189,6 +189,18 @@ class TestParseUnit:
         with pytest.raises(ParseError, match=message):
             parse_unit(src)
 
+    def test_float_constant_takes_its_type(self):
+        # 16777217 needs 25 significant bits: as a float it rounds to even
+        unit = parse_unit("float f = 16777217.0f; double d = 16777217.0;")
+        assert global_var(unit, "f").init.value == 16777216.0
+        assert global_var(unit, "d").init.value == 16777217.0
+
+    @pytest.mark.parametrize("text, kind", [("1e39f", "float"), ("1e309", "double")])
+    def test_floating_constant_beyond_its_range(self, text, kind):
+        with pytest.raises(ParseError, match=f"floating constant {text} is out of range "
+                                             f"for {kind}"):
+            parse_unit(f"int f(double x) {{ if (x == {text}) return 1; return 0; }}")
+
     def test_determinism(self):
         src = read_data("alloc.c")
         a = parse_unit(src, "alloc.c")

@@ -283,7 +283,7 @@ class TestReachMasks:
             unit = parse_unit(chain(k), "chain.c")
             calls.clear()
             outcome = pipeline.generate_function(
-                unit, unit.function("chain"), Config(out_dir="/tmp/ctg-imr", budget_ms=10**9))
+                unit, unit.function("chain"), Config(out_dir="/tmp/ctg-imr"))
             assert outcome.status == "ok" and len(outcome.selection_log) >= 2 * k
             counts.append(len(calls))
         assert counts == [4, 4]

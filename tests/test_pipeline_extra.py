@@ -7,6 +7,7 @@ import weakref
 from conftest import DATA_DIR, read_data
 
 import cunitgen.pipeline as pipeline
+from cunitgen.cli import main
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.pipeline import generate_function
@@ -178,13 +179,66 @@ class TestStress:
         assert outcome.elapsed_s < 5.0
 
 
+def prefixed_hard_edge(j: int) -> str:
+    """An infeasible edge, then j diamonds before x * y == 391, which no
+    search of 1000 nodes decides, so that edge is tried once under each of
+    the 2^j prefixes. The infeasible edge is proven only by a run that ends
+    on its own."""
+    params = "".join(f", int a{i}" for i in range(j))
+    body = "".join(f" if (a{i} > 0) {{ r = r + 1; }}" for i in range(j))
+    return (f"int h(int x, int y{params}) {{ int r = 0;"
+            f" if (x > 5) {{ if (x < 3) {{ r = 1; }} }}{body}"
+            f" if (x * y == 391) {{ r = 99; }} return r; }}")
+
+
+def written_files(out_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestClock:
+    """The clock decides no verdict: it only fails a function that is still
+    generating at --budget-ms."""
+
+    def test_artifacts_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        # 1024 prefixes reach the hard edge and the pool holds 50 searches
+        # of it, so the run stays short of the guard on the fast clock;
+        # searching it under every prefix would take some ten times as long
+        unit = parse_unit(prefixed_hard_edge(10), "h.c")
+        fn = unit.function("h")
+        real = pipeline.time.monotonic
+        origin = real()
+        for run, clock in (("normal", real), ("fast", lambda: origin + 10 * (real() - origin))):
+            monkeypatch.setattr(pipeline.time, "monotonic", clock)
+            config = Config(out_dir=str(tmp_path / run), budget_nodes=1000, quiet=True)
+            session = pipeline._Session(unit, fn, config)
+            outcome = session.run()
+            assert outcome.status == "ok", outcome.message
+            assert session.pool == 0
+            assert "infeasible-proven" in {u["verdict"] for u in outcome.report.uncovered}
+            os.makedirs(config.out_dir)
+            pipeline.write_outputs(outcome, unit, config)
+        assert written_files(tmp_path / "normal") == written_files(tmp_path / "fast")
+
+    def test_budget_ms_guard_fails_only_its_function(self, tmp_path, capsys):
+        text = read_data("tritype_int.c") + "void idle(void) { }\n"
+        unit = parse_unit(text, "two.c")
+        outcome = generate_function(unit, unit.function("Tritype"),
+                                    Config(out_dir=str(tmp_path), budget_ms=0))
+        assert outcome.status == "error"
+        assert "--budget-ms" in outcome.message and "\n" not in outcome.message
+        # the CLI still generates the function that finishes in no time
+        source = tmp_path / "two.c"
+        source.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main([str(source), "--budget-ms", "0", "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [Tritype]: --budget-ms (0)")
+        assert not [n for n in os.listdir(out_dir) if n.startswith("Tritype_")]
+        assert os.path.exists(out_dir / "idle_driver.c")
+
+
 class TestEarlyStops:
     """A stopped loop names its reason on every edge it left undecided."""
-
-    def test_deadline_reported_as_time_budget(self):
-        outcome = run_src(read_data("tritype_int.c"), "Tritype", budget_ms=0)
-        assert outcome.report.uncovered
-        assert {u["verdict"] for u in outcome.report.uncovered} == {"time-budget"}
 
     def test_iteration_bound_reported(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_MAX_ITERATIONS", 3)

@@ -67,6 +67,18 @@ int f(int x) { if (helper(x) > 3) return 1; return 0; }
 int helper(int v) { return v * 2; }
 """
 
+# floating constants and float symbols take the values of their types:
+# 36.6 and 0.1 are no float, and 16777217.0f is 16777216
+FLOAT_CONSTANTS = """\
+#include "rtt_annotations.h"
+int warm(float t) { if (t >= 36.6) return 1; return 0; }
+int tenth(float x) { if (x == 0.1) return 1; return 0; }
+int lit(int x) { if (x > 0) { if ((int)16777217.0f == 16777217) return 1; return 2; } return 0; }
+int stored(int x) { float big = 16777217.0f; if (x > 0) { if ((int)big == 16777217) return 1; return 2; } return 0; }
+int post(int x) { __rtt_postcondition(__rtt_return == 16777216); if (x > 0) return (int)16777217.0f; return 16777216; }
+"""
+FLOAT_CONSTANT_FUNCTIONS = ("lit", "post", "stored", "tenth", "warm")
+
 # shape -> (file name, text, the functions it defines) per unit of one run
 SHAPES = {
     "ext_twice": [("ext_twice.c", EXT_TWICE, ("f", "g", "h"))],
@@ -78,6 +90,7 @@ SHAPES = {
     "pointer_loops": [("pointer_loops.c", POINTER_LOOPS, POINTER_LOOP_FUNCTIONS)],
     "pointer_choice": [("pointer_choice.c", POINTER_CHOICE, POINTER_CHOICE_FUNCTIONS)],
     "conversions": [("conversions.c", CONVERSIONS, CONVERSION_FUNCTIONS)],
+    "float_constants": [("float_constants.c", FLOAT_CONSTANTS, FLOAT_CONSTANT_FUNCTIONS)],
 }
 
 # tick is an annotated prototype, which the unit defines once
@@ -151,6 +164,26 @@ def test_shape_is_fully_covered(tmp_path, shape):
             report = json.load(fh)
         assert report["edges_covered"] == report["edges_total"] > 0, fn
         assert report["uncovered"] == [], fn
+
+
+def test_float_constants_get_their_verdicts(tmp_path):
+    # no float equals 0.1, and the search tries none that is; the true edge
+    # of each 16777217 test is proven infeasible, as gcc's rounding makes it
+    out = str(tmp_path / "out")
+    [(path, functions)] = write_shape(tmp_path, "float_constants")
+    generate([path], out)
+    uncovered = {}
+    for fn in functions:
+        with open(os.path.join(out, f"{fn}_coverage.json"), encoding="utf-8") as fh:
+            uncovered[fn] = [(u["description"], u["verdict"])
+                             for u in json.load(fh)["uncovered"]]
+    assert uncovered == {
+        "lit": [("n7 -> n5 [__t0 == 16777217]", "infeasible-proven")],
+        "post": [],
+        "stored": [("n7 -> n5 [__t0 == 16777217]", "infeasible-proven")],
+        "tenth": [("n4 -> n2 [x == 0.1]", "budget-exhausted")],
+        "warm": [],
+    }
 
 
 def test_annotated_prototype_sibling_runs_sanitized(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 
@@ -18,7 +19,7 @@ from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
-from cunitgen.typesys import DOUBLE, INT, SCHAR, SHORT, UCHAR, UINT
+from cunitgen.typesys import DOUBLE, FLOAT, INT, SCHAR, SHORT, UCHAR, UINT, round_float
 
 INT_MAX = 2**31 - 1
 
@@ -310,6 +311,17 @@ class TestFloats:
         r = solve(c)
         assert r.status == "sat" and r.model.values["f"] == -0.5
 
+    def test_float_symbol_takes_only_values_of_its_type(self):
+        # 36.6 is no float, and 36.6f is below it: the answer is 37.6f, and
+        # a hint of 36.6 or of an infinity is no answer
+        t = Sym("t", FLOAT)
+        c = make([mk_binop(">=", mk_cast(t, DOUBLE), Const(36.6, DOUBLE))])
+        r = solve(c)
+        assert r.status == "sat" and r.model.values["t"] == round_float(37.6, FLOAT)
+        for v in (36.6, math.inf):
+            assert solver_mod.hinted_model(c, Model({"t": v})) is None
+        assert solver_mod.hinted_model(c, r.model) is not None
+
     def test_triangle_floats(self):
         i, j, k = (Sym(n, DOUBLE) for n in "ijk")
         conj = [mk_binop(">=", v, Const(0.0, DOUBLE)) for v in (i, j, k)]
@@ -415,7 +427,7 @@ class TestFloatFunctionsPinned:
 
         monkeypatch.setattr(pipeline, "solve", solve_logged)
         unit = parse_unit(source, f"{name}.c")
-        config = Config(out_dir=str(tmp_path), budget_ms=10**9, quiet=True)
+        config = Config(out_dir=str(tmp_path), quiet=True)
         assert pipeline.generate_function(unit, unit.function(name), config).status == "ok"
         answers = [(r.status, r.reason, _model_text(r.model and r.model.values))
                    for r in calls]
@@ -483,7 +495,7 @@ def pipeline_answers(name, out_dir, monkeypatch, check=None):
 
     monkeypatch.setattr(pipeline, "solve", solve_logged)
     unit = parse_unit(source, name)
-    config = Config(out_dir=str(out_dir), budget_ms=10**9, quiet=True)
+    config = Config(out_dir=str(out_dir), quiet=True)
     for fn in unit.functions:
         if fn.body is not None and not fn.annotation_only:
             pipeline.generate_function(unit, fn, config)

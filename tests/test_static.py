@@ -3,10 +3,10 @@ every name a module imports is used, every function, method and class is
 referenced by the code under src/ (test oracles live in tests/oracles.py),
 every field a class's __init__ sets is read there (a few kept for outside
 readers excepted), every parameter is read by its function, no module
-imports dataclasses, no function mutates a module-level container, no code
-takes a list's first element with ``.pop(0)``, some call passes each
-defaulted parameter, and README's command-line block lists exactly the
-CLI's options.
+imports dataclasses, no module but the pipeline imports time, no function
+mutates a module-level container, no code takes a list's first element
+with ``.pop(0)``, some call passes each defaulted parameter, and README's
+command-line block lists exactly the CLI's options.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -420,6 +420,34 @@ def test_mutation_check_sees_a_module_cache():
            "    del _TABLE['a']\n")
     assert mutated_module_containers(src) == ["f: _CACHE", "g: _SEEN", "k: _CACHE",
                                               "k: _TABLE"]
+
+
+def clock_imports(text: str) -> list[int]:
+    """The lines of text that import the time module or a name from it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Import)
+                  and any(a.name.split(".")[0] == "time" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "time")
+
+
+@pytest.mark.parametrize("path", [p for p in modules()
+                                  if os.path.basename(p) != "pipeline.py"],
+                         ids=lambda p: os.path.relpath(p, SRC))
+def test_only_the_pipeline_reads_the_clock(path):
+    """Verdicts come from counts: the solver, symex, the STCT and the
+    harness read no clock. The pipeline reads it for the --budget-ms guard
+    and the elapsed time it prints."""
+    with open(path, encoding="utf-8") as fh:
+        assert clock_imports(fh.read()) == []
+
+
+def test_clock_check_sees_a_time_import():
+    src = ("import os, time as t\n"
+           "from . import timing\n"
+           "def f():\n"
+           "    from time import monotonic\n"
+           "    return t, monotonic, timing\n")
+    assert clock_imports(src) == [1, 4]
 
 
 def front_pops(text: str) -> list[int]:

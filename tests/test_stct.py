@@ -183,8 +183,8 @@ def dead_edge(j: int) -> str:
 
 class TestDepthBound:
     def test_nested_ifs_past_the_bound_end_at_the_bound(self):
-        """Levels no trace can reach within --max-depth cost no deadline."""
-        outcome = run(nested_ifs(130), "deep", budget_ms=10000)
+        """Levels no trace can reach within --max-depth cost no search."""
+        outcome = run(nested_ifs(130), "deep")
         verdicts = [u["verdict"] for u in outcome.report.uncovered]
         assert verdicts and set(verdicts) == {"depth-bound"}
         assert outcome.report.edges_covered + len(verdicts) == outcome.report.edges_total
@@ -231,7 +231,7 @@ def tree_sizes(text: str, name: str, monkeypatch) -> tuple[int, int]:
     with monkeypatch.context() as patch:
         patch.setattr(Stct, "ensure_children", ensuring)
         patch.setattr(Stct, "select_trace", selecting)
-        run(text, name, budget_ms=10**9)
+        run(text, name)
     return created[0], len(selected)
 
 
@@ -358,7 +358,7 @@ class TestPinnedSelections:
     @pytest.mark.parametrize("label,text,name", PINNED_CASES,
                              ids=[c[0] for c in PINNED_CASES])
     def test_selections_and_resume_points_unchanged(self, label, text, name):
-        outcome = run(text, name, label, verbose=True, budget_ms=10**9)
+        outcome = run(text, name, label, verbose=True)
         log = [[r.mode, r.labels, r.complete, r.verdict] for r in outcome.selection_log]
         lines = [_SEARCH_NODES.sub("N search nodes", ln)
                  for ln in outcome.message.splitlines() if ln.startswith("iteration ")]
@@ -410,7 +410,7 @@ class TestCoverageBits:
         monkeypatch.setattr(CoverageState, "mark_pending", marking)
         monkeypatch.setattr(CoverageState, "commit_pending", committing)
         monkeypatch.setattr(CoverageState, "clear_pending", clearing)
-        run(text, name, label, budget_ms=10**9)
+        run(text, name, label)
         assert committed
 
 
@@ -439,7 +439,7 @@ class TestTraces:
             return trace
 
         monkeypatch.setattr(Stct, "select_trace", selecting)
-        run(text, name, label, budget_ms=10**9)
+        run(text, name, label)
         assert "fresh" in modes
 
 
@@ -479,7 +479,6 @@ class TestSearchExhaustion:
             return node
 
         monkeypatch.setattr(Stct, "_search", searching)
-        outcome = run(text, name, label, budget_ms=10**9,
-                      **({"max_depth": depth[0]} if depth else {}))
+        outcome = run(text, name, label, **({"max_depth": depth[0]} if depth else {}))
         # generation ends short of full coverage only when a search is empty
         assert empty or not outcome.report.uncovered
