@@ -13,6 +13,9 @@ early at the iteration bound, whose name then becomes the verdict of the
 edges left undecided. Each search draws its nodes from the function's pool
 (``_POOL_CALLS`` per-call budgets), so counts alone decide verdicts; the
 clock is only a guard, and a function it stops at ``--budget-ms`` fails.
+Once the pool is empty each search still gets its root node, where
+propagation and the corner decide what they can; a search that needs more
+ends undecided.
 
 Each iteration reuses what the last ones established. The state the active
 trace's interpretation returned is the checkpoint: a trace extending or
@@ -20,7 +23,9 @@ completing it resumes from a fork of that state, which is never changed
 (``symex.interpret`` decides whether it still applies). Every solver call,
 including the prefix re-solves after an unsat answer and the requirement
 follow-up, is first offered the model of the last search as a hint, which
-``solve`` returns only if it verifies. The constraint of a resumed trace
+``solve`` returns only if it verifies, and the root fixpoint of the last
+search that propagated one, where ``solve`` starts when the constraint
+begins with that fixpoint's conjuncts. The constraint of a resumed trace
 starts from the checkpoint's head (its constraint up to the tail), and
 while the hint is known to solve that head, only what the new branches add
 is checked. The prefix scan after an unsat answer checks each branch
@@ -59,7 +64,15 @@ from .harness import (
     write_atomically,
 )
 from .imr import Cfg, dump_cfg, enumerate_coverage_targets, lower
-from .solver import Model, SolveResult, hinted_model, model_fits, solve, unchecked_symbols
+from .solver import (
+    Fixpoint,
+    Model,
+    SolveResult,
+    hinted_model,
+    model_fits,
+    solve,
+    unchecked_symbols,
+)
 from .stct import CoverageState, Stct, Trace
 from .stubs import StubSpec
 from .symex import Layout, PathState, interpret
@@ -133,6 +146,9 @@ class _Session:
         # the head of the active trace's state (its constraint without the
         # tail), which last_model is known to solve
         self.hint_holds: con.Constraint | None = None
+        # the root fixpoint of the last search that propagated one, where a
+        # search of a constraint beginning with its conjuncts starts
+        self.fixpoint: Fixpoint | None = None
 
     def say(self, text: str) -> None:
         if self.config.verbose:
@@ -294,11 +310,19 @@ class _Session:
         ``holds`` is a leading part of the constraint that model is known
         to solve (see ``solve``). A sat answer with 0 nodes is that model,
         verified; any other answer came from a search, and its model becomes
-        the next hint.
+        the next hint, as its root fixpoint becomes the next search's start.
+        An empty pool still grants the root node, so propagation and the
+        corner decide what they can; a search that needs more is unknown
+        for the empty pool.
         """
-        result = solve(constraint, min(self.config.budget_nodes, self.pool),
-                       hint=self.last_model, hint_holds=holds)
+        empty = self.pool == 0
+        result = solve(constraint, min(self.config.budget_nodes, max(self.pool, 1)),
+                       hint=self.last_model, hint_holds=holds, fixpoint=self.fixpoint)
         self.pool = max(self.pool - result.nodes, 0)
+        if result.fixpoint is not None:
+            self.fixpoint = result.fixpoint
+        if empty and result.nodes > 1:  # the root did not decide it
+            result.reason += f": node pool ({_POOL_CALLS * self.config.budget_nodes}) empty"
         if result.model is not None and result.nodes:
             self.last_model = result.model
             self.hint_holds = None

@@ -50,8 +50,16 @@ surviving window is a conflict. The difference-constraint check accepts a
 side inside a single window with the shift folded into its constant. All
 of it is exact per window, so no feasible value is ever pruned.
 
-Two caches make a search node cost what it narrows and a call cost what its
-constraint adds; neither changes an answer.
+The push rule: a bound pushed into a compound node whose interval already
+lies inside it returns at once (``_Solver._covers``). The descent it skips
+would write no domain and raise no conflict: with one wrap window the hull
+of a sum or difference is its raw interval, so each operand's bounds hold
+the operand's interval, and with a straddle the bound holds the whole type,
+so every window keeps all of its values. A value used twice, as in
+x = x + x, is then descended once per push, not once per path to it.
+
+Three caches make a search node cost what it narrows and a call cost what
+its constraint adds; none changes an answer.
 
 - The interval memo (``_Solver.memo``) keeps each compound node's forward
   interval, keyed by the node's id, so that narrowing a comparison, pushing
@@ -70,6 +78,21 @@ constraint adds; neither changes an answer.
   first occurrence, so the float seeds and every watch list are those of a
   walk over the whole constraint. Nothing is kept at module level, and the
   analysis goes with the constraints when the function's generation ends.
+- The carried fixpoint (``Fixpoint``) is a search's root after propagation:
+  its domains, its ``lin`` cache and its leftover dirty pieces, with the
+  conjunct list they were computed for. ``solve`` returns it with the
+  answer, and a later search starts its root from it when two conditions
+  hold: the constraint's conjuncts begin with the fixpoint's, the very
+  nodes, and no float symbol is involved, since the float seeds depend on
+  the literals of the whole constraint. Only the pieces past the fixpoint
+  start dirty, and a symbol new to the constraint starts from its initial
+  domain. Propagation removes only values that no model has, and the
+  earlier conjuncts are among the new ones, so the start prunes no model.
+  A round-capped propagation need not reach one unique fixpoint, so the
+  test suite checks every pipeline call of its units against a search
+  from the full domains: the same answer, model and node count. The
+  caller keeps the fixpoint (the pipeline's session, one per function),
+  never this module.
 """
 
 from __future__ import annotations
@@ -106,13 +129,32 @@ class Model:
         self.values = {} if values is None else values
 
 
+class Fixpoint:
+    """A search's root after propagation: the domains (``env``), the pieces
+    still to be narrowed (``dirty``, leftovers of the round cap) and the
+    linearized comparisons (``lin``), computed for ``conjuncts``. A later
+    search of a constraint that begins with those conjuncts starts its root
+    here (see the module docstring)."""
+
+    def __init__(self, conjuncts: list[SymExpr],
+                 env: dict[str, _IntDomain | _SetDomain],
+                 dirty: list[bool], lin: list[tuple | None]):
+        self.conjuncts = conjuncts
+        self.env = env
+        self.dirty = dirty
+        self.lin = lin
+
+
 class SolveResult:
     def __init__(self, status: str, model: Model | None = None, reason: str = "",
-                 nodes: int = 0):
+                 nodes: int = 0, fixpoint: Fixpoint | None = None):
         self.status = status  # sat, unsat, unknown
         self.model = model
         self.reason = reason
         self.nodes = nodes
+        # the root's fixpoint, for a later search (None: no search, a
+        # conflict at the root, or a float involved)
+        self.fixpoint = fixpoint
 
 
 class _OutOfNodes(Exception):
@@ -165,7 +207,8 @@ def _initial_domain(fs: FreeSymbol) -> _IntDomain | _SetDomain | None:
 
 
 class _Solver:
-    def __init__(self, constraint: Constraint, max_nodes: int):
+    def __init__(self, constraint: Constraint, max_nodes: int,
+                 start: Fixpoint | None = None):
         self.constraint = constraint
         self.max_nodes = max_nodes
         self.nodes = 0
@@ -196,6 +239,11 @@ class _Solver:
         self.lin: list[tuple | None] = []
         # id(compound node) -> its interval under the current domains
         self.memo: dict[int, tuple[int, int] | None] = {}
+        # where the root starts, if the carried fixpoint applies: no float
+        # is involved, and the conjuncts begin with the fixpoint's
+        self.start = start if start is not None and not self.float_syms \
+            and _begins_with(constraint.conjuncts, start.conjuncts) else None
+        self.fixpoint: Fixpoint | None = None  # this search's root, once propagated
 
     # -- entry ----------------------------------------------------------------
 
@@ -206,25 +254,36 @@ class _Solver:
         try:
             model = self._search(self._initial_env())
         except _OutOfNodes as exc:
-            return SolveResult("unknown", reason=str(exc), nodes=self.nodes)
+            return SolveResult("unknown", reason=str(exc), nodes=self.nodes,
+                               fixpoint=self.fixpoint)
         if model is not None:
-            return SolveResult("sat", model, nodes=self.nodes)
+            return SolveResult("sat", model, nodes=self.nodes, fixpoint=self.fixpoint)
         if self.float_syms:  # the seeds are not every float: no proof
             return SolveResult("unknown", nodes=self.nodes,
                                reason="float seed set exhausted without a verified model")
-        return SolveResult("unsat", nodes=self.nodes)
+        return SolveResult("unsat", nodes=self.nodes, fixpoint=self.fixpoint)
 
     # -- domains ----------------------------------------------------------------
 
     def _initial_env(self) -> dict[str, _IntDomain | _SetDomain]:
-        """The root's domains; every conjunct is still to be narrowed."""
-        self.dirty = [True] * len(self.conjuncts)
-        self.lin = [None] * len(self.conjuncts)
+        """The root's domains: the carried fixpoint's, with only the pieces
+        past it still to be narrowed, and each other symbol's initial
+        domain; without a fixpoint every piece is still to be narrowed."""
+        start = self.start
+        if start is None:
+            carried = {}
+            self.dirty = [True] * len(self.conjuncts)
+            self.lin = [None] * len(self.conjuncts)
+        else:
+            carried = start.env
+            fresh = len(self.conjuncts) - len(start.dirty)
+            self.dirty = start.dirty + [True] * fresh
+            self.lin = start.lin + [None] * fresh
         env: dict[str, _IntDomain | _SetDomain] = {}
-        for name, fs in self.base_syms.items():
-            env[name] = _initial_domain(fs)
-        for name, fs in self.int_syms.items():
-            env[name] = _initial_domain(fs)
+        for syms in (self.base_syms, self.int_syms):
+            for name, fs in syms.items():
+                dom = carried.get(name)
+                env[name] = _initial_domain(fs) if dom is None else dom
         for name, fs in self.float_syms.items():
             env[name] = _SetDomain(self.seeds[fs.ctype])  # narrowing copies, never edits
         return env
@@ -250,6 +309,10 @@ class _Solver:
             self._propagate(env)
         except _Conflict:
             return None
+        if self.nodes == 1 and not self.float_syms:
+            # nothing changes env, dirty or lin from here on: each child
+            # works on copies
+            self.fixpoint = Fixpoint(self.constraint.conjuncts, env, dirty, lin)
         model = self._corner(env)
         if model is not None:
             return model
@@ -768,8 +831,18 @@ class _Solver:
                 return True
         return False
 
+    def _covers(self, e: SymExpr, lo: int | None, hi: int | None, env) -> bool:
+        """The push rule: whether [lo, hi] holds the whole interval of the
+        compound node e, so that pushing it into e narrows nothing."""
+        iv = self._ival(e, env)
+        return iv is not None and (lo is None or lo <= iv[0]) \
+            and (hi is None or iv[1] <= hi)
+
     def _push(self, e: SymExpr, lo: int | None, hi: int | None, env) -> bool:
-        """Intersect the value set of e with [lo, hi], descending where exact."""
+        """Intersect the value set of e with [lo, hi], descending where exact.
+
+        A compound node that ``_covers`` returns at once (the push rule,
+        see the module docstring)."""
         t = type(e)
         if t is Sym:
             dom = env.get(e.name)
@@ -789,6 +862,13 @@ class _Solver:
                 if len(nv) != len(dom.values):
                     self._set(env, e.name, _SetDomain(nv))
                     return True
+            return False
+        if t is Const:
+            v = int(e.value)
+            if (lo is not None and v < lo) or (hi is not None and v > hi):
+                raise _Conflict
+            return False
+        if self._covers(e, lo, hi, env):
             return False
         if t is BinOp:
             op = e.op
@@ -814,11 +894,6 @@ class _Solver:
                 changed = self._push(e.lhs, r_lo + b[0], r_hi + b[1], env)
                 changed |= self._push(e.rhs, a[0] - r_hi, a[1] - r_lo, env)
             return changed
-        if t is Const:
-            v = int(e.value)
-            if (lo is not None and v < lo) or (hi is not None and v > hi):
-                raise _Conflict
-            return False
         if t is Cast:
             ct = e.ctype
             if type(ct) is not IntType:
@@ -1051,6 +1126,11 @@ def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
     return hit
 
 
+def _begins_with(conjuncts: list[SymExpr], head: list[SymExpr]) -> bool:
+    """Whether conjuncts begins with the very nodes of head."""
+    return len(head) <= len(conjuncts) and all(a is b for a, b in zip(head, conjuncts))
+
+
 def _float_cmp(e: BinOp, names: tuple[str, ...], env) -> bool | None:
     """A float comparison's value once each of its symbols is decided."""
     values = {}
@@ -1180,8 +1260,8 @@ def hinted_model(constraint: Constraint, hint: Model,
 
 
 def solve(constraint: Constraint, max_nodes: int = 10000,
-          hint: Model | None = None, hint_holds: Constraint | None = None
-          ) -> SolveResult:
+          hint: Model | None = None, hint_holds: Constraint | None = None,
+          fixpoint: Fixpoint | None = None) -> SolveResult:
     """Decide a constraint within max_nodes search nodes.
 
     The answer depends on the constraint, the node budget and the hint
@@ -1195,10 +1275,12 @@ def solve(constraint: Constraint, max_nodes: int = 10000,
     ``_Solver._corner`` produces the model, and it returns one only after
     ``verify_model`` accepts it. Propagation pays per change (see the
     module docstring), with the same domains, node counts and models as
-    full rounds.
+    full rounds. ``fixpoint``, an earlier result's, is where the root
+    starts when the constraint begins with its conjuncts and involves no
+    float; the result carries this search's root fixpoint in turn.
     """
     if hint is not None:
         model = hinted_model(constraint, hint, hint_holds)
         if model is not None:
             return SolveResult("sat", model)
-    return _Solver(constraint, max_nodes).run()
+    return _Solver(constraint, max_nodes, fixpoint).run()

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import DATA_DIR, UNION_POINTER, read_data
 from oracles import ill_typed
+from test_pipeline_extra import BRANCH_CHAIN
 from test_procedures import SHAPES
 
 import cunitgen.pipeline as pipeline
@@ -186,10 +187,10 @@ def _terms(e):
 
 
 def walk_solver_calls(monkeypatch, tmp_path, check) -> int:
-    """Generate each function of tests/data, of every SHAPES unit and of
-    UNION_POINTER, calling check(where, constraint) on each constraint that
-    ``solve`` receives, where names the unit and the function. Returns the
-    number of calls."""
+    """Generate each function of tests/data, of every SHAPES unit, of
+    UNION_POINTER and of BRANCH_CHAIN, calling check(where, constraint) on
+    each constraint that ``solve`` receives, where names the unit and the
+    function. Returns the number of calls."""
     real_solve = pipeline.solve
     where = ""
     calls = 0
@@ -205,6 +206,7 @@ def walk_solver_calls(monkeypatch, tmp_path, check) -> int:
              if name.endswith(".c")]
     units += [(name, text) for shape in SHAPES.values() for name, text, _ in shape]
     units.append(("union_pointer.c", UNION_POINTER))
+    units.append(("chain.c", BRANCH_CHAIN))
     for name, text in units:
         unit = parse_unit(text, name)
         for fn in unit.functions:

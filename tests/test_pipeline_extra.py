@@ -262,6 +262,18 @@ class TestEarlyStops:
             assert [u["verdict"] for u in outcome.report.uncovered] == \
                 ["budget-exhausted"] * 2
 
+    def test_an_empty_pool_still_grants_the_root_node(self):
+        # ten nodes factor no product, so the searches of 391 drain the pool
+        # of 500; the trace of every false edge is still decided at its root
+        params = ", ".join(f"int a{i}, int b{i}" for i in range(60))
+        body = " ".join(f"if (a{i} * b{i} == 391) {{ r = r + 1; }}" for i in range(60))
+        outcome = run_src(f"int f({params}) {{ int r = 0; {body} return r; }}", "f",
+                          budget_nodes=10)
+        assert len(outcome.test_cases) == 1
+        assert (outcome.report.edges_covered, outcome.report.edges_total) == (60, 120)
+        assert "unknown(search node budget (1) exhausted: node pool (500) empty)" in \
+            {r.verdict for r in outcome.selection_log}
+
     PRE = ('#include "rtt_annotations.h"\n'
            "int f(int x, int y) { __rtt_precondition(%s); "
            "if (x < 0) { return 2; } return 0; }\n")
@@ -362,22 +374,28 @@ class TestFailingPrefixScan:
 
 class TestAnalysisLifetime:
     """The solver's per-conjunct analysis lives on the function's
-    constraints and goes with them."""
+    constraints, and the carried root fixpoint on its session: both go
+    with the function."""
 
     def test_conjunct_nodes_do_not_outlive_the_function(self, tmp_path, monkeypatch):
         real_solve = pipeline.solve
         refs = []
+        domains = []
 
         def watching_solve(constraint, *args, **kwargs):
             refs.append(weakref.ref(constraint.conjuncts[-1]))
-            return real_solve(constraint, *args, **kwargs)
+            result = real_solve(constraint, *args, **kwargs)
+            if result.fixpoint is not None:
+                domains.extend(weakref.ref(d) for d in result.fixpoint.env.values())
+            return result
 
         monkeypatch.setattr(pipeline, "solve", watching_solve)
         unit = parse_unit(BRANCH_CHAIN, "chain.c")
         outcome = generate_function(unit, unit.functions[0], Config(out_dir=str(tmp_path)))
-        assert outcome.status == "ok" and len(refs) > 10
+        assert outcome.status == "ok" and len(refs) > 10 and len(domains) > 10
         gc.collect()
         assert [r for r in refs if r() is not None] == []
+        assert [r for r in domains if r() is not None] == []
 
     def test_same_unit_twice_same_artifacts(self, tmp_path):
         unit = parse_unit(BRANCH_CHAIN, "chain.c")

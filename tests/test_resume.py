@@ -179,8 +179,9 @@ def test_resumed_answers_equal_the_full_hint_check(label, text, name, monkeypatc
         resumed.append(bool(state.resumed_at))
         return state
 
-    def checking_solve(constraint, max_nodes, hint=None, hint_holds=None):
-        result = real_solve(constraint, max_nodes, hint=hint, hint_holds=hint_holds)
+    def checking_solve(constraint, max_nodes, hint=None, hint_holds=None, fixpoint=None):
+        result = real_solve(constraint, max_nodes, hint=hint, hint_holds=hint_holds,
+                            fixpoint=fixpoint)
         if resumed and resumed[-1]:
             assert _answer(result) == _answer(real_solve(constraint, max_nodes, hint=hint))
             partial.append(hint_holds is not None)

@@ -10,7 +10,10 @@ import time
 import pytest
 from bruteforce import grid_for, oracle_sat
 from conftest import read_data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from property_checks import make_constraint
+from test_constraints import walk_solver_calls
 
 import cunitgen.pipeline as pipeline
 import cunitgen.solver as solver_mod
@@ -18,7 +21,16 @@ from cunitgen.config import Config
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.frontend.parser import parse_unit
 from cunitgen.solver import Model, solve, verify_model
-from cunitgen.symexpr import Const, Range, Role, Sym, mk_binop, mk_cast, mk_range
+from cunitgen.symexpr import (
+    Const,
+    Range,
+    Role,
+    Sym,
+    free_symbols,
+    mk_binop,
+    mk_cast,
+    mk_range,
+)
 from cunitgen.typesys import DOUBLE, FLOAT, INT, SCHAR, SHORT, UCHAR, UINT, round_float
 
 INT_MAX = 2**31 - 1
@@ -27,8 +39,6 @@ INT_MAX = 2**31 - 1
 def make(conjuncts, free=None):
     c = Constraint(list(conjuncts))
     if free is None:
-        from cunitgen.symexpr import free_symbols
-
         free = {}
         for cj in conjuncts:
             for s in free_symbols(cj):
@@ -704,6 +714,26 @@ class TestPropagationCost:
         assert r.status == "unsat" and r.nodes == 1
         assert len(visits) < 60  # 32 full rounds made about 380
 
+    def test_doubling_shape_pushes_once_per_level(self, tmp_path, monkeypatch):
+        # x = x + x sixteen times makes one node that every level reaches
+        # twice; a descent below a node its bounds already hold made 393,216
+        # pushes here
+        calls = []
+        original = solver_mod._Solver._push
+
+        def push(self, e, lo, hi, env):
+            calls.append(e)
+            return original(self, e, lo, hi, env)
+
+        monkeypatch.setattr(solver_mod._Solver, "_push", push)
+        src = "int f(int x) { " + "x = x + x; " * 16 + \
+            "if (x > 5) return 1; return 0; }"
+        unit = parse_unit(src, "double.c")
+        outcome = pipeline.generate_function(unit, unit.function("f"),
+                                             Config(out_dir=str(tmp_path)))
+        assert outcome.status == "ok" and len(outcome.test_cases) == 2
+        assert 0 < len(calls) <= 100
+
     def test_child_renarrows_only_the_branched_watchers(self, monkeypatch):
         visits = self.count_narrows(monkeypatch)
         a, b, c, d = (Sym(n, INT) for n in "abcd")
@@ -723,6 +753,108 @@ class TestPropagationCost:
         assert r.model.values["a"] == 1 and r.model.values["b"] == 2
         assert visited[2] == [a_pos, a_small, b_above]
         assert visited[3] == [b_above]
+
+
+class TestCarriedFixpoint:
+    """A search whose root starts from an earlier search's fixpoint answers
+    as the same search from the full domains."""
+
+    def test_pipeline_calls_answer_as_from_the_full_domains(self, tmp_path, monkeypatch):
+        real_solve = pipeline.solve
+        where = ""
+        searches = carried = 0
+
+        def comparing_solve(constraint, max_nodes, **kwargs):
+            nonlocal searches, carried
+            result = real_solve(constraint, max_nodes, **kwargs)
+            fixpoint = kwargs["fixpoint"]
+            if result.nodes and fixpoint is not None:  # a search, not the hint
+                searches += 1
+                fresh = solve(constraint, max_nodes)
+                assert _same_answer(result, fresh), where
+                assert result.nodes == fresh.nodes, where
+                carried += solver_mod._Solver(constraint, max_nodes, fixpoint).start is not None
+            return result
+
+        def note(place, _constraint):
+            nonlocal where
+            where = place
+
+        monkeypatch.setattr(pipeline, "solve", comparing_solve)
+        assert walk_solver_calls(monkeypatch, tmp_path, note)
+        assert carried > searches // 3
+
+    def test_fixpoint_of_other_conjuncts_is_ignored(self):
+        x, f = Sym("x", INT), Sym("f", FLOAT)
+        above = mk_binop(">", x, Const(5, INT))
+        first = solve(make([above]))
+        assert first.fixpoint is not None and first.fixpoint.env["x"].lo == 6
+        # from x >= 6, x < 3 would be refuted
+        below = make([mk_binop("<", x, Const(3, INT))])
+        assert solver_mod._Solver(below, 10, first.fixpoint).start is None
+        r = solve(below, fixpoint=first.fixpoint)
+        assert r.status == "sat" and r.model.values == {"x": -2**31}
+        # an equal node is not the one the fixpoint was computed for
+        twin = make([mk_binop(">", x, Const(5, INT)), mk_binop("<", x, Const(9, INT))])
+        assert solver_mod._Solver(twin, 10, first.fixpoint).start is None
+        # nor does a constraint with a float start from it
+        floating = make([above, mk_binop(">", f, Const(0.5, FLOAT))])
+        assert solver_mod._Solver(floating, 10, first.fixpoint).start is None
+        assert solve(floating).fixpoint is None
+        extended = make([above, mk_binop("<", x, Const(9, INT))])
+        assert solver_mod._Solver(extended, 10, first.fixpoint).start is first.fixpoint
+
+
+class RuleFree(solver_mod._Solver):
+    """The solver without the push rule: every push descends."""
+
+    def _covers(self, e, lo, hi, env):
+        return False
+
+
+# well-typed integer terms of + and - and casts over 8- and 32-bit symbols
+_TERM_TYPES = (SCHAR, UCHAR, INT, UINT)
+
+
+def _int_terms(ctype, depth=3):
+    tag = f"{ctype.width}{'s' if ctype.signed else 'u'}"
+    leaf = st.one_of(
+        st.sampled_from("uvw").map(lambda n: Sym(f"{n}{tag}", ctype)),
+        st.integers(ctype.min_value(), ctype.max_value()).map(lambda v: Const(v, ctype)))
+    if depth == 0:
+        return leaf
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-"), _int_terms(ctype, depth - 1),
+                  _int_terms(ctype, depth - 1)).map(
+            lambda t: mk_binop(t[0], t[1], t[2], ctype)),
+        st.sampled_from(_TERM_TYPES).flatmap(lambda other: _int_terms(other, depth - 1)).map(
+            lambda e: mk_cast(e, ctype)))
+
+
+class TestPushRule:
+    """A push whose bounds hold the node's whole interval narrows nothing,
+    so ``_push`` may return at once there."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_covering_push_changes_no_domain(self, data):
+        ctype = data.draw(st.sampled_from(_TERM_TYPES))
+        term = data.draw(_int_terms(ctype))
+        free = {v.name: FreeSymbol(v.name, v.ctype, v.role) for v in free_symbols(term)}
+        s = RuleFree(make([], free), 1)
+        env = s._initial_env()
+        for name in sorted(free):
+            dom = env[name]
+            lo = data.draw(st.integers(dom.lo, dom.hi))
+            env[name] = solver_mod._IntDomain(lo, data.draw(st.integers(lo, dom.hi)), dom.ctype)
+        iv = s._ival(term, env)
+        assert iv is not None
+        lo = data.draw(st.one_of(st.none(), st.integers(iv[0] - 300, iv[0])))
+        hi = data.draw(st.one_of(st.none(), st.integers(iv[1], iv[1] + 300)))
+        before = dict(env)
+        assert s._push(term, lo, hi, env) is False
+        assert env == before
 
 
 class TestPinnedAnswers:
