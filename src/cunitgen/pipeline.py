@@ -20,17 +20,16 @@ ends undecided.
 Each iteration reuses what the last ones established. The state the active
 trace's interpretation returned is the checkpoint: a trace extending or
 completing it resumes from a fork of that state, which is never changed
-(``symex.interpret`` decides whether it still applies). Every solver call,
-including the prefix re-solves after an unsat answer and the requirement
-follow-up, is first offered the model of the last search as a hint, which
-``solve`` returns only if it verifies, and the root fixpoint of the last
-search that propagated one, where ``solve`` starts when the constraint
-begins with that fixpoint's conjuncts. The constraint of a resumed trace
-starts from the checkpoint's head (its constraint up to the tail), and
-while the hint is known to solve that head, only what the new branches add
-is checked. The prefix scan after an unsat answer checks each branch
-segment once under that model and calls ``solve`` only at the first prefix
-it does not solve.
+(``symex.interpret`` decides whether it still applies), and its constraint
+starts from the checkpoint's head (its constraint up to the tail), so it
+shares the head's conjunct nodes. Every solver call, including the prefix
+re-solves after an unsat answer and the requirement follow-up, is offered
+the model of the last search as a hint, the last constraint ``solve``
+answered with that model, and the root fixpoint of the last search that
+propagated one; the solver's shared-prefix rule decides what of them
+applies. The prefix scan after an unsat answer checks each branch segment
+once under that model and calls ``solve`` only at the first prefix it does
+not solve.
 
 In smtlib-out mode each constraint the loop solves is first exported, and
 an external answer to it is admitted by the same hint rule
@@ -141,11 +140,10 @@ class _Session:
         self.accepted_traces: list[Trace] = []
         self.deadline = 0.0  # time.monotonic() value at which the guard fires
         self.pool = _POOL_CALLS * config.budget_nodes  # search nodes left
-        # the model of the last solver search, tried before each new search
+        # the model of the last solver search, tried before each new search,
+        # and the last constraint solve answered with it, which it solves
         self.last_model: Model | None = None
-        # the head of the active trace's state (its constraint without the
-        # tail), which last_model is known to solve
-        self.hint_holds: con.Constraint | None = None
+        self.solved: con.Constraint | None = None
         # the root fixpoint of the last search that propagated one, where a
         # search of a constraint beginning with its conjuncts starts
         self.fixpoint: Fixpoint | None = None
@@ -241,10 +239,7 @@ class _Session:
             constraint = con.conjoin(state)
             if verbose:
                 self.say(f"constraint[{self.fn.name}]: {constraint.render()}")
-            # a constraint extending the one last_model solved: only the new
-            # part needs checking under it
-            holds = self.hint_holds if state.resumed_head() is self.hint_holds else None
-            result = self._solve(constraint, exporter, holds)
+            result = self._solve(constraint, exporter)
             if verbose:
                 self.say(_iteration_line(iteration, trace, state, result))
             model = result.model
@@ -271,9 +266,6 @@ class _Session:
                 else:
                     active = trace
                     checkpoint = state
-                    # last_model solves the constraint unless the answer
-                    # came from outside
-                    self.hint_holds = None if result.reason else state.head
             elif result.status == "unsat":
                 failing, verdict = self._min_failing_index(constraint)
                 if failing >= 0:
@@ -295,37 +287,36 @@ class _Session:
         if self.config.dump_stct:
             out.stct_dump = tree.dump()
 
-    def _solve(self, constraint: con.Constraint, exporter: _SmtExporter | None,
-               holds: con.Constraint | None = None) -> SolveResult:
+    def _solve(self, constraint: con.Constraint, exporter: _SmtExporter | None) -> SolveResult:
         if exporter is not None:
             external = exporter.consult(constraint)
             if external is not None:
                 return SolveResult("sat", external, "external model")
-        return self._search(constraint, holds)
+        return self._search(constraint)
 
-    def _search(self, constraint: con.Constraint,
-                holds: con.Constraint | None = None) -> SolveResult:
+    def _search(self, constraint: con.Constraint) -> SolveResult:
         """Solve, trying the last search's model first.
 
-        ``holds`` is a leading part of the constraint that model is known
-        to solve (see ``solve``). A sat answer with 0 nodes is that model,
-        verified; any other answer came from a search, and its model becomes
-        the next hint, as its root fixpoint becomes the next search's start.
+        A sat answer with 0 nodes is that model, verified; any other answer
+        came from a search, and its model becomes the next hint, as its root
+        fixpoint becomes the next search's start. Either way a sat answer's
+        constraint is the one the hint is known to solve from then on.
         An empty pool still grants the root node, so propagation and the
         corner decide what they can; a search that needs more is unknown
         for the empty pool.
         """
         empty = self.pool == 0
         result = solve(constraint, min(self.config.budget_nodes, max(self.pool, 1)),
-                       hint=self.last_model, hint_holds=holds, fixpoint=self.fixpoint)
+                       hint=self.last_model, hint_holds=self.solved, fixpoint=self.fixpoint)
         self.pool = max(self.pool - result.nodes, 0)
         if result.fixpoint is not None:
             self.fixpoint = result.fixpoint
         if empty and result.nodes > 1:  # the root did not decide it
             result.reason += f": node pool ({_POOL_CALLS * self.config.budget_nodes}) empty"
-        if result.model is not None and result.nodes:
-            self.last_model = result.model
-            self.hint_holds = None
+        if result.model is not None:
+            self.solved = constraint
+            if result.nodes:
+                self.last_model = result.model
         return result
 
     def _accept(self, out: FunctionOutcome, trace: Trace, state: PathState,
@@ -378,12 +369,12 @@ class _Session:
         free = constraint.free
         model = self.last_model
         done = 0  # the conjuncts the model satisfies
-        checked: set[str] = set()  # symbols whose values passed the domain rule
+        checked: dict[str, con.FreeSymbol] = {}  # entries whose values passed the domain rule
         total = constraint.branch_count()
         for k in range(total + 1):
             end = constraint.prefix_end(k)
             segment = constraint.conjuncts[done:end]
-            new = unchecked_symbols(free, segment, checked)
+            new = unchecked_symbols(con.restrict_free(free, segment), free, checked)
             if model is not None and model_fits(model, new, segment):
                 done = end
                 checked.update(new)
@@ -392,7 +383,7 @@ class _Session:
             result = self._search(prefix)
             if result.status != "sat":
                 return k - 1, result.status
-            model, done, checked = result.model, end, set(prefix.free)
+            model, done, checked = result.model, end, dict(prefix.free)
         return total - 1, "unsat"
 
     # -- requirement follow-up -------------------------------------------------

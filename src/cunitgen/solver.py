@@ -58,8 +58,8 @@ the operand's interval, and with a straddle the bound holds the whole type,
 so every window keeps all of its values. A value used twice, as in
 x = x + x, is then descended once per push, not once per path to it.
 
-Three caches make a search node cost what it narrows and a call cost what
-its constraint adds; none changes an answer.
+Two things make a search node cost what it narrows and a call cost what
+its constraint adds; neither changes an answer.
 
 - The interval memo (``_Solver.memo``) keeps each compound node's forward
   interval, keyed by the node's id, so that narrowing a comparison, pushing
@@ -68,39 +68,39 @@ its constraint adds; none changes an answer.
   domain is written, empties it, and so does each search node on entry. The
   interval of a node is a function of the node and the domains alone, so a
   memoized interval is the one recomputing it would give.
-- The conjunct analysis (``analyse``) splits each conjunct at its && into
-  pieces and records each piece's symbol names (the watch lists), the float
-  comparisons under it and its float literals. It is kept on the
-  ``Constraint`` and reused along the chain of heads that ``conjoin``
-  records, so each conjunct of one function's constraints is analysed once:
-  an extension of a trace analyses only the conjuncts its head lacks. Each
-  fact depends on one piece alone, and the literals keep their order of
-  first occurrence, so the float seeds and every watch list are those of a
-  walk over the whole constraint. Nothing is kept at module level, and the
-  analysis goes with the constraints when the function's generation ends.
-- The carried fixpoint (``Fixpoint``) is a search's root after propagation:
-  its domains, its ``lin`` cache and its leftover dirty pieces, with the
-  conjunct list they were computed for. ``solve`` returns it with the
-  answer, and a later search starts its root from it when two conditions
-  hold: the constraint's conjuncts begin with the fixpoint's, the very
-  nodes, and no float symbol is involved, since the float seeds depend on
-  the literals of the whole constraint. Only the pieces past the fixpoint
-  start dirty, and a symbol new to the constraint starts from its initial
-  domain. Propagation removes only values that no model has, and the
-  earlier conjuncts are among the new ones, so the start prunes no model.
-  A round-capped propagation need not reach one unique fixpoint, so the
-  test suite checks every pipeline call of its units against a search
-  from the full domains: the same answer, model and node count. The
-  caller keeps the fixpoint (the pipeline's session, one per function),
-  never this module.
+- The carried root (``Fixpoint``) is a search's root after propagation: its
+  domains, its ``lin`` cache and its leftover dirty pieces, with the
+  conjunct list they were computed for and that list's analysis
+  (``_Analysis``: each conjunct split at its && into pieces, each piece's
+  symbol names, float comparisons and float literals). ``solve`` returns it
+  with the answer, and the caller keeps it (the pipeline's session, one per
+  function), never this module. A later search that shares all of its
+  conjuncts and involves no float symbol, since the float seeds depend on
+  the literals of the whole constraint, starts its root there: it analyses
+  only the conjuncts past the fixpoint's, only the pieces past it start
+  dirty, and a symbol new to the constraint starts from its initial domain.
+  Each fact of the analysis depends on one piece alone, and the literals
+  keep each value once in order of first occurrence, so the list analysed
+  in two parts gives the analysis of it whole. Propagation removes only
+  values that no model has, and the earlier conjuncts are among the new
+  ones, so the start prunes no model. A round-capped propagation need not
+  reach one unique fixpoint, so the test suite checks every pipeline call
+  of its units against a search from the full domains: the same answer,
+  model and node count.
+
+One rule decides what a call reuses of an earlier one: a constraint reuses
+what an earlier one established for the leading conjuncts the two share,
+the very nodes (``_shared``). The carried root applies when that is all of
+its conjuncts. A hint known to solve an earlier constraint is checked only
+against the conjuncts past the shared ones, and only for the symbols whose
+free-table entry is not the very entry it passed there (``hinted_model``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Container
 
-from .constraints import Constraint, FreeSymbol, restrict_free
+from .constraints import Constraint, FreeSymbol
 from .symexpr import (
     BinOp,
     Cast,
@@ -132,14 +132,16 @@ class Model:
 class Fixpoint:
     """A search's root after propagation: the domains (``env``), the pieces
     still to be narrowed (``dirty``, leftovers of the round cap) and the
-    linearized comparisons (``lin``), computed for ``conjuncts``. A later
-    search of a constraint that begins with those conjuncts starts its root
-    here (see the module docstring)."""
+    linearized comparisons (``lin``), computed for ``conjuncts``, whose
+    ``analysis`` numbers the pieces that ``dirty`` and ``lin`` index. A
+    later search of a constraint that shares all of those conjuncts starts
+    its root here (see the module docstring)."""
 
-    def __init__(self, conjuncts: list[SymExpr],
+    def __init__(self, conjuncts: list[SymExpr], analysis: _Analysis,
                  env: dict[str, _IntDomain | _SetDomain],
                  dirty: list[bool], lin: list[tuple | None]):
         self.conjuncts = conjuncts
+        self.analysis = analysis
         self.env = env
         self.dirty = dirty
         self.lin = lin
@@ -225,7 +227,13 @@ class _Solver:
                 self.int_syms[name] = fs
         # the symbols whose domain is a candidate list (_narrow_set_cmp)
         self.set_syms = {**self.base_syms, **self.float_syms}
-        a = analyse(constraint)
+        # where the root starts, if the carried fixpoint applies: no float
+        # is involved, and the constraint shares all of its conjuncts
+        self.start = start if start is not None and not self.float_syms \
+            and _shared(constraint.conjuncts, start.conjuncts) == len(start.conjuncts) \
+            else None
+        a = self.analysis = _extended(
+            None if self.start is None else self.start.analysis, constraint.conjuncts)
         self.conjuncts = a.pieces
         self.watchers = a.watchers
         self.comparisons = a.comparisons
@@ -239,10 +247,6 @@ class _Solver:
         self.lin: list[tuple | None] = []
         # id(compound node) -> its interval under the current domains
         self.memo: dict[int, tuple[int, int] | None] = {}
-        # where the root starts, if the carried fixpoint applies: no float
-        # is involved, and the conjuncts begin with the fixpoint's
-        self.start = start if start is not None and not self.float_syms \
-            and _begins_with(constraint.conjuncts, start.conjuncts) else None
         self.fixpoint: Fixpoint | None = None  # this search's root, once propagated
 
     # -- entry ----------------------------------------------------------------
@@ -312,7 +316,8 @@ class _Solver:
         if self.nodes == 1 and not self.float_syms:
             # nothing changes env, dirty or lin from here on: each child
             # works on copies
-            self.fixpoint = Fixpoint(self.constraint.conjuncts, env, dirty, lin)
+            self.fixpoint = Fixpoint(self.constraint.conjuncts, self.analysis,
+                                     env, dirty, lin)
         model = self._corner(env)
         if model is not None:
             return model
@@ -1020,9 +1025,9 @@ class _Analysis:
     pieces that mention it (the watch lists), and ``comparisons`` lists the
     positions of the comparison pieces; ``float_cmps`` maps the id of each
     comparison node that involves a float to the names of its symbols, and
-    ``literals`` holds the value of each float constant, in walk order.
-    Node identity is a stable key: the analysis is kept on the constraint,
-    whose conjuncts hold every node it names.
+    ``literals`` holds each float constant's value once, in walk order.
+    Node identity is a stable key: the pieces hold every node the analysis
+    names, and the analysis goes with its search or carried root.
     """
 
     def __init__(self, count: int, pieces: list[SymExpr],
@@ -1034,28 +1039,6 @@ class _Analysis:
         self.comparisons = comparisons
         self.float_cmps = float_cmps
         self.literals = literals
-
-
-def analyse(constraint: Constraint) -> _Analysis:
-    """The analysis of the constraint's conjuncts, kept on it.
-
-    A constraint whose ``head`` begins it extends the head's analysis, made
-    the same way, by the conjuncts after the head's; each conjunct is then
-    walked once along a chain of heads. Once a constraint is analysed its
-    analysis stands for its head, so the link is dropped. Every fact is a
-    function of one piece alone, and the literals keep their order, so the
-    result is the one a walk over all the conjuncts gives.
-    """
-    chain = []
-    c = constraint
-    while c is not None and c.analysis is None:
-        chain.append(c)
-        c = c.head
-    done = None if c is None else c.analysis
-    for c in reversed(chain):
-        done = c.analysis = _extended(done, c.conjuncts)
-        c.head = None
-    return done
 
 
 def _extended(base: _Analysis | None, conjuncts: list[SymExpr]) -> _Analysis:
@@ -1098,8 +1081,8 @@ def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
     """Whether e involves a float, and the names of its symbols.
 
     Records each float comparison under e in float_cmps and appends each
-    float constant's value to literals; shared subtrees (seen) are walked
-    once."""
+    float constant's value that literals lacks; shared subtrees (seen) are
+    walked once."""
     key = id(e)
     hit = seen.get(key)
     if hit is not None:
@@ -1120,15 +1103,20 @@ def _scan(e: SymExpr, seen: dict[int, tuple[bool, frozenset[str]]],
         if has_float:
             if t is BinOp and e.op in _CMP:
                 float_cmps[key] = tuple(names)
-            elif t is Const:
+            elif t is Const and e.value not in literals:
                 literals.append(float(e.value))
     seen[key] = hit = (has_float, names)
     return hit
 
 
-def _begins_with(conjuncts: list[SymExpr], head: list[SymExpr]) -> bool:
-    """Whether conjuncts begins with the very nodes of head."""
-    return len(head) <= len(conjuncts) and all(a is b for a, b in zip(head, conjuncts))
+def _shared(a: list[SymExpr], b: list[SymExpr]) -> int:
+    """How many leading conjuncts a and b share: the very nodes."""
+    n = 0
+    for x, y in zip(a, b):
+        if x is not y:
+            break
+        n += 1
+    return n
 
 
 def _float_cmp(e: BinOp, names: tuple[str, ...], env) -> bool | None:
@@ -1225,15 +1213,14 @@ def model_fits(model: Model, free: dict[str, FreeSymbol],
     return True
 
 
-def unchecked_symbols(free: dict[str, FreeSymbol], conjuncts: list[SymExpr],
-                      checked: Container[str]) -> dict[str, FreeSymbol]:
-    """What the hint rule still checks for conjuncts added to a constraint
-    whose symbols in checked a model already passed: the entries of free the
-    conjuncts mention (with paired offsets) that checked lacks, and each base
+def unchecked_symbols(candidates: dict[str, FreeSymbol], free: dict[str, FreeSymbol],
+                      checked: dict[str, FreeSymbol]) -> dict[str, FreeSymbol]:
+    """What the hint rule still checks of candidates, entries of free, for a
+    model that already passed the entries of checked: each candidate whose
+    entry in checked is not the very same object, and each base of free
     whose paired offset is among them, so that the offset is held to the
     base's region."""
-    new = {name: fs for name, fs in restrict_free(free, conjuncts).items()
-           if name not in checked}
+    new = {name: fs for name, fs in candidates.items() if checked.get(name) is not fs}
     for name, fs in free.items():
         if fs.paired_offset in new and name not in new:
             new[name] = fs
@@ -1246,16 +1233,17 @@ def hinted_model(constraint: Constraint, hint: Model,
 
     This is the one rule that admits a model no search found: an earlier
     answer's, or an external solver's. ``holds`` is a constraint the hint
-    is known to solve and that this one begins with: its conjuncts and its
-    free-table entries. Only the later conjuncts and the symbols they add
-    are checked then, with the same answer."""
+    is known to solve, its free-table entries included. Only the conjuncts
+    past those the two share (``_shared``) and the symbols whose entry is
+    not the one the hint passed there (``unchecked_symbols``) are checked
+    then, with the same answer."""
     free = constraint.free
     model = Model({name: hint.values[name] for name in free if name in hint.values})
     if holds is None:
         fits = model_fits(model, free, constraint.conjuncts)
     else:
-        rest = constraint.conjuncts[len(holds.conjuncts):]
-        fits = model_fits(model, unchecked_symbols(free, rest, holds.free), rest)
+        rest = constraint.conjuncts[_shared(constraint.conjuncts, holds.conjuncts):]
+        fits = model_fits(model, unchecked_symbols(free, free, holds.free), rest)
     return model if fits else None
 
 
@@ -1270,13 +1258,13 @@ def solve(constraint: Constraint, max_nodes: int = 10000,
     its values for the constraint's free symbols are the answer, with 0
     nodes, when ``model_fits`` accepts them: each lies in the domain the
     search starts from and every conjunct evaluates true. ``hint_holds``
-    names a leading part of the constraint the hint is known to solve,
-    which that check then skips (``hinted_model``). Otherwise
+    is a constraint the hint is known to solve, and that check then skips
+    what the two share (``hinted_model``). Otherwise
     ``_Solver._corner`` produces the model, and it returns one only after
     ``verify_model`` accepts it. Propagation pays per change (see the
     module docstring), with the same domains, node counts and models as
     full rounds. ``fixpoint``, an earlier result's, is where the root
-    starts when the constraint begins with its conjuncts and involves no
+    starts when the constraint shares all of its conjuncts and involves no
     float; the result carries this search's root fixpoint in turn.
     """
     if hint is not None:

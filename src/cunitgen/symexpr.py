@@ -254,19 +254,26 @@ def negate(e: SymExpr) -> SymExpr:
 
 
 def free_symbols(e: SymExpr) -> Iterator[Sym]:
-    if isinstance(e, Sym):
-        yield e
-    elif isinstance(e, BinOp):
-        yield from free_symbols(e.lhs)
-        yield from free_symbols(e.rhs)
-    elif isinstance(e, (UnOp, Cast)):
-        yield from free_symbols(e.operand)
-    elif isinstance(e, Ite):
-        yield from free_symbols(e.cond)
-        yield from free_symbols(e.then)
-        yield from free_symbols(e.other)
-    elif isinstance(e, Range):
-        yield from free_symbols(e.expr)
+    """The symbol nodes under e, left to right, each node once: a subterm
+    that several parents share, as in x + x, is walked once."""
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        t = type(e)
+        if t is Sym:
+            yield e
+        elif t is BinOp:
+            stack += (e.rhs, e.lhs)
+        elif t is UnOp or t is Cast:
+            stack.append(e.operand)
+        elif t is Ite:
+            stack += (e.other, e.then, e.cond)
+        elif t is Range:
+            stack.append(e.expr)
 
 
 # ---------------------------------------------------------------------------

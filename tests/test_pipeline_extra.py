@@ -373,29 +373,33 @@ class TestFailingPrefixScan:
 
 
 class TestAnalysisLifetime:
-    """The solver's per-conjunct analysis lives on the function's
-    constraints, and the carried root fixpoint on its session: both go
-    with the function."""
+    """The solver's per-conjunct analysis goes with the carried root
+    fixpoint, which the function's session keeps: both go with the
+    function."""
 
     def test_conjunct_nodes_do_not_outlive_the_function(self, tmp_path, monkeypatch):
         real_solve = pipeline.solve
         refs = []
         domains = []
+        analyses = []
 
         def watching_solve(constraint, *args, **kwargs):
             refs.append(weakref.ref(constraint.conjuncts[-1]))
             result = real_solve(constraint, *args, **kwargs)
             if result.fixpoint is not None:
                 domains.extend(weakref.ref(d) for d in result.fixpoint.env.values())
+                analyses.append(weakref.ref(result.fixpoint.analysis))
             return result
 
         monkeypatch.setattr(pipeline, "solve", watching_solve)
         unit = parse_unit(BRANCH_CHAIN, "chain.c")
         outcome = generate_function(unit, unit.functions[0], Config(out_dir=str(tmp_path)))
         assert outcome.status == "ok" and len(refs) > 10 and len(domains) > 10
+        assert len(analyses) > 10
         gc.collect()
         assert [r for r in refs if r() is not None] == []
         assert [r for r in domains if r() is not None] == []
+        assert [r for r in analyses if r() is not None] == []
 
     def test_same_unit_twice_same_artifacts(self, tmp_path):
         unit = parse_unit(BRANCH_CHAIN, "chain.c")

@@ -10,8 +10,10 @@ import os
 import pytest
 
 from conftest import DATA_DIR, same_records
+from test_constraints import walk_solver_calls
 
 import cunitgen.pipeline as pipeline
+import cunitgen.solver as solver_mod
 from cunitgen import constraints as con
 from cunitgen.config import Config
 from cunitgen.frontend.parser import parse_unit
@@ -165,36 +167,43 @@ def _answer(result):
     return result.status, result.reason, result.nodes, model
 
 
-@pytest.mark.parametrize("label,text,name", CASES, ids=[c[0] for c in CASES])
-def test_resumed_answers_equal_the_full_hint_check(label, text, name, monkeypatch):
-    """On an iteration that resumed, every solver answer is the one solving
-    the whole constraint with the last model as the hint gives, although the
-    hint is checked only against what the new branches added."""
-    real_interpret, real_solve = pipeline.interpret, pipeline.solve
-    resumed = []  # per interpretation: whether it resumed
-    partial = []  # per solve after a resumed one: whether the hint check skipped a part
-
-    def recording_interpret(*args, **kwargs):
-        state = real_interpret(*args, **kwargs)
-        resumed.append(bool(state.resumed_at))
-        return state
-
+def _full_check_solve(real_solve, partial):
+    """solve, asserting that each answer is the one solving the whole
+    constraint with the same hint gives, although the hint is checked only
+    past what it is known to solve; appends to partial, per call given a
+    constraint the hint solves, whether the check skipped shared conjuncts."""
     def checking_solve(constraint, max_nodes, hint=None, hint_holds=None, fixpoint=None):
         result = real_solve(constraint, max_nodes, hint=hint, hint_holds=hint_holds,
                             fixpoint=fixpoint)
-        if resumed and resumed[-1]:
-            assert _answer(result) == _answer(real_solve(constraint, max_nodes, hint=hint))
-            partial.append(hint_holds is not None)
+        assert _answer(result) == _answer(real_solve(constraint, max_nodes, hint=hint))
+        if hint_holds is not None:
+            partial.append(solver_mod._shared(constraint.conjuncts, hint_holds.conjuncts) > 0)
         return result
 
-    monkeypatch.setattr(pipeline, "interpret", recording_interpret)
-    monkeypatch.setattr(pipeline, "solve", checking_solve)
+    return checking_solve
+
+
+@pytest.mark.parametrize("label,text,name", CASES, ids=[c[0] for c in CASES])
+def test_resumed_answers_equal_the_full_hint_check(label, text, name, monkeypatch):
+    """Every solver answer, in the main loop, the prefix scan and the tag
+    pass, after a resumed interpretation or not, is the one the full hint
+    check gives."""
+    partial = []
+    monkeypatch.setattr(pipeline, "solve", _full_check_solve(pipeline.solve, partial))
     unit = parse_unit(text, "<resume>")
     outcome = pipeline.generate_function(
         unit, unit.function(name), Config(out_dir="/tmp/ctg-resume", ptr_array_size=3))
     assert outcome.status == "ok", outcome.message
     if label in ("chain", "pointer_reads"):
         assert any(partial)
+
+
+def test_pipeline_answers_equal_the_full_hint_check(monkeypatch, tmp_path):
+    """The same over every unit the solver-call walk generates."""
+    partial = []
+    monkeypatch.setattr(pipeline, "solve", _full_check_solve(pipeline.solve, partial))
+    assert walk_solver_calls(monkeypatch, tmp_path, lambda where, constraint: None)
+    assert any(partial)
 
 
 def test_fork_copies_every_mutable_part(monkeypatch):

@@ -687,6 +687,66 @@ class TestHint:
         assert solve(c, hint=Model({"x": 6.0})).nodes > 0
 
 
+class TestSharedPrefix:
+    """A hint known to solve one constraint is checked, for another, only
+    past the leading conjuncts the two share, the very nodes, and only for
+    the free-table entries it has not passed."""
+
+    HINT = Model({"x": 9, "y": 3, "z": 50})
+
+    def held(self):
+        x, y, z = (Sym(n, INT) for n in "xyz")
+        return make([mk_binop(">", x, Const(5, INT)), mk_binop("<", y, x),
+                     mk_binop(">", z, y), mk_binop("<", z, Const(100, INT))])
+
+    def evaluations(self, monkeypatch):
+        evaluated = []
+        real = solver_mod.evaluate
+        monkeypatch.setattr(solver_mod, "evaluate",
+                            lambda e, env: evaluated.append(e) or real(e, env))
+        return evaluated
+
+    def test_prefix_of_the_held_constraint_evaluates_nothing(self, monkeypatch):
+        held = self.held()
+        assert solver_mod.hinted_model(held, self.HINT) is not None
+        evaluated = self.evaluations(monkeypatch)
+        prefix = make(held.conjuncts[:2], {n: held.free[n] for n in "xy"})
+        r = solve(prefix, hint=self.HINT, hint_holds=held)
+        assert r.status == "sat" and r.nodes == 0
+        assert r.model.values == {"x": 9, "y": 3}
+        assert evaluated == []
+
+    def test_diverging_constraint_is_evaluated_from_the_divergence(self, monkeypatch):
+        held = self.held()
+        y, z = Sym("y", INT), Sym("z", INT)
+        # an equal node is not the very node the hint was checked against
+        rest = [mk_binop(">", z, y), mk_binop("!=", z, Const(7, INT))]
+        other = make(held.conjuncts[:2] + rest, held.free)
+        assert solver_mod._shared(other.conjuncts, held.conjuncts) == 2
+        evaluated = self.evaluations(monkeypatch)
+        r = solve(other, hint=self.HINT, hint_holds=held)
+        assert r.status == "sat" and r.nodes == 0
+        assert evaluated == rest[::-1]  # the newest first
+
+    def test_rebuilt_entry_is_checked_again(self):
+        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
+        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        conjuncts = [mk_binop("!=", a, Const(0, UINT)), mk_binop("<", x, Const(100, UINT))]
+        free = {"p@baseAddress": ptr_free("p", [7, 0], {7: 4, 0: 0}, "p"),
+                "p@offset": off_free("p", 4)}
+        held = make(conjuncts, free)
+        hint = Model({"p@baseAddress": 7, "p@offset": 3})
+        assert solver_mod.hinted_model(held, hint) is not None
+        assert solver_mod.unchecked_symbols(free, free, held.free) == {}
+        # the same conjuncts and name, a new entry: [0, 2) holds no offset 3
+        rebuilt = make(conjuncts, {**free, "p@offset": off_free("p", 2)})
+        again = solver_mod.unchecked_symbols(rebuilt.free, rebuilt.free, held.free)
+        assert list(again) == ["p@offset", "p@baseAddress"]  # and its base
+        assert solver_mod.hinted_model(rebuilt, hint, holds=held) is None
+        r = solve(rebuilt, hint=hint, hint_holds=held)
+        assert r.status == "sat" and r.nodes > 0 and r.model.values["p@offset"] < 2
+
+
 class TestPropagationCost:
     """Propagation revisits a conjunct only after one of its symbols moved."""
 
@@ -783,6 +843,45 @@ class TestCarriedFixpoint:
         monkeypatch.setattr(pipeline, "solve", comparing_solve)
         assert walk_solver_calls(monkeypatch, tmp_path, note)
         assert carried > searches // 3
+
+    def test_carried_analysis_equals_a_fresh_one(self, tmp_path, monkeypatch):
+        real_solve = pipeline.solve
+        where = ""
+        carried = 0
+
+        def comparing_solve(constraint, max_nodes, **kwargs):
+            nonlocal carried
+            result = real_solve(constraint, max_nodes, **kwargs)
+            search = solver_mod._Solver(constraint, max_nodes, kwargs["fixpoint"])
+            if result.nodes and search.start is not None:
+                carried += 1
+                a, fresh = search.analysis, solver_mod._extended(None, constraint.conjuncts)
+                assert a.count == fresh.count, where
+                assert len(a.pieces) == len(fresh.pieces), where
+                assert all(p is q for p, q in zip(a.pieces, fresh.pieces)), where
+                assert (a.watchers, a.comparisons, a.float_cmps, a.literals) == \
+                    (fresh.watchers, fresh.comparisons, fresh.float_cmps, fresh.literals), where
+            return result
+
+        def note(place, _constraint):
+            nonlocal where
+            where = place
+
+        monkeypatch.setattr(pipeline, "solve", comparing_solve)
+        assert walk_solver_calls(monkeypatch, tmp_path, note)
+        assert carried
+
+    def test_analysis_in_two_parts_equals_one(self):
+        # the float constant d is shared by both conjuncts; no float symbol
+        x, y = Sym("x", INT), Sym("y", INT)
+        d = Const(1.5, DOUBLE)
+        conjuncts = [mk_binop(">", mk_binop("*", mk_cast(v, DOUBLE), d, DOUBLE),
+                              Const(2.0, DOUBLE)) for v in (x, y)]
+        whole = solver_mod._extended(None, conjuncts)
+        parts = solver_mod._extended(solver_mod._extended(None, conjuncts[:1]), conjuncts)
+        assert whole.literals == parts.literals == [1.5, 2.0]
+        assert (whole.pieces, whole.watchers, whole.float_cmps) == \
+            (parts.pieces, parts.watchers, parts.float_cmps)
 
     def test_fixpoint_of_other_conjuncts_is_ignored(self):
         x, f = Sym("x", INT), Sym("f", FLOAT)

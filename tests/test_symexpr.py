@@ -186,7 +186,14 @@ class TestFreeSymbols:
     def test_collects_in_order(self):
         a, b = Sym("a", INT), Sym("b", INT)
         e = mk_binop("&&", mk_binop("<", a, b), mk_binop(">", b, Const(0, INT)))
-        assert [s.name for s in free_symbols(e)] == ["a", "b", "b"]
+        assert [s.name for s in free_symbols(e)] == ["a", "b"]
+
+    def test_shared_subterm_is_walked_once(self):
+        # x = x + x twenty times: one symbol node, reached by 2**20 paths
+        e = Sym("x", INT)
+        for _ in range(20):
+            e = mk_binop("+", e, e, INT)
+        assert [s.name for s in free_symbols(e)] == ["x"]
 
 
 _INT_TYPES = [SCHAR, UCHAR, SHORT, USHORT, INT, UINT, LONG, ULONG]
