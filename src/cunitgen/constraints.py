@@ -31,7 +31,6 @@ from .memory import NULL_BASE, RegionTable
 from .symexpr import (
     Const,
     Ptr,
-    Role,
     Sym,
     SymExpr,
     TRUE,
@@ -50,13 +49,12 @@ _ALL_OMEGA = _ORDERING + ("==", "!=")
 
 
 class FreeSymbol:
-    def __init__(self, name: str, ctype: CType, role: Role, dim: int | None = None,
+    def __init__(self, name: str, ctype: CType, dim: int | None = None,
                  candidates: list[int] | None = None,
                  candidate_dims: dict[int, int] | None = None,
                  paired_offset: str | None = None):
         self.name = name
         self.ctype = ctype
-        self.role = role
         # pointer-offset symbols: the default input domain [0, dim)
         self.dim = dim
         # pointer-base symbols: allowed region ids and their dimensions
@@ -196,28 +194,25 @@ def pointer_null_compare(base: SymExpr, omega: str) -> SymExpr:
 
 def build_free_table(conjuncts: list[SymExpr], table: RegionTable,
                      out: dict[str, FreeSymbol] | None = None) -> dict[str, FreeSymbol]:
-    """Free-symbol metadata (roles, domains, base candidates) in first-use
-    order; given out, the table of earlier conjuncts, it is extended."""
+    """Free-symbol metadata (domains, base candidates) in first-use order,
+    as the region table records each symbol; given out, the table of
+    earlier conjuncts, it is extended."""
     out = {} if out is None else out
     for c in conjuncts:
         for s in free_symbols(c):
             if s.name in out:
                 continue
-            fs = FreeSymbol(s.name, s.ctype, s.role)
-            if s.role is Role.PTR_BASE:
-                name = s.name.removesuffix("@baseAddress")
-                ps = table.pointer_inputs.get(name)
-                if ps is not None:
-                    fs.candidates = table.base_candidates(ps)
-                    fs.candidate_dims = {
-                        rid: (table.by_id[rid].dim if rid in table.by_id else 0)
-                        for rid in fs.candidates
-                    }
-                    fs.paired_offset = ps.offset.name
-            elif s.role is Role.PTR_OFFSET:
-                name = s.name.removesuffix("@offset")
-                ps = table.pointer_inputs.get(name)
-                fs.dim = ps.fresh_region.dim if ps is not None else None
+            fs = FreeSymbol(s.name, s.ctype)
+            ps = table.pointer_of_base(s)
+            if ps is not None:
+                fs.candidates = table.base_candidates(ps)
+                fs.candidate_dims = {
+                    rid: (table.by_id[rid].dim if rid in table.by_id else 0)
+                    for rid in fs.candidates
+                }
+                fs.paired_offset = ps.offset.name
+            elif s.name in table.pointer_syms:  # a pointer input's offset
+                fs.dim = table.pointer_syms[s.name].fresh_region.dim
             out[s.name] = fs
     return out
 

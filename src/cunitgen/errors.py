@@ -57,7 +57,7 @@ class UnsupportedOperation(CunitgenError):
     """The symbolic interpreter cannot model a construct on this trace."""
 
 
-class StubPolicyError(CunitgenError):
+class StubPolicyError(UnsupportedOperation):
     """A call to a function on the do-not-stub list appeared on a trace."""
 
 

@@ -26,7 +26,6 @@ from .symexpr import (
     TRUE,
     Const,
     Ite,
-    Role,
     Sym,
     SymExpr,
     mk_binop,
@@ -40,6 +39,7 @@ from .typesys import (
     IntType,
     PointerType,
     StructType,
+    bit_field_type,
     is_pointer,
 )
 
@@ -107,7 +107,10 @@ class Place:
 
 
 class RegionTable:
-    """Abstract address space for one generation session."""
+    """Abstract address space for one generation session, and the one
+    record of what a symbol stands for: ``pointer_syms`` maps the names of
+    each pointer input's base and offset symbols, which only this module
+    spells, to its ``PointerSyms``."""
 
     def __init__(self, ptr_array_size: int):
         self.ptr_array_size = ptr_array_size
@@ -115,6 +118,7 @@ class RegionTable:
         self.by_name: dict[str, Region] = {}
         self.by_id: dict[int, Region] = {}
         self.pointer_inputs: dict[str, PointerSyms] = {}
+        self.pointer_syms: dict[str, PointerSyms] = {}  # by base or offset name
         self.cell_syms: dict[tuple[int, int, int, int], Sym] = {}
         self.declared_order: list[Region] = []
         # goes up with every region added, pointer inputs' fresh regions
@@ -144,13 +148,14 @@ class RegionTable:
         """Base/offset symbols plus a fresh backing region for a pointer input."""
         if name in self.pointer_inputs:
             return self.pointer_inputs[name]
-        base = Sym(f"{name}@baseAddress", UINT, Role.PTR_BASE)
-        offset = Sym(f"{name}@offset", UINT, Role.PTR_OFFSET)
+        base = Sym(f"{name}@baseAddress", UINT)
+        offset = Sym(f"{name}@offset", UINT)
         fresh = self.new_region(f"{name}__autogen",
                                 ArrayType(ptr_type.pointee, self.ptr_array_size),
                                 "autogen", True)
         ps = PointerSyms(name, base, offset, fresh, ptr_type.pointee, from_memory)
         self.pointer_inputs[name] = ps
+        self.pointer_syms[base.name] = self.pointer_syms[offset.name] = ps
         return ps
 
     def base_candidates(self, ps: PointerSyms) -> list[int]:
@@ -183,9 +188,8 @@ class RegionTable:
 
     def pointer_of_base(self, base: SymExpr) -> PointerSyms | None:
         """The pointer input whose base-address symbol base is, if any."""
-        if isinstance(base, Sym):
-            return self.pointer_inputs.get(base.name.removesuffix("@baseAddress"))
-        return None
+        ps = self.pointer_syms.get(base.name) if isinstance(base, Sym) else None
+        return ps if ps is not None and ps.base.name == base.name else None
 
     def dim_for_base(self, base: SymExpr) -> int:
         if isinstance(base, Const):
@@ -222,8 +226,7 @@ class RegionTable:
                     ctype = f.ctype
                     if f.bit_width is not None and isinstance(f.ctype, IntType):
                         # the storable value set is the field's bit range
-                        ctype = IntType(f.bit_width, f.ctype.signed,
-                                        f"{f.ctype.name}:{f.bit_width}")
+                        ctype = bit_field_type(f.ctype, f.bit_width)
                     break
             elem_index = byte_off // max(st.size, 1)
             if region.dim > 1:
@@ -232,7 +235,7 @@ class RegionTable:
             elem_index = byte_off // max(region.elem_size, 1)
             name = region.name if region.dim == 1 else f"{region.name}[{elem_index}]"
             ctype = region.elem_type
-        sym = Sym(name, ctype, Role.INPUT)
+        sym = Sym(name, ctype)
         self.cell_syms[key] = sym
         return sym
 
@@ -324,7 +327,7 @@ class ApproxFlags:
 
     def fresh(self, ctype: CType) -> Sym:
         self._count += 1
-        return Sym(f"__approx@{self._count}", ctype, Role.FRESH_READ)
+        return Sym(f"__approx@{self._count}", ctype)
 
     def fork(self) -> "ApproxFlags":
         out = ApproxFlags()

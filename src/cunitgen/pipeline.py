@@ -46,7 +46,7 @@ import time
 
 from . import constraints as con
 from .config import Config
-from .errors import CunitgenError, ReplayDivergence, StubPolicyError, UnsupportedOperation
+from .errors import CunitgenError, ReplayDivergence, UnsupportedOperation
 from .frontend.annotations import AnnotationSet, extract_annotations
 from .frontend.csyntax import FunctionDef, SourceUnit
 from .frontend.preprocessor import read_source
@@ -224,7 +224,7 @@ class _Session:
             out.selection_log.append(record)
             try:
                 state = interpret(trace, cfg, anns, layout, resume=checkpoint)
-            except (UnsupportedOperation, StubPolicyError) as exc:
+            except UnsupportedOperation as exc:
                 record.verdict = "abandoned"
                 self.say(f"trace abandoned: {exc}")
                 active = self._give_up_on(trace, coverage, tree, active, "unknown")
@@ -406,7 +406,7 @@ class _Session:
                 try:
                     state = interpret(trace, out.cfg, anns, out.layout,
                                       active_testcase=tc_index)
-                except (UnsupportedOperation, StubPolicyError):
+                except UnsupportedOperation:
                     continue
                 if state.infeasible_branch is not None:
                     continue

@@ -109,7 +109,6 @@ from .symexpr import (
     FLIP,
     Ite,
     Range,
-    Role,
     Sym,
     SymExpr,
     UnOp,
@@ -198,12 +197,13 @@ class _SetDomain:
 
 
 def _initial_domain(fs: FreeSymbol) -> _IntDomain | _SetDomain | None:
-    """Where the search starts for a symbol; None for a float."""
+    """Where the search starts for a symbol: a pointer base's candidate ids,
+    a pointer offset's [0, dim), else its type's range; None for a float."""
     if isinstance(fs.ctype, FloatType):
         return None
-    if fs.role is Role.PTR_BASE and fs.candidates:
+    if fs.candidates:
         return _SetDomain(list(fs.candidates))
-    if fs.role is Role.PTR_OFFSET and fs.dim is not None:
+    if fs.dim is not None:
         return _IntDomain(0, fs.dim - 1, fs.ctype)
     return _IntDomain(fs.ctype.min_value(), fs.ctype.max_value(), fs.ctype)
 
@@ -221,7 +221,7 @@ class _Solver:
         for name, fs in constraint.free.items():
             if isinstance(fs.ctype, FloatType):
                 self.float_syms[name] = fs
-            elif fs.role is Role.PTR_BASE and fs.candidates:
+            elif fs.candidates:
                 self.base_syms[name] = fs
             else:
                 self.int_syms[name] = fs
@@ -1202,7 +1202,7 @@ def model_fits(model: Model, free: dict[str, FreeSymbol],
     for name, fs in free.items():
         if not _in_start_domain(fs, values.get(name)):
             return False
-        if fs.role is Role.PTR_BASE and fs.candidates and not _in_region(fs, values):
+        if fs.candidates and not _in_region(fs, values):
             return False
     try:
         for c in reversed(conjuncts):

@@ -24,7 +24,7 @@ from .frontend.writer import decl_text, type_text
 from .imr import ICall
 from .memory import Place, byte_offset
 from .replay import StubCallValues
-from .symexpr import Const, Ptr, Role, Sym, SymExpr
+from .symexpr import Const, Ptr, Sym, SymExpr
 from .typesys import (
     INT,
     UINT,
@@ -41,15 +41,15 @@ _MAX_STUB_CALLS = 16
 
 
 def return_symbol(callee: str, k: int, ctype: CType) -> Sym:
-    return Sym(f"{callee}@RETURN@{k}", ctype, Role.STUB_RETURN)
+    return Sym(f"{callee}@RETURN@{k}", ctype)
 
 
 def output_symbol(callee: str, arg_index: int, k: int, ctype: CType) -> Sym:
-    return Sym(f"{callee}@OUT{arg_index}@{k}", ctype, Role.STUB_OUTPUT)
+    return Sym(f"{callee}@OUT{arg_index}@{k}", ctype)
 
 
 def global_symbol(callee: str, global_name: str, k: int, ctype: CType) -> Sym:
-    return Sym(f"{global_name}@{callee}@{k}", ctype, Role.STUB_GLOBAL)
+    return Sym(f"{global_name}@{callee}@{k}", ctype)
 
 
 def intercept_call(state, interp, instr: ICall) -> None:

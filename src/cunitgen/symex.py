@@ -81,7 +81,6 @@ from .symexpr import (
     FLIP,
     Ite,
     Ptr,
-    Role,
     Sym,
     SymExpr,
     TRUE,
@@ -106,6 +105,7 @@ from .typesys import (
     PointerType,
     StructType,
     VoidType,
+    bit_field_type,
     promote,
     usual_arith,
 )
@@ -478,7 +478,7 @@ class _Interp:
         if isinstance(place.elem_type, PointerType):
             ps = self.regions.pointer_input(name, place.elem_type, from_memory=True)
             return Ptr(ps.base, ps.offset, place.elem_type)
-        return Sym(name, place.elem_type, Role.FRESH_READ)
+        return Sym(name, place.elem_type)
 
     def _base_content(self, place: Place) -> SymExpr:
         """Value of an untouched location: a test input or an uninitialized slot."""
@@ -557,9 +557,8 @@ class _Interp:
         value = self.value_as(value, place.elem_type, line)
         if place.bit is not None and isinstance(place.elem_type, IntType):
             # bit fields store only their low bits; reads widen back
-            narrow = IntType(place.bit[1], place.elem_type.signed,
-                             f"{place.elem_type.name}:{place.bit[1]}")
-            value = self.value_as(value, narrow, line)
+            value = self.value_as(
+                value, bit_field_type(place.elem_type, place.bit[1]), line)
         self.state.add_item(MemoryItem(
             place.base, place.offset, place.length, value, place.bit))
 

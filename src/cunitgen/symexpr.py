@@ -4,6 +4,10 @@ This is the currency of the whole pipeline: memory items store these, branch
 guards resolve to them, the solver decides conjunctions of them, and the
 model verifier evaluates them.
 
+A symbol (``Sym``) is a name and a C type, nothing more. What it stands
+for, say a pointer input's base address or offset, is recorded by the
+region table (``memory.RegionTable``), the one place that knows it.
+
 Integer operations use two's-complement wraparound at the width of the
 expression type. Float operations round to the expression type's width.
 Both constant folding and evaluation take operator values from the scalar
@@ -31,7 +35,6 @@ none, and the solver and the SMT-LIB export read each node's sort from it.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterator, Mapping, Union
 
 from .frozen import Frozen
@@ -44,18 +47,6 @@ from .typesys import (
     convert,
     unary,
 )
-
-
-class Role(Enum):
-    """What a free symbol stands for in a path constraint."""
-
-    INPUT = "input"
-    PTR_BASE = "pointer-base"
-    PTR_OFFSET = "pointer-offset"
-    STUB_RETURN = "stub-return"
-    STUB_OUTPUT = "stub-output"
-    STUB_GLOBAL = "stub-global"
-    FRESH_READ = "fresh-read"
 
 
 class Const(Frozen):
@@ -71,8 +62,8 @@ class Const(Frozen):
 
 
 class Sym(Frozen):
-    def __init__(self, name: str, ctype: CType, role: Role = Role.INPUT):
-        self.__dict__.update(name=name, ctype=ctype, role=role)
+    def __init__(self, name: str, ctype: CType):
+        self.__dict__.update(name=name, ctype=ctype)
 
     def __str__(self) -> str:
         return self.name
@@ -336,10 +327,16 @@ class EvalError(Exception):
 
 
 def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
-    """Evaluate under a model. Independent of the solver's search machinery."""
+    """Evaluate under a model. Independent of the solver's search machinery.
+    A subterm that several parents share, as in x + x, is evaluated once."""
+    return _evaluate(e, env, {})
+
+
+def _evaluate(e: SymExpr, env: Mapping[str, Value], memo: dict[int, Value]) -> Value:
+    """evaluate, with memo holding each compound node's value by the node's
+    id. The nodes under e live as long as the call, so an id names one node;
+    an EvalError ends the call, so none is cached."""
     t = type(e)
-    if t is BinOp:
-        return _eval_binop(e, env)
     if t is Sym:
         try:
             return env[e.name]
@@ -347,35 +344,32 @@ def evaluate(e: SymExpr, env: Mapping[str, Value]) -> Value:
             raise EvalError(f"unassigned symbol {e.name}") from None
     if t is Const:
         return e.value
-    if t is Cast:
-        try:
-            return convert(evaluate(e.operand, env), e.ctype)
-        except Undefined as exc:
-            raise EvalError(str(exc)) from exc
-    if t is UnOp:
-        v = evaluate(e.operand, env)
-        if e.op == "!":
-            return 0 if v else 1
-        try:
-            return unary(e.op, v, e.ctype)
-        except Undefined as exc:
-            raise EvalError(str(exc)) from exc
-    if t is Ite:
-        return evaluate(e.then if evaluate(e.cond, env) else e.other, env)
-    if t is Range:
-        return 1 if e.lo <= evaluate(e.expr, env) < e.hi else 0
-    raise EvalError(f"cannot evaluate {e!r}")
-
-
-def _eval_binop(e: BinOp, env: Mapping[str, Value]) -> Value:
-    op = e.op
-    if op == "&&":
-        return 1 if evaluate(e.lhs, env) and evaluate(e.rhs, env) else 0
-    if op == "||":
-        return 1 if evaluate(e.lhs, env) or evaluate(e.rhs, env) else 0
+    key = id(e)
+    v = memo.get(key)
+    if v is not None:
+        return v
     try:
-        return binary(op, evaluate(e.lhs, env), evaluate(e.rhs, env),
-                      e.lhs.ctype, e.rhs.ctype, e.ctype)
+        if t is BinOp:
+            # && and || evaluate their right side only when it decides
+            if e.op == "&&":
+                v = 1 if _evaluate(e.lhs, env, memo) and _evaluate(e.rhs, env, memo) else 0
+            elif e.op == "||":
+                v = 1 if _evaluate(e.lhs, env, memo) or _evaluate(e.rhs, env, memo) else 0
+            else:
+                v = binary(e.op, _evaluate(e.lhs, env, memo), _evaluate(e.rhs, env, memo),
+                           e.lhs.ctype, e.rhs.ctype, e.ctype)
+        elif t is Cast:
+            v = convert(_evaluate(e.operand, env, memo), e.ctype)
+        elif t is UnOp:
+            v = _evaluate(e.operand, env, memo)
+            v = (0 if v else 1) if e.op == "!" else unary(e.op, v, e.ctype)
+        elif t is Ite:
+            v = _evaluate(e.then if _evaluate(e.cond, env, memo) else e.other, env, memo)
+        elif t is Range:
+            v = 1 if e.lo <= _evaluate(e.expr, env, memo) < e.hi else 0
+        else:
+            raise EvalError(f"cannot evaluate {e!r}")
     except Undefined as exc:
         raise EvalError(str(exc)) from exc
-
+    memo[key] = v
+    return v

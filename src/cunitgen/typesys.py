@@ -169,6 +169,12 @@ def is_scalar(t: CType) -> bool:
     return isinstance(t, (IntType, FloatType, PointerType, BoolType))
 
 
+def bit_field_type(t: IntType, width: int) -> IntType:
+    """The value type of a width-bit field declared as t: the values its
+    bits can store."""
+    return IntType(width, t.signed, f"{t.name}:{width}")
+
+
 def wrap_int(value: int, t: IntType) -> int:
     """Reduce an unbounded integer to the two's-complement value of type t."""
     masked = value & ((1 << t.width) - 1)

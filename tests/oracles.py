@@ -49,7 +49,6 @@ from cunitgen.symexpr import (
     Ite,
     Ptr,
     Range,
-    Role,
     Sym,
     SymExpr,
     UnOp,
@@ -249,29 +248,15 @@ def parse_smtlib(text: str) -> Constraint:
         if head == "declare-fun":
             name = _unquote(sexp[1])
             ctype = _sort_from_sexp(sexp[3])
-            sym = Sym(name, ctype, _role_from_name(name))
+            sym = Sym(name, ctype)
             symbols[name] = sym
         elif head == "assert":
             conjuncts.append(_expr_from_sexp(sexp[1], symbols))
     c = Constraint(conjuncts)
     c.free = {
-        name: FreeSymbol(name, sym.ctype, sym.role) for name, sym in symbols.items()
+        name: FreeSymbol(name, sym.ctype) for name, sym in symbols.items()
     }
     return c
-
-
-def _role_from_name(name: str) -> Role:
-    if name.endswith("@baseAddress"):
-        return Role.PTR_BASE
-    if name.endswith("@offset"):
-        return Role.PTR_OFFSET
-    if "@RETURN@" in name:
-        return Role.STUB_RETURN
-    if "@OUT" in name:
-        return Role.STUB_OUTPUT
-    if "@read@" in name:
-        return Role.FRESH_READ
-    return Role.INPUT
 
 
 def _unquote(tok: str) -> str:

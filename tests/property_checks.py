@@ -14,7 +14,6 @@ from cunitgen.memory import NULL_BASE
 from cunitgen.solver import solve, verify_model
 from cunitgen.symexpr import (
     Const,
-    Role,
     Sym,
     SymExpr,
     evaluate,
@@ -72,7 +71,7 @@ def make_constraint(rng: random.Random, t: IntType, n_syms: int) -> Constraint:
     c.free = {}
     for cj in conjuncts:
         for s in free_symbols(cj):
-            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
+            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype))
     return c
 
 
@@ -149,25 +148,25 @@ def run_pointer_compare_bruteforce(max_dim: int = 4) -> int:
     for omega in ("<", "<=", ">", ">=", "==", "!="):
         for dim1 in range(1, max_dim + 1):
             for dim2 in range(1, max_dim + 1):
-                p1 = con.PtrInfo(Sym("p1@baseAddress", UINT, Role.PTR_BASE),
-                                 Sym("p1@offset", UINT, Role.PTR_OFFSET), dim1)
-                p2 = con.PtrInfo(Sym("p2@baseAddress", UINT, Role.PTR_BASE),
-                                 Sym("p2@offset", UINT, Role.PTR_OFFSET), dim2)
+                p1 = con.PtrInfo(Sym("p1@baseAddress", UINT),
+                                 Sym("p1@offset", UINT), dim1)
+                p2 = con.PtrInfo(Sym("p2@baseAddress", UINT),
+                                 Sym("p2@offset", UINT), dim2)
                 c = con.pointer_compare(p1, p2, omega)
                 c.free = {
                     "p1@baseAddress": FreeSymbol(
-                        "p1@baseAddress", UINT, Role.PTR_BASE,
+                        "p1@baseAddress", UINT,
                         candidates=[101, 102, NULL_BASE],
                         candidate_dims={101: dim1, 102: dim2, NULL_BASE: 0},
                         paired_offset="p1@offset"),
                     "p2@baseAddress": FreeSymbol(
-                        "p2@baseAddress", UINT, Role.PTR_BASE,
+                        "p2@baseAddress", UINT,
                         candidates=[102, 101, NULL_BASE],
                         candidate_dims={101: dim1, 102: dim2, NULL_BASE: 0},
                         paired_offset="p2@offset"),
-                    "p1@offset": FreeSymbol("p1@offset", UINT, Role.PTR_OFFSET,
+                    "p1@offset": FreeSymbol("p1@offset", UINT,
                                             dim=dim1),
-                    "p2@offset": FreeSymbol("p2@offset", UINT, Role.PTR_OFFSET,
+                    "p2@offset": FreeSymbol("p2@offset", UINT,
                                             dim=dim2),
                 }
                 brute = False
@@ -227,7 +226,7 @@ def make_float_constraint(rng: random.Random) -> Constraint:
     c.free = {}
     for cj in conjuncts:
         for s in free_symbols(cj):
-            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
+            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype))
     return c
 
 

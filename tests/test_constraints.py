@@ -24,7 +24,6 @@ from cunitgen.symexpr import (
     Ite,
     Ptr,
     Range,
-    Role,
     Sym,
     UnOp,
     evaluate,
@@ -39,8 +38,8 @@ def pinfo(base, offset, dim):
 
 
 def sym_ptr(name: str, dim: int):
-    return pinfo(Sym(f"{name}@baseAddress", UINT, Role.PTR_BASE),
-                 Sym(f"{name}@offset", UINT, Role.PTR_OFFSET), dim)
+    return pinfo(Sym(f"{name}@baseAddress", UINT),
+                 Sym(f"{name}@offset", UINT), dim)
 
 
 class TestPointerCompare:
@@ -61,16 +60,16 @@ class TestPointerCompare:
 
     def test_distinct_declared_arrays_unsatisfiable(self):
         # two declared arrays have fixed, distinct base ids
-        a = pinfo(Const(2147483648, UINT), Sym("x1", UINT, Role.PTR_OFFSET), 4)
-        b = pinfo(Const(2147483649, UINT), Sym("x2", UINT, Role.PTR_OFFSET), 4)
+        a = pinfo(Const(2147483648, UINT), Sym("x1", UINT), 4)
+        b = pinfo(Const(2147483649, UINT), Sym("x2", UINT), 4)
         c = con.pointer_compare(a, b, "<")
         c.free = con.build_free_table(c.conjuncts, _regions())
         assert solve(c).status == "unsat"
 
     def test_unequal_dims_fold_false(self):
         # two known regions of different dimensions
-        a = pinfo(Const(2147483648, UINT), Sym("x1", UINT, Role.PTR_OFFSET), 4)
-        b = pinfo(Const(2147483648, UINT), Sym("x2", UINT, Role.PTR_OFFSET), 7)
+        a = pinfo(Const(2147483648, UINT), Sym("x1", UINT), 4)
+        b = pinfo(Const(2147483648, UINT), Sym("x2", UINT), 7)
         c = con.pointer_compare(a, b, "<")
         c.free = con.build_free_table(c.conjuncts, _regions())
         assert solve(c).status == "unsat"
@@ -102,17 +101,17 @@ class TestPointerCompare:
         c = con.pointer_compare(p1, p2, omega)
         c.free = {
             "p1@baseAddress": con.FreeSymbol(
-                "p1@baseAddress", UINT, Role.PTR_BASE,
+                "p1@baseAddress", UINT,
                 candidates=[101, 102, NULL_BASE],
                 candidate_dims={101: dim1, 102: dim2, NULL_BASE: 0},
                 paired_offset="p1@offset"),
             "p2@baseAddress": con.FreeSymbol(
-                "p2@baseAddress", UINT, Role.PTR_BASE,
+                "p2@baseAddress", UINT,
                 candidates=[102, 101, NULL_BASE],
                 candidate_dims={101: dim1, 102: dim2, NULL_BASE: 0},
                 paired_offset="p2@offset"),
-            "p1@offset": con.FreeSymbol("p1@offset", UINT, Role.PTR_OFFSET, dim=dim1),
-            "p2@offset": con.FreeSymbol("p2@offset", UINT, Role.PTR_OFFSET, dim=dim2),
+            "p1@offset": con.FreeSymbol("p1@offset", UINT, dim=dim1),
+            "p2@offset": con.FreeSymbol("p2@offset", UINT, dim=dim2),
         }
         brute_sat = False
         for b1, b2 in itertools.product([101, 102, NULL_BASE], repeat=2):
@@ -170,7 +169,7 @@ class TestOnePastTheEnd:
 
     def test_an_input_offset_keeps_its_domain(self):
         # an input pointer's offset symbol lies in [0, dim), as in Table 1
-        p = pinfo(self.ARR, Sym("q@offset", UINT, Role.PTR_OFFSET), 4)
+        p = pinfo(self.ARR, Sym("q@offset", UINT), 4)
         end = pinfo(self.ARR, Const(4, UINT), 4)
         assert self._solve(p, end, "==").status == "unsat"
         assert self._solve(p, end, "<").status == "sat"
@@ -311,7 +310,7 @@ class TestConjoin:
         from cunitgen.symexpr import Range, free_symbols, BinOp
 
         offsets = {s.name for cj in c.conjuncts for s in free_symbols(cj)
-                   if s.role is Role.PTR_OFFSET}
+                   if c.free[s.name].dim is not None}
 
         def ranges(e):
             if isinstance(e, Range):

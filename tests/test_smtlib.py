@@ -12,15 +12,15 @@ from cunitgen.cli import main
 from cunitgen.constraints import Constraint, FreeSymbol
 from cunitgen.smtlib import export_smtlib, parse_model_file
 from cunitgen.solver import Model, solve, verify_model
-from cunitgen.symexpr import Const, Role, Sym, mk_binop, mk_cast, mk_range
+from cunitgen.symexpr import Const, Sym, mk_binop, mk_cast, mk_range
 from cunitgen.typesys import DOUBLE, FLOAT, INT, SCHAR, SHORT, UCHAR, UINT
 
 
 def table1_constraint() -> Constraint:
-    a1 = Sym("p1@baseAddress", UINT, Role.PTR_BASE)
-    a2 = Sym("p2@baseAddress", UINT, Role.PTR_BASE)
-    x1 = Sym("p1@offset", UINT, Role.PTR_OFFSET)
-    x2 = Sym("p2@offset", UINT, Role.PTR_OFFSET)
+    a1 = Sym("p1@baseAddress", UINT)
+    a2 = Sym("p2@baseAddress", UINT)
+    x1 = Sym("p1@offset", UINT)
+    x2 = Sym("p2@offset", UINT)
     conj = [
         mk_binop("==", a1, a2),
         mk_binop("<", x1, x2),
@@ -34,7 +34,7 @@ def table1_constraint() -> Constraint:
     c.free = {}
     for cj in conj:
         for s in free_symbols(cj):
-            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
+            c.free.setdefault(s.name, FreeSymbol(s.name, s.ctype))
     return c
 
 
@@ -112,7 +112,7 @@ class TestRoundTrip:
         original.free = {}
         for cj in conjuncts:
             for s in free_symbols(cj):
-                original.free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
+                original.free.setdefault(s.name, FreeSymbol(s.name, s.ctype))
         text = export_smtlib(original)
         reparsed = parse_smtlib(text)
         v1 = solve(original)

@@ -24,7 +24,6 @@ from cunitgen.solver import Model, solve, verify_model
 from cunitgen.symexpr import (
     Const,
     Range,
-    Role,
     Sym,
     free_symbols,
     mk_binop,
@@ -42,7 +41,7 @@ def make(conjuncts, free=None):
         free = {}
         for cj in conjuncts:
             for s in free_symbols(cj):
-                free.setdefault(s.name, FreeSymbol(s.name, s.ctype, s.role))
+                free.setdefault(s.name, FreeSymbol(s.name, s.ctype))
     c.free = free
     return c
 
@@ -58,21 +57,21 @@ def tritype_scalene():
 
 
 def ptr_free(name: str, candidates, dims, paired: str):
-    return FreeSymbol(f"{name}@baseAddress", UINT, Role.PTR_BASE,
+    return FreeSymbol(f"{name}@baseAddress", UINT,
                       candidates=list(candidates),
                       candidate_dims=dict(dims), paired_offset=f"{name}@offset")
 
 
 def off_free(name: str, dim: int):
-    return FreeSymbol(f"{name}@offset", UINT, Role.PTR_OFFSET, dim=dim)
+    return FreeSymbol(f"{name}@offset", UINT, dim=dim)
 
 
 class TestVerdicts:
     def test_table1_shape_sat(self):
-        a1 = Sym("p1@baseAddress", UINT, Role.PTR_BASE)
-        a2 = Sym("p2@baseAddress", UINT, Role.PTR_BASE)
-        x1 = Sym("p1@offset", UINT, Role.PTR_OFFSET)
-        x2 = Sym("p2@offset", UINT, Role.PTR_OFFSET)
+        a1 = Sym("p1@baseAddress", UINT)
+        a2 = Sym("p2@baseAddress", UINT)
+        x1 = Sym("p1@offset", UINT)
+        x2 = Sym("p2@offset", UINT)
         c = make(
             [mk_binop("==", a1, a2), mk_binop("<", x1, x2),
              mk_range(x1, 0, 10), mk_range(x2, 0, 10)],
@@ -126,9 +125,9 @@ class TestVerdicts:
         assert r.status == "sat"
 
     def test_table2_shape_sat(self):
-        r0 = Sym("func_ext@RETURN@0", INT, Role.STUB_RETURN)
-        r1 = Sym("func_ext@RETURN@1", INT, Role.STUB_RETURN)
-        g1 = Sym("globalVar@func_ext@1", INT, Role.STUB_GLOBAL)
+        r0 = Sym("func_ext@RETURN@0", INT)
+        r1 = Sym("func_ext@RETURN@1", INT)
+        g1 = Sym("globalVar@func_ext@1", INT)
         p1, p2 = Sym("p1", INT), Sym("p2", INT)
         c = make([
             mk_binop(">", r0, p2),
@@ -247,8 +246,8 @@ class TestWrapWindows:
 
 class TestModels:
     def test_pointer_offset_respects_region_dim(self):
-        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
-        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        a = Sym("p@baseAddress", UINT)
+        x = Sym("p@offset", UINT)
         free = {
             "p@baseAddress": ptr_free("p", [7, 0], {7: 3, 0: 0}, "p"),
             "p@offset": off_free("p", 10),
@@ -260,7 +259,7 @@ class TestModels:
         assert 0 <= r.model.values["p@offset"] < 3
 
     def test_null_base_forces_zero_offset(self):
-        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
+        a = Sym("p@baseAddress", UINT)
         free = {
             "p@baseAddress": ptr_free("p", [8, 0], {8: 4, 0: 0}, "p"),
             "p@offset": off_free("p", 4),
@@ -566,8 +565,8 @@ class TestCornerMatchesFullDescent:
         # the root's corner, base 7 and offset 2, verifies, but region 7
         # has one element: the descent prunes that offset once the base is
         # decided, and answers with base 8
-        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
-        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        a = Sym("p@baseAddress", UINT)
+        x = Sym("p@offset", UINT)
         free = {
             "p@baseAddress": ptr_free("p", [7, 8, 0], {7: 1, 8: 4, 0: 0}, "p"),
             "p@offset": off_free("p", 4),
@@ -594,8 +593,8 @@ class TestCornerMatchesFullDescent:
 
 class TestDeterminism:
     def test_same_constraint_same_model(self):
-        x1 = Sym("p1@offset", UINT, Role.PTR_OFFSET)
-        x2 = Sym("p2@offset", UINT, Role.PTR_OFFSET)
+        x1 = Sym("p1@offset", UINT)
+        x2 = Sym("p2@offset", UINT)
         c1 = make([mk_binop("<", x1, x2), mk_range(x1, 0, 10), mk_range(x2, 0, 10)])
         a = solve(c1)
         b = solve(c1)
@@ -629,8 +628,8 @@ class TestHint:
         assert r.status == "sat" and r.nodes > 0
 
     def test_hint_outside_the_domains_is_searched(self):
-        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
-        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        a = Sym("p@baseAddress", UINT)
+        x = Sym("p@offset", UINT)
         free = {
             "p@baseAddress": ptr_free("p", [7, 0], {7: 3, 0: 0}, "p"),
             "p@offset": off_free("p", 4),
@@ -665,8 +664,8 @@ class TestHint:
     def test_offset_added_later_is_held_to_its_base(self):
         # the base passed alone; its offset, mentioned only later, lies in
         # its own start domain but beyond the one element of region 8
-        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
-        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        a = Sym("p@baseAddress", UINT)
+        x = Sym("p@offset", UINT)
         free = {
             "p@baseAddress": ptr_free("p", [7, 8, 0], {7: 4, 8: 1, 0: 0}, "p"),
             "p@offset": off_free("p", 4),
@@ -729,8 +728,8 @@ class TestSharedPrefix:
         assert evaluated == rest[::-1]  # the newest first
 
     def test_rebuilt_entry_is_checked_again(self):
-        a = Sym("p@baseAddress", UINT, Role.PTR_BASE)
-        x = Sym("p@offset", UINT, Role.PTR_OFFSET)
+        a = Sym("p@baseAddress", UINT)
+        x = Sym("p@offset", UINT)
         conjuncts = [mk_binop("!=", a, Const(0, UINT)), mk_binop("<", x, Const(100, UINT))]
         free = {"p@baseAddress": ptr_free("p", [7, 0], {7: 4, 0: 0}, "p"),
                 "p@offset": off_free("p", 4)}
@@ -940,7 +939,7 @@ class TestPushRule:
     def test_covering_push_changes_no_domain(self, data):
         ctype = data.draw(st.sampled_from(_TERM_TYPES))
         term = data.draw(_int_terms(ctype))
-        free = {v.name: FreeSymbol(v.name, v.ctype, v.role) for v in free_symbols(term)}
+        free = {v.name: FreeSymbol(v.name, v.ctype) for v in free_symbols(term)}
         s = RuleFree(make([], free), 1)
         env = s._initial_env()
         for name in sorted(free):

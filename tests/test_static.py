@@ -5,8 +5,9 @@ every field a class's __init__ sets is read there (a few kept for outside
 readers excepted), every parameter is read by its function, no module
 imports dataclasses, no module but the pipeline imports time, no function
 mutates a module-level container, no code takes a list's first element
-with ``.pop(0)``, some call passes each defaulted parameter, and README's
-command-line block lists exactly the CLI's options.
+with ``.pop(0)``, some call passes each defaulted parameter, no module but
+memory.py spells a pointer symbol's name suffix, and README's command-line
+block lists exactly the CLI's options.
 
 Each module under src/ is walked with the stdlib symtable module. A name
 that a function or class body reads as a global must be bound at module
@@ -285,6 +286,39 @@ def test_parameter_check_sees_an_unread_parameter(tmp_path):
     assert unread_parameters(str(tmp_path)) == [
         "m.py: <lambda>(b)", "m.py: inner(x)", "m.py: m(rest)", "m.py: m(unused)",
         "m.py: make(n)"]
+
+
+# The region table owns the names of a pointer input's symbols; every other
+# module asks it what a symbol stands for.
+_POINTER_SUFFIXES = ("@baseAddress", "@offset")
+
+
+def pointer_suffix_spellers(src_dir: str) -> list[str]:
+    """Modules under src_dir, memory.py aside, whose text spells a pointer
+    symbol's name suffix."""
+    found = []
+    for root, _dirs, files in os.walk(src_dir):
+        for f in files:
+            path = os.path.join(root, f)
+            module = os.path.relpath(path, src_dir)
+            if f.endswith(".py") and module != "memory.py":
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                if any(suffix in text for suffix in _POINTER_SUFFIXES):
+                    found.append(module)
+    return sorted(found)
+
+
+def test_only_the_region_table_spells_pointer_symbols():
+    assert pointer_suffix_spellers(SRC) == []
+
+
+def test_suffix_check_sees_a_spelling(tmp_path):
+    (tmp_path / "memory.py").write_text('base = f"{name}@baseAddress"\n')
+    (tmp_path / "a.py").write_text('is_offset = name.endswith("@offset")\n')
+    (tmp_path / "b.py").write_text('# p@baseAddress\n')
+    (tmp_path / "c.py").write_text('offset = 0\n')
+    assert pointer_suffix_spellers(str(tmp_path)) == ["a.py", "b.py"]
 
 
 def test_no_module_imports_dataclasses():

@@ -96,6 +96,20 @@ class TestEvaluate:
         assert evaluate(r, {"x": 9}) == 1
         assert evaluate(r, {"x": 10}) == 0
 
+    def test_shared_subterm_is_evaluated_once(self, monkeypatch):
+        # x = x + x twenty times: each level's node is both children of the
+        # next, so a walk of every path would make 2**20 additions
+        import cunitgen.symexpr as symexpr_mod
+
+        calls = []
+        monkeypatch.setattr(symexpr_mod, "binary",
+                            lambda *args: calls.append(args) or binary(*args))
+        e = Sym("x", INT)
+        for _ in range(20):
+            e = mk_binop("+", e, e, INT)
+        assert evaluate(e, {"x": 1}) == wrap_int(2**20, INT)
+        assert len(calls) <= 20
+
     def test_float32_rounding(self):
         from cunitgen.typesys import FLOAT
 
